@@ -113,8 +113,9 @@ int main(int argc, char** argv) {
               "as the budget saturates)\n");
 
   // Full ingestion: every camera runs its own engine over the test day.
-  // The engines are independent simulations — run them serially, then
-  // concurrently on the pool, and check the concurrent run changes nothing.
+  // The engines are independent simulations — an independent-mode StreamSet
+  // runs them serially, then concurrently on the pool, and the concurrent
+  // run must change nothing.
   std::vector<core::StreamEngineJob> jobs;
   for (size_t s = 0; s < streams.size(); ++s) {
     core::StreamEngineJob job;
@@ -129,15 +130,33 @@ int main(int argc, char** argv) {
     jobs.push_back(job);
   }
 
+  core::StreamSetOptions independent;
+  independent.planning = core::MultiStreamPlanning::kIndependent;
+
   WallTimer serial_timer;
-  std::vector<Result<core::EngineResult>> serial_runs =
-      core::RunStreamEngines(jobs, nullptr);
+  Result<core::StreamSet> serial_set =
+      core::StreamSet::Create(jobs, independent);
+  Status serial_ran = serial_set.ok() ? serial_set->RunToCompletion(nullptr)
+                                      : serial_set.status();
   double serial_s = serial_timer.Seconds();
 
   WallTimer concurrent_timer;
-  std::vector<Result<core::EngineResult>> concurrent_runs =
-      core::RunStreamEngines(jobs, &pool);
+  Result<core::StreamSet> concurrent_set =
+      core::StreamSet::Create(jobs, independent);
+  Status concurrent_ran = concurrent_set.ok()
+                              ? concurrent_set->RunToCompletion(&pool)
+                              : concurrent_set.status();
   double concurrent_s = concurrent_timer.Seconds();
+
+  if (!serial_ran.ok() || !concurrent_ran.ok()) {
+    std::printf("stream set failed: %s\n",
+                serial_ran.ok() ? concurrent_ran.ToString().c_str()
+                                : serial_ran.ToString().c_str());
+    return 1;
+  }
+  std::vector<Result<core::EngineResult>> serial_runs = serial_set->Results();
+  std::vector<Result<core::EngineResult>> concurrent_runs =
+      concurrent_set->Results();
 
   TablePrinter engines("Per-stream ingestion engines (1 test day each)");
   engines.SetHeader({"stream", "mean quality", "switches", "identical"});

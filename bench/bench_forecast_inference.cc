@@ -1,18 +1,14 @@
-// Forecast-inference latency: the SIMD micro-kernels (ml/kernels.h) and the
-// f32 reduced-precision path against the scalar/f64 baselines, at the real
-// plan-boundary geometry. Three questions, answered with numbers:
+// Forecast-inference latency: the SIMD micro-kernels (ml/kernels.h) against
+// the scalar oracle, at the real plan-boundary geometry. Two questions,
+// answered with numbers:
 //   (1) single-forecast latency (the per-plan-boundary cost every stream
-//       pays): p50/p99 over many calls, for {scalar, vector} x {f64, f32};
+//       pays): p50/p99 over many calls, for each kernel tier;
 //   (2) batched GEMM throughput (the kernel behind batched inference and
-//       every training step): vector tier vs the scalar oracle;
-//   (3) does the f32 knob stay within the documented objective tolerance on
-//       all four tracked workloads? (short f64-vs-f32 ingest per workload,
-//       relative mean-quality drift recorded and gated at 1%.)
+//       every training step): vector tier vs the scalar oracle, gated at 2x.
 // Results land in BENCH_forecast_inference.json with the dispatched kernel
 // tier and thread count, so perf lines from different hosts stay
-// comparable. Speedup gates apply only where a vector tier exists: on a
-// scalar-only host they are recorded as "skipped" with the reason, and the
-// bench still runs the parity and tolerance checks.
+// comparable. The speedup gate applies only where a vector tier exists: on
+// a scalar-only host it is recorded as "skipped" with the reason.
 
 #include <algorithm>
 #include <chrono>
@@ -23,16 +19,11 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/engine.h"
 #include "core/forecaster.h"
 #include "ml/kernels.h"
 #include "ml/matrix.h"
 #include "util/rng.h"
 #include "util/table.h"
-#include "workloads/covid.h"
-#include "workloads/ev_counting.h"
-#include "workloads/mosei.h"
-#include "workloads/mot.h"
 
 namespace {
 
@@ -90,56 +81,12 @@ double GemmSeconds(size_t n, size_t reps) {
   return timer.Seconds();
 }
 
-/// One short f64-vs-f32 ingest comparison; returns relative quality drift.
-double WorkloadDrift(const core::Workload& workload,
-                     bench::ExperimentSetup setup, bench::BenchJson* json,
-                     const std::string& tag) {
-  sim::ClusterSpec cluster;
-  cluster.cores = 8;
-  sim::CostModel cost_model(1.8);
-  auto model = bench::FitOffline(workload, setup, cluster, cost_model);
-  if (!model.ok()) {
-    std::printf("%s offline failed: %s\n", tag.c_str(),
-                model.status().ToString().c_str());
-    return -1.0;
-  }
-  double quality[2] = {0.0, 0.0};
-  for (int pass = 0; pass < 2; ++pass) {
-    core::EngineOptions run;
-    run.duration = Days(2);  // two plan boundaries: enough to exercise the
-                             // forecast->plan->ingest loop, cheap enough to
-                             // run all four workloads
-    run.plan_interval = setup.plan_interval;
-    run.cloud_budget_usd_per_interval = 2.0;
-    run.forecast_precision =
-        pass == 0 ? ml::Precision::kF64 : ml::Precision::kF32;
-    core::IngestionEngine engine(&workload, &*model, cluster, &cost_model,
-                                 run);
-    auto result = engine.Run(setup.test_start);
-    if (!result.ok()) {
-      std::printf("%s ingest failed: %s\n", tag.c_str(),
-                  result.status().ToString().c_str());
-      return -1.0;
-    }
-    quality[pass] = result->mean_quality;
-  }
-  double drift = quality[0] > 0.0
-                     ? std::abs(quality[1] - quality[0]) / quality[0]
-                     : 0.0;
-  json->Set(tag + "_mean_quality_f64", quality[0]);
-  json->Set(tag + "_mean_quality_f32", quality[1]);
-  json->Set(tag + "_rel_quality_drift", drift);
-  std::printf("%-12s mean quality f64 %.4f | f32 %.4f | rel drift %.2e\n",
-              tag.c_str(), quality[0], quality[1], drift);
-  return drift;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace sky;
   using namespace sky::bench;
-  std::printf("=== Forecast inference: SIMD kernels + f32 path ===\n");
+  std::printf("=== Forecast inference: SIMD kernels ===\n");
 
   BenchJson json("forecast_inference");
   ml::KernelBackend best = ml::BestSupportedBackend();
@@ -170,13 +117,7 @@ int main(int argc, char** argv) {
 
   constexpr size_t kLatencyReps = 4000;
   TablePrinter lat_table("Single boundary forecast (24 -> 16 -> 8 -> 3 net)");
-  lat_table.SetHeader({"backend", "precision", "p50", "p99"});
-  struct Cell {
-    std::string backend;
-    ml::Precision precision;
-    LatencyStats stats;
-  };
-  std::vector<Cell> cells;
+  lat_table.SetHeader({"backend", "p50", "p99"});
   std::vector<ml::KernelBackend> backends = {ml::KernelBackend::kScalar};
   if (has_vector) backends.push_back(best);
   for (ml::KernelBackend backend : backends) {
@@ -187,24 +128,15 @@ int main(int argc, char** argv) {
                   forced.ToString().c_str());
       return 1;
     }
-    for (ml::Precision precision :
-         {ml::Precision::kF64, ml::Precision::kF32}) {
-      // Warm scratches and the f32 mirror outside the timed region.
-      forecaster.ForecastInto(features, precision, &out);
-      LatencyStats stats = MeasureLatency(kLatencyReps, [&] {
-        forecaster.ForecastInto(features, precision, &out);
-      });
-      std::string backend_name = ml::KernelBackendName(backend);
-      std::string prec_name = precision == ml::Precision::kF64 ? "f64" : "f32";
-      cells.push_back({backend_name, precision, stats});
-      json.Set("forecast_" + backend_name + "_" + prec_name + "_p50_ns",
-               stats.p50_ns);
-      json.Set("forecast_" + backend_name + "_" + prec_name + "_p99_ns",
-               stats.p99_ns);
-      lat_table.AddRow({backend_name, prec_name,
-                        TablePrinter::Fmt(stats.p50_ns, 0) + " ns",
-                        TablePrinter::Fmt(stats.p99_ns, 0) + " ns"});
-    }
+    // Warm the inference scratch outside the timed region.
+    forecaster.ForecastInto(features, &out);
+    LatencyStats stats = MeasureLatency(
+        kLatencyReps, [&] { forecaster.ForecastInto(features, &out); });
+    std::string backend_name = ml::KernelBackendName(backend);
+    json.Set("forecast_" + backend_name + "_f64_p50_ns", stats.p50_ns);
+    json.Set("forecast_" + backend_name + "_f64_p99_ns", stats.p99_ns);
+    lat_table.AddRow({backend_name, TablePrinter::Fmt(stats.p50_ns, 0) + " ns",
+                      TablePrinter::Fmt(stats.p99_ns, 0) + " ns"});
   }
   lat_table.Print(std::cout);
 
@@ -229,52 +161,8 @@ int main(int argc, char** argv) {
               ml::KernelBackendName(best).c_str(), vector_gemm_s,
               gemm_speedup);
 
-  // f32-vs-f64 single forecast at the dispatched (best) tier: the latency
-  // win the reduced-precision knob buys on this host.
-  double f64_p50 = 0.0, f32_p50 = 0.0;
-  for (const Cell& c : cells) {
-    if (c.backend != ml::KernelBackendName(best)) continue;
-    if (c.precision == ml::Precision::kF64) f64_p50 = c.stats.p50_ns;
-    if (c.precision == ml::Precision::kF32) f32_p50 = c.stats.p50_ns;
-  }
-  double f32_speedup = f32_p50 > 0 ? f64_p50 / f32_p50 : 0.0;
-  json.Set("f32_forecast_speedup", f32_speedup);
-  std::printf("f32 vs f64 boundary forecast at %s tier: %.2fx\n",
-              ml::KernelBackendName(best).c_str(), f32_speedup);
-
-  // --- Part 3: f32 objective drift on all four tracked workloads --------
-  if (!ml::SetKernelBackend(best).ok()) return 1;  // dispatch as deployed
-  std::printf("\nf32-vs-f64 ingest drift (2 days, 8 vCPUs):\n");
-  double max_drift = 0.0;
-  bool workloads_ok = true;
-  {
-    workloads::CovidWorkload covid;
-    double d = WorkloadDrift(covid, CovidSetup(), &json, "covid");
-    workloads_ok = workloads_ok && d >= 0.0;
-    max_drift = std::max(max_drift, d);
-  }
-  {
-    workloads::MotWorkload mot;
-    double d = WorkloadDrift(mot, MotSetup(), &json, "mot");
-    workloads_ok = workloads_ok && d >= 0.0;
-    max_drift = std::max(max_drift, d);
-  }
-  {
-    workloads::MoseiWorkload mosei(workloads::MoseiWorkload::SpikeKind::kHigh);
-    double d = WorkloadDrift(mosei, MoseiSetup(), &json, "mosei_high");
-    workloads_ok = workloads_ok && d >= 0.0;
-    max_drift = std::max(max_drift, d);
-  }
-  {
-    workloads::EvCountingWorkload ev;
-    double d = WorkloadDrift(ev, EvSetup(), &json, "ev");
-    workloads_ok = workloads_ok && d >= 0.0;
-    max_drift = std::max(max_drift, d);
-  }
-  json.Set("max_rel_quality_drift", max_drift);
-
   // --- Gates -------------------------------------------------------------
-  // Speedup gates only bind where a vector tier exists; the scalar-only
+  // The speedup gate only binds where a vector tier exists; the scalar-only
   // fallback records why it skipped so a regression is distinguishable from
   // a host without SIMD.
   int failures = 0;
@@ -285,22 +173,9 @@ int main(int argc, char** argv) {
                   gemm_speedup);
       ++failures;
     }
-    if (f32_speedup < 1.5) {
-      std::printf("FAILED: f32 forecast speedup %.2fx below 1.5x\n",
-                  f32_speedup);
-      ++failures;
-    }
   } else {
     json.Set("speedup_gates", "skipped: host supports scalar tier only");
     std::printf("speedup gates skipped: no vector tier on this host\n");
-  }
-  if (!workloads_ok) {
-    std::printf("FAILED: a workload comparison did not run\n");
-    ++failures;
-  } else if (max_drift > 0.01) {
-    std::printf("FAILED: f32 quality drift %.3g above the 1%% tolerance\n",
-                max_drift);
-    ++failures;
   }
 
   std::string path = json.Write();

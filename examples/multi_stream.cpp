@@ -4,8 +4,8 @@
 // the joint knob planner (Eqs. 7-9) live at every lockstep plan boundary,
 // so credits flow to the streams where expensive configurations matter
 // most. Independent mode keeps the even-split baseline: each stream plans
-// alone on its own share (exactly what running the engines separately, or
-// core::RunStreamEngines, would do).
+// alone on its own share (exactly what running the engines separately would
+// do).
 //
 // Three cameras run the EV-counting job: a quiet residential camera, a
 // normal street, and a busy intersection. Each stream keeps its own content

@@ -11,7 +11,7 @@
 # the docs link check, and the gating benches so the trajectory
 # (BENCH_planner_scaling.json, BENCH_forecast_training.json,
 # BENCH_appd_multistream.json, BENCH_table3_offline_runtime.json,
-# BENCH_forecast_inference.json — kernel-tier and f32-precision gates —
+# BENCH_forecast_inference.json — kernel-tier GEMM gate —
 # BENCH_fault_robustness.json — quality-under-faults and recovery parity
 # gates — and BENCH_serve.json — serve-vs-in-process overhead gate) is
 # refreshed on every local check; all exit non-zero when a perf or parity

@@ -69,10 +69,7 @@ struct Resources {
 ///
 /// EngineOptions fields the caller sets explicitly always win; only
 /// provisioning fields left unset (buffer_bytes, cloud budget) are filled
-/// in from the Resources given to SetResources. Notable knobs:
-/// `forecast_precision = ml::Precision::kF32` switches boundary-forecast
-/// inference to the SIMD f32 path (docs/precision.md; everything else,
-/// including training, stays f64). In particular an explicit
+/// in from the Resources given to SetResources. In particular an explicit
 /// `cloud_budget_usd_per_interval = 0.0` disables cloud bursting even when
 /// the provisioned Resources grant credits.
 class Skyscraper {
@@ -135,10 +132,10 @@ class Skyscraper {
                                     core::EngineOptions options = {});
 
   /// Packages this facade's workload, model and provisioning as ONE stream
-  /// of a multi-stream deployment — the unit a core::StreamSet (or
-  /// RunStreamEngines) schedules. Build one facade per camera, Fit() (or
-  /// LoadModel()) each, collect their jobs, and hand them to
-  /// StreamSet::Create for jointly planned, fleet-scale ingestion:
+  /// of a multi-stream deployment — the unit a core::StreamSet schedules.
+  /// Build one facade per camera, Fit() (or LoadModel()) each, collect their
+  /// jobs, and hand them to StreamSet::Create for jointly planned,
+  /// fleet-scale ingestion:
   ///
   ///   std::vector<core::StreamEngineJob> jobs;
   ///   for (auto& cam : cameras) jobs.push_back(*cam.sky.MakeStreamJob(t0));

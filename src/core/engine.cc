@@ -168,8 +168,7 @@ void IngestionEngine::ComputeBoundaryForecastInto(std::vector<double>* out) {
     // allocates at steady state.
     forecaster->FeaturesFromHistoryInto(s.history, model_->segment_seconds,
                                         &scratch_.features);
-    forecaster->ForecastInto(scratch_.features, options_.forecast_precision,
-                             out);
+    forecaster->ForecastInto(scratch_.features, out);
   } else if (!s.history.empty()) {
     CategoryHistogramInto(s.history, 0, s.history.size(), num_c, out);
   } else {

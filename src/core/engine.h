@@ -8,7 +8,6 @@
 
 #include "core/offline.h"
 #include "core/planner.h"
-#include "ml/kernels.h"
 #include "core/switcher.h"
 #include "core/workload.h"
 #include "sim/buffer.h"
@@ -53,13 +52,6 @@ struct EngineOptions {
   /// kStructured (default) is the exact O(n log n) MCKP solver; kSimplex is
   /// the dense-tableau reference oracle kept for A/B comparison.
   PlannerBackend planner_backend = PlannerBackend::kStructured;
-  /// Arithmetic precision of the boundary forecast (§3.3's inference step
-  /// only — training, online fine-tuning and the planner stay f64). kF64
-  /// (default) keeps the engine bitwise-reproducible against every prior
-  /// release; kF32 runs the forecaster's reduced-precision path (f32 weight
-  /// mirror + SIMD f32 matvec), trading bitwise reproducibility for
-  /// inference speed within the tolerance documented in docs/precision.md.
-  ml::Precision forecast_precision = ml::Precision::kF64;
 
   // --- Microbenchmark toggles (all default off) ---
   /// Replace the forecaster output with the realized future distribution
@@ -137,7 +129,7 @@ struct EngineResult {
 
 /// True when two engine results are bitwise identical on every field,
 /// including the full trace. The parity handle behind the stepped-vs-batch
-/// and StreamSet-vs-RunStreamEngines guarantees.
+/// and StreamSet-vs-per-engine-Run guarantees.
 bool EngineResultsIdentical(const EngineResult& a, const EngineResult& b);
 
 /// Every piece of per-run mutable state of the ingestion engine, extracted

@@ -217,16 +217,6 @@ void Forecaster::ForecastInto(const std::vector<double>& features,
   net_.PredictInto(features, &predict_scratch_, out);
 }
 
-void Forecaster::ForecastInto(const std::vector<double>& features,
-                              ml::Precision precision,
-                              std::vector<double>* out) const {
-  if (precision == ml::Precision::kF32) {
-    net_.PredictIntoF32(features, &predict_scratch_f32_, out);
-  } else {
-    net_.PredictInto(features, &predict_scratch_, out);
-  }
-}
-
 void Forecaster::OnlineUpdate(const std::vector<double>& features,
                               const std::vector<double>& realized_distribution,
                               double learning_rate) {

@@ -89,15 +89,6 @@ class Forecaster {
   void ForecastInto(const std::vector<double>& features,
                     std::vector<double>* out) const;
 
-  /// Precision-selecting variant: ml::Precision::kF64 is exactly the
-  /// overload above; ml::Precision::kF32 runs the network's
-  /// reduced-precision forward (f32 weight mirror + dispatched f32 matvec
-  /// kernel) — roughly half the inference bandwidth, NOT bitwise against
-  /// the f64 path but within the tolerance documented in docs/precision.md.
-  /// Training and OnlineUpdate stay f64 either way.
-  void ForecastInto(const std::vector<double>& features,
-                    ml::Precision precision, std::vector<double>* out) const;
-
   /// Online fine-tuning step on a realized (features, outcome) pair (§3.3).
   /// Runs against the net's reusable workspace: allocation-free at steady
   /// state on the engine's plan boundary.
@@ -151,8 +142,6 @@ class Forecaster {
   ml::TrainReport report_;
   /// Reused by ForecastInto so steady-state inference allocates nothing.
   mutable ml::PredictScratch predict_scratch_;
-  /// f32 twin, for the reduced-precision ForecastInto overload.
-  mutable ml::PredictScratchF32 predict_scratch_f32_;
 };
 
 }  // namespace sky::core

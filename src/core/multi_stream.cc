@@ -577,8 +577,8 @@ Status StreamSet::RunUntilElapsed(SimTime elapsed) {
 Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
   if (options_.planning == MultiStreamPlanning::kIndependent) {
     // Streams are fully independent simulations: one stream per pool slot,
-    // each stepped straight through — the exact RunStreamEngines fan-out,
-    // identical results for any thread count.
+    // each stepped straight through — identical results for any thread
+    // count.
     dag::ParallelFor(pool, engines_.size(), [&](size_t v) {
       if (!Active(v)) return;
       AdvanceStream(v, std::numeric_limits<int64_t>::max());
@@ -671,23 +671,6 @@ std::vector<Result<EngineResult>> StreamSet::Results() const {
     }
   }
   return out;
-}
-
-std::vector<Result<EngineResult>> RunStreamEngines(
-    const std::vector<StreamEngineJob>& jobs, dag::ThreadPool* pool) {
-  StreamSetOptions options;
-  options.planning = MultiStreamPlanning::kIndependent;
-  Result<StreamSet> set = StreamSet::Create(jobs, options);
-  if (!set.ok()) {
-    return std::vector<Result<EngineResult>>(
-        jobs.size(), Result<EngineResult>(set.status()));
-  }
-  Status ran = set->RunToCompletion(pool);
-  if (!ran.ok()) {
-    return std::vector<Result<EngineResult>>(jobs.size(),
-                                             Result<EngineResult>(ran));
-  }
-  return set->Results();
 }
 
 Result<std::vector<KnobPlan>> ComputeJointKnobPlan(

@@ -165,15 +165,15 @@ struct StreamSetOptions {
 ///   auto results = set->Results();
 ///
 /// Independent mode is the exact semantics of running every engine on its
-/// own (RunStreamEngines is a thin wrapper over it): results are
-/// bitwise-identical to per-engine Run, for any thread count.
+/// own: results are bitwise-identical to per-engine Run, for any thread
+/// count.
 class StreamSet {
  public:
   /// Validates and starts every stream. Jobs with null pointers (or whose
-  /// engine fails to start) are recorded per-stream — mirroring the
-  /// per-stream error semantics of RunStreamEngines — and do not fail the
-  /// set. Joint mode additionally requires every valid stream to share the
-  /// same segment length and plan interval, so boundaries hit in lockstep.
+  /// engine fails to start) are recorded per-stream — Results() reports
+  /// them in their slot — and do not fail the set. Joint mode additionally
+  /// requires every valid stream to share the same segment length and plan
+  /// interval, so boundaries hit in lockstep.
   static Result<StreamSet> Create(std::vector<StreamEngineJob> jobs,
                                   StreamSetOptions options = {});
 
@@ -365,13 +365,6 @@ class StreamSet {
   std::vector<size_t> planned_;
   std::vector<double> boundary_ms_;
 };
-
-/// Runs every stream's ingestion engine, fanned out on `pool` (each stream
-/// is an independent simulation; null runs them serially). Results are
-/// returned in job order and are identical for any thread count. Thin
-/// wrapper over a StreamSet in independent-planning mode.
-std::vector<Result<EngineResult>> RunStreamEngines(
-    const std::vector<StreamEngineJob>& jobs, dag::ThreadPool* pool = nullptr);
 
 }  // namespace sky::core
 

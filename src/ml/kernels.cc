@@ -46,23 +46,8 @@ void ScalarAxpy1F64(double d, const double* v, double* out, size_t m) {
   for (size_t c = 0; c < m; ++c) out[c] += d * v[c];
 }
 
-void ScalarDenseMatVecF32(const float* wt, const float* bias, const float* x,
-                          float* y, size_t rows, size_t cols) {
-  // Same column-major accumulation order as the vector tiers (y starts at
-  // the bias; column c of the original weights — row c of wt — contributes
-  // x[c]'s term to every output row before column c+1 is touched), so the
-  // backends differ only by lane-partial rounding, not by algorithm.
-  for (size_t r = 0; r < rows; ++r) y[r] = bias[r];
-  for (size_t c = 0; c < cols; ++c) {
-    float xc = x[c];
-    const float* __restrict wcol = wt + c * rows;
-    for (size_t r = 0; r < rows; ++r) y[r] += xc * wcol[r];
-  }
-}
-
 constexpr KernelOps kScalarOps = {
-    KernelBackend::kScalar, ScalarGemmRowF64,      ScalarAxpy4F64,
-    ScalarAxpy1F64,         ScalarDenseMatVecF32,
+    KernelBackend::kScalar, ScalarGemmRowF64, ScalarAxpy4F64, ScalarAxpy1F64,
 };
 
 // ---------------------------------------------------------------------------
@@ -75,8 +60,6 @@ const KernelOps* OpsFor(KernelBackend backend) {
       return ScalarKernelOps();
     case KernelBackend::kAvx2:
       return Avx2KernelOps();
-    case KernelBackend::kNeon:
-      return NeonKernelOps();
   }
   return nullptr;
 }
@@ -90,7 +73,6 @@ const KernelOps* InitDispatch() {
       force != nullptr && force[0] != '\0' && std::strcmp(force, "0") != 0;
   if (!forced_scalar) {
     if (const KernelOps* avx2 = Avx2KernelOps()) pick = avx2;
-    else if (const KernelOps* neon = NeonKernelOps()) pick = neon;
   }
   // Several threads may race the first call; they all compute the same
   // answer, so a plain publish is enough — but keep the first writer's value
@@ -118,7 +100,6 @@ KernelBackend ActiveKernelBackend() { return ActiveKernels().backend; }
 
 KernelBackend BestSupportedBackend() {
   if (Avx2KernelOps() != nullptr) return KernelBackend::kAvx2;
-  if (NeonKernelOps() != nullptr) return KernelBackend::kNeon;
   return KernelBackend::kScalar;
 }
 
@@ -143,8 +124,6 @@ std::string KernelBackendName(KernelBackend backend) {
       return "scalar";
     case KernelBackend::kAvx2:
       return "avx2";
-    case KernelBackend::kNeon:
-      return "neon";
   }
   return "unknown";
 }

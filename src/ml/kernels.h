@@ -8,26 +8,18 @@
 
 namespace sky::ml {
 
-/// Numeric precision of an inference path. Training, the Adam state, model
-/// persistence and the planning LP are always f64; kF32 exists only for the
-/// plan-boundary forecast forward pass (see docs/precision.md).
-enum class Precision { kF64, kF32 };
-
 /// Which micro-kernel implementation backs the contraction primitives.
 /// kScalar is the original loop nest, kept verbatim as the bitwise oracle;
 /// the vector tiers are selected at runtime from what the host supports.
 enum class KernelBackend {
   kScalar,  ///< portable loops — the reference oracle, always available
-  kAvx2,    ///< x86-64 AVX2 (+FMA for f32 only; f64 stays mul/add)
-  kNeon,    ///< AArch64 NEON
+  kAvx2,    ///< x86-64 AVX2 (separate mul/add, no FMA)
 };
 
-/// The contraction primitives every backend implements. All f64 kernels are
+/// The contraction primitives every backend implements. All kernels are
 /// REQUIRED to be bitwise-identical to the scalar oracle: they perform the
 /// same per-element operation sequence (no FMA contraction, no reassociated
 /// reductions — lanes are element-wise, so IEEE rounding matches exactly).
-/// The f32 kernels are held to a numeric tolerance instead (they may fuse
-/// multiply-adds); see docs/precision.md for the documented bounds.
 ///
 /// No kernel allocates, and all pointer arguments must be non-aliasing
 /// (the callers in matrix.cc/nn.cc assert this in debug builds).
@@ -51,17 +43,6 @@ struct KernelOps {
   /// Rank-1 row update: out[j] += d * v[j].
   void (*axpy1_f64)(double d, const double* v, double* out, size_t m);
 
-  /// Reduced-precision dense layer forward: y[r] = bias[r] + dot(w row r, x)
-  /// for r in [0, rows), computed from the TRANSPOSED weights — wt is cols x
-  /// rows, wt[c * rows + r] = w[r][c] (the layout FeedForwardNet already
-  /// maintains for its batched GEMM). Accumulation is column-major: y starts
-  /// as the bias and input column c FMAs x[c] * wt-row-c into all output
-  /// rows — vector tiles run straight down y, so no horizontal reduction
-  /// exists on any backend. Each backend is deterministic, but backends
-  /// agree only to f32 tolerance, not bitwise (vector tiers fuse the
-  /// multiply-adds).
-  void (*dense_matvec_f32)(const float* wt, const float* bias, const float* x,
-                           float* y, size_t rows, size_t cols);
 };
 
 /// The active kernel table. First use selects the best tier the host
@@ -84,14 +65,13 @@ bool KernelBackendSupported(KernelBackend backend);
 /// on other threads — switch between phases, not mid-computation.
 Status SetKernelBackend(KernelBackend backend);
 
-/// Human-readable backend name ("scalar", "avx2", "neon") for bench JSON.
+/// Human-readable backend name ("scalar", "avx2") for bench JSON.
 std::string KernelBackendName(KernelBackend backend);
 
 /// Implemented by the per-arch TUs; null when the build or host lacks the
 /// tier. Internal to the dispatcher and the parity tests.
 const KernelOps* ScalarKernelOps();
 const KernelOps* Avx2KernelOps();
-const KernelOps* NeonKernelOps();
 
 }  // namespace sky::ml
 

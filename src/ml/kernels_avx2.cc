@@ -1,25 +1,20 @@
-// AVX2 micro-kernels. This TU is the only one compiled with -mavx2 -mfma
+// AVX2 micro-kernels. This TU is the only one compiled with -mavx2
 // (plus -ffp-contract=off so the compiler cannot fuse the f64 mul/add pairs
 // into FMAs behind our back — contraction would change rounding and break
 // the bitwise-oracle contract). Everything else in the build stays at the
 // baseline ISA; callers reach these kernels only through the runtime
 // dispatch in kernels.cc, which checks CPUID first.
 //
-// f64 kernels: vector lanes perform exactly the scalar oracle's per-element
+// Vector lanes perform exactly the scalar oracle's per-element
 // operation sequence — separate IEEE mul and add in the same association —
 // so results are bitwise-identical to ScalarKernelOps() (property-tested in
 // tests/kernels_test.cc). The win comes from 4-wide lanes and from keeping
 // the output tile in registers across the whole k range instead of a
 // load/store round trip per rank-4 quad.
-//
-// f32 kernel: reduced precision is a tolerance contract, not a bitwise one,
-// so it uses 8-wide FMA, accumulating down the output rows (transposed
-// weights) so no horizontal reduction is ever needed.
 
 #include "ml/kernels.h"
 
-#if defined(__AVX2__) && defined(__FMA__) && \
-    (defined(__x86_64__) || defined(_M_X64))
+#if defined(__AVX2__) && (defined(__x86_64__) || defined(_M_X64))
 
 #include <immintrin.h>
 
@@ -204,60 +199,22 @@ void Avx2Axpy1F64(double d, const double* v, double* out, size_t m) {
   if (c < m) ScalarKernelOps()->axpy1_f64(d, v + c, out + c, m - c);
 }
 
-void Avx2DenseMatVecF32(const float* wt, const float* bias, const float* x,
-                        float* y, size_t rows, size_t cols) {
-  // Column-major accumulation over the transposed weights: y starts as the
-  // bias and every input column contributes one 8-wide FMA per row tile —
-  // no horizontal reductions anywhere, which is what makes the f32 forward
-  // beat the (bitwise-pinned, sequential) f64 dot products.
-  size_t r = 0;
-  for (; r + 16 <= rows; r += 16) {
-    __m256 acc0 = _mm256_loadu_ps(bias + r);
-    __m256 acc1 = _mm256_loadu_ps(bias + r + 8);
-    for (size_t c = 0; c < cols; ++c) {
-      __m256 xc = _mm256_set1_ps(x[c]);
-      const float* wcol = wt + c * rows + r;
-      acc0 = _mm256_fmadd_ps(xc, _mm256_loadu_ps(wcol), acc0);
-      acc1 = _mm256_fmadd_ps(xc, _mm256_loadu_ps(wcol + 8), acc1);
-    }
-    _mm256_storeu_ps(y + r, acc0);
-    _mm256_storeu_ps(y + r + 8, acc1);
-  }
-  for (; r + 8 <= rows; r += 8) {
-    __m256 acc = _mm256_loadu_ps(bias + r);
-    for (size_t c = 0; c < cols; ++c) {
-      acc = _mm256_fmadd_ps(_mm256_set1_ps(x[c]),
-                            _mm256_loadu_ps(wt + c * rows + r), acc);
-    }
-    _mm256_storeu_ps(y + r, acc);
-  }
-  // Row tail (< 8): plain loops — f32 is a tolerance contract, so the tail
-  // needs no oracle delegation, just the same math.
-  for (; r < rows; ++r) {
-    float s = bias[r];
-    for (size_t c = 0; c < cols; ++c) s += x[c] * wt[c * rows + r];
-    y[r] = s;
-  }
-}
-
 constexpr KernelOps kAvx2Ops = {
-    KernelBackend::kAvx2, Avx2GemmRowF64,      Avx2Axpy4F64,
-    Avx2Axpy1F64,         Avx2DenseMatVecF32,
+    KernelBackend::kAvx2, Avx2GemmRowF64, Avx2Axpy4F64, Avx2Axpy1F64,
 };
 
 }  // namespace
 
 const KernelOps* Avx2KernelOps() {
-  // Built with AVX2+FMA, but the binary may land on an older core: gate on
+  // Built with AVX2, but the binary may land on an older core: gate on
   // CPUID before handing out code the host cannot execute.
-  static const bool supported =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  static const bool supported = __builtin_cpu_supports("avx2");
   return supported ? &kAvx2Ops : nullptr;
 }
 
 }  // namespace sky::ml
 
-#else  // !(__AVX2__ && __FMA__ && x86-64)
+#else  // !(__AVX2__ && x86-64)
 
 namespace sky::ml {
 const KernelOps* Avx2KernelOps() { return nullptr; }

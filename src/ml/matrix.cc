@@ -130,7 +130,7 @@ namespace {
 /// Shared row-major GEMM: out = a * b (+ bias broadcast over rows). The
 /// k-range contraction per output row is a dispatched micro-kernel
 /// (ml::KernelOps::gemm_row_f64): four b rows per pass in a fixed
-/// association, vector-tiled on AVX2/NEON hosts and bitwise-identical to the
+/// association, vector-tiled on AVX2 hosts and bitwise-identical to the
 /// scalar oracle either way. i/k blocking keeps the active b panel
 /// cache-resident on large operands; the contraction and block order are a
 /// fixed function of the shapes, so results are fully deterministic.

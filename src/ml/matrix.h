@@ -76,7 +76,7 @@ class Matrix {
 /// differently than a strictly sequential sum.
 ///
 /// The k-contraction runs on the dispatched vector micro-kernels
-/// (ml/kernels.h: AVX2/NEON when the host has them, scalar oracle
+/// (ml/kernels.h: AVX2 when the host has it, scalar oracle
 /// otherwise); every backend is bitwise-identical, so the choice never
 /// changes results, only wall time. `out` must not alias a or b (asserted),
 /// and a/b/out must be distinct allocations — the kernels' pointer

@@ -42,29 +42,6 @@ void ApplyActivation(Activation act, std::vector<double>* v) {
   }
 }
 
-/// f32 twin of ApplyActivation for the reduced-precision inference path:
-/// same max-shifted softmax, evaluated entirely in float.
-void ApplyActivationF32(Activation act, float* v, size_t n) {
-  switch (act) {
-    case Activation::kIdentity:
-      return;
-    case Activation::kRelu:
-      for (size_t i = 0; i < n; ++i) v[i] = v[i] > 0.0f ? v[i] : 0.0f;
-      return;
-    case Activation::kSoftmax: {
-      float mx = v[0];
-      for (size_t i = 1; i < n; ++i) mx = std::max(mx, v[i]);
-      float sum = 0.0f;
-      for (size_t i = 0; i < n; ++i) {
-        v[i] = std::exp(v[i] - mx);
-        sum += v[i];
-      }
-      for (size_t i = 0; i < n; ++i) v[i] /= sum;
-      return;
-    }
-  }
-}
-
 /// Row-wise activation from pre-activations into a separate output buffer,
 /// arithmetic-identical to ApplyActivation on each row.
 void ActivateRowsInto(Activation act, const Matrix& pre, size_t m,
@@ -334,81 +311,6 @@ void FeedForwardNet::PredictInto(const std::vector<double>& x,
   std::memcpy(out->data(), cur, output_dim_ * sizeof(double));
 }
 
-void FeedForwardNet::RefreshF32Mirror() const {
-  if (mirror_version_ == weights_version_ && !mirror_.empty()) return;
-  mirror_.resize(layers_.size());
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    const Layer& l = layers_[li];
-    LayerF32& m = mirror_[li];
-    // Round the transposed copy (kept in sync by AdamStep/FromSnapshot):
-    // the f32 matvec kernel runs column-major over wt, see kernels.h.
-    const std::vector<double>& wt = l.wt.data();
-    m.wt.resize(wt.size());
-    for (size_t i = 0; i < wt.size(); ++i) {
-      m.wt[i] = static_cast<float>(wt[i]);
-    }
-    m.b.resize(l.b.size());
-    for (size_t i = 0; i < l.b.size(); ++i) m.b[i] = static_cast<float>(l.b[i]);
-  }
-  mirror_version_ = weights_version_;
-}
-
-void FeedForwardNet::PredictIntoF32(const std::vector<double>& x,
-                                    PredictScratchF32* scratch,
-                                    std::vector<double>* out) const {
-  assert(x.size() == input_dim_);
-  RefreshF32Mirror();
-  scratch->input.resize(input_dim_);
-  for (size_t i = 0; i < input_dim_; ++i) {
-    scratch->input[i] = static_cast<float>(x[i]);
-  }
-  const float* cur = scratch->input.data();
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    const Layer& l = layers_[li];
-    const LayerF32& m = mirror_[li];
-    std::vector<float>& dst = (li % 2 == 0) ? scratch->even : scratch->odd;
-    dst.resize(l.w.rows());
-    ActiveKernels().dense_matvec_f32(m.wt.data(), m.b.data(), cur, dst.data(),
-                                     l.w.rows(), l.w.cols());
-    ApplyActivationF32(l.act, dst.data(), dst.size());
-    cur = dst.data();
-  }
-  out->resize(output_dim_);
-  for (size_t i = 0; i < output_dim_; ++i) {
-    (*out)[i] = static_cast<double>(cur[i]);
-  }
-}
-
-void FeedForwardNet::PredictBatchIntoF32(const Matrix& X,
-                                         PredictScratchF32* scratch,
-                                         Matrix* out) const {
-  assert(X.cols() == input_dim_);
-  RefreshF32Mirror();
-  out->Resize(X.rows(), output_dim_);
-  for (size_t i = 0; i < X.rows(); ++i) {
-    const double* xrow = X.RowPtr(i);
-    scratch->input.resize(input_dim_);
-    for (size_t c = 0; c < input_dim_; ++c) {
-      scratch->input[c] = static_cast<float>(xrow[c]);
-    }
-    const float* cur = scratch->input.data();
-    for (size_t li = 0; li < layers_.size(); ++li) {
-      const Layer& l = layers_[li];
-      const LayerF32& m = mirror_[li];
-      std::vector<float>& dst = (li % 2 == 0) ? scratch->even : scratch->odd;
-      dst.resize(l.w.rows());
-      ActiveKernels().dense_matvec_f32(m.wt.data(), m.b.data(), cur, dst.data(),
-                                       l.w.rows(), l.w.cols());
-      ApplyActivationF32(l.act, dst.data(), dst.size());
-      cur = dst.data();
-    }
-    double* orow = out->RowPtr(i);
-    for (size_t c = 0; c < output_dim_; ++c) {
-      orow[c] = static_cast<double>(cur[c]);
-    }
-  }
-}
-
 void FeedForwardNet::EnsureWorkspace(TrainWorkspace* ws, size_t max_rows,
                                      size_t slots, bool with_backward) const {
   size_t num_layers = layers_.size();
@@ -626,9 +528,6 @@ void FeedForwardNet::AdamStep(const std::vector<Matrix>& grad_w,
     // into reused capacity — dwarfed by the gradient work it speeds up).
     l.w.TransposeInto(&l.wt);
   }
-  // The f32 mirror is now stale; it re-rounds lazily on the next f32
-  // inference rather than here, so pure-f64 training never pays for it.
-  ++weights_version_;
 }
 
 double FeedForwardNet::EvalLoss(const Matrix& X, const Matrix& Y,
@@ -863,10 +762,7 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
     }
   }
 
-  if (opts.keep_best_validation_weights) {
-    layers_ = std::move(best_layers);
-    ++weights_version_;  // the restore rewrites every weight
-  }
+  if (opts.keep_best_validation_weights) layers_ = std::move(best_layers);
   // Release the training workspace: engines copy trained nets per run, and
   // the batch-sized buffers would ride along in every copy. OnlineUpdate
   // re-sizes a single 1-row chunk on its first call and is allocation-free

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "dag/thread_pool.h"
-#include "ml/kernels.h"
 #include "ml/matrix.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -87,14 +86,6 @@ struct PredictScratch {
   std::vector<double> odd;
 };
 
-/// f32 twin of PredictScratch for the reduced-precision inference path:
-/// the f64 input rounded to floats plus ping-pong activation buffers.
-struct PredictScratchF32 {
-  std::vector<float> input;
-  std::vector<float> even;
-  std::vector<float> odd;
-};
-
 /// The complete persistent state of a FeedForwardNet as plain values: the
 /// architecture plus every trainable parameter AND the Adam optimizer
 /// moments. Produced by FeedForwardNet::Snapshot() and consumed by
@@ -135,26 +126,6 @@ class FeedForwardNet {
   /// identical to Predict.
   void PredictInto(const std::vector<double>& x, PredictScratch* scratch,
                    std::vector<double>* out) const;
-
-  /// Reduced-precision forward pass: rounds the input to f32, runs every
-  /// layer in f32 against the net's f32 weight mirror (the dispatched
-  /// dense_matvec_f32 kernel), and widens the result back to f64. NOT
-  /// bitwise against Predict — agrees to the f32 tolerance documented in
-  /// docs/precision.md. The mirror is refreshed lazily when the weights
-  /// changed since the last f32 call; refresh and forward reuse
-  /// preallocated buffers, so steady-state calls allocate nothing even
-  /// interleaved with OnlineUpdate. The mirror is shared mutable state:
-  /// like the workspace, one net must not run f32 inference from two
-  /// threads at once.
-  void PredictIntoF32(const std::vector<double>& x, PredictScratchF32* scratch,
-                      std::vector<double>* out) const;
-
-  /// Batched twin of PredictIntoF32: row i of `out` (resized to
-  /// X.rows() x output_dim) is the f32 prediction for row i of X. Rows run
-  /// serially through the f32 matvec kernel — at forecasting-net sizes the
-  /// f32 bandwidth halving beats the f64 GEMM's chunk fan-out.
-  void PredictBatchIntoF32(const Matrix& X, PredictScratchF32* scratch,
-                           Matrix* out) const;
 
   /// Batched forward pass: row i of `out` (resized to X.rows() x output_dim)
   /// is the prediction for row i of X. Rows are processed in fixed-size
@@ -205,16 +176,6 @@ class FeedForwardNet {
     std::vector<double> mb, vb;
   };
 
-  /// Per-layer f32 copy of wt (the transposed weights, cols x rows — the
-  /// layout the f32 matvec kernel wants) and b, feeding the
-  /// reduced-precision inference path. Derived state: never persisted
-  /// (NetSnapshot stays f64) and rebuilt from the f64 layers whenever they
-  /// change.
-  struct LayerF32 {
-    std::vector<float> wt;
-    std::vector<float> b;
-  };
-
   struct ForwardCache {
     // activations[0] = input, activations[i] = output of layer i-1.
     std::vector<std::vector<double>> activations;
@@ -261,11 +222,6 @@ class FeedForwardNet {
                          size_t chunk_rows, TrainWorkspace* ws,
                          dag::ThreadPool* pool) const;
 
-  /// Rounds the f64 layers into mirror_ if weights_version_ moved since the
-  /// last refresh. Buffers are sized once and reused: allocation-free at
-  /// steady state.
-  void RefreshF32Mirror() const;
-
   std::vector<Layer> layers_;
   size_t input_dim_;
   size_t output_dim_;
@@ -273,14 +229,6 @@ class FeedForwardNet {
   /// Reused by Train and OnlineUpdate (value member so nets stay copyable;
   /// buffers are small relative to the Adam state already carried).
   TrainWorkspace train_ws_;
-  /// Lazy f32 weight mirror: weights_version_ bumps on every weight
-  /// mutation (AdamStep, best-weight restore); mirror_version_ records the
-  /// version the mirror was last rounded from. mutable for the same reason
-  /// the inference scratches are — logically-const forward passes maintain
-  /// it (documented single-threaded-per-net, like the workspace).
-  mutable std::vector<LayerF32> mirror_;
-  mutable uint64_t mirror_version_ = 0;
-  uint64_t weights_version_ = 1;
 };
 
 /// Loss between a prediction and a target (exposed for tests).

@@ -55,7 +55,7 @@ Result<Frame> Client::RoundTrip(FrameType request, const std::string& payload,
                                 FrameType expected_reply) {
   SKY_RETURN_NOT_OK(WriteFrame(fd_, request, payload));
   Frame reply;
-  SKY_RETURN_NOT_OK(ReadFrame(fd_, &reply));
+  SKY_RETURN_NOT_OK(ReadFrame(fd_, kMaxFramePayload, &reply));
   if (reply.type == FrameType::kError) return ParseError(reply);
   if (reply.type != expected_reply) {
     return Status::Internal("unexpected reply frame type");

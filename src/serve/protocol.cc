@@ -106,7 +106,7 @@ Status WriteFrame(int fd, FrameType type, const std::string& payload) {
   return WriteExact(fd, wire.data(), wire.size());
 }
 
-Status ReadFrame(int fd, Frame* out) {
+Status ReadFrame(int fd, uint64_t max_payload, Frame* out) {
   // Header: magic + type + length.
   char header[13];
   bool eof = false;
@@ -121,8 +121,11 @@ Status ReadFrame(int fd, Frame* out) {
   }
   uint64_t length = 0;
   std::memcpy(&length, header + 5, sizeof(length));
-  if (length > kMaxFramePayload) {
-    return Status::InvalidArgument("frame length exceeds protocol maximum");
+  if (length > max_payload) {
+    return Status::InvalidArgument("frame length " + std::to_string(length) +
+                                   " exceeds the " +
+                                   std::to_string(max_payload) +
+                                   "-byte maximum");
   }
   out->type = static_cast<FrameType>(type);
   out->payload.resize(length);
@@ -147,7 +150,6 @@ void AppendSessionSpec(const SessionSpec& spec, std::string* out) {
   PutF64(out, spec.duration_days);
   PutF64(out, spec.plan_interval_days);
   PutU64(out, spec.engine_seed);
-  PutBool(out, spec.f32_forecast);
   PutBool(out, spec.record_trace);
   PutF64(out, spec.trace_resolution_s);
   AppendOptionalF64(out, spec.cloud_budget_usd_per_interval);
@@ -169,7 +171,6 @@ Status ParseSessionSpec(Cursor* c, SessionSpec* spec) {
   SKY_RETURN_NOT_OK(c->ReadF64(&spec->duration_days));
   SKY_RETURN_NOT_OK(c->ReadF64(&spec->plan_interval_days));
   SKY_RETURN_NOT_OK(c->ReadU64(&spec->engine_seed));
-  SKY_RETURN_NOT_OK(c->ReadBool(&spec->f32_forecast));
   SKY_RETURN_NOT_OK(c->ReadBool(&spec->record_trace));
   SKY_RETURN_NOT_OK(c->ReadF64(&spec->trace_resolution_s));
   SKY_RETURN_NOT_OK(

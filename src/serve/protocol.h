@@ -31,13 +31,18 @@ namespace sky::serve {
 /// See docs/serving.md for the full layout and semantics.
 
 inline constexpr char kFrameMagic[4] = {'S', 'K', 'Y', 'F'};
-inline constexpr uint32_t kProtocolVersion = 1;
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Upper bound on one frame's payload. The largest legitimate payload is a
 /// full-trace EngineResult (a few MB at default trace resolution); anything
 /// near this bound is a corrupt or hostile length field, refused before
 /// allocation.
 inline constexpr uint64_t kMaxFramePayload = 256ull << 20;
+
+/// Upper bound on one request payload, which is what the server reads. The
+/// largest request is a SessionSpec of about 100 bytes, so a client can
+/// never make the server allocate more than this before the checksum.
+inline constexpr uint64_t kMaxRequestPayload = 64ull << 10;
 
 enum class FrameType : uint8_t {
   // Client requests.
@@ -70,12 +75,15 @@ void EncodeFrame(FrameType type, const std::string& payload,
                  std::string* out);
 
 /// Blocking frame I/O on a connected socket. WriteFrame retries short
-/// writes; ReadFrame validates magic, type, length bound and checksum
-/// before returning. A connection closed cleanly BEFORE any frame byte is
-/// kNotFound (the peer simply hung up); mid-frame EOF, a bad magic or a
-/// failed checksum are kInvalidArgument; socket errors are kInternal.
+/// writes; ReadFrame validates magic, type, length and checksum before
+/// returning. A header declaring more than `max_payload` bytes is refused
+/// before the payload is read or allocated: the server passes
+/// kMaxRequestPayload, the client kMaxFramePayload. A connection closed
+/// cleanly BEFORE any frame byte is kNotFound (the peer simply hung up);
+/// an oversized length, mid-frame EOF, a bad magic or a failed checksum are
+/// kInvalidArgument; socket errors are kInternal.
 Status WriteFrame(int fd, FrameType type, const std::string& payload);
-Status ReadFrame(int fd, Frame* out);
+Status ReadFrame(int fd, uint64_t max_payload, Frame* out);
 
 /// Everything a client specifies when opening a stream session. The server
 /// resolves it against its registered workload/model: fields left negative
@@ -89,7 +97,6 @@ struct SessionSpec {
   double duration_days = 1.0;
   double plan_interval_days = -1.0;  ///< <= 0: the model's forecast span
   uint64_t engine_seed = 71;
-  bool f32_forecast = false;         ///< reduced-precision boundary forecast
   bool record_trace = false;
   double trace_resolution_s = 300.0;
   /// Unset: the server's provisioned per-stream cloud budget.

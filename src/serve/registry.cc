@@ -23,7 +23,7 @@ using io::wire::PutU8;
 using io::wire::TagIs;
 
 constexpr char kServeMagic[8] = {'S', 'K', 'Y', 'S', 'E', 'R', 'V', '1'};
-constexpr uint32_t kServeFormatVersion = 1;
+constexpr uint32_t kServeFormatVersion = 2;
 constexpr uint32_t kEndianMarker = 0x01020304u;
 
 constexpr char kChunkMeta[4] = {'M', 'E', 'T', 'A'};

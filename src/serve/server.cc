@@ -127,7 +127,6 @@ Result<core::StreamEngineJob> Server::BuildJob(const SessionSpec& spec,
   opts.seed = spec.engine_seed;
   opts.record_trace = spec.record_trace;
   opts.trace_resolution_s = spec.trace_resolution_s;
-  if (spec.f32_forecast) opts.forecast_precision = ml::Precision::kF32;
   if (spec.cloud_budget_usd_per_interval.has_value()) {
     opts.cloud_budget_usd_per_interval = *spec.cloud_budget_usd_per_interval;
   }
@@ -530,7 +529,7 @@ void Server::ListenLoop() {
 void Server::Connection(int fd) {
   for (;;) {
     Frame request;
-    Status read = ReadFrame(fd, &request);
+    Status read = ReadFrame(fd, kMaxRequestPayload, &request);
     if (!read.ok()) break;  // hangup or corruption: drop the connection
     auto [type, payload] = HandleRequest(request);
     if (!WriteFrame(fd, type, payload).ok()) break;

@@ -93,41 +93,6 @@ TEST(AllocSteadyStateTest, ForecasterPlanBoundaryPathsAllocateNothing) {
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
-TEST(AllocSteadyStateTest, F32ForecastWithOnlineUpdatesAllocatesNothing) {
-  // The f32 path's extra moving part: every OnlineUpdate invalidates the f32
-  // weight mirror, so each loop iteration pays a full mirror refresh before
-  // the f32 forward. Both must reuse their preallocated buffers — the
-  // refresh rounds in place, it never reallocates.
-  std::vector<size_t> seq = SyntheticCategories(60.0, 6, 23);
-  auto trained = Forecaster::Train(seq, 60.0, 3, FastOptions());
-  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
-  Forecaster forecaster = std::move(*trained);
-
-  std::vector<double> features;
-  std::vector<double> forecast;
-  std::vector<double> realized = {0.2, 0.5, 0.3};
-
-  for (int i = 0; i < 3; ++i) {
-    forecaster.FeaturesFromHistoryInto(seq, 60.0, &features);
-    forecaster.ForecastInto(features, ml::Precision::kF32, &forecast);
-    forecaster.OnlineUpdate(features, realized, 1e-3);
-  }
-
-  long before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 200; ++i) {
-    forecaster.FeaturesFromHistoryInto(seq, 60.0, &features);
-    forecaster.ForecastInto(features, ml::Precision::kF32, &forecast);
-    forecaster.OnlineUpdate(features, realized, 1e-3);
-  }
-  long after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0)
-      << "f32 forecast steady state allocated " << (after - before)
-      << " times";
-  ASSERT_EQ(forecast.size(), 3u);
-  double sum = forecast[0] + forecast[1] + forecast[2];
-  EXPECT_NEAR(sum, 1.0, 1e-6);  // f32 softmax normalizes to f32 accuracy
-}
-
 TEST(AllocSteadyStateTest, NetPredictIntoAllocatesNothing) {
   Rng rng(9);
   ml::FeedForwardNet net(6, {16, 8}, 3, ml::Activation::kSoftmax, &rng);

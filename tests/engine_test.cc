@@ -230,42 +230,6 @@ TEST_F(EngineTest, WorkBudgetOverrideCapsPlannedWork) {
   EXPECT_LE(r_tight->total_quality, r_loose->total_quality + 1e-9);
 }
 
-TEST_F(EngineTest, F32ForecastPrecisionStaysWithinObjectiveTolerance) {
-  // The reduced-precision knob only changes the plan-boundary forecast
-  // forward pass. Forecasts feed the knob planner, so tiny f32 rounding can
-  // flip a marginal plan choice — the contract is an objective-level bound,
-  // not bitwise identity: mean ingest quality within 1% of the f64 run
-  // (docs/precision.md). Everything else (training, online updates, noise
-  // stream) is bit-identical between the two runs.
-  EngineOptions f32 = BaseOptions();
-  f32.forecast_precision = ml::Precision::kF32;
-  IngestionEngine engine_f64(workload_, model_, cluster_, cost_model_,
-                             BaseOptions());
-  IngestionEngine engine_f32(workload_, model_, cluster_, cost_model_, f32);
-  auto r64 = engine_f64.Run(Days(6));
-  auto r32 = engine_f32.Run(Days(6));
-  ASSERT_TRUE(r64.ok() && r32.ok());
-  EXPECT_EQ(r32->overflow_events, 0u);
-  EXPECT_NEAR(r32->mean_quality, r64->mean_quality,
-              0.01 * r64->mean_quality);
-}
-
-TEST_F(EngineTest, DefaultPrecisionIsF64AndBitwiseStable) {
-  // Guards the default: an engine with untouched options must behave as if
-  // the knob did not exist (kF64 routes to the exact pre-knob code path).
-  EngineOptions opts = BaseOptions();
-  ASSERT_EQ(opts.forecast_precision, ml::Precision::kF64);
-  IngestionEngine a(workload_, model_, cluster_, cost_model_, opts);
-  EngineOptions explicit_f64 = BaseOptions();
-  explicit_f64.forecast_precision = ml::Precision::kF64;
-  IngestionEngine b(workload_, model_, cluster_, cost_model_, explicit_f64);
-  auto ra = a.Run(Days(6));
-  auto rb = b.Run(Days(6));
-  ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_DOUBLE_EQ(ra->total_quality, rb->total_quality);
-  EXPECT_EQ(ra->switch_count, rb->switch_count);
-}
-
 TEST_F(EngineTest, DeterministicGivenSeed) {
   IngestionEngine a(workload_, model_, cluster_, cost_model_, BaseOptions());
   IngestionEngine b(workload_, model_, cluster_, cost_model_, BaseOptions());

@@ -4,10 +4,9 @@
 // identical to the scalar oracle — the vector tiers change wall time, never
 // results. That is property-tested here over randomized shapes that land on
 // every remainder-lane class (m % 8 and m % 4 from 0 through the tile
-// width), with bit-pattern comparison rather than tolerance. The f32 matvec
-// is held to a numeric tolerance instead (it may fuse multiply-adds), and
-// the dispatcher itself is tested for override/force-scalar behavior and
-// for safe concurrent first use.
+// width), with bit-pattern comparison rather than tolerance. The dispatcher
+// itself is tested for override/force-scalar behavior and for safe
+// concurrent first use.
 
 #include <atomic>
 #include <cmath>
@@ -48,9 +47,6 @@ std::vector<const KernelOps*> VectorBackends() {
   if (KernelBackendSupported(KernelBackend::kAvx2)) {
     out.push_back(Avx2KernelOps());
   }
-  if (KernelBackendSupported(KernelBackend::kNeon)) {
-    out.push_back(NeonKernelOps());
-  }
   return out;
 }
 
@@ -58,8 +54,8 @@ TEST(KernelsTest, GemmRowMatchesScalarBitwiseAcrossShapes) {
   Rng rng(101);
   const KernelOps* scalar = ScalarKernelOps();
   for (const KernelOps* ops : VectorBackends()) {
-    // m sweeps 0..40: covers every remainder class of the 16- and 4-column
-    // AVX2 tiles and the 8/2-column NEON tiles; k sweeps the quad remainder.
+    // m sweeps 0..40: covers every remainder class of the 32-, 16- and
+    // 4-column AVX2 tiles; k sweeps the quad remainder.
     for (size_t m = 0; m <= 40; ++m) {
       for (size_t kdim : {size_t{1}, size_t{3}, size_t{4}, size_t{7},
                           size_t{16}, size_t{33}}) {
@@ -126,42 +122,6 @@ TEST(KernelsTest, Axpy1MatchesScalarBitwiseAcrossLengths) {
   }
 }
 
-TEST(KernelsTest, DenseMatVecF32WithinToleranceOfF64Reference) {
-  // The f32 matvec takes the TRANSPOSED weights (wt[c * rows + r], see
-  // kernels.h). Every backend — scalar included — is held to an f32
-  // tolerance against an f64 reference dot product; rows sweeps across the
-  // 16/8-wide vector tiles and their sub-8 tails, cols across short and
-  // long accumulations.
-  Rng rng(104);
-  std::vector<const KernelOps*> backends = {ScalarKernelOps()};
-  for (const KernelOps* ops : VectorBackends()) backends.push_back(ops);
-  for (const KernelOps* ops : backends) {
-    for (size_t rows : {size_t{1}, size_t{3}, size_t{8}, size_t{11},
-                        size_t{16}, size_t{19}, size_t{24}}) {
-      for (size_t cols : {size_t{1}, size_t{5}, size_t{8}, size_t{13},
-                          size_t{32}, size_t{40}}) {
-        std::vector<float> wt(cols * rows), x(cols), bias(rows);
-        for (float& v : wt) v = static_cast<float>(rng.Normal(0.0, 1.0));
-        for (float& v : x) v = static_cast<float>(rng.Normal(0.0, 1.0));
-        for (float& v : bias) v = static_cast<float>(rng.Normal(0.0, 1.0));
-        std::vector<float> y(rows);
-        ops->dense_matvec_f32(wt.data(), bias.data(), x.data(), y.data(),
-                              rows, cols);
-        for (size_t r = 0; r < rows; ++r) {
-          double ref = bias[r];
-          for (size_t c = 0; c < cols; ++c) {
-            ref += static_cast<double>(x[c]) *
-                   static_cast<double>(wt[c * rows + r]);
-          }
-          EXPECT_NEAR(y[r], ref, 1e-5 * (1.0 + static_cast<double>(cols)))
-              << KernelBackendName(ops->backend) << " rows " << rows
-              << " cols " << cols << " row " << r;
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelsTest, MatMulIntoIdenticalAcrossBackends) {
   // End-to-end through the Matrix entry points: force each backend in turn
   // and require bitwise-identical products (this is the whole-library
@@ -175,16 +135,13 @@ TEST(KernelsTest, MatMulIntoIdenticalAcrossBackends) {
   Matrix out_scalar, out_scalar_t;
   MatMulInto(a, b, &out_scalar);
   MatMulTransposedAInto(a, a, &out_scalar_t);
-  for (KernelBackend backend : {KernelBackend::kAvx2, KernelBackend::kNeon}) {
-    if (!KernelBackendSupported(backend)) continue;
-    ASSERT_TRUE(SetKernelBackend(backend).ok());
+  if (KernelBackendSupported(KernelBackend::kAvx2)) {
+    ASSERT_TRUE(SetKernelBackend(KernelBackend::kAvx2).ok());
     Matrix out, out_t;
     MatMulInto(a, b, &out);
     MatMulTransposedAInto(a, a, &out_t);
-    EXPECT_TRUE(BitEqual(out_scalar.data(), out.data()))
-        << KernelBackendName(backend);
-    EXPECT_TRUE(BitEqual(out_scalar_t.data(), out_t.data()))
-        << KernelBackendName(backend);
+    EXPECT_TRUE(BitEqual(out_scalar.data(), out.data()));
+    EXPECT_TRUE(BitEqual(out_scalar_t.data(), out_t.data()));
   }
   ASSERT_TRUE(SetKernelBackend(original).ok());
 }
@@ -202,11 +159,9 @@ TEST(KernelsTest, SetKernelBackendOverridesDispatch) {
 }
 
 TEST(KernelsTest, SetKernelBackendRejectsUnsupportedTier) {
-  // At most one vector tier exists per architecture, so the other one must
-  // be rejected (and on a scalar-only host both are).
-  for (KernelBackend backend : {KernelBackend::kAvx2, KernelBackend::kNeon}) {
-    if (KernelBackendSupported(backend)) continue;
-    EXPECT_FALSE(SetKernelBackend(backend).ok());
+  // On a host or build without AVX2 the tier must be rejected.
+  if (!KernelBackendSupported(KernelBackend::kAvx2)) {
+    EXPECT_FALSE(SetKernelBackend(KernelBackend::kAvx2).ok());
   }
   // Scalar is always available.
   EXPECT_TRUE(KernelBackendSupported(KernelBackend::kScalar));
@@ -215,7 +170,6 @@ TEST(KernelsTest, SetKernelBackendRejectsUnsupportedTier) {
 TEST(KernelsTest, BackendNamesAreStable) {
   EXPECT_EQ(KernelBackendName(KernelBackend::kScalar), "scalar");
   EXPECT_EQ(KernelBackendName(KernelBackend::kAvx2), "avx2");
-  EXPECT_EQ(KernelBackendName(KernelBackend::kNeon), "neon");
 }
 
 TEST(KernelsTest, ConcurrentFirstUseIsSafe) {

@@ -289,71 +289,6 @@ TEST(NnTest, PredictIntoAndBatchMatchPredictBitwise) {
   }
 }
 
-TEST(NnTest, PredictIntoF32TracksF64WithinTolerance) {
-  Rng rng(53);
-  FeedForwardNet net(8, {16, 8}, 4, Activation::kSoftmax, &rng);
-  PredictScratch scratch64;
-  PredictScratchF32 scratch32;
-  std::vector<double> out64, out32;
-  Rng xrng(54);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> x(8);
-    for (double& v : x) v = xrng.Normal(0.0, 1.0);
-    net.PredictInto(x, &scratch64, &out64);
-    net.PredictIntoF32(x, &scratch32, &out32);
-    ASSERT_EQ(out32.size(), out64.size());
-    double sum = 0.0;
-    for (size_t c = 0; c < out32.size(); ++c) {
-      // Post-softmax probabilities: absolute f32-level agreement (the bound
-      // documented in docs/precision.md).
-      EXPECT_NEAR(out32[c], out64[c], 1e-4);
-      sum += out32[c];
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-5);
-  }
-}
-
-TEST(NnTest, F32MirrorRefreshesAfterOnlineUpdate) {
-  // The f32 mirror is lazy: an OnlineUpdate between two f32 forwards must
-  // be reflected in the second one (a stale mirror would keep returning the
-  // old prediction bit-for-bit).
-  Rng rng(55);
-  FeedForwardNet net(4, {8}, 2, Activation::kSoftmax, &rng);
-  std::vector<double> x = {0.3, -0.1, 0.5, 0.2};
-  std::vector<double> y = {1.0, 0.0};
-  PredictScratchF32 scratch;
-  std::vector<double> before, after, reference;
-  net.PredictIntoF32(x, &scratch, &before);
-  for (int i = 0; i < 50; ++i) net.OnlineUpdate(x, y, 0.05, Loss::kCrossEntropy);
-  net.PredictIntoF32(x, &scratch, &after);
-  EXPECT_NE(before, after);
-  // And it converged toward the target like the f64 view of the same net.
-  PredictScratch scratch64;
-  net.PredictInto(x, &scratch64, &reference);
-  EXPECT_NEAR(after[0], reference[0], 1e-4);
-  EXPECT_GT(after[0], before[0]);
-}
-
-TEST(NnTest, PredictBatchIntoF32MatchesRowWiseF32) {
-  Rng rng(56);
-  FeedForwardNet net(6, {12}, 3, Activation::kSoftmax, &rng);
-  Matrix x(17, 6);
-  Rng xrng(57);
-  for (double& v : x.data()) v = xrng.Normal(0.0, 1.0);
-  PredictScratchF32 scratch;
-  Matrix batch_out;
-  net.PredictBatchIntoF32(x, &scratch, &batch_out);
-  ASSERT_EQ(batch_out.rows(), 17u);
-  ASSERT_EQ(batch_out.cols(), 3u);
-  std::vector<double> row_out;
-  for (size_t i = 0; i < x.rows(); ++i) {
-    net.PredictIntoF32(x.Row(i), &scratch, &row_out);
-    for (size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(batch_out.At(i, c), row_out[c]);  // same kernel, same bits
-    }
-  }
-}
-
 TEST(NnTest, OnlineUpdateIsDeterministicAndAllocationStable) {
   Rng rng(51);
   FeedForwardNet a(4, {8}, 2, Activation::kSoftmax, &rng);

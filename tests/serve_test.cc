@@ -15,11 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,6 +52,27 @@ using serve::ServerOptions;
 using serve::SessionSpec;
 
 constexpr char kModelPath[] = "/tmp/sky_serve_test_model.bin";
+
+/// Bounds every blocking read on `fd`, so a peer that waits for bytes that
+/// never come fails the read (kInternal) instead of hanging the test.
+void SetReadTimeout(int fd) {
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+}
+
+/// A request frame header (no payload, no trailer) that declares one byte
+/// more than the server accepts.
+std::string OversizedRequestHeader() {
+  std::string header;
+  serve::EncodeFrame(FrameType::kMetrics, "", &header);
+  uint64_t declared = serve::kMaxRequestPayload + 1;
+  std::memcpy(&header[4 + 1], &declared, sizeof(declared));  // after magic+type
+  header.resize(4 + 1 + 8);
+  return header;
+}
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -155,7 +180,7 @@ class ServeTest : public ::testing::Test {
 
 TEST_F(ServeTest, SessionSpecPayloadRoundTrips) {
   SessionSpec spec = SpecForSeed(12345);
-  spec.f32_forecast = true;
+  spec.record_trace = true;
   spec.cloud_budget_usd_per_interval = 0.375;
   spec.work_budget_override = 2.5;
   std::string payload;
@@ -170,8 +195,7 @@ TEST_F(ServeTest, SessionSpecPayloadRoundTrips) {
   EXPECT_EQ(back.duration_days, spec.duration_days);
   EXPECT_EQ(back.plan_interval_days, spec.plan_interval_days);
   EXPECT_EQ(back.engine_seed, spec.engine_seed);
-  EXPECT_EQ(back.f32_forecast, true);
-  EXPECT_EQ(back.record_trace, spec.record_trace);
+  EXPECT_TRUE(back.record_trace);
   EXPECT_EQ(back.trace_resolution_s, spec.trace_resolution_s);
   ASSERT_TRUE(back.cloud_budget_usd_per_interval.has_value());
   EXPECT_EQ(*back.cloud_budget_usd_per_interval, 0.375);
@@ -185,6 +209,7 @@ TEST_F(ServeTest, SessionSpecPayloadRoundTrips) {
   SessionSpec bare_back;
   ASSERT_TRUE(ParseSessionSpec(&c2, &bare_back).ok());
   EXPECT_FALSE(bare_back.content_seed.has_value());
+  EXPECT_FALSE(bare_back.record_trace);
   EXPECT_FALSE(bare_back.cloud_budget_usd_per_interval.has_value());
 }
 
@@ -202,11 +227,13 @@ TEST_F(ServeTest, ErrorPayloadCarriesTheStatus) {
 TEST_F(ServeTest, FramesRoundTripOverASocketAndRefuseCorruption) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SetReadTimeout(fds[1]);
 
   std::string payload = "hello frames";
   ASSERT_TRUE(serve::WriteFrame(fds[0], FrameType::kMetrics, payload).ok());
   Frame frame;
-  ASSERT_TRUE(serve::ReadFrame(fds[1], &frame).ok());
+  ASSERT_TRUE(
+      serve::ReadFrame(fds[1], serve::kMaxRequestPayload, &frame).ok());
   EXPECT_EQ(frame.type, FrameType::kMetrics);
   EXPECT_EQ(frame.payload, payload);
 
@@ -217,13 +244,26 @@ TEST_F(ServeTest, FramesRoundTripOverASocketAndRefuseCorruption) {
   ASSERT_EQ(::write(fds[0], encoded.data(), encoded.size()),
             static_cast<ssize_t>(encoded.size()));
   Frame corrupt;
-  EXPECT_EQ(serve::ReadFrame(fds[1], &corrupt).code(),
+  EXPECT_EQ(serve::ReadFrame(fds[1], serve::kMaxRequestPayload, &corrupt)
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // A header declaring one byte over the cap is refused from the header
+  // alone: no payload follows it, so a reader that waited for the declared
+  // length would time out with kInternal instead.
+  std::string oversized = OversizedRequestHeader();
+  ASSERT_EQ(::write(fds[0], oversized.data(), oversized.size()),
+            static_cast<ssize_t>(oversized.size()));
+  Frame too_big;
+  EXPECT_EQ(serve::ReadFrame(fds[1], serve::kMaxRequestPayload, &too_big)
+                .code(),
             StatusCode::kInvalidArgument);
 
   // Clean EOF before any frame byte is "peer hung up", not corruption.
   ASSERT_EQ(::shutdown(fds[0], SHUT_WR), 0);
   Frame eof;
-  EXPECT_EQ(serve::ReadFrame(fds[1], &eof).code(), StatusCode::kNotFound);
+  EXPECT_EQ(serve::ReadFrame(fds[1], serve::kMaxRequestPayload, &eof).code(),
+            StatusCode::kNotFound);
 
   ::close(fds[0]);
   ::close(fds[1]);
@@ -267,6 +307,58 @@ TEST_F(ServeTest, ServeCheckpointRoundTripsByteStable) {
   corrupt[corrupt.size() / 2] ^= 0x01;
   EXPECT_FALSE(serve::ParseServeCheckpoint(corrupt).ok());
   EXPECT_FALSE(serve::ParseServeCheckpoint(bytes.substr(0, 10)).ok());
+
+  // A version-1 file stores one more SessionSpec field: its header alone
+  // gets it refused, before any session record is parsed.
+  std::string old_version = bytes;
+  uint32_t v1 = 1;
+  std::memcpy(&old_version[8], &v1, sizeof(v1));  // after the 8-byte magic
+  auto refused = serve::ParseServeCheckpoint(old_version);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().ToString().find("version 1"), std::string::npos)
+      << refused.status().ToString();
+}
+
+TEST_F(ServeTest, ServerRefusesOldProtocolVersionAndOversizedRequests) {
+  ServerOptions opts = BaseServerOptions();
+  opts.start_after_sessions = 1;  // hold the clock
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>((*server)->port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  SetReadTimeout(fd);
+
+  // A version-1 peer would encode SessionSpec with one more field; the
+  // handshake refuses it with a clean protocol error.
+  std::string hello;
+  io::wire::PutU32(&hello, 1);
+  ASSERT_TRUE(serve::WriteFrame(fd, FrameType::kHello, hello).ok());
+  Frame reply;
+  ASSERT_TRUE(serve::ReadFrame(fd, serve::kMaxFramePayload, &reply).ok());
+  ASSERT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(serve::ParseError(reply).code(), StatusCode::kInvalidArgument);
+
+  // A request header declaring more than the request cap makes the server
+  // drop the connection without reading (or allocating) the payload. A
+  // server still waiting for it would let this read time out instead.
+  std::string header = OversizedRequestHeader();
+  ASSERT_EQ(::write(fd, header.data(), header.size()),
+            static_cast<ssize_t>(header.size()));
+  Frame dropped;
+  EXPECT_EQ(serve::ReadFrame(fd, serve::kMaxFramePayload, &dropped).code(),
+            StatusCode::kNotFound);
+  ::close(fd);
+
+  ASSERT_TRUE(Client::Connect((*server)->port())->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // StreamSet: N ingestion sessions on one shared clock. Gates:
-//  - independent-planning mode reproduces per-engine Run (and therefore
-//    RunStreamEngines) bitwise, for any pool size;
+//  - independent-planning mode reproduces per-engine Run bitwise, for any
+//    pool size;
 //  - joint mode runs Appendix D's ComputeJointKnobPlan live at every
 //    lockstep boundary, end to end;
 //  - per-stream error semantics and the lockstep validation hold.
@@ -102,14 +102,6 @@ TEST_F(StreamSetTest, IndependentModeReproducesPerEngineRunsExactly) {
           << "stream " << v << (p != nullptr ? " (pooled)" : " (serial)");
     }
   }
-
-  // RunStreamEngines is documented as a thin wrapper over this mode.
-  auto wrapped = RunStreamEngines(jobs, &pool);
-  ASSERT_EQ(wrapped.size(), jobs.size());
-  for (size_t v = 0; v < jobs.size(); ++v) {
-    ASSERT_TRUE(wrapped[v].ok());
-    EXPECT_TRUE(EngineResultsIdentical(reference[v], *wrapped[v]));
-  }
 }
 
 TEST_F(StreamSetTest, JointModeRunsEndToEnd) {
@@ -191,11 +183,16 @@ TEST_F(StreamSetTest, PerStreamErrorSemantics) {
   EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(results[2].ok());
 
-  // Same contract through the wrapper.
-  auto wrapped = RunStreamEngines(jobs);
-  EXPECT_TRUE(wrapped[0].ok());
-  EXPECT_EQ(wrapped[1].status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(wrapped[2].ok());
+  // Same contract in independent mode.
+  StreamSetOptions iopts;
+  iopts.planning = MultiStreamPlanning::kIndependent;
+  auto indep = StreamSet::Create(jobs, iopts);
+  ASSERT_TRUE(indep.ok());
+  ASSERT_TRUE(indep->RunToCompletion().ok());
+  auto indep_results = indep->Results();
+  EXPECT_TRUE(indep_results[0].ok());
+  EXPECT_EQ(indep_results[1].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(indep_results[2].ok());
 }
 
 TEST_F(StreamSetTest, JointModeRequiresLockstepBoundaries) {

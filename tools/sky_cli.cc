@@ -116,8 +116,6 @@ constexpr const char kIngestHelp[] =
   --plan-interval-days D  knob-planner period (default: the span the model's
                           forecaster was trained for)
   --seed S                engine noise seed                 (default 71)
-  --precision f64|f32     boundary-forecast inference arithmetic (default
-                          f64; f32 is the SIMD path, see docs/precision.md)
 )";
 
 constexpr const char kInspectHelp[] =
@@ -172,7 +170,6 @@ open flags:
   --duration-days D       session length                    (default 1)
   --plan-interval-days D  plan cadence (default: the model's forecast span)
   --seed S                engine noise seed                 (default 71)
-  --precision f64|f32     boundary-forecast arithmetic      (default f64)
   --record-trace          record the Fig. 3 time series
   --trace-resolution-s S  trace sample spacing              (default 300)
   --cloud-budget D        per-interval cloud credits override
@@ -216,7 +213,6 @@ struct Flags {
   double duration_days = 1.0;
   double plan_interval_days = -1.0;  ///< -1 = derive from the loaded model
   uint64_t engine_seed = 71;
-  std::string precision = "f64";  ///< boundary-forecast inference precision
   bool help = false;
 
   // serve flags
@@ -281,7 +277,6 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
     else if (arg == "--start-days") f->start_days = std::atof(value.c_str());
     else if (arg == "--duration-days") f->duration_days = std::atof(value.c_str());
     else if (arg == "--plan-interval-days") f->plan_interval_days = std::atof(value.c_str());
-    else if (arg == "--precision") f->precision = value;
     else if (arg == "--port") f->port = std::atoi(value.c_str());
     else if (arg == "--port-file") f->port_file = value;
     else if (arg == "--shared-budget") f->shared_budget = std::atof(value.c_str());
@@ -440,13 +435,6 @@ int RunIngest(const Flags& f) {
   opts.duration = Days(f.duration_days);
   opts.plan_interval = Days(plan_interval_days);
   opts.seed = f.engine_seed;
-  if (f.precision == "f32") {
-    opts.forecast_precision = sky::ml::Precision::kF32;
-  } else if (f.precision != "f64") {
-    std::fprintf(stderr, "sky: --precision must be f64 or f32, got %s\n",
-                 f.precision.c_str());
-    return 2;
-  }
 
   auto result = sky.Ingest(Days(start_days), opts);
   if (!result.ok()) return Fail(result.status());
@@ -610,13 +598,6 @@ int RunClient(const std::string& verb, const Flags& f) {
     spec.engine_seed = f.engine_seed;
     spec.record_trace = f.record_trace;
     spec.trace_resolution_s = f.trace_resolution_s;
-    if (f.precision == "f32") {
-      spec.f32_forecast = true;
-    } else if (f.precision != "f64") {
-      std::fprintf(stderr, "sky: --precision must be f64 or f32, got %s\n",
-                   f.precision.c_str());
-      return 2;
-    }
     if (f.cloud_budget_set) {
       spec.cloud_budget_usd_per_interval = f.cloud_budget;
     }
