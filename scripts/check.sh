@@ -4,11 +4,10 @@
 # and the model-persistence round-trip/ingest-parity gates in
 # model_io_test). Mirrors CI.
 #
-# After the tests: a smoke test of the `sky` CLI's train-once / serve-many
-# flow (offline -> save -> load -> ingest as separate processes), the CLI
-# hygiene contract (--help on stdout, usage errors exit 2), the `sky serve`
-# smoke (concurrent clients, metrics, kill -9 + SIGTERM recovery bitwise),
-# the docs link check, and the gating benches so the trajectory
+# After the tests: scripts/smoke.sh (the `sky` CLI's train-once /
+# serve-many flow, its exit-code and hygiene contract, and the `sky serve`
+# kill -9 + SIGTERM recovery smoke — the same script CI runs), the docs
+# link check, and the gating benches so the trajectory
 # (BENCH_planner_scaling.json, BENCH_forecast_training.json,
 # BENCH_appd_multistream.json, BENCH_table3_offline_runtime.json,
 # BENCH_forecast_inference.json — kernel-tier GEMM gate —
@@ -76,168 +75,9 @@ fi
 
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j
-cd build && ctest --output-on-failure -j
+(cd build && ctest --output-on-failure -j)
 
-# sky CLI smoke test: train in one process, serve from the saved file in
-# another — the end-to-end flow of the train-once / serve-many split — then
-# the error-hygiene contract: each failure class exits with ITS documented
-# code (3 I/O, 4 corrupt, 5 wrong workload) and writes nothing to stdout.
-SKY_SMOKE_MODEL=$(mktemp /tmp/sky_smoke_model.XXXXXX.bin)
-SKY_SMOKE_CORRUPT=$(mktemp /tmp/sky_smoke_corrupt.XXXXXX.bin)
-trap 'rm -f "${SKY_SMOKE_MODEL}" "${SKY_SMOKE_CORRUPT}"' EXIT
-./sky offline --workload ev --out "${SKY_SMOKE_MODEL}" \
-  --train-days 3 --plan-days 1 --categories 3
-./sky inspect --model "${SKY_SMOKE_MODEL}"
-./sky ingest --model "${SKY_SMOKE_MODEL}" --workload ev --duration-days 0.25
-
-# expect_exit CODE cmd...: the command must fail with exactly CODE and keep
-# stdout empty (failures are one stderr line, never partial output).
-expect_exit() {
-  local want=$1; shift
-  local got=0 out
-  out=$("$@" 2>/dev/null) || got=$?
-  if [[ ${got} -ne ${want} ]]; then
-    echo "expected exit ${want} from: $*  (got ${got})" >&2
-    exit 1
-  fi
-  if [[ -n "${out}" ]]; then
-    echo "expected empty stdout from: $*  (got: ${out})" >&2
-    exit 1
-  fi
-}
-
-# Missing model file -> I/O failure (3).
-expect_exit 3 ./sky ingest --model /nonexistent/model.bin --workload ev \
-  --duration-days 0.25
-# Flipped bytes in the middle of the file -> corrupt model (4).
-cp "${SKY_SMOKE_MODEL}" "${SKY_SMOKE_CORRUPT}"
-printf '\xde\xad\xbe\xef' |
-  dd of="${SKY_SMOKE_CORRUPT}" bs=1 seek=64 conv=notrunc status=none
-expect_exit 4 ./sky ingest --model "${SKY_SMOKE_CORRUPT}" --workload ev \
-  --duration-days 0.25
-# A model trained for another workload must be refused (5).
-expect_exit 5 ./sky ingest --model "${SKY_SMOKE_MODEL}" --workload covid \
-  --duration-days 0.25
-echo "sky CLI smoke test passed"
-
-# CLI hygiene: every subcommand answers --help on stdout (exit 0); unknown
-# flags, subcommands, client verbs and a missing required flag are usage
-# errors (exit 2) that keep stdout empty.
-for sub in offline ingest inspect serve client; do
-  ./sky "${sub}" --help | grep -q "^usage: sky ${sub}" ||
-    { echo "sky ${sub} --help did not print usage" >&2; exit 1; }
-done
-expect_exit 2 ./sky frobnicate
-expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --bogus-flag
-expect_exit 2 ./sky client frobnicate --port 1
-expect_exit 2 ./sky client open
-echo "sky CLI hygiene smoke passed"
-
-# `sky serve` smoke: a live server multiplexes two concurrent client
-# sessions (metrics frame checked); the same pair is then re-run under
-# periodic checkpointing, killed -9 mid-run, recovered with --recover, and
-# finally drained by SIGTERM and recovered once more — every recovered
-# result must carry the uninterrupted run's bitwise fingerprint.
-SKY_SERVE_DIR=$(mktemp -d /tmp/sky_serve_smoke.XXXXXX)
-SKY_SERVE_PID=""
-trap 'rm -f "${SKY_SMOKE_MODEL}" "${SKY_SMOKE_CORRUPT}"
-      rm -rf "${SKY_SERVE_DIR}"
-      [[ -n "${SKY_SERVE_PID}" ]] && kill -9 "${SKY_SERVE_PID}" 2>/dev/null
-      true' EXIT
-
-serve_wait_port() {  # serve_wait_port PORT_FILE -> echoes the bound port
-  local pf=$1 i
-  for i in $(seq 1 100); do
-    [[ -s "${pf}" ]] && { cat "${pf}"; return 0; }
-    sleep 0.1
-  done
-  echo "server never wrote ${pf}" >&2
-  return 1
-}
-
-fingerprints() {  # fingerprints OUT FILES... -> sorted `result fnv1a` values
-  local out=$1; shift
-  grep -h 'result fnv1a' "$@" | awk '{print $NF}' | sort > "${out}"
-  [[ -s "${out}" ]]
-}
-
-OPEN_FLAGS=(--workload ev --duration-days 2 --plan-interval-days 0.25
-            --record-trace)
-
-# Reference run: uninterrupted server, two genuinely concurrent clients.
-./sky serve --model "${SKY_SMOKE_MODEL}" \
-  --port-file "${SKY_SERVE_DIR}/ref.port" --start-after 2 &
-SKY_SERVE_PID=$!
-PORT=$(serve_wait_port "${SKY_SERVE_DIR}/ref.port")
-./sky client open --port "${PORT}" --content-seed 11 "${OPEN_FLAGS[@]}" \
-  --wait > "${SKY_SERVE_DIR}/ref1.txt" &
-SKY_C1=$!
-./sky client open --port "${PORT}" --content-seed 22 "${OPEN_FLAGS[@]}" \
-  --wait > "${SKY_SERVE_DIR}/ref2.txt" &
-SKY_C2=$!
-wait "${SKY_C1}" "${SKY_C2}"
-./sky client metrics --port "${PORT}" |
-  grep -q '"sessions_accepted": 2' ||
-  { echo "serve metrics missing the session counters" >&2; exit 1; }
-./sky client drain --port "${PORT}"
-wait "${SKY_SERVE_PID}"
-SKY_SERVE_PID=""
-fingerprints "${SKY_SERVE_DIR}/ref_fps.txt" \
-  "${SKY_SERVE_DIR}/ref1.txt" "${SKY_SERVE_DIR}/ref2.txt"
-
-# Interrupted run: kill -9 once the first auto-checkpoint exists, recover.
-./sky serve --model "${SKY_SMOKE_MODEL}" \
-  --port-file "${SKY_SERVE_DIR}/int.port" --start-after 2 \
-  --checkpoint "${SKY_SERVE_DIR}/serve_ckpt.bin" --checkpoint-every 1 &
-SKY_SERVE_PID=$!
-PORT=$(serve_wait_port "${SKY_SERVE_DIR}/int.port")
-./sky client open --port "${PORT}" --content-seed 11 "${OPEN_FLAGS[@]}"
-./sky client open --port "${PORT}" --content-seed 22 "${OPEN_FLAGS[@]}"
-for i in $(seq 1 100); do
-  [[ -s "${SKY_SERVE_DIR}/serve_ckpt.bin" ]] && break
-  sleep 0.1
-done
-kill -9 "${SKY_SERVE_PID}"
-wait "${SKY_SERVE_PID}" 2>/dev/null || true
-SKY_SERVE_PID=""
-
-./sky serve --model "${SKY_SMOKE_MODEL}" \
-  --port-file "${SKY_SERVE_DIR}/rec.port" \
-  --recover "${SKY_SERVE_DIR}/serve_ckpt.bin" \
-  --checkpoint "${SKY_SERVE_DIR}/serve_ckpt.bin" &
-SKY_SERVE_PID=$!
-PORT=$(serve_wait_port "${SKY_SERVE_DIR}/rec.port")
-./sky client fetch --port "${PORT}" --session 1 > "${SKY_SERVE_DIR}/rec1.txt"
-./sky client fetch --port "${PORT}" --session 2 > "${SKY_SERVE_DIR}/rec2.txt"
-fingerprints "${SKY_SERVE_DIR}/rec_fps.txt" \
-  "${SKY_SERVE_DIR}/rec1.txt" "${SKY_SERVE_DIR}/rec2.txt"
-diff "${SKY_SERVE_DIR}/ref_fps.txt" "${SKY_SERVE_DIR}/rec_fps.txt" ||
-  { echo "kill -9 recovery diverged from the uninterrupted run" >&2
-    exit 1; }
-
-# SIGTERM drains gracefully (exit 0, final checkpoint); the finished
-# sessions' results must survive one more recover cycle bitwise.
-kill -TERM "${SKY_SERVE_PID}"
-wait "${SKY_SERVE_PID}"
-SKY_SERVE_PID=""
-./sky serve --model "${SKY_SMOKE_MODEL}" \
-  --port-file "${SKY_SERVE_DIR}/rec2.port" \
-  --recover "${SKY_SERVE_DIR}/serve_ckpt.bin" &
-SKY_SERVE_PID=$!
-PORT=$(serve_wait_port "${SKY_SERVE_DIR}/rec2.port")
-./sky client fetch --port "${PORT}" --session 1 > "${SKY_SERVE_DIR}/sig1.txt"
-./sky client fetch --port "${PORT}" --session 2 > "${SKY_SERVE_DIR}/sig2.txt"
-./sky client drain --port "${PORT}"
-wait "${SKY_SERVE_PID}"
-SKY_SERVE_PID=""
-fingerprints "${SKY_SERVE_DIR}/sig_fps.txt" \
-  "${SKY_SERVE_DIR}/sig1.txt" "${SKY_SERVE_DIR}/sig2.txt"
-diff "${SKY_SERVE_DIR}/ref_fps.txt" "${SKY_SERVE_DIR}/sig_fps.txt" ||
-  { echo "post-SIGTERM recovery diverged from the uninterrupted run" >&2
-    exit 1; }
-echo "sky serve smoke test passed (kill -9 + SIGTERM recovery bitwise)"
-
-cd ..
+scripts/smoke.sh build
 scripts/check_md_links.sh
 cd build
 

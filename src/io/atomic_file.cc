@@ -1,6 +1,8 @@
 #include "io/atomic_file.h"
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -60,6 +62,20 @@ Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
     return Status::Internal("cannot rename " + tmp + " to " + path);
   }
   return Status::Ok();
+}
+
+Result<std::string> ReadFileBytes(const std::string& path,
+                                  const std::string& what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::NotFound("cannot open " + what + " " + path);
+  }
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  if (!in.good() && !in.eof()) {
+    return Status::Internal("error reading " + what + " " + path);
+  }
+  return bytes;
 }
 
 }  // namespace sky::io

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "util/result.h"
 #include "util/status.h"
 
 namespace sky::io {
@@ -17,6 +18,12 @@ namespace sky::io {
 /// kNotFound when the temporary cannot be created (missing directory, no
 /// permission), kInternal for write/flush/rename failures.
 Status AtomicWriteFile(const std::string& path, const std::string& bytes);
+
+/// Reads the whole file at `path`. kNotFound when it cannot be opened,
+/// kInternal on a read error; `what` names the file in both messages
+/// ("model file", "checkpoint file", ...).
+Result<std::string> ReadFileBytes(const std::string& path,
+                                  const std::string& what);
 
 /// Test-only failure injection for the write path: when set, the hook runs
 /// after the temporary file is flushed and before the rename. A non-OK

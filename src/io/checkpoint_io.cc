@@ -1,7 +1,6 @@
 #include "io/checkpoint_io.h"
 
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "io/atomic_file.h"
@@ -13,6 +12,7 @@ namespace {
 
 using wire::Cursor;
 using wire::Fnv1a64;
+using wire::PutBool;
 using wire::PutChunk;
 using wire::PutF64;
 using wire::PutF64Rows;
@@ -23,15 +23,12 @@ using wire::PutString;
 using wire::PutU32;
 using wire::PutU64;
 using wire::PutU64Vec;
-using wire::PutU8;
-using wire::TagIs;
 
-constexpr char kMagic[8] = {'S', 'K', 'Y', 'C', 'K', 'P', 'T', '1'};
-constexpr uint32_t kEndianMarker = 0x01020304u;
+const wire::ContainerFormat kFormat{"SKYCKPT1", kCheckpointFormatVersion,
+                                    "checkpoint file"};
 
 constexpr char kChunkMeta[4] = {'M', 'E', 'T', 'A'};
 constexpr char kChunkStream[4] = {'S', 'T', 'R', 'M'};
-constexpr char kChunkChecksum[4] = {'C', 'S', 'U', 'M'};
 
 }  // namespace
 
@@ -141,7 +138,7 @@ Status SerializeIngestState(const core::IngestState& state, std::string* out) {
   PutString(p, state.noise.SaveState());
   wire::AppendForecaster(state.forecaster, p);
 
-  PutU8(p, state.switcher.plan() != nullptr ? 1 : 0);
+  PutBool(p, state.switcher.plan() != nullptr);
   PutU64(p, state.plan.alpha.rows());
   PutU64(p, state.plan.alpha.cols());
   if (!state.plan.alpha.data().empty()) {
@@ -152,8 +149,8 @@ Status SerializeIngestState(const core::IngestState& state, std::string* out) {
   PutF64(p, state.plan.expected_quality);
   PutF64(p, state.plan.expected_work);
 
-  PutU8(p, state.boundary_prepared ? 1 : 0);
-  PutU8(p, state.boundary_installed ? 1 : 0);
+  PutBool(p, state.boundary_prepared);
+  PutBool(p, state.boundary_installed);
   PutF64Vec(p, state.boundary_forecast);
   PutF64Vec(p, state.plan_features);
   PutF64Vec(p, state.realized);
@@ -231,11 +228,7 @@ Result<core::IngestState> DeserializeIngestState(
   bool has_plan = false;
   SKY_RETURN_NOT_OK(c.ReadBool(&has_plan));
   uint64_t rows = 0, cols = 0;
-  SKY_RETURN_NOT_OK(c.ReadU64(&rows));
-  SKY_RETURN_NOT_OK(c.ReadU64(&cols));
-  if (cols > 0 && rows > c.remaining() / (cols * sizeof(double))) {
-    return Status::InvalidArgument("checkpoint declares impossible plan size");
-  }
+  SKY_RETURN_NOT_OK(c.ReadF64Shape(&rows, &cols));
   state.plan.alpha = ml::Matrix(rows, cols, 0.0);
   if (rows * cols > 0) {
     SKY_RETURN_NOT_OK(
@@ -288,162 +281,65 @@ Result<core::IngestState> DeserializeIngestState(
   if (has_plan) state.switcher.SetPlan(&state.plan);
   SKY_RETURN_NOT_OK(state.switcher.RestoreUsage(usage_counts, usage_totals));
 
-  if (c.remaining() != 0) {
-    return Status::InvalidArgument("checkpoint state has trailing bytes");
-  }
+  SKY_RETURN_NOT_OK(c.ExpectEnd("checkpoint state"));
   // The return move runs IngestState's move constructor, which rebinds the
   // switcher to the moved plan object.
   return state;
 }
 
 Status SerializeFleetCheckpoint(const FleetCheckpoint& ckpt,
-                                std::string* out_bytes) {
-  std::string& out = *out_bytes;
-  out.clear();
-  PutRaw(&out, kMagic, sizeof(kMagic));
-  PutU32(&out, kCheckpointFormatVersion);
-  PutU32(&out, kEndianMarker);
-
-  {
-    std::string p;
-    PutU64(&p, ckpt.streams.size());
-    PutChunk(&out, kChunkMeta, p);
-  }
+                                std::string* out) {
+  wire::BeginContainer(kFormat, out);
+  std::string p;
+  PutU64(&p, ckpt.streams.size());
+  PutChunk(out, kChunkMeta, p);
   for (size_t v = 0; v < ckpt.streams.size(); ++v) {
     const StreamCheckpoint& sc = ckpt.streams[v];
-    std::string p;
+    p.clear();
     PutU64(&p, v);
-    PutU32(&p, static_cast<uint32_t>(sc.status.code()));
-    PutString(&p, sc.status.ok() ? std::string() : sc.status.message());
-    PutU8(&p, sc.has_state ? 1 : 0);
+    wire::PutStatus(&p, sc.status);
+    PutBool(&p, sc.has_state);
     PutString(&p, sc.state);
-    PutChunk(&out, kChunkStream, p);
+    PutChunk(out, kChunkStream, p);
   }
-
-  std::string checksum;
-  PutU64(&checksum, Fnv1a64(out.data(), out.size()));
-  PutChunk(&out, kChunkChecksum, checksum);
+  wire::EndContainer(out);
   return Status::Ok();
 }
 
 Result<FleetCheckpoint> ParseFleetCheckpoint(const std::string& bytes) {
-  Cursor header(bytes.data(), bytes.size());
-  char magic[8];
-  SKY_RETURN_NOT_OK(header.Read(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(
-        "not a Skyscraper checkpoint file (bad magic)");
+  SKY_ASSIGN_OR_RETURN(std::vector<wire::Chunk> chunks,
+                       wire::ReadContainer(bytes, kFormat));
+  // META (the stream count) first, then one STRM chunk per stream in index
+  // order — nothing else.
+  if (chunks.empty() || !chunks[0].Is(kChunkMeta)) {
+    return Status::InvalidArgument("checkpoint file does not open with META");
   }
-  uint32_t version = 0, endian = 0;
-  SKY_RETURN_NOT_OK(header.ReadU32(&version));
-  if (version != kCheckpointFormatVersion) {
-    return Status::InvalidArgument(
-        "unsupported checkpoint format version " + std::to_string(version));
-  }
-  SKY_RETURN_NOT_OK(header.ReadU32(&endian));
-  if (endian != kEndianMarker) {
-    return Status::InvalidArgument(
-        "checkpoint file written with different byte order");
-  }
-
-  // Pass 1: verify the checksum trailer before parsing anything.
-  Cursor walk(bytes.data(), bytes.size());
-  SKY_RETURN_NOT_OK(walk.Skip(16));
-  bool checksum_seen = false;
-  while (walk.remaining() > 0) {
-    char tag[4];
-    SKY_RETURN_NOT_OK(walk.Read(tag, 4));
-    uint64_t size = 0;
-    SKY_RETURN_NOT_OK(walk.ReadU64(&size));
-    if (TagIs(tag, kChunkChecksum)) {
-      if (size != sizeof(uint64_t) || walk.remaining() != size) {
-        return Status::InvalidArgument("malformed checkpoint checksum trailer");
-      }
-      size_t covered = walk.pos() - 12;
-      uint64_t stored = 0;
-      SKY_RETURN_NOT_OK(walk.ReadU64(&stored));
-      if (stored != Fnv1a64(bytes.data(), covered)) {
-        return Status::InvalidArgument(
-            "checkpoint file checksum mismatch (corrupted)");
-      }
-      checksum_seen = true;
-      break;
-    }
-    SKY_RETURN_NOT_OK(walk.Skip(size));
-  }
-  if (!checksum_seen) {
-    return Status::InvalidArgument("checkpoint file missing checksum trailer");
-  }
-
-  // Pass 2: parse the stream entries.
-  FleetCheckpoint ckpt;
-  bool seen_meta = false;
   uint64_t declared_streams = 0;
-  Cursor c(bytes.data(), bytes.size());
-  SKY_RETURN_NOT_OK(c.Skip(16));
-  while (c.remaining() > 0) {
-    char tag[4];
-    SKY_RETURN_NOT_OK(c.Read(tag, 4));
-    uint64_t size = 0;
-    SKY_RETURN_NOT_OK(c.ReadU64(&size));
-    if (size > c.remaining()) {
-      return Status::InvalidArgument("checkpoint file truncated mid-chunk");
-    }
-    Cursor payload(bytes.data() + c.pos(), size);
-    if (TagIs(tag, kChunkChecksum)) break;
-
-    if (TagIs(tag, kChunkMeta)) {
-      if (seen_meta) {
-        return Status::InvalidArgument("duplicate META chunk in checkpoint");
-      }
-      seen_meta = true;
-      SKY_RETURN_NOT_OK(payload.ReadU64(&declared_streams));
-      // Each stream needs its own chunk later in the file; a count the file
-      // could not possibly hold is corruption, not a big fleet.
-      if (declared_streams > bytes.size()) {
-        return Status::InvalidArgument(
-            "checkpoint declares impossible stream count");
-      }
-      ckpt.streams.reserve(declared_streams);
-    } else if (TagIs(tag, kChunkStream)) {
-      if (!seen_meta) {
-        return Status::InvalidArgument(
-            "checkpoint stream chunk before META");
-      }
-      uint64_t index = 0;
-      SKY_RETURN_NOT_OK(payload.ReadU64(&index));
-      if (index != ckpt.streams.size() || index >= declared_streams) {
-        return Status::InvalidArgument(
-            "checkpoint stream chunks out of order");
-      }
-      StreamCheckpoint sc;
-      uint32_t code = 0;
-      SKY_RETURN_NOT_OK(payload.ReadU32(&code));
-      if (code > static_cast<uint32_t>(StatusCode::kInternal)) {
-        return Status::InvalidArgument("invalid status code in checkpoint");
-      }
-      std::string message;
-      SKY_RETURN_NOT_OK(payload.ReadString(&message));
-      sc.status = code == 0 ? Status::Ok()
-                            : Status(static_cast<StatusCode>(code),
-                                     std::move(message));
-      SKY_RETURN_NOT_OK(payload.ReadBool(&sc.has_state));
-      SKY_RETURN_NOT_OK(payload.ReadString(&sc.state));
-      ckpt.streams.push_back(std::move(sc));
-    } else {
-      return Status::InvalidArgument("unknown chunk tag in checkpoint file");
-    }
-    if (payload.remaining() != 0) {
-      return Status::InvalidArgument("checkpoint chunk has trailing bytes");
-    }
-    SKY_RETURN_NOT_OK(c.Skip(size));
-  }
-  if (!seen_meta) {
-    return Status::InvalidArgument("checkpoint file is missing META chunk");
-  }
-  if (ckpt.streams.size() != declared_streams) {
+  SKY_RETURN_NOT_OK(chunks[0].payload.ReadU64(&declared_streams));
+  SKY_RETURN_NOT_OK(chunks[0].payload.ExpectEnd("checkpoint META chunk"));
+  if (declared_streams != chunks.size() - 1) {
     return Status::InvalidArgument(
         "checkpoint stream count does not match META");
+  }
+  FleetCheckpoint ckpt;
+  ckpt.streams.resize(declared_streams);
+  for (size_t v = 0; v < ckpt.streams.size(); ++v) {
+    wire::Chunk& chunk = chunks[v + 1];
+    if (!chunk.Is(kChunkStream)) {
+      return Status::InvalidArgument(
+          "checkpoint file has a " + std::string(chunk.tag, 4) +
+          " chunk where STRM belongs");
+    }
+    uint64_t index = 0;
+    SKY_RETURN_NOT_OK(chunk.payload.ReadU64(&index));
+    if (index != v) {
+      return Status::InvalidArgument("checkpoint stream chunks out of order");
+    }
+    StreamCheckpoint& sc = ckpt.streams[v];
+    SKY_RETURN_NOT_OK(chunk.payload.ReadStatus(&sc.status));
+    SKY_RETURN_NOT_OK(chunk.payload.ReadBool(&sc.has_state));
+    SKY_RETURN_NOT_OK(chunk.payload.ReadString(&sc.state));
+    SKY_RETURN_NOT_OK(chunk.payload.ExpectEnd("checkpoint STRM chunk"));
   }
   return ckpt;
 }
@@ -456,15 +352,8 @@ Status SaveFleetCheckpoint(const FleetCheckpoint& ckpt,
 }
 
 Result<FleetCheckpoint> LoadFleetCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open checkpoint file " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("error reading checkpoint file " + path);
-  }
+  SKY_ASSIGN_OR_RETURN(std::string bytes,
+                       ReadFileBytes(path, "checkpoint file"));
   return ParseFleetCheckpoint(bytes);
 }
 

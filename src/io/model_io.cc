@@ -1,7 +1,6 @@
 #include "io/model_io.h"
 
-#include <cstring>
-#include <fstream>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -15,25 +14,20 @@ namespace sky::io {
 namespace {
 
 using wire::Cursor;
-using wire::Fnv1a64;
 using wire::PutChunk;
 using wire::PutF64;
 using wire::PutF64Rows;
 using wire::PutF64Vec;
-using wire::PutRaw;
 using wire::PutString;
 using wire::PutU32;
 using wire::PutU64;
 using wire::PutU64Vec;
 using wire::PutU8;
-using wire::TagIs;
 
 // --- Format constants (docs/model_format.md) -------------------------------
 
-constexpr char kMagic[8] = {'S', 'K', 'Y', 'M', 'O', 'D', 'L', '1'};
-/// Written as a native u32; a reader on a machine with different endianness
-/// sees a scrambled value and rejects the file instead of mis-parsing it.
-constexpr uint32_t kEndianMarker = 0x01020304u;
+const wire::ContainerFormat kFormat{"SKYMODL1", kModelFormatVersion,
+                                    "model file"};
 
 /// Chunk tags, stored as four ASCII bytes in file order.
 constexpr char kChunkMeta[4] = {'M', 'E', 'T', 'A'};
@@ -44,7 +38,6 @@ constexpr char kChunkCategories[4] = {'C', 'A', 'T', 'G'};
 constexpr char kChunkTrainSeq[4] = {'T', 'S', 'E', 'Q'};
 constexpr char kChunkForecaster[4] = {'F', 'C', 'S', 'T'};
 constexpr char kChunkRuntimes[4] = {'R', 'T', 'I', 'M'};
-constexpr char kChunkChecksum[4] = {'C', 'S', 'U', 'M'};
 
 // --- Per-chunk serializers -------------------------------------------------
 
@@ -199,16 +192,47 @@ Status ParseRuntimes(Cursor* c, core::OfflineModel* model) {
   return c->ReadF64(&rt.forecast_training_s);
 }
 
+/// What a model file holds: the model and its free-form annotation.
+struct ModelFile {
+  core::OfflineModel model;
+  std::string annotation;
+};
+
+/// The v1 chunk table: every chunk appears exactly once.
+struct ModelChunk {
+  const char* tag;
+  Status (*parse)(Cursor* c, ModelFile* file);
+};
+
+const ModelChunk kModelChunks[] = {
+    {kChunkMeta,
+     [](Cursor* c, ModelFile* f) { return ParseMeta(c, &f->model); }},
+    {kChunkAnnotation,
+     [](Cursor* c, ModelFile* f) { return c->ReadString(&f->annotation); }},
+    {kChunkConfigs,
+     [](Cursor* c, ModelFile* f) { return ParseConfigs(c, &f->model); }},
+    {kChunkProfiles,
+     [](Cursor* c, ModelFile* f) { return ParseProfiles(c, &f->model); }},
+    {kChunkCategories,
+     [](Cursor* c, ModelFile* f) { return ParseCategories(c, &f->model); }},
+    {kChunkTrainSeq,
+     [](Cursor* c, ModelFile* f) {
+       return c->ReadU64Vec(&f->model.train_category_sequence);
+     }},
+    {kChunkForecaster,
+     [](Cursor* c, ModelFile* f) {
+       return wire::ParseForecaster(c, &f->model.forecaster);
+     }},
+    {kChunkRuntimes,
+     [](Cursor* c, ModelFile* f) { return ParseRuntimes(c, &f->model); }},
+};
+
 }  // namespace
 
 Status SerializeOfflineModel(const core::OfflineModel& model,
                              const std::string& annotation,
                              std::string* out) {
-  out->clear();
-  PutRaw(out, kMagic, sizeof(kMagic));
-  PutU32(out, kModelFormatVersion);
-  PutU32(out, kEndianMarker);
-
+  wire::BeginContainer(kFormat, out);
   PutChunk(out, kChunkMeta, MetaPayload(model));
   {
     std::string p;
@@ -230,136 +254,38 @@ Status SerializeOfflineModel(const core::OfflineModel& model,
     PutChunk(out, kChunkForecaster, p);
   }
   PutChunk(out, kChunkRuntimes, RuntimesPayload(model));
-
-  // Trailing integrity chunk: FNV-1a-64 of every byte written so far
-  // (header + all preceding chunks).
-  std::string checksum;
-  PutU64(&checksum, Fnv1a64(out->data(), out->size()));
-  PutChunk(out, kChunkChecksum, checksum);
+  wire::EndContainer(out);
   return Status::Ok();
 }
 
 Result<core::OfflineModel> DeserializeOfflineModel(const std::string& bytes,
                                                    std::string* annotation) {
-  Cursor header(bytes.data(), bytes.size());
-  char magic[8];
-  SKY_RETURN_NOT_OK(header.Read(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a Skyscraper model file (bad magic)");
-  }
-  uint32_t version = 0, endian = 0;
-  SKY_RETURN_NOT_OK(header.ReadU32(&version));
-  if (version != kModelFormatVersion) {
-    return Status::InvalidArgument(
-        "unsupported model format version " + std::to_string(version) +
-        " (this build reads version " +
-        std::to_string(kModelFormatVersion) + ")");
-  }
-  SKY_RETURN_NOT_OK(header.ReadU32(&endian));
-  if (endian != kEndianMarker) {
-    return Status::InvalidArgument(
-        "model file written with different byte order");
-  }
-
-  // Pass 1: walk the chunk table to locate the checksum trailer and verify
-  // it covers exactly the bytes before it. Nothing is parsed until the file
-  // is known to be intact end to end.
-  Cursor walk(bytes.data(), bytes.size());
-  SKY_RETURN_NOT_OK(walk.Skip(16));  // header
-  bool checksum_seen = false;
-  while (walk.remaining() > 0) {
-    char tag[4];
-    SKY_RETURN_NOT_OK(walk.Read(tag, 4));
-    uint64_t size = 0;
-    SKY_RETURN_NOT_OK(walk.ReadU64(&size));
-    if (TagIs(tag, kChunkChecksum)) {
-      if (size != sizeof(uint64_t) || walk.remaining() != size) {
-        return Status::InvalidArgument("malformed model checksum trailer");
-      }
-      size_t covered = walk.pos() - 12;  // bytes before the CSUM chunk
-      uint64_t stored = 0;
-      SKY_RETURN_NOT_OK(walk.ReadU64(&stored));
-      if (stored != Fnv1a64(bytes.data(), covered)) {
-        return Status::InvalidArgument(
-            "model file checksum mismatch (corrupted)");
-      }
-      checksum_seen = true;
-      break;
-    }
-    SKY_RETURN_NOT_OK(walk.Skip(size));
-  }
-  if (!checksum_seen) {
-    return Status::InvalidArgument("model file missing checksum trailer");
-  }
-
-  // Pass 2: parse chunk payloads into a fresh model. Every chunk must
-  // appear exactly once; unknown tags are an error (see the versioning
-  // policy in docs/model_format.md).
-  core::OfflineModel model;
-  bool seen_meta = false, seen_anno = false, seen_configs = false;
-  bool seen_profiles = false, seen_categories = false, seen_seq = false;
-  bool seen_forecaster = false, seen_runtimes = false;
-  auto mark_once = [](bool* seen) {
-    if (*seen) {
-      return Status::InvalidArgument("duplicate chunk in model file");
-    }
-    *seen = true;
-    return Status::Ok();
-  };
-  Cursor c(bytes.data(), bytes.size());
-  SKY_RETURN_NOT_OK(c.Skip(16));
-  while (c.remaining() > 0) {
-    char tag[4];
-    SKY_RETURN_NOT_OK(c.Read(tag, 4));
-    uint64_t size = 0;
-    SKY_RETURN_NOT_OK(c.ReadU64(&size));
-    if (size > c.remaining()) {  // pass 1 guarantees this; stay defensive
-      return Status::InvalidArgument("model file truncated mid-chunk");
-    }
-    Cursor payload(bytes.data() + c.pos(), size);
-    if (TagIs(tag, kChunkChecksum)) break;  // verified in pass 1
-
-    Status st;
-    if (TagIs(tag, kChunkMeta)) {
-      SKY_RETURN_NOT_OK(mark_once(&seen_meta));
-      st = ParseMeta(&payload, &model);
-    } else if (TagIs(tag, kChunkAnnotation)) {
-      SKY_RETURN_NOT_OK(mark_once(&seen_anno));
-      std::string anno;
-      st = payload.ReadString(&anno);
-      if (annotation != nullptr) *annotation = std::move(anno);
-    } else if (TagIs(tag, kChunkConfigs)) {
-      SKY_RETURN_NOT_OK(mark_once(&seen_configs));
-      st = ParseConfigs(&payload, &model);
-    } else if (TagIs(tag, kChunkProfiles)) {
-      SKY_RETURN_NOT_OK(mark_once(&seen_profiles));
-      st = ParseProfiles(&payload, &model);
-    } else if (TagIs(tag, kChunkCategories)) {
-      SKY_RETURN_NOT_OK(mark_once(&seen_categories));
-      st = ParseCategories(&payload, &model);
-    } else if (TagIs(tag, kChunkTrainSeq)) {
-      SKY_RETURN_NOT_OK(mark_once(&seen_seq));
-      st = payload.ReadU64Vec(&model.train_category_sequence);
-    } else if (TagIs(tag, kChunkForecaster)) {
-      SKY_RETURN_NOT_OK(mark_once(&seen_forecaster));
-      st = wire::ParseForecaster(&payload, &model.forecaster);
-    } else if (TagIs(tag, kChunkRuntimes)) {
-      SKY_RETURN_NOT_OK(mark_once(&seen_runtimes));
-      st = ParseRuntimes(&payload, &model);
-    } else {
+  SKY_ASSIGN_OR_RETURN(std::vector<wire::Chunk> chunks,
+                       wire::ReadContainer(bytes, kFormat));
+  // Unknown tags are an error (see the versioning policy in
+  // docs/model_format.md).
+  ModelFile file;
+  bool seen[std::size(kModelChunks)] = {};
+  for (wire::Chunk& chunk : chunks) {
+    size_t i = 0;
+    while (i < std::size(kModelChunks) && !chunk.Is(kModelChunks[i].tag)) ++i;
+    if (i == std::size(kModelChunks)) {
       return Status::InvalidArgument("unknown chunk tag in model file");
     }
-    SKY_RETURN_NOT_OK(st);
-    if (payload.remaining() != 0) {
-      return Status::InvalidArgument("model chunk has trailing bytes");
+    if (seen[i]) {
+      return Status::InvalidArgument("duplicate chunk in model file");
     }
-    SKY_RETURN_NOT_OK(c.Skip(size));  // past the payload just parsed
+    seen[i] = true;
+    SKY_RETURN_NOT_OK(kModelChunks[i].parse(&chunk.payload, &file));
+    SKY_RETURN_NOT_OK(chunk.payload.ExpectEnd("model chunk"));
   }
-  if (!seen_meta || !seen_anno || !seen_configs || !seen_profiles ||
-      !seen_categories || !seen_seq || !seen_forecaster || !seen_runtimes) {
-    return Status::InvalidArgument("model file is missing required chunks");
+  for (bool s : seen) {
+    if (!s) {
+      return Status::InvalidArgument("model file is missing required chunks");
+    }
   }
-  return model;
+  if (annotation != nullptr) *annotation = std::move(file.annotation);
+  return std::move(file.model);
 }
 
 Status SaveOfflineModel(const core::OfflineModel& model,
@@ -374,15 +300,7 @@ Status SaveOfflineModel(const core::OfflineModel& model,
 
 Result<core::OfflineModel> LoadOfflineModel(const std::string& path,
                                             std::string* annotation) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open model file " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("error reading model file " + path);
-  }
+  SKY_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path, "model file"));
   return DeserializeOfflineModel(bytes, annotation);
 }
 

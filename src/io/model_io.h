@@ -46,7 +46,9 @@ Status SaveOfflineModel(const core::OfflineModel& model,
                         const std::string& path,
                         const std::string& annotation = "");
 
-/// Reads and DeserializeOfflineModel's a file saved by SaveOfflineModel.
+/// Reads a file saved by SaveOfflineModel and parses it with
+/// DeserializeOfflineModel. kNotFound when the file cannot be opened,
+/// kInternal on a read error.
 Result<core::OfflineModel> LoadOfflineModel(const std::string& path,
                                             std::string* annotation = nullptr);
 

@@ -58,14 +58,9 @@ void PutString(std::string* out, const std::string& s) {
   PutRaw(out, s.data(), s.size());
 }
 
-void PutChunk(std::string* out, const char tag[4], const std::string& payload) {
-  PutRaw(out, tag, 4);
-  PutU64(out, payload.size());
-  out->append(payload);
-}
-
-bool TagIs(const char tag[4], const char expected[4]) {
-  return std::memcmp(tag, expected, 4) == 0;
+void PutStatus(std::string* out, const Status& s) {
+  PutU32(out, static_cast<uint32_t>(s.code()));
+  PutString(out, s.message());
 }
 
 Status Cursor::Read(void* out, size_t n) {
@@ -130,20 +125,25 @@ Status Cursor::ReadF64Vec(std::vector<double>* v) {
   return Status::Ok();
 }
 
-Status Cursor::ReadF64Rows(std::vector<std::vector<double>>* rows) {
-  uint64_t k = 0, cols = 0;
-  SKY_RETURN_NOT_OK(ReadU64(&k));
-  SKY_RETURN_NOT_OK(ReadU64(&cols));
-  // Guard the multiplication itself, then the row count — and bound k by
+Status Cursor::ReadF64Shape(uint64_t* rows, uint64_t* cols) {
+  SKY_RETURN_NOT_OK(ReadU64(rows));
+  SKY_RETURN_NOT_OK(ReadU64(cols));
+  // Guard the multiplication itself, then the row count — and bound rows by
   // the remaining payload even for zero-width rows, so no crafted header
   // can request an unbounded allocation.
-  if (cols > remaining() / sizeof(double)) {
+  if (*cols > remaining() / sizeof(double)) {
     return Status::InvalidArgument("serialized data declares impossible count");
   }
-  uint64_t row_bytes = cols * sizeof(double);
-  if (row_bytes > 0 ? k > remaining() / row_bytes : k > remaining()) {
+  uint64_t row_bytes = *cols * sizeof(double);
+  if (row_bytes > 0 ? *rows > remaining() / row_bytes : *rows > remaining()) {
     return Status::InvalidArgument("serialized data declares impossible count");
   }
+  return Status::Ok();
+}
+
+Status Cursor::ReadF64Rows(std::vector<std::vector<double>>* rows) {
+  uint64_t k = 0, cols = 0;
+  SKY_RETURN_NOT_OK(ReadF64Shape(&k, &cols));
   rows->assign(k, std::vector<double>(cols));
   for (auto& row : *rows) {
     if (cols > 0) SKY_RETURN_NOT_OK(Read(row.data(), cols * sizeof(double)));
@@ -159,10 +159,120 @@ Status Cursor::ReadString(std::string* s) {
   return Status::Ok();
 }
 
+Status Cursor::ReadStatus(Status* s) {
+  uint32_t code = 0;
+  std::string message;
+  SKY_RETURN_NOT_OK(ReadU32(&code));
+  if (code > static_cast<uint32_t>(StatusCode::kInternal)) {
+    return Status::InvalidArgument("invalid status code in serialized data");
+  }
+  SKY_RETURN_NOT_OK(ReadString(&message));
+  *s = Status(static_cast<StatusCode>(code), std::move(message));
+  return Status::Ok();
+}
+
+Status Cursor::ExpectEnd(const char* what) const {
+  if (remaining() != 0) {
+    return Status::InvalidArgument(std::string(what) + " has trailing bytes");
+  }
+  return Status::Ok();
+}
+
+namespace {
+
+/// Written as a native u32; a reader on a machine with different endianness
+/// sees a scrambled value and rejects the file instead of mis-parsing it.
+constexpr uint32_t kEndianMarker = 0x01020304u;
+constexpr size_t kHeaderBytes = 16;  // magic, version, endianness marker
+constexpr size_t kChunkHeadBytes = 12;  // tag, u64 payload size
+constexpr char kChunkChecksum[4] = {'C', 'S', 'U', 'M'};
+
+}  // namespace
+
+void BeginContainer(const ContainerFormat& format, std::string* out) {
+  out->clear();
+  PutRaw(out, format.magic, 8);
+  PutU32(out, format.version);
+  PutU32(out, kEndianMarker);
+}
+
+void PutChunk(std::string* out, const char tag[4], const std::string& payload) {
+  PutRaw(out, tag, 4);
+  PutU64(out, payload.size());
+  out->append(payload);
+}
+
+void EndContainer(std::string* out) {
+  std::string checksum;
+  PutU64(&checksum, Fnv1a64(out->data(), out->size()));
+  PutChunk(out, kChunkChecksum, checksum);
+}
+
+bool Chunk::Is(const char expected[4]) const {
+  return std::memcmp(tag, expected, 4) == 0;
+}
+
+Result<std::vector<Chunk>> ReadContainer(const std::string& bytes,
+                                         const ContainerFormat& format) {
+  const std::string what = format.what;
+  if (bytes.size() < kHeaderBytes) {
+    return Status::InvalidArgument(what + " truncated mid-header");
+  }
+  Cursor c(bytes.data(), bytes.size());
+  char magic[8];
+  uint32_t version = 0, endian = 0;
+  SKY_RETURN_NOT_OK(c.Read(magic, sizeof(magic)));
+  SKY_RETURN_NOT_OK(c.ReadU32(&version));
+  SKY_RETURN_NOT_OK(c.ReadU32(&endian));
+  if (std::memcmp(magic, format.magic, sizeof(magic)) != 0) {
+    return Status::InvalidArgument("not a Skyscraper " + what +
+                                   " (bad magic)");
+  }
+  if (version != format.version) {
+    return Status::InvalidArgument(
+        "unsupported " + what + " version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(format.version) + ")");
+  }
+  if (endian != kEndianMarker) {
+    return Status::InvalidArgument(what + " written with different byte order");
+  }
+
+  std::vector<Chunk> chunks;
+  while (c.remaining() > 0) {
+    const char* tag = bytes.data() + c.pos();
+    uint64_t size = 0;
+    if (c.remaining() < kChunkHeadBytes) {
+      return Status::InvalidArgument(what + " truncated mid-chunk");
+    }
+    SKY_RETURN_NOT_OK(c.Skip(4));
+    SKY_RETURN_NOT_OK(c.ReadU64(&size));
+    if (size > c.remaining()) {
+      return Status::InvalidArgument(what + " truncated mid-chunk");
+    }
+    if (std::memcmp(tag, kChunkChecksum, 4) == 0) {
+      // The trailer covers every byte before it and ends the file.
+      uint64_t stored = 0;
+      if (size != sizeof(stored) || c.remaining() != size) {
+        return Status::InvalidArgument("malformed " + what +
+                                       " checksum trailer");
+      }
+      SKY_RETURN_NOT_OK(c.ReadU64(&stored));
+      if (stored !=
+          Fnv1a64(bytes.data(), static_cast<size_t>(tag - bytes.data()))) {
+        return Status::InvalidArgument(what + " checksum mismatch (corrupted)");
+      }
+      return chunks;
+    }
+    chunks.push_back(Chunk{tag, Cursor(bytes.data() + c.pos(), size)});
+    SKY_RETURN_NOT_OK(c.Skip(size));
+  }
+  return Status::InvalidArgument(what + " missing checksum trailer");
+}
+
 void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
                       std::string* out) {
   std::string* p = out;
-  PutU8(p, forecaster.has_value() ? 1 : 0);
+  PutBool(p, forecaster.has_value());
   if (!forecaster.has_value()) return;
   const core::Forecaster& f = *forecaster;
 
@@ -179,7 +289,7 @@ void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
   PutF64(p, t.validation_split);
   PutU32(p, static_cast<uint32_t>(t.loss));
   PutU64(p, t.shuffle_seed);
-  PutU8(p, t.keep_best_validation_weights ? 1 : 0);
+  PutBool(p, t.keep_best_validation_weights);
   PutU32(p, static_cast<uint32_t>(t.backend));
   PutU64(p, t.grad_chunk_rows);
 
@@ -203,20 +313,16 @@ void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
 }
 
 Status ParseForecaster(Cursor* c, std::optional<core::Forecaster>* out) {
-  uint8_t present = 0;
-  SKY_RETURN_NOT_OK(c->ReadU8(&present));
-  if (present == 0) {
+  bool present = false;
+  SKY_RETURN_NOT_OK(c->ReadBool(&present));
+  if (!present) {
     out->reset();
     return Status::Ok();
-  }
-  if (present != 1) {
-    return Status::InvalidArgument("invalid forecaster presence flag");
   }
 
   core::ForecasterOptions o;
   uint64_t u = 0;
   uint32_t e = 0;
-  uint8_t b = 0;
   SKY_RETURN_NOT_OK(c->ReadF64(&o.input_span));
   SKY_RETURN_NOT_OK(c->ReadU64(&u));
   o.input_splits = u;
@@ -236,8 +342,7 @@ Status ParseForecaster(Cursor* c, std::optional<core::Forecaster>* out) {
   }
   t.loss = static_cast<ml::Loss>(e);
   SKY_RETURN_NOT_OK(c->ReadU64(&t.shuffle_seed));
-  SKY_RETURN_NOT_OK(c->ReadU8(&b));
-  t.keep_best_validation_weights = b != 0;
+  SKY_RETURN_NOT_OK(c->ReadBool(&t.keep_best_validation_weights));
   SKY_RETURN_NOT_OK(c->ReadU32(&e));
   if (e > static_cast<uint32_t>(ml::TrainBackend::kPerSample)) {
     return Status::InvalidArgument(

@@ -12,11 +12,12 @@
 
 namespace sky::io::wire {
 
-/// Shared primitives of every Skyscraper on-disk format (models and fleet
-/// checkpoints): raw little writers, the bounds-checked Cursor reader, the
-/// FNV-1a integrity hash, tagged chunks, and the forecaster payload. The
-/// byte layout conventions live in docs/model_format.md; each file format
-/// keeps its own magic, version, and chunk tags on top of these.
+/// Shared primitives of every Skyscraper on-disk format (model files, fleet
+/// checkpoints and serve checkpoints): raw little writers, the
+/// bounds-checked Cursor reader, the FNV-1a integrity hash, the checksummed
+/// chunk container, and the forecaster payload. The container layout lives
+/// in docs/model_format.md ("Container"); each file format keeps only its
+/// own magic, version, and chunk table on top of it.
 
 /// FNV-1a 64-bit over a byte range — cheap, dependency-free integrity check
 /// (this guards against truncation and bit rot, not adversaries).
@@ -40,10 +41,8 @@ Status PutF64Rows(std::string* out,
 
 void PutString(std::string* out, const std::string& s);
 
-/// Appends one tagged chunk: 4-byte tag, u64 payload size, payload.
-void PutChunk(std::string* out, const char tag[4], const std::string& payload);
-
-bool TagIs(const char tag[4], const char expected[4]);
+/// u32 status code, then the message string (empty for OK).
+void PutStatus(std::string* out, const Status& s);
 
 // --- Bounds-checked reader -------------------------------------------------
 
@@ -74,16 +73,65 @@ class Cursor {
   /// before any allocation is attempted.
   Status ReadCount(size_t elem_bytes, uint64_t* count);
 
+  /// Reads the (rows, cols) header of a row-major f64 matrix and rejects a
+  /// shape the remaining payload cannot hold, without forming any product
+  /// that could wrap or divide by zero.
+  Status ReadF64Shape(uint64_t* rows, uint64_t* cols);
+
   Status ReadU64Vec(std::vector<size_t>* v);
   Status ReadF64Vec(std::vector<double>* v);
   Status ReadF64Rows(std::vector<std::vector<double>>* rows);
   Status ReadString(std::string* s);
+
+  /// Reads a PutStatus payload; a code past kInternal is corruption.
+  Status ReadStatus(Status* s);
+
+  /// kInvalidArgument ("<what> has trailing bytes") unless fully consumed.
+  Status ExpectEnd(const char* what) const;
 
  private:
   const char* data_;
   size_t pos_ = 0;
   size_t end_;
 };
+
+// --- Checksummed chunk container -------------------------------------------
+
+/// One file format on top of the container: its 8-byte ASCII magic, the
+/// only version this build writes and reads, and `what`, the format's name
+/// in every error ("model file", "checkpoint file", "serve checkpoint").
+struct ContainerFormat {
+  const char* magic;
+  uint32_t version;
+  const char* what;
+};
+
+/// Clears `out` and writes the 16-byte header: magic, version, endianness
+/// marker.
+void BeginContainer(const ContainerFormat& format, std::string* out);
+
+/// Appends one tagged chunk: 4-byte tag, u64 payload size, payload.
+void PutChunk(std::string* out, const char tag[4], const std::string& payload);
+
+/// Appends the trailing CSUM chunk: FNV-1a-64 over every byte before it.
+void EndContainer(std::string* out);
+
+/// One chunk of a verified container: a view of its tag and its payload,
+/// valid as long as the bytes passed to ReadContainer.
+struct Chunk {
+  const char* tag;
+  Cursor payload;
+
+  bool Is(const char expected[4]) const;
+};
+
+/// Checks the magic, the version, the endianness marker, the chunk framing
+/// and the CSUM trailer — the whole file is verified before any chunk is
+/// returned — then returns the chunks before CSUM in file order. Which
+/// chunks are required, in what order and how often is the caller's rule.
+/// Every failure is kInvalidArgument and names `format.what`.
+Result<std::vector<Chunk>> ReadContainer(const std::string& bytes,
+                                         const ContainerFormat& format);
 
 // --- Forecaster payload ----------------------------------------------------
 

@@ -18,7 +18,6 @@ using io::wire::PutBool;
 using io::wire::PutF64;
 using io::wire::PutRaw;
 using io::wire::PutString;
-using io::wire::PutU32;
 using io::wire::PutU64;
 using io::wire::PutU8;
 
@@ -195,20 +194,15 @@ Status ParseReconfigure(Cursor* c, uint64_t* session_id,
 }
 
 void AppendError(const Status& status, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(status.code()));
-  PutString(out, status.message());
+  io::wire::PutStatus(out, status);
 }
 
 Status ParseError(const Frame& frame) {
   Cursor c(frame.payload.data(), frame.payload.size());
-  uint32_t code = 0;
-  std::string message;
-  SKY_RETURN_NOT_OK(c.ReadU32(&code));
-  SKY_RETURN_NOT_OK(c.ReadString(&message));
-  if (code == 0 || code > static_cast<uint32_t>(StatusCode::kInternal)) {
-    return Status::InvalidArgument("malformed error frame");
-  }
-  return Status(static_cast<StatusCode>(code), std::move(message));
+  Status status;
+  SKY_RETURN_NOT_OK(c.ReadStatus(&status));
+  if (status.ok()) return Status::InvalidArgument("malformed error frame");
+  return status;
 }
 
 uint64_t ResultFingerprint(const core::EngineResult& r) {

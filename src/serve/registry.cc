@@ -1,7 +1,5 @@
 #include "serve/registry.h"
 
-#include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "io/atomic_file.h"
@@ -12,32 +10,25 @@ namespace sky::serve {
 namespace {
 
 using io::wire::Cursor;
-using io::wire::Fnv1a64;
 using io::wire::PutChunk;
 using io::wire::PutF64;
-using io::wire::PutRaw;
-using io::wire::PutString;
-using io::wire::PutU32;
 using io::wire::PutU64;
 using io::wire::PutU8;
-using io::wire::TagIs;
 
-constexpr char kServeMagic[8] = {'S', 'K', 'Y', 'S', 'E', 'R', 'V', '1'};
 constexpr uint32_t kServeFormatVersion = 2;
-constexpr uint32_t kEndianMarker = 0x01020304u;
+const io::wire::ContainerFormat kFormat{"SKYSERV1", kServeFormatVersion,
+                                        "serve checkpoint"};
 
 constexpr char kChunkMeta[4] = {'M', 'E', 'T', 'A'};
 constexpr char kChunkSession[4] = {'S', 'E', 'S', 'S'};
 constexpr char kChunkFleet[4] = {'F', 'L', 'E', 'E'};
-constexpr char kChunkChecksum[4] = {'C', 'S', 'U', 'M'};
 
 void AppendSessionRecord(const SessionRecord& rec, std::string* p) {
   PutU64(p, rec.id);
   PutU8(p, static_cast<uint8_t>(rec.state));
   PutU64(p, rec.stream_index);
   AppendSessionSpec(rec.spec, p);
-  PutU32(p, static_cast<uint32_t>(rec.error.code()));
-  PutString(p, rec.error.ok() ? std::string() : rec.error.message());
+  io::wire::PutStatus(p, rec.error);
   io::wire::PutBool(p, rec.state == SessionState::kDone);
   if (rec.state == SessionState::kDone) {
     io::AppendEngineResult(rec.result, p);
@@ -54,16 +45,7 @@ Status ParseSessionRecord(Cursor* c, SessionRecord* rec) {
   rec->state = static_cast<SessionState>(state);
   SKY_RETURN_NOT_OK(c->ReadU64(&rec->stream_index));
   SKY_RETURN_NOT_OK(ParseSessionSpec(c, &rec->spec));
-  uint32_t code = 0;
-  SKY_RETURN_NOT_OK(c->ReadU32(&code));
-  if (code > static_cast<uint32_t>(StatusCode::kInternal)) {
-    return Status::InvalidArgument("invalid status code in checkpoint");
-  }
-  std::string message;
-  SKY_RETURN_NOT_OK(c->ReadString(&message));
-  rec->error = code == 0 ? Status::Ok()
-                         : Status(static_cast<StatusCode>(code),
-                                  std::move(message));
+  SKY_RETURN_NOT_OK(c->ReadStatus(&rec->error));
   bool has_result = false;
   SKY_RETURN_NOT_OK(c->ReadBool(&has_result));
   if (has_result != (rec->state == SessionState::kDone)) {
@@ -192,146 +174,76 @@ size_t SessionRegistry::active_count() const {
 }
 
 Status SerializeServeCheckpoint(const ServeCheckpoint& ckpt,
-                                std::string* out_bytes) {
-  std::string& out = *out_bytes;
-  out.clear();
-  PutRaw(&out, kServeMagic, sizeof(kServeMagic));
-  PutU32(&out, kServeFormatVersion);
-  PutU32(&out, kEndianMarker);
-
-  {
-    std::string p;
-    PutU64(&p, ckpt.next_session_id);
-    PutU64(&p, ckpt.sessions_accepted);
-    PutU64(&p, ckpt.sessions_rejected);
-    PutF64(&p, ckpt.shared_budget_core_s_per_video_s);
-    PutU64(&p, ckpt.sessions.size());
-    PutChunk(&out, kChunkMeta, p);
-  }
+                                std::string* out) {
+  io::wire::BeginContainer(kFormat, out);
+  std::string p;
+  PutU64(&p, ckpt.next_session_id);
+  PutU64(&p, ckpt.sessions_accepted);
+  PutU64(&p, ckpt.sessions_rejected);
+  PutF64(&p, ckpt.shared_budget_core_s_per_video_s);
+  PutU64(&p, ckpt.sessions.size());
+  PutChunk(out, kChunkMeta, p);
   for (const SessionRecord& rec : ckpt.sessions) {
-    std::string p;
+    p.clear();
     AppendSessionRecord(rec, &p);
-    PutChunk(&out, kChunkSession, p);
+    PutChunk(out, kChunkSession, p);
   }
-  PutChunk(&out, kChunkFleet, ckpt.fleet_bytes);
-
-  std::string checksum;
-  PutU64(&checksum, Fnv1a64(out.data(), out.size()));
-  PutChunk(&out, kChunkChecksum, checksum);
+  PutChunk(out, kChunkFleet, ckpt.fleet_bytes);
+  io::wire::EndContainer(out);
   return Status::Ok();
 }
 
 Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes) {
-  Cursor header(bytes.data(), bytes.size());
-  char magic[8];
-  SKY_RETURN_NOT_OK(header.Read(magic, sizeof(magic)));
-  if (std::memcmp(magic, kServeMagic, sizeof(kServeMagic)) != 0) {
-    return Status::InvalidArgument(
-        "not a sky serve checkpoint file (bad magic)");
-  }
-  uint32_t version = 0, endian = 0;
-  SKY_RETURN_NOT_OK(header.ReadU32(&version));
-  if (version != kServeFormatVersion) {
-    return Status::InvalidArgument(
-        "unsupported serve checkpoint version " + std::to_string(version));
-  }
-  SKY_RETURN_NOT_OK(header.ReadU32(&endian));
-  if (endian != kEndianMarker) {
-    return Status::InvalidArgument(
-        "serve checkpoint written with different byte order");
-  }
-
-  // Pass 1: checksum trailer before parsing anything (same discipline as
-  // every other Skyscraper format).
-  Cursor walk(bytes.data(), bytes.size());
-  SKY_RETURN_NOT_OK(walk.Skip(16));
-  bool checksum_seen = false;
-  while (walk.remaining() > 0) {
-    char tag[4];
-    SKY_RETURN_NOT_OK(walk.Read(tag, 4));
-    uint64_t size = 0;
-    SKY_RETURN_NOT_OK(walk.ReadU64(&size));
-    if (TagIs(tag, kChunkChecksum)) {
-      if (size != sizeof(uint64_t) || walk.remaining() != size) {
-        return Status::InvalidArgument(
-            "malformed serve checkpoint checksum trailer");
-      }
-      size_t covered = walk.pos() - 12;
-      uint64_t stored = 0;
-      SKY_RETURN_NOT_OK(walk.ReadU64(&stored));
-      if (stored != Fnv1a64(bytes.data(), covered)) {
-        return Status::InvalidArgument(
-            "serve checkpoint checksum mismatch (corrupted)");
-      }
-      checksum_seen = true;
-      break;
-    }
-    SKY_RETURN_NOT_OK(walk.Skip(size));
-  }
-  if (!checksum_seen) {
-    return Status::InvalidArgument(
-        "serve checkpoint missing checksum trailer");
-  }
-
-  // Pass 2: parse chunks.
+  SKY_ASSIGN_OR_RETURN(std::vector<io::wire::Chunk> chunks,
+                       io::wire::ReadContainer(bytes, kFormat));
+  // One META before any SESS chunk, one FLEE anywhere.
   ServeCheckpoint ckpt;
   bool seen_meta = false;
   bool seen_fleet = false;
   uint64_t declared_sessions = 0;
-  Cursor c(bytes.data(), bytes.size());
-  SKY_RETURN_NOT_OK(c.Skip(16));
-  while (c.remaining() > 0) {
-    char tag[4];
-    SKY_RETURN_NOT_OK(c.Read(tag, 4));
-    uint64_t size = 0;
-    SKY_RETURN_NOT_OK(c.ReadU64(&size));
-    if (size > c.remaining()) {
-      return Status::InvalidArgument("serve checkpoint truncated mid-chunk");
-    }
-    Cursor payload(bytes.data() + c.pos(), size);
-    if (TagIs(tag, kChunkChecksum)) break;
-
-    if (TagIs(tag, kChunkMeta)) {
+  for (io::wire::Chunk& chunk : chunks) {
+    Cursor* payload = &chunk.payload;
+    if (chunk.Is(kChunkMeta)) {
       if (seen_meta) {
         return Status::InvalidArgument(
             "duplicate META chunk in serve checkpoint");
       }
       seen_meta = true;
-      SKY_RETURN_NOT_OK(payload.ReadU64(&ckpt.next_session_id));
-      SKY_RETURN_NOT_OK(payload.ReadU64(&ckpt.sessions_accepted));
-      SKY_RETURN_NOT_OK(payload.ReadU64(&ckpt.sessions_rejected));
+      SKY_RETURN_NOT_OK(payload->ReadU64(&ckpt.next_session_id));
+      SKY_RETURN_NOT_OK(payload->ReadU64(&ckpt.sessions_accepted));
+      SKY_RETURN_NOT_OK(payload->ReadU64(&ckpt.sessions_rejected));
       SKY_RETURN_NOT_OK(
-          payload.ReadF64(&ckpt.shared_budget_core_s_per_video_s));
-      SKY_RETURN_NOT_OK(payload.ReadU64(&declared_sessions));
-      if (declared_sessions > bytes.size()) {
+          payload->ReadF64(&ckpt.shared_budget_core_s_per_video_s));
+      SKY_RETURN_NOT_OK(payload->ReadU64(&declared_sessions));
+      // Each session needs its own chunk; a count beyond the chunks present
+      // is corruption, not a big table.
+      if (declared_sessions > chunks.size()) {
         return Status::InvalidArgument(
             "serve checkpoint declares impossible session count");
       }
       ckpt.sessions.reserve(declared_sessions);
-    } else if (TagIs(tag, kChunkSession)) {
+    } else if (chunk.Is(kChunkSession)) {
       if (!seen_meta) {
         return Status::InvalidArgument(
             "serve checkpoint session chunk before META");
       }
       SessionRecord rec;
-      SKY_RETURN_NOT_OK(ParseSessionRecord(&payload, &rec));
+      SKY_RETURN_NOT_OK(ParseSessionRecord(payload, &rec));
       ckpt.sessions.push_back(std::move(rec));
-    } else if (TagIs(tag, kChunkFleet)) {
+    } else if (chunk.Is(kChunkFleet)) {
       if (seen_fleet) {
         return Status::InvalidArgument(
             "duplicate FLEE chunk in serve checkpoint");
       }
       seen_fleet = true;
-      ckpt.fleet_bytes.assign(bytes.data() + c.pos(), size);
+      ckpt.fleet_bytes.resize(payload->remaining());
+      SKY_RETURN_NOT_OK(
+          payload->Read(ckpt.fleet_bytes.data(), ckpt.fleet_bytes.size()));
     } else {
       return Status::InvalidArgument(
           "unknown chunk tag in serve checkpoint");
     }
-    if (!TagIs(tag, kChunkFleet) && payload.remaining() != 0) {
-      return Status::InvalidArgument(
-          "serve checkpoint chunk has trailing bytes");
-    }
-    SKY_RETURN_NOT_OK(c.Skip(size));
+    SKY_RETURN_NOT_OK(payload->ExpectEnd("serve checkpoint chunk"));
   }
   if (!seen_meta || !seen_fleet) {
     return Status::InvalidArgument(
@@ -352,15 +264,8 @@ Status SaveServeCheckpoint(const ServeCheckpoint& ckpt,
 }
 
 Result<ServeCheckpoint> LoadServeCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open serve checkpoint " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("error reading serve checkpoint " + path);
-  }
+  SKY_ASSIGN_OR_RETURN(std::string bytes,
+                       io::ReadFileBytes(path, "serve checkpoint"));
   return ParseServeCheckpoint(bytes);
 }
 

@@ -143,7 +143,10 @@ TEST(ModelIoTest, RejectsWrongVersion) {
   auto loaded = DeserializeOfflineModel(bytes);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find(
+                "version 2 (this build reads version 1)"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(ModelIoTest, RejectsFlippedByteAnywhere) {
@@ -226,6 +229,26 @@ TEST(ModelIoTest, RejectsDuplicateChunkEvenWithValidChecksum) {
   auto loaded = DeserializeOfflineModel(bytes);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("duplicate"), std::string::npos);
+}
+
+TEST(ModelIoTest, RejectsNonBooleanFlagEvenWithValidChecksum) {
+  // keep_best_validation_weights sits 85 bytes into the FCST payload: the
+  // presence flag, five 8-byte forecaster options, epochs, batch size,
+  // learning rate, validation split, the u32 loss id and the shuffle seed.
+  std::string bytes = Serialized();
+  uint64_t fcst_size = 0;
+  size_t fcst_at = FindChunk(bytes, "FCST", &fcst_size);
+  ASSERT_NE(fcst_at, std::string::npos);
+  const size_t flag_at = fcst_at + 12 + 85;
+  ASSERT_EQ(bytes[flag_at], FittedModel()
+                                .forecaster->options()
+                                .train_options.keep_best_validation_weights
+                                ? 1
+                                : 0);
+  bytes[flag_at] = 2;
+  auto loaded = DeserializeOfflineModel(WithRebuiltChecksum(std::move(bytes)));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ModelIoTest, RejectsImpossibleCountsWithoutAllocating) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -256,6 +257,42 @@ TEST_F(RecoveryTest, CorruptCheckpointBytesAreRefused) {
     mangled[flip] ^= 0x20;
     auto parsed = io::DeserializeIngestState(mangled, *models_[0]);
     EXPECT_FALSE(parsed.ok()) << "flipped at " << flip;
+  }
+}
+
+TEST_F(RecoveryTest, CraftedPlanWidthIsRefusedWithValidChecksum) {
+  IngestionEngine engine(workloads_[0], models_[0], cluster_, cost_model_,
+                         BaseOptions());
+  ASSERT_TRUE(engine.Start(Days(3)).ok());
+  auto snap = engine.Checkpoint();
+  ASSERT_TRUE(snap.ok());
+  std::string bytes;
+  ASSERT_TRUE(io::SerializeIngestState(*snap, &bytes).ok());
+
+  // Layout up to the plan matrix: u32 version, u64 buffer capacity, seven
+  // 8-byte fields, the RNG state string (u64 length at 68, bytes from 76),
+  // the forecaster payload (one absent-flag byte: the fixture trains none),
+  // u8 has_plan, u64 rows, u64 cols.
+  uint64_t rng_bytes = 0;
+  std::memcpy(&rng_bytes, &bytes[68], sizeof(rng_bytes));
+  const size_t forecaster_at = 76 + rng_bytes;
+  ASSERT_EQ(bytes[forecaster_at], 0);
+  const size_t cols_at = forecaster_at + 1 + 1 + 8;
+  uint64_t cols = 0;
+  std::memcpy(&cols, &bytes[cols_at], sizeof(cols));
+  ASSERT_EQ(cols, snap->plan.alpha.cols());
+
+  // 2^61 columns make cols * 8 wrap to 0, 2^61 + 1 to 8: a guard that
+  // multiplies first divides by zero or lets a 2^64-byte matrix through.
+  for (uint64_t crafted_cols : {uint64_t{1} << 61, (uint64_t{1} << 61) + 1}) {
+    std::string crafted = bytes;
+    std::memcpy(&crafted[cols_at], &crafted_cols, sizeof(crafted_cols));
+    const size_t body = crafted.size() - sizeof(uint64_t);
+    uint64_t sum = io::wire::Fnv1a64(crafted.data(), body);
+    std::memcpy(&crafted[body], &sum, sizeof(sum));
+    auto parsed = io::DeserializeIngestState(crafted, *models_[0]);
+    ASSERT_FALSE(parsed.ok()) << "cols=" << crafted_cols;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
