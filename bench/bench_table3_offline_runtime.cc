@@ -10,14 +10,10 @@
 // OfflineModels are identical (parallelism is a pure wall-clock knob), and
 // records both wall times in BENCH_table3_offline_runtime.json.
 
-#include <algorithm>
 #include <iostream>
 
-#include "api/workload_registry.h"
 #include "bench_common.h"
 #include "core/offline.h"
-#include "core/placement_search.h"
-#include "dag/thread_pool.h"
 #include "io/model_io.h"
 #include "ml/kernels.h"
 #include "util/table.h"
@@ -125,97 +121,7 @@ int main(int argc, char** argv) {
               static_cast<double>(serialized.size()) / (1 << 20),
               roundtrip_identical ? "bit-identical" : "DIFFERS (bug!)");
 
-  // SA-vs-greedy placement search gate: on every workload — the four §5.2
-  // streams and the three adversarial scenarios — the annealed backend must
-  // reach a Pareto hypervolume >= the greedy hill-climb's at equal
-  // evaluation budget (the annealer runs the identical greedy descent first,
-  // so this holds by construction; the gate guards that invariant), and its
-  // result must replay bitwise on a thread pool.
-  std::printf("\n=== Placement search: anneal vs greedy hill-climb ===\n");
-  const char* kGateWorkloads[] = {"ev",    "covid",       "mot",  "mosei-high",
-                                  "flash-crowd", "drift", "fleet"};
-  TablePrinter sa_table("kAnneal vs kGreedy, equal budget (256 sims)");
-  sa_table.SetHeader({"workload", "greedy HV", "anneal HV", "delta",
-                      "greedy ms", "anneal ms"});
-  bool sa_gate = true, sa_bitwise = true;
   BenchJson json("table3_offline_runtime");
-  for (const char* name : kGateWorkloads) {
-    auto workload = api::MakeWorkloadByName(name);
-    if (workload == nullptr) {
-      std::printf("unknown workload %s\n", name);
-      return 1;
-    }
-    sim::ClusterSpec gate_cluster;
-    gate_cluster.cores = 4;  // constrained cores: cloud placements matter
-    dag::TaskGraph graph = workload->BuildTaskGraph(
-        core::MostQualitativeConfig(*workload), 4.0, cost_model);
-
-    core::PlacementSearchOptions search;
-    search.eval_budget = 256;
-    search.seed = 31;
-    search.backend = core::SearchBackend::kGreedy;
-    WallTimer greedy_timer;
-    auto greedy = core::SearchPlacements(graph, gate_cluster, search);
-    double greedy_ms = greedy_timer.Seconds() * 1e3;
-    search.backend = core::SearchBackend::kAnneal;
-    WallTimer anneal_timer;
-    auto anneal = core::SearchPlacements(graph, gate_cluster, search);
-    double anneal_ms = anneal_timer.Seconds() * 1e3;
-    if (!greedy.ok() || !anneal.ok()) {
-      std::printf("placement search failed on %s\n", name);
-      return 1;
-    }
-
-    // Bitwise reproducibility of the annealed frontier on a pool.
-    dag::ThreadPool sa_pool(4);
-    search.pool = &sa_pool;
-    auto anneal_pooled = core::SearchPlacements(graph, gate_cluster, search);
-    bool bitwise = anneal_pooled.ok() &&
-                   anneal_pooled->size() == anneal->size();
-    if (bitwise) {
-      for (size_t i = 0; i < anneal->size(); ++i) {
-        bitwise &= (*anneal_pooled)[i].placement.node_loc ==
-                       (*anneal)[i].placement.node_loc &&
-                   (*anneal_pooled)[i].runtime_s == (*anneal)[i].runtime_s &&
-                   (*anneal_pooled)[i].cloud_usd == (*anneal)[i].cloud_usd;
-      }
-    }
-    sa_bitwise &= bitwise;
-
-    double ref_cost = 0.0, ref_rt = 0.0;
-    for (const auto* f : {&*greedy, &*anneal}) {
-      for (const core::PlacementProfile& p : *f) {
-        ref_cost = std::max(ref_cost, p.cloud_usd);
-        ref_rt = std::max(ref_rt, p.runtime_s);
-      }
-    }
-    ref_cost += 1.0;
-    ref_rt += 1.0;
-    double greedy_hv = core::FrontierHypervolume(*greedy, ref_cost, ref_rt);
-    double anneal_hv = core::FrontierHypervolume(*anneal, ref_cost, ref_rt);
-    double delta = anneal_hv - greedy_hv;
-    sa_gate &= delta >= -1e-12;
-    sa_table.AddRow({name, TablePrinter::Fmt(greedy_hv, 4),
-                     TablePrinter::Fmt(anneal_hv, 4),
-                     TablePrinter::Fmt(delta, 4),
-                     TablePrinter::Fmt(greedy_ms, 2),
-                     TablePrinter::Fmt(anneal_ms, 2)});
-    std::string key = std::string("sa_") + name;
-    json.Set(key + "_greedy_hv", greedy_hv);
-    json.Set(key + "_anneal_hv", anneal_hv);
-    json.Set(key + "_delta", delta);
-    json.Set(key + "_greedy_ms", greedy_ms);
-    json.Set(key + "_anneal_ms", anneal_ms);
-  }
-  sa_table.Print(std::cout);
-  std::printf("gate: anneal >= greedy on all %zu workloads: %s; "
-              "pooled anneal bitwise: %s\n",
-              sizeof(kGateWorkloads) / sizeof(kGateWorkloads[0]),
-              sa_gate ? "yes" : "NO (bug!)",
-              sa_bitwise ? "yes" : "NO (bug!)");
-  json.Set("sa_vs_greedy_gate", sa_gate ? "pass" : "fail");
-  json.Set("sa_anneal_bitwise", sa_bitwise ? "yes" : "no");
-
   json.Set("kernel_backend",
            sky::ml::KernelBackendName(sky::ml::ActiveKernelBackend()));
   json.Set("threads", static_cast<double>(hw_threads));
@@ -239,5 +145,5 @@ int main(int argc, char** argv) {
   json.Set("model_roundtrip_identical", roundtrip_identical ? "yes" : "no");
   std::string path = json.Write();
   if (!path.empty()) std::printf("metrics written to %s\n", path.c_str());
-  return identical && roundtrip_identical && sa_gate && sa_bitwise ? 0 : 1;
+  return identical && roundtrip_identical ? 0 : 1;
 }

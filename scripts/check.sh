@@ -20,10 +20,10 @@
 # separate build-tsan tree and skips the benches: it is a race detector
 # pass, not a perf gate.
 # `--props` runs only the randomized property suites (property_test,
-# placement_search_test, scenario_test) with a fresh SKY_PROP_SEED — a
-# different slice of the instance space each run. The chosen seed is logged,
-# written to build/PROPS_SEED.txt for artifact upload, and a one-line
-# reproduce command is printed if the suite fails. `--props SEED` pins it.
+# scenario_test) with a fresh SKY_PROP_SEED — a different slice of the
+# instance space each run. The chosen seed is logged, written to
+# build/PROPS_SEED.txt for artifact upload, and a one-line reproduce
+# command is printed if the suite fails. `--props SEED` pins it.
 # `--asan` runs the FULL test suite under AddressSanitizer in a separate
 # build-asan tree (also bench-free): a memory-error pass over everything,
 # including the new fault-injection and crash-recovery suites, whose
@@ -55,7 +55,7 @@ if [[ "${1:-}" == "--props" ]]; then
   echo "${SEED}" > build/PROPS_SEED.txt
   cd build
   SKY_PROP_SEED="${SEED}" ctest --output-on-failure \
-    -R "property_test|placement_search_test|scenario_test" -j ||
+    -R "property_test|scenario_test" -j ||
     { echo "property suites FAILED; reproduce with:" >&2
       echo "  SKY_PROP_SEED=${SEED} scripts/check.sh --props ${SEED}" >&2
       exit 1; }

@@ -434,17 +434,7 @@ Status StreamSet::JointPlanBoundaryIfDue() {
   double budget = options_.shared_budget_core_s_per_video_s > 0.0
                       ? options_.shared_budget_core_s_per_video_s
                       : derived_budget;
-  // kStructured boundaries run on the warm incremental planner (hull cache
-  // + warm-started MCKP frontier); the kSimplex oracle keeps the cold path.
-  Status solved;
-  if (options_.planner_backend == PlannerBackend::kStructured) {
-    solved = joint_planner_.Plan(inputs_, budget, &joint_plans_);
-  } else {
-    Result<std::vector<KnobPlan>> cold = ComputeJointKnobPlan(
-        inputs_, budget, options_.planner_backend, &joint_ws_);
-    solved = cold.status();
-    if (cold.ok()) joint_plans_ = std::move(*cold);
-  }
+  Status solved = joint_planner_.Plan(inputs_, budget, &joint_plans_);
 
   if (!solved.ok() && solved.code() == StatusCode::kResourceExhausted) {
     // Budget fits no configuration anywhere. A mid-run budget shock keeps

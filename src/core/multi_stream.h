@@ -136,9 +136,6 @@ struct StreamSetOptions {
   /// i.e. joint planning re-divides exactly the resources the independent
   /// mode splits evenly.
   double shared_budget_core_s_per_video_s = 0.0;
-  /// Solver for the joint program. Independent mode uses each engine's own
-  /// EngineOptions::planner_backend instead.
-  PlannerBackend planner_backend = PlannerBackend::kStructured;
   /// Supervision: how many times a stream that fails mid-interval (error
   /// Status or a throwing workload UDF) is restarted from its last plan-
   /// boundary checkpoint before being declared dead. 0 (the default)
@@ -356,11 +353,9 @@ class StreamSet {
   std::vector<size_t> restarts_used_;
   size_t boundaries_planned_ = 0;
   Status last_checkpoint_status_;
-  /// Warm incremental planner (kStructured joint boundaries).
+  /// Warm incremental planner that solves every joint boundary.
   JointPlanner joint_planner_;
   std::vector<KnobPlan> joint_plans_;
-  /// Cold-solve scratch (kSimplex oracle boundaries), reused across calls.
-  PlanWorkspace joint_ws_;
   std::vector<StreamPlanInput> inputs_;
   std::vector<size_t> planned_;
   std::vector<double> boundary_ms_;

@@ -145,7 +145,7 @@ Result<OfflineModel> RunOfflinePhase(const Workload& workload,
   SKY_ASSIGN_OR_RETURN(
       model.profiles,
       ProfileConfigs(workload, model.configs, cluster, cost_model,
-                     options.segment_seconds, options.placement_search, pool));
+                     options.segment_seconds, pool));
   model.step_runtimes.filter_placements_s = ElapsedSeconds(t0);
 
   // Step 2: content categories (§3.2).

@@ -51,12 +51,6 @@ struct OfflineOptions {
   CategorizerBackend categorizer_backend = CategorizerBackend::kKMeans;
   ConfigFilterOptions filter;
   ForecasterOptions forecaster;
-  /// Placement search backend + budget for step 1b (Appendix A.2). The
-  /// default (kEnumerate) keeps the historical bitwise behavior; kAnneal /
-  /// kGreedy trade exhaustive enumeration for budgeted local search (the
-  /// `sky offline --search` flag maps here). The options' pool field, when
-  /// unset, is filled with the offline phase's own pool.
-  PlacementSearchOptions placement_search;
   /// Set false to skip forecaster training (benches that bring their own).
   bool train_forecaster = true;
   uint64_t seed = 81;

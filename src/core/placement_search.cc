@@ -1,17 +1,21 @@
 #include "core/placement_search.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
-#include <optional>
 
 #include "util/rng.h"
 
 namespace sky::core {
 
 namespace {
+
+/// Above this many candidate count vectors the search samples instead of
+/// enumerating: kSampleCount vectors drawn from Rng(kSampleSeed), plus the
+/// two extremes.
+constexpr size_t kSampleCount = 4096;
+constexpr uint64_t kSampleSeed = 31;
 
 Result<PlacementProfile> ProfilePlacement(const dag::TaskGraph& graph,
                                           dag::Placement placement,
@@ -83,321 +87,6 @@ dag::Placement BuildPlacement(const std::vector<std::vector<size_t>>& groups,
   return p;
 }
 
-/// The historical enumerate/sample backend (bitwise identical to the
-/// pre-backend SearchPlacements).
-Result<std::vector<PlacementProfile>> EnumeratePlacements(
-    const dag::TaskGraph& graph, const sim::ClusterSpec& cluster,
-    const std::vector<std::vector<size_t>>& groups,
-    const PlacementSearchOptions& options, PlacementSearchStats* stats) {
-  size_t n = graph.NumNodes();
-  std::vector<std::vector<size_t>> candidates;
-  candidates.reserve(groups.size());
-  size_t total_combos = 1;
-  for (const auto& g : groups) {
-    candidates.push_back(CloudCountCandidates(g.size()));
-    total_combos *= candidates.back().size();
-    if (total_combos > 4 * options.sample_count) {
-      total_combos = 4 * options.sample_count;  // saturate; sampled below
-    }
-  }
-
-  // Enumerate the candidate count vectors serially (RNG draws stay ordered),
-  // then simulate them in parallel into per-index slots: the profile list —
-  // and therefore the Pareto set — is identical for every thread count.
-  std::vector<std::vector<size_t>> combos;
-  if (total_combos <= options.sample_count) {
-    // Exhaustive cross-product over group cloud counts.
-    std::vector<size_t> selector(groups.size(), 0);
-    for (;;) {
-      std::vector<size_t> counts(groups.size());
-      for (size_t g = 0; g < groups.size(); ++g) {
-        counts[g] = candidates[g][selector[g]];
-      }
-      combos.push_back(std::move(counts));
-      // Odometer increment.
-      size_t g = 0;
-      while (g < groups.size() && ++selector[g] == candidates[g].size()) {
-        selector[g] = 0;
-        ++g;
-      }
-      if (g == groups.size()) break;
-    }
-  } else {
-    // Random sampling plus the two extremes.
-    Rng rng(options.seed);
-    combos.emplace_back(groups.size(), 0);
-    std::vector<size_t> all_cloud(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) all_cloud[g] = groups[g].size();
-    combos.push_back(std::move(all_cloud));
-    for (size_t s = 0; s < options.sample_count; ++s) {
-      std::vector<size_t> counts(groups.size());
-      for (size_t g = 0; g < groups.size(); ++g) {
-        size_t pick = static_cast<size_t>(rng.UniformInt(
-            0, static_cast<int64_t>(candidates[g].size()) - 1));
-        counts[g] = candidates[g][pick];
-      }
-      combos.push_back(std::move(counts));
-    }
-  }
-
-  std::vector<PlacementProfile> profiles(combos.size());
-  std::vector<Status> statuses(combos.size(), Status::Ok());
-  dag::ParallelFor(options.pool, combos.size(), [&](size_t i) {
-    Result<PlacementProfile> profile =
-        ProfilePlacement(graph, BuildPlacement(groups, n, combos[i]), cluster);
-    if (profile.ok()) {
-      profiles[i] = std::move(*profile);
-    } else {
-      statuses[i] = profile.status();
-    }
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  if (stats != nullptr) stats->evaluations += combos.size();
-  return profiles;
-}
-
-/// One greedy/annealed restart chain over the group cloud-count vector.
-/// Chains are fully independent (own Rng fork, own memo table), so they run
-/// bitwise identically at any thread count.
-struct Chain {
-  const dag::TaskGraph* graph = nullptr;
-  const sim::ClusterSpec* cluster = nullptr;
-  const std::vector<std::vector<size_t>>* groups = nullptr;
-  Rng rng{0};
-  double lambda = 0.5;        ///< scalarization weight on cloud cost
-  double cost_scale = 1.0;    ///< all-cloud cost (normalizes energy)
-  double runtime_scale = 1.0; ///< all-on-prem runtime (normalizes energy)
-  size_t budget = 0;          ///< fresh simulations this chain may spend
-  // The memo doubles as the chain's evaluated set: every simulated profile
-  // lands on the candidate pool whether or not the walk accepted it.
-  std::map<std::vector<size_t>, PlacementProfile> memo;
-  PlacementSearchStats stats;
-  Status status = Status::Ok();
-
-  double Energy(const PlacementProfile& p) const {
-    return lambda * p.cloud_usd / cost_scale +
-           (1.0 - lambda) * p.runtime_s / runtime_scale;
-  }
-
-  /// Evaluates a count vector. Memo hits are free; fresh simulations charge
-  /// the budget. nullopt = budget exhausted (or a simulation error, recorded
-  /// in `status`).
-  std::optional<double> Eval(const std::vector<size_t>& counts) {
-    auto it = memo.find(counts);
-    if (it != memo.end()) return Energy(it->second);
-    if (budget == 0 || !status.ok()) return std::nullopt;
-    Result<PlacementProfile> profile = ProfilePlacement(
-        *graph, BuildPlacement(*groups, graph->NumNodes(), counts), *cluster);
-    if (!profile.ok()) {
-      status = profile.status();
-      return std::nullopt;
-    }
-    --budget;
-    ++stats.evaluations;
-    double e = Energy(*profile);
-    memo.emplace(counts, std::move(*profile));
-    return e;
-  }
-
-  /// Steepest-descent hill-climb from `counts` to a local optimum (or budget
-  /// exhaustion). Neighbors are scanned in a fixed order and ties keep the
-  /// earliest neighbor, so the walk is a pure function of (seed, budget).
-  std::vector<size_t> GreedyDescent(std::vector<size_t> counts) {
-    std::optional<double> cur = Eval(counts);
-    if (!cur) return counts;
-    const auto& gs = *groups;
-    for (;;) {
-      std::optional<std::vector<size_t>> best;
-      double best_e = *cur;
-      auto consider = [&](std::vector<size_t> next) -> bool {
-        std::optional<double> e = Eval(next);
-        if (!e) return false;  // budget exhausted: end the scan
-        if (*e < best_e - 1e-15) {
-          best_e = *e;
-          best = std::move(next);
-        }
-        return true;
-      };
-      bool exhausted = false;
-      // move-one-op: +/- one cloud node in a single group.
-      for (size_t g = 0; g < gs.size() && !exhausted; ++g) {
-        if (counts[g] < gs[g].size()) {
-          std::vector<size_t> next = counts;
-          ++next[g];
-          exhausted = !consider(std::move(next));
-        }
-      }
-      for (size_t g = 0; g < gs.size() && !exhausted; ++g) {
-        if (counts[g] > 0) {
-          std::vector<size_t> next = counts;
-          --next[g];
-          exhausted = !consider(std::move(next));
-        }
-      }
-      // swap-cut-point: shift one cloud node between two groups.
-      for (size_t g = 0; g < gs.size() && !exhausted; ++g) {
-        for (size_t h = 0; h < gs.size() && !exhausted; ++h) {
-          if (g == h) continue;
-          if (counts[g] > 0 && counts[h] < gs[h].size()) {
-            std::vector<size_t> next = counts;
-            --next[g];
-            ++next[h];
-            exhausted = !consider(std::move(next));
-          }
-        }
-      }
-      if (exhausted || !best) return counts;  // local optimum (or out of budget)
-      counts = std::move(*best);
-      cur = best_e;
-      ++stats.greedy_moves;
-    }
-  }
-
-  /// Annealing continuation from the greedy optimum: random neighborhood
-  /// moves under geometric cooling until the budget is spent.
-  void Anneal(const std::vector<size_t>& greedy_opt, double temperature,
-              double cooling) {
-    const auto& gs = *groups;
-    std::vector<size_t> cur = greedy_opt;
-    std::optional<double> cur_e = Eval(cur);
-    if (!cur_e) return;
-    // Memo hits are free, so cap proposals to bound cycling once every
-    // reachable neighbor is memoized.
-    size_t max_proposals = 64 * (budget + 4);
-    for (size_t p = 0; p < max_proposals && budget > 0 && status.ok(); ++p) {
-      temperature = std::max(temperature * cooling, 1e-6);
-      int64_t roll = rng.UniformInt(0, 9);
-      std::vector<size_t> next = cur;
-      if (roll <= 5) {
-        // move-one-op
-        size_t g = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(gs.size()) - 1));
-        bool up = rng.Bernoulli(0.5);
-        if (up && next[g] < gs[g].size()) {
-          ++next[g];
-        } else if (!up && next[g] > 0) {
-          --next[g];
-        } else {
-          continue;  // infeasible move; draws stay deterministic
-        }
-      } else if (roll <= 8) {
-        // swap-cut-point
-        size_t g = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(gs.size()) - 1));
-        size_t h = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(gs.size()) - 1));
-        if (g == h || next[g] == 0 || next[h] >= gs[h].size()) continue;
-        --next[g];
-        ++next[h];
-      } else {
-        // re-seed-from-greedy: jump back to the descent optimum (memoized,
-        // free) to escape a drifted region.
-        next = greedy_opt;
-        ++stats.reseeds;
-      }
-      std::optional<double> next_e = Eval(next);
-      if (!next_e) break;
-      double delta = *next_e - *cur_e;
-      if (delta < 0.0 ||
-          rng.Uniform(0.0, 1.0) < std::exp(-delta / temperature)) {
-        if (delta > 0.0) ++stats.uphill_accepts;
-        cur = std::move(next);
-        cur_e = next_e;
-      }
-    }
-  }
-};
-
-Result<std::vector<PlacementProfile>> LocalSearchPlacements(
-    const dag::TaskGraph& graph, const sim::ClusterSpec& cluster,
-    const std::vector<std::vector<size_t>>& groups,
-    const PlacementSearchOptions& options, PlacementSearchStats* stats) {
-  size_t n = graph.NumNodes();
-  // The two extremes are structural anchors: all-on-prem feeds
-  // ConfigProfile::OnPremRuntime, all-cloud calibrates the energy scales.
-  std::vector<size_t> zeros(groups.size(), 0);
-  std::vector<size_t> full(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) full[g] = groups[g].size();
-  auto t0 = std::chrono::steady_clock::now();
-  SKY_ASSIGN_OR_RETURN(
-      PlacementProfile all_onprem,
-      ProfilePlacement(graph, BuildPlacement(groups, n, zeros), cluster));
-  SKY_ASSIGN_OR_RETURN(
-      PlacementProfile all_cloud,
-      ProfilePlacement(graph, BuildPlacement(groups, n, full), cluster));
-  double extremes_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  size_t eval_budget = options.eval_budget;
-  if (options.budget_ms > 0.0) {
-    // Wall-clock budget: approximate evaluations that fit. Run-to-run
-    // variable by nature; fix eval_budget for bitwise replay.
-    double per_eval_s = std::max(extremes_s / 2.0, 1e-7);
-    double fit = options.budget_ms / 1e3 / per_eval_s;
-    eval_budget = static_cast<size_t>(
-        std::clamp(fit, 2.0, 1e6));
-  }
-
-  size_t restarts = std::max<size_t>(1, options.restarts);
-  double cost_scale = std::max(all_cloud.cloud_usd, 1e-9);
-  double runtime_scale = std::max(all_onprem.runtime_s, 1e-9);
-
-  // Chains fan out on the pool into per-chain slots; chain r derives its
-  // stream from Rng(seed).ForkIndex(r), so results are bitwise identical at
-  // any thread count.
-  Rng root(options.seed);
-  std::vector<Chain> chains(restarts);
-  for (size_t r = 0; r < restarts; ++r) {
-    Chain& c = chains[r];
-    c.graph = &graph;
-    c.cluster = &cluster;
-    c.groups = &groups;
-    c.rng = root.ForkIndex(r);
-    c.lambda = restarts == 1 ? 0.5
-                             : static_cast<double>(r) /
-                                   static_cast<double>(restarts - 1);
-    c.cost_scale = cost_scale;
-    c.runtime_scale = runtime_scale;
-    c.budget = eval_budget / restarts + (r < eval_budget % restarts ? 1 : 0);
-    c.memo.emplace(zeros, all_onprem);
-    c.memo.emplace(full, all_cloud);
-  }
-  dag::ParallelFor(options.pool, restarts, [&](size_t r) {
-    Chain& c = chains[r];
-    // Chain 0 starts at all-on-prem (the canonical hill-climb); later
-    // chains start at a random count vector for multi-start coverage.
-    std::vector<size_t> start(groups.size(), 0);
-    if (r > 0) {
-      for (size_t g = 0; g < groups.size(); ++g) {
-        start[g] = static_cast<size_t>(
-            c.rng.UniformInt(0, static_cast<int64_t>(groups[g].size())));
-      }
-    }
-    std::vector<size_t> opt = c.GreedyDescent(std::move(start));
-    if (options.backend == SearchBackend::kAnneal) {
-      c.Anneal(opt, options.initial_temperature, options.cooling);
-    }
-  });
-
-  std::vector<PlacementProfile> profiles;
-  for (Chain& c : chains) {
-    if (!c.status.ok()) return c.status;
-    for (auto& [counts, profile] : c.memo) {
-      profiles.push_back(std::move(profile));
-    }
-    if (stats != nullptr) {
-      stats->evaluations += c.stats.evaluations;
-      stats->greedy_moves += c.stats.greedy_moves;
-      stats->uphill_accepts += c.stats.uphill_accepts;
-      stats->reseeds += c.stats.reseeds;
-    }
-  }
-  return profiles;
-}
-
 }  // namespace
 
 std::vector<PlacementProfile> ParetoFilterPlacements(
@@ -423,51 +112,81 @@ std::vector<PlacementProfile> ParetoFilterPlacements(
   return pareto;
 }
 
-double FrontierHypervolume(const std::vector<PlacementProfile>& frontier,
-                           double ref_cloud_usd, double ref_runtime_s) {
-  // Frontier points sorted by cost ascending (runtime descends along it);
-  // sum the dominated rectangles left of the reference point.
-  std::vector<const PlacementProfile*> pts;
-  pts.reserve(frontier.size());
-  for (const PlacementProfile& p : frontier) pts.push_back(&p);
-  std::sort(pts.begin(), pts.end(),
-            [](const PlacementProfile* a, const PlacementProfile* b) {
-              if (a->cloud_usd != b->cloud_usd) {
-                return a->cloud_usd < b->cloud_usd;
-              }
-              return a->runtime_s < b->runtime_s;
-            });
-  double hv = 0.0;
-  double prev_runtime = ref_runtime_s;
-  for (const PlacementProfile* p : pts) {
-    if (p->cloud_usd >= ref_cloud_usd) break;
-    if (p->runtime_s >= prev_runtime) continue;  // dominated or above ref
-    hv += (ref_cloud_usd - p->cloud_usd) * (prev_runtime - p->runtime_s);
-    prev_runtime = p->runtime_s;
-  }
-  return hv;
-}
-
 Result<std::vector<PlacementProfile>> SearchPlacements(
     const dag::TaskGraph& graph, const sim::ClusterSpec& cluster,
-    const PlacementSearchOptions& options, PlacementSearchStats* stats) {
+    dag::ThreadPool* pool) {
   SKY_RETURN_NOT_OK(graph.Validate());
   size_t n = graph.NumNodes();
   if (n == 0) return Status::InvalidArgument("empty task graph");
-  if (options.backend == SearchBackend::kAnneal &&
-      (options.cooling <= 0.0 || options.cooling > 1.0)) {
-    return Status::InvalidArgument("cooling factor must be in (0, 1]");
-  }
 
   std::vector<std::vector<size_t>> groups = PartitionGroups(graph);
-  Result<std::vector<PlacementProfile>> profiles =
-      options.backend == SearchBackend::kEnumerate
-          ? EnumeratePlacements(graph, cluster, groups, options, stats)
-          : LocalSearchPlacements(graph, cluster, groups, options, stats);
-  SKY_RETURN_NOT_OK(profiles.status());
+  std::vector<std::vector<size_t>> candidates;
+  candidates.reserve(groups.size());
+  size_t total_combos = 1;
+  for (const auto& g : groups) {
+    candidates.push_back(CloudCountCandidates(g.size()));
+    total_combos *= candidates.back().size();
+    if (total_combos > 4 * kSampleCount) {
+      total_combos = 4 * kSampleCount;  // saturate; sampled below
+    }
+  }
+
+  // Enumerate the candidate count vectors serially (RNG draws stay ordered),
+  // then simulate them in parallel into per-index slots: the profile list —
+  // and therefore the Pareto set — is identical for every thread count.
+  std::vector<std::vector<size_t>> combos;
+  if (total_combos <= kSampleCount) {
+    // Exhaustive cross-product over group cloud counts.
+    std::vector<size_t> selector(groups.size(), 0);
+    for (;;) {
+      std::vector<size_t> counts(groups.size());
+      for (size_t g = 0; g < groups.size(); ++g) {
+        counts[g] = candidates[g][selector[g]];
+      }
+      combos.push_back(std::move(counts));
+      // Odometer increment.
+      size_t g = 0;
+      while (g < groups.size() && ++selector[g] == candidates[g].size()) {
+        selector[g] = 0;
+        ++g;
+      }
+      if (g == groups.size()) break;
+    }
+  } else {
+    // Random sampling plus the two extremes.
+    Rng rng(kSampleSeed);
+    combos.emplace_back(groups.size(), 0);
+    std::vector<size_t> all_cloud(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) all_cloud[g] = groups[g].size();
+    combos.push_back(std::move(all_cloud));
+    for (size_t s = 0; s < kSampleCount; ++s) {
+      std::vector<size_t> counts(groups.size());
+      for (size_t g = 0; g < groups.size(); ++g) {
+        size_t pick = static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(candidates[g].size()) - 1));
+        counts[g] = candidates[g][pick];
+      }
+      combos.push_back(std::move(counts));
+    }
+  }
+
+  std::vector<PlacementProfile> profiles(combos.size());
+  std::vector<Status> statuses(combos.size(), Status::Ok());
+  dag::ParallelFor(pool, combos.size(), [&](size_t i) {
+    Result<PlacementProfile> profile =
+        ProfilePlacement(graph, BuildPlacement(groups, n, combos[i]), cluster);
+    if (profile.ok()) {
+      profiles[i] = std::move(*profile);
+    } else {
+      statuses[i] = profile.status();
+    }
+  });
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
+  }
 
   std::vector<PlacementProfile> pareto =
-      ParetoFilterPlacements(std::move(*profiles));
+      ParetoFilterPlacements(std::move(profiles));
   if (pareto.empty()) return Status::Internal("empty Pareto frontier");
   return pareto;
 }

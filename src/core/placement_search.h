@@ -1,7 +1,6 @@
 #ifndef SKYSCRAPER_CORE_PLACEMENT_SEARCH_H_
 #define SKYSCRAPER_CORE_PLACEMENT_SEARCH_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "dag/task_graph.h"
@@ -21,87 +20,29 @@ struct PlacementProfile {
   double uplink_bytes = 0.0;     ///< bytes shipped to the cloud per segment
 };
 
-/// How SearchPlacements explores the placement space. All backends exploit
-/// chunk symmetry (TaskNode::group): only the *count* of cloud-placed nodes
-/// per interchangeability group matters, which collapses the 2^n node space
-/// to a small vector of per-group counts. All backends always evaluate the
-/// two extreme placements (all-on-premise, all-cloud), so the frontier keeps
-/// the anchors ProfileConfigs and the planner rely on.
-enum class SearchBackend {
-  /// Exhaustive odometer over per-group cloud-count candidates when the
-  /// cross product fits `sample_count`, random sampling otherwise. The
-  /// historical default; bitwise identical to the pre-backend behavior.
-  kEnumerate,
-  /// Multi-start steepest-descent hill-climb on the group-count vector:
-  /// each restart chain walks to a local optimum of its scalarized
-  /// cost/runtime energy and stops. The oracle the annealer is gated
-  /// against.
-  kGreedy,
-  /// Simulated annealing: every chain first runs the *identical* greedy
-  /// descent (same seed, same start, same draws), then spends the remaining
-  /// evaluation budget on annealed neighborhood moves (move-one-op,
-  /// swap-cut-point, re-seed-from-greedy) under geometric cooling. Because
-  /// each chain's evaluated set is a superset of the greedy chain's at equal
-  /// budget, the annealed frontier always dominates-or-equals the greedy
-  /// frontier.
-  kAnneal,
-};
-
-struct PlacementSearchOptions {
-  /// kEnumerate budget of simulated placements. The search enumerates cloud
-  /// node *counts* per interchangeability group (TaskNode::group)
-  /// exhaustively when the cross product fits the budget, and samples
-  /// otherwise. The paper uses a learned search (PlaceTo); exploiting chunk
-  /// symmetry makes exact enumeration cheap for V-ETL DAGs and yields the
-  /// same downstream Pareto set (see DESIGN.md).
-  size_t sample_count = 4096;
-  uint64_t seed = 31;
-  /// Pool the per-placement DAG simulations (kEnumerate) or the per-restart
-  /// chains (kGreedy/kAnneal) fan out on. Work is generated serially or per
-  /// deterministic chain, so the Pareto set is identical for any thread
-  /// count (including null = serial).
-  dag::ThreadPool* pool = nullptr;
-
-  SearchBackend backend = SearchBackend::kEnumerate;
-  /// kGreedy/kAnneal: total fresh DAG simulations across all restart chains
-  /// (the two extreme placements are structural and not charged). The
-  /// determinism contract is (seed, eval_budget): a fixed pair replays
-  /// bitwise at any thread count.
-  size_t eval_budget = 512;
-  /// kGreedy/kAnneal: independent restart chains. Chain r draws from
-  /// Rng(seed).ForkIndex(r) and optimizes its own cost/runtime scalarization
-  /// weight, so the merged frontier covers the whole trade-off curve.
-  size_t restarts = 8;
-  /// kGreedy/kAnneal: when > 0, derives eval_budget from wall-clock by
-  /// timing the two extreme-placement simulations (budget_ms / per-eval
-  /// time). The derived budget varies run to run with machine load; bitwise
-  /// replay requires fixing eval_budget directly.
-  double budget_ms = 0.0;
-  /// kAnneal: initial temperature for the scalarized energy (which is
-  /// normalized to ~[0, 1], so 0.35 accepts sizable uphill moves early).
-  double initial_temperature = 0.35;
-  /// kAnneal: geometric cooling factor applied per proposal.
-  double cooling = 0.97;
-};
-
-/// Optional observability for SearchPlacements (filled for all backends).
-struct PlacementSearchStats {
-  size_t evaluations = 0;     ///< fresh DAG simulations (extremes excluded)
-  size_t greedy_moves = 0;    ///< accepted steepest-descent moves
-  size_t uphill_accepts = 0;  ///< kAnneal: accepted worsening moves
-  size_t reseeds = 0;         ///< kAnneal: re-seed-from-greedy jumps
-};
-
 /// Searches placements of `graph` on `cluster` and returns the cost-runtime
 /// Pareto frontier (Appendix A.2), sorted by ascending cloud cost (so the
 /// first entry is the cheapest, typically all-on-premise, placement and
-/// later entries trade dollars for speed). Ties on (cost, runtime) break by
-/// the lexicographically smallest placement, so the frontier is a pure
-/// function of the evaluated set, not of evaluation order.
+/// later entries trade dollars for speed).
+///
+/// The search exploits chunk symmetry (TaskNode::group): only the *count* of
+/// cloud-placed nodes per interchangeability group matters, which collapses
+/// the 2^n node space to a vector of per-group counts. Per group of n nodes
+/// it tries the counts {0, 1, 2, 4, ..., n} (the powers of two below n, plus
+/// n), not every count. When the cross product of those candidates is at
+/// most 4096 vectors, every vector is simulated; above that (large user
+/// graphs, e.g. from CallbackWorkload) the search simulates all-on-premise,
+/// all-cloud and a fixed-seed sample of 4096 vectors. Either way the
+/// all-on-premise placement that ConfigProfile::OnPremRuntime reads is
+/// simulated. The paper uses a learned search (PlaceTo) instead.
+///
+/// The simulations fan out on `pool` (null = serial). The candidate vectors
+/// are generated serially and simulated into per-index slots, and ties on
+/// (cost, runtime) break by the lexicographically smallest placement, so the
+/// frontier is bitwise identical for any thread count.
 Result<std::vector<PlacementProfile>> SearchPlacements(
     const dag::TaskGraph& graph, const sim::ClusterSpec& cluster,
-    const PlacementSearchOptions& options = {},
-    PlacementSearchStats* stats = nullptr);
+    dag::ThreadPool* pool = nullptr);
 
 /// Filters a set of profiles down to the cost-runtime Pareto frontier,
 /// sorted by ascending cloud cost; (cost, runtime) ties keep the
@@ -109,14 +50,6 @@ Result<std::vector<PlacementProfile>> SearchPlacements(
 /// for tests.
 std::vector<PlacementProfile> ParetoFilterPlacements(
     std::vector<PlacementProfile> profiles);
-
-/// Area of the cost-runtime region dominated by `frontier` relative to the
-/// reference point (ref_cloud_usd, ref_runtime_s) — the standard 2-D
-/// hypervolume indicator. Larger is better; a frontier that dominates
-/// another has hypervolume >= it for any shared reference point. This is the
-/// scalar objective the SA-vs-greedy gates compare.
-double FrontierHypervolume(const std::vector<PlacementProfile>& frontier,
-                           double ref_cloud_usd, double ref_runtime_s);
 
 }  // namespace sky::core
 

@@ -25,8 +25,7 @@ double ConfigProfile::OnPremRuntime() const {
 Result<std::vector<ConfigProfile>> ProfileConfigs(
     const Workload& workload, const std::vector<KnobConfig>& configs,
     const sim::ClusterSpec& cluster, const sim::CostModel& cost_model,
-    double segment_seconds, const PlacementSearchOptions& search_options,
-    dag::ThreadPool* pool) {
+    double segment_seconds, dag::ThreadPool* pool) {
   if (configs.empty()) {
     return Status::InvalidArgument("no configurations to profile");
   }
@@ -34,8 +33,6 @@ Result<std::vector<ConfigProfile>> ProfileConfigs(
   for (const KnobConfig& config : configs) {
     SKY_RETURN_NOT_OK(space.ValidateConfig(config));
   }
-  PlacementSearchOptions search = search_options;
-  if (search.pool == nullptr) search.pool = pool;
 
   std::vector<ConfigProfile> profiles(configs.size());
   std::vector<Status> statuses(configs.size(), Status::Ok());
@@ -48,7 +45,7 @@ Result<std::vector<ConfigProfile>> ProfileConfigs(
     dag::TaskGraph graph =
         workload.BuildTaskGraph(configs[i], segment_seconds, cost_model);
     Result<std::vector<PlacementProfile>> placements =
-        SearchPlacements(graph, cluster, search);
+        SearchPlacements(graph, cluster, pool);
     if (placements.ok()) {
       profile.placements = std::move(*placements);
     } else {

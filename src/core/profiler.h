@@ -29,17 +29,14 @@ struct ConfigProfile {
 };
 
 /// Profiles each configuration's task graph on the given cluster: builds the
-/// DAG for one segment, searches placements, and records the Pareto set.
-/// Configurations are profiled in parallel on `pool` (each placement search
-/// is independent); the result order and contents match a serial run. A
-/// non-null `pool` also backs the per-placement simulations unless
-/// `search_options` names its own pool.
+/// DAG for one segment, runs SearchPlacements on it, and records the Pareto
+/// set. Configurations are profiled in parallel on `pool`, which also backs
+/// each search's placement simulations; the result order and contents match
+/// a serial run.
 Result<std::vector<ConfigProfile>> ProfileConfigs(
     const Workload& workload, const std::vector<KnobConfig>& configs,
     const sim::ClusterSpec& cluster, const sim::CostModel& cost_model,
-    double segment_seconds,
-    const PlacementSearchOptions& search_options = {},
-    dag::ThreadPool* pool = nullptr);
+    double segment_seconds, dag::ThreadPool* pool = nullptr);
 
 }  // namespace sky::core
 

@@ -6,6 +6,7 @@
 
 #include "dag/thread_pool.h"
 #include "sim/cost_model.h"
+#include "util/rng.h"
 #include "workloads/covid.h"
 #include "workloads/udf_costs.h"
 
@@ -23,20 +24,6 @@ bool FrontiersBitwiseEqual(const std::vector<PlacementProfile>& a,
     if (a[i].uplink_bytes != b[i].uplink_bytes) return false;
   }
   return true;
-}
-
-/// Shared reference point for comparing two frontiers' hypervolumes: just
-/// beyond the most expensive and the slowest point of either.
-std::pair<double, double> SharedRef(const std::vector<PlacementProfile>& a,
-                                    const std::vector<PlacementProfile>& b) {
-  double ref_cost = 0.0, ref_rt = 0.0;
-  for (const auto* f : {&a, &b}) {
-    for (const PlacementProfile& p : *f) {
-      ref_cost = std::max(ref_cost, p.cloud_usd);
-      ref_rt = std::max(ref_rt, p.runtime_s);
-    }
-  }
-  return {ref_cost + 1.0, ref_rt + 1.0};
 }
 
 dag::TaskGraph HeavyChain(const sim::CostModel& cost_model) {
@@ -128,109 +115,75 @@ TEST(PlacementSearchTest, WorkloadGraphsProduceUsableFrontiers) {
   EXPECT_GE(frontier->size(), 2u);
 }
 
-TEST(PlacementSearchTest, GreedyAndAnnealFrontiersAreValid) {
-  sim::CostModel cost_model(1.8);
-  dag::TaskGraph g = HeavyChain(cost_model);
-  sim::ClusterSpec cluster;
-  cluster.cores = 1;
-  for (SearchBackend backend : {SearchBackend::kGreedy, SearchBackend::kAnneal}) {
-    PlacementSearchOptions opts;
-    opts.backend = backend;
-    opts.eval_budget = 64;
-    PlacementSearchStats stats;
-    auto frontier = SearchPlacements(g, cluster, opts, &stats);
-    ASSERT_TRUE(frontier.ok()) << frontier.status().ToString();
-    ASSERT_FALSE(frontier->empty());
-    // The all-on-prem anchor survives as the cheapest entry; the frontier
-    // stays sorted and strictly Pareto.
-    EXPECT_EQ(frontier->front().placement.NumCloudNodes(), 0u);
-    EXPECT_DOUBLE_EQ(frontier->front().cloud_usd, 0.0);
-    for (size_t i = 1; i < frontier->size(); ++i) {
-      EXPECT_GT((*frontier)[i].cloud_usd, (*frontier)[i - 1].cloud_usd);
-      EXPECT_LT((*frontier)[i].runtime_s, (*frontier)[i - 1].runtime_s);
-    }
-    EXPECT_LE(stats.evaluations, opts.eval_budget);
-  }
-}
+// ---------------------------------------------------------------------------
+// Sampling: five chunked UDFs of 24 chunks have 7 candidate cloud counts per
+// group ({0, 1, 2, 4, 8, 16, 24}), so 7^5 = 16807 count vectors, above the
+// 4096-vector enumeration cap. The search must then simulate exactly
+// all-on-prem, all-cloud and 4096 vectors drawn from Rng(31) — the reference
+// below simulates that set itself — on any pool.
+// ---------------------------------------------------------------------------
 
-TEST(PlacementSearchTest, AnnealBitwiseDeterministicAcrossPoolSizes) {
+TEST(PlacementSearchTest, LargeGraphSimulatesExactlyTheSeededSample) {
+  constexpr size_t kGroups = 5;
+  constexpr size_t kChunks = 24;
   sim::CostModel cost_model(1.8);
-  dag::TaskGraph g = HeavyChain(cost_model);
+  dag::TaskGraph g;
+  for (size_t group = 0; group < kGroups; ++group) {
+    ASSERT_EQ(workloads::AddChunkedUdf(&g, "udf", static_cast<int>(group),
+                                       12.0, 1e6, 1e5, cost_model, 0.5, {})
+                  .size(),
+              kChunks);
+  }
   sim::ClusterSpec cluster;
-  cluster.cores = 1;
-  PlacementSearchOptions opts;
-  opts.backend = SearchBackend::kAnneal;
-  opts.eval_budget = 96;
-  opts.seed = 17;
-  auto serial = SearchPlacements(g, cluster, opts);
+  cluster.cores = 4;
+
+  const size_t kCandidates[] = {0, 1, 2, 4, 8, 16, 24};
+  std::vector<std::vector<size_t>> sample = {
+      std::vector<size_t>(kGroups, 0), std::vector<size_t>(kGroups, kChunks)};
+  Rng rng(31);
+  for (size_t s = 0; s < 4096; ++s) {
+    std::vector<size_t> counts(kGroups);
+    for (size_t& c : counts) c = kCandidates[rng.UniformInt(0, 6)];
+    sample.push_back(std::move(counts));
+  }
+  std::vector<PlacementProfile> simulated;
+  for (const std::vector<size_t>& counts : sample) {
+    PlacementProfile p;
+    p.placement = dag::Placement::AllOnPrem(g.NumNodes());
+    for (size_t group = 0; group < kGroups; ++group) {
+      for (size_t j = 0; j < counts[group]; ++j) {
+        p.placement.node_loc[group * kChunks + j] = dag::Loc::kCloud;
+      }
+    }
+    auto sim = sim::SimulateDag(g, p.placement, cluster);
+    ASSERT_TRUE(sim.ok());
+    p.runtime_s = sim->makespan_s;
+    p.cloud_usd = sim->cloud_cost_usd;
+    p.onprem_core_s = sim->onprem_core_seconds;
+    p.uplink_bytes = sim->uplink_bytes;
+    simulated.push_back(std::move(p));
+  }
+  std::vector<PlacementProfile> expected =
+      ParetoFilterPlacements(std::move(simulated));
+
+  auto serial = SearchPlacements(g, cluster);
   ASSERT_TRUE(serial.ok());
+  EXPECT_GT(serial->size(), 1u);
+  EXPECT_TRUE(FrontiersBitwiseEqual(*serial, expected));
+  EXPECT_EQ(serial->front().placement.NumCloudNodes(), 0u);
   for (size_t threads : {1u, 2u, 8u}) {
     dag::ThreadPool pool(threads);
-    opts.pool = &pool;
-    auto parallel = SearchPlacements(g, cluster, opts);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_TRUE(FrontiersBitwiseEqual(*serial, *parallel))
+    auto pooled = SearchPlacements(g, cluster, &pool);
+    ASSERT_TRUE(pooled.ok());
+    EXPECT_TRUE(FrontiersBitwiseEqual(*serial, *pooled))
         << "frontier differs at " << threads << " threads";
   }
-}
-
-TEST(PlacementSearchTest, TinyBudgetFallsBackToGreedyNeverWorse) {
-  sim::CostModel cost_model(1.8);
-  dag::TaskGraph g = HeavyChain(cost_model);
-  sim::ClusterSpec cluster;
-  cluster.cores = 1;
-  // Cooling edge cases: with 0 or 1 fresh simulations the annealer cannot
-  // leave the greedy phase, so it must return exactly the greedy result.
-  for (size_t budget : {0u, 1u}) {
-    PlacementSearchOptions opts;
-    opts.eval_budget = budget;
-    opts.backend = SearchBackend::kGreedy;
-    auto greedy = SearchPlacements(g, cluster, opts);
-    ASSERT_TRUE(greedy.ok());
-    opts.backend = SearchBackend::kAnneal;
-    auto anneal = SearchPlacements(g, cluster, opts);
-    ASSERT_TRUE(anneal.ok());
-    EXPECT_TRUE(FrontiersBitwiseEqual(*greedy, *anneal))
-        << "budget " << budget;
-  }
-}
-
-TEST(PlacementSearchTest, AnnealAtLeastGreedyOnWorkloadGraph) {
-  workloads::CovidWorkload covid;
-  sim::CostModel cost_model(1.8);
-  sim::ClusterSpec cluster;
-  cluster.cores = 2;
-  dag::TaskGraph g =
-      covid.BuildTaskGraph(MostQualitativeConfig(covid), 4.0, cost_model);
-  PlacementSearchOptions opts;
-  opts.eval_budget = 128;
-  opts.backend = SearchBackend::kGreedy;
-  auto greedy = SearchPlacements(g, cluster, opts);
-  ASSERT_TRUE(greedy.ok());
-  opts.backend = SearchBackend::kAnneal;
-  auto anneal = SearchPlacements(g, cluster, opts);
-  ASSERT_TRUE(anneal.ok());
-  auto [ref_cost, ref_rt] = SharedRef(*greedy, *anneal);
-  EXPECT_GE(FrontierHypervolume(*anneal, ref_cost, ref_rt),
-            FrontierHypervolume(*greedy, ref_cost, ref_rt) - 1e-12);
-}
-
-TEST(PlacementSearchTest, RejectsBadCoolingFactor) {
-  sim::CostModel cost_model(1.8);
-  dag::TaskGraph g = HeavyChain(cost_model);
-  sim::ClusterSpec cluster;
-  PlacementSearchOptions opts;
-  opts.backend = SearchBackend::kAnneal;
-  opts.cooling = 0.0;
-  EXPECT_FALSE(SearchPlacements(g, cluster, opts).ok());
-  opts.cooling = 1.5;
-  EXPECT_FALSE(SearchPlacements(g, cluster, opts).ok());
 }
 
 // ---------------------------------------------------------------------------
 // Tie-breaking regression: on an instance where every placement has the
 // same (cost, runtime), the kept placement must be the stable
-// lexicographically-smallest one — all-on-prem — for every backend and for
+// lexicographically-smallest one — all-on-prem — for the search and for
 // any input order into the Pareto filter (the pre-fix behavior depended on
 // evaluation order).
 // ---------------------------------------------------------------------------
@@ -254,17 +207,10 @@ TEST(PlacementSearchTest, AllEqualCostInstancePinsAllOnPrem) {
   dag::TaskGraph g = AllEqualCostGraph();
   sim::ClusterSpec cluster;
   cluster.cores = 4;
-  for (SearchBackend backend :
-       {SearchBackend::kEnumerate, SearchBackend::kGreedy,
-        SearchBackend::kAnneal}) {
-    PlacementSearchOptions opts;
-    opts.backend = backend;
-    opts.eval_budget = 32;
-    auto frontier = SearchPlacements(g, cluster, opts);
-    ASSERT_TRUE(frontier.ok());
-    ASSERT_EQ(frontier->size(), 1u);
-    EXPECT_EQ(frontier->front().placement.NumCloudNodes(), 0u);
-  }
+  auto frontier = SearchPlacements(g, cluster);
+  ASSERT_TRUE(frontier.ok());
+  ASSERT_EQ(frontier->size(), 1u);
+  EXPECT_EQ(frontier->front().placement.NumCloudNodes(), 0u);
 }
 
 TEST(ParetoFilterTest, EqualCostRuntimeTiesBreakByPlacementNotInputOrder) {
@@ -291,20 +237,6 @@ TEST(ParetoFilterTest, EqualCostRuntimeTiesBreakByPlacementNotInputOrder) {
   EXPECT_EQ(forward.front().placement.node_loc[0], dag::Loc::kOnPrem);
   EXPECT_EQ(forward.front().placement.node_loc[1], dag::Loc::kOnPrem);
   EXPECT_EQ(forward.front().placement.node_loc[2], dag::Loc::kCloud);
-}
-
-TEST(HypervolumeTest, DominatingFrontierHasLargerHypervolume) {
-  std::vector<PlacementProfile> weak(2), strong(3);
-  weak[0].cloud_usd = 0.0; weak[0].runtime_s = 10.0;
-  weak[1].cloud_usd = 4.0; weak[1].runtime_s = 6.0;
-  strong[0].cloud_usd = 0.0; strong[0].runtime_s = 10.0;
-  strong[1].cloud_usd = 2.0; strong[1].runtime_s = 6.0;  // dominates weak[1]
-  strong[2].cloud_usd = 4.0; strong[2].runtime_s = 3.0;
-  double hv_weak = FrontierHypervolume(weak, 10.0, 12.0);
-  double hv_strong = FrontierHypervolume(strong, 10.0, 12.0);
-  EXPECT_GT(hv_strong, hv_weak);
-  // Hand-computed: (10-0)*(12-10) + (10-4)*(10-6) = 44.
-  EXPECT_DOUBLE_EQ(hv_weak, 44.0);
 }
 
 }  // namespace

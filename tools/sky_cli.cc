@@ -95,12 +95,6 @@ constexpr const char kOfflineHelp[] =
   --train-days D        unlabeled training horizon          (default 16)
   --plan-days D         forecast span / planned interval    (default 2)
   --categories C        content categories                  (default 4)
-  --search B            placement search backend:
-                        enumerate | greedy | anneal         (default enumerate)
-  --search-evals N      greedy/anneal simulation budget     (default 512)
-  --search-budget-ms M  derive the budget from wall-clock instead (anneal /
-                        greedy only; run-to-run variable — fix --search-evals
-                        for bitwise replay)
   --threads N           offline worker threads, 0 = all     (default 0)
   --seed S              offline RNG seed                    (default 81)
 )";
@@ -204,9 +198,6 @@ struct Flags {
   double train_days = 16.0;
   double plan_days = 2.0;
   size_t categories = 4;
-  std::string search = "enumerate";
-  size_t search_evals = 512;
-  double search_budget_ms = 0.0;
   size_t threads = 0;
   uint64_t offline_seed = 81;
   double start_days = -1.0;  ///< -1 = derive from the loaded model
@@ -269,9 +260,6 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
     else if (arg == "--train-days") f->train_days = std::atof(value.c_str());
     else if (arg == "--plan-days") f->plan_days = std::atof(value.c_str());
     else if (arg == "--categories") f->categories = std::strtoull(value.c_str(), nullptr, 10);
-    else if (arg == "--search") f->search = value;
-    else if (arg == "--search-evals") f->search_evals = std::strtoull(value.c_str(), nullptr, 10);
-    else if (arg == "--search-budget-ms") f->search_budget_ms = std::atof(value.c_str());
     else if (arg == "--threads") f->threads = std::strtoull(value.c_str(), nullptr, 10);
     else if (arg == "--seed") { f->offline_seed = std::strtoull(value.c_str(), nullptr, 10); f->engine_seed = f->offline_seed; }
     else if (arg == "--start-days") f->start_days = std::atof(value.c_str());
@@ -360,17 +348,6 @@ int RunOffline(const Flags& f) {
   opts.forecaster.planned_interval = Days(f.plan_days);
   opts.num_threads = f.threads;
   opts.seed = f.offline_seed;
-  if (f.search == "greedy") {
-    opts.placement_search.backend = sky::core::SearchBackend::kGreedy;
-  } else if (f.search == "anneal") {
-    opts.placement_search.backend = sky::core::SearchBackend::kAnneal;
-  } else if (f.search != "enumerate") {
-    std::fprintf(stderr, "sky offline: unknown --search backend '%s'\n",
-                 f.search.c_str());
-    return 2;
-  }
-  opts.placement_search.eval_budget = f.search_evals;
-  opts.placement_search.budget_ms = f.search_budget_ms;
 
   std::printf("sky offline: fitting %s (%.1f-day horizon, %.0f s segments, "
               "%zu categories, %d cores)...\n",
