@@ -104,14 +104,8 @@ int main() {
   table.SetHeader({"streams", "joint structured", "joint simplex", "speedup",
                    "single structured", "single simplex"});
 
-  TablePrinter warm_table(
-      "Incremental joint planning per boundary (~2% of forecasts move)");
-  warm_table.SetHeader({"streams", "cold solve", "warm solve", "warm speedup",
-                        "groups rescaled", "groups rebuilt"});
-
   bool checks_ok = true;
   double speedup_at_64 = 0.0;
-  double warm_speedup_at_256 = 0.0;
   for (size_t num_streams : {size_t{1}, size_t{8}, size_t{64}, size_t{256}}) {
     std::vector<core::StreamPlanInput> inputs;
     inputs.reserve(num_streams);
@@ -173,71 +167,6 @@ int main() {
       }
     });
 
-    // Warm-started incremental joint planning: consecutive plan boundaries
-    // share almost all structure, so the JointPlanner rescales only the
-    // streams whose forecasts moved and repairs its warm frontier, while
-    // the cold path rebuilds hulls and re-sorts every edge per boundary.
-    // Each timed "boundary" perturbs ~2% of the streams' forecasts first.
-    core::JointPlanner warm_planner;
-    std::vector<core::KnobPlan> warm_plans;
-    if (!warm_planner.Plan(inputs, budget, &warm_plans).ok()) {
-      checks_ok = false;  // untimed seeding solve (builds the hulls)
-    }
-    Rng boundary_rng(4211 + static_cast<uint64_t>(num_streams));
-    auto perturb_boundary = [&] {
-      size_t changed = std::max<size_t>(1, num_streams / 50);
-      for (size_t i = 0; i < changed; ++i) {
-        size_t v = static_cast<size_t>(
-            boundary_rng.UniformInt(0, static_cast<int>(num_streams) - 1));
-        double sum = 0.0;
-        for (double& f : inputs[v].forecast) {
-          f *= boundary_rng.Uniform(0.8, 1.25);
-          sum += f;
-        }
-        for (double& f : inputs[v].forecast) f /= sum;
-      }
-    };
-    double warm_boundary = TimePerCall(0.02, [&] {
-      perturb_boundary();
-      if (!warm_planner.Plan(inputs, budget, &warm_plans).ok()) {
-        checks_ok = false;
-      }
-    });
-    size_t rescaled = warm_planner.last_groups_rescaled();
-    size_t rebuilt = warm_planner.last_groups_rebuilt();
-    double cold_boundary = TimePerCall(0.02, [&] {
-      perturb_boundary();
-      auto plans = core::ComputeJointKnobPlan(
-          inputs, budget, core::PlannerBackend::kStructured, &ws);
-      if (!plans.ok()) checks_ok = false;
-    });
-    // Same-inputs parity: after one more boundary, warm and cold must agree
-    // on the joint objective.
-    perturb_boundary();
-    if (!warm_planner.Plan(inputs, budget, &warm_plans).ok()) {
-      checks_ok = false;
-    }
-    auto cold_plans = core::ComputeJointKnobPlan(
-        inputs, budget, core::PlannerBackend::kStructured, &ws);
-    if (!cold_plans.ok()) {
-      checks_ok = false;
-    } else {
-      double q_warm = 0.0, q_cold = 0.0;
-      for (size_t v = 0; v < num_streams; ++v) {
-        q_warm += warm_plans[v].expected_quality;
-        q_cold += (*cold_plans)[v].expected_quality;
-      }
-      if (std::abs(q_warm - q_cold) > 1e-6) {
-        std::printf("warm/cold objective mismatch at %zu streams: %.9f vs "
-                    "%.9f\n",
-                    num_streams, q_warm, q_cold);
-        checks_ok = false;
-      }
-    }
-    double warm_speedup =
-        warm_boundary > 0 ? cold_boundary / warm_boundary : 0.0;
-    if (num_streams == 256) warm_speedup_at_256 = warm_speedup;
-
     double speedup = joint_structured > 0 ? joint_simplex / joint_structured
                                           : 0.0;
     if (num_streams == 64) speedup_at_64 = speedup;
@@ -247,22 +176,13 @@ int main() {
     json.Set("joint_speedup_" + tag, speedup);
     json.Set("single_structured_s_" + tag, single_structured);
     json.Set("single_simplex_s_" + tag, single_simplex);
-    json.Set("cold_boundary_s_" + tag, cold_boundary);
-    json.Set("warm_boundary_s_" + tag, warm_boundary);
-    json.Set("warm_speedup_" + tag, warm_speedup);
     table.AddRow({tag, TablePrinter::Fmt(joint_structured * 1e6, 1) + " us",
                   TablePrinter::Fmt(joint_simplex * 1e6, 1) + " us",
                   TablePrinter::Fmt(speedup, 1) + "x",
                   TablePrinter::Fmt(single_structured * 1e6, 1) + " us",
                   TablePrinter::Fmt(single_simplex * 1e6, 1) + " us"});
-    warm_table.AddRow({tag, TablePrinter::Fmt(cold_boundary * 1e6, 1) + " us",
-                       TablePrinter::Fmt(warm_boundary * 1e6, 1) + " us",
-                       TablePrinter::Fmt(warm_speedup, 1) + "x",
-                       std::to_string(rescaled), std::to_string(rebuilt)});
   }
   table.Print(std::cout);
-  std::printf("\n");
-  warm_table.Print(std::cout);
 
   std::printf("\n(joint structured = per-stream hulls under one shared "
               "budget multiplier, never materializing the dense tableau; "
@@ -278,12 +198,6 @@ int main() {
   }
   if (speedup_at_64 < 10.0) {
     std::printf("FAILED: joint speedup at 64 streams below 10x\n");
-    return 1;
-  }
-  if (warm_speedup_at_256 < 5.0) {
-    std::printf("FAILED: warm-started boundary at 256 streams below 5x "
-                "(got %.1fx)\n",
-                warm_speedup_at_256);
     return 1;
   }
   return 0;

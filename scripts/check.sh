@@ -16,9 +16,9 @@
 # refreshed on every local check; all exit non-zero when a perf or parity
 # gate fails.
 # `--tsan` instead runs only the concurrency suite (thread pool, StreamSet
-# scheduler, sessions, kernel-dispatch first use) under ThreadSanitizer in a
-# separate build-tsan tree and skips the benches: it is a race detector
-# pass, not a perf gate.
+# scheduler, fleet recovery, sessions, kernel-dispatch first use) under
+# ThreadSanitizer in a separate build-tsan tree and skips the benches: it
+# is a race detector pass, not a perf gate.
 # `--props` runs only the randomized property suites (property_test,
 # scenario_test) with a fresh SKY_PROP_SEED — a different slice of the
 # instance space each run. The chosen seed is logged, written to
@@ -37,7 +37,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build build-tsan -j
   cd build-tsan
   ctest --output-on-failure \
-    -R "thread_pool_test|stream_set_test|stream_set_parallel_test|stream_set_membership_test|session_test|kernels_test|serve_test" \
+    -R "thread_pool_test|stream_set_test|stream_set_parallel_test|stream_set_membership_test|recovery_test|session_test|kernels_test|serve_test" \
     -j
   echo "TSan concurrency suite passed"
   exit 0

@@ -22,98 +22,12 @@ Status JointPlanner::Plan(const std::vector<StreamPlanInput>& streams,
   if (plans == nullptr) {
     return Status::InvalidArgument("null plans output");
   }
-  if (streams.empty()) {
-    return Status::InvalidArgument("no streams to plan for");
-  }
-  if (!(budget > 0) || !std::isfinite(budget)) {
-    return Status::InvalidArgument("budget must be positive and finite");
-  }
   last_groups_rebuilt_ = 0;
-  last_groups_rescaled_ = 0;
-
-  // Validate shapes and detect whether the (stream, category) -> group
-  // layout survived since the last call. Any layout change (streams added,
-  // removed, reordered into different category counts) invalidates every
-  // first_group, so the solver resets wholesale; per-stream content changes
-  // are handled below at group granularity.
-  bool relayout = cache_.size() != streams.size();
-  size_t total_groups = 0;
-  for (size_t v = 0; v < streams.size(); ++v) {
-    const StreamPlanInput& s = streams[v];
-    if (s.categories == nullptr) {
-      return Status::InvalidArgument("null categories in stream input");
-    }
-    size_t num_c = s.categories->NumCategories();
-    size_t num_k = s.categories->NumConfigs();
-    if (num_c == 0 || num_k == 0 || s.forecast.size() != num_c ||
-        s.config_costs.size() != num_k) {
-      return Status::InvalidArgument("stream input shape mismatch");
-    }
-    if (!relayout && (cache_[v].first_group != total_groups ||
-                      cache_[v].num_categories != num_c)) {
-      relayout = true;
-    }
-    total_groups += num_c;
-  }
-  if (relayout) {
-    solver_.Reset(total_groups);
-    cache_.assign(streams.size(), StreamCache{});
-    size_t g = 0;
-    for (size_t v = 0; v < streams.size(); ++v) {
-      cache_[v].first_group = g;
-      cache_[v].num_categories = streams[v].categories->NumCategories();
-      g += cache_[v].num_categories;
-    }
-  }
-
-  for (size_t v = 0; v < streams.size(); ++v) {
-    const StreamPlanInput& s = streams[v];
-    StreamCache& cached = cache_[v];
-    size_t num_k = s.categories->NumConfigs();
-    if (cached.categories != s.categories ||
-        cached.config_costs != s.config_costs) {
-      // Hull rebuild: the unscaled points of category c's group are
-      // (cost(k), qual(c, k)); the forecast enters only as the scale.
-      group_values_.resize(num_k);
-      for (size_t c = 0; c < cached.num_categories; ++c) {
-        for (size_t k = 0; k < num_k; ++k) {
-          group_values_[k] = s.categories->CenterQuality(c, k);
-        }
-        SKY_RETURN_NOT_OK(solver_.SetGroup(cached.first_group + c,
-                                           s.config_costs.data(),
-                                           group_values_.data(), num_k));
-        SKY_RETURN_NOT_OK(
-            solver_.ScaleGroup(cached.first_group + c, s.forecast[c]));
-        ++last_groups_rebuilt_;
-      }
-      cached.categories = s.categories;
-      cached.config_costs = s.config_costs;
-      cached.forecast = s.forecast;
-    } else {
-      for (size_t c = 0; c < cached.num_categories; ++c) {
-        if (s.forecast[c] == cached.forecast[c]) continue;
-        SKY_RETURN_NOT_OK(
-            solver_.ScaleGroup(cached.first_group + c, s.forecast[c]));
-        cached.forecast[c] = s.forecast[c];
-        ++last_groups_rescaled_;
-      }
-    }
-  }
-
-  SKY_RETURN_NOT_OK(solver_.Solve(budget, &solution_));
-  if (solution_.status == lp::MckpStatus::kInfeasible) {
-    return Status::ResourceExhausted(
-        "joint knob plan infeasible under the shared budget");
-  }
-
-  plans->clear();
-  plans->reserve(streams.size());
-  for (size_t v = 0; v < streams.size(); ++v) {
-    const StreamPlanInput& s = streams[v];
-    plans->push_back(ExtractPlanFromChoices(solution_, cache_[v].first_group,
-                                            *s.categories, s.forecast,
-                                            s.config_costs));
-  }
+  SKY_ASSIGN_OR_RETURN(*plans,
+                       ComputeJointKnobPlan(streams, budget,
+                                            PlannerBackend::kStructured,
+                                            &workspace_));
+  last_groups_rebuilt_ = workspace_.num_groups;
   return Status::Ok();
 }
 
@@ -238,8 +152,6 @@ Result<size_t> StreamSet::AddStream(const StreamEngineJob& job) {
       break;
     }
   }
-  // The joint planner sees a changed (stream, category) layout at the next
-  // boundary and re-solves cold for the new membership by itself.
   jobs_.push_back(job);
   engines_.push_back(std::move(engine));
   statuses_.push_back(Status::Ok());

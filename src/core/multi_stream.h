@@ -42,55 +42,32 @@ Result<std::vector<KnobPlan>> ComputeJointKnobPlan(
 /// floor(cores / num_streams), but at least 1.
 int FairCoreShare(int cores, size_t num_streams);
 
-/// Incremental joint knob planner — the warm plan-boundary path of a
-/// StreamSet. Semantically equivalent to ComputeJointKnobPlan with the
-/// structured backend (same hulls, same canonical edge order; objectives
-/// agree to fp accumulation order), but amortized O(groups + frontier
-/// movement) per boundary instead of a full O(n log n) rebuild:
-///
-///  - Per-(stream, category) concave hulls are cached inside an
-///    lp::IncrementalMckpSolver, keyed on the stream's (categories,
-///    config_costs). The joint program's coefficients for category c are
-///    r_c * (cost(k), qual(c, k)) — a uniform scaling of the cached points —
-///    and hulls are scale-invariant, so a forecast update is an O(1)
-///    ScaleGroup, never a hull rebuild.
-///  - The MCKP solve warm-starts from the previous boundary's optimal
-///    frontier and repairs it with heap exchanges; consecutive boundaries
-///    share almost all structure, so the frontier barely moves.
-///
-/// Hulls rebuild only when a stream's shape actually changes (stream set
-/// grew/shrank, costs changed) — the planner notices by itself. Not
-/// thread-safe; a StreamSet calls it only from boundary barriers.
+/// The joint knob planner a StreamSet runs at every lockstep plan boundary:
+/// ComputeJointKnobPlan with the structured backend, into a workspace the
+/// planner keeps so later boundaries reuse its buffers. Nothing else lives
+/// across calls — every Plan() is a pure function of that call's streams
+/// and budget, so a long-lived planner, a fresh one and ComputeJointKnobPlan
+/// return bitwise-identical plans on the same inputs. Not thread-safe; a
+/// StreamSet calls it only from boundary barriers.
 class JointPlanner {
  public:
   /// Plans all `streams` against the shared `budget`, one KnobPlan per
   /// stream into `plans`. Same validation and error contract as
   /// ComputeJointKnobPlan: kInvalidArgument on shape errors,
-  /// kResourceExhausted when even all-cheapest exceeds the budget (cached
-  /// state stays warm — a later feasible boundary still warm-starts).
+  /// kResourceExhausted when even all-cheapest exceeds the budget.
   Status Plan(const std::vector<StreamPlanInput>& streams, double budget,
               std::vector<KnobPlan>* plans);
 
-  /// Instrumentation for benches/tests: how the last Plan() call touched
-  /// the cache — groups whose hull was (re)built vs. merely rescaled.
+  /// Instrumentation for benches: (stream, category) groups the last
+  /// Plan() call solved — every group, since each boundary solves from
+  /// scratch; 0 when the call failed — and groups merely rescaled, which
+  /// is always 0.
   size_t last_groups_rebuilt() const { return last_groups_rebuilt_; }
-  size_t last_groups_rescaled() const { return last_groups_rescaled_; }
+  size_t last_groups_rescaled() const { return 0; }
 
  private:
-  struct StreamCache {
-    const ContentCategories* categories = nullptr;  ///< identity key
-    std::vector<double> config_costs;  ///< copy for the dirty check
-    std::vector<double> forecast;      ///< scales currently installed
-    size_t first_group = 0;
-    size_t num_categories = 0;
-  };
-
-  std::vector<StreamCache> cache_;
-  lp::IncrementalMckpSolver solver_;
-  lp::MckpSolution solution_;
-  std::vector<double> group_values_;  ///< SetGroup scratch: one quality row
+  PlanWorkspace workspace_;
   size_t last_groups_rebuilt_ = 0;
-  size_t last_groups_rescaled_ = 0;
 };
 
 /// Everything needed to run one stream's ingestion engine in a multi-stream
@@ -223,11 +200,11 @@ class StreamSet {
   //
   // Streams may join and leave a RUNNING fleet, but only at the lockstep
   // plan boundary — the single-threaded window where every live stream sits
-  // at the same virtual time and no plan is installed yet. The joint
-  // planner notices the layout change by itself and re-solves cold for the
-  // new membership (cold == warm bitwise), so from that boundary onward the
-  // fleet is indistinguishable from one created with the final membership.
-  // This is the admission surface `sky serve` builds on.
+  // at the same virtual time and no plan is installed yet. Each boundary's
+  // joint solve is a pure function of that boundary's inputs, so from that
+  // boundary onward the fleet is indistinguishable from one created with
+  // the final membership. This is the admission surface `sky serve` builds
+  // on.
 
   /// True when membership operations are legal right now: every live stream
   /// sits at its plan boundary (always true when no stream is live).
@@ -353,7 +330,7 @@ class StreamSet {
   std::vector<size_t> restarts_used_;
   size_t boundaries_planned_ = 0;
   Status last_checkpoint_status_;
-  /// Warm incremental planner that solves every joint boundary.
+  /// Solves every joint boundary; keeps only its workspace's buffers.
   JointPlanner joint_planner_;
   std::vector<KnobPlan> joint_plans_;
   std::vector<StreamPlanInput> inputs_;

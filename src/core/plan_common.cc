@@ -1,5 +1,7 @@
 #include "core/plan_common.h"
 
+#include <algorithm>
+
 #include "core/planner.h"
 
 namespace sky::core {
@@ -113,6 +115,13 @@ KnobPlan ExtractPlan(const PlanWorkspace& ws, size_t first_group,
   plan.alpha = ml::Matrix(num_c, num_k, 0.0);
   plan.forecast = forecast;
   for (size_t c = 0; c < num_c; ++c) {
+    if (forecast[c] == 0.0) {
+      size_t cheapest = static_cast<size_t>(
+          std::min_element(config_costs.begin(), config_costs.end()) -
+          config_costs.begin());
+      plan.alpha.At(c, cheapest) = 1.0;
+      continue;
+    }
     size_t base = ws.group_offsets[first_group + c];
     for (size_t k = 0; k < num_k; ++k) {
       double a = ws.x[base + k];
@@ -120,31 +129,6 @@ KnobPlan ExtractPlan(const PlanWorkspace& ws, size_t first_group,
       plan.expected_quality += a * ws.values[base + k];
       plan.expected_work += a * forecast[c] * config_costs[k];
     }
-  }
-  return plan;
-}
-
-KnobPlan ExtractPlanFromChoices(const lp::MckpSolution& solution,
-                                size_t first_group,
-                                const ContentCategories& categories,
-                                const std::vector<double>& forecast,
-                                const std::vector<double>& config_costs) {
-  size_t num_c = categories.NumCategories();
-  size_t num_k = categories.NumConfigs();
-  KnobPlan plan;
-  plan.alpha = ml::Matrix(num_c, num_k, 0.0);
-  plan.forecast = forecast;
-  for (size_t c = 0; c < num_c; ++c) {
-    const lp::MckpGroupChoice& choice = solution.choice[first_group + c];
-    double alpha_lo = 1.0 - choice.frac_hi;
-    plan.alpha.At(c, choice.lo) += alpha_lo;
-    plan.alpha.At(c, choice.hi) += choice.frac_hi;
-    plan.expected_quality +=
-        alpha_lo * forecast[c] * categories.CenterQuality(c, choice.lo);
-    plan.expected_quality +=
-        choice.frac_hi * forecast[c] * categories.CenterQuality(c, choice.hi);
-    plan.expected_work += alpha_lo * forecast[c] * config_costs[choice.lo];
-    plan.expected_work += choice.frac_hi * forecast[c] * config_costs[choice.hi];
   }
   return plan;
 }

@@ -57,22 +57,14 @@ Status SolvePlanProblem(double budget, PlannerBackend backend,
 
 /// Extracts the plan of the stream whose categories start at `first_group`
 /// from ws->x: the alpha matrix plus expected quality/work recomputed from
-/// the same coefficients for both backends.
+/// the same coefficients for both backends. A category whose forecast is
+/// exactly 0 enters neither the objective nor the budget row, so any row
+/// is optimal for it; its row goes to the cheapest configuration (lowest
+/// index on ties) whatever the solver returned.
 KnobPlan ExtractPlan(const PlanWorkspace& ws, size_t first_group,
                      const ContentCategories& categories,
                      const std::vector<double>& forecast,
                      const std::vector<double>& config_costs);
-
-/// Extracts one stream's plan straight from an MCKP solution whose groups
-/// hold group-LOCAL option indices (the lp::IncrementalMckpSolver
-/// convention): group `first_group + c` is category c, its lo/hi are config
-/// indices. Expected quality/work are recomputed from the same coefficients
-/// ExtractPlan uses, so either extraction path reports comparable numbers.
-KnobPlan ExtractPlanFromChoices(const lp::MckpSolution& solution,
-                                size_t first_group,
-                                const ContentCategories& categories,
-                                const std::vector<double>& forecast,
-                                const std::vector<double>& config_costs);
 
 }  // namespace sky::core
 

@@ -13,9 +13,7 @@ constexpr double kEps = 1e-9;
 /// (costs, values) arrays — cost strictly increasing, value strictly
 /// increasing, slopes strictly decreasing along it. `order` must have size
 /// >= end ([beg, end) is used as sorting scratch); hull point indices (into
-/// the flat arrays) are written to `hull`, replacing its contents. Shared by
-/// the cold MckpSolver and IncrementalMckpSolver::SetGroup so both see the
-/// identical hull for identical points.
+/// the flat arrays) are written to `hull`, replacing its contents.
 void BuildUpperHull(const double* costs, const double* values, size_t beg,
                     size_t end, std::vector<size_t>* order,
                     std::vector<size_t>* hull) {
@@ -131,9 +129,8 @@ Status MckpSolver::Solve(const double* costs, const double* values,
     double lhs = ea.dv * eb.dc;
     double rhs = eb.dv * ea.dc;
     if (lhs != rhs) return lhs > rhs;
-    // Tie-break (group asc, edge asc) — the same canonical total order the
-    // incremental solver's heaps use, so equal-ratio instances resolve to
-    // the identical optimum in both solvers.
+    // Tie-break (group asc, edge asc): a canonical total order, so
+    // equal-ratio instances always resolve to the same optimum.
     if (ea.group != eb.group) return ea.group < eb.group;
     return ea.from < eb.from;
   });
@@ -160,278 +157,6 @@ Status MckpSolver::Solve(const double* costs, const double* values,
     }
   }
 
-  out->status = MckpStatus::kOptimal;
-  return Status::Ok();
-}
-
-void IncrementalMckpSolver::Reset(size_t num_groups) {
-  groups_.assign(num_groups, Group{});
-}
-
-Status IncrementalMckpSolver::SetGroup(size_t g, const double* costs,
-                                       const double* values,
-                                       size_t num_options) {
-  if (g >= groups_.size()) {
-    return Status::InvalidArgument("MCKP group index out of range");
-  }
-  if (costs == nullptr || values == nullptr || num_options == 0) {
-    return Status::InvalidArgument("empty or null MCKP group");
-  }
-  for (size_t j = 0; j < num_options; ++j) {
-    if (costs[j] < 0.0 || !std::isfinite(costs[j]) ||
-        !std::isfinite(values[j])) {
-      return Status::InvalidArgument("MCKP costs must be finite and >= 0");
-    }
-  }
-
-  order_.resize(num_options);
-  BuildUpperHull(costs, values, 0, num_options, &order_, &hull_);
-
-  Group& grp = groups_[g];
-  grp.pt.assign(hull_.begin(), hull_.end());
-  grp.base_cost = costs[hull_.front()];
-  grp.base_value = values[hull_.front()];
-  size_t edges = hull_.size() - 1;
-  grp.dc.resize(edges);
-  grp.dv.resize(edges);
-  grp.pre_dc.resize(edges + 1);
-  grp.pre_dv.resize(edges + 1);
-  grp.pre_dc[0] = 0.0;
-  grp.pre_dv[0] = 0.0;
-  for (size_t h = 0; h < edges; ++h) {
-    grp.dc[h] = costs[hull_[h + 1]] - costs[hull_[h]];
-    grp.dv[h] = values[hull_[h + 1]] - values[hull_[h]];
-    grp.pre_dc[h + 1] = grp.pre_dc[h] + grp.dc[h];
-    grp.pre_dv[h + 1] = grp.pre_dv[h] + grp.dv[h];
-  }
-  // A rebuilt hull invalidates the old cursor; Solve repairs from scratch
-  // for this group (its heaps revalidate lazily against the new cursor).
-  grp.taken = 0;
-  grp.scale = 1.0;
-  grp.initialized = true;
-  return Status::Ok();
-}
-
-Status IncrementalMckpSolver::ScaleGroup(size_t g, double scale) {
-  if (g >= groups_.size()) {
-    return Status::InvalidArgument("MCKP group index out of range");
-  }
-  if (!groups_[g].initialized) {
-    return Status::FailedPrecondition("ScaleGroup before SetGroup");
-  }
-  if (!std::isfinite(scale) || scale < 0.0) {
-    return Status::InvalidArgument("MCKP scale must be finite and >= 0");
-  }
-  groups_[g].scale = scale;
-  return Status::Ok();
-}
-
-bool IncrementalMckpSolver::PriorityLess(const HeapEntry& a,
-                                         const HeapEntry& b) const {
-  const Group& ga = groups_[a.group];
-  const Group& gb = groups_[b.group];
-  // Ratio desc via cross-multiplication (dc > 0 on a hull); the tie-break
-  // matches the cold solver's edge order so both resolve equal ratios the
-  // same way. Scales cancel out of the comparison, which is what keeps the
-  // canonical order stable under ScaleGroup.
-  double lhs = ga.dv[a.edge] * gb.dc[b.edge];
-  double rhs = gb.dv[b.edge] * ga.dc[a.edge];
-  if (lhs != rhs) return lhs < rhs;
-  if (a.group != b.group) return a.group > b.group;
-  return a.edge > b.edge;
-}
-
-Status IncrementalMckpSolver::Solve(double budget, MckpSolution* out) {
-  if (out == nullptr) {
-    return Status::InvalidArgument("null MCKP output");
-  }
-  if (groups_.empty()) {
-    return Status::InvalidArgument("MCKP has no groups");
-  }
-  if (!std::isfinite(budget)) {
-    return Status::InvalidArgument("MCKP budget must be finite");
-  }
-  size_t num_groups = groups_.size();
-  for (const Group& g : groups_) {
-    if (!g.initialized) {
-      return Status::FailedPrecondition("SetGroup every group before Solve");
-    }
-  }
-
-  out->choice.assign(num_groups, MckpGroupChoice{});
-  out->objective = 0.0;
-  out->total_cost = 0.0;
-  out->lambda = 0.0;
-
-  double base_cost = 0.0;
-  for (const Group& g : groups_) base_cost += g.scale * g.base_cost;
-  if (base_cost > budget + kEps) {
-    for (size_t g = 0; g < num_groups; ++g) {
-      size_t base = groups_[g].pt.front();
-      out->choice[g] = MckpGroupChoice{base, base, 0.0};
-    }
-    out->status = MckpStatus::kInfeasible;
-    return Status::Ok();
-  }
-  double remaining = budget - base_cost;
-
-  // Cost the inherited frontier under the current scales via the prefix
-  // sums, then repair it with heap exchanges toward the canonical optimum:
-  // the previous frontier is near-optimal when scales and budget moved
-  // little, so the heaps see O(movement) pops. Heap seeds are O(groups);
-  // entries going stale as cursors move are dropped lazily on inspection.
-  double committed = 0.0;
-  take_heap_.clear();
-  untake_heap_.clear();
-  for (size_t g = 0; g < num_groups; ++g) {
-    Group& grp = groups_[g];
-    if (grp.scale == 0.0) {
-      // A zero-scale group contributes nothing either way; pin it to its
-      // cheapest hull point (documented contract) instead of letting its
-      // now-free edges drift through the sweep. Cursor reset is safe: any
-      // stale heap entries fail validation and drop lazily.
-      grp.taken = 0;
-      continue;
-    }
-    committed += grp.scale * grp.pre_dc[grp.taken];
-    if (grp.taken < grp.dc.size()) take_heap_.push_back({g, grp.taken});
-    if (grp.taken > 0) untake_heap_.push_back({g, grp.taken - 1});
-  }
-  auto take_less = [this](const HeapEntry& a, const HeapEntry& b) {
-    return PriorityLess(a, b);  // max-heap: highest priority on top
-  };
-  auto untake_less = [this](const HeapEntry& a, const HeapEntry& b) {
-    return PriorityLess(b, a);  // min-heap: lowest priority on top
-  };
-  std::make_heap(take_heap_.begin(), take_heap_.end(), take_less);
-  std::make_heap(untake_heap_.begin(), untake_heap_.end(), untake_less);
-
-  // Peek helpers: drop stale tops (cursor moved since push) until a live
-  // entry surfaces. An entry is live only while it is exactly the group's
-  // next edge to take (resp. last edge taken).
-  auto top_take = [&](HeapEntry* e) -> bool {
-    while (!take_heap_.empty()) {
-      HeapEntry t = take_heap_.front();
-      const Group& grp = groups_[t.group];
-      if (t.edge == grp.taken && t.edge < grp.dc.size()) {
-        *e = t;
-        return true;
-      }
-      std::pop_heap(take_heap_.begin(), take_heap_.end(), take_less);
-      take_heap_.pop_back();
-    }
-    return false;
-  };
-  auto top_untake = [&](HeapEntry* e) -> bool {
-    while (!untake_heap_.empty()) {
-      HeapEntry t = untake_heap_.front();
-      const Group& grp = groups_[t.group];
-      if (grp.taken > 0 && t.edge == grp.taken - 1) {
-        *e = t;
-        return true;
-      }
-      std::pop_heap(untake_heap_.begin(), untake_heap_.end(), untake_less);
-      untake_heap_.pop_back();
-    }
-    return false;
-  };
-  auto pop_take = [&] {
-    std::pop_heap(take_heap_.begin(), take_heap_.end(), take_less);
-    take_heap_.pop_back();
-  };
-  auto pop_untake = [&] {
-    std::pop_heap(untake_heap_.begin(), untake_heap_.end(), untake_less);
-    untake_heap_.pop_back();
-  };
-  auto do_take = [&](const HeapEntry& e) {
-    Group& grp = groups_[e.group];
-    committed += grp.scale * grp.dc[e.edge];
-    if (committed > remaining) committed = remaining;
-    untake_heap_.push_back(e);
-    std::push_heap(untake_heap_.begin(), untake_heap_.end(), untake_less);
-    ++grp.taken;
-    if (grp.taken < grp.dc.size()) {
-      take_heap_.push_back({e.group, grp.taken});
-      std::push_heap(take_heap_.begin(), take_heap_.end(), take_less);
-    }
-  };
-  auto do_untake = [&](const HeapEntry& e) {
-    Group& grp = groups_[e.group];
-    --grp.taken;  // e.edge == grp.taken now
-    committed -= grp.scale * grp.dc[e.edge];
-    if (committed < 0.0) committed = 0.0;
-    take_heap_.push_back(e);
-    std::push_heap(take_heap_.begin(), take_heap_.end(), take_less);
-    if (grp.taken > 0) {
-      untake_heap_.push_back({e.group, grp.taken - 1});
-      std::push_heap(untake_heap_.begin(), untake_heap_.end(), untake_less);
-    }
-  };
-
-  // Phase 1 — shed: the inherited frontier can overshoot the budget after a
-  // scale-up or budget cut; return the lowest-priority taken edges first.
-  HeapEntry u;
-  while (committed > remaining + kEps && top_untake(&u)) {
-    pop_untake();
-    do_untake(u);
-  }
-
-  // Phase 2 — advance: take edges in canonical priority order while they
-  // fit. When the top edge does not fit but a LOWER-priority edge is still
-  // taken (possible after SetGroup reset a cursor mid-frontier), that edge
-  // surrenders its budget first — this restores "taken = canonical prefix"
-  // from any start state. Only then is the top edge the true crossing edge.
-  // Terminates because take-heap top priorities are non-increasing (pushed
-  // entries never exceed the current top), so a phase-2-taken edge can
-  // never satisfy the untake condition later.
-  bool crossed = false;
-  HeapEntry cross{};
-  double cross_frac = 0.0;
-  HeapEntry t;
-  while (top_take(&t)) {
-    const Group& grp = groups_[t.group];
-    double sdc = grp.scale * grp.dc[t.edge];
-    if (sdc <= remaining - committed + kEps) {
-      pop_take();
-      do_take(t);
-      continue;
-    }
-    if (top_untake(&u) && PriorityLess(u, t)) {
-      pop_untake();
-      do_untake(u);
-      continue;
-    }
-    double leftover = remaining - committed;
-    if (leftover < 0.0) leftover = 0.0;
-    cross = t;
-    cross_frac = leftover / sdc;  // sdc > leftover + kEps > 0 here
-    if (cross_frac > 1.0) cross_frac = 1.0;
-    out->lambda = grp.dv[cross.edge] / grp.dc[cross.edge];
-    crossed = true;
-    break;
-  }
-
-  // Deterministic extraction: recompute objective and cost in group order
-  // from the prefix sums, so the reported numbers depend only on the final
-  // frontier — never on the repair path that reached it.
-  double objective = 0.0;
-  double total_cost = 0.0;
-  for (size_t g = 0; g < num_groups; ++g) {
-    const Group& grp = groups_[g];
-    objective += grp.scale * (grp.base_value + grp.pre_dv[grp.taken]);
-    total_cost += grp.scale * (grp.base_cost + grp.pre_dc[grp.taken]);
-    size_t lo = grp.pt[grp.taken];
-    out->choice[g] = MckpGroupChoice{lo, lo, 0.0};
-  }
-  if (crossed) {
-    const Group& grp = groups_[cross.group];
-    out->choice[cross.group] = MckpGroupChoice{
-        grp.pt[cross.edge], grp.pt[cross.edge + 1], cross_frac};
-    objective += cross_frac * grp.scale * grp.dv[cross.edge];
-    total_cost += cross_frac * grp.scale * grp.dc[cross.edge];
-  }
-  out->objective = objective;
-  out->total_cost = total_cost;
   out->status = MckpStatus::kOptimal;
   return Status::Ok();
 }

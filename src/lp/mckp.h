@@ -82,87 +82,6 @@ class MckpSolver {
   std::vector<size_t> edge_order_;
 };
 
-/// Incremental fractional-MCKP solver for repeated solves over slowly
-/// changing groups — the plan-boundary hot path of joint multi-stream
-/// planning, where consecutive boundaries share almost all structure.
-///
-/// Three facts make boundaries cheap:
-///  1. A group's upper concave hull (and every edge's value/cost ratio) is
-///     invariant under uniform scaling of its (cost, value) points — so a
-///     forecast update is ScaleGroup (O(1)), not a hull rebuild.
-///  2. The global edge order of the dual sweep is (ratio desc, group asc,
-///     edge asc) — all scale-invariant — so it is computed once, when hulls
-///     are (re)built, never per solve.
-///  3. The optimal frontier ("every edge priced above lambda* is taken")
-///     moves little between boundaries, so Solve warm-starts from the
-///     previous frontier and repairs it with heap-ordered exchanges:
-///     amortized O(groups + frontier movement) per solve instead of the
-///     cold solver's O(n log n) re-sort.
-///
-/// Produces the same optimum as MckpSolver on the equivalent flat problem
-/// (identical hull construction and edge order; objectives agree to fp
-/// accumulation order — see mckp_test.cc parity tests). Solutions use
-/// group-LOCAL option indices (0-based within each group's option array),
-/// unlike MckpSolver's flat indices.
-class IncrementalMckpSolver {
- public:
-  /// Discards all cached state and resizes to `num_groups` empty groups;
-  /// every group must be SetGroup() before the first Solve().
-  void Reset(size_t num_groups);
-
-  size_t num_groups() const { return groups_.size(); }
-
-  /// (Re)builds group `g`'s hull from `num_options` (cost, value) points.
-  /// Costs must be finite and >= 0, values finite, num_options >= 1.
-  /// O(num_options log num_options); resets the group's warm frontier.
-  Status SetGroup(size_t g, const double* costs, const double* values,
-                  size_t num_options);
-
-  /// Declares group `g`'s effective coefficients to be `scale` times the
-  /// points last passed to SetGroup — the forecast-reweighting fast path.
-  /// `scale` must be finite and >= 0; a zero scale pins the group to its
-  /// cheapest hull point at zero cost and value. O(1).
-  Status ScaleGroup(size_t g, double scale);
-
-  /// Exact warm-started solve of the current (scaled) problem against
-  /// `budget`. `out->choice[g]` holds group-LOCAL option indices. The warm
-  /// frontier persists across calls, so successive solves with similar
-  /// scales and budgets do O(groups + movement) work.
-  Status Solve(double budget, MckpSolution* out);
-
- private:
-  struct Group {
-    bool initialized = false;
-    double scale = 1.0;
-    double base_cost = 0.0;   ///< unscaled cost of the cheapest hull point
-    double base_value = 0.0;  ///< unscaled value of the cheapest hull point
-    std::vector<size_t> pt;   ///< hull point local indices; pt[0] = base
-    std::vector<double> dc;   ///< unscaled edge deltas, ratio-descending
-    std::vector<double> dv;
-    std::vector<double> pre_dc;  ///< prefix sums of dc/dv, size edges + 1
-    std::vector<double> pre_dv;
-    size_t taken = 0;  ///< warm frontier: fully-taken edge count
-  };
-
-  /// Heap entry: edge `edge` of group `group`. Entries go stale when the
-  /// group's cursor moves; pops validate against the live cursor.
-  struct HeapEntry {
-    size_t group = 0;
-    size_t edge = 0;
-  };
-
-  /// True when entry `a`'s edge has strictly lower sweep priority than
-  /// `b`'s: (ratio desc, group asc, edge asc), ratios compared exactly by
-  /// cross-multiplication.
-  bool PriorityLess(const HeapEntry& a, const HeapEntry& b) const;
-
-  std::vector<Group> groups_;
-  std::vector<size_t> order_;  ///< SetGroup scratch: cost-sorted options
-  std::vector<size_t> hull_;   ///< SetGroup scratch: hull point indices
-  std::vector<HeapEntry> take_heap_;    ///< max-heap: next edges to take
-  std::vector<HeapEntry> untake_heap_;  ///< min-heap: taken edges to return
-};
-
 }  // namespace sky::lp
 
 #endif  // SKYSCRAPER_LP_MCKP_H_

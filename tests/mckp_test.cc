@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 
 #include "core/planner.h"
 #include "lp/simplex.h"
@@ -286,270 +285,6 @@ TEST(MckpPropertyTest, SingleCategorySingleConfigDegenerate) {
   auto infeasible = core::ComputeKnobPlan(cats, {1.0}, {2.0}, 1.5,
                                           core::PlannerBackend::kStructured);
   EXPECT_FALSE(infeasible.ok());
-}
-
-// ---------------------------------------------------------------------------
-// IncrementalMckpSolver: warm-started solves must match the cold solver on
-// the equivalent flat problem — after rescales, budget sweeps in both
-// directions, and mid-sequence group rebuilds. Choices are compared
-// exactly (incremental local index + group offset == cold flat index);
-// objectives to 1e-9 (fp accumulation order differs between the two).
-// ---------------------------------------------------------------------------
-
-struct FlatInstance {
-  std::vector<double> costs;
-  std::vector<double> values;
-  std::vector<size_t> offsets;
-  size_t num_groups = 0;
-};
-
-FlatInstance RandomFlatInstance(Rng* rng) {
-  FlatInstance inst;
-  inst.num_groups = 1 + static_cast<size_t>(rng->UniformInt(0, 5));
-  inst.offsets.push_back(0);
-  for (size_t g = 0; g < inst.num_groups; ++g) {
-    size_t num_options = 1 + static_cast<size_t>(rng->UniformInt(0, 7));
-    for (size_t j = 0; j < num_options; ++j) {
-      inst.costs.push_back(rng->Uniform(0.1, 10.0));
-      inst.values.push_back(rng->Uniform(0.0, 1.0));
-    }
-    inst.offsets.push_back(inst.costs.size());
-  }
-  return inst;
-}
-
-double RandomBudget(const FlatInstance& inst, Rng* rng) {
-  double cheapest_sum = 0.0;
-  double dearest_sum = 0.0;
-  for (size_t g = 0; g < inst.num_groups; ++g) {
-    double lo = inst.costs[inst.offsets[g]];
-    double hi = lo;
-    for (size_t j = inst.offsets[g]; j < inst.offsets[g + 1]; ++j) {
-      lo = std::min(lo, inst.costs[j]);
-      hi = std::max(hi, inst.costs[j]);
-    }
-    cheapest_sum += lo;
-    dearest_sum += hi;
-  }
-  double roll = rng->Uniform(0.0, 1.0);
-  if (roll < 0.1) return cheapest_sum * rng->Uniform(0.3, 0.9);  // infeasible
-  if (roll < 0.2) return dearest_sum * rng->Uniform(1.5, 3.0);   // never binds
-  return rng->Uniform(cheapest_sum * 1.01, dearest_sum * 1.2);
-}
-
-void FillIncremental(const FlatInstance& inst, lp::IncrementalMckpSolver* inc) {
-  inc->Reset(inst.num_groups);
-  for (size_t g = 0; g < inst.num_groups; ++g) {
-    ASSERT_TRUE(inc->SetGroup(g, inst.costs.data() + inst.offsets[g],
-                              inst.values.data() + inst.offsets[g],
-                              inst.offsets[g + 1] - inst.offsets[g])
-                    .ok());
-  }
-}
-
-void ExpectIncrementalMatchesCold(const FlatInstance& inst, double budget,
-                                  lp::IncrementalMckpSolver* inc,
-                                  const std::string& label) {
-  lp::MckpSolver cold;
-  lp::MckpSolution cold_sol, inc_sol;
-  ASSERT_TRUE(cold.Solve(inst.costs.data(), inst.values.data(),
-                         inst.offsets.data(), inst.num_groups, budget,
-                         &cold_sol)
-                  .ok())
-      << label;
-  ASSERT_TRUE(inc->Solve(budget, &inc_sol).ok()) << label;
-  ASSERT_EQ(inc_sol.status, cold_sol.status) << label;
-  if (cold_sol.status == lp::MckpStatus::kInfeasible) return;
-  EXPECT_NEAR(inc_sol.objective, cold_sol.objective, 1e-9) << label;
-  EXPECT_NEAR(inc_sol.total_cost, cold_sol.total_cost, 1e-9) << label;
-  EXPECT_NEAR(inc_sol.lambda, cold_sol.lambda, 1e-9) << label;
-  ASSERT_EQ(inc_sol.choice.size(), inst.num_groups) << label;
-  for (size_t g = 0; g < inst.num_groups; ++g) {
-    EXPECT_EQ(inc_sol.choice[g].lo + inst.offsets[g], cold_sol.choice[g].lo)
-        << label << ", group " << g;
-    EXPECT_EQ(inc_sol.choice[g].hi + inst.offsets[g], cold_sol.choice[g].hi)
-        << label << ", group " << g;
-    EXPECT_NEAR(inc_sol.choice[g].frac_hi, cold_sol.choice[g].frac_hi, 1e-9)
-        << label << ", group " << g;
-  }
-}
-
-TEST(IncrementalMckpTest, MatchesColdSolverOnRandomInstances) {
-  Rng rng(20260808);
-  lp::IncrementalMckpSolver inc;
-  for (int trial = 0; trial < 100; ++trial) {
-    FlatInstance inst = RandomFlatInstance(&rng);
-    FillIncremental(inst, &inc);
-    // First solve repairs from an empty frontier; the second warm-starts
-    // from the first at a different budget.
-    for (int solve = 0; solve < 2; ++solve) {
-      ExpectIncrementalMatchesCold(
-          inst, RandomBudget(inst, &rng), &inc,
-          "trial " + std::to_string(trial) + " solve " +
-              std::to_string(solve));
-    }
-  }
-}
-
-TEST(IncrementalMckpTest, RescaledResolveMatchesColdRebuild) {
-  Rng rng(20260809);
-  for (int trial = 0; trial < 20; ++trial) {
-    FlatInstance inst = RandomFlatInstance(&rng);
-    lp::IncrementalMckpSolver inc;
-    FillIncremental(inst, &inc);
-    std::vector<double> scale(inst.num_groups, 1.0);
-    for (int round = 0; round < 20; ++round) {
-      // Rescale a random subset of groups — the forecast-update fast path.
-      for (size_t g = 0; g < inst.num_groups; ++g) {
-        if (rng.Bernoulli(0.4)) {
-          scale[g] = rng.Uniform(0.2, 2.0);
-          ASSERT_TRUE(inc.ScaleGroup(g, scale[g]).ok());
-        }
-      }
-      // The cold oracle sees the equivalent fully-rebuilt scaled problem.
-      FlatInstance scaled = inst;
-      for (size_t g = 0; g < inst.num_groups; ++g) {
-        for (size_t j = inst.offsets[g]; j < inst.offsets[g + 1]; ++j) {
-          scaled.costs[j] *= scale[g];
-          scaled.values[j] *= scale[g];
-        }
-      }
-      ExpectIncrementalMatchesCold(
-          scaled, RandomBudget(scaled, &rng), &inc,
-          "trial " + std::to_string(trial) + " round " +
-              std::to_string(round));
-    }
-  }
-}
-
-TEST(IncrementalMckpTest, BudgetSweepWarmStartsBothDirections) {
-  Rng rng(20260810);
-  FlatInstance inst = RandomFlatInstance(&rng);
-  lp::IncrementalMckpSolver inc;
-  FillIncremental(inst, &inc);
-  double cheapest_sum = 0.0;
-  double dearest_sum = 0.0;
-  for (size_t g = 0; g < inst.num_groups; ++g) {
-    double lo = inst.costs[inst.offsets[g]];
-    double hi = lo;
-    for (size_t j = inst.offsets[g]; j < inst.offsets[g + 1]; ++j) {
-      lo = std::min(lo, inst.costs[j]);
-      hi = std::max(hi, inst.costs[j]);
-    }
-    cheapest_sum += lo;
-    dearest_sum += hi;
-  }
-  // Ramp the budget up (frontier only advances) then back down (only
-  // sheds): every intermediate optimum must match a cold solve.
-  for (int step = 0; step <= 20; ++step) {
-    double budget =
-        cheapest_sum + (dearest_sum * 1.1 - cheapest_sum) * step / 20.0;
-    ExpectIncrementalMatchesCold(inst, budget, &inc,
-                                 "up step " + std::to_string(step));
-  }
-  for (int step = 20; step >= 0; --step) {
-    double budget =
-        cheapest_sum + (dearest_sum * 1.1 - cheapest_sum) * step / 20.0;
-    ExpectIncrementalMatchesCold(inst, budget, &inc,
-                                 "down step " + std::to_string(step));
-  }
-}
-
-TEST(IncrementalMckpTest, ZeroScalePinsGroupToCheapestPoint) {
-  // Group 0: three options; group 1: cheap-but-poor vs dear-but-good.
-  std::vector<double> g0_costs = {1.0, 2.0, 5.0};
-  std::vector<double> g0_values = {0.2, 0.5, 0.9};
-  std::vector<double> g1_costs = {1.0, 3.0};
-  std::vector<double> g1_values = {0.1, 0.8};
-  lp::IncrementalMckpSolver inc;
-  inc.Reset(2);
-  ASSERT_TRUE(inc.SetGroup(0, g0_costs.data(), g0_values.data(), 3).ok());
-  ASSERT_TRUE(inc.SetGroup(1, g1_costs.data(), g1_values.data(), 2).ok());
-  ASSERT_TRUE(inc.ScaleGroup(1, 0.0).ok());
-
-  lp::MckpSolution sol;
-  ASSERT_TRUE(inc.Solve(100.0, &sol).ok());
-  ASSERT_EQ(sol.status, lp::MckpStatus::kOptimal);
-  // Group 1 contributes nothing and sits on its cheapest point — its
-  // zero-cost "upgrade" edge must NOT be taken just because it is free.
-  EXPECT_EQ(sol.choice[1].lo, 0u);
-  EXPECT_EQ(sol.choice[1].hi, 0u);
-  EXPECT_NEAR(sol.choice[1].frac_hi, 0.0, 1e-12);
-  EXPECT_NEAR(sol.objective, 0.9, 1e-12);
-  EXPECT_NEAR(sol.total_cost, 5.0, 1e-12);
-
-  // Scaling back to 1 restores the full two-group optimum.
-  ASSERT_TRUE(inc.ScaleGroup(1, 1.0).ok());
-  ASSERT_TRUE(inc.Solve(100.0, &sol).ok());
-  ASSERT_EQ(sol.status, lp::MckpStatus::kOptimal);
-  EXPECT_EQ(sol.choice[1].lo, 1u);
-  EXPECT_NEAR(sol.objective, 0.9 + 0.8, 1e-12);
-}
-
-TEST(IncrementalMckpTest, InfeasibleThenFeasibleSequence) {
-  std::vector<double> costs = {2.0, 4.0};
-  std::vector<double> values = {0.5, 0.9};
-  lp::IncrementalMckpSolver inc;
-  inc.Reset(1);
-  ASSERT_TRUE(inc.SetGroup(0, costs.data(), values.data(), 2).ok());
-  lp::MckpSolution sol;
-  ASSERT_TRUE(inc.Solve(1.0, &sol).ok());
-  EXPECT_EQ(sol.status, lp::MckpStatus::kInfeasible);
-  // The infeasible solve must not corrupt the warm state.
-  ASSERT_TRUE(inc.Solve(3.0, &sol).ok());
-  ASSERT_EQ(sol.status, lp::MckpStatus::kOptimal);
-  EXPECT_EQ(sol.choice[0].lo, 0u);
-  EXPECT_EQ(sol.choice[0].hi, 1u);
-  EXPECT_NEAR(sol.choice[0].frac_hi, 0.5, 1e-9);
-  ASSERT_TRUE(inc.Solve(1.0, &sol).ok());
-  EXPECT_EQ(sol.status, lp::MckpStatus::kInfeasible);
-}
-
-TEST(IncrementalMckpTest, SetGroupRebuildResetsJustThatGroup) {
-  Rng rng(20260811);
-  FlatInstance inst = RandomFlatInstance(&rng);
-  lp::IncrementalMckpSolver inc;
-  FillIncremental(inst, &inc);
-  lp::MckpSolution sol;
-  ASSERT_TRUE(inc.Solve(RandomBudget(inst, &rng), &sol).ok());
-  for (int round = 0; round < 10; ++round) {
-    // Replace one group's option set wholesale (category re-clustering),
-    // keep the rest warm.
-    size_t g = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int>(inst.num_groups) - 1));
-    for (size_t j = inst.offsets[g]; j < inst.offsets[g + 1]; ++j) {
-      inst.costs[j] = rng.Uniform(0.1, 10.0);
-      inst.values[j] = rng.Uniform(0.0, 1.0);
-    }
-    ASSERT_TRUE(inc.SetGroup(g, inst.costs.data() + inst.offsets[g],
-                             inst.values.data() + inst.offsets[g],
-                             inst.offsets[g + 1] - inst.offsets[g])
-                    .ok());
-    ExpectIncrementalMatchesCold(inst, RandomBudget(inst, &rng), &inc,
-                                 "round " + std::to_string(round));
-  }
-}
-
-TEST(IncrementalMckpTest, RejectsMalformedInput) {
-  lp::IncrementalMckpSolver inc;
-  inc.Reset(2);
-  std::vector<double> costs = {1.0, 2.0};
-  std::vector<double> values = {0.1, 0.5};
-  lp::MckpSolution sol;
-  // Solve before every group is initialized.
-  ASSERT_TRUE(inc.SetGroup(0, costs.data(), values.data(), 2).ok());
-  EXPECT_FALSE(inc.Solve(10.0, &sol).ok());
-  // Out-of-range group, empty group, negative cost, bad scales.
-  EXPECT_FALSE(inc.SetGroup(2, costs.data(), values.data(), 2).ok());
-  EXPECT_FALSE(inc.SetGroup(1, costs.data(), values.data(), 0).ok());
-  std::vector<double> negative = {-1.0, 2.0};
-  EXPECT_FALSE(inc.SetGroup(1, negative.data(), values.data(), 2).ok());
-  EXPECT_FALSE(inc.ScaleGroup(0, -0.5).ok());
-  EXPECT_FALSE(inc.ScaleGroup(0, std::nan("")).ok());
-  EXPECT_FALSE(inc.ScaleGroup(2, 1.0).ok());
-  // A valid second group makes the solver whole again.
-  ASSERT_TRUE(inc.SetGroup(1, costs.data(), values.data(), 2).ok());
-  EXPECT_TRUE(inc.Solve(10.0, &sol).ok());
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "ml/kmeans.h"
+#include "util/rng.h"
 
 namespace sky::core {
 namespace {
@@ -127,6 +131,96 @@ INSTANTIATE_TEST_SUITE_P(Backends, JointPlannerTest,
                                       ? "Structured"
                                       : "Simplex";
                          });
+
+bool BitsEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/// Every alpha entry, expected_quality and expected_work, bit for bit.
+bool PlansBitwiseEqual(const std::vector<KnobPlan>& a,
+                       const std::vector<KnobPlan>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t v = 0; v < a.size(); ++v) {
+    const std::vector<double>& x = a[v].alpha.data();
+    const std::vector<double>& y = b[v].alpha.data();
+    if (a[v].alpha.rows() != b[v].alpha.rows() || x.size() != y.size() ||
+        !BitsEqual(a[v].expected_quality, b[v].expected_quality) ||
+        !BitsEqual(a[v].expected_work, b[v].expected_work)) {
+      return false;
+    }
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (!BitsEqual(x[i], y[i])) return false;
+    }
+  }
+  return true;
+}
+
+// A JointPlanner keeps no planning state between boundaries: across a run
+// of binding-budget boundaries, a long-lived planner returns bitwise the
+// plans of a fresh planner and of ComputeJointKnobPlan on the same inputs.
+// A recovered or re-membered fleet plans with a fresh planner, so this is
+// what lets it match the uninterrupted run.
+TEST(JointPlannerStateTest, LongLivedPlannerMatchesFreshSolvesBitwise) {
+  constexpr size_t kStreams = 64;
+  constexpr size_t kCategories = 3;
+  constexpr size_t kConfigs = 15;
+  constexpr int kBoundaries = 24;
+  Rng rng(1515);
+  std::vector<ContentCategories> categories;
+  std::vector<StreamPlanInput> inputs(kStreams);
+  categories.reserve(kStreams);
+  for (size_t v = 0; v < kStreams; ++v) {
+    ml::KMeansModel km;
+    for (size_t c = 0; c < kCategories; ++c) {
+      double base = rng.Uniform(0.2, 0.6);
+      double gain = rng.Uniform(0.1, 0.4);
+      std::vector<double> center;
+      for (size_t k = 0; k < kConfigs; ++k) {
+        double frac = static_cast<double>(k) / (kConfigs - 1);
+        center.push_back(base + gain * frac + rng.Uniform(-0.03, 0.03));
+      }
+      km.centers.push_back(std::move(center));
+    }
+    categories.push_back(ContentCategories::FromKMeans(std::move(km)));
+    inputs[v].categories = &categories.back();
+    for (size_t k = 0; k < kConfigs; ++k) {
+      double frac = static_cast<double>(k) / (kConfigs - 1);
+      inputs[v].config_costs.push_back(0.5 + 11.5 * frac * frac +
+                                       rng.Uniform(0.0, 0.3));
+    }
+  }
+  const double budget = 3.0 * static_cast<double>(kStreams);
+
+  JointPlanner long_lived;
+  std::vector<KnobPlan> plans;
+  int differing = 0;
+  for (int boundary = 0; boundary < kBoundaries; ++boundary) {
+    for (StreamPlanInput& in : inputs) {
+      in.forecast.assign(kCategories, 0.0);
+      double sum = 0.0;
+      for (double& f : in.forecast) {
+        f = rng.Uniform(0.05, 1.0);
+        sum += f;
+      }
+      for (double& f : in.forecast) f /= sum;
+    }
+    ASSERT_TRUE(long_lived.Plan(inputs, budget, &plans).ok());
+    JointPlanner fresh;
+    std::vector<KnobPlan> fresh_plans;
+    ASSERT_TRUE(fresh.Plan(inputs, budget, &fresh_plans).ok());
+    auto cold =
+        ComputeJointKnobPlan(inputs, budget, PlannerBackend::kStructured);
+    ASSERT_TRUE(cold.ok());
+    if (!PlansBitwiseEqual(plans, fresh_plans) ||
+        !PlansBitwiseEqual(plans, *cold)) {
+      ++differing;
+    }
+    double work = 0.0;
+    for (const KnobPlan& p : plans) work += p.expected_work;
+    EXPECT_NEAR(work, budget, 1e-9 * budget) << "boundary " << boundary;
+  }
+  EXPECT_EQ(differing, 0) << "of " << kBoundaries << " boundaries";
+}
 
 }  // namespace
 }  // namespace sky::core

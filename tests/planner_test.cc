@@ -91,6 +91,32 @@ TEST_P(PlannerTest, InfeasibleBudgetSurfacesResourceExhausted) {
   EXPECT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST_P(PlannerTest, ZeroForecastCategoryGoesToCheapestConfig) {
+  // Category 1 is forecast never to occur, so all its coefficients are 0
+  // and every row is optimal for it: the plan puts it on the cheapest
+  // configuration, the lowest index on a cost tie.
+  ml::KMeansModel km;
+  km.centers = {{0.9, 0.5, 0.3}, {0.95, 0.6, 0.2}};
+  ContentCategories cats = ContentCategories::FromKMeans(std::move(km));
+  auto plan = ComputeKnobPlan(cats, {1.0, 0.0}, {5.0, 2.0, 1.0}, 3.0,
+                              backend());
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->alpha.At(1, 0), 0.0);
+  EXPECT_EQ(plan->alpha.At(1, 1), 0.0);
+  EXPECT_EQ(plan->alpha.At(1, 2), 1.0);
+  // Category 0 alone spends the budget: 2/3 on cost 2, 1/3 on cost 5.
+  EXPECT_NEAR(plan->alpha.At(0, 0), 1.0 / 3.0, 1e-9);
+  EXPECT_NEAR(plan->alpha.At(0, 1), 2.0 / 3.0, 1e-9);
+  EXPECT_NEAR(plan->expected_work, 3.0, 1e-9);
+
+  auto tied = ComputeKnobPlan(cats, {1.0, 0.0}, {5.0, 1.0, 1.0}, 3.0,
+                              backend());
+  ASSERT_TRUE(tied.ok());
+  EXPECT_EQ(tied->alpha.At(1, 0), 0.0);
+  EXPECT_EQ(tied->alpha.At(1, 1), 1.0);
+  EXPECT_EQ(tied->alpha.At(1, 2), 0.0);
+}
+
 TEST_P(PlannerTest, RejectsShapeMismatches) {
   ContentCategories cats = MakeCategories();
   EXPECT_FALSE(ComputeKnobPlan(cats, {1.0}, kCosts, 5.0, backend()).ok());

@@ -10,11 +10,13 @@
 //    fleet at worker counts {1, 2, 8} — and a stream that keeps failing
 //    burns its restart budget and quarantines without deadlocking anyone;
 //  - fleet checkpoints: SaveCheckpoint -> RecoverFromCheckpoint -> complete
-//    reproduces the uninterrupted fleet bitwise, and the periodic
-//    auto-checkpoint writes a loadable file during the run.
+//    reproduces the uninterrupted fleet bitwise, also under a shared budget
+//    that binds, and the periodic auto-checkpoint writes a loadable file
+//    during the run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -144,11 +146,28 @@ class RecoveryTest : public ::testing::Test {
     return jobs;
   }
 
-  static std::vector<Result<EngineResult>> ReferenceResults() {
-    auto set = StreamSet::Create(MakeJobs(), StreamSetOptions{});
+  static std::vector<Result<EngineResult>> ReferenceResults(
+      StreamSetOptions options = {}) {
+    auto set = StreamSet::Create(MakeJobs(), options);
     EXPECT_TRUE(set.ok());
     while (!set->Done()) EXPECT_TRUE(set->Step().ok());
     return set->Results();
+  }
+
+  /// A shared joint budget a quarter of the way from the fleet's
+  /// all-cheapest joint cost to its all-dearest one, so it binds at every
+  /// boundary.
+  static double BindingSharedBudget() {
+    auto set = StreamSet::Create(MakeJobs(), StreamSetOptions{});
+    EXPECT_TRUE(set.ok());
+    double cheapest = 0.0;
+    double dearest = 0.0;
+    for (size_t v = 0; v < set->num_streams(); ++v) {
+      const std::vector<double>& costs = set->engine(v)->config_costs();
+      cheapest += *std::min_element(costs.begin(), costs.end());
+      dearest += *std::max_element(costs.begin(), costs.end());
+    }
+    return cheapest + 0.25 * (dearest - cheapest);
   }
 
   static workloads::EvCountingWorkload* workloads_[kStreams];
@@ -370,35 +389,46 @@ TEST_F(RecoveryTest, PersistentFailureExhaustsRestartBudgetWithoutDeadlock) {
 }
 
 TEST_F(RecoveryTest, FleetCheckpointRecoversBitwiseMidRun) {
-  auto reference = ReferenceResults();
   const std::string path = testing::TempDir() + "fleet_mid_run.ckpt";
+  // The derived shared budget (the streams' own budgets pooled), and one
+  // that binds at every boundary, so the joint plans depend on the solve.
+  StreamSetOptions binding;
+  binding.shared_budget_core_s_per_video_s = BindingSharedBudget();
+  for (const StreamSetOptions& options : {StreamSetOptions{}, binding}) {
+    const std::string label =
+        "shared budget " +
+        std::to_string(options.shared_budget_core_s_per_video_s);
+    auto reference = ReferenceResults(options);
 
-  // Run half the fleet's horizon, checkpoint, and simulate process death by
-  // dropping the set entirely.
-  {
-    auto set = StreamSet::Create(MakeJobs(), StreamSetOptions{});
-    ASSERT_TRUE(set.ok());
-    ASSERT_TRUE(set->RunUntilElapsed(Hours(3)).ok());
-    ASSERT_TRUE(set->SaveCheckpoint(path).ok());
-  }
-
-  // A fresh process: same jobs, recovered state, driven to completion at
-  // several worker counts — all bitwise equal to the uninterrupted fleet.
-  dag::ThreadPool pool_of_7(7);
-  for (dag::ThreadPool* pool : {static_cast<dag::ThreadPool*>(nullptr),
-                                &pool_of_7}) {
-    auto recovered = StreamSet::RecoverFromCheckpoint(MakeJobs(), path);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    ASSERT_TRUE(recovered->RunToCompletion(pool).ok());
-    auto results = recovered->Results();
-    ASSERT_EQ(results.size(), kStreams);
-    for (size_t v = 0; v < kStreams; ++v) {
-      ASSERT_TRUE(reference[v].ok() && results[v].ok()) << "stream " << v;
-      EXPECT_TRUE(EngineResultsIdentical(*reference[v], *results[v]))
-          << "stream " << v;
+    // Run half the fleet's horizon, checkpoint, and simulate process death
+    // by dropping the set entirely.
+    {
+      auto set = StreamSet::Create(MakeJobs(), options);
+      ASSERT_TRUE(set.ok()) << label;
+      ASSERT_TRUE(set->RunUntilElapsed(Hours(3)).ok()) << label;
+      ASSERT_TRUE(set->SaveCheckpoint(path).ok()) << label;
     }
+
+    // A fresh process: same jobs, recovered state, driven to completion at
+    // several worker counts — all bitwise equal to the uninterrupted fleet.
+    dag::ThreadPool pool_of_7(7);
+    for (dag::ThreadPool* pool : {static_cast<dag::ThreadPool*>(nullptr),
+                                  &pool_of_7}) {
+      auto recovered =
+          StreamSet::RecoverFromCheckpoint(MakeJobs(), path, options);
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      ASSERT_TRUE(recovered->RunToCompletion(pool).ok()) << label;
+      auto results = recovered->Results();
+      ASSERT_EQ(results.size(), kStreams);
+      for (size_t v = 0; v < kStreams; ++v) {
+        ASSERT_TRUE(reference[v].ok() && results[v].ok())
+            << label << ", stream " << v;
+        EXPECT_TRUE(EngineResultsIdentical(*reference[v], *results[v]))
+            << label << ", stream " << v;
+      }
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(RecoveryTest, AutoCheckpointWritesLoadableFleetSnapshots) {
