@@ -92,8 +92,8 @@ std::vector<double> TrueQualityVector(const Workload& workload,
                                       const std::vector<KnobConfig>& configs,
                                       const video::ContentState& content);
 
-/// In-place variant reusing `out`'s capacity — the engine's truth ring
-/// buffer calls this once per segment without allocating.
+/// In-place variant reusing `out`'s capacity — the engine calls this once
+/// per segment into one scratch vector without allocating.
 void TrueQualityVectorInto(const Workload& workload,
                            const std::vector<KnobConfig>& configs,
                            const video::ContentState& content,

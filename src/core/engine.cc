@@ -84,41 +84,23 @@ IngestionEngine::IngestionEngine(const Workload* workload,
   }
 }
 
-const IngestionEngine::SegmentTruth& IngestionEngine::CachedTruth(
-    int64_t segment_index) const {
-  // Floor-mod: segment indices are non-negative in normal operation, but a
-  // negative start_time must not turn into an out-of-bounds slot.
-  int64_t n = static_cast<int64_t>(truth_ring_.size());
-  SegmentTruth& slot =
-      truth_ring_[static_cast<size_t>(((segment_index % n) + n) % n)];
-  if (slot.segment_index != segment_index) {
-    double seg = model_->segment_seconds;
-    double midpoint = (static_cast<double>(segment_index) + 0.5) * seg;
-    TrueQualityVectorInto(*workload_, model_->configs,
-                          workload_->content_process().At(midpoint),
-                          &slot.quals);
-    slot.category = model_->categories.ClassifyFull(slot.quals);
-    slot.segment_index = segment_index;
-  }
-  return slot;
+size_t IngestionEngine::TrueCategoryInto(const video::ContentState& content,
+                                         std::vector<double>* quals) const {
+  TrueQualityVectorInto(*workload_, model_->configs, content, quals);
+  return model_->categories.ClassifyFull(*quals);
 }
 
 void IngestionEngine::GroundTruthForecastInto(int64_t first_segment_index,
                                               std::vector<double>* out) const {
   double seg = model_->segment_seconds;
   int64_t count = static_cast<int64_t>(options_.plan_interval / seg);
+  video::StreamSource source(&workload_->content_process(), seg);
   out->assign(model_->categories.NumCategories(), 0.0);
-  // Walk the same segment midpoints the ingest loop will visit, so the
-  // lookahead classifications are reused there instead of recomputed.
   for (int64_t i = 0; i < count; ++i) {
-    (*out)[CachedTruth(first_segment_index + i).category] += 1.0;
+    (*out)[TrueCategoryInto(source.Segment(first_segment_index + i).content,
+                            &scratch_.quals)] += 1.0;
   }
   *out = NormalizeHistogram(std::move(*out));
-}
-
-void IngestionEngine::ResetTruthRing(int64_t segs_per_interval) {
-  truth_ring_.resize(static_cast<size_t>(segs_per_interval));
-  for (SegmentTruth& slot : truth_ring_) slot.segment_index = -1;
 }
 
 const std::vector<double>& IngestionEngine::config_costs() const {
@@ -163,12 +145,10 @@ void IngestionEngine::ComputeBoundaryForecastInto(std::vector<double>* out) {
   if (options_.use_ground_truth_forecast) {
     GroundTruthForecastInto(s.first_segment + s.next_index, out);
   } else if (forecaster != nullptr && !s.history.empty()) {
-    // The forecaster forward pass runs against its own reusable inference
-    // scratch; the feature buffer lives in scratch_ — nothing here
-    // allocates at steady state.
-    forecaster->FeaturesFromHistoryInto(s.history, model_->segment_seconds,
-                                        &scratch_.features);
-    forecaster->ForecastInto(scratch_.features, out);
+    // PrepareBoundary just wrote this boundary's features; the forward pass
+    // runs against the forecaster's own reusable inference scratch, so
+    // nothing here allocates at steady state.
+    forecaster->ForecastInto(s.plan_features, out);
   } else if (!s.history.empty()) {
     CategoryHistogramInto(s.history, 0, s.history.size(), num_c, out);
   } else {
@@ -229,17 +209,24 @@ Status IngestionEngine::PrepareBoundary() {
     return Status::FailedPrecondition("engine is not at a plan boundary");
   }
   if (s.boundary_prepared) return Status::Ok();
-  // Online forecaster fine-tuning: at each boundary, feed back the realized
-  // distribution of the interval that just ended (§3.3).
-  if (s.next_index > 0 && options_.online_forecaster_updates &&
-      s.forecaster.has_value() && !s.plan_features.empty()) {
+  if (s.forecaster.has_value()) {
+    // Online forecaster fine-tuning: at each boundary, feed back the
+    // realized distribution of the interval that just ended (§3.3), against
+    // the features the previous boundary stored.
     size_t interval_segs = static_cast<size_t>(s.segs_per_interval);
-    if (s.history.size() >= interval_segs) {
+    if (s.next_index > 0 && !s.plan_features.empty() &&
+        s.history.size() >= interval_segs) {
       CategoryHistogramInto(s.history, s.history.size() - interval_segs,
                             s.history.size(),
-                            model_->categories.NumCategories(), &s.realized);
-      s.forecaster->OnlineUpdate(s.plan_features, s.realized);
+                            model_->categories.NumCategories(),
+                            &scratch_.realized);
+      s.forecaster->OnlineUpdate(s.plan_features, scratch_.realized);
     }
+    // This boundary's features: the forecast input below, and the fine-tune
+    // input at the next boundary. They travel in the state, so a checkpoint
+    // taken between prepare and install carries them.
+    s.forecaster->FeaturesFromHistoryInto(s.history, model_->segment_seconds,
+                                          &s.plan_features);
   }
   ComputeBoundaryForecastInto(&s.boundary_forecast);
   s.boundary_prepared = true;
@@ -260,12 +247,6 @@ Status IngestionEngine::InstallPlan(KnobPlan plan,
   }
   s.plan = std::move(plan);
   s.switcher.SetPlan(&s.plan);
-  // Features are only consumed by the fine-tuning step of PrepareBoundary,
-  // at the *next* boundary; skip them (and their scan) when updates are off.
-  if (options_.online_forecaster_updates && s.forecaster.has_value()) {
-    s.forecaster->FeaturesFromHistoryInto(s.history, model_->segment_seconds,
-                                          &s.plan_features);
-  }
   double cloud_budget =
       options_.enable_cloud
           ? cloud_credits_usd.value_or(*options_.cloud_budget_usd_per_interval)
@@ -305,12 +286,6 @@ Status IngestionEngine::Start(SimTime start_time) {
   s.n_segments = static_cast<int64_t>(options_.duration / seg);
   s.segs_per_interval = segs_per_interval;
   s.first_segment = static_cast<int64_t>(start_time / seg);
-
-  // Truth memo ring: one slot per segment of a plan interval. The lookahead
-  // fills at most one interval ahead and the ingest loop consumes within the
-  // same interval, so slots are never evicted while live (tags catch any
-  // reuse across intervals). Tags reset in case the engine ran before.
-  ResetTruthRing(segs_per_interval);
 
   Rng rng(options_.seed);
   s.noise = rng.Fork("measurement");
@@ -413,13 +388,11 @@ Status IngestionEngine::Step() {
   double bytes_per_s =
       static_cast<double>(info.bytes) / std::max(1e-9, info.duration_s);
 
-  // One ground-truth computation per segment, shared by the category
-  // override, the §5.6 accuracy accounting below, and (when ground-truth
-  // forecasting is on) the lookahead that already classified this segment
-  // at the last plan boundary. The reference stays valid through this
-  // step: this segment's ring slot is only overwritten an interval from
-  // now.
-  const SegmentTruth& truth = CachedTruth(s.first_segment + i);
+  // One ground-truth computation per segment, on the content sample `info`
+  // already holds, shared by the category override, the true quality and
+  // the §5.6 accuracy accounting below.
+  size_t true_cat = TrueCategoryInto(info.content, &scratch_.quals);
+  const std::vector<double>& true_quals = scratch_.quals;
 
   SwitchContext ctx;
   ctx.current_config_idx = s.current_config;
@@ -432,7 +405,7 @@ Status IngestionEngine::Step() {
   ctx.segment_seconds = seg;
   ctx.bytes_per_video_second = bytes_per_s;
   ctx.buffered_bytes = s.buffered_bytes;
-  ctx.buffer_capacity_bytes = s.buffer.capacity_bytes();
+  ctx.buffer_capacity_bytes = s.buffer_capacity_bytes;
   ctx.cloud_credits_remaining_usd = s.credits_remaining;
   ctx.allow_cloud = options_.enable_cloud;
   ctx.allow_buffer = options_.enable_buffer;
@@ -456,7 +429,7 @@ Status IngestionEngine::Step() {
     if (stall_mult != 1.0) ++s.result.udf_stall_segments;
   }
   if (options_.use_ground_truth_categories) {
-    ctx.category_override = static_cast<int64_t>(truth.category);
+    ctx.category_override = static_cast<int64_t>(true_cat);
   }
 
   SKY_ASSIGN_OR_RETURN(SwitchDecision decision, s.switcher.Decide(ctx));
@@ -520,12 +493,11 @@ Status IngestionEngine::Step() {
   }
   if (new_lag <= 1e-12) s.buffered_bytes = 0.0;
   s.lag_s = new_lag;
-  if (s.buffered_bytes >
-      static_cast<double>(s.buffer.capacity_bytes()) + 1e-6) {
+  if (s.buffered_bytes > static_cast<double>(s.buffer_capacity_bytes) + 1e-6) {
     // Hard fault: only reachable when no configuration fits at all (the
     // switcher's guarantee covers every provisioned case).
     ++s.result.overflow_events;
-    s.buffered_bytes = static_cast<double>(s.buffer.capacity_bytes());
+    s.buffered_bytes = static_cast<double>(s.buffer_capacity_bytes);
   }
   s.result.buffer_high_water_bytes =
       std::max(s.result.buffer_high_water_bytes,
@@ -536,9 +508,9 @@ Status IngestionEngine::Step() {
   s.result.onprem_core_seconds += placement.onprem_core_s;
   s.result.work_core_seconds += profile.work_core_s_per_video_s * seg;
 
-  // The decision config's true quality is one coordinate of the memoized
+  // The decision config's true quality is one coordinate of the
   // ground-truth vector — no extra TrueQuality call.
-  double true_q = truth.quals[decision.config_idx];
+  double true_q = true_quals[decision.config_idx];
   s.result.total_quality += true_q;
   if (!options_.eliminate_type_b_errors) {
     // Skipped in type-B-elimination mode, where the switcher measures the
@@ -549,14 +521,13 @@ Status IngestionEngine::Step() {
                                                  info.content, &s.noise);
   }
 
-  // Switcher accuracy accounting (§5.6), on the same memoized truth.
-  size_t true_cat = truth.category;
+  // Switcher accuracy accounting (§5.6), on the same ground truth.
   if (decision.category != true_cat) {
     ++s.result.misclassified;
     // Type-A: would perfect timing have produced the same error? Classify
     // with the previous configuration's quality on *this* segment.
     size_t timely_cat = categories.ClassifyPartial(
-        ctx.current_config_idx, truth.quals[ctx.current_config_idx]);
+        ctx.current_config_idx, true_quals[ctx.current_config_idx]);
     if (timely_cat != true_cat) {
       ++s.result.type_a_errors;
     } else {
@@ -649,9 +620,6 @@ Status IngestionEngine::Restore(const IngestState& snapshot) {
         "checkpoint does not hold a started session");
   }
   state_ = std::make_unique<IngestState>(snapshot);
-  // The truth ring is a memo of a deterministic per-segment function; it is
-  // not part of the checkpoint and simply refills after a restore.
-  ResetTruthRing(state_->segs_per_interval);
   return Status::Ok();
 }
 

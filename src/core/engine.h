@@ -10,7 +10,6 @@
 #include "core/planner.h"
 #include "core/switcher.h"
 #include "core/workload.h"
-#include "sim/buffer.h"
 #include "sim/cost_model.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -63,8 +62,6 @@ struct EngineOptions {
   /// Classify with the current segment's (not the previous segment's)
   /// reported quality ("No Type-B errors" in Fig. 15).
   bool eliminate_type_b_errors = false;
-  /// Fine-tune the forecaster online at each plan boundary (§3.3).
-  bool online_forecaster_updates = true;
 
   bool record_trace = false;
   double trace_resolution_s = 300.0;
@@ -146,7 +143,7 @@ struct IngestStateData {
                   const std::vector<ConfigProfile>* profiles,
                   uint64_t buffer_capacity_bytes)
       : noise(0), switcher(categories, profiles),
-        buffer(buffer_capacity_bytes) {}
+        buffer_capacity_bytes(buffer_capacity_bytes) {}
 
   // --- Run geometry, fixed at Start ---
   SimTime start_time = 0.0;
@@ -171,8 +168,9 @@ struct IngestStateData {
   bool boundary_prepared = false;  ///< PrepareBoundary ran this boundary
   bool boundary_installed = false; ///< InstallPlan ran this boundary
   std::vector<double> boundary_forecast;  ///< forecast behind `plan`
-  std::vector<double> plan_features;  ///< features the plan was made from
-  std::vector<double> realized;       ///< scratch: realized interval histogram
+  /// Forecaster features of the history at the last prepared boundary:
+  /// the forecast input there, and the fine-tune input at the next one.
+  std::vector<double> plan_features;
   std::vector<size_t> history;        ///< rolling category history
   size_t current_config = 0;
   double last_measured = 0.0;
@@ -180,7 +178,8 @@ struct IngestStateData {
   // --- Resource accounting ---
   double lag_s = 0.0;
   double buffered_bytes = 0.0;
-  sim::VideoBuffer buffer;
+  /// Eq. 1 byte bound on `buffered_bytes`; 0 when buffering is disabled.
+  uint64_t buffer_capacity_bytes = 0;
   double credits_remaining = 0.0;
   double planned_usd_per_interval = 0.0;
 
@@ -333,8 +332,10 @@ class IngestionEngine {
 
   /// Runs the boundary-side model maintenance exactly as a self-planning
   /// Step() would: the online forecaster fine-tune on the just-realized
-  /// interval (§3.3), then the forecast for the coming interval (readable
-  /// via boundary_forecast()). Idempotent within one boundary.
+  /// interval (§3.3), the forecaster features of the history (kept in the
+  /// state for the next boundary's fine-tune), then the forecast for the
+  /// coming interval (readable via boundary_forecast()). Idempotent within
+  /// one boundary.
   Status PrepareBoundary();
 
   /// The forecast computed by PrepareBoundary for the upcoming interval
@@ -352,9 +353,9 @@ class IngestionEngine {
   double PlanBudgetCoreSPerVideoS() const;
 
   /// Installs `plan` for the current boundary and completes the boundary
-  /// bookkeeping (switcher reset, feature capture for the next fine-tune,
-  /// cloud-credit refill, interval counter). Called with a self-computed
-  /// plan by Step(), or with a jointly-computed plan by StreamSet.
+  /// bookkeeping (switcher reset, cloud-credit refill, interval counter).
+  /// Called with a self-computed plan by Step(), or with a jointly-computed
+  /// plan by StreamSet.
   ///
   /// `cloud_credits_usd` overrides THIS interval's cloud-credit refill:
   /// joint multi-stream planning pools every stream's credits and
@@ -389,21 +390,15 @@ class IngestionEngine {
   /// Realized category distribution over the plan interval starting at
   /// global segment `first_segment_index`, using ground-truth classification
   /// (for the Fig. 14 baseline), written into `out`. Takes the integer index
-  /// rather than a time so the lookahead walks exactly the segments the
-  /// ingest loop will visit.
+  /// rather than a time so it samples exactly the segments the ingest loop
+  /// will visit.
   void GroundTruthForecastInto(int64_t first_segment_index,
                                std::vector<double>* out) const;
 
-  /// Ground truth for one stream segment: the noise-free quality vector and
-  /// its full classification. Memoized per segment index so the forecast
-  /// lookahead, ground-truth categorization, and §5.6 accuracy accounting
-  /// share one computation instead of up to three.
-  struct SegmentTruth {
-    int64_t segment_index = -1;  ///< ring-slot tag; -1 marks an empty slot
-    std::vector<double> quals;
-    size_t category = 0;
-  };
-  const SegmentTruth& CachedTruth(int64_t segment_index) const;
+  /// Ground truth for one segment's content: writes the noise-free quality
+  /// vector into `quals` and returns its full classification.
+  size_t TrueCategoryInto(const video::ContentState& content,
+                          std::vector<double>* quals) const;
 
   /// The forecast the planner will see at the current boundary (ground
   /// truth, forecaster, recency histogram, or uniform), written into `out`.
@@ -413,10 +408,6 @@ class IngestionEngine {
   /// degrading to FallbackPlan when the budget fits no configuration.
   Result<KnobPlan> PlanFromPreparedForecast();
 
-  /// (Re)sizes the truth memo ring for `segs_per_interval` and invalidates
-  /// the slot tags.
-  void ResetTruthRing(int64_t segs_per_interval);
-
   const Workload* workload_;
   const OfflineModel* model_;
   sim::ClusterSpec cluster_;
@@ -424,26 +415,19 @@ class IngestionEngine {
   EngineOptions options_;
   /// All per-run mutable state; null before the first Start.
   std::unique_ptr<IngestState> state_;
-  /// Truth memo as a ring buffer sized to the plan interval (slot =
-  /// segment_index % size): the ground-truth-forecast lookahead fills one
-  /// interval's slots at the plan boundary and the ingest loop reads them
-  /// back, so a live entry is never evicted; slots (and their quality
-  /// vectors) are overwritten in place the next interval — no hashing, no
-  /// rehash growth, no per-segment allocation. Purely a memo of a
-  /// deterministic function of the segment index, so it lives outside
-  /// IngestState: checkpoints stay small and restores just refill it.
-  mutable std::vector<SegmentTruth> truth_ring_;
-  /// Buffers reused across plan boundaries so planning allocates nothing at
-  /// steady state: forecaster feature scratch, the loop-invariant config
-  /// costs, and the planner's coefficient + solver workspace. Holds no
-  /// run-defining state (everything here is recomputed or invariant), so it
-  /// too stays outside IngestState.
-  struct PlanScratch {
-    std::vector<double> features;
+  /// Buffers reused across segments and plan boundaries so neither
+  /// allocates at steady state: the segment's ground-truth quality vector,
+  /// the realized-interval histogram of the fine-tune, the loop-invariant
+  /// config costs, and the planner's coefficient + solver workspace. Holds
+  /// no run-defining state (everything here is recomputed or invariant), so
+  /// it stays outside IngestState.
+  struct Scratch {
+    std::vector<double> quals;
+    std::vector<double> realized;
     std::vector<double> costs;
     PlanWorkspace workspace;
   };
-  mutable PlanScratch scratch_;
+  mutable Scratch scratch_;
 };
 
 }  // namespace sky::core

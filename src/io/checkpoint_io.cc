@@ -125,7 +125,7 @@ Status SerializeIngestState(const core::IngestState& state, std::string* out) {
   PutU32(p, kCheckpointFormatVersion);
   // Buffer capacity first: deserialization needs it to construct the state
   // before any other field can be filled.
-  PutU64(p, state.buffer.capacity_bytes());
+  PutU64(p, state.buffer_capacity_bytes);
 
   PutF64(p, state.start_time);
   PutI64(p, state.first_segment);
@@ -153,15 +153,12 @@ Status SerializeIngestState(const core::IngestState& state, std::string* out) {
   PutBool(p, state.boundary_installed);
   PutF64Vec(p, state.boundary_forecast);
   PutF64Vec(p, state.plan_features);
-  PutF64Vec(p, state.realized);
   PutU64Vec(p, state.history);
   PutU64(p, state.current_config);
   PutF64(p, state.last_measured);
 
   PutF64(p, state.lag_s);
   PutF64(p, state.buffered_bytes);
-  PutU64(p, state.buffer.used_bytes());
-  PutU64(p, state.buffer.high_water_bytes());
   PutF64(p, state.credits_remaining);
   PutF64(p, state.planned_usd_per_interval);
 
@@ -248,7 +245,6 @@ Result<core::IngestState> DeserializeIngestState(
   SKY_RETURN_NOT_OK(c.ReadBool(&state.boundary_installed));
   SKY_RETURN_NOT_OK(c.ReadF64Vec(&state.boundary_forecast));
   SKY_RETURN_NOT_OK(c.ReadF64Vec(&state.plan_features));
-  SKY_RETURN_NOT_OK(c.ReadF64Vec(&state.realized));
   SKY_RETURN_NOT_OK(c.ReadU64Vec(&state.history));
   SKY_RETURN_NOT_OK(c.ReadU64(&u));
   if (u >= model.profiles.size()) {
@@ -260,13 +256,6 @@ Result<core::IngestState> DeserializeIngestState(
 
   SKY_RETURN_NOT_OK(c.ReadF64(&state.lag_s));
   SKY_RETURN_NOT_OK(c.ReadF64(&state.buffered_bytes));
-  uint64_t buf_used = 0, buf_high = 0;
-  SKY_RETURN_NOT_OK(c.ReadU64(&buf_used));
-  SKY_RETURN_NOT_OK(c.ReadU64(&buf_high));
-  if (buf_used > buffer_capacity) {
-    return Status::InvalidArgument("checkpoint buffer fill exceeds capacity");
-  }
-  state.buffer.RestoreParts(buf_used, buf_high);
   SKY_RETURN_NOT_OK(c.ReadF64(&state.credits_remaining));
   SKY_RETURN_NOT_OK(c.ReadF64(&state.planned_usd_per_interval));
 

@@ -1,9 +1,9 @@
-// Steady-state allocation audit for the ML inference and online-update
-// paths on the engine plan boundary (the PR-2 discipline, extended into the
-// net itself): after warm-up, FeaturesFromHistoryInto + ForecastInto +
-// OnlineUpdate — the exact per-plan-boundary forecaster work — must perform
-// zero heap allocations. Verified with a counting global operator new, so a
-// regression is a test failure rather than a code-review hope.
+// Steady-state allocation audit for the engine's hot paths: after warm-up,
+// FeaturesFromHistoryInto + ForecastInto + OnlineUpdate — the exact
+// per-plan-boundary forecaster work — and every IngestionEngine::Step()
+// within a plan interval must perform zero heap allocations. Verified with a
+// counting global operator new, so a regression is a test failure rather
+// than a code-review hope.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,11 @@
 #include <new>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/forecaster.h"
 #include "ml/nn.h"
 #include "util/rng.h"
+#include "workloads/ev_counting.h"
 
 namespace {
 
@@ -105,6 +107,44 @@ TEST(AllocSteadyStateTest, NetPredictIntoAllocatesNothing) {
   for (int i = 0; i < 500; ++i) net.PredictInto(x, &scratch, &out);
   long after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0);
+}
+
+TEST(AllocSteadyStateTest, EngineStepAllocatesNothingWithinAnInterval) {
+  workloads::EvCountingWorkload workload;
+  sim::ClusterSpec cluster;
+  cluster.cores = 4;
+  sim::CostModel cost_model(1.8);
+  OfflineOptions offline;
+  offline.segment_seconds = 4.0;
+  offline.train_horizon = Days(6);
+  offline.num_categories = 3;
+  offline.forecaster.input_span = Days(1);
+  offline.forecaster.planned_interval = Days(1);
+  auto model = RunOfflinePhase(workload, cluster, cost_model, offline);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  EngineOptions opts;
+  opts.duration = Days(1);
+  opts.plan_interval = Days(1);
+  opts.cloud_budget_usd_per_interval = 2.0;
+  opts.buffer_bytes = 4ull << 30;
+  IngestionEngine engine(&workload, &*model, cluster, &cost_model, opts);
+  ASSERT_TRUE(engine.Start(Days(6)).ok());
+  // Warm-up: the first step plans the interval and sizes every scratch.
+  constexpr int64_t kWarmup = 10;
+  for (int64_t i = 0; i < kWarmup; ++i) ASSERT_TRUE(engine.Step().ok());
+
+  long before = g_allocations.load(std::memory_order_relaxed);
+  bool ok = true;
+  while (ok && !engine.Done() && !engine.AtPlanBoundary()) {
+    ok = engine.Step().ok();
+  }
+  long after = g_allocations.load(std::memory_order_relaxed);
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(engine.next_segment_index(), engine.segments_per_interval());
+  EXPECT_EQ(after - before, 0)
+      << "Step() allocated " << (after - before) << " times over "
+      << engine.segments_per_interval() - kWarmup << " steps";
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/stats.h"
 #include "video/stream_source.h"
 #include "workloads/ev_counting.h"
 
@@ -134,23 +135,41 @@ TEST_F(EngineTest, GroundTruthTogglesImproveAccuracy) {
   EXPECT_GE(r2->total_quality, r1->total_quality * 0.98);
 }
 
-TEST_F(EngineTest, GroundTruthForecastUsesLookaheadRing) {
-  // The ground-truth-forecast lookahead classifies a whole interval ahead
-  // through the truth ring; the ingest loop must then read those same slots
-  // back. A forecast of the realized distribution can only help the plan.
+TEST_F(EngineTest, GroundTruthForecastIsTheNextIntervalsTrueHistogram) {
+  // With ground-truth categories every segment's decision category is its
+  // true category, so a per-segment trace records the true sequence. Each
+  // boundary's ground-truth forecast must then be exactly the normalized
+  // histogram of the interval it plans.
   EngineOptions opts = BaseOptions();
+  opts.plan_interval = Hours(6);
   opts.use_ground_truth_forecast = true;
-  IngestionEngine truth_engine(workload_, model_, cluster_, cost_model_,
-                               opts);
-  IngestionEngine std_engine(workload_, model_, cluster_, cost_model_,
-                             BaseOptions());
-  auto truth = truth_engine.Run(Days(6));
-  auto standard = std_engine.Run(Days(6));
-  ASSERT_TRUE(truth.ok() && standard.ok());
-  EXPECT_EQ(truth->segments, standard->segments);
-  EXPECT_GE(truth->total_quality, standard->total_quality * 0.98);
-  EXPECT_EQ(truth->type_a_errors + truth->type_b_errors,
-            truth->misclassified);
+  opts.use_ground_truth_categories = true;
+  opts.record_trace = true;
+  opts.trace_resolution_s = model_->segment_seconds;
+  IngestionEngine engine(workload_, model_, cluster_, cost_model_, opts);
+  ASSERT_TRUE(engine.Start(Days(6)).ok());
+  std::vector<std::vector<double>> forecasts;
+  while (!engine.Done()) {
+    if (engine.AtPlanBoundary()) {
+      ASSERT_TRUE(engine.PrepareBoundary().ok());
+      forecasts.push_back(engine.boundary_forecast());
+    }
+    ASSERT_TRUE(engine.Step().ok());
+  }
+
+  const EngineResult& result = engine.partial_result();
+  ASSERT_EQ(result.trace.size(), result.segments);
+  const size_t per_interval =
+      static_cast<size_t>(engine.segments_per_interval());
+  ASSERT_EQ(forecasts.size(), 4u);
+  ASSERT_EQ(result.segments, forecasts.size() * per_interval);
+  for (size_t b = 0; b < forecasts.size(); ++b) {
+    std::vector<double> realized(model_->categories.NumCategories(), 0.0);
+    for (size_t i = b * per_interval; i < (b + 1) * per_interval; ++i) {
+      realized[result.trace[i].category] += 1.0;
+    }
+    EXPECT_EQ(forecasts[b], NormalizeHistogram(realized)) << "boundary " << b;
+  }
 }
 
 TEST_F(EngineTest, SimplexBackendMatchesStructuredEndToEnd) {

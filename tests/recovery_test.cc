@@ -4,7 +4,8 @@
 //    BITWISE identical (full trace included) to the run that never faulted;
 //  - checkpoint wire format: serialize -> deserialize -> re-serialize is
 //    byte-stable, a restored fresh engine finishes bitwise identical to the
-//    original, and corrupt/truncated/missing checkpoint files error cleanly;
+//    original (also from between PrepareBoundary and InstallPlan), and
+//    corrupt/truncated/missing checkpoint files error cleanly;
 //  - fleet level: StreamSet supervision restarts a failed stream from its
 //    boundary snapshot — results bitwise identical to the never-faulted
 //    fleet at worker counts {1, 2, 8} — and a stream that keeps failing
@@ -252,6 +253,71 @@ TEST_F(RecoveryTest, SerializedCheckpointRestoresBitwiseIntoFreshEngine) {
   ASSERT_TRUE(fault_free.ok());
   EXPECT_TRUE(
       EngineResultsIdentical(*fault_free, resumed.partial_result()));
+}
+
+TEST_F(RecoveryTest, CheckpointBetweenPrepareAndInstallCarriesPlanFeatures) {
+  // The fixture trains no forecaster; this case needs one, because the
+  // features PrepareBoundary computes feed the NEXT boundary's fine-tune and
+  // must travel in the checkpoint.
+  OfflineModel model = *models_[0];
+  core::ForecasterOptions fopts;
+  fopts.input_span = Hours(12);
+  fopts.planned_interval = BaseOptions().plan_interval;
+  fopts.training_stride = Minutes(30);
+  fopts.train_options.epochs = 10;
+  auto forecaster = core::Forecaster::Train(
+      model.train_category_sequence, model.segment_seconds,
+      model.categories.NumCategories(), fopts);
+  ASSERT_TRUE(forecaster.ok()) << forecaster.status().ToString();
+  model.forecaster = std::move(*forecaster);
+
+  IngestionEngine clean(workloads_[0], &model, cluster_, cost_model_,
+                        BaseOptions());
+  auto uninterrupted = clean.Run(Days(3));
+  ASSERT_TRUE(uninterrupted.ok());
+
+  // Stop at the second boundary, after its fine-tune and forecast but
+  // before its plan is installed.
+  IngestionEngine original(workloads_[0], &model, cluster_, cost_model_,
+                           BaseOptions());
+  ASSERT_TRUE(original.Start(Days(3)).ok());
+  do {
+    ASSERT_TRUE(original.Step().ok());
+  } while (!original.AtPlanBoundary());
+  ASSERT_TRUE(original.PrepareBoundary().ok());
+  auto snap = original.Checkpoint();
+  ASSERT_TRUE(snap.ok());
+  ASSERT_FALSE(snap->plan_features.empty());
+  std::string bytes;
+  ASSERT_TRUE(io::SerializeIngestState(*snap, &bytes).ok());
+  auto parsed = io::DeserializeIngestState(bytes, model);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+
+  // A fresh engine installs the plan a self-planning Step() would have.
+  IngestionEngine resumed(workloads_[0], &model, cluster_, cost_model_,
+                          BaseOptions());
+  ASSERT_TRUE(resumed.Restore(*parsed).ok());
+  auto plan = core::ComputeKnobPlan(model.categories,
+                                    resumed.boundary_forecast(),
+                                    resumed.config_costs(),
+                                    resumed.PlanBudgetCoreSPerVideoS(),
+                                    resumed.options().planner_backend);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_TRUE(resumed.InstallPlan(std::move(*plan)).ok());
+  while (!resumed.Done()) ASSERT_TRUE(resumed.Step().ok());
+  EXPECT_TRUE(EngineResultsIdentical(*uninterrupted, resumed.partial_result()));
+
+  // The last boundary fine-tuned on the features that travelled in the
+  // checkpoint, so the final states, forecaster weights included, match
+  // byte for byte.
+  auto final_bytes = [](const IngestionEngine& engine) {
+    std::string out;
+    auto state = engine.Checkpoint();
+    EXPECT_TRUE(state.ok() && io::SerializeIngestState(*state, &out).ok());
+    return out;
+  };
+  EXPECT_TRUE(final_bytes(clean) == final_bytes(resumed))
+      << "final engine states differ";
 }
 
 TEST_F(RecoveryTest, CorruptCheckpointBytesAreRefused) {
