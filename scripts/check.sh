@@ -24,9 +24,10 @@
 # instance space each run. The chosen seed is logged, written to
 # build/PROPS_SEED.txt for artifact upload, and a one-line reproduce
 # command is printed if the suite fails. `--props SEED` pins it.
-# `--asan` runs the FULL test suite under AddressSanitizer in a separate
-# build-asan tree (also bench-free): a memory-error pass over everything,
-# including the new fault-injection and crash-recovery suites, whose
+# `--asan` runs the FULL test suite under AddressSanitizer and
+# UndefinedBehaviorSanitizer, with libstdc++'s container assertions on, in a
+# separate build-asan tree (also bench-free): a memory-error pass over
+# everything, including the fault-injection and crash-recovery suites, whose
 # restore/replay paths are exactly where lifetime bugs would hide.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -65,11 +66,12 @@ fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DSKY_SANITIZE=address -DSKY_BUILD_BENCHES=OFF -DSKY_BUILD_EXAMPLES=OFF
+    -DSKY_SANITIZE=address,undefined -DSKY_BUILD_BENCHES=OFF \
+    -DSKY_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j
   cd build-asan
   ctest --output-on-failure -j
-  echo "ASan full suite passed"
+  echo "ASan + UBSan full suite passed"
   exit 0
 fi
 

@@ -17,6 +17,11 @@ namespace sky::core {
 /// shows (Appendix B.2, Fig. 17) that a Gaussian mixture performs the same.
 enum class CategorizerBackend { kKMeans, kGmm };
 
+/// Most content categories a model may hold: the engine keeps its rolling
+/// category history at one byte per segment. The paper's largest count is 8
+/// (Fig. 20).
+inline constexpr size_t kMaxCategories = 255;
+
 /// The content categories of §3.2: clusters in |K|-dimensional quality
 /// space. A category's center coordinate c[k] is the average quality that
 /// configuration k achieves on content of that category — the qual-hat(k, c)

@@ -22,7 +22,42 @@ bool BitsEqual(double a, double b) {
   std::memcpy(&bb, &b, sizeof(bb));
   return ab == bb;
 }
+
+/// Calls fn(bytes, count) over the `n` history categories that begin `back`
+/// segments before the ring's write position, oldest first, as at most two
+/// contiguous spans. Requires n <= back <= the ring size.
+template <typename Fn>
+void ForEachHistorySpan(const IngestStateData& s, size_t back, size_t n,
+                        Fn fn) {
+  size_t ring = s.history.size();
+  size_t start = s.history_pos >= back ? s.history_pos - back
+                                       : s.history_pos + ring - back;
+  size_t first = std::min(n, ring - start);
+  fn(s.history.data() + start, first);
+  if (n > first) fn(s.history.data(), n - first);
+}
+
+/// CategoryHistogram of the same `n` categories, read from the ring.
+void HistoryHistogramInto(const IngestStateData& s, size_t back, size_t n,
+                          size_t num_categories, std::vector<double>* out) {
+  out->assign(num_categories, 0.0);
+  ForEachHistorySpan(s, back, n, [&](const uint8_t* bytes, size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      if (bytes[i] < num_categories) (*out)[bytes[i]] += 1.0;
+    }
+  });
+  *out = NormalizeHistogram(std::move(*out));
+}
 }  // namespace
+
+size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval) {
+  size_t window = static_cast<size_t>(segs_per_interval);
+  if (model.forecaster.has_value()) {
+    window = std::max(window,
+                      model.forecaster->InputSegments(model.segment_seconds));
+  }
+  return window;
+}
 
 bool EngineResultsIdentical(const EngineResult& a, const EngineResult& b) {
   if (!BitsEqual(a.total_quality, b.total_quality) ||
@@ -144,13 +179,13 @@ void IngestionEngine::ComputeBoundaryForecastInto(std::vector<double>* out) {
       s.forecaster.has_value() ? &*s.forecaster : nullptr;
   if (options_.use_ground_truth_forecast) {
     GroundTruthForecastInto(s.first_segment + s.next_index, out);
-  } else if (forecaster != nullptr && !s.history.empty()) {
+  } else if (forecaster != nullptr && s.history_len > 0) {
     // PrepareBoundary just wrote this boundary's features; the forward pass
     // runs against the forecaster's own reusable inference scratch, so
     // nothing here allocates at steady state.
     forecaster->ForecastInto(s.plan_features, out);
-  } else if (!s.history.empty()) {
-    CategoryHistogramInto(s.history, 0, s.history.size(), num_c, out);
+  } else if (s.history_len > 0) {
+    HistoryHistogramInto(s, s.history_len, s.history_len, num_c, out);
   } else {
     out->assign(num_c, 1.0 / static_cast<double>(num_c));
   }
@@ -215,22 +250,80 @@ Status IngestionEngine::PrepareBoundary() {
     // the features the previous boundary stored.
     size_t interval_segs = static_cast<size_t>(s.segs_per_interval);
     if (s.next_index > 0 && !s.plan_features.empty() &&
-        s.history.size() >= interval_segs) {
-      CategoryHistogramInto(s.history, s.history.size() - interval_segs,
-                            s.history.size(),
-                            model_->categories.NumCategories(),
-                            &scratch_.realized);
+        s.history_len >= interval_segs) {
+      HistoryHistogramInto(s, interval_segs, interval_segs,
+                           model_->categories.NumCategories(),
+                           &scratch_.realized);
       s.forecaster->OnlineUpdate(s.plan_features, scratch_.realized);
     }
     // This boundary's features: the forecast input below, and the fine-tune
     // input at the next boundary. They travel in the state, so a checkpoint
     // taken between prepare and install carries them.
-    s.forecaster->FeaturesFromHistoryInto(s.history, model_->segment_seconds,
-                                          &s.plan_features);
+    UpdateSplitCounts();
+    s.forecaster->FeaturesFromSplitCountsInto(scratch_.split_counts,
+                                              &s.plan_features);
   }
   ComputeBoundaryForecastInto(&s.boundary_forecast);
   s.boundary_prepared = true;
   return Status::Ok();
+}
+
+void IngestionEngine::UpdateSplitCounts() {
+  const IngestState& s = *state_;
+  const Forecaster& f = *s.forecaster;
+  const double seg = model_->segment_seconds;
+  const size_t splits = f.options().input_splits;
+  const size_t num_c = f.num_categories();
+  const size_t in_segs = f.InputSegments(seg);
+  std::vector<uint32_t>& counts = scratch_.split_counts;
+  // Edge e starts split e (edge `splits` is the write position); this is
+  // how many segments before the write position it sits.
+  auto edge_back = [&](size_t e) {
+    return e == splits ? 0
+                       : s.history_len - f.SplitWindow(e, s.history_len, seg)
+                                             .first;
+  };
+  size_t delta = 0;  // segments ingested since the counts were current
+  if (scratch_.split_counts_at >= 0) {
+    delta = static_cast<size_t>(s.next_index - scratch_.split_counts_at);
+  }
+  // Slide while the windows keep their full-span geometry and reading the
+  // segments that crossed the splits + 1 edges beats reading the span. The
+  // slide looks back delta + in_segs segments, which the ring holds (it is
+  // at least twice the span); the last test only guards a restored state.
+  if (scratch_.split_counts_at >= 0 && s.history_len >= in_segs &&
+      (splits + 1) * delta < in_segs &&
+      delta + in_segs <= s.history.size()) {
+    // Every edge moved `delta` segments on: the segments it passed leave
+    // split e and join split e - 1. The first edge only drops them; the
+    // last only adds the newly ingested ones.
+    for (size_t e = 0; e <= splits; ++e) {
+      uint32_t* leave = e < splits ? counts.data() + e * num_c : nullptr;
+      uint32_t* join = e > 0 ? counts.data() + (e - 1) * num_c : nullptr;
+      ForEachHistorySpan(
+          s, edge_back(e) + delta, delta,
+          [&](const uint8_t* bytes, size_t n) {
+            for (size_t i = 0; i < n; ++i) {
+              if (bytes[i] >= num_c) continue;
+              if (leave != nullptr) --leave[bytes[i]];
+              if (join != nullptr) ++join[bytes[i]];
+            }
+          });
+    }
+  } else {
+    counts.assign(splits * num_c, 0);
+    for (size_t split = 0; split < splits; ++split) {
+      auto [begin, end] = f.SplitWindow(split, s.history_len, seg);
+      uint32_t* row = counts.data() + split * num_c;
+      ForEachHistorySpan(s, s.history_len - begin, end - begin,
+                         [&](const uint8_t* bytes, size_t n) {
+                           for (size_t i = 0; i < n; ++i) {
+                             if (bytes[i] < num_c) ++row[bytes[i]];
+                           }
+                         });
+    }
+  }
+  scratch_.split_counts_at = s.history_len >= in_segs ? s.next_index : -1;
 }
 
 Status IngestionEngine::InstallPlan(KnobPlan plan,
@@ -277,10 +370,24 @@ Status IngestionEngine::Start(SimTime start_time) {
   double seg = model_->segment_seconds;
   int64_t segs_per_interval =
       std::max<int64_t>(1, static_cast<int64_t>(options_.plan_interval / seg));
+  // The history keeps one byte per category: the model's categories must
+  // fit one, and its bootstrap may name only those categories.
+  size_t num_c = model_->categories.NumCategories();
+  size_t history_window = HistoryWindow(*model_, segs_per_interval);
+  const std::vector<size_t>& train_seq = model_->train_category_sequence;
+  auto bootstrap = train_seq.end() - static_cast<ptrdiff_t>(std::min(
+                                         history_window, train_seq.size()));
+  if (num_c > kMaxCategories ||
+      std::any_of(bootstrap, train_seq.end(),
+                  [num_c](size_t c) { return c >= num_c; })) {
+    return Status::InvalidArgument(
+        "offline model's categories do not fit the category history");
+  }
 
   state_ = std::make_unique<IngestState>(
       &model_->categories, &model_->profiles,
       options_.enable_buffer ? *options_.buffer_bytes : 0);
+  scratch_.split_counts_at = -1;
   IngestState& s = *state_;
   s.start_time = start_time;
   s.n_segments = static_cast<int64_t>(options_.duration / seg);
@@ -294,28 +401,23 @@ Status IngestionEngine::Start(SimTime start_time) {
   // offline model stays untouched so runs are independent.
   s.forecaster = model_->forecaster;
 
-  // Rolling category history, bounded to the feature window instead of
-  // growing O(duration): the forecaster features read the last `input_span`
-  // and the realized-interval update the last interval, so both see exactly
-  // what they did unbounded. The forecaster-less fallback forecast (a plain
-  // histogram of the history) deliberately becomes a recency window rather
-  // than the whole-run distribution. Capacity 2x the window amortizes
-  // compaction to O(1) per segment with no further allocation; bootstrapped
-  // with the tail of the offline training sequence.
-  size_t history_window = static_cast<size_t>(segs_per_interval);
-  if (s.forecaster.has_value()) {
-    const ForecasterOptions& fopts = s.forecaster->options();
-    history_window = std::max(
-        history_window,
-        std::max<size_t>(fopts.input_splits,
-                         static_cast<size_t>(fopts.input_span / seg)));
-  }
+  // Rolling category history, bounded instead of growing O(duration): a
+  // ring of 2 * history_window bytes, bootstrapped with the tail of the
+  // offline training sequence. Its length follows a vector compacted at 2x
+  // capacity: on reaching 2 * history_window it drops back to
+  // history_window before the next push. The forecaster features read the
+  // last `input_span` and the fine-tune the last interval, so both see what
+  // they would unbounded. The forecaster-less fallback forecast (a
+  // histogram of the whole history) becomes a recency window instead of the
+  // whole-run distribution: the bootstrap at the first boundary, then the
+  // last two plan intervals at every boundary after it (less by what a
+  // bootstrap shorter than the window lacks).
   s.history_window = history_window;
-  const std::vector<size_t>& train_seq = model_->train_category_sequence;
-  size_t bootstrap = std::min(history_window, train_seq.size());
-  s.history.reserve(2 * history_window);
-  s.history.assign(train_seq.end() - static_cast<ptrdiff_t>(bootstrap),
-                   train_seq.end());
+  s.history.assign(2 * history_window, 0);
+  std::transform(bootstrap, train_seq.end(), s.history.begin(),
+                 [](size_t c) { return static_cast<uint8_t>(c); });
+  s.history_len = static_cast<size_t>(train_seq.end() - bootstrap);
+  s.history_pos = s.history_len;
 
   // Start on the cheapest profiled configuration.
   const std::vector<ConfigProfile>& profiles = model_->profiles;
@@ -534,12 +636,10 @@ Status IngestionEngine::Step() {
       ++s.result.type_b_errors;
     }
   }
-  if (s.history.size() >= 2 * s.history_window) {
-    std::copy(s.history.end() - static_cast<ptrdiff_t>(s.history_window),
-              s.history.end(), s.history.begin());
-    s.history.resize(s.history_window);
-  }
-  s.history.push_back(decision.category);
+  if (s.history_len == s.history.size()) s.history_len = s.history_window;
+  s.history[s.history_pos] = static_cast<uint8_t>(decision.category);
+  if (++s.history_pos == s.history.size()) s.history_pos = 0;
+  ++s.history_len;
   s.current_config = decision.config_idx;
   ++s.result.segments;
 
@@ -620,6 +720,7 @@ Status IngestionEngine::Restore(const IngestState& snapshot) {
         "checkpoint does not hold a started session");
   }
   state_ = std::make_unique<IngestState>(snapshot);
+  scratch_.split_counts_at = -1;
   return Status::Ok();
 }
 

@@ -129,6 +129,12 @@ struct EngineResult {
 /// and StreamSet-vs-per-engine-Run guarantees.
 bool EngineResultsIdentical(const EngineResult& a, const EngineResult& b);
 
+/// Length of the rolling category history of a run of `model` whose plan
+/// intervals are `segs_per_interval` segments: one plan interval, or the
+/// forecaster's input span when that is longer. The checkpoint reader
+/// refuses a state whose window disagrees.
+size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval);
+
 /// Every piece of per-run mutable state of the ingestion engine, extracted
 /// so a run can be stepped, inspected, checkpointed and restored. Treat the
 /// contents as engine-internal: the struct is exposed (by value) only as the
@@ -150,7 +156,7 @@ struct IngestStateData {
   int64_t first_segment = 0;      ///< global index of the first segment
   int64_t n_segments = 0;         ///< total segments this run will ingest
   int64_t segs_per_interval = 0;  ///< plan-interval length in segments
-  size_t history_window = 0;      ///< rolling history bound (see Start)
+  size_t history_window = 0;      ///< HistoryWindow() of the run
 
   // --- Progress ---
   int64_t next_index = 0;    ///< run-local index of the next segment
@@ -171,7 +177,14 @@ struct IngestStateData {
   /// Forecaster features of the history at the last prepared boundary:
   /// the forecast input there, and the fine-tune input at the next one.
   std::vector<double> plan_features;
-  std::vector<size_t> history;        ///< rolling category history
+  /// Rolling category history, one byte per segment, in a ring of
+  /// 2 * history_window bytes. The history proper is the `history_len`
+  /// categories written last, ending just before `history_pos`; the ring
+  /// also keeps the older bytes a shorter `history_len` leaves behind
+  /// (see Start).
+  std::vector<uint8_t> history;
+  size_t history_pos = 0;  ///< ring index the next category is written to
+  size_t history_len = 0;  ///< categories in the history, <= ring size
   size_t current_config = 0;
   double last_measured = 0.0;
 
@@ -408,6 +421,11 @@ class IngestionEngine {
   /// degrading to FallbackPlan when the budget fits no configuration.
   Result<KnobPlan> PlanFromPreparedForecast();
 
+  /// Brings scratch_.split_counts to the forecaster's split windows over the
+  /// current history: slides the previous boundary's counts by the segments
+  /// that crossed each split edge since, or recounts from the ring.
+  void UpdateSplitCounts();
+
   const Workload* workload_;
   const OfflineModel* model_;
   sim::ClusterSpec cluster_;
@@ -418,14 +436,20 @@ class IngestionEngine {
   /// Buffers reused across segments and plan boundaries so neither
   /// allocates at steady state: the segment's ground-truth quality vector,
   /// the realized-interval histogram of the fine-tune, the loop-invariant
-  /// config costs, and the planner's coefficient + solver workspace. Holds
-  /// no run-defining state (everything here is recomputed or invariant), so
-  /// it stays outside IngestState.
+  /// config costs, the planner's coefficient + solver workspace, and the
+  /// forecaster's per-split category counts. Holds no run-defining state
+  /// (everything here is recomputed or invariant), so it stays outside
+  /// IngestState and out of checkpoints.
   struct Scratch {
     std::vector<double> quals;
     std::vector<double> realized;
     std::vector<double> costs;
     PlanWorkspace workspace;
+    /// input_splits rows of |C| counts over the split windows.
+    std::vector<uint32_t> split_counts;
+    /// next_index at which split_counts covered full-span windows; -1 when
+    /// they must be recounted (never counted, window filling, or restored).
+    int64_t split_counts_at = -1;
   };
   mutable Scratch scratch_;
 };

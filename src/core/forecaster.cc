@@ -11,24 +11,34 @@ namespace sky::core {
 std::vector<double> CategoryHistogram(
     const std::vector<size_t>& category_sequence, size_t begin, size_t end,
     size_t num_categories) {
-  std::vector<double> hist;
-  CategoryHistogramInto(category_sequence, begin, end, num_categories, &hist);
-  return hist;
-}
-
-void CategoryHistogramInto(const std::vector<size_t>& category_sequence,
-                           size_t begin, size_t end, size_t num_categories,
-                           std::vector<double>* out) {
-  out->assign(num_categories, 0.0);
+  std::vector<double> hist(num_categories, 0.0);
   end = std::min(end, category_sequence.size());
   for (size_t i = begin; i < end; ++i) {
     if (category_sequence[i] < num_categories) {
-      (*out)[category_sequence[i]] += 1.0;
+      hist[category_sequence[i]] += 1.0;
     }
   }
-  // Move through NormalizeHistogram: no allocation, one normalization rule.
-  *out = NormalizeHistogram(std::move(*out));
+  return NormalizeHistogram(std::move(hist));
 }
+
+namespace {
+
+/// One feature split's counts, in place, to its normalized histogram; an
+/// empty split reads uniform. Counts are integers, so the total is exact in
+/// whatever order they are summed.
+void NormalizeSlice(double* slice, size_t num_categories) {
+  if (num_categories == 0) return;
+  double total = 0.0;
+  for (size_t c = 0; c < num_categories; ++c) total += slice[c];
+  if (total <= 0.0) {
+    double u = 1.0 / static_cast<double>(num_categories);
+    for (size_t c = 0; c < num_categories; ++c) slice[c] = u;
+  } else {
+    for (size_t c = 0; c < num_categories; ++c) slice[c] /= total;
+  }
+}
+
+}  // namespace
 
 Result<ForecastDataset> BuildForecastDataset(
     const std::vector<size_t>& category_sequence, double segment_seconds,
@@ -79,7 +89,7 @@ Result<ForecastDataset> BuildForecastDataset(
     }
   }
   // Normalized histogram of [begin, end) into `out`, same arithmetic as
-  // CategoryHistogramInto: exact counts, one divide per category, uniform
+  // CategoryHistogram: exact counts, one divide per category, uniform
   // fallback on an empty window.
   auto window_into = [&](size_t begin, size_t end, double* out) {
     const uint32_t* lo = prefix.data() + begin * num_categories;
@@ -172,38 +182,45 @@ std::vector<double> Forecaster::FeaturesFromHistory(
 void Forecaster::FeaturesFromHistoryInto(
     const std::vector<size_t>& recent_categories, double segment_seconds,
     std::vector<double>* out) const {
-  size_t in_segs = std::max<size_t>(
-      options_.input_splits,
-      static_cast<size_t>(options_.input_span / segment_seconds));
   size_t available = recent_categories.size();
-  size_t used = std::min(in_segs, available);
-  size_t start = available - used;
-  size_t split_len = std::max<size_t>(1, used / options_.input_splits);
-
   out->assign(options_.input_splits * num_categories_, 0.0);
   for (size_t split = 0; split < options_.input_splits; ++split) {
-    size_t begin = start + split * split_len;
-    size_t end =
-        split + 1 == options_.input_splits ? available : begin + split_len;
-    begin = std::min(begin, available);
-    end = std::min(end, available);
+    auto [begin, end] = SplitWindow(split, available, segment_seconds);
     // Histogram written straight into the split's feature slice — same
     // values as CategoryHistogram, no temporary.
     double* slice = out->data() + split * num_categories_;
-    double total = 0.0;
     for (size_t i = begin; i < end; ++i) {
       if (recent_categories[i] < num_categories_) {
         slice[recent_categories[i]] += 1.0;
-        total += 1.0;
       }
     }
-    if (total <= 0.0) {
-      if (num_categories_ == 0) continue;
-      double u = 1.0 / static_cast<double>(num_categories_);
-      for (size_t c = 0; c < num_categories_; ++c) slice[c] = u;
-    } else {
-      for (size_t c = 0; c < num_categories_; ++c) slice[c] /= total;
-    }
+    NormalizeSlice(slice, num_categories_);
+  }
+}
+
+size_t Forecaster::InputSegments(double segment_seconds) const {
+  return std::max<size_t>(
+      options_.input_splits,
+      static_cast<size_t>(options_.input_span / segment_seconds));
+}
+
+std::pair<size_t, size_t> Forecaster::SplitWindow(
+    size_t split, size_t available, double segment_seconds) const {
+  size_t used = std::min(InputSegments(segment_seconds), available);
+  size_t start = available - used;
+  size_t split_len = std::max<size_t>(1, used / options_.input_splits);
+  size_t begin = start + split * split_len;
+  size_t end =
+      split + 1 == options_.input_splits ? available : begin + split_len;
+  return {std::min(begin, available), std::min(end, available)};
+}
+
+void Forecaster::FeaturesFromSplitCountsInto(
+    const std::vector<uint32_t>& split_counts,
+    std::vector<double>* out) const {
+  out->assign(split_counts.begin(), split_counts.end());
+  for (size_t split = 0; split < options_.input_splits; ++split) {
+    NormalizeSlice(out->data() + split * num_categories_, num_categories_);
   }
 }
 

@@ -1,7 +1,9 @@
 #ifndef SKYSCRAPER_CORE_FORECASTER_H_
 #define SKYSCRAPER_CORE_FORECASTER_H_
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dag/thread_pool.h"
@@ -46,12 +48,6 @@ std::vector<double> CategoryHistogram(
     const std::vector<size_t>& category_sequence, size_t begin, size_t end,
     size_t num_categories);
 
-/// In-place variant: fills `out` (resized to num_categories) reusing its
-/// capacity, so callers with a long-lived buffer allocate nothing.
-void CategoryHistogramInto(const std::vector<size_t>& category_sequence,
-                           size_t begin, size_t end, size_t num_categories,
-                           std::vector<double>* out);
-
 /// The forecasting model F of §3.3: a feed-forward network (Appendix K:
 /// input -> 16 ReLU -> 8 ReLU -> |C| softmax) that predicts how often each
 /// content category appears over the planned interval, given the recent
@@ -78,6 +74,25 @@ class Forecaster {
   void FeaturesFromHistoryInto(const std::vector<size_t>& recent_categories,
                                double segment_seconds,
                                std::vector<double>* out) const;
+
+  /// Segments of history the features read: the input span, and at least
+  /// one per split.
+  size_t InputSegments(double segment_seconds) const;
+
+  /// The window [begin, end) that feature split `split` reads in a history
+  /// of `available` segments, oldest first: the last InputSegments() cut
+  /// into input_splits equal windows, the last one taking the remainder. A
+  /// shorter history is stretched over what is available.
+  std::pair<size_t, size_t> SplitWindow(size_t split, size_t available,
+                                        double segment_seconds) const;
+
+  /// The features of a history whose split windows hold `split_counts`
+  /// (input_splits rows of |C| category counts): bitwise what
+  /// FeaturesFromHistoryInto computes from the segments themselves, because
+  /// counts are integers and exact in doubles. Allocates nothing when `out`
+  /// is reused.
+  void FeaturesFromSplitCountsInto(const std::vector<uint32_t>& split_counts,
+                                   std::vector<double>* out) const;
 
   /// Predicted category distribution r over the planned interval.
   std::vector<double> Forecast(const std::vector<double>& features) const;

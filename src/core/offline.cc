@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <string>
 
 namespace sky::core {
 
@@ -112,6 +113,11 @@ Result<OfflineModel> RunOfflinePhase(const Workload& workload,
                                      const sim::ClusterSpec& cluster,
                                      const sim::CostModel& cost_model,
                                      const OfflineOptions& options) {
+  if (options.num_categories > kMaxCategories) {
+    return Status::InvalidArgument(
+        "num_categories " + std::to_string(options.num_categories) +
+        " exceeds the maximum of " + std::to_string(kMaxCategories));
+  }
   OfflineModel model;
   model.segment_seconds = options.segment_seconds;
   model.train_horizon =

@@ -1,5 +1,6 @@
 #include "io/checkpoint_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -22,7 +23,6 @@ using wire::PutRaw;
 using wire::PutString;
 using wire::PutU32;
 using wire::PutU64;
-using wire::PutU64Vec;
 
 const wire::ContainerFormat kFormat{"SKYCKPT1", kCheckpointFormatVersion,
                                     "checkpoint file"};
@@ -153,7 +153,13 @@ Status SerializeIngestState(const core::IngestState& state, std::string* out) {
   PutBool(p, state.boundary_installed);
   PutF64Vec(p, state.boundary_forecast);
   PutF64Vec(p, state.plan_features);
-  PutU64Vec(p, state.history);
+  // The history ring verbatim, then where the next category goes and how
+  // many of the bytes are history. The split counts are derived from these,
+  // so they are recounted after a restore rather than stored.
+  PutU64(p, state.history.size());
+  PutRaw(p, state.history.data(), state.history.size());
+  PutU64(p, state.history_pos);
+  PutU64(p, state.history_len);
   PutU64(p, state.current_config);
   PutF64(p, state.last_measured);
 
@@ -212,6 +218,10 @@ Result<core::IngestState> DeserializeIngestState(
   }
   uint64_t u = 0;
   SKY_RETURN_NOT_OK(c.ReadU64(&u));
+  if (u != core::HistoryWindow(model, state.segs_per_interval)) {
+    return Status::InvalidArgument(
+        "checkpoint history window does not match the model");
+  }
   state.history_window = u;
   SKY_RETURN_NOT_OK(c.ReadI64(&state.next_index));
   SKY_RETURN_NOT_OK(c.ReadU64(&u));
@@ -245,7 +255,31 @@ Result<core::IngestState> DeserializeIngestState(
   SKY_RETURN_NOT_OK(c.ReadBool(&state.boundary_installed));
   SKY_RETURN_NOT_OK(c.ReadF64Vec(&state.boundary_forecast));
   SKY_RETURN_NOT_OK(c.ReadF64Vec(&state.plan_features));
-  SKY_RETURN_NOT_OK(c.ReadU64Vec(&state.history));
+  // The ring size is checked against the window before anything is
+  // allocated (halving it, as doubling the window could wrap), and
+  // ReadCount already bounds it by the payload.
+  uint64_t ring_bytes = 0;
+  SKY_RETURN_NOT_OK(c.ReadCount(1, &ring_bytes));
+  if (ring_bytes % 2 != 0 || ring_bytes / 2 != state.history_window) {
+    return Status::InvalidArgument(
+        "checkpoint history ring is not twice the history window");
+  }
+  state.history.resize(ring_bytes);
+  SKY_RETURN_NOT_OK(c.Read(state.history.data(), ring_bytes));
+  SKY_RETURN_NOT_OK(c.ReadU64(&u));
+  state.history_pos = u;
+  SKY_RETURN_NOT_OK(c.ReadU64(&u));
+  state.history_len = u;
+  if (state.history_pos >= ring_bytes || state.history_len > ring_bytes) {
+    return Status::InvalidArgument(
+        "checkpoint history position or length is past the ring");
+  }
+  const size_t num_c = model.categories.NumCategories();
+  if (std::any_of(state.history.begin(), state.history.end(),
+                  [num_c](uint8_t c) { return c >= num_c; })) {
+    return Status::InvalidArgument(
+        "checkpoint history holds a category the model does not have");
+  }
   SKY_RETURN_NOT_OK(c.ReadU64(&u));
   if (u >= model.profiles.size()) {
     return Status::InvalidArgument(

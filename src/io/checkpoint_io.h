@@ -14,7 +14,7 @@ namespace sky::io {
 /// Version of the on-disk checkpoint format this build writes (and the only
 /// one it reads — same versioning policy as the model format: bump on any
 /// layout change, readers reject unknown versions rather than guessing).
-inline constexpr uint32_t kCheckpointFormatVersion = 2;
+inline constexpr uint32_t kCheckpointFormatVersion = 3;
 
 /// Serializes a full engine session snapshot (core::IngestState) to bytes.
 /// Doubles are raw IEEE-754 and the measurement RNG state is exact, so a

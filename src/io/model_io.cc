@@ -1,6 +1,7 @@
 #include "io/model_io.h"
 
 #include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -145,6 +146,12 @@ Result<std::string> CategoriesPayload(const core::OfflineModel& model) {
   return p;
 }
 
+Status TooManyCategories() {
+  return Status::InvalidArgument(
+      "model file holds more than " + std::to_string(core::kMaxCategories) +
+      " content categories");
+}
+
 Status ParseCategories(Cursor* c, core::OfflineModel* model) {
   uint32_t backend = 0;
   SKY_RETURN_NOT_OK(c->ReadU32(&backend));
@@ -153,6 +160,7 @@ Status ParseCategories(Cursor* c, core::OfflineModel* model) {
     SKY_RETURN_NOT_OK(c->ReadF64Rows(&km.centers));
     SKY_RETURN_NOT_OK(c->ReadU64Vec(&km.assignments));
     SKY_RETURN_NOT_OK(c->ReadF64(&km.inertia));
+    if (km.centers.size() > core::kMaxCategories) return TooManyCategories();
     model->categories = core::ContentCategories::FromKMeans(std::move(km));
     return Status::Ok();
   }
@@ -166,6 +174,7 @@ Status ParseCategories(Cursor* c, core::OfflineModel* model) {
         gm.weights.size() != gm.means.size()) {
       return Status::InvalidArgument("inconsistent GMM component counts");
     }
+    if (gm.means.size() > core::kMaxCategories) return TooManyCategories();
     model->categories = core::ContentCategories::FromGmm(std::move(gm));
     return Status::Ok();
   }

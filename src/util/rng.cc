@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace sky {
@@ -21,6 +22,14 @@ double Rng::Normal(double mean, double stddev) {
 }
 
 int64_t Rng::Poisson(double mean) {
+  if (mean <= 0.0) {
+    // std::poisson_distribution requires mean > 0. At mean 0, libstdc++'s
+    // small-mean loop stops after one canonical draw and returns 0; take
+    // that same draw so the stream stays bitwise what it was.
+    std::generate_canonical<double, std::numeric_limits<double>::digits>(
+        engine_);
+    return 0;
+  }
   std::poisson_distribution<int64_t> dist(mean);
   return dist(engine_);
 }

@@ -28,7 +28,7 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  /// Poisson with the given mean.
+  /// Poisson with the given mean; 0 when the mean is not positive.
   int64_t Poisson(double mean);
 
   /// Bernoulli trial.

@@ -1,7 +1,8 @@
 // Steady-state allocation audit for the engine's hot paths: after warm-up,
-// FeaturesFromHistoryInto + ForecastInto + OnlineUpdate — the exact
-// per-plan-boundary forecaster work — and every IngestionEngine::Step()
-// within a plan interval must perform zero heap allocations. Verified with a
+// FeaturesFromHistoryInto + ForecastInto + OnlineUpdate — the forecaster
+// work of a plan boundary — the engine's PrepareBoundary with its sliding
+// split counts, and every IngestionEngine::Step() within a plan interval
+// must perform zero heap allocations. Verified with a
 // counting global operator new, so a regression is a test failure rather
 // than a code-review hope.
 
@@ -145,6 +146,48 @@ TEST(AllocSteadyStateTest, EngineStepAllocatesNothingWithinAnInterval) {
   EXPECT_EQ(after - before, 0)
       << "Step() allocated " << (after - before) << " times over "
       << engine.segments_per_interval() - kWarmup << " steps";
+}
+
+TEST(AllocSteadyStateTest, EnginePrepareBoundarySlidesWithoutAllocating) {
+  // A 15-minute interval under a 1-day span: every boundary after the
+  // first slides the split counts by 225 segments rather than recounting
+  // 21,600, and neither the slide nor the fine-tune and forecast around it
+  // may allocate once warm.
+  workloads::EvCountingWorkload workload;
+  sim::ClusterSpec cluster;
+  cluster.cores = 4;
+  sim::CostModel cost_model(1.8);
+  OfflineOptions offline;
+  offline.segment_seconds = 4.0;
+  offline.train_horizon = Days(6);
+  offline.num_categories = 3;
+  offline.forecaster.input_span = Days(1);
+  offline.forecaster.planned_interval = Minutes(15);
+  auto model = RunOfflinePhase(workload, cluster, cost_model, offline);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  EngineOptions opts;
+  opts.duration = Hours(2);
+  opts.plan_interval = Minutes(15);
+  opts.cloud_budget_usd_per_interval = 0.05;
+  opts.buffer_bytes = 4ull << 30;
+  IngestionEngine engine(&workload, &*model, cluster, &cost_model, opts);
+  ASSERT_TRUE(engine.Start(Days(6)).ok());
+  // Boundaries 0 and 1 warm up: the first recounts the split counts and
+  // sizes every buffer, the second is the first slide.
+  for (int boundary = 0; boundary < 5; ++boundary) {
+    ASSERT_TRUE(engine.AtPlanBoundary()) << "boundary " << boundary;
+    long before = g_allocations.load(std::memory_order_relaxed);
+    bool ok = engine.PrepareBoundary().ok();
+    long after = g_allocations.load(std::memory_order_relaxed);
+    ASSERT_TRUE(ok) << "boundary " << boundary;
+    if (boundary >= 2) {
+      EXPECT_EQ(after - before, 0)
+          << "PrepareBoundary allocated " << (after - before)
+          << " times at boundary " << boundary;
+    }
+    ASSERT_TRUE(engine.RunInterval().ok());
+  }
 }
 
 }  // namespace

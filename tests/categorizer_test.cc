@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config_filter.h"
+#include "core/offline.h"
 #include "workloads/covid.h"
 
 namespace sky::core {
@@ -109,6 +110,17 @@ TEST(CategorizerTest, RejectsBadOptions) {
   EXPECT_FALSE(BuildContentCategories(covid, configs, opts).ok());
   CategorizerOptions opts2;
   EXPECT_FALSE(BuildContentCategories(covid, {}, opts2).ok());
+}
+
+TEST(CategorizerTest, OfflinePhaseRefusesMoreThanMaxCategories) {
+  workloads::CovidWorkload covid;
+  sim::ClusterSpec cluster;
+  sim::CostModel cost_model(1.8);
+  OfflineOptions opts;
+  opts.num_categories = kMaxCategories + 1;
+  auto model = RunOfflinePhase(covid, cluster, cost_model, opts);
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CategorizerTest, QualityVectorHelpers) {

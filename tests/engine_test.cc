@@ -260,5 +260,18 @@ TEST_F(EngineTest, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(ra->cloud_usd, rb->cloud_usd);
 }
 
+TEST_F(EngineTest, StartRefusesABootstrapOutsideTheModelsCategories) {
+  // The history stores categories as bytes and sizes its split counts by
+  // |C|, so a bootstrap naming a category the model lacks is refused before
+  // any state exists.
+  OfflineModel model = *model_;
+  model.train_category_sequence.back() = model.categories.NumCategories();
+  IngestionEngine engine(workload_, &model, cluster_, cost_model_,
+                         BaseOptions());
+  Status started = engine.Start(Days(6));
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine.started());
+}
+
 }  // namespace
 }  // namespace sky::core

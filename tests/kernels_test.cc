@@ -27,7 +27,9 @@ namespace {
 /// divergence a tolerance would mask.
 bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  // Empty vectors may hold null data, which memcmp must not see.
+  return a.empty() ||
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 std::vector<double> RandomVec(size_t n, Rng* rng) {

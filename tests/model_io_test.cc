@@ -271,6 +271,27 @@ TEST(ModelIoTest, RejectsImpossibleCountsWithoutAllocating) {
   }
 }
 
+TEST(ModelIoTest, RejectsMoreThanMaxCategories) {
+  // The engine keeps categories as bytes, so a CATG chunk may hold at most
+  // kMaxCategories clusters; the writer does not check, the reader does.
+  for (size_t clusters : {core::kMaxCategories, core::kMaxCategories + 1}) {
+    core::OfflineModel model = FittedModel();
+    ml::KMeansModel km = model.categories.kmeans_model();
+    km.centers.resize(clusters, km.centers[0]);
+    model.categories = core::ContentCategories::FromKMeans(std::move(km));
+    std::string bytes;
+    ASSERT_TRUE(SerializeOfflineModel(model, "", &bytes).ok());
+    auto loaded = DeserializeOfflineModel(bytes);
+    if (clusters <= core::kMaxCategories) {
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded->categories.NumCategories(), clusters);
+    } else {
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
 TEST(ModelIoTest, LoadMissingFileIsNotFound) {
   auto loaded = LoadOfflineModel("/nonexistent/sky_model.bin");
   ASSERT_FALSE(loaded.ok());

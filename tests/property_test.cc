@@ -1,17 +1,24 @@
 // Parameterized property sweeps over system invariants: buffer safety,
-// plan adherence, LP vs knapsack consistency, and simulator sanity across
+// plan adherence, LP vs knapsack consistency, simulator sanity, placement
+// determinism, and the engine's sliding forecaster features across
 // randomized inputs.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/offline.h"
 #include "core/placement_search.h"
 #include "core/planner.h"
+#include "io/checkpoint_io.h"
 #include "lp/knapsack.h"
 #include "lp/simplex.h"
+#include "ml/nn.h"
 #include "sim/cluster_sim.h"
 #include "util/rng.h"
 #include "workloads/ev_counting.h"
@@ -323,6 +330,210 @@ TEST_P(PlacementDeterminismSweep, SearchBitwiseAcrossPoolSizes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacementDeterminismSweep,
                          ::testing::Range<uint64_t>(0, 5));
+
+// ---------------------------------------------------------------------------
+// Property: at every plan boundary the engine's forecaster features, built
+// from split counts it slides from boundary to boundary, equal a fresh
+// FeaturesFromHistoryInto scan of its history, bitwise — over random
+// category streams, feature geometries, bootstraps, and a checkpoint
+// round trip mid-run. The instance stream is derived from SKY_PROP_SEED.
+// ---------------------------------------------------------------------------
+
+class SplitCountSweep : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static void SetUpTestSuite() {
+    workload_ = new workloads::EvCountingWorkload();
+    cost_model_ = new sim::CostModel(1.8);
+    core::OfflineOptions offline;
+    offline.segment_seconds = 4.0;
+    offline.train_horizon = Days(3);
+    offline.num_categories = 3;
+    offline.train_forecaster = false;  // each case brings its own
+    auto model =
+        core::RunOfflinePhase(*workload_, Cluster(), *cost_model_, offline);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    model_ = new core::OfflineModel(std::move(*model));
+  }
+  static void TearDownTestSuite() {
+    delete model_;
+    delete cost_model_;
+    delete workload_;
+  }
+  static sim::ClusterSpec Cluster() {
+    sim::ClusterSpec cluster;
+    cluster.cores = 4;
+    return cluster;
+  }
+
+  static workloads::EvCountingWorkload* workload_;
+  static sim::CostModel* cost_model_;
+  static core::OfflineModel* model_;
+};
+workloads::EvCountingWorkload* SplitCountSweep::workload_ = nullptr;
+sim::CostModel* SplitCountSweep::cost_model_ = nullptr;
+core::OfflineModel* SplitCountSweep::model_ = nullptr;
+
+/// The history of a state as a plain sequence, oldest first.
+std::vector<size_t> LinearHistory(const core::IngestState& s) {
+  std::vector<size_t> out(s.history_len);
+  size_t ring = s.history.size();
+  for (size_t i = 0; i < s.history_len; ++i) {
+    out[i] = s.history[(s.history_pos + ring - s.history_len + i) % ring];
+  }
+  return out;
+}
+
+TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
+  SCOPED_TRACE(ReproduceLine(
+      ::testing::UnitTest::GetInstance()->current_test_info()));
+  Rng rng(Rng(PropSeed()).ForkIndex(2000 + GetParam()).UniformInt(0, 1 << 30));
+  const double seg = model_->segment_seconds;
+  const size_t num_c = model_->categories.NumCategories();
+
+  // Geometry. Even parameters put the plan interval under the recount
+  // threshold, (splits + 1) * interval < span, so boundaries slide; odd
+  // ones put it at or over, so every boundary recounts. Every third
+  // parameter makes the span one the splits do not divide.
+  const size_t splits = static_cast<size_t>(rng.UniformInt(1, 9));
+  const size_t interval = static_cast<size_t>(rng.UniformInt(1, 120));
+  const size_t threshold = (splits + 1) * interval;
+  size_t span =
+      GetParam() % 2 == 0
+          ? threshold + 1 + static_cast<size_t>(rng.UniformInt(0, 1500))
+          : static_cast<size_t>(rng.UniformInt(
+                static_cast<int64_t>(splits), static_cast<int64_t>(threshold)));
+  if (GetParam() % 3 == 0 && splits > 1 && span % splits == 0) ++span;
+  const size_t window = std::max(span, interval);
+
+  const size_t boundaries = static_cast<size_t>(rng.UniformInt(3, 8));
+  const size_t run = interval * boundaries;
+
+  // A random category stream of runs for the bootstrap: shorter than the
+  // window, short enough that the window fills mid-run, or full at Start.
+  core::OfflineModel model = *model_;
+  size_t bootstrap = 0;
+  switch (rng.UniformInt(0, 2)) {
+    case 0:
+      bootstrap = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(window)));
+      break;
+    case 1:
+      bootstrap = span - std::min(span, static_cast<size_t>(rng.UniformInt(
+                                            1, static_cast<int64_t>(run))));
+      break;
+    default:
+      bootstrap = static_cast<size_t>(
+          rng.UniformInt(static_cast<int64_t>(window),
+                         static_cast<int64_t>(2 * window)));
+  }
+  model.train_category_sequence.assign(bootstrap, 0);
+  size_t category = 0;
+  for (size_t& c : model.train_category_sequence) {
+    if (rng.Bernoulli(0.1)) {
+      category = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(num_c) - 1));
+    }
+    c = category;
+  }
+  // An untrained network: the property concerns the features, not the
+  // forecast, and any weights give the plans (and so the stream) variety.
+  core::ForecasterOptions fopts;
+  fopts.input_span = static_cast<double>(span) * seg;
+  fopts.input_splits = splits;
+  fopts.planned_interval = static_cast<double>(interval) * seg;
+  ml::FeedForwardNet net(splits * num_c, {16, 8}, num_c,
+                         ml::Activation::kSoftmax, &rng);
+  auto forecaster =
+      core::Forecaster::FromParts(net.Snapshot(), fopts, num_c, {});
+  ASSERT_TRUE(forecaster.ok()) << forecaster.status().ToString();
+  model.forecaster = std::move(*forecaster);
+
+  core::EngineOptions opts;
+  opts.plan_interval = static_cast<double>(interval) * seg;
+  opts.duration = opts.plan_interval * static_cast<double>(boundaries);
+  opts.cloud_budget_usd_per_interval = rng.Uniform(0.0, 0.05);
+  opts.seed = static_cast<uint64_t>(rng.UniformInt(0, 1 << 30));
+  auto started_engine = [&](uint64_t seed) {
+    core::EngineOptions o = opts;
+    o.seed = seed;
+    auto e = std::make_unique<core::IngestionEngine>(workload_, &model,
+                                                     Cluster(), cost_model_, o);
+    EXPECT_TRUE(e->Start(Days(3)).ok());
+    return e;
+  };
+  auto boundary_of = [&](const core::IngestionEngine& e) {
+    return static_cast<size_t>(e.next_segment_index() /
+                               e.segments_per_interval());
+  };
+  auto expect_scan = [&](const core::IngestionEngine& e) {
+    auto snap = e.Checkpoint();
+    ASSERT_TRUE(snap.ok());
+    std::vector<double> scanned;
+    snap->forecaster->FeaturesFromHistoryInto(LinearHistory(*snap), seg,
+                                              &scanned);
+    ASSERT_EQ(snap->plan_features.size(), scanned.size());
+    EXPECT_EQ(std::memcmp(snap->plan_features.data(), scanned.data(),
+                          scanned.size() * sizeof(double)),
+              0)
+        << "boundary " << boundary_of(e) << " of " << boundaries
+        << ": splits " << splits << ", span " << span << ", interval "
+        << interval << ", bootstrap " << bootstrap;
+  };
+
+  // Checkpoint bytes taken at one random boundary, before or after its
+  // PrepareBoundary, are restored one boundary later: into the same
+  // engine, a fresh one, or one that ran a different seed to that later
+  // boundary and so holds split counts of another history.
+  const size_t save_at = static_cast<size_t>(
+      rng.UniformInt(1, static_cast<int64_t>(boundaries) - 2));
+  const bool save_prepared = rng.Bernoulli(0.5);
+  const int64_t restore_into = rng.UniformInt(0, 2);
+  std::string saved;
+  bool restored = false;
+
+  std::unique_ptr<core::IngestionEngine> engine = started_engine(opts.seed);
+  size_t checks = 0;
+  while (!engine->Done()) {
+    if (engine->AtPlanBoundary()) {
+      const size_t b = boundary_of(*engine);
+      auto save = [&] {
+        auto snap = engine->Checkpoint();
+        ASSERT_TRUE(snap.ok());
+        ASSERT_TRUE(io::SerializeIngestState(*snap, &saved).ok());
+      };
+      if (b == save_at && !restored && !save_prepared) save();
+      ASSERT_TRUE(engine->PrepareBoundary().ok());
+      if (b == save_at && !restored && save_prepared) save();
+      expect_scan(*engine);
+      ++checks;
+      if (b == save_at + 1 && !restored) {
+        restored = true;
+        auto parsed = io::DeserializeIngestState(saved, model);
+        ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        if (restore_into == 1) engine = started_engine(opts.seed);
+        if (restore_into == 2) {
+          engine = started_engine(opts.seed + 1);
+          while (true) {
+            if (engine->AtPlanBoundary()) {
+              ASSERT_TRUE(engine->PrepareBoundary().ok());
+              if (boundary_of(*engine) == b) break;
+            }
+            ASSERT_TRUE(engine->Step().ok());
+          }
+        }
+        ASSERT_TRUE(engine->Restore(*parsed).ok());
+        continue;  // back at boundary save_at
+      }
+    }
+    ASSERT_TRUE(engine->Step().ok());
+  }
+  // Boundaries save_at and save_at + 1 run twice.
+  EXPECT_TRUE(restored);
+  EXPECT_EQ(checks, boundaries + 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SplitCountSweep,
+                         ::testing::Range<uint64_t>(0, 12));
 
 }  // namespace
 }  // namespace sky

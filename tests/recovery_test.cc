@@ -381,6 +381,122 @@ TEST_F(RecoveryTest, CraftedPlanWidthIsRefusedWithValidChecksum) {
   }
 }
 
+// The history ring of a serialized mid-run state. SerializeIngestState
+// writes history_window at byte 44 (after the u32 version and six 8-byte
+// fields); the ring sits after the plan features as a u64 byte count, the
+// ring bytes, the u64 write position and the u64 length.
+constexpr size_t kHistoryWindowAt = 44;
+
+struct SerializedRing {
+  std::string bytes;   ///< SerializeIngestState of a mid-run state
+  size_t count_at = 0; ///< offset of the ring's u64 byte count
+  uint64_t ring = 0;   ///< ring size: 2 * history_window
+  uint64_t pos = 0;    ///< write position
+};
+
+uint64_t U64At(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  std::memcpy(&v, &bytes[at], sizeof(v));
+  return v;
+}
+
+void SetU64At(std::string* bytes, size_t at, uint64_t v) {
+  std::memcpy(&(*bytes)[at], &v, sizeof(v));
+}
+
+/// Re-seals the trailing FNV-1a, so the checksum passes and only the
+/// parser's own checks stand between crafted bytes and a restore.
+std::string Resealed(std::string bytes) {
+  const size_t body = bytes.size() - sizeof(uint64_t);
+  SetU64At(&bytes, body, io::wire::Fnv1a64(bytes.data(), body));
+  return bytes;
+}
+
+TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
+  IngestionEngine engine(workloads_[0], models_[0], cluster_, cost_model_,
+                         BaseOptions());
+  ASSERT_TRUE(engine.Start(Days(3)).ok());
+  ASSERT_TRUE(engine.RunUntil(Days(3) + Hours(3)).ok());
+  auto snap = engine.Checkpoint();
+  ASSERT_TRUE(snap.ok());
+  SerializedRing t;
+  ASSERT_TRUE(io::SerializeIngestState(*snap, &t.bytes).ok());
+  t.ring = snap->history.size();
+  t.pos = snap->history_pos;
+  ASSERT_EQ(t.ring, 2 * snap->history_window);
+  ASSERT_EQ(U64At(t.bytes, kHistoryWindowAt), snap->history_window);
+
+  // Walk the layout from the RNG state (u64 length at 68) on: the absent
+  // forecaster's flag byte, has_plan, the plan shape and matrix, its
+  // forecast and two doubles, the two boundary flags, the boundary
+  // forecast and the (empty: no forecaster) plan features.
+  size_t at = 76 + U64At(t.bytes, 68) + 1 + 1 + 16 +
+              snap->plan.alpha.data().size() * sizeof(double) + 8 +
+              snap->plan.forecast.size() * sizeof(double) + 16 + 2 + 8 +
+              snap->boundary_forecast.size() * sizeof(double) + 8 +
+              snap->plan_features.size() * sizeof(double);
+  t.count_at = at;
+  ASSERT_EQ(U64At(t.bytes, at), t.ring);
+  ASSERT_EQ(std::memcmp(&t.bytes[at + 8], snap->history.data(), t.ring), 0);
+  ASSERT_EQ(U64At(t.bytes, at + 8 + t.ring), snap->history_pos);
+  ASSERT_EQ(U64At(t.bytes, at + 16 + t.ring), snap->history_len);
+  ASSERT_TRUE(io::DeserializeIngestState(Resealed(t.bytes), *models_[0]).ok());
+
+  const size_t pos_at = t.count_at + 8 + t.ring;
+  const size_t len_at = pos_at + 8;
+  const uint64_t num_c = models_[0]->categories.NumCategories();
+  struct Craft {
+    std::string label;
+    std::string bytes;
+  };
+  std::vector<Craft> crafts;
+  auto craft = [&](std::string label, auto edit) {
+    std::string bytes = t.bytes;
+    edit(&bytes);
+    crafts.push_back({std::move(label), Resealed(std::move(bytes))});
+  };
+  // The ring is not twice the window: one byte short with consistent
+  // framing, and a count no payload holds (refused before allocating).
+  craft("ring one byte short", [&](std::string* b) {
+    b->erase(t.count_at + 8 + t.ring - 1, 1);
+    SetU64At(b, t.count_at, t.ring - 1);
+  });
+  craft("ring of 2^62 bytes", [&](std::string* b) {
+    SetU64At(b, t.count_at, uint64_t{1} << 62);
+  });
+  // Write position or length past the ring.
+  craft("position at the ring size",
+        [&](std::string* b) { SetU64At(b, pos_at, t.ring); });
+  craft("position 2^63",
+        [&](std::string* b) { SetU64At(b, pos_at, uint64_t{1} << 63); });
+  craft("length one past the ring",
+        [&](std::string* b) { SetU64At(b, len_at, t.ring + 1); });
+  // A category the model does not have, on the newest history byte.
+  const size_t newest = t.count_at + 8 + (t.pos + t.ring - 1) % t.ring;
+  for (uint64_t byte : {num_c, uint64_t{255}}) {
+    craft("category " + std::to_string(byte), [&](std::string* b) {
+      (*b)[newest] = static_cast<char>(byte);
+    });
+  }
+  // A window other than the one Start derives, with a ring grown to match
+  // it, so the bytes agree with each other and only the model disagrees;
+  // then a window whose ring no payload holds.
+  craft("window one wider", [&](std::string* b) {
+    SetU64At(b, kHistoryWindowAt, t.ring / 2 + 1);
+    b->insert(t.count_at + 8 + t.ring, 2, '\0');
+    SetU64At(b, t.count_at, t.ring + 2);
+  });
+  craft("window 2^61", [&](std::string* b) {
+    SetU64At(b, kHistoryWindowAt, uint64_t{1} << 61);
+  });
+
+  for (const Craft& c : crafts) {
+    auto parsed = io::DeserializeIngestState(c.bytes, *models_[0]);
+    ASSERT_FALSE(parsed.ok()) << c.label;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << c.label;
+  }
+}
+
 TEST_F(RecoveryTest, FleetSupervisionHealsBitwiseAcrossWorkerCounts) {
   auto reference = ReferenceResults();
 
