@@ -47,8 +47,9 @@ sky::serve::SessionSpec SpecForSeed(uint64_t content_seed,
   return spec;
 }
 
-/// Owns the workload + facade a mirrored job borrows (the in-process
-/// equivalent of the server's StreamTenant).
+/// Owns the workload + facade a mirrored job borrows. Each mirror loads its
+/// own copy of the model: the reference the server's one shared model is
+/// compared against.
 struct Tenant {
   std::unique_ptr<sky::core::Workload> workload;
   std::unique_ptr<sky::api::Skyscraper> facade;

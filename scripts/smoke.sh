@@ -8,10 +8,12 @@
 #     (3 I/O, 4 corrupt, 5 wrong workload) and writes nothing to stdout.
 #  3. CLI hygiene: --help on stdout, usage errors exit 2.
 #  4. `sky serve`: a live server multiplexes two concurrent client sessions
-#     (metrics frame checked); the same pair is then re-run under periodic
-#     checkpointing, killed -9 mid-run, recovered with --recover, and finally
-#     drained by SIGTERM and recovered once more — every recovered result
-#     must carry the uninterrupted run's bitwise fingerprint.
+#     (metrics frame checked) from a model file deleted once the server is
+#     up, since it reads the file only at start; the same pair is then
+#     re-run under periodic checkpointing, killed -9 mid-run, recovered with
+#     --recover, and finally drained by SIGTERM and recovered once more —
+#     every recovered result must carry the uninterrupted run's bitwise
+#     fingerprint.
 set -euo pipefail
 BUILD_DIR=${1:?usage: scripts/smoke.sh <build-dir>}
 cd "${BUILD_DIR}"
@@ -92,11 +94,15 @@ fingerprints() {  # fingerprints OUT FILES... -> sorted `result fnv1a` values
 OPEN_FLAGS=(--workload ev --duration-days 2 --plan-interval-days 0.25
             --record-trace)
 
-# Reference run: uninterrupted server, two genuinely concurrent clients.
-./sky serve --model "${SKY_SMOKE_MODEL}" \
+# Reference run: uninterrupted server, two genuinely concurrent clients. It
+# serves from a copy of the model that is deleted as soon as the server is
+# up: admission must reuse the model loaded at start.
+cp "${SKY_SMOKE_MODEL}" "${SKY_SERVE_DIR}/ref_model.bin"
+./sky serve --model "${SKY_SERVE_DIR}/ref_model.bin" \
   --port-file "${SKY_SERVE_DIR}/ref.port" --start-after 2 &
 SKY_SERVE_PID=$!
 PORT=$(serve_wait_port "${SKY_SERVE_DIR}/ref.port")
+rm "${SKY_SERVE_DIR}/ref_model.bin"
 ./sky client open --port "${PORT}" --content-seed 11 "${OPEN_FLAGS[@]}" \
   --wait > "${SKY_SERVE_DIR}/ref1.txt" &
 SKY_C1=$!

@@ -1,5 +1,6 @@
 #include "serve/registry.h"
 
+#include <unordered_set>
 #include <utility>
 
 #include "io/atomic_file.h"
@@ -201,6 +202,11 @@ Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes) {
   bool seen_meta = false;
   bool seen_fleet = false;
   uint64_t declared_sessions = 0;
+  // Results are fetched by id and running sessions harvested by fleet slot:
+  // a repeated id, or two running sessions on one slot, would strand one of
+  // the pair.
+  std::unordered_set<uint64_t> ids;
+  std::unordered_set<uint64_t> running_slots;
   for (io::wire::Chunk& chunk : chunks) {
     Cursor* payload = &chunk.payload;
     if (chunk.Is(kChunkMeta)) {
@@ -229,6 +235,17 @@ Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes) {
       }
       SessionRecord rec;
       SKY_RETURN_NOT_OK(ParseSessionRecord(payload, &rec));
+      if (!ids.insert(rec.id).second) {
+        return Status::InvalidArgument(
+            "serve checkpoint has two sessions with id " +
+            std::to_string(rec.id));
+      }
+      if (rec.state == SessionState::kRunning &&
+          !running_slots.insert(rec.stream_index).second) {
+        return Status::InvalidArgument(
+            "serve checkpoint has two running sessions on fleet slot " +
+            std::to_string(rec.stream_index));
+      }
       ckpt.sessions.push_back(std::move(rec));
     } else if (chunk.Is(kChunkFleet)) {
       if (seen_fleet) {

@@ -98,6 +98,8 @@ struct ServeCheckpoint {
 
 Status SerializeServeCheckpoint(const ServeCheckpoint& ckpt,
                                 std::string* out);
+/// Besides corruption, refuses (kInvalidArgument) a session table with two
+/// sessions under one id or two running sessions on one fleet slot.
 Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes);
 
 /// Atomic write (temp file + rename) / checked read of the serve format.

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "api/workload_registry.h"
@@ -102,11 +103,7 @@ Result<core::StreamEngineJob> Server::BuildJob(const SessionSpec& spec,
     return Status::InvalidArgument("unknown workload '" + spec.workload +
                                    "'");
   }
-  tenant->facade = std::make_unique<api::Skyscraper>(tenant->workload.get());
-  tenant->facade->SetResources(options_.resources);
-  SKY_RETURN_NOT_OK(tenant->facade->LoadModel(options_.model_path,
-                                              tenant->workload->name()));
-  auto model = tenant->facade->model();
+  auto model = base_facade_->model();
   if (!model.ok()) return model.status();
 
   // Spec defaults resolve exactly like the matching `sky ingest` flags.
@@ -131,7 +128,12 @@ Result<core::StreamEngineJob> Server::BuildJob(const SessionSpec& spec,
     opts.cloud_budget_usd_per_interval = *spec.cloud_budget_usd_per_interval;
   }
   opts.work_budget_override = spec.work_budget_override;
-  return tenant->facade->MakeStreamJob(Days(start_days), opts);
+  // Every session shares the served model, cluster and cost model; only
+  // the camera is its own.
+  SKY_ASSIGN_OR_RETURN(core::StreamEngineJob job,
+                       base_facade_->MakeStreamJob(Days(start_days), opts));
+  job.workload = tenant->workload.get();
+  return job;
 }
 
 double Server::NewcomerCheapestCost() const {
@@ -173,6 +175,7 @@ Status Server::RecoverFromServeCheckpoint() {
       StreamTenant tenant;
       auto job = BuildJob(rec.spec, &tenant);
       if (!job.ok()) return job.status();
+      tenant.session_id = rec.id;
       jobs[rec.stream_index] = *job;
       tenants_[rec.stream_index] = std::move(tenant);
     }
@@ -315,10 +318,11 @@ Result<std::string> Server::Dispatch(std::unique_ptr<Command> cmd) {
 
 void Server::HarvestFinished() {
   if (fleet_ == nullptr) return;
-  for (const SessionRecord& rec : registry_.Snapshot()) {
-    if (rec.state != SessionState::kRunning) continue;
-    size_t v = static_cast<size_t>(rec.stream_index);
-    if (v >= fleet_->num_streams()) continue;
+  // tenants_ never outgrows the fleet, and holds a workload exactly on the
+  // slots of running sessions.
+  for (size_t v = 0; v < tenants_.size(); ++v) {
+    if (tenants_[v].workload == nullptr) continue;
+    uint64_t id = tenants_[v].session_id;
     const core::IngestionEngine* engine = fleet_->engine(v);
     const Status& status = fleet_->stream_status(v);
     if (engine != nullptr && status.ok() && engine->Done()) {
@@ -327,13 +331,13 @@ void Server::HarvestFinished() {
       Status removed = fleet_->RemoveStream(v);
       (void)removed;
       tenants_[v] = StreamTenant{};
-      registry_.MarkDone(rec.id, std::move(result));
+      registry_.MarkDone(id, std::move(result));
     } else if (!status.ok()) {
       Status error = status;
       Status removed = fleet_->RemoveStream(v);
       (void)removed;
       tenants_[v] = StreamTenant{};
-      registry_.MarkFailed(rec.id, error);
+      registry_.MarkFailed(id, error);
     }
   }
 }
@@ -386,9 +390,10 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
     ++sessions_rejected_;
     return slot.status();
   }
+  uint64_t id = registry_.Add(spec, *slot);
+  tenant.session_id = id;
   tenants_.resize(std::max(tenants_.size(), *slot + 1));
   tenants_[*slot] = std::move(tenant);
-  uint64_t id = registry_.Add(spec, *slot);
   ++sessions_accepted_;
   queue_cv_.notify_all();  // may release a start_after_sessions hold
 
@@ -510,6 +515,7 @@ Status Server::WriteServeCheckpoint() {
 
 void Server::ListenLoop() {
   for (;;) {
+    ReapConnections();
     if (stop_.load() || finished_.load()) break;
     pollfd pfd{listen_fd_, POLLIN, 0};
     int ready = ::poll(&pfd, 1, kAcceptPollMs);
@@ -521,21 +527,42 @@ void Server::ListenLoop() {
       ::close(fd);
       break;
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { Connection(fd); });
+    auto conn = std::make_unique<Conn>();
+    conn->fd = fd;
+    conn->thread = std::thread([this, c = conn.get()] { Connection(c); });
+    conns_.push_back(std::move(conn));
   }
 }
 
-void Server::Connection(int fd) {
+void Server::ReapConnections() {
+  std::vector<std::unique_ptr<Conn>> finished;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    auto live = std::stable_partition(
+        conns_.begin(), conns_.end(),
+        [](const std::unique_ptr<Conn>& conn) { return !conn->done; });
+    std::move(live, conns_.end(), std::back_inserter(finished));
+    conns_.erase(live, conns_.end());
+  }
+  for (const std::unique_ptr<Conn>& conn : finished) {
+    conn->thread.join();
+    ::close(conn->fd);
+  }
+}
+
+void Server::Connection(Conn* conn) {
   for (;;) {
     Frame request;
-    Status read = ReadFrame(fd, kMaxRequestPayload, &request);
+    Status read = ReadFrame(conn->fd, kMaxRequestPayload, &request);
     if (!read.ok()) break;  // hangup or corruption: drop the connection
     auto [type, payload] = HandleRequest(request);
-    if (!WriteFrame(fd, type, payload).ok()) break;
+    if (!WriteFrame(conn->fd, type, payload).ok()) break;
   }
-  ::shutdown(fd, SHUT_RDWR);
-  // The fd itself is closed in Wait(), which owns conn_fds_.
+  ::shutdown(conn->fd, SHUT_RDWR);
+  // The fd stays open until this thread is joined (ReapConnections or
+  // Wait), so no other socket can take its number while it is in use here.
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  conn->done = true;
 }
 
 std::pair<FrameType, std::string> Server::HandleRequest(
@@ -656,22 +683,17 @@ Status Server::Wait() {
   // out of ReadFrame and exit.
   stop_.store(true);
   if (listen_thread_.joinable()) listen_thread_.join();
+  // With the listener gone, conns_ holds exactly the connections not yet
+  // joined, and their fds are still open.
+  std::vector<std::unique_ptr<Conn>> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    conns.swap(conns_);
   }
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) ::close(fd);
-    conn_fds_.clear();
+  for (const std::unique_ptr<Conn>& conn : conns) {
+    ::shutdown(conn->fd, SHUT_RDWR);
+    conn->thread.join();
+    ::close(conn->fd);
   }
   if (!joined_ && listen_fd_ >= 0) {
     ::close(listen_fd_);

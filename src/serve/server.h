@@ -31,7 +31,8 @@ struct ServerOptions {
   /// single-machine multi-tenant ingestion daemon, not an internet service.
   int port = 0;
   /// Model file (io::SaveOfflineModel format) every session serves from —
-  /// train-once / serve-many, now with N concurrent tenants.
+  /// train-once / serve-many, now with N concurrent tenants. Read once, by
+  /// Start(); every admitted and recovered session reuses that copy.
   std::string model_path;
   /// Registry name (api::MakeWorkloadByName) the model was trained for.
   /// Sessions must name the same workload; their content_seed makes them
@@ -75,12 +76,15 @@ struct ServerOptions {
 /// live reconfiguration, metrics, and graceful drain.
 ///
 /// Threading model — three kinds of threads, strict ownership:
-///  - ONE fleet thread owns the StreamSet, the per-session simulation
-///    objects, and every counter; it alone steps engines. Membership and
+///  - ONE fleet thread owns the StreamSet, each session's camera workload,
+///    and every counter; it alone steps engines. Every session reads the
+///    one model loaded at start, which nothing writes after Init (each
+///    engine fine-tunes its own copy of the forecaster). Membership and
 ///    knob commands queue up and are applied only at lockstep plan
 ///    boundaries (the single-threaded window where they are deterministic);
 ///    metrics and drain requests are picked up every loop iteration.
-///  - One listener thread accepts connections.
+///  - One listener thread accepts connections, and joins and closes the
+///    ones whose peer has hung up.
 ///  - One thread per connection parses request frames, enqueues commands,
 ///    and blocks on the reply future (or the session registry, for
 ///    kFetchResult). The registry is the only state connection threads
@@ -118,9 +122,26 @@ class Server {
   Status Wait();
 
  private:
+  /// What one fleet slot holds beyond the engine: the session's own camera
+  /// workload (the job borrows it) and the session id its outcome is
+  /// harvested under. An empty workload marks a slot with no running
+  /// session.
   struct StreamTenant {
     std::unique_ptr<core::Workload> workload;
-    std::unique_ptr<api::Skyscraper> facade;
+    uint64_t session_id = 0;
+  };
+
+  /// One connection thread and its socket. The fd stays open until the
+  /// thread is joined, so its number is never reused under a live thread.
+  /// The thread holds the object's address, so it never moves.
+  struct Conn {
+    Conn() = default;
+    Conn(const Conn&) = delete;
+    Conn& operator=(const Conn&) = delete;
+
+    std::thread thread;
+    int fd = -1;
+    bool done = false;  ///< left Connection(); guarded by conn_mu_
   };
 
   struct Command {
@@ -148,8 +169,9 @@ class Server {
   Status Init();
   Status RecoverFromServeCheckpoint();
 
-  /// Builds one admitted session's simulation: workload instance, facade
-  /// with the served model loaded, and the resolved StreamEngineJob.
+  /// Builds one admitted or recovered session's StreamEngineJob on the
+  /// served model, cluster and cost model of `base_facade_`, with the
+  /// session's own camera workload, which it stores in `tenant->workload`.
   Result<core::StreamEngineJob> BuildJob(const SessionSpec& spec,
                                          StreamTenant* tenant) const;
 
@@ -169,7 +191,9 @@ class Server {
   Result<std::string> Dispatch(std::unique_ptr<Command> cmd);
 
   void ListenLoop();
-  void Connection(int fd);
+  /// Joins the connection threads that have finished and closes their fds.
+  void ReapConnections();
+  void Connection(Conn* conn);
   /// Handles one request frame; returns the reply (type, payload).
   std::pair<FrameType, std::string> HandleRequest(const Frame& request);
 
@@ -178,8 +202,10 @@ class Server {
   int port_ = 0;
   std::chrono::steady_clock::time_point started_at_;
 
-  /// The served model, loaded once: resolves spec defaults and prices
-  /// admission. Sessions load their own facade-owned copies.
+  /// The served model, loaded and checked against the workload name once,
+  /// in Init: it resolves spec defaults, prices admission, and every
+  /// session's job points at its model, cluster and cost model. Read-only
+  /// after Init.
   std::unique_ptr<core::Workload> base_workload_;
   std::unique_ptr<api::Skyscraper> base_facade_;
 
@@ -206,9 +232,10 @@ class Server {
 
   std::thread fleet_thread_;
   std::thread listen_thread_;
+  /// Connections not yet joined: the listener reaps finished ones on every
+  /// poll tick, Wait() shuts down and joins the rest.
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::vector<std::unique_ptr<Conn>> conns_;
   bool joined_ = false;
 };
 

@@ -10,20 +10,27 @@
 //  - drain + --recover: a drained server's checkpoint resumes every
 //    in-flight session bitwise on a second server;
 //  - metrics: the BENCH-style JSON document carries the counters;
+//  - one resident model: admission never re-reads the model file, and no
+//    session changes the model the next one runs on;
+//  - a hung-up connection releases its thread and fd;
 //  - wire protocol and serve-checkpoint formats round-trip exactly and
-//    refuse corruption.
+//    refuse corruption, including a session table that repeats an id or
+//    puts two running sessions on one fleet slot.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -61,6 +68,18 @@ void SetReadTimeout(int fd) {
   ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
                          sizeof(timeout)),
             0);
+}
+
+/// Open file descriptors of this process.
+size_t OpenFdCount() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return 0;
+  size_t n = 0;
+  while (dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++n;
+  }
+  ::closedir(dir);
+  return n;
 }
 
 /// A request frame header (no payload, no trailer) that declares one byte
@@ -124,7 +143,8 @@ class ServeTest : public ::testing::Test {
 
   /// The exact job Server::BuildJob derives from `spec` — the in-process
   /// half of every bitwise gate. The tenant keeps workload/facade alive
-  /// for the job's lifetime, like the server's StreamTenant does.
+  /// for the job's lifetime. Each mirror loads its own copy of the model:
+  /// the reference the server's one shared model is compared against.
   struct Tenant {
     std::unique_ptr<core::Workload> workload;
     std::unique_ptr<api::Skyscraper> facade;
@@ -318,6 +338,58 @@ TEST_F(ServeTest, ServeCheckpointRoundTripsByteStable) {
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(refused.status().ToString().find("version 1"), std::string::npos)
       << refused.status().ToString();
+}
+
+TEST_F(ServeTest, RecoveryRefusesATableThatRepeatsAnIdOrASlot) {
+  // A real drained checkpoint: the clock is held, so both sessions are
+  // still running, on slots 0 and 1.
+  const std::string path = "/tmp/sky_serve_test_dup_ckpt.bin";
+  {
+    ServerOptions opts = BaseServerOptions();
+    opts.checkpoint_path = path;
+    opts.start_after_sessions = 3;
+    auto server = Server::Start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto client = Client::Connect((*server)->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->OpenSession(SpecForSeed(800)).ok());
+    ASSERT_TRUE(client->OpenSession(SpecForSeed(801)).ok());
+    ASSERT_TRUE(client->Drain().ok());
+    ASSERT_TRUE((*server)->Wait().ok());
+  }
+  auto drained = serve::LoadServeCheckpoint(path);
+  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+  ASSERT_EQ(drained->sessions.size(), 2u);
+
+  // Re-seals `craft` and expects recovery to refuse it with `message`.
+  auto expect_refused = [&](const serve::ServeCheckpoint& craft,
+                            const std::string& message) {
+    ASSERT_TRUE(serve::SaveServeCheckpoint(craft, path).ok());
+    ServerOptions recover = BaseServerOptions();
+    recover.recover_path = path;
+    auto refused = Server::Start(recover);
+    ASSERT_FALSE(refused.ok()) << message;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().ToString().find(message), std::string::npos)
+        << refused.status().ToString();
+  };
+
+  // A second, failed record under the first session's id.
+  serve::ServeCheckpoint twin_id = *drained;
+  serve::SessionRecord twin = twin_id.sessions[0];
+  twin.state = serve::SessionState::kFailed;
+  twin.error = Status::Internal("stream quarantined");
+  twin_id.sessions.push_back(twin);
+  expect_refused(twin_id, "two sessions with id " + std::to_string(twin.id));
+
+  // A third running session, under a fresh id, on the first one's slot.
+  serve::ServeCheckpoint shared_slot = *drained;
+  serve::SessionRecord squatter = shared_slot.sessions[0];
+  squatter.id = shared_slot.next_session_id++;
+  shared_slot.sessions.push_back(squatter);
+  expect_refused(shared_slot, "two running sessions on fleet slot " +
+                                  std::to_string(squatter.stream_index));
+  std::remove(path.c_str());
 }
 
 TEST_F(ServeTest, ServerRefusesOldProtocolVersionAndOversizedRequests) {
@@ -654,6 +726,76 @@ TEST_F(ServeTest, DrainCheckpointRecoverFinishesEverySessionBitwise) {
         << "session " << ids[i];
   }
   std::remove(ckpt_path.c_str());
+}
+
+TEST_F(ServeTest, SessionsRunOnTheModelLoadedAtStart) {
+  // Serve from a copy of the model and delete it once the server is up:
+  // admission must not need the file again.
+  const std::string copy = "/tmp/sky_serve_test_model_copy.bin";
+  std::filesystem::copy_file(
+      kModelPath, copy, std::filesystem::copy_options::overwrite_existing);
+  ServerOptions opts = BaseServerOptions();
+  opts.model_path = copy;
+  auto server = Server::Start(opts);
+  std::remove(copy.c_str());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  // A, then B with the same spec; each runs alone in the fleet, B on the
+  // model A ran on.
+  auto client = Client::Connect((*server)->port());
+  ASSERT_TRUE(client.ok());
+  const SessionSpec spec = SpecForSeed(700);
+  EngineResult results[2];
+  for (EngineResult& result : results) {
+    auto admitted = client->OpenSession(spec);
+    ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+    auto fetched = client->FetchResult(admitted->first);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    result = std::move(*fetched);
+  }
+  ASSERT_TRUE(client->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
+
+  // Reference: a one-stream fleet on a privately loaded model.
+  Tenant tenant;
+  std::vector<core::StreamEngineJob> jobs;
+  jobs.push_back(MirrorJob(spec, &tenant));
+  core::StreamSetOptions set_opts;
+  set_opts.planning = core::MultiStreamPlanning::kJoint;
+  auto reference = core::StreamSet::Create(std::move(jobs), set_opts);
+  ASSERT_TRUE(reference.ok());
+  while (!reference->Done()) ASSERT_TRUE(reference->Step().ok());
+  auto ref_results = reference->Results();
+  ASSERT_TRUE(ref_results[0].ok());
+  EXPECT_TRUE(EngineResultsIdentical(*ref_results[0], results[0]))
+      << "session A";
+  EXPECT_TRUE(EngineResultsIdentical(*ref_results[0], results[1]))
+      << "session B";
+}
+
+TEST_F(ServeTest, FinishedConnectionsReleaseTheirFds) {
+  ServerOptions opts = BaseServerOptions();
+  opts.start_after_sessions = 1;  // hold the clock
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok());
+
+  const size_t before = OpenFdCount();
+  for (int i = 0; i < 200; ++i) {
+    auto client = Client::Connect((*server)->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+  }
+  // The listener joins hung-up connections on its poll tick, then closes
+  // their fds.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  size_t now = OpenFdCount();
+  while (now > before + 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    now = OpenFdCount();
+  }
+  EXPECT_LE(now, before + 2) << "open fds: " << before << " -> " << now;
+
+  ASSERT_TRUE(Client::Connect((*server)->port())->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
 }
 
 TEST_F(ServeTest, MetricsDocumentCarriesTheCounters) {
