@@ -84,8 +84,7 @@ core::ForecastDataset ScanDataset(const std::vector<size_t>& seq,
 
 ml::FeedForwardNet FreshNet(size_t input_dim, size_t num_categories) {
   Rng rng(4096);
-  return ml::FeedForwardNet(input_dim, {16, 8}, num_categories,
-                            ml::Activation::kSoftmax, &rng);
+  return ml::FeedForwardNet(input_dim, {16, 8}, num_categories, &rng);
 }
 
 }  // namespace
@@ -149,7 +148,6 @@ int main(int argc, char** argv) {
                         double* wall_s) {
     ml::FeedForwardNet net = FreshNet(data->inputs.cols(), kNumCategories);
     ml::TrainOptions opts = fopts.train_options;
-    opts.loss = ml::Loss::kCrossEntropy;
     opts.backend = backend;
     opts.pool = pool;
     WallTimer timer;

@@ -114,55 +114,59 @@ void IngestDemo() {
   std::printf("  offline fit: %zu configurations kept, %zu categories\n",
               model.configs.size(), model.categories.NumCategories());
 
-  // Online phase (§4), as a streaming session: StartIngest returns a
-  // steppable handle instead of blocking for the whole day.
+  // Online phase (§4), stepped: StartIngest returns the started engine
+  // instead of blocking for the whole day.
   sky::core::EngineOptions run;
   run.duration = sky::Days(1);
   run.plan_interval = sky::Days(1);
-  auto session = sky.StartIngest(sky::Days(6), run);
-  if (!session.ok()) {
-    std::printf("ingest failed: %s\n", session.status().ToString().c_str());
+  auto started = sky.StartIngest(sky::Days(6), run);
+  if (!started.ok()) {
+    std::printf("ingest failed: %s\n", started.status().ToString().c_str());
     return;
   }
+  sky::core::IngestionEngine& engine = **started;
 
   // Ingest six hours, then pause and look inside the live run: the plan
   // currently steering the switcher, the partial result, the buffer.
-  if (!session->RunUntil(sky::Days(6) + sky::Hours(6)).ok()) return;
-  const sky::core::EngineResult& progress = session->Progress();
+  if (!engine.RunUntil(sky::Days(6) + sky::Hours(6)).ok()) return;
+  const sky::core::EngineResult& progress = engine.partial_result();
   std::printf(
       "  after 6 h: %zu segments  mean quality %.1f%%  buffer %.2f GB  "
       "plan expects %.1f%% at %.2f core-s/s\n",
       progress.segments, 100 * progress.mean_quality,
-      session->BufferOccupancyBytes() / 1e9,
-      100 * session->CurrentPlan()->expected_quality,
-      session->CurrentPlan()->expected_work);
+      engine.buffer_occupancy_bytes() / 1e9,
+      100 * engine.current_plan()->expected_quality,
+      engine.current_plan()->expected_work);
 
-  // Checkpoint the live session, wander off, and rewind: the restored run
+  // Checkpoint the live engine, wander off, and rewind: the restored run
   // continues exactly as if it had never stopped.
-  auto noon = session->Checkpoint();
+  auto noon = engine.Checkpoint();
   if (!noon.ok()) return;
-  (void)session->RunUntil(sky::Days(6) + sky::Hours(9));
-  (void)session->Restore(*noon);
+  (void)engine.RunUntil(sky::Days(6) + sky::Hours(9));
+  (void)engine.Restore(*noon);
 
   // Finish the day incrementally.
-  auto result = session->RunToCompletion();
-  if (!result.ok()) {
-    std::printf("ingest failed: %s\n", result.status().ToString().c_str());
-    return;
+  while (!engine.Done()) {
+    sky::Status stepped = engine.Step();
+    if (!stepped.ok()) {
+      std::printf("ingest failed: %s\n", stepped.ToString().c_str());
+      return;
+    }
   }
+  const sky::core::EngineResult& result = engine.partial_result();
   std::printf(
       "  ingested %zu segments  mean quality %.1f%%  knob switches %zu\n",
-      result->segments, 100 * result->mean_quality, result->switch_count);
+      result.segments, 100 * result.mean_quality, result.switch_count);
   std::printf(
       "  buffer high-water %.2f GB  cloud spend $%.2f  overflows %zu\n",
-      result->buffer_high_water_bytes / 1e9, result->cloud_usd,
-      result->overflow_events);
+      result.buffer_high_water_bytes / 1e9, result.cloud_usd,
+      result.overflow_events);
 
-  // The batch call is just the convenience wrapper over the same session —
-  // same engine, bitwise-identical result.
+  // The batch call steps the same engine to the end — bitwise-identical
+  // result.
   auto batch = sky.Ingest(sky::Days(6), run);
-  std::printf("  batch Ingest() identical to the stepped session: %s\n",
-              batch.ok() && sky::core::EngineResultsIdentical(*batch, *result)
+  std::printf("  batch Ingest() identical to the stepped engine: %s\n",
+              batch.ok() && sky::core::EngineResultsIdentical(*batch, result)
                   ? "yes"
                   : "NO");
 }

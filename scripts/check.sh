@@ -6,8 +6,11 @@
 #
 # After the tests: scripts/smoke.sh (the `sky` CLI's train-once /
 # serve-many flow, its exit-code and hygiene contract, and the `sky serve`
-# kill -9 + SIGTERM recovery smoke — the same script CI runs), the docs
-# link check, and the gating benches so the trajectory
+# kill -9 + SIGTERM recovery smoke — the same script CI runs), CI's
+# end-to-end step (bench/e2e/run.sh --smoke and --selftest, which build
+# build-e2e/ against libsky's public API, so a deletion that breaks the
+# benchmark's build fails here too), the docs link check, and the gating
+# benches so the trajectory
 # (BENCH_planner_scaling.json, BENCH_forecast_training.json,
 # BENCH_appd_multistream.json, BENCH_table3_offline_runtime.json,
 # BENCH_forecast_inference.json — kernel-tier GEMM gate —
@@ -80,6 +83,8 @@ cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
 scripts/smoke.sh build
+bash bench/e2e/run.sh --smoke
+bash bench/e2e/run.sh --selftest
 scripts/check_md_links.sh
 cd build
 

@@ -6,7 +6,8 @@
 #     separate processes.
 #  2. The error contract: each failure class exits with ITS documented code
 #     (3 I/O, 4 corrupt, 5 wrong workload) and writes nothing to stdout.
-#  3. CLI hygiene: --help on stdout, usage errors exit 2.
+#  3. CLI hygiene: --help on stdout, usage errors (malformed numbers
+#     included) exit 2.
 #  4. `sky serve`: a live server multiplexes two concurrent client sessions
 #     (metrics frame checked) from a model file deleted once the server is
 #     up, since it reads the file only at start; the same pair is then
@@ -73,6 +74,17 @@ expect_exit 2 ./sky frobnicate
 expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --bogus-flag
 expect_exit 2 ./sky client frobnicate --port 1
 expect_exit 2 ./sky client open
+expect_exit 2 ./sky client fetch --port 1
+# Number flags parse strictly: trailing junk, a value that is not finite,
+# a sign on a count, or an overflow is a usage error, not a silent 0.
+expect_exit 2 ./sky client set-budget --port 1 --budget typo
+expect_exit 2 ./sky client set-budget --port 1 --budget inf
+expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --duration-days 0.1x
+expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --cores 4abc
+expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --duration-days nan
+expect_exit 2 ./sky client open --port 1 --content-seed -1
+expect_exit 2 ./sky offline --categories 99999999999999999999999
+expect_exit 2 ./sky serve --model "${SKY_SMOKE_MODEL}" --shared-budget 1e999
 echo "sky CLI hygiene smoke passed"
 
 serve_wait_port() {  # serve_wait_port PORT_FILE -> echoes the bound port

@@ -67,36 +67,15 @@ Result<const core::OfflineModel*> Skyscraper::model() const {
   return &*model_;
 }
 
-Result<IngestSession> Skyscraper::StartIngest(SimTime start_time,
-                                              core::EngineOptions options) {
-  if (!model_.has_value()) {
-    return Status::FailedPrecondition(
-        "call Fit() or LoadModel() before StartIngest()");
-  }
-  // Fill in provisioning only where the caller expressed no opinion: an
-  // explicitly set buffer size or cloud budget (even an explicit 0.0,
-  // disabling bursting) always wins over the Resources defaults.
-  if (!options.buffer_bytes.has_value()) {
-    options.buffer_bytes = resources_.buffer_bytes;
-  }
-  if (!options.cloud_budget_usd_per_interval.has_value()) {
-    options.cloud_budget_usd_per_interval =
-        resources_.cloud_budget_usd_per_interval;
-  }
-  auto engine = std::make_unique<core::IngestionEngine>(
-      workload_, &*model_, cluster_, &cost_model_, std::move(options));
-  SKY_RETURN_NOT_OK(engine->Start(start_time));
-  return IngestSession(std::move(engine));
-}
-
 Result<core::StreamEngineJob> Skyscraper::MakeStreamJob(
     SimTime start_time, core::EngineOptions options) const {
   if (!model_.has_value()) {
     return Status::FailedPrecondition(
-        "call Fit() or LoadModel() before MakeStreamJob()");
+        "call Fit() or LoadModel() before ingesting");
   }
-  // Same resolution rule as StartIngest: provisioning fills only the fields
-  // the caller left unset.
+  // Fill in provisioning only where the caller expressed no opinion: an
+  // explicitly set buffer size or cloud budget (even an explicit 0.0,
+  // disabling bursting) always wins over the Resources defaults.
   if (!options.buffer_bytes.has_value()) {
     options.buffer_bytes = resources_.buffer_bytes;
   }
@@ -114,15 +93,25 @@ Result<core::StreamEngineJob> Skyscraper::MakeStreamJob(
   return job;
 }
 
-Result<core::EngineResult> Skyscraper::Ingest(SimTime start_time,
-                                              core::EngineOptions options) {
-  if (!model_.has_value()) {
-    return Status::FailedPrecondition(
-        "call Fit() or LoadModel() before Ingest()");
-  }
-  SKY_ASSIGN_OR_RETURN(IngestSession session,
+Result<std::unique_ptr<core::IngestionEngine>> Skyscraper::StartIngest(
+    SimTime start_time, core::EngineOptions options) const {
+  SKY_ASSIGN_OR_RETURN(core::StreamEngineJob job,
+                       MakeStreamJob(start_time, std::move(options)));
+  auto engine = std::make_unique<core::IngestionEngine>(
+      job.workload, job.model, job.cluster, job.cost_model,
+      std::move(job.options));
+  SKY_RETURN_NOT_OK(engine->Start(job.start_time));
+  return engine;
+}
+
+Result<core::EngineResult> Skyscraper::Ingest(
+    SimTime start_time, core::EngineOptions options) const {
+  SKY_ASSIGN_OR_RETURN(std::unique_ptr<core::IngestionEngine> engine,
                        StartIngest(start_time, std::move(options)));
-  return session.RunToCompletion();
+  while (!engine->Done()) {
+    SKY_RETURN_NOT_OK(engine->Step());
+  }
+  return engine->partial_result();
 }
 
 }  // namespace sky::api

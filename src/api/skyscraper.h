@@ -1,10 +1,10 @@
 #ifndef SKYSCRAPER_API_SKYSCRAPER_H_
 #define SKYSCRAPER_API_SKYSCRAPER_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 
-#include "api/ingest_session.h"
 #include "core/engine.h"
 #include "core/multi_stream.h"
 #include "core/offline.h"
@@ -44,10 +44,10 @@ struct Resources {
 ///   // Batch: ingest a fixed window in one blocking call.
 ///   auto run = sky.Ingest(Days(16), {.duration = Days(1)});  // online (§4)
 ///
-///   // Streaming: a steppable session with pause/inspect/resume and
-///   // checkpoint/restore — same engine, same (bitwise) results.
-///   auto session = sky.StartIngest(Days(16), {.duration = Days(1)});
-///   while (!session->Done()) session->Step();
+///   // Streaming: the started engine, steppable with pause/inspect/resume
+///   // and checkpoint/restore — same engine, same (bitwise) results.
+///   auto engine = sky.StartIngest(Days(16), {.duration = Days(1)});
+///   while (!(*engine)->Done()) (*engine)->Step();
 ///
 /// Train-once / serve-many: the expensive offline fit can be persisted and
 /// reloaded, so serving processes never pay Table-3 retraining:
@@ -75,14 +75,14 @@ struct Resources {
 class Skyscraper {
  public:
   /// Binds the facade to a workload (borrowed, not owned: the workload must
-  /// outlive this object and every session started from it). Starts with
+  /// outlive this object and every engine started from it). Starts with
   /// default Resources and no fitted model.
   explicit Skyscraper(const core::Workload* workload);
 
   /// (Re)provisions the deployment hardware. Discards any fitted or loaded
   /// model — the profiled placements are only valid for the cluster they
-  /// were profiled on — so call this BEFORE Fit() or LoadModel(). Live
-  /// sessions from the previous provisioning are invalidated.
+  /// were profiled on — so call this BEFORE Fit() or LoadModel(). Engines
+  /// started under the previous provisioning are invalidated.
   void SetResources(const Resources& resources);
 
   /// Runs the offline preparation phase (§3) on the provisioned hardware.
@@ -118,18 +118,19 @@ class Skyscraper {
 
   /// Ingests live video starting at `start_time` into the content process,
   /// blocking until the whole duration is processed. Requires a successful
-  /// Fit() or LoadModel(). Convenience wrapper over StartIngest +
-  /// RunToCompletion — bitwise-identical to driving the session
-  /// incrementally.
+  /// Fit() or LoadModel(). Steps the engine StartIngest returns to the end
+  /// — bitwise-identical to driving that engine incrementally.
   Result<core::EngineResult> Ingest(SimTime start_time,
-                                    core::EngineOptions options = {});
+                                    core::EngineOptions options = {}) const;
 
-  /// Starts a steppable ingestion session at `start_time`. Requires a
-  /// successful Fit() or LoadModel(). The session borrows this object's
-  /// workload, model and provisioning: it must not outlive this Skyscraper,
-  /// a re-Fit(), a LoadModel(), or a SetResources() call.
-  Result<IngestSession> StartIngest(SimTime start_time,
-                                    core::EngineOptions options = {});
+  /// The ingestion engine of MakeStreamJob's job, started at `start_time`
+  /// and positioned at its first segment: step it, inspect it, checkpoint
+  /// and restore it (core::IngestionEngine). Requires a successful Fit() or
+  /// LoadModel(). The engine borrows this object's workload, model and
+  /// provisioning: it must not outlive this Skyscraper, a re-Fit(), a
+  /// LoadModel(), or a SetResources() call.
+  Result<std::unique_ptr<core::IngestionEngine>> StartIngest(
+      SimTime start_time, core::EngineOptions options = {}) const;
 
   /// Packages this facade's workload, model and provisioning as ONE stream
   /// of a multi-stream deployment — the unit a core::StreamSet schedules.
@@ -142,11 +143,10 @@ class Skyscraper {
   ///   auto set = core::StreamSet::Create(std::move(jobs));
   ///   set->RunToCompletion(&pool);
   ///
-  /// Same Resources resolution as StartIngest: options fields the caller
-  /// left unset fill in from the provisioned Resources, explicit values
-  /// (even 0.0) always win. The job borrows this object's workload and
-  /// model — the same lifetime rules as a session. Requires a successful
-  /// Fit() or LoadModel().
+  /// Options fields the caller left unset fill in from the provisioned
+  /// Resources; explicit values (even 0.0) always win. The job borrows this
+  /// object's workload and model — the same lifetime rules as a started
+  /// engine. Requires a successful Fit() or LoadModel().
   Result<core::StreamEngineJob> MakeStreamJob(
       SimTime start_time, core::EngineOptions options = {}) const;
 

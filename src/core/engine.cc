@@ -367,7 +367,26 @@ Status IngestionEngine::Start(SimTime start_time) {
   if (model_->profiles.empty()) {
     return Status::FailedPrecondition("offline model has no profiles");
   }
+  // Refuse numbers no run is built from before any of them is cast: each
+  // budget is a finite amount, never negative, and each span a finite
+  // segment count that fits in int64.
+  const double cloud_budget = *options_.cloud_budget_usd_per_interval;
+  const double work_budget = options_.work_budget_override;
+  if (!std::isfinite(cloud_budget) || cloud_budget < 0.0 ||
+      !std::isfinite(work_budget) || work_budget < 0.0) {
+    return Status::InvalidArgument("budgets must be finite and non-negative");
+  }
   double seg = model_->segment_seconds;
+  auto fits_int64 = [](double segments) {
+    return std::isfinite(segments) && segments > -0x1p63 && segments < 0x1p63;
+  };
+  if (!fits_int64(options_.duration / seg) ||
+      !fits_int64(options_.plan_interval / seg) ||
+      !fits_int64(start_time / seg)) {
+    return Status::InvalidArgument(
+        "duration, plan interval and start time must be finite segment "
+        "counts that fit in int64");
+  }
   int64_t segs_per_interval =
       std::max<int64_t>(1, static_cast<int64_t>(options_.plan_interval / seg));
   // The history keeps one byte per category: the model's categories must
@@ -679,17 +698,6 @@ Status IngestionEngine::RunUntil(SimTime t) {
   while (!Done() && CurrentTime() < t) {
     SKY_RETURN_NOT_OK(Step());
   }
-  return Status::Ok();
-}
-
-Status IngestionEngine::RunInterval() {
-  if (state_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Start() the engine before RunInterval()");
-  }
-  do {
-    SKY_RETURN_NOT_OK(Step());
-  } while (!Done() && !AtPlanBoundary());
   return Status::Ok();
 }
 

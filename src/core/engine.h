@@ -259,7 +259,9 @@ class IngestionEngine {
   // --- Steppable session surface ---
 
   /// Begins (or restarts) a run at `start_time`. Any previous session state
-  /// is discarded.
+  /// is discarded. kInvalidArgument, with nothing discarded, for a budget
+  /// that is negative or not finite, or a duration, plan interval or start
+  /// time that is not a finite segment count fitting in int64.
   Status Start(SimTime start_time);
 
   /// True once Start/Restore (or a Run) has created session state; stays
@@ -276,13 +278,6 @@ class IngestionEngine {
 
   /// Steps until the virtual clock reaches `t` (or the run completes).
   Status RunUntil(SimTime t);
-
-  /// Steps through the remainder of the current plan interval: to the next
-  /// plan boundary, or to completion. The unit of work a StreamSet worker
-  /// runs between boundary barriers — when the boundary this engine sits on
-  /// was already planned (InstallPlan), the whole interval runs without the
-  /// engine ever self-planning.
-  Status RunInterval();
 
   /// Arrival time of the next segment to ingest (== start_time + elapsed).
   SimTime CurrentTime() const;

@@ -129,10 +129,8 @@ Result<Forecaster> Forecaster::Train(
                                             num_categories, options));
   Rng rng(options.seed);
   // Appendix K architecture: input -> 16 ReLU -> 8 ReLU -> |C| softmax.
-  ml::FeedForwardNet net(data.inputs.cols(), {16, 8}, num_categories,
-                         ml::Activation::kSoftmax, &rng);
+  ml::FeedForwardNet net(data.inputs.cols(), {16, 8}, num_categories, &rng);
   ml::TrainOptions train = options.train_options;
-  train.loss = ml::Loss::kCrossEntropy;
   // The batched trainer fans gradient chunks out on the offline pool unless
   // the caller pinned a training pool explicitly; the fixed chunk geometry
   // keeps the weights bit-identical either way.
@@ -237,8 +235,7 @@ void Forecaster::ForecastInto(const std::vector<double>& features,
 void Forecaster::OnlineUpdate(const std::vector<double>& features,
                               const std::vector<double>& realized_distribution,
                               double learning_rate) {
-  net_.OnlineUpdate(features, realized_distribution, learning_rate,
-                    ml::Loss::kCrossEntropy);
+  net_.OnlineUpdate(features, realized_distribution, learning_rate);
 }
 
 Result<double> Forecaster::EvaluateMae(

@@ -185,11 +185,13 @@ Status StreamSet::ReconfigureStream(size_t v, const StreamReconfig& changes) {
     return Status::FailedPrecondition(
         "cannot reconfigure a quarantined stream");
   }
-  if ((changes.cloud_budget_usd_per_interval.has_value() &&
-       !(*changes.cloud_budget_usd_per_interval >= 0.0)) ||
-      (changes.work_budget_override.has_value() &&
-       !(*changes.work_budget_override >= 0.0))) {
-    return Status::InvalidArgument("budgets must be non-negative");
+  auto valid = [](const std::optional<double>& budget) {
+    return !budget.has_value() ||
+           (std::isfinite(*budget) && *budget >= 0.0);
+  };
+  if (!valid(changes.cloud_budget_usd_per_interval) ||
+      !valid(changes.work_budget_override)) {
+    return Status::InvalidArgument("budgets must be finite and non-negative");
   }
   if (changes.cloud_budget_usd_per_interval.has_value()) {
     engines_[v]->set_cloud_budget_usd_per_interval(
@@ -247,18 +249,6 @@ void StreamSet::CaptureBoundaryCheckpoint(size_t v) {
   // supervision were off.
   if (!snap.ok()) return;
   boundary_ckpts_[v] = std::make_unique<IngestState>(std::move(*snap));
-}
-
-void StreamSet::MaybeAutoCheckpoint() {
-  ++boundaries_planned_;
-  if (options_.checkpoint_path.empty() ||
-      options_.checkpoint_every_boundaries == 0 ||
-      boundaries_planned_ % options_.checkpoint_every_boundaries != 0) {
-    return;
-  }
-  // Auto-checkpointing is best-effort by design: a full disk must not kill
-  // an otherwise healthy fleet. The failure is observable, never fatal.
-  last_checkpoint_status_ = SaveCheckpoint(options_.checkpoint_path);
 }
 
 Status StreamSet::AdvanceStream(size_t v, int64_t target_index) {
@@ -368,7 +358,6 @@ Status StreamSet::JointPlanBoundaryIfDue() {
         CaptureBoundaryCheckpoint(v);
       }
     }
-    MaybeAutoCheckpoint();
     record_latency();
     return Status::Ok();
   }
@@ -424,7 +413,6 @@ Status StreamSet::JointPlanBoundaryIfDue() {
       CaptureBoundaryCheckpoint(v);
     }
   }
-  MaybeAutoCheckpoint();
   record_latency();
   return Status::Ok();
 }
@@ -537,8 +525,7 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
         // recorded on the stream — or absorbed by a supervised restart —
         // and never abandon the barrier protocol: the worker must keep
         // arriving for its peers, or the set would deadlock on one bad
-        // stream. AdvanceStream targets the end of the current interval,
-        // the same unit RunInterval covers.
+        // stream. AdvanceStream targets the end of the current interval.
         int64_t spi = engines_[v]->segments_per_interval();
         int64_t next = engines_[v]->next_segment_index();
         AdvanceStream(v, next - (next % spi) + spi);

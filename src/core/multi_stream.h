@@ -120,12 +120,6 @@ struct StreamSetOptions {
   /// failures quarantine the stream on first strike, the exact pre-existing
   /// behavior.
   size_t max_stream_restarts = 0;
-  /// When non-empty, the set writes a crash-consistent fleet checkpoint to
-  /// this path (via io::SaveFleetCheckpoint — atomic temp-file + rename)
-  /// every `checkpoint_every_boundaries` lockstep plan boundaries. A failed
-  /// write never fails the run; see last_checkpoint_status().
-  std::string checkpoint_path;
-  size_t checkpoint_every_boundaries = 0;
 };
 
 /// N ingestion sessions multiplexed on one shared virtual clock. Each
@@ -229,7 +223,8 @@ class StreamSet {
 
   /// Applies per-stream knob overrides; effective at the next plan
   /// boundary. kInvalidArgument for an out-of-range or engine-less slot,
-  /// kFailedPrecondition for a quarantined one, or a negative budget.
+  /// or a budget that is negative or not finite; kFailedPrecondition for a
+  /// quarantined slot.
   Status ReconfigureStream(size_t v, const StreamReconfig& changes);
 
   /// The fleet's all-cheapest joint cost: Σ over live streams of
@@ -283,13 +278,6 @@ class StreamSet {
   /// CaptureCheckpoint written to `path`, atomically (temp file + rename).
   Status SaveCheckpoint(const std::string& path) const;
 
-  /// Status of the most recent automatic checkpoint write (Ok when none has
-  /// been attempted). Auto-checkpoint failures are recorded here, never
-  /// propagated into the run.
-  const Status& last_checkpoint_status() const {
-    return last_checkpoint_status_;
-  }
-
  private:
   explicit StreamSet(StreamSetOptions options) : options_(options) {}
 
@@ -316,10 +304,6 @@ class StreamSet {
   /// max_stream_restarts > 0.
   void CaptureBoundaryCheckpoint(size_t v);
 
-  /// Counts a planned boundary and, when configured, writes the periodic
-  /// fleet checkpoint (failures land in last_checkpoint_status_ only).
-  void MaybeAutoCheckpoint();
-
   StreamSetOptions options_;
   std::vector<StreamEngineJob> jobs_;
   std::vector<std::unique_ptr<IngestionEngine>> engines_;
@@ -328,8 +312,6 @@ class StreamSet {
   /// stream (snapshots stay null when supervision is off).
   std::vector<std::unique_ptr<IngestState>> boundary_ckpts_;
   std::vector<size_t> restarts_used_;
-  size_t boundaries_planned_ = 0;
-  Status last_checkpoint_status_;
   /// Solves every joint boundary; keeps only its workspace's buffers.
   JointPlanner joint_planner_;
   std::vector<KnobPlan> joint_plans_;

@@ -186,6 +186,11 @@ constexpr uint32_t kEndianMarker = 0x01020304u;
 constexpr size_t kHeaderBytes = 16;  // magic, version, endianness marker
 constexpr size_t kChunkHeadBytes = 12;  // tag, u64 payload size
 constexpr char kChunkChecksum[4] = {'C', 'S', 'U', 'M'};
+// The FCST payload names the forecaster's loss and output activation by
+// ids the format fixed: 1 is cross-entropy, 2 is softmax. The forecaster
+// has no other, so the reader refuses any other id.
+constexpr uint32_t kCrossEntropyLossId = 1;
+constexpr uint32_t kSoftmaxActivationId = 2;
 
 }  // namespace
 
@@ -287,7 +292,7 @@ void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
   PutU64(p, t.batch_size);
   PutF64(p, t.learning_rate);
   PutF64(p, t.validation_split);
-  PutU32(p, static_cast<uint32_t>(t.loss));
+  PutU32(p, kCrossEntropyLossId);
   PutU64(p, t.shuffle_seed);
   PutBool(p, t.keep_best_validation_weights);
   PutU32(p, static_cast<uint32_t>(t.backend));
@@ -305,7 +310,7 @@ void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
   PutU64(p, net.input_dim);
   PutU64Vec(p, net.hidden);
   PutU64(p, net.output_dim);
-  PutU32(p, static_cast<uint32_t>(net.output_activation));
+  PutU32(p, kSoftmaxActivationId);
   PutU64(p, net.adam_steps);
   PutF64Vec(p, net.params);
   PutF64Vec(p, net.adam_m);
@@ -337,10 +342,10 @@ Status ParseForecaster(Cursor* c, std::optional<core::Forecaster>* out) {
   SKY_RETURN_NOT_OK(c->ReadF64(&t.learning_rate));
   SKY_RETURN_NOT_OK(c->ReadF64(&t.validation_split));
   SKY_RETURN_NOT_OK(c->ReadU32(&e));
-  if (e > static_cast<uint32_t>(ml::Loss::kCrossEntropy)) {
-    return Status::InvalidArgument("invalid loss id in forecaster payload");
+  if (e != kCrossEntropyLossId) {
+    return Status::InvalidArgument(
+        "forecaster payload loss id must be 1 (cross-entropy)");
   }
-  t.loss = static_cast<ml::Loss>(e);
   SKY_RETURN_NOT_OK(c->ReadU64(&t.shuffle_seed));
   SKY_RETURN_NOT_OK(c->ReadBool(&t.keep_best_validation_weights));
   SKY_RETURN_NOT_OK(c->ReadU32(&e));
@@ -369,11 +374,10 @@ Status ParseForecaster(Cursor* c, std::optional<core::Forecaster>* out) {
   SKY_RETURN_NOT_OK(c->ReadU64(&u));
   net.output_dim = u;
   SKY_RETURN_NOT_OK(c->ReadU32(&e));
-  if (e > static_cast<uint32_t>(ml::Activation::kSoftmax)) {
+  if (e != kSoftmaxActivationId) {
     return Status::InvalidArgument(
-        "invalid activation id in forecaster payload");
+        "forecaster payload activation id must be 2 (softmax)");
   }
-  net.output_activation = static_cast<ml::Activation>(e);
   SKY_RETURN_NOT_OK(c->ReadU64(&net.adam_steps));
   SKY_RETURN_NOT_OK(c->ReadF64Vec(&net.params));
   SKY_RETURN_NOT_OK(c->ReadF64Vec(&net.adam_m));

@@ -1,105 +1,11 @@
 #include "lp/knapsack.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <numeric>
 #include <queue>
 
 namespace sky::lp {
-
-KnapsackSolution GreedyKnapsack(const std::vector<double>& values,
-                                const std::vector<double>& weights,
-                                double capacity) {
-  size_t n = values.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    double da = weights[a] > 0 ? values[a] / weights[a]
-                               : std::numeric_limits<double>::infinity();
-    double db = weights[b] > 0 ? values[b] / weights[b]
-                               : std::numeric_limits<double>::infinity();
-    return da > db;
-  });
-
-  KnapsackSolution greedy;
-  greedy.taken.assign(n, false);
-  double remaining = capacity;
-  for (size_t i : order) {
-    if (weights[i] <= remaining) {
-      greedy.taken[i] = true;
-      greedy.total_value += values[i];
-      greedy.total_weight += weights[i];
-      remaining -= weights[i];
-    }
-  }
-
-  // Compare against the best single item that fits; taking the max of the
-  // two turns density-greedy into a 1/2-approximation.
-  size_t best_single = n;
-  for (size_t i = 0; i < n; ++i) {
-    if (weights[i] <= capacity &&
-        (best_single == n || values[i] > values[best_single])) {
-      best_single = i;
-    }
-  }
-  if (best_single < n && values[best_single] > greedy.total_value) {
-    KnapsackSolution single;
-    single.taken.assign(n, false);
-    single.taken[best_single] = true;
-    single.total_value = values[best_single];
-    single.total_weight = weights[best_single];
-    return single;
-  }
-  return greedy;
-}
-
-Result<KnapsackSolution> ExactKnapsack(const std::vector<double>& values,
-                                       const std::vector<double>& weights,
-                                       double capacity, size_t resolution) {
-  size_t n = values.size();
-  if (weights.size() != n) {
-    return Status::InvalidArgument("values/weights size mismatch");
-  }
-  if (capacity < 0) return Status::InvalidArgument("negative capacity");
-  if (resolution == 0) return Status::InvalidArgument("resolution must be > 0");
-  for (double w : weights) {
-    if (w < 0) return Status::InvalidArgument("negative weight");
-  }
-
-  // Discretize weights onto `resolution` buckets (rounding up keeps the
-  // solution feasible w.r.t. the true capacity).
-  double scale = capacity > 0 ? static_cast<double>(resolution) / capacity : 0;
-  std::vector<size_t> w_int(n);
-  for (size_t i = 0; i < n; ++i) {
-    w_int[i] = static_cast<size_t>(std::ceil(weights[i] * scale - 1e-12));
-  }
-
-  std::vector<double> best(resolution + 1, 0.0);
-  std::vector<std::vector<bool>> take(n, std::vector<bool>(resolution + 1));
-  for (size_t i = 0; i < n; ++i) {
-    if (w_int[i] > resolution) continue;
-    for (size_t w = resolution + 1; w-- > w_int[i];) {
-      double cand = best[w - w_int[i]] + values[i];
-      if (cand > best[w]) {
-        best[w] = cand;
-        take[i][w] = true;
-      }
-    }
-  }
-
-  KnapsackSolution sol;
-  sol.taken.assign(n, false);
-  size_t w = resolution;
-  for (size_t i = n; i-- > 0;) {
-    if (take[i][w]) {
-      sol.taken[i] = true;
-      sol.total_value += values[i];
-      sol.total_weight += weights[i];
-      w -= w_int[i];
-    }
-  }
-  return sol;
-}
 
 namespace {
 

@@ -8,25 +8,6 @@
 
 namespace sky::lp {
 
-struct KnapsackSolution {
-  std::vector<bool> taken;
-  double total_value = 0.0;
-  double total_weight = 0.0;
-};
-
-/// Greedy 0-1 knapsack by value density. Classic 1/2-approximation when
-/// combined with the best single item (which this does).
-KnapsackSolution GreedyKnapsack(const std::vector<double>& values,
-                                const std::vector<double>& weights,
-                                double capacity);
-
-/// Exact 0-1 knapsack via dynamic programming on discretized weights.
-/// `resolution` is the number of weight buckets (larger = more precise).
-Result<KnapsackSolution> ExactKnapsack(const std::vector<double>& values,
-                                       const std::vector<double>& weights,
-                                       double capacity,
-                                       size_t resolution = 10000);
-
 struct ChoiceSolution {
   /// choice[g] = selected option index within group g.
   std::vector<size_t> choice;

@@ -22,74 +22,53 @@ constexpr size_t kPredictChunkRows = 32;
 /// Upper bound on concurrently scheduled workspace chunks.
 constexpr size_t kMaxChunkSlots = 16;
 
-void ApplyActivation(Activation act, std::vector<double>* v) {
-  switch (act) {
-    case Activation::kIdentity:
-      return;
-    case Activation::kRelu:
-      for (double& x : *v) x = x > 0.0 ? x : 0.0;
-      return;
-    case Activation::kSoftmax: {
-      double mx = *std::max_element(v->begin(), v->end());
-      double sum = 0.0;
-      for (double& x : *v) {
-        x = std::exp(x - mx);
-        sum += x;
-      }
-      for (double& x : *v) x /= sum;
-      return;
-    }
+/// The activation of a layer, in place: ReLU on a hidden layer, softmax on
+/// the output layer.
+void Activate(bool output_layer, std::vector<double>* v) {
+  if (!output_layer) {
+    for (double& x : *v) x = x > 0.0 ? x : 0.0;
+    return;
   }
+  double mx = *std::max_element(v->begin(), v->end());
+  double sum = 0.0;
+  for (double& x : *v) {
+    x = std::exp(x - mx);
+    sum += x;
+  }
+  for (double& x : *v) x /= sum;
 }
 
 /// Row-wise activation from pre-activations into a separate output buffer,
-/// arithmetic-identical to ApplyActivation on each row.
-void ActivateRowsInto(Activation act, const Matrix& pre, size_t m,
+/// arithmetic-identical to Activate on each row.
+void ActivateRowsInto(bool output_layer, const Matrix& pre, size_t m,
                       Matrix* out) {
   size_t w = pre.cols();
   out->Resize(m, w);
-  switch (act) {
-    case Activation::kIdentity:
-      std::memcpy(out->RowPtr(0), pre.RowPtr(0), m * w * sizeof(double));
-      return;
-    case Activation::kRelu: {
-      const double* src = pre.RowPtr(0);
-      double* dst = out->RowPtr(0);
-      for (size_t i = 0; i < m * w; ++i) dst[i] = src[i] > 0.0 ? src[i] : 0.0;
-      return;
+  if (!output_layer) {
+    const double* src = pre.RowPtr(0);
+    double* dst = out->RowPtr(0);
+    for (size_t i = 0; i < m * w; ++i) dst[i] = src[i] > 0.0 ? src[i] : 0.0;
+    return;
+  }
+  for (size_t i = 0; i < m; ++i) {
+    const double* z = pre.RowPtr(i);
+    double* o = out->RowPtr(i);
+    double mx = z[0];
+    for (size_t j = 1; j < w; ++j) mx = std::max(mx, z[j]);
+    double sum = 0.0;
+    for (size_t j = 0; j < w; ++j) {
+      o[j] = std::exp(z[j] - mx);
+      sum += o[j];
     }
-    case Activation::kSoftmax:
-      for (size_t i = 0; i < m; ++i) {
-        const double* z = pre.RowPtr(i);
-        double* o = out->RowPtr(i);
-        double mx = z[0];
-        for (size_t j = 1; j < w; ++j) mx = std::max(mx, z[j]);
-        double sum = 0.0;
-        for (size_t j = 0; j < w; ++j) {
-          o[j] = std::exp(z[j] - mx);
-          sum += o[j];
-        }
-        for (size_t j = 0; j < w; ++j) o[j] /= sum;
-      }
-      return;
+    for (size_t j = 0; j < w; ++j) o[j] /= sum;
   }
 }
 
 /// Span twin of ComputeLoss, same accumulation order.
-double LossRow(const double* pred, const double* target, size_t n, Loss loss) {
+double CrossEntropyRow(const double* pred, const double* target, size_t n) {
   double out = 0.0;
-  switch (loss) {
-    case Loss::kMse:
-      for (size_t i = 0; i < n; ++i) {
-        double d = pred[i] - target[i];
-        out += d * d;
-      }
-      return out / static_cast<double>(n);
-    case Loss::kCrossEntropy:
-      for (size_t i = 0; i < n; ++i) {
-        out -= target[i] * std::log(pred[i] + kLogEps);
-      }
-      return out;
+  for (size_t i = 0; i < n; ++i) {
+    out -= target[i] * std::log(pred[i] + kLogEps);
   }
   return out;
 }
@@ -133,14 +112,13 @@ void ForEachChunkWave(size_t chunks, size_t slots, dag::ThreadPool* pool,
 }  // namespace
 
 double ComputeLoss(const std::vector<double>& pred,
-                   const std::vector<double>& target, Loss loss) {
+                   const std::vector<double>& target) {
   assert(pred.size() == target.size());
-  return LossRow(pred.data(), target.data(), pred.size(), loss);
+  return CrossEntropyRow(pred.data(), target.data(), pred.size());
 }
 
 FeedForwardNet::FeedForwardNet(size_t input_dim, std::vector<size_t> hidden,
-                               size_t output_dim,
-                               Activation output_activation, Rng* rng)
+                               size_t output_dim, Rng* rng)
     : input_dim_(input_dim), output_dim_(output_dim) {
   size_t in = input_dim;
   for (size_t width : hidden) {
@@ -148,7 +126,6 @@ FeedForwardNet::FeedForwardNet(size_t input_dim, std::vector<size_t> hidden,
     l.w = Matrix::RandomHe(width, in, rng);
     l.wt = l.w.Transpose();
     l.b.assign(width, 0.0);
-    l.act = Activation::kRelu;
     l.mw = Matrix(width, in, 0.0);
     l.vw = Matrix(width, in, 0.0);
     l.mb.assign(width, 0.0);
@@ -160,7 +137,6 @@ FeedForwardNet::FeedForwardNet(size_t input_dim, std::vector<size_t> hidden,
   out.w = Matrix::RandomHe(output_dim, in, rng);
   out.wt = out.w.Transpose();
   out.b.assign(output_dim, 0.0);
-  out.act = output_activation;
   out.mw = Matrix(output_dim, in, 0.0);
   out.vw = Matrix(output_dim, in, 0.0);
   out.mb.assign(output_dim, 0.0);
@@ -193,7 +169,6 @@ NetSnapshot FeedForwardNet::Snapshot() const {
     snap.hidden.push_back(layers_[i].w.rows());
   }
   snap.output_dim = output_dim_;
-  snap.output_activation = layers_.back().act;
   snap.adam_steps = adam_t_;
   snap.params = FlattenParameters();
   snap.adam_m.reserve(snap.params.size());
@@ -224,7 +199,7 @@ Result<FeedForwardNet> FeedForwardNet::FromSnapshot(
   // FlattenParameters layout.
   Rng rng(0);
   FeedForwardNet net(snapshot.input_dim, snapshot.hidden, snapshot.output_dim,
-                     snapshot.output_activation, &rng);
+                     &rng);
   size_t expected = net.NumParameters();
   if (snapshot.params.size() != expected ||
       snapshot.adam_m.size() != expected ||
@@ -266,7 +241,8 @@ std::vector<double> FeedForwardNet::Forward(const std::vector<double>& x,
     cache->pre_activations.clear();
     cache->activations.push_back(cur);
   }
-  for (const Layer& l : layers_) {
+  for (size_t li = 0; li < layers_.size(); ++li) {
+    const Layer& l = layers_[li];
     std::vector<double> next(l.w.rows(), 0.0);
     for (size_t r = 0; r < l.w.rows(); ++r) {
       const double* wrow = l.w.RowPtr(r);
@@ -275,7 +251,7 @@ std::vector<double> FeedForwardNet::Forward(const std::vector<double>& x,
       next[r] = s;
     }
     if (cache != nullptr) cache->pre_activations.push_back(next);
-    ApplyActivation(l.act, &next);
+    Activate(li + 1 == layers_.size(), &next);
     if (cache != nullptr) cache->activations.push_back(next);
     cur = std::move(next);
   }
@@ -304,7 +280,7 @@ void FeedForwardNet::PredictInto(const std::vector<double>& x,
       for (size_t c = 0; c < l.w.cols(); ++c) s += wrow[c] * cur[c];
       dst[r] = s;
     }
-    ApplyActivation(l.act, &dst);
+    Activate(li + 1 == layers_.size(), &dst);
     cur = dst.data();
   }
   out->resize(output_dim_);
@@ -361,43 +337,25 @@ void FeedForwardNet::ForwardChunk(TrainWorkspace::Chunk* chunk,
     // act * W^T + b as one row-major GEMM pass.
     MatMulBiasInto(chunk->act[l], layers_[l].wt, layers_[l].b,
                    &chunk->pre[l]);
-    ActivateRowsInto(layers_[l].act, chunk->pre[l], m, &chunk->act[l + 1]);
+    ActivateRowsInto(l + 1 == layers_.size(), chunk->pre[l], m,
+                     &chunk->act[l + 1]);
   }
 }
 
-void FeedForwardNet::OutputDeltaAndLoss(TrainWorkspace::Chunk* chunk, size_t m,
-                                        Loss loss) const {
+void FeedForwardNet::OutputDeltaAndLoss(TrainWorkspace::Chunk* chunk,
+                                        size_t m) const {
   const Matrix& pred = chunk->act.back();
-  const Matrix& pre = chunk->pre.back();
   Matrix& delta = chunk->delta.back();
   size_t w = output_dim_;
   delta.Resize(m, w);
-  const Layer& out_layer = layers_.back();
   for (size_t i = 0; i < m; ++i) {
     const double* p = pred.RowPtr(i);
     const double* y = chunk->yb.RowPtr(i);
     double* d = delta.RowPtr(i);
-    chunk->row_loss[i] = LossRow(p, y, w, loss);
-    // Softmax + cross-entropy and identity + MSE both reduce to (pred - y)
-    // up to a constant factor — same cases as the per-sample backward.
-    if (loss == Loss::kCrossEntropy) {
-      assert(out_layer.act == Activation::kSoftmax);
-      for (size_t j = 0; j < w; ++j) d[j] = p[j] - y[j];
-    } else {
-      double scale = 2.0 / static_cast<double>(w);
-      for (size_t j = 0; j < w; ++j) d[j] = scale * (p[j] - y[j]);
-      if (out_layer.act == Activation::kRelu) {
-        const double* z = pre.RowPtr(i);
-        for (size_t j = 0; j < w; ++j) {
-          if (z[j] <= 0.0) d[j] = 0.0;
-        }
-      } else if (out_layer.act == Activation::kSoftmax) {
-        // Full softmax Jacobian for the MSE case.
-        double dot = 0.0;
-        for (size_t j = 0; j < w; ++j) dot += d[j] * p[j];
-        for (size_t j = 0; j < w; ++j) d[j] = p[j] * (d[j] - dot);
-      }
-    }
+    chunk->row_loss[i] = CrossEntropyRow(p, y, w);
+    // Softmax + cross-entropy: the output delta is pred - y, as in the
+    // per-sample backward.
+    for (size_t j = 0; j < w; ++j) d[j] = p[j] - y[j];
   }
 }
 
@@ -419,7 +377,6 @@ void FeedForwardNet::BackwardChunk(TrainWorkspace::Chunk* chunk,
     // Propagate delta through W and the previous layer's ReLU.
     Matrix& prev = chunk->delta[li - 1];
     MatMulInto(delta, l.w, &prev);
-    assert(layers_[li - 1].act == Activation::kRelu);
     const double* z = chunk->pre[li - 1].RowPtr(0);
     double* d = prev.RowPtr(0);
     for (size_t i = 0; i < m * prev.cols(); ++i) {
@@ -429,39 +386,15 @@ void FeedForwardNet::BackwardChunk(TrainWorkspace::Chunk* chunk,
 }
 
 double FeedForwardNet::BackwardAccumulate(
-    const std::vector<double>& x, const std::vector<double>& y, Loss loss,
+    const std::vector<double>& x, const std::vector<double>& y,
     std::vector<Matrix>* grad_w, std::vector<std::vector<double>>* grad_b) {
   ForwardCache cache;
   std::vector<double> pred = Forward(x, &cache);
-  double sample_loss = ComputeLoss(pred, y, loss);
+  double sample_loss = ComputeLoss(pred, y);
 
-  // Delta for the output layer. Softmax + cross-entropy and identity + MSE
-  // both reduce to (pred - y) up to a constant factor.
+  // Softmax + cross-entropy: the output-layer delta is pred - y.
   std::vector<double> delta(pred.size());
-  const Layer& out_layer = layers_.back();
-  if (loss == Loss::kCrossEntropy) {
-    assert(out_layer.act == Activation::kSoftmax);
-    for (size_t i = 0; i < pred.size(); ++i) delta[i] = pred[i] - y[i];
-  } else {
-    double scale = 2.0 / static_cast<double>(pred.size());
-    for (size_t i = 0; i < pred.size(); ++i) {
-      delta[i] = scale * (pred[i] - y[i]);
-    }
-    if (out_layer.act == Activation::kRelu) {
-      const auto& pre = cache.pre_activations.back();
-      for (size_t i = 0; i < delta.size(); ++i) {
-        if (pre[i] <= 0.0) delta[i] = 0.0;
-      }
-    } else if (out_layer.act == Activation::kSoftmax) {
-      // Full softmax Jacobian for the MSE case.
-      const auto& s = cache.activations.back();
-      std::vector<double> jd(delta.size(), 0.0);
-      double dot = 0.0;
-      for (size_t i = 0; i < s.size(); ++i) dot += delta[i] * s[i];
-      for (size_t i = 0; i < s.size(); ++i) jd[i] = s[i] * (delta[i] - dot);
-      delta = std::move(jd);
-    }
-  }
+  for (size_t i = 0; i < pred.size(); ++i) delta[i] = pred[i] - y[i];
 
   for (size_t li = layers_.size(); li-- > 0;) {
     const Layer& l = layers_[li];
@@ -485,7 +418,6 @@ double FeedForwardNet::BackwardAccumulate(
       for (size_t c = 0; c < l.w.cols(); ++c) prev_delta[c] += d * wrow[c];
     }
     const auto& prev_pre = cache.pre_activations[li - 1];
-    assert(layers_[li - 1].act == Activation::kRelu);
     for (size_t c = 0; c < prev_delta.size(); ++c) {
       if (prev_pre[c] <= 0.0) prev_delta[c] = 0.0;
     }
@@ -531,21 +463,19 @@ void FeedForwardNet::AdamStep(const std::vector<Matrix>& grad_w,
 }
 
 double FeedForwardNet::EvalLoss(const Matrix& X, const Matrix& Y,
-                                const std::vector<size_t>& idx,
-                                Loss loss) const {
+                                const std::vector<size_t>& idx) const {
   if (idx.empty()) return 0.0;
   double total = 0.0;
   for (size_t i : idx) {
     std::vector<double> pred = Forward(X.Row(i), nullptr);
-    total += ComputeLoss(pred, Y.Row(i), loss);
+    total += ComputeLoss(pred, Y.Row(i));
   }
   return total / static_cast<double>(idx.size());
 }
 
 double FeedForwardNet::EvalLossBatched(const Matrix& X, const Matrix& Y,
                                        const std::vector<size_t>& idx,
-                                       Loss loss, size_t chunk_rows,
-                                       TrainWorkspace* ws,
+                                       size_t chunk_rows, TrainWorkspace* ws,
                                        dag::ThreadPool* pool) const {
   if (idx.empty()) return 0.0;
   // Forward-only work: per-row results are independent of the chunking, so
@@ -566,8 +496,8 @@ double FeedForwardNet::EvalLossBatched(const Matrix& X, const Matrix& Y,
         GatherRows(Y, idx.data() + begin, m, &c.yb);
         ForwardChunk(&c, m);
         for (size_t i = 0; i < m; ++i) {
-          c.row_loss[i] = LossRow(c.act.back().RowPtr(i), c.yb.RowPtr(i),
-                                  output_dim_, loss);
+          c.row_loss[i] = CrossEntropyRow(c.act.back().RowPtr(i),
+                                          c.yb.RowPtr(i), output_dim_);
         }
       },
       [&](size_t base, size_t wave) {
@@ -648,7 +578,7 @@ void FeedForwardNet::TrainBatchedLoop(const Matrix& X, const Matrix& Y,
             GatherRows(X, train_idx->data() + begin, m, &c.act[0]);
             GatherRows(Y, train_idx->data() + begin, m, &c.yb);
             ForwardChunk(&c, m);
-            OutputDeltaAndLoss(&c, m, opts.loss);
+            OutputDeltaAndLoss(&c, m);
             BackwardChunk(&c, m);
           },
           [&](size_t base, size_t wave) {
@@ -676,7 +606,7 @@ void FeedForwardNet::TrainBatchedLoop(const Matrix& X, const Matrix& Y,
     double val_loss =
         val_idx.empty()
             ? epoch_loss
-            : EvalLossBatched(X, Y, val_idx, opts.loss, chunk_rows, &ws, pool);
+            : EvalLossBatched(X, Y, val_idx, chunk_rows, &ws, pool);
     report->val_loss_per_epoch.push_back(val_loss);
     if (val_loss < report->best_val_loss) {
       report->best_val_loss = val_loss;
@@ -741,8 +671,8 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
         for (auto& g : grad_b) std::fill(g.begin(), g.end(), 0.0);
         for (size_t b = 0; b < batch; ++b) {
           size_t i = train_idx[pos + b];
-          epoch_loss += BackwardAccumulate(X.Row(i), Y.Row(i), opts.loss,
-                                           &grad_w, &grad_b);
+          epoch_loss +=
+              BackwardAccumulate(X.Row(i), Y.Row(i), &grad_w, &grad_b);
         }
         AdamStep(grad_w, grad_b, opts.learning_rate, batch);
         pos += batch;
@@ -750,9 +680,8 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
       epoch_loss /= static_cast<double>(std::max<size_t>(1, train_idx.size()));
       report.train_loss_per_epoch.push_back(epoch_loss);
 
-      double val_loss = val_idx.empty()
-                            ? epoch_loss
-                            : EvalLoss(X, Y, val_idx, opts.loss);
+      double val_loss =
+          val_idx.empty() ? epoch_loss : EvalLoss(X, Y, val_idx);
       report.val_loss_per_epoch.push_back(val_loss);
       if (val_loss < report.best_val_loss) {
         report.best_val_loss = val_loss;
@@ -773,7 +702,7 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
 
 void FeedForwardNet::OnlineUpdate(const std::vector<double>& x,
                                   const std::vector<double>& y,
-                                  double learning_rate, Loss loss) {
+                                  double learning_rate) {
   assert(x.size() == input_dim_ && y.size() == output_dim_);
   // A batch-1 step of the batched backend against the net's own workspace:
   // after the first call everything below reuses capacity — zero heap
@@ -785,7 +714,7 @@ void FeedForwardNet::OnlineUpdate(const std::vector<double>& x,
   c.yb.Resize(1, output_dim_);
   std::memcpy(c.yb.RowPtr(0), y.data(), output_dim_ * sizeof(double));
   ForwardChunk(&c, 1);
-  OutputDeltaAndLoss(&c, 1, loss);
+  OutputDeltaAndLoss(&c, 1);
   BackwardChunk(&c, 1);
   // A single chunk's partials are the whole gradient; feed them to Adam
   // directly instead of reducing through ws.grad_w.

@@ -11,14 +11,6 @@
 
 namespace sky::ml {
 
-enum class Activation { kIdentity, kRelu, kSoftmax };
-
-/// Loss functions supported by FeedForwardNet::Train.
-enum class Loss {
-  kMse,           ///< mean squared error (use with kIdentity output)
-  kCrossEntropy,  ///< categorical cross-entropy (use with kSoftmax output)
-};
-
 /// Which implementation FeedForwardNet::Train runs.
 enum class TrainBackend {
   /// Minibatch-at-a-time forward/backward as cache-blocked matrix ops
@@ -35,7 +27,6 @@ struct TrainOptions {
   size_t batch_size = 16;
   double learning_rate = 1e-2;
   double validation_split = 0.2;  ///< fraction of samples held out
-  Loss loss = Loss::kCrossEntropy;
   uint64_t shuffle_seed = 7;
   bool keep_best_validation_weights = true;
   TrainBackend backend = TrainBackend::kBatched;
@@ -96,24 +87,24 @@ struct PredictScratch {
 struct NetSnapshot {
   size_t input_dim = 0;
   std::vector<size_t> hidden;  ///< hidden widths (always ReLU)
-  size_t output_dim = 0;
-  Activation output_activation = Activation::kIdentity;
+  size_t output_dim = 0;       ///< softmax output width
   uint64_t adam_steps = 0;  ///< Adam's bias-correction step counter t
   std::vector<double> params;  ///< weights+biases, FlattenParameters order
   std::vector<double> adam_m;  ///< first moments, same layout
   std::vector<double> adam_v;  ///< second moments, same layout
 };
 
-/// A small fully connected network trained with Adam. This is the forecasting
-/// model of the paper (Appendix K): input -> 16 ReLU -> 8 ReLU -> |C| softmax.
-/// It is intentionally minimal — no autograd graph, just dense layers.
+/// A small fully connected network trained with Adam on cross-entropy. This
+/// is the forecasting model of the paper (Appendix K): input -> 16 ReLU ->
+/// 8 ReLU -> |C| softmax. It is intentionally minimal — no autograd graph,
+/// just dense layers with ReLU hidden layers and a softmax output.
 class FeedForwardNet {
  public:
   /// Builds a network with the given layer widths. `input_dim` is the width of
   /// the input; `hidden` lists hidden widths (ReLU); `output_dim` is the width
-  /// of the final layer with `output_activation`.
+  /// of the softmax output layer.
   FeedForwardNet(size_t input_dim, std::vector<size_t> hidden,
-                 size_t output_dim, Activation output_activation, Rng* rng);
+                 size_t output_dim, Rng* rng);
 
   size_t input_dim() const { return input_dim_; }
   size_t output_dim() const { return output_dim_; }
@@ -134,8 +125,9 @@ class FeedForwardNet {
   void PredictBatchInto(const Matrix& X, TrainWorkspace* ws, Matrix* out,
                         dag::ThreadPool* pool = nullptr) const;
 
-  /// Trains on rows of X against rows of Y with Adam. Returns per-epoch loss
-  /// curves. Fails if shapes disagree or there are too few samples to split.
+  /// Trains on rows of X against rows of Y (target distributions) with Adam
+  /// on cross-entropy. Returns per-epoch loss curves. Fails if shapes
+  /// disagree or there are too few samples to split.
   Result<TrainReport> Train(const Matrix& X, const Matrix& Y,
                             const TrainOptions& opts);
 
@@ -144,7 +136,7 @@ class FeedForwardNet {
   /// path with batch 1 against the net's own workspace: no heap allocation
   /// at steady state.
   void OnlineUpdate(const std::vector<double>& x, const std::vector<double>& y,
-                    double learning_rate, Loss loss);
+                    double learning_rate);
 
   /// Number of trainable parameters.
   size_t NumParameters() const;
@@ -170,7 +162,6 @@ class FeedForwardNet {
     Matrix wt;  // in x out — w transposed, kept in sync after every Adam
                 // step so the batched forward is a row-major GEMM
     std::vector<double> b;
-    Activation act;
     // Adam state.
     Matrix mw, vw;
     std::vector<double> mb, vb;
@@ -186,14 +177,14 @@ class FeedForwardNet {
                               ForwardCache* cache) const;
   /// Backprop for one sample; accumulates gradients into grads.
   double BackwardAccumulate(const std::vector<double>& x,
-                            const std::vector<double>& y, Loss loss,
+                            const std::vector<double>& y,
                             std::vector<Matrix>* grad_w,
                             std::vector<std::vector<double>>* grad_b);
   void AdamStep(const std::vector<Matrix>& grad_w,
                 const std::vector<std::vector<double>>& grad_b, double lr,
                 size_t batch);
   double EvalLoss(const Matrix& X, const Matrix& Y,
-                  const std::vector<size_t>& idx, Loss loss) const;
+                  const std::vector<size_t>& idx) const;
 
   // --- Batched backend ---
   /// Sizes `ws` for `slots` concurrent chunks of up to `max_rows` samples.
@@ -203,8 +194,7 @@ class FeedForwardNet {
   /// Forward pass over the m gathered rows of chunk->act[0].
   void ForwardChunk(TrainWorkspace::Chunk* chunk, size_t m) const;
   /// Per-row losses + output-layer delta from act.back() vs yb.
-  void OutputDeltaAndLoss(TrainWorkspace::Chunk* chunk, size_t m,
-                          Loss loss) const;
+  void OutputDeltaAndLoss(TrainWorkspace::Chunk* chunk, size_t m) const;
   /// Backprop through all layers; fills chunk->gw / chunk->gb.
   void BackwardChunk(TrainWorkspace::Chunk* chunk, size_t m) const;
   /// The batched epoch loop (minibatch chunk fan-out + ordered reduction).
@@ -218,9 +208,8 @@ class FeedForwardNet {
   /// forwards themselves use the GEMM kernels, so the two values agree to
   /// rounding error, not bitwise).
   double EvalLossBatched(const Matrix& X, const Matrix& Y,
-                         const std::vector<size_t>& idx, Loss loss,
-                         size_t chunk_rows, TrainWorkspace* ws,
-                         dag::ThreadPool* pool) const;
+                         const std::vector<size_t>& idx, size_t chunk_rows,
+                         TrainWorkspace* ws, dag::ThreadPool* pool) const;
 
   std::vector<Layer> layers_;
   size_t input_dim_;
@@ -231,9 +220,10 @@ class FeedForwardNet {
   TrainWorkspace train_ws_;
 };
 
-/// Loss between a prediction and a target (exposed for tests).
+/// Cross-entropy of a prediction against a target distribution (exposed for
+/// tests).
 double ComputeLoss(const std::vector<double>& pred,
-                   const std::vector<double>& target, Loss loss);
+                   const std::vector<double>& target);
 
 }  // namespace sky::ml
 

@@ -1,5 +1,6 @@
 #include "serve/registry.h"
 
+#include <cmath>
 #include <unordered_set>
 #include <utility>
 
@@ -220,6 +221,10 @@ Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes) {
       SKY_RETURN_NOT_OK(payload->ReadU64(&ckpt.sessions_rejected));
       SKY_RETURN_NOT_OK(
           payload->ReadF64(&ckpt.shared_budget_core_s_per_video_s));
+      if (!std::isfinite(ckpt.shared_budget_core_s_per_video_s)) {
+        return Status::InvalidArgument(
+            "serve checkpoint shared budget is not finite");
+      }
       SKY_RETURN_NOT_OK(payload->ReadU64(&declared_sessions));
       // Each session needs its own chunk; a count beyond the chunks present
       // is corruption, not a big table.

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <utility>
@@ -51,6 +52,9 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
 }
 
 Status Server::Init() {
+  if (!std::isfinite(options_.shared_budget_core_s_per_video_s)) {
+    return Status::InvalidArgument("shared budget must be finite");
+  }
   base_workload_ = api::MakeWorkloadByName(options_.workload);
   if (base_workload_ == nullptr) {
     return Status::InvalidArgument("unknown workload '" + options_.workload +
@@ -106,10 +110,11 @@ Result<core::StreamEngineJob> Server::BuildJob(const SessionSpec& spec,
   auto model = base_facade_->model();
   if (!model.ok()) return model.status();
 
-  // Spec defaults resolve exactly like the matching `sky ingest` flags.
-  double start_days = spec.start_days >= 0.0
-                          ? spec.start_days
-                          : (*model)->train_horizon / 86400.0;
+  // Spec defaults resolve exactly like the matching `sky ingest` flags. A
+  // NaN is no default: it reaches IngestionEngine::Start, which refuses it.
+  double start_days = spec.start_days < 0.0
+                          ? (*model)->train_horizon / 86400.0
+                          : spec.start_days;
   double plan_days = spec.plan_interval_days;
   if (plan_days <= 0.0) {
     plan_days = (*model)->forecaster.has_value()
@@ -266,8 +271,8 @@ void Server::FleetLoop() {
         !options_.checkpoint_path.empty()) {
       ++boundaries_seen_;
       if (boundaries_seen_ % options_.checkpoint_every_boundaries == 0) {
-        // Periodic checkpoint failures never fail the run (same contract as
-        // StreamSet auto-checkpoints); the final drain checkpoint does.
+        // Periodic checkpoint failures never fail the run; the final drain
+        // checkpoint does.
         last_checkpoint_status_ = WriteServeCheckpoint();
       }
     }
@@ -630,6 +635,9 @@ std::pair<FrameType, std::string> Server::HandleRequest(
       io::wire::Cursor c(request.payload.data(), request.payload.size());
       Status s = c.ReadF64(&cmd->budget);
       if (!s.ok()) return error(s);
+      if (!std::isfinite(cmd->budget)) {
+        return error(Status::InvalidArgument("shared budget must be finite"));
+      }
       Result<std::string> applied = Dispatch(std::move(cmd));
       if (!applied.ok()) return error(applied.status());
       return {FrameType::kOk, std::string()};

@@ -46,7 +46,8 @@ struct ServerOptions {
   /// joint planner's own feasibility threshold, checked at admission time
   /// instead of discovered as an infeasible boundary later. <= 0 derives
   /// the budget from the streams' own resources each boundary (admission
-  /// then only enforces max_sessions).
+  /// then only enforces max_sessions). Start refuses a value that is not
+  /// finite, as a kSetBudget request does.
   double shared_budget_core_s_per_video_s = 0.0;
   /// Hard cap on concurrently running sessions; 0 = uncapped.
   size_t max_sessions = 0;

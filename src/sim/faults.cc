@@ -62,10 +62,6 @@ void FaultPlan::AddUdfThrow(SimTime at) {
   events.push_back({FaultKind::kUdfThrow, at, 0.0, 0.0});
 }
 
-void FaultPlan::AddCrash(SimTime at) {
-  events.push_back({FaultKind::kCrash, at, 0.0, 0.0});
-}
-
 FaultInjector::FaultInjector(FaultPlan plan, uint64_t seed, RetryPolicy retry)
     : plan_(std::move(plan)), retry_(retry) {
   event_seeds_.reserve(plan_.events.size());
@@ -140,10 +136,10 @@ double FaultInjector::BackoffDelaySeconds(size_t failed_attempts) const {
   return total;
 }
 
-bool FaultInjector::ConsumeKindAt(FaultKind kind, SimTime t) {
+bool FaultInjector::ConsumeUdfThrowAt(SimTime t) {
   for (size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& e = plan_.events[i];
-    if (e.kind != kind || t < e.at) continue;
+    if (e.kind != FaultKind::kUdfThrow || t < e.at) continue;
     bool expected = false;
     if (consumed_[i].compare_exchange_strong(expected, true,
                                              std::memory_order_acq_rel)) {
@@ -151,14 +147,6 @@ bool FaultInjector::ConsumeKindAt(FaultKind kind, SimTime t) {
     }
   }
   return false;
-}
-
-bool FaultInjector::ConsumeUdfThrowAt(SimTime t) {
-  return ConsumeKindAt(FaultKind::kUdfThrow, t);
-}
-
-bool FaultInjector::ConsumeCrashAt(SimTime t) {
-  return ConsumeKindAt(FaultKind::kCrash, t);
 }
 
 size_t FaultInjector::consumed_events() const {

@@ -35,10 +35,6 @@ enum class FaultKind : uint32_t {
   /// `at` — the engine raises the exception before mutating any state, so
   /// a supervisor can replay from the last boundary checkpoint bitwise.
   kUdfThrow,
-  /// One-shot. A simulated whole-process crash point. The engine ignores
-  /// these: the *driver* consumes them (ConsumeCrashAt) to decide when to
-  /// tear the fleet down and exercise RecoverFromCheckpoint.
-  kCrash,
 };
 
 struct FaultEvent {
@@ -46,7 +42,7 @@ struct FaultEvent {
   SimTime at = 0.0;        ///< window start, or the one-shot fire time
   SimTime duration = 0.0;  ///< window length; unused for one-shot kinds
   /// Kind-specific intensity: failure probability for transient failures,
-  /// runtime multiplier for latency/stall. Unused for outage/throw/crash.
+  /// runtime multiplier for latency/stall. Unused for outage/throw.
   double magnitude = 0.0;
 };
 
@@ -73,7 +69,6 @@ struct FaultPlan {
                        double runtime_multiplier);
   void AddUdfStall(SimTime at, SimTime duration, double runtime_multiplier);
   void AddUdfThrow(SimTime at);
-  void AddCrash(SimTime at);
 
   bool empty() const { return events.empty(); }
 };
@@ -95,7 +90,7 @@ struct FaultPlan {
 /// one-shot Consume* calls are atomic (exactly one caller wins). One
 /// injector may be shared by many engines, but then its one-shot events fire
 /// on whichever stream reaches them first — give each stream its OWN
-/// injector (fork per-stream seeds) when per-stream throw/crash scheduling
+/// injector (fork per-stream seeds) when per-stream throw scheduling
 /// matters.
 class FaultInjector {
  public:
@@ -139,16 +134,10 @@ class FaultInjector {
   /// True exactly once per scheduled kUdfThrow event with `at <= t`.
   bool ConsumeUdfThrowAt(SimTime t);
 
-  /// True exactly once per scheduled kCrash event with `at <= t`. Called by
-  /// fleet drivers, not by engines (see FaultKind::kCrash).
-  bool ConsumeCrashAt(SimTime t);
-
   /// One-shot events consumed so far (tests / introspection).
   size_t consumed_events() const;
 
  private:
-  bool ConsumeKindAt(FaultKind kind, SimTime t);
-
   FaultPlan plan_;
   RetryPolicy retry_;
   std::vector<uint64_t> event_seeds_;  ///< one derived sub-stream per event

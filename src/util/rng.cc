@@ -39,11 +39,6 @@ bool Rng::Bernoulli(double p) {
   return dist(engine_);
 }
 
-double Rng::Exponential(double rate) {
-  std::exponential_distribution<double> dist(rate);
-  return dist(engine_);
-}
-
 std::string Rng::SaveState() const {
   std::ostringstream os;
   os << engine_;

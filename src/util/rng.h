@@ -34,9 +34,6 @@ class Rng {
   /// Bernoulli trial.
   bool Bernoulli(double p);
 
-  /// Exponential with the given rate (lambda).
-  double Exponential(double rate);
-
   /// Derives an independent child stream. Forking with the same tag from the
   /// same parent state yields the same stream, which keeps sub-components
   /// reproducible independent of call ordering elsewhere.

@@ -34,9 +34,9 @@ TEST(SkyscraperApiTest, FacadePreconditionsBeforeFit) {
   auto model = sky.model();
   EXPECT_FALSE(model.ok());
   EXPECT_EQ(model.status().code(), StatusCode::kFailedPrecondition);
-  auto session = sky.StartIngest(Days(4));
-  EXPECT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition);
+  auto engine = sky.StartIngest(Days(4));
+  EXPECT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
 
   ASSERT_TRUE(sky.Fit(FastOffline()).ok());
   auto fitted_model = sky.model();
@@ -107,8 +107,7 @@ TEST(SkyscraperApiTest, MakeStreamJobPackagesTheFacadeForAFleet) {
   auto job_b = sky_b.MakeStreamJob(Days(4), run);
   ASSERT_TRUE(job_a.ok()) << job_a.status().ToString();
   ASSERT_TRUE(job_b.ok());
-  // Unset provisioning fields resolve from the facade's Resources, exactly
-  // like StartIngest.
+  // Unset provisioning fields resolve from the facade's Resources.
   ASSERT_TRUE(job_a->options.cloud_budget_usd_per_interval.has_value());
   EXPECT_DOUBLE_EQ(*job_a->options.cloud_budget_usd_per_interval, 1.0);
   ASSERT_TRUE(job_a->options.buffer_bytes.has_value());
@@ -130,7 +129,7 @@ TEST(SkyscraperApiTest, MakeStreamJobPackagesTheFacadeForAFleet) {
   EXPECT_TRUE(core::EngineResultsIdentical(*ingest_b, *results[1]));
 }
 
-TEST(SkyscraperApiTest, SteppedSessionMatchesBatchIngestBitwise) {
+TEST(SkyscraperApiTest, SteppedEngineMatchesBatchIngestBitwise) {
   workloads::EvCountingWorkload job;
   Skyscraper sky(&job);
   Resources res;
@@ -146,31 +145,27 @@ TEST(SkyscraperApiTest, SteppedSessionMatchesBatchIngestBitwise) {
   auto batch = sky.Ingest(Days(4), run);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
-  auto session = sky.StartIngest(Days(4), run);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  EXPECT_FALSE(session->Done());
-  // Finish() refuses mid-run.
-  EXPECT_EQ(session->Finish().status().code(),
-            StatusCode::kFailedPrecondition);
+  auto started = sky.StartIngest(Days(4), run);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  core::IngestionEngine& engine = **started;
+  EXPECT_FALSE(engine.Done());
+  EXPECT_DOUBLE_EQ(engine.CurrentTime(), Days(4));
 
   // Step a while, checkpoint, overrun, restore, and run to completion:
   // the result must equal the batch call on every field.
-  ASSERT_TRUE(session->RunUntil(Days(4) + Hours(3)).ok());
-  EXPECT_GT(session->Progress().segments, 0u);
-  ASSERT_NE(session->CurrentPlan(), nullptr);
-  auto saved = session->Checkpoint();
+  ASSERT_TRUE(engine.RunUntil(Days(4) + Hours(3)).ok());
+  EXPECT_GT(engine.partial_result().segments, 0u);
+  ASSERT_NE(engine.current_plan(), nullptr);
+  EXPECT_DOUBLE_EQ(engine.CurrentTime(), Days(4) + Hours(3));
+  auto saved = engine.Checkpoint();
   ASSERT_TRUE(saved.ok());
-  EXPECT_DOUBLE_EQ(saved->captured_at, Days(4) + Hours(3));
-  ASSERT_TRUE(session->RunUntil(Days(4) + Hours(7)).ok());
-  ASSERT_TRUE(session->Restore(*saved).ok());
-  auto final = session->RunToCompletion();
-  ASSERT_TRUE(final.ok());
-  EXPECT_TRUE(session->Done());
-  EXPECT_TRUE(core::EngineResultsIdentical(*batch, *final));
-  // Finish() now hands out the same result.
-  auto finished = session->Finish();
-  ASSERT_TRUE(finished.ok());
-  EXPECT_TRUE(core::EngineResultsIdentical(*batch, *finished));
+  ASSERT_TRUE(engine.RunUntil(Days(4) + Hours(7)).ok());
+  ASSERT_TRUE(engine.Restore(*saved).ok());
+  EXPECT_DOUBLE_EQ(engine.CurrentTime(), Days(4) + Hours(3));
+  while (!engine.Done()) ASSERT_TRUE(engine.Step().ok());
+  EXPECT_TRUE(core::EngineResultsIdentical(*batch, engine.partial_result()));
+  // A finished engine refuses to step further.
+  EXPECT_EQ(engine.Step().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(SkyscraperApiTest, FitThenIngestEndToEnd) {

@@ -81,17 +81,15 @@ TEST(FaultInjectorTest, WindowsAreExactlyNeutralOutside) {
 TEST(FaultInjectorTest, OneShotEventsConsumeExactlyOnce) {
   FaultPlan plan;
   plan.AddUdfThrow(100.0);
-  plan.AddCrash(200.0);
+  plan.AddUdfThrow(200.0);
+  plan.AddCloudOutage(0.0, 1000.0);  // a window: never consumed
   FaultInjector f(plan, 3u);
 
   EXPECT_FALSE(f.ConsumeUdfThrowAt(99.0));  // not due yet
   EXPECT_TRUE(f.ConsumeUdfThrowAt(100.0));
-  EXPECT_FALSE(f.ConsumeUdfThrowAt(100.0));  // consumed
-  EXPECT_FALSE(f.ConsumeUdfThrowAt(500.0));
-
-  EXPECT_FALSE(f.ConsumeCrashAt(150.0));
-  EXPECT_TRUE(f.ConsumeCrashAt(250.0));  // "t >= at" semantics: still due
-  EXPECT_FALSE(f.ConsumeCrashAt(250.0));
+  EXPECT_FALSE(f.ConsumeUdfThrowAt(100.0));  // consumed; the next not due
+  EXPECT_TRUE(f.ConsumeUdfThrowAt(250.0));   // "t >= at" semantics: still due
+  EXPECT_FALSE(f.ConsumeUdfThrowAt(500.0));  // both consumed
   EXPECT_EQ(f.consumed_events(), 2u);
 }
 

@@ -7,39 +7,6 @@
 namespace sky::lp {
 namespace {
 
-TEST(GreedyKnapsackTest, TakesDensestItems) {
-  KnapsackSolution sol =
-      GreedyKnapsack({10, 6, 1}, {5, 3, 4}, 8.0);
-  EXPECT_TRUE(sol.taken[0]);
-  EXPECT_TRUE(sol.taken[1]);
-  EXPECT_FALSE(sol.taken[2]);
-  EXPECT_DOUBLE_EQ(sol.total_value, 16.0);
-}
-
-TEST(GreedyKnapsackTest, BestSingleItemFallback) {
-  // Density-greedy would take the two small items (value 2) and miss the
-  // big one (value 10); the 1/2-approximation guard must pick the big one.
-  KnapsackSolution sol = GreedyKnapsack({1, 1, 10}, {1, 1, 10}, 10.0);
-  EXPECT_DOUBLE_EQ(sol.total_value, 10.0);
-}
-
-TEST(ExactKnapsackTest, MatchesKnownOptimum) {
-  auto sol = ExactKnapsack({60, 100, 120}, {10, 20, 30}, 50.0, 1000);
-  ASSERT_TRUE(sol.ok());
-  EXPECT_DOUBLE_EQ(sol->total_value, 220.0);  // items 1 and 2
-  EXPECT_FALSE(sol->taken[0]);
-}
-
-TEST(ExactKnapsackTest, RespectsCapacityAndRejectsBadInput) {
-  auto sol = ExactKnapsack({5, 5}, {3, 3}, 3.0, 300);
-  ASSERT_TRUE(sol.ok());
-  EXPECT_LE(sol->total_weight, 3.0 + 1e-9);
-  EXPECT_DOUBLE_EQ(sol->total_value, 5.0);
-  EXPECT_FALSE(ExactKnapsack({1}, {1, 2}, 3.0).ok());
-  EXPECT_FALSE(ExactKnapsack({1}, {-1}, 3.0).ok());
-  EXPECT_FALSE(ExactKnapsack({1}, {1}, -3.0).ok());
-}
-
 TEST(McKnapsackTest, PicksCheapestWhenBudgetTight) {
   // Two groups, options (weight, value): {(1, 1), (10, 10)} each; budget 2
   // forces cheapest everywhere.

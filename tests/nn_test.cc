@@ -9,7 +9,7 @@ namespace {
 
 TEST(NnTest, PredictShapesAndSoftmaxSumsToOne) {
   Rng rng(1);
-  FeedForwardNet net(4, {16, 8}, 3, Activation::kSoftmax, &rng);
+  FeedForwardNet net(4, {16, 8}, 3, &rng);
   std::vector<double> out = net.Predict({0.1, 0.2, 0.3, 0.4});
   ASSERT_EQ(out.size(), 3u);
   double sum = 0.0;
@@ -24,14 +24,14 @@ TEST(NnTest, PredictShapesAndSoftmaxSumsToOne) {
 TEST(NnTest, ParameterCount) {
   Rng rng(1);
   // Appendix K architecture on a 32-d input with 4 categories.
-  FeedForwardNet net(32, {16, 8}, 4, Activation::kSoftmax, &rng);
+  FeedForwardNet net(32, {16, 8}, 4, &rng);
   EXPECT_EQ(net.NumParameters(),
             32u * 16 + 16 + 16 * 8 + 8 + 8 * 4 + 4);
 }
 
 TEST(NnTest, TrainRejectsBadShapes) {
   Rng rng(1);
-  FeedForwardNet net(2, {4}, 2, Activation::kSoftmax, &rng);
+  FeedForwardNet net(2, {4}, 2, &rng);
   Matrix x(10, 3), y(10, 2);
   EXPECT_FALSE(net.Train(x, y, TrainOptions{}).ok());
   Matrix x2(10, 2), y2(9, 2);
@@ -40,7 +40,7 @@ TEST(NnTest, TrainRejectsBadShapes) {
 
 TEST(NnTest, LearnsLinearlySeparableClassification) {
   Rng rng(5);
-  FeedForwardNet net(2, {16, 8}, 2, Activation::kSoftmax, &rng);
+  FeedForwardNet net(2, {16, 8}, 2, &rng);
   // Class 0: x0 > x1; class 1 otherwise.
   size_t n = 400;
   Matrix x(n, 2), y(n, 2);
@@ -69,29 +69,9 @@ TEST(NnTest, LearnsLinearlySeparableClassification) {
   EXPECT_GE(correct, 180u);  // >= 90% accuracy
 }
 
-TEST(NnTest, LearnsRegressionWithMse) {
-  Rng rng(7);
-  FeedForwardNet net(1, {16}, 1, Activation::kIdentity, &rng);
-  size_t n = 200;
-  Matrix x(n, 1), y(n, 1);
-  for (size_t i = 0; i < n; ++i) {
-    double v = static_cast<double>(i) / n;
-    x.At(i, 0) = v;
-    y.At(i, 0) = 2.0 * v + 0.5;
-  }
-  TrainOptions opts;
-  opts.epochs = 150;
-  opts.learning_rate = 0.01;
-  opts.loss = Loss::kMse;
-  auto report = net.Train(x, y, opts);
-  ASSERT_TRUE(report.ok());
-  EXPECT_NEAR(net.Predict({0.5})[0], 1.5, 0.1);
-  EXPECT_NEAR(net.Predict({0.1})[0], 0.7, 0.12);
-}
-
 TEST(NnTest, TrainingLossDecreases) {
   Rng rng(8);
-  FeedForwardNet net(3, {8}, 2, Activation::kSoftmax, &rng);
+  FeedForwardNet net(3, {8}, 2, &rng);
   size_t n = 120;
   Matrix x(n, 3), y(n, 2);
   Rng data_rng(9);
@@ -111,12 +91,12 @@ TEST(NnTest, TrainingLossDecreases) {
 
 TEST(NnTest, OnlineUpdateMovesPredictionTowardTarget) {
   Rng rng(10);
-  FeedForwardNet net(2, {8}, 2, Activation::kSoftmax, &rng);
+  FeedForwardNet net(2, {8}, 2, &rng);
   std::vector<double> input = {0.4, 0.6};
   std::vector<double> target = {1.0, 0.0};
   double before = net.Predict(input)[0];
   for (int i = 0; i < 50; ++i) {
-    net.OnlineUpdate(input, target, 0.05, Loss::kCrossEntropy);
+    net.OnlineUpdate(input, target, 0.05);
   }
   double after = net.Predict(input)[0];
   EXPECT_GT(after, before);
@@ -124,9 +104,7 @@ TEST(NnTest, OnlineUpdateMovesPredictionTowardTarget) {
 }
 
 TEST(NnTest, ComputeLossValues) {
-  EXPECT_NEAR(ComputeLoss({0.5, 0.5}, {1.0, 0.0}, Loss::kCrossEntropy),
-              -std::log(0.5), 1e-9);
-  EXPECT_DOUBLE_EQ(ComputeLoss({1.0, 3.0}, {0.0, 0.0}, Loss::kMse), 5.0);
+  EXPECT_NEAR(ComputeLoss({0.5, 0.5}, {1.0, 0.0}), -std::log(0.5), 1e-9);
 }
 
 // --- Batched-backend parity and determinism ---
@@ -140,10 +118,8 @@ struct Shape {
   size_t samples;
 };
 
-/// Random supervised data matching the loss: one-hot rows (a distribution)
-/// for cross-entropy, free targets for MSE.
-void MakeData(const Shape& shape, Loss loss, uint64_t seed, Matrix* x,
-              Matrix* y) {
+/// Random supervised data: one-hot target rows (a distribution).
+void MakeData(const Shape& shape, uint64_t seed, Matrix* x, Matrix* y) {
   Rng rng(seed);
   *x = Matrix(shape.samples, shape.input);
   *y = Matrix(shape.samples, shape.output, 0.0);
@@ -151,14 +127,8 @@ void MakeData(const Shape& shape, Loss loss, uint64_t seed, Matrix* x,
     for (size_t c = 0; c < shape.input; ++c) {
       x->At(i, c) = rng.Uniform(-1, 1);
     }
-    if (loss == Loss::kCrossEntropy) {
-      y->At(i, static_cast<size_t>(rng.UniformInt(
-                   0, static_cast<int64_t>(shape.output) - 1))) = 1.0;
-    } else {
-      for (size_t c = 0; c < shape.output; ++c) {
-        y->At(i, c) = rng.Uniform(-1, 1);
-      }
-    }
+    y->At(i, static_cast<size_t>(rng.UniformInt(
+                 0, static_cast<int64_t>(shape.output) - 1))) = 1.0;
   }
 }
 
@@ -167,23 +137,21 @@ void MakeData(const Shape& shape, Loss loss, uint64_t seed, Matrix* x,
 /// TrainBackend::kPerSample a usable reference oracle. The two backends
 /// differ only in how their kernels associate sums, so the trajectories
 /// agree to rounding error.
-void ExpectBackendParity(const Shape& shape, Loss loss, Activation out_act,
-                         uint64_t seed) {
+void ExpectBackendParity(const Shape& shape, uint64_t seed) {
   Matrix x, y;
-  MakeData(shape, loss, seed, &x, &y);
+  MakeData(shape, seed, &x, &y);
   TrainOptions opts;
   opts.epochs = 12;
-  opts.loss = loss;
   opts.learning_rate = 0.01;
 
   Rng rng_a(seed + 1);
-  FeedForwardNet a(shape.input, shape.hidden, shape.output, out_act, &rng_a);
+  FeedForwardNet a(shape.input, shape.hidden, shape.output, &rng_a);
   opts.backend = TrainBackend::kPerSample;
   auto report_a = a.Train(x, y, opts);
   ASSERT_TRUE(report_a.ok()) << report_a.status().ToString();
 
   Rng rng_b(seed + 1);
-  FeedForwardNet b(shape.input, shape.hidden, shape.output, out_act, &rng_b);
+  FeedForwardNet b(shape.input, shape.hidden, shape.output, &rng_b);
   opts.backend = TrainBackend::kBatched;
   auto report_b = b.Train(x, y, opts);
   ASSERT_TRUE(report_b.ok()) << report_b.status().ToString();
@@ -219,34 +187,20 @@ TEST(NnParityTest, BatchedMatchesPerSampleOnRandomShapes) {
     }
     s.output = static_cast<size_t>(shapes.UniformInt(2, 6));
     s.samples = static_cast<size_t>(shapes.UniformInt(30, 120));
-    // Both losses with their canonical output activations.
-    parity::ExpectBackendParity(s, Loss::kCrossEntropy, Activation::kSoftmax,
-                                900 + trial);
-    parity::ExpectBackendParity(s, Loss::kMse, Activation::kIdentity,
-                                700 + trial);
+    parity::ExpectBackendParity(s, 900 + trial);
   }
-}
-
-TEST(NnParityTest, BatchedMatchesPerSampleForMseOnEveryOutputActivation) {
-  // MSE composes with all three output activations (identity, ReLU mask,
-  // full softmax Jacobian); each takes a different backward branch.
-  parity::Shape s{6, {10, 5}, 4, 80};
-  parity::ExpectBackendParity(s, Loss::kMse, Activation::kIdentity, 31);
-  parity::ExpectBackendParity(s, Loss::kMse, Activation::kRelu, 32);
-  parity::ExpectBackendParity(s, Loss::kMse, Activation::kSoftmax, 33);
 }
 
 TEST(NnParityTest, BatchedTrainingIsBitIdenticalForAnyPoolSize) {
   parity::Shape s{8, {16, 8}, 3, 160};
   Matrix x, y;
-  parity::MakeData(s, Loss::kCrossEntropy, 77, &x, &y);
+  parity::MakeData(s, 77, &x, &y);
   TrainOptions opts;
   opts.epochs = 8;
   opts.grad_chunk_rows = 4;  // several chunks per batch
 
   Rng rng_serial(5);
-  FeedForwardNet serial(s.input, s.hidden, s.output, Activation::kSoftmax,
-                        &rng_serial);
+  FeedForwardNet serial(s.input, s.hidden, s.output, &rng_serial);
   ASSERT_TRUE(serial.Train(x, y, opts).ok());
   std::vector<double> reference = serial.FlattenParameters();
 
@@ -254,8 +208,7 @@ TEST(NnParityTest, BatchedTrainingIsBitIdenticalForAnyPoolSize) {
     dag::ThreadPool pool(threads);
     opts.pool = &pool;
     Rng rng(5);
-    FeedForwardNet net(s.input, s.hidden, s.output, Activation::kSoftmax,
-                       &rng);
+    FeedForwardNet net(s.input, s.hidden, s.output, &rng);
     ASSERT_TRUE(net.Train(x, y, opts).ok());
     // Bitwise: the chunk geometry and reduction order never depend on the
     // pool, so EXPECT_EQ on the raw doubles is the right comparison.
@@ -265,7 +218,7 @@ TEST(NnParityTest, BatchedTrainingIsBitIdenticalForAnyPoolSize) {
 
 TEST(NnTest, PredictIntoAndBatchMatchPredictBitwise) {
   Rng rng(41);
-  FeedForwardNet net(5, {12, 6}, 4, Activation::kSoftmax, &rng);
+  FeedForwardNet net(5, {12, 6}, 4, &rng);
   Rng data_rng(42);
   Matrix x(40, 5);
   for (size_t i = 0; i < x.rows(); ++i) {
@@ -291,14 +244,14 @@ TEST(NnTest, PredictIntoAndBatchMatchPredictBitwise) {
 
 TEST(NnTest, OnlineUpdateIsDeterministicAndAllocationStable) {
   Rng rng(51);
-  FeedForwardNet a(4, {8}, 2, Activation::kSoftmax, &rng);
+  FeedForwardNet a(4, {8}, 2, &rng);
   Rng rng2(51);
-  FeedForwardNet b(4, {8}, 2, Activation::kSoftmax, &rng2);
+  FeedForwardNet b(4, {8}, 2, &rng2);
   std::vector<double> x = {0.1, -0.2, 0.3, 0.4};
   std::vector<double> y = {1.0, 0.0};
   for (int i = 0; i < 20; ++i) {
-    a.OnlineUpdate(x, y, 0.01, Loss::kCrossEntropy);
-    b.OnlineUpdate(x, y, 0.01, Loss::kCrossEntropy);
+    a.OnlineUpdate(x, y, 0.01);
+    b.OnlineUpdate(x, y, 0.01);
   }
   EXPECT_EQ(a.FlattenParameters(), b.FlattenParameters());
 }

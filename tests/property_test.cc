@@ -441,8 +441,7 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
   fopts.input_span = static_cast<double>(span) * seg;
   fopts.input_splits = splits;
   fopts.planned_interval = static_cast<double>(interval) * seg;
-  ml::FeedForwardNet net(splits * num_c, {16, 8}, num_c,
-                         ml::Activation::kSoftmax, &rng);
+  ml::FeedForwardNet net(splits * num_c, {16, 8}, num_c, &rng);
   auto forecaster =
       core::Forecaster::FromParts(net.Snapshot(), fopts, num_c, {});
   ASSERT_TRUE(forecaster.ok()) << forecaster.status().ToString();

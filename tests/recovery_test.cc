@@ -12,8 +12,7 @@
 //    burns its restart budget and quarantines without deadlocking anyone;
 //  - fleet checkpoints: SaveCheckpoint -> RecoverFromCheckpoint -> complete
 //    reproduces the uninterrupted fleet bitwise, also under a shared budget
-//    that binds, and the periodic auto-checkpoint writes a loadable file
-//    during the run.
+//    that binds, and saving leaves the saving fleet's own run unperturbed.
 
 #include <gtest/gtest.h>
 
@@ -582,13 +581,22 @@ TEST_F(RecoveryTest, FleetCheckpointRecoversBitwiseMidRun) {
         std::to_string(options.shared_budget_core_s_per_video_s);
     auto reference = ReferenceResults(options);
 
-    // Run half the fleet's horizon, checkpoint, and simulate process death
-    // by dropping the set entirely.
+    // Run half the fleet's horizon and checkpoint. Saving must not perturb
+    // the run that saves: the set finishes bitwise equal to the reference,
+    // and is then dropped like a process that died after the save.
     {
       auto set = StreamSet::Create(MakeJobs(), options);
       ASSERT_TRUE(set.ok()) << label;
       ASSERT_TRUE(set->RunUntilElapsed(Hours(3)).ok()) << label;
       ASSERT_TRUE(set->SaveCheckpoint(path).ok()) << label;
+      ASSERT_TRUE(set->RunToCompletion(nullptr).ok()) << label;
+      auto own_results = set->Results();
+      for (size_t v = 0; v < kStreams; ++v) {
+        ASSERT_TRUE(reference[v].ok() && own_results[v].ok())
+            << label << ", stream " << v;
+        EXPECT_TRUE(EngineResultsIdentical(*reference[v], *own_results[v]))
+            << label << ", saving stream " << v;
+      }
     }
 
     // A fresh process: same jobs, recovered state, driven to completion at
@@ -611,39 +619,6 @@ TEST_F(RecoveryTest, FleetCheckpointRecoversBitwiseMidRun) {
     }
     std::remove(path.c_str());
   }
-}
-
-TEST_F(RecoveryTest, AutoCheckpointWritesLoadableFleetSnapshots) {
-  auto reference = ReferenceResults();
-  const std::string path = testing::TempDir() + "fleet_auto.ckpt";
-  std::remove(path.c_str());
-
-  StreamSetOptions options;
-  options.checkpoint_path = path;
-  options.checkpoint_every_boundaries = 1;
-  auto set = StreamSet::Create(MakeJobs(), options);
-  ASSERT_TRUE(set.ok());
-  ASSERT_TRUE(set->RunToCompletion(nullptr).ok());
-  ASSERT_TRUE(set->last_checkpoint_status().ok())
-      << set->last_checkpoint_status().ToString();
-
-  // The file on disk is the LAST boundary's snapshot; recovering it replays
-  // only the final interval — bitwise equal to the uninterrupted fleet, and
-  // the checkpointing run itself is unperturbed by the side writes.
-  auto own_results = set->Results();
-  auto recovered = StreamSet::RecoverFromCheckpoint(MakeJobs(), path);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  ASSERT_TRUE(recovered->RunToCompletion(nullptr).ok());
-  auto results = recovered->Results();
-  for (size_t v = 0; v < kStreams; ++v) {
-    ASSERT_TRUE(reference[v].ok() && results[v].ok()) << "stream " << v;
-    EXPECT_TRUE(EngineResultsIdentical(*reference[v], *results[v]))
-        << "stream " << v;
-    ASSERT_TRUE(own_results[v].ok());
-    EXPECT_TRUE(EngineResultsIdentical(*reference[v], *own_results[v]))
-        << "stream " << v;
-  }
-  std::remove(path.c_str());
 }
 
 TEST_F(RecoveryTest, FleetCheckpointFileErrorsAreClean) {

@@ -7,6 +7,9 @@
 //    kResourceExhausted protocol error and the connection stays usable;
 //  - live reconfiguration at a plan boundary is bitwise-equivalent to the
 //    in-process ReconfigureStream call;
+//  - a budget, duration, plan interval or start time that is not finite,
+//    or a negative budget, is refused with kInvalidArgument, and the
+//    running sessions finish as if it had never been sent;
 //  - drain + --recover: a drained server's checkpoint resumes every
 //    in-flight session bitwise on a second server;
 //  - metrics: the BENCH-style JSON document carries the counters;
@@ -31,9 +34,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/skyscraper.h"
@@ -630,6 +635,101 @@ TEST_F(ServeTest, LiveReconfigureMatchesInProcessReconfigureStream) {
 
   ASSERT_TRUE(client->Drain().ok());
   EXPECT_TRUE((*server)->Wait().ok());
+}
+
+TEST_F(ServeTest, HostileNumbersAreRefusedAndTenantsUnharmed) {
+  // Sessions A and B run in one fleet; the clock holds until both joined,
+  // so every hostile request below lands at boundary 0, before any step.
+  ServerOptions opts = BaseServerOptions();
+  opts.start_after_sessions = 2;
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = Client::Connect((*server)->port());
+  ASSERT_TRUE(client.ok());
+  SessionSpec spec_a = SpecForSeed(800);
+  spec_a.cloud_budget_usd_per_interval = 2.0;
+  const SessionSpec spec_b = SpecForSeed(801);
+  auto a = client->OpenSession(spec_a);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+
+  // A third client sends each hostile number; every request is refused.
+  auto hostile = Client::Connect((*server)->port());
+  ASSERT_TRUE(hostile.ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double budget : {inf, -inf, nan}) {
+    EXPECT_EQ(hostile->SetSharedBudget(budget).code(),
+              StatusCode::kInvalidArgument)
+        << "shared budget " << budget;
+  }
+  std::vector<std::pair<std::string, SessionSpec>> specs;
+  auto add = [&](const char* field, double v) -> SessionSpec& {
+    specs.emplace_back(field + (" " + testing::PrintToString(v)),
+                       SpecForSeed(802));
+    return specs.back().second;
+  };
+  for (double v : {-1000.0, inf, nan}) {
+    add("cloud budget", v).cloud_budget_usd_per_interval = v;
+  }
+  for (double v : {-5.0, inf, nan}) {
+    add("work budget", v).work_budget_override = v;
+  }
+  for (double v : {inf, nan, 1e300}) {
+    add("duration", v).duration_days = v;
+    add("plan interval", v).plan_interval_days = v;
+    add("start", v).start_days = v;
+  }
+  for (const auto& [what, spec] : specs) {
+    EXPECT_EQ(hostile->OpenSession(spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  }
+  for (double v : {-1000.0, inf, nan}) {
+    core::StreamReconfig cloud;
+    cloud.cloud_budget_usd_per_interval = v;
+    EXPECT_EQ(hostile->Reconfigure(a->first, cloud).code(),
+              StatusCode::kInvalidArgument)
+        << "reconfigured cloud budget " << v;
+    core::StreamReconfig work;
+    work.work_budget_override = v;
+    EXPECT_EQ(hostile->Reconfigure(a->first, work).code(),
+              StatusCode::kInvalidArgument)
+        << "reconfigured work budget " << v;
+  }
+  // A budget <= 0 still means "derive it from the streams".
+  EXPECT_TRUE(hostile->SetSharedBudget(-1.0).ok());
+
+  auto b = client->OpenSession(spec_b);  // releases the hold
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  auto result_a = client->FetchResult(a->first);
+  ASSERT_TRUE(result_a.ok()) << result_a.status().ToString();
+  auto result_b = client->FetchResult(b->first);
+  ASSERT_TRUE(result_b.ok()) << result_b.status().ToString();
+
+  // The metrics frame stays valid JSON: no bare inf or nan value.
+  auto metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok());
+  for (const char* bare : {": inf", ": -inf", ": nan", ": -nan"}) {
+    EXPECT_EQ(metrics->find(bare), std::string::npos)
+        << bare << " in:\n" << *metrics;
+  }
+  ASSERT_TRUE(client->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
+
+  // A and B finish exactly as in a fleet no hostile client ever reached.
+  std::vector<Tenant> tenants(2);
+  std::vector<core::StreamEngineJob> jobs;
+  jobs.push_back(MirrorJob(spec_a, &tenants[0]));
+  jobs.push_back(MirrorJob(spec_b, &tenants[1]));
+  core::StreamSetOptions set_opts;
+  set_opts.planning = core::MultiStreamPlanning::kJoint;
+  auto reference = core::StreamSet::Create(std::move(jobs), set_opts);
+  ASSERT_TRUE(reference.ok());
+  while (!reference->Done()) ASSERT_TRUE(reference->Step().ok());
+  auto ref_results = reference->Results();
+  ASSERT_TRUE(ref_results[0].ok() && ref_results[1].ok());
+  EXPECT_TRUE(EngineResultsIdentical(*ref_results[0], *result_a));
+  EXPECT_TRUE(EngineResultsIdentical(*ref_results[1], *result_b));
 }
 
 TEST_F(ServeTest, DrainCheckpointRecoverFinishesEverySessionBitwise) {

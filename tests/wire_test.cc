@@ -1,7 +1,9 @@
 // The checksummed chunk container under model files, fleet checkpoints and
 // serve checkpoints (src/io/wire): the same hostile inputs must be refused
-// with kInvalidArgument by all three, and fixed fleet and serve checkpoints
-// serialize to checked-in bytes.
+// with kInvalidArgument by all three; fixed fleet and serve checkpoints and
+// a fixed forecaster payload serialize to checked-in bytes; and a model
+// whose forecaster names a loss other than cross-entropy or an output other
+// than softmax is refused.
 
 #include "io/wire.h"
 
@@ -10,13 +12,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/forecaster.h"
 #include "core/offline.h"
 #include "io/checkpoint_io.h"
 #include "io/model_io.h"
 #include "serve/registry.h"
+#include "workloads/ev_counting.h"
 
 namespace sky::io {
 namespace {
@@ -189,6 +194,127 @@ TEST(WireContainerTest, ServeCheckpointLayoutIsPinned) {
             "0000000000070000000b0000000000000071756172616e74696e656400464c45"
             "450500000000000000666c6565744353554d08000000000000004afaaf69f254"
             "6409");
+}
+
+/// A forecaster built from hand-set parts, with no RNG and no training: two
+/// categories, one split, one hidden ReLU unit.
+core::Forecaster FixedForecaster() {
+  core::ForecasterOptions options;
+  options.input_span = 3600.0;
+  options.input_splits = 1;
+  options.planned_interval = 1800.0;
+  options.training_stride = 900.0;
+  options.seed = 5;
+  options.train_options.epochs = 2;
+  options.train_options.batch_size = 4;
+  ml::NetSnapshot net;
+  net.input_dim = 2;
+  net.hidden = {1};
+  net.output_dim = 2;
+  net.adam_steps = 3;
+  // Per layer: weights row-major, then biases.
+  net.params = {0.5, -0.25, 0.125, 1.0, -1.0, 0.0, 0.5};
+  net.adam_m = {0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07};
+  net.adam_v = {1e-4, 2e-4, 3e-4, 4e-4, 5e-4, 6e-4, 7e-4};
+  ml::TrainReport report;
+  report.train_loss_per_epoch = {0.75, 0.5};
+  report.val_loss_per_epoch = {0.875, 0.625};
+  report.best_val_loss = 0.625;
+  report.best_epoch = 1;
+  auto forecaster =
+      core::Forecaster::FromParts(net, options, 2, std::move(report));
+  EXPECT_TRUE(forecaster.ok()) << forecaster.status().ToString();
+  return std::move(forecaster).value();
+}
+
+// Model files and fleet checkpoints both carry this payload.
+TEST(WireContainerTest, ForecasterPayloadLayoutIsPinned) {
+  std::string bytes;
+  wire::AppendForecaster(FixedForecaster(), &bytes);
+  EXPECT_EQ(Hex(bytes),
+            "01000000000020ac4001000000000000000000000000209c400000000000208c"
+            "400500000000000000020000000000000004000000000000007b14ae47e17a84"
+            "3f9a9999999999c93f0100000007000000000000000100000000080000000000"
+            "000002000000000000000200000000000000000000000000e83f000000000000"
+            "e03f0200000000000000000000000000ec3f000000000000e43f000000000000"
+            "e43f010000000000000002000000000000000100000000000000010000000000"
+            "0000020000000000000002000000030000000000000007000000000000000000"
+            "00000000e03f000000000000d0bf000000000000c03f000000000000f03f0000"
+            "00000000f0bf0000000000000000000000000000e03f07000000000000007b14"
+            "ae47e17a843f7b14ae47e17a943fb81e85eb51b89e3f7b14ae47e17aa43f9a99"
+            "99999999a93fb81e85eb51b8ae3fec51b81e85ebb13f07000000000000002d43"
+            "1cebe2361a3f2d431cebe2362a3f613255302aa9333f2d431cebe2363a3ffca9"
+            "f1d24d62403f613255302aa9433fc7bab88d06f0463f");
+  // The payload parses back to a forecaster that writes the same bytes.
+  wire::Cursor c(bytes.data(), bytes.size());
+  std::optional<core::Forecaster> parsed;
+  ASSERT_TRUE(wire::ParseForecaster(&c, &parsed).ok());
+  std::string again;
+  wire::AppendForecaster(parsed, &again);
+  EXPECT_EQ(again, bytes);
+}
+
+TEST(WireContainerTest, ModelWithAnotherLossOrActivationIdIsRefused) {
+  workloads::EvCountingWorkload job;
+  sim::ClusterSpec cluster;
+  cluster.cores = 4;
+  core::OfflineOptions options;
+  options.segment_seconds = 4.0;
+  options.train_horizon = Days(4);
+  options.num_categories = 3;
+  options.forecaster.input_span = Days(1);
+  options.forecaster.planned_interval = Days(1);
+  auto model =
+      core::RunOfflinePhase(job, cluster, sim::CostModel(1.8), options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  ASSERT_TRUE(model->forecaster.has_value());
+  std::string file;
+  ASSERT_TRUE(SerializeOfflineModel(*model, "ev", &file).ok());
+  auto chunks = wire::ReadContainer(
+      file, {"SKYMODL1", kModelFormatVersion, "model file"});
+  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+  size_t fcst = 0;
+  for (const wire::Chunk& chunk : *chunks) {
+    if (chunk.Is("FCST")) fcst = chunk.tag - file.data() + kChunkHeadBytes;
+  }
+  ASSERT_GT(fcst, 0u);
+
+  // FCST payload offsets: a presence byte, five fields and four training
+  // options of 8 bytes each, then the u32 loss id. The activation id
+  // follows the rest of the options (21 bytes), the category count, both
+  // loss curves, the best loss and epoch, the input width, the hidden
+  // widths and the output width.
+  const ml::TrainReport& report = model->forecaster->train_report();
+  const ml::NetSnapshot net = model->forecaster->SnapshotNet();
+  const size_t loss_at = fcst + 1 + 9 * 8;
+  const size_t activation_at =
+      loss_at + 4 + 21 + 8 +
+      8 * (1 + report.train_loss_per_epoch.size()) +
+      8 * (1 + report.val_loss_per_epoch.size()) + 8 + 8 +
+      8 + 8 * (1 + net.hidden.size()) + 8;
+  uint32_t id = 0;
+  std::memcpy(&id, &file[loss_at], sizeof(id));
+  ASSERT_EQ(id, 1u) << "cross-entropy";
+  std::memcpy(&id, &file[activation_at], sizeof(id));
+  ASSERT_EQ(id, 2u) << "softmax";
+
+  struct Case {
+    const char* what;
+    size_t at;
+    uint32_t id;
+    const char* message;
+  };
+  for (const Case& c : {Case{"loss 0 (MSE)", loss_at, 0, "loss id"},
+                        Case{"activation 0 (identity)", activation_at, 0,
+                             "activation id"},
+                        Case{"activation 1 (ReLU)", activation_at, 1,
+                             "activation id"}}) {
+    std::string resealed = WithChecksum(Body(Patched(file, c.at, c.id)));
+    auto loaded = DeserializeOfflineModel(resealed);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
+        << c.what << ": " << loaded.status().ToString();
+  }
 }
 
 }  // namespace

@@ -30,7 +30,8 @@
 // stdout):
 //   0  success
 //   1  any other runtime failure (includes an admission rejection)
-//   2  usage error (unknown flag/subcommand/workload, missing required flag)
+//   2  usage error (unknown flag/subcommand/workload, missing required flag,
+//      a number flag whose value is not wholly a finite number of its type)
 //   3  I/O failure (model file missing or unreadable, save failed)
 //   4  corrupt model file (bad magic/version/checksum/layout)
 //   5  model/workload mismatch (the file is fine, but trained for a
@@ -38,11 +39,11 @@
 //
 // Every subcommand also answers `--help` on stdout with exit code 0.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -189,8 +190,8 @@ close flags:
 struct Flags {
   std::string workload = "ev";
   int cores = 8;
-  double cloud_budget = 0.0;
-  bool cloud_budget_set = false;
+  /// Unset: no cloud credits provisioned, no per-session override.
+  std::optional<double> cloud_budget;
   double buffer_gb = 4.0;
   std::string out;
   std::string model;
@@ -222,15 +223,29 @@ struct Flags {
   bool record_trace = false;
   double trace_resolution_s = 300.0;
   bool wait = false;
-  uint64_t session = 0;
-  bool session_set = false;
+  std::optional<uint64_t> session;
   double budget = 0.0;
-  double work_budget = 0.0;
-  bool work_budget_set = false;
+  std::optional<double> work_budget;
 };
 
+/// Parses all of `text` into `out`: false unless the whole string is a
+/// number of T's syntax, in T's range, and finite.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [last, error] = std::from_chars(text.data(), end, *out);
+  return error == std::errc() && last == end &&
+         std::isfinite(static_cast<double>(*out));
+}
+
+template <typename T>
+bool ParseNumber(const std::string& text, std::optional<T>* out) {
+  return ParseNumber(text, &out->emplace());
+}
+
 /// Parses "--flag value" / "--flag=value" pairs (boolean flags take no
-/// value); returns false on an unknown flag or a missing value.
+/// value); returns false on an unknown flag, a missing value, or a number
+/// flag whose value ParseNumber refuses.
 bool ParseFlags(int argc, char** argv, Flags* f) {
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
@@ -250,37 +265,44 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
       std::fprintf(stderr, "sky: flag %s needs a value\n", arg.c_str());
       return false;
     }
+    bool parsed = true;
+    auto number = [&](auto* target) { parsed = ParseNumber(value, target); };
     if (arg == "--workload") f->workload = value;
-    else if (arg == "--cores") f->cores = std::atoi(value.c_str());
-    else if (arg == "--cloud-budget") { f->cloud_budget = std::atof(value.c_str()); f->cloud_budget_set = true; }
-    else if (arg == "--buffer-gb") f->buffer_gb = std::atof(value.c_str());
+    else if (arg == "--cores") number(&f->cores);
+    else if (arg == "--cloud-budget") number(&f->cloud_budget);
+    else if (arg == "--buffer-gb") number(&f->buffer_gb);
     else if (arg == "--out") f->out = value;
     else if (arg == "--model") f->model = value;
-    else if (arg == "--segment-seconds") f->segment_seconds = std::atof(value.c_str());
-    else if (arg == "--train-days") f->train_days = std::atof(value.c_str());
-    else if (arg == "--plan-days") f->plan_days = std::atof(value.c_str());
-    else if (arg == "--categories") f->categories = std::strtoull(value.c_str(), nullptr, 10);
-    else if (arg == "--threads") f->threads = std::strtoull(value.c_str(), nullptr, 10);
-    else if (arg == "--seed") { f->offline_seed = std::strtoull(value.c_str(), nullptr, 10); f->engine_seed = f->offline_seed; }
-    else if (arg == "--start-days") f->start_days = std::atof(value.c_str());
-    else if (arg == "--duration-days") f->duration_days = std::atof(value.c_str());
-    else if (arg == "--plan-interval-days") f->plan_interval_days = std::atof(value.c_str());
-    else if (arg == "--port") f->port = std::atoi(value.c_str());
+    else if (arg == "--segment-seconds") number(&f->segment_seconds);
+    else if (arg == "--train-days") number(&f->train_days);
+    else if (arg == "--plan-days") number(&f->plan_days);
+    else if (arg == "--categories") number(&f->categories);
+    else if (arg == "--threads") number(&f->threads);
+    else if (arg == "--seed") { number(&f->offline_seed); f->engine_seed = f->offline_seed; }
+    else if (arg == "--start-days") number(&f->start_days);
+    else if (arg == "--duration-days") number(&f->duration_days);
+    else if (arg == "--plan-interval-days") number(&f->plan_interval_days);
+    else if (arg == "--port") number(&f->port);
     else if (arg == "--port-file") f->port_file = value;
-    else if (arg == "--shared-budget") f->shared_budget = std::atof(value.c_str());
-    else if (arg == "--max-sessions") f->max_sessions = std::strtoull(value.c_str(), nullptr, 10);
-    else if (arg == "--start-after") f->start_after = std::strtoull(value.c_str(), nullptr, 10);
+    else if (arg == "--shared-budget") number(&f->shared_budget);
+    else if (arg == "--max-sessions") number(&f->max_sessions);
+    else if (arg == "--start-after") number(&f->start_after);
     else if (arg == "--checkpoint") f->checkpoint = value;
-    else if (arg == "--checkpoint-every") f->checkpoint_every = std::strtoull(value.c_str(), nullptr, 10);
-    else if (arg == "--max-restarts") f->max_restarts = std::strtoull(value.c_str(), nullptr, 10);
+    else if (arg == "--checkpoint-every") number(&f->checkpoint_every);
+    else if (arg == "--max-restarts") number(&f->max_restarts);
     else if (arg == "--recover") f->recover = value;
-    else if (arg == "--content-seed") f->content_seed = std::strtoull(value.c_str(), nullptr, 10);
-    else if (arg == "--trace-resolution-s") f->trace_resolution_s = std::atof(value.c_str());
-    else if (arg == "--session") { f->session = std::strtoull(value.c_str(), nullptr, 10); f->session_set = true; }
-    else if (arg == "--budget") f->budget = std::atof(value.c_str());
-    else if (arg == "--work-budget") { f->work_budget = std::atof(value.c_str()); f->work_budget_set = true; }
+    else if (arg == "--content-seed") number(&f->content_seed);
+    else if (arg == "--trace-resolution-s") number(&f->trace_resolution_s);
+    else if (arg == "--session") number(&f->session);
+    else if (arg == "--budget") number(&f->budget);
+    else if (arg == "--work-budget") number(&f->work_budget);
     else {
       std::fprintf(stderr, "sky: unknown flag %s\n", arg.c_str());
+      return false;
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "sky: invalid number '%s' for flag %s\n",
+                   value.c_str(), arg.c_str());
       return false;
     }
   }
@@ -291,7 +313,7 @@ sky::api::Resources MakeResources(const Flags& f) {
   sky::api::Resources res;
   res.cores = f.cores;
   res.buffer_bytes = static_cast<uint64_t>(f.buffer_gb * (1ull << 30));
-  res.cloud_budget_usd_per_interval = f.cloud_budget;
+  res.cloud_budget_usd_per_interval = f.cloud_budget.value_or(0.0);
   return res;
 }
 
@@ -421,7 +443,8 @@ int RunIngest(const Flags& f) {
   std::printf("sky ingest: %s from %s (day %.1f, %.1f days, plan every "
               "%.1f days, %d cores, $%.2f cloud/interval)\n",
               workload->name().c_str(), f.model.c_str(), start_days,
-              f.duration_days, plan_interval_days, f.cores, f.cloud_budget);
+              f.duration_days, plan_interval_days, f.cores,
+              f.cloud_budget.value_or(0.0));
   std::printf("  segments          %zu\n", result->segments);
   std::printf("  mean quality      %.4f\n", result->mean_quality);
   std::printf("  work              %.1f core-s (%.1f on-prem)\n",
@@ -546,8 +569,8 @@ void PrintResult(uint64_t id, const sky::core::EngineResult& r) {
 
 int RunClient(const std::string& verb, const Flags& f) {
   if (f.help) return HelpOut(kClientHelp);
-  // Usage errors (unknown verb, missing port) are decided before touching
-  // the network, so they exit 2 even with no server around.
+  // Usage errors (unknown verb, missing port or session) are decided
+  // before touching the network, so they exit 2 even with no server around.
   static const char* kVerbs[] = {"open",       "fetch", "metrics",
                                  "reconfigure", "set-budget", "close",
                                  "drain"};
@@ -560,6 +583,12 @@ int RunClient(const std::string& verb, const Flags& f) {
   }
   if (f.port <= 0) {
     std::fprintf(stderr, "sky client: --port is required\n");
+    return 2;
+  }
+  if ((verb == "fetch" || verb == "reconfigure" || verb == "close") &&
+      !f.session) {
+    std::fprintf(stderr, "sky client %s: --session is required\n",
+                 verb.c_str());
     return 2;
   }
   auto client = sky::serve::Client::Connect(f.port);
@@ -575,10 +604,8 @@ int RunClient(const std::string& verb, const Flags& f) {
     spec.engine_seed = f.engine_seed;
     spec.record_trace = f.record_trace;
     spec.trace_resolution_s = f.trace_resolution_s;
-    if (f.cloud_budget_set) {
-      spec.cloud_budget_usd_per_interval = f.cloud_budget;
-    }
-    if (f.work_budget_set) spec.work_budget_override = f.work_budget;
+    spec.cloud_budget_usd_per_interval = f.cloud_budget;
+    if (f.work_budget) spec.work_budget_override = *f.work_budget;
 
     auto opened = client->OpenSession(spec);
     if (!opened.ok()) return Fail(opened.status());
@@ -594,13 +621,9 @@ int RunClient(const std::string& verb, const Flags& f) {
   }
 
   if (verb == "fetch") {
-    if (!f.session_set) {
-      std::fprintf(stderr, "sky client fetch: --session is required\n");
-      return 2;
-    }
-    auto result = client->FetchResult(f.session);
+    auto result = client->FetchResult(*f.session);
     if (!result.ok()) return Fail(result.status());
-    PrintResult(f.session, *result);
+    PrintResult(*f.session, *result);
     return 0;
   }
 
@@ -612,19 +635,13 @@ int RunClient(const std::string& verb, const Flags& f) {
   }
 
   if (verb == "reconfigure") {
-    if (!f.session_set) {
-      std::fprintf(stderr, "sky client reconfigure: --session is required\n");
-      return 2;
-    }
     sky::core::StreamReconfig changes;
-    if (f.cloud_budget_set) {
-      changes.cloud_budget_usd_per_interval = f.cloud_budget;
-    }
-    if (f.work_budget_set) changes.work_budget_override = f.work_budget;
-    Status s = client->Reconfigure(f.session, changes);
+    changes.cloud_budget_usd_per_interval = f.cloud_budget;
+    changes.work_budget_override = f.work_budget;
+    Status s = client->Reconfigure(*f.session, changes);
     if (!s.ok()) return Fail(s);
     std::printf("sky client: session %llu reconfigured (next boundary)\n",
-                static_cast<unsigned long long>(f.session));
+                static_cast<unsigned long long>(*f.session));
     return 0;
   }
 
@@ -637,27 +654,18 @@ int RunClient(const std::string& verb, const Flags& f) {
   }
 
   if (verb == "close") {
-    if (!f.session_set) {
-      std::fprintf(stderr, "sky client close: --session is required\n");
-      return 2;
-    }
-    Status s = client->CloseSession(f.session);
+    Status s = client->CloseSession(*f.session);
     if (!s.ok()) return Fail(s);
     std::printf("sky client: session %llu closed\n",
-                static_cast<unsigned long long>(f.session));
+                static_cast<unsigned long long>(*f.session));
     return 0;
   }
 
-  if (verb == "drain") {
-    Status s = client->Drain();
-    if (!s.ok()) return Fail(s);
-    std::printf("sky client: server draining\n");
-    return 0;
-  }
-
-  std::fprintf(stderr, "sky client: unknown verb '%s'\n%s", verb.c_str(),
-               kClientHelp);
-  return 2;
+  // The verb check above leaves only "drain".
+  Status s = client->Drain();
+  if (!s.ok()) return Fail(s);
+  std::printf("sky client: server draining\n");
+  return 0;
 }
 
 }  // namespace
