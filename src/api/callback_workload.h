@@ -13,6 +13,10 @@ namespace sky::api {
 /// UDFs and knobs against the Python API (Appendix F). The cost callback
 /// corresponds to profiling the UDF DAG; the quality callback corresponds to
 /// the quality field the user's proc_frame updates.
+///
+/// Like every core::Workload, the callables and `content` may be called from
+/// several threads at once (the offline phase fans them across its pool), so
+/// they must be safe to call concurrently.
 class CallbackWorkload : public core::Workload {
  public:
   using CostFn = std::function<double(const core::KnobConfig&)>;

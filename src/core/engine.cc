@@ -119,6 +119,18 @@ IngestionEngine::IngestionEngine(const Workload* workload,
   }
 }
 
+void IngestionEngine::MaterializeContent() const {
+  const IngestState& s = *state_;
+  double seg = model_->segment_seconds;
+  // Summed as doubles: two int64 counts that each fit (Start's check, or a
+  // restored checkpoint's) may overflow int64 together.
+  double first = static_cast<double>(s.first_segment);
+  workload_->content_process().Materialize(
+      (first + static_cast<double>(s.next_index)) * seg,
+      (first + static_cast<double>(s.n_segments)) * seg +
+          options_.plan_interval);
+}
+
 size_t IngestionEngine::TrueCategoryInto(const video::ContentState& content,
                                          std::vector<double>* quals) const {
   TrueQualityVectorInto(*workload_, model_->configs, content, quals);
@@ -412,6 +424,7 @@ Status IngestionEngine::Start(SimTime start_time) {
   s.n_segments = static_cast<int64_t>(options_.duration / seg);
   s.segs_per_interval = segs_per_interval;
   s.first_segment = static_cast<int64_t>(start_time / seg);
+  MaterializeContent();
 
   Rng rng(options_.seed);
   s.noise = rng.Fork("measurement");
@@ -729,6 +742,7 @@ Status IngestionEngine::Restore(const IngestState& snapshot) {
   }
   state_ = std::make_unique<IngestState>(snapshot);
   scratch_.split_counts_at = -1;
+  MaterializeContent();
   return Status::Ok();
 }
 

@@ -403,6 +403,11 @@ class IngestionEngine {
   void GroundTruthForecastInto(int64_t first_segment_index,
                                std::vector<double>* out) const;
 
+  /// Builds the content the rest of the run reads — its remaining segments
+  /// plus one plan interval of ground-truth look-ahead (Fig. 14) — so Step()
+  /// never builds content on first use.
+  void MaterializeContent() const;
+
   /// Ground truth for one segment's content: writes the noise-free quality
   /// vector into `quals` and returns its full classification.
   size_t TrueCategoryInto(const video::ContentState& content,

@@ -122,6 +122,10 @@ Result<OfflineModel> RunOfflinePhase(const Workload& workload,
   model.segment_seconds = options.segment_seconds;
   model.train_horizon =
       std::min<double>(options.train_horizon, workload.content_process().horizon());
+  // Build the training content in one pass before the steps below fan out
+  // over it: a block first read under the pool is redrawn from its seed,
+  // which costs quadratic time over a whole horizon.
+  workload.content_process().Materialize(0.0, model.train_horizon);
 
   // The pool every offline step fans out on. Each step is deterministic for
   // a fixed seed regardless of the thread count, so parallelism is purely a

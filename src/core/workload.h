@@ -21,6 +21,13 @@ namespace sky::core {
 /// is the noise-free ground truth used for scoring experiments;
 /// MeasuredQuality adds the measurement noise of real CV certainty metrics
 /// and is what the online system observes.
+///
+/// Every const method may run on several threads at once:
+/// RunOfflinePhase fans one workload's content_process().At() and
+/// MeasuredQuality across its pool, and fleet workers do the same when
+/// streams share a workload. Implementations keep their const methods free
+/// of unsynchronized mutable state (MeasuredQuality draws only from the
+/// caller's `rng`).
 class Workload {
  public:
   virtual ~Workload() = default;

@@ -103,6 +103,13 @@ double ContentDriftProcess::DriftPhase(SimTime t) const {
                                                           period_s));
 }
 
+void ContentDriftProcess::Materialize(SimTime begin, SimTime end) const {
+  // At() clamps t to the horizon, then reads the base at t and t + 12 h.
+  begin = std::clamp(begin, 0.0, options_.base.horizon);
+  end = std::clamp(end, 0.0, options_.base.horizon);
+  base_.Materialize(begin, end + kHalfDayS);
+}
+
 video::ContentState ContentDriftProcess::At(SimTime t) const {
   t = std::clamp(t, 0.0, options_.base.horizon);
   video::ContentState day = base_.At(t);
@@ -158,6 +165,14 @@ double FleetCameraContentProcess::SharedShift(SimTime t) const {
     shift += it->magnitude * std::clamp(edge, 0.0, 1.0);
   }
   return shift;
+}
+
+void FleetCameraContentProcess::Materialize(SimTime begin,
+                                            SimTime end) const {
+  begin = std::clamp(begin, 0.0, options_.base.horizon);
+  end = std::clamp(end, 0.0, options_.base.horizon);
+  own_.Materialize(begin, end);
+  shared_noise_.Materialize(begin, end);
 }
 
 video::ContentState FleetCameraContentProcess::At(SimTime t) const {

@@ -39,6 +39,9 @@ class FlashCrowdContentProcess : public video::ContentProcess {
 
   video::ContentState At(SimTime t) const override;
   SimTime horizon() const override { return base_.horizon(); }
+  void Materialize(SimTime begin, SimTime end) const override {
+    base_.Materialize(begin, end);
+  }
 
   /// The additive density surge at time t (0 outside bursts). Exposed so
   /// tests can assert burst amplitude and schedule determinism directly.
@@ -74,6 +77,7 @@ class ContentDriftProcess : public video::ContentProcess {
 
   video::ContentState At(SimTime t) const override;
   SimTime horizon() const override { return options_.base.horizon; }
+  void Materialize(SimTime begin, SimTime end) const override;
 
   /// Mixing weight toward the night-shifted pattern at time t, in
   /// [0, drift_magnitude]. Exposed so tests can assert the drift rate.
@@ -109,6 +113,7 @@ class FleetCameraContentProcess : public video::ContentProcess {
 
   video::ContentState At(SimTime t) const override;
   SimTime horizon() const override { return options_.base.horizon; }
+  void Materialize(SimTime begin, SimTime end) const override;
 
   /// The fleet-wide latent shift at time t (identical for every camera of
   /// the fleet). Exposed so tests can assert cross-camera correlation.

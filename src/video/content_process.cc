@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/rng.h"
 
@@ -22,22 +23,102 @@ double Clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
 SmoothNoise::SmoothNoise(double amplitude, double knot_spacing_s,
                          SimTime horizon, uint64_t seed)
-    : amplitude_(amplitude), spacing_(knot_spacing_s) {
-  size_t n = static_cast<size_t>(horizon / knot_spacing_s) + 2;
-  knots_.reserve(n);
-  Rng rng(seed);
-  for (size_t i = 0; i < n; ++i) knots_.push_back(rng.Uniform(-1.0, 1.0));
+    : amplitude_(amplitude),
+      spacing_(knot_spacing_s),
+      seed_(seed),
+      num_knots_(static_cast<size_t>(horizon / knot_spacing_s) + 2),
+      blocks_(new std::atomic<double*>[num_blocks()]()) {}
+
+SmoothNoise::SmoothNoise(const SmoothNoise& other)
+    : amplitude_(other.amplitude_),
+      spacing_(other.spacing_),
+      seed_(other.seed_),
+      num_knots_(other.num_knots_),
+      blocks_(new std::atomic<double*>[num_blocks()]()) {
+  for (size_t b = 0; b < num_blocks(); ++b) {
+    const double* src = other.blocks_[b].load(std::memory_order_acquire);
+    if (src == nullptr) continue;
+    size_t n = std::min(kBlockKnots, num_knots_ - b * kBlockKnots);
+    double* copy = new double[n];
+    std::copy(src, src + n, copy);
+    blocks_[b].store(copy, std::memory_order_relaxed);
+  }
+}
+
+SmoothNoise::~SmoothNoise() {
+  for (size_t b = 0; b < num_blocks(); ++b) {
+    delete[] blocks_[b].load(std::memory_order_relaxed);
+  }
+}
+
+void SmoothNoise::DrawBlocks(size_t first, size_t last) const {
+  std::optional<Rng> rng;
+  size_t drawn = 0;  // outputs the generator has produced
+  for (size_t b = first; b <= last; ++b) {
+    if (blocks_[b].load(std::memory_order_acquire) != nullptr) continue;
+    if (!rng.has_value()) rng.emplace(seed_);
+    size_t begin = b * kBlockKnots;
+    size_t n = std::min(kBlockKnots, num_knots_ - begin);
+    // One engine output per Uniform(): knot i is output i of the stream.
+    rng->engine().discard(begin - drawn);
+    std::unique_ptr<double[]> block(new double[n]);
+    for (size_t i = 0; i < n; ++i) block[i] = rng->Uniform(-1.0, 1.0);
+    drawn = begin + n;
+    // A thread that loses the race frees its copy: both drew the same bits.
+    double* expected = nullptr;
+    if (blocks_[b].compare_exchange_strong(expected, block.get(),
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+      block.release();
+    }
+  }
+}
+
+const double* SmoothNoise::Block(size_t b) const {
+  const double* block = blocks_[b].load(std::memory_order_acquire);
+  if (block == nullptr) {
+    DrawBlocks(b, b);
+    block = blocks_[b].load(std::memory_order_acquire);
+  }
+  return block;
 }
 
 double SmoothNoise::At(SimTime t) const {
-  if (knots_.empty()) return 0.0;
   double pos = std::max(0.0, t / spacing_);
+  size_t last = num_knots_ - 1;
+  if (pos >= static_cast<double>(last)) {
+    return amplitude_ * Block(last / kBlockKnots)[last % kBlockKnots];
+  }
   size_t i = static_cast<size_t>(pos);
-  if (i + 1 >= knots_.size()) return amplitude_ * knots_.back();
+  size_t j = i % kBlockKnots;
+  const double* block = Block(i / kBlockKnots);
+  double knot = block[j];
+  // Knot i + 1 opens the next block when knot i closes this one.
+  double next =
+      j + 1 < kBlockKnots ? block[j + 1] : Block(i / kBlockKnots + 1)[0];
   double frac = pos - static_cast<double>(i);
   // Cosine interpolation: C1-smooth between knots.
   double w = 0.5 - 0.5 * std::cos(frac * kPi);
-  return amplitude_ * (knots_[i] * (1.0 - w) + knots_[i + 1] * w);
+  return amplitude_ * (knot * (1.0 - w) + next * w);
+}
+
+void SmoothNoise::Materialize(SimTime begin, SimTime end) const {
+  if (!(begin <= end)) return;
+  // At(t) reads knots floor(t / spacing) and the one after, up to the last.
+  double last = static_cast<double>(num_knots_ - 1);
+  double lo = std::max(0.0, begin / spacing_);
+  if (lo > last) return;
+  double hi = std::clamp(end / spacing_ + 1.0, lo, last);
+  DrawBlocks(static_cast<size_t>(lo) / kBlockKnots,
+             static_cast<size_t>(hi) / kBlockKnots);
+}
+
+size_t SmoothNoise::built_blocks() const {
+  size_t built = 0;
+  for (size_t b = 0; b < num_blocks(); ++b) {
+    if (blocks_[b].load(std::memory_order_acquire) != nullptr) ++built;
+  }
+  return built;
 }
 
 double DiurnalContentProcess::BaseDensity(Profile profile,
@@ -87,6 +168,16 @@ DiurnalContentProcess::DiurnalContentProcess(const Options& options)
   }
   std::sort(events_.begin(), events_.end(),
             [](const Event& a, const Event& b) { return a.start < b.start; });
+}
+
+void DiurnalContentProcess::Materialize(SimTime begin, SimTime end) const {
+  // At() clamps t to the horizon before it reads the noise.
+  begin = std::clamp(begin, 0.0, options_.horizon);
+  end = std::clamp(end, 0.0, options_.horizon);
+  for (const SmoothNoise* noise :
+       {&fine_noise_, &slow_noise_, &occlusion_noise_, &day_drift_}) {
+    noise->Materialize(begin, end);
+  }
 }
 
 double DiurnalContentProcess::EventBoost(SimTime t) const {
@@ -139,6 +230,13 @@ TwitchContentProcess::TwitchContentProcess(const Options& options)
   for (size_t d = 0; d < days; ++d) {
     spike_offsets_s_.push_back(rng.Uniform(0.0, 3600.0));
   }
+}
+
+void TwitchContentProcess::Materialize(SimTime begin, SimTime end) const {
+  begin = std::clamp(begin, 0.0, options_.horizon);
+  end = std::clamp(end, 0.0, options_.horizon);
+  difficulty_noise_.Materialize(begin, end);
+  count_noise_.Materialize(begin, end);
 }
 
 ContentState TwitchContentProcess::At(SimTime t) const {

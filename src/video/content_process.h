@@ -1,7 +1,10 @@
 #ifndef SKYSCRAPER_VIDEO_CONTENT_PROCESS_H_
 #define SKYSCRAPER_VIDEO_CONTENT_PROCESS_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/sim_time.h"
@@ -28,26 +31,72 @@ struct ContentState {
 /// A deterministic, seekable content process: At(t) must return the same
 /// state for the same t (random access), which the training-data builder and
 /// the engine rely on.
+///
+/// The const methods may run concurrently on one process: the offline phase
+/// fans one workload's At() across its pool, and fleet workers do the same
+/// when streams share a workload. A process that builds state on first use
+/// must publish it race-free.
 class ContentProcess {
  public:
   virtual ~ContentProcess() = default;
   virtual ContentState At(SimTime t) const = 0;
   /// Time span covered; At(t) clamps beyond it.
   virtual SimTime horizon() const = 0;
+  /// Builds now what At(t) for t in [begin, end] would otherwise build on
+  /// first use, so those calls no longer allocate. It changes no value: At()
+  /// returns the same bits whatever was materialized, in whatever order, by
+  /// whichever thread. The default process builds nothing.
+  virtual void Materialize(SimTime begin, SimTime end) const {
+    (void)begin;
+    (void)end;
+  }
 };
 
 /// Piecewise-smooth value noise: uniform knots every `knot_spacing` seconds,
 /// cosine-interpolated. Deterministic given the seed.
+///
+/// Knots are drawn on first use, in blocks of kBlockKnots: knot i is always
+/// output i of the seed's mt19937_64 stream, so a block's bits do not depend
+/// on which blocks exist. At() may run on several threads at once; a block
+/// two threads build together is published once, by compare-exchange.
 class SmoothNoise {
  public:
+  static constexpr size_t kBlockKnots = 1024;
+
   SmoothNoise(double amplitude, double knot_spacing_s, SimTime horizon,
               uint64_t seed);
+  /// Copies the blocks `other` has built.
+  SmoothNoise(const SmoothNoise& other);
+  SmoothNoise& operator=(const SmoothNoise&) = delete;
+  ~SmoothNoise();
+
+  /// The noise at t; t before the first knot or past the last reads that
+  /// knot.
   double At(SimTime t) const;
+  /// Builds every missing block At() reads for t in [begin, end] in one
+  /// generator pass; returns at once when they all exist. A no-op when
+  /// begin > end or when begin lies past the last knot.
+  void Materialize(SimTime begin, SimTime end) const;
+  /// Blocks built so far.
+  size_t built_blocks() const;
 
  private:
+  size_t num_blocks() const {
+    return (num_knots_ + kBlockKnots - 1) / kBlockKnots;
+  }
+  /// Draws the missing blocks in [first, last] in one generator pass and
+  /// publishes each unless another thread did first.
+  void DrawBlocks(size_t first, size_t last) const;
+  /// Block b, drawn first if missing.
+  const double* Block(size_t b) const;
+
   double amplitude_;
   double spacing_;
-  std::vector<double> knots_;
+  uint64_t seed_;
+  size_t num_knots_;
+  /// Block b holds knots [b * kBlockKnots, (b + 1) * kBlockKnots), or is
+  /// null until first use.
+  std::unique_ptr<std::atomic<double*>[]> blocks_;
 };
 
 /// Diurnal single-camera content (traffic intersection or shopping street):
@@ -77,6 +126,7 @@ class DiurnalContentProcess : public ContentProcess {
 
   ContentState At(SimTime t) const override;
   SimTime horizon() const override { return options_.horizon; }
+  void Materialize(SimTime begin, SimTime end) const override;
 
   /// The deterministic time-of-day base density for a profile (no noise).
   static double BaseDensity(Profile profile, double hour_of_day);
@@ -118,6 +168,7 @@ class TwitchContentProcess : public ContentProcess {
 
   ContentState At(SimTime t) const override;
   SimTime horizon() const override { return options_.horizon; }
+  void Materialize(SimTime begin, SimTime end) const override;
 
  private:
   Options options_;

@@ -1,8 +1,9 @@
 // Steady-state allocation audit for the engine's hot paths: after warm-up,
 // FeaturesFromHistoryInto + ForecastInto + OnlineUpdate — the forecaster
 // work of a plan boundary — the engine's PrepareBoundary with its sliding
-// split counts, and every IngestionEngine::Step() within a plan interval
-// must perform zero heap allocations. Verified with a
+// split counts, and every IngestionEngine::Step() within a plan interval,
+// after Start or after a Restore over a fresh workload, must perform zero
+// heap allocations. Verified with a
 // counting global operator new, so a regression is a test failure rather
 // than a code-review hope.
 
@@ -146,6 +147,53 @@ TEST(AllocSteadyStateTest, EngineStepAllocatesNothingWithinAnInterval) {
   EXPECT_EQ(after - before, 0)
       << "Step() allocated " << (after - before) << " times over "
       << engine.segments_per_interval() - kWarmup << " steps";
+}
+
+TEST(AllocSteadyStateTest, EngineStepAfterRestoreAllocatesNothing) {
+  // A run restored over a fresh workload that nothing has sampled: Restore
+  // must build the content the rest of the run reads, or Step() builds it
+  // on first use.
+  workloads::EvCountingWorkload workload;
+  sim::ClusterSpec cluster;
+  cluster.cores = 4;
+  sim::CostModel cost_model(1.8);
+  OfflineOptions offline;
+  offline.segment_seconds = 4.0;
+  offline.train_horizon = Days(6);
+  offline.num_categories = 3;
+  offline.forecaster.input_span = Days(1);
+  offline.forecaster.planned_interval = Days(1);
+  auto model = RunOfflinePhase(workload, cluster, cost_model, offline);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  EngineOptions opts;
+  opts.duration = Days(1);
+  opts.plan_interval = Days(1);
+  opts.cloud_budget_usd_per_interval = 2.0;
+  opts.buffer_bytes = 4ull << 30;
+  IngestionEngine engine(&workload, &*model, cluster, &cost_model, opts);
+  ASSERT_TRUE(engine.Start(Days(6)).ok());
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(engine.Step().ok());
+  auto snapshot = engine.Checkpoint();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  workloads::EvCountingWorkload fresh;
+  IngestionEngine restored(&fresh, &*model, cluster, &cost_model, opts);
+  ASSERT_TRUE(restored.Restore(*snapshot).ok());
+  // Warm-up: the first steps size the engine's scratch.
+  constexpr int64_t kWarmup = 10;
+  for (int64_t i = 0; i < kWarmup; ++i) ASSERT_TRUE(restored.Step().ok());
+
+  long before = g_allocations.load(std::memory_order_relaxed);
+  bool ok = true;
+  while (ok && !restored.Done() && !restored.AtPlanBoundary()) {
+    ok = restored.Step().ok();
+  }
+  long after = g_allocations.load(std::memory_order_relaxed);
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(restored.next_segment_index(), restored.segments_per_interval());
+  EXPECT_EQ(after - before, 0)
+      << "restored Step() allocated " << (after - before) << " times";
 }
 
 TEST(AllocSteadyStateTest, EnginePrepareBoundarySlidesWithoutAllocating) {

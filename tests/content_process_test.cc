@@ -2,18 +2,159 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <vector>
+
+#include "dag/thread_pool.h"
+#include "sim/scenarios.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace sky::video {
 namespace {
 
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+bool SameBits(const ContentState& a, const ContentState& b) {
+  return Bits(a.density) == Bits(b.density) &&
+         Bits(a.occlusion) == Bits(b.occlusion) &&
+         Bits(a.lighting) == Bits(b.lighting) &&
+         Bits(a.difficulty) == Bits(b.difficulty) &&
+         Bits(a.stream_count) == Bits(b.stream_count);
+}
+
+/// The reference SmoothNoise must reproduce: every knot drawn up front, one
+/// Uniform(-1, 1) per knot from Rng(seed), with the same interpolation.
+class EagerNoise {
+ public:
+  EagerNoise(double amplitude, double knot_spacing_s, SimTime horizon,
+             uint64_t seed)
+      : amplitude_(amplitude), spacing_(knot_spacing_s) {
+    size_t n = static_cast<size_t>(horizon / knot_spacing_s) + 2;
+    Rng rng(seed);
+    for (size_t i = 0; i < n; ++i) knots_.push_back(rng.Uniform(-1.0, 1.0));
+  }
+
+  double At(SimTime t) const {
+    double pos = std::max(0.0, t / spacing_);
+    size_t i = static_cast<size_t>(pos);
+    if (i + 1 >= knots_.size()) return amplitude_ * knots_.back();
+    double frac = pos - static_cast<double>(i);
+    double w = 0.5 - 0.5 * std::cos(frac * 3.14159265358979323846);
+    return amplitude_ * (knots_[i] * (1.0 - w) + knots_[i + 1] * w);
+  }
+
+ private:
+  double amplitude_;
+  double spacing_;
+  std::vector<double> knots_;
+};
+
+constexpr SimTime kNoiseHorizon = Days(20);
+
+/// Probe times over a 20-day horizon: off-knot and on-knot instants, before
+/// the first knot and past the last.
+std::vector<double> NoiseProbes() {
+  std::vector<double> ts = {-1e6, -30.0, -0.0};
+  for (double t = 0.0; t <= kNoiseHorizon + 120.0; t += 7.3) ts.push_back(t);
+  for (double t = 0.0; t <= kNoiseHorizon + 60.0; t += 30.0) ts.push_back(t);
+  ts.push_back(kNoiseHorizon + Days(1));
+  ts.push_back(Days(400));
+  return ts;
+}
+
+size_t Mismatches(const SmoothNoise& noise, const EagerNoise& reference,
+                  const std::vector<double>& ts) {
+  size_t mismatches = 0;
+  for (double t : ts) mismatches += Bits(noise.At(t)) != Bits(reference.At(t));
+  return mismatches;
+}
+
 TEST(SmoothNoiseTest, DeterministicAndBounded) {
   SmoothNoise a(0.5, 30.0, Hours(2), 7);
   SmoothNoise b(0.5, 30.0, Hours(2), 7);
   for (double t = 0; t < Hours(2); t += 17.0) {
-    EXPECT_DOUBLE_EQ(a.At(t), b.At(t));
+    EXPECT_EQ(Bits(a.At(t)), Bits(b.At(t)));
     EXPECT_LE(std::abs(a.At(t)), 0.5 + 1e-12);
   }
+}
+
+TEST(SmoothNoiseTest, LazyKnotsEqualTheEagerDrawBitwise) {
+  const EagerNoise reference(0.07, 30.0, kNoiseHorizon, 0xA1);
+  auto fresh = [] {
+    return std::make_unique<SmoothNoise>(0.07, 30.0, kNoiseHorizon, 0xA1);
+  };
+  std::vector<double> forward = NoiseProbes();
+  std::vector<double> backward(forward.rbegin(), forward.rend());
+  std::vector<double> shuffled = forward;
+  Rng(5).Shuffle(&shuffled);
+
+  EXPECT_EQ(Mismatches(*fresh(), reference, forward), 0u);
+  EXPECT_EQ(Mismatches(*fresh(), reference, backward), 0u);
+  EXPECT_EQ(Mismatches(*fresh(), reference, shuffled), 0u);
+
+  // Materialized over a sub-range, then read everywhere: the blocks built
+  // in one generator pass and those built one by one on a miss agree.
+  std::unique_ptr<SmoothNoise> partial = fresh();
+  partial->Materialize(Days(16), Days(16) + Hours(6));
+  EXPECT_EQ(Mismatches(*partial, reference, shuffled), 0u);
+
+  // Copies: of a process with a few blocks built, and of a fresh one.
+  std::unique_ptr<SmoothNoise> some = fresh();
+  some->Materialize(Days(3), Days(4));
+  SmoothNoise copy_of_some(*some);
+  EXPECT_EQ(copy_of_some.built_blocks(), some->built_blocks());
+  EXPECT_EQ(Mismatches(copy_of_some, reference, backward), 0u);
+  SmoothNoise copy_of_fresh(*fresh());
+  EXPECT_EQ(copy_of_fresh.built_blocks(), 0u);
+  EXPECT_EQ(Mismatches(copy_of_fresh, reference, shuffled), 0u);
+}
+
+TEST(SmoothNoiseTest, ClampsToTheFirstAndLastKnot) {
+  const EagerNoise reference(0.5, 30.0, kNoiseHorizon, 9);
+  SmoothNoise noise(0.5, 30.0, kNoiseHorizon, 9);
+  for (double t : {-1e9, -30.0, -1e-9}) {
+    EXPECT_EQ(Bits(noise.At(t)), Bits(noise.At(0.0))) << t;
+    EXPECT_EQ(Bits(noise.At(t)), Bits(reference.At(0.0))) << t;
+  }
+  // The last knot sits one spacing past the last whole knot of the horizon.
+  double last_knot_t = (std::floor(kNoiseHorizon / 30.0) + 1.0) * 30.0;
+  for (double t : {last_knot_t + 1.0, kNoiseHorizon + Days(1), Days(1e6),
+                   std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(Bits(noise.At(t)), Bits(noise.At(last_knot_t))) << t;
+    EXPECT_EQ(Bits(noise.At(t)), Bits(reference.At(last_knot_t))) << t;
+  }
+}
+
+TEST(SmoothNoiseTest, MaterializeBuildsOnlyTheBlocksTheRangeReads) {
+  SmoothNoise noise(0.07, 30.0, kNoiseHorizon, 3);
+  // Nothing is drawn before first use.
+  EXPECT_EQ(noise.built_blocks(), 0u);
+  // An empty range and one wholly past the last knot build nothing.
+  noise.Materialize(Days(2), Days(1));
+  noise.Materialize(kNoiseHorizon + Days(1), kNoiseHorizon + Days(2));
+  noise.Materialize(std::numeric_limits<double>::quiet_NaN(), Days(1));
+  EXPECT_EQ(noise.built_blocks(), 0u);
+  // A window before the first knot reads knots 0 and 1: block 0.
+  noise.Materialize(-Days(2), -Days(1));
+  EXPECT_EQ(noise.built_blocks(), 1u);
+  // One hour from day 1 reads knots 2880..3001: block 2 only.
+  noise.Materialize(Days(1), Days(1) + Hours(1));
+  EXPECT_EQ(noise.built_blocks(), 2u);
+  noise.Materialize(Days(1), Days(1) + Hours(1));
+  EXPECT_EQ(noise.built_blocks(), 2u);
+  // The whole horizon: 57,602 knots in 57 blocks.
+  noise.Materialize(-Days(1), kNoiseHorizon + Days(1));
+  EXPECT_EQ(noise.built_blocks(), 57u);
 }
 
 TEST(SmoothNoiseTest, ContinuousBetweenKnots) {
@@ -148,6 +289,94 @@ TEST(TwitchTest, StatesValid) {
     EXPECT_GE(s.difficulty, 0.0);
     EXPECT_LE(s.difficulty, 1.0);
   }
+}
+
+/// A named content process factory: each call builds a fresh instance.
+struct ProcessCase {
+  const char* name;
+  std::function<std::unique_ptr<ContentProcess>()> make;
+};
+
+std::vector<ProcessCase> AllProcesses() {
+  DiurnalContentProcess::Options diurnal;
+  diurnal.horizon = Days(20);
+  diurnal.seed = 4004;
+  TwitchContentProcess::Options twitch;
+  twitch.seed = 202;
+  sim::FlashCrowdOptions flash;
+  flash.base.profile = DiurnalContentProcess::Profile::kShoppingStreet;
+  flash.base.horizon = Days(26);
+  flash.base.seed = 6001;
+  sim::ContentDriftOptions drift;
+  drift.base.horizon = Days(26);
+  drift.base.seed = 6002;
+  sim::FleetOptions fleet;
+  fleet.base.horizon = Days(20);
+  return {
+      {"diurnal",
+       [=] { return std::make_unique<DiurnalContentProcess>(diurnal); }},
+      {"twitch",
+       [=] { return std::make_unique<TwitchContentProcess>(twitch); }},
+      {"flash-crowd",
+       [=] { return std::make_unique<sim::FlashCrowdContentProcess>(flash); }},
+      {"drift",
+       [=] { return std::make_unique<sim::ContentDriftProcess>(drift); }},
+      {"fleet",
+       [=] {
+         return std::make_unique<sim::FleetCameraContentProcess>(fleet, 6003);
+       }},
+  };
+}
+
+TEST(ContentProcessTest, MaterializedProcessesEqualFreshOnesBitwise) {
+  for (const ProcessCase& c : AllProcesses()) {
+    std::unique_ptr<ContentProcess> fresh = c.make();
+    std::unique_ptr<ContentProcess> materialized = c.make();
+    // An engine's window: a 6-hour run plus a 15-minute look-ahead.
+    materialized->Materialize(Days(16), Days(16) + Hours(6) + Minutes(15));
+    // An empty window and one past the horizon change nothing either.
+    materialized->Materialize(Days(3), Days(2));
+    materialized->Materialize(fresh->horizon() + Days(1),
+                              fresh->horizon() + Days(2));
+    size_t mismatches = 0;
+    size_t probes = 0;
+    for (double t = -60.0; t <= fresh->horizon() + Hours(1); t += 97.0) {
+      mismatches += !SameBits(materialized->At(t), fresh->At(t));
+      ++probes;
+    }
+    EXPECT_EQ(mismatches, 0u) << c.name << " over " << probes << " probes";
+  }
+}
+
+TEST(ContentProcessTest, ConcurrentFirstUseEqualsSerialReads) {
+  // Seven pool threads and the caller read one never-materialized process
+  // over overlapping ranges, so several threads miss the same blocks at
+  // once; every state must equal a serial read of a second instance.
+  DiurnalContentProcess::Options opts;
+  opts.horizon = Days(20);
+  opts.seed = 77;
+  const DiurnalContentProcess shared(opts);
+  const DiurnalContentProcess serial(opts);
+  constexpr size_t kRanges = 32;
+  std::vector<std::vector<ContentState>> states(kRanges);
+  dag::ThreadPool pool(7);
+  dag::ParallelFor(&pool, kRanges, [&](size_t r) {
+    // Range r covers [r * 14 h, r * 14 h + 2 days), read backwards on odd r.
+    double begin = static_cast<double>(r) * Hours(14);
+    for (int i = 0; i < 1800; ++i) {
+      int k = (r % 2 == 0) ? i : 1799 - i;
+      states[r].push_back(shared.At(begin + 96.0 * k));
+    }
+  });
+  size_t mismatches = 0;
+  for (size_t r = 0; r < kRanges; ++r) {
+    double begin = static_cast<double>(r) * Hours(14);
+    for (int i = 0; i < 1800; ++i) {
+      int k = (r % 2 == 0) ? i : 1799 - i;
+      mismatches += !SameBits(states[r][i], serial.At(begin + 96.0 * k));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(ContentProcessTest, HorizonClamps) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "util/stats.h"
 #include "video/stream_source.h"
 #include "workloads/ev_counting.h"
@@ -271,6 +274,23 @@ TEST_F(EngineTest, StartRefusesABootstrapOutsideTheModelsCategories) {
   Status started = engine.Start(Days(6));
   EXPECT_EQ(started.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(engine.started());
+}
+
+TEST_F(EngineTest, ContentWindowNearTheInt64SegmentLimitDoesNotOverflow) {
+  // Start accepts a start and a duration that each fit in int64 segments,
+  // and Restore a checkpoint's counts as read; the content window both
+  // build passes the int64 range, which must not overflow (the
+  // sanitizer build fails on signed overflow).
+  EngineOptions opts = BaseOptions();
+  opts.duration = 0x1p62 * 4.0;  // 2^62 segments of 4 s
+  IngestionEngine engine(workload_, model_, cluster_, cost_model_, opts);
+  ASSERT_TRUE(engine.Start(0x1p62 * 4.0).ok());
+  auto snapshot = engine.Checkpoint();
+  ASSERT_TRUE(snapshot.ok());
+  snapshot->first_segment = std::numeric_limits<int64_t>::max();
+  snapshot->next_index = std::numeric_limits<int64_t>::max();
+  IngestionEngine restored(workload_, model_, cluster_, cost_model_, opts);
+  EXPECT_TRUE(restored.Restore(*snapshot).ok());
 }
 
 }  // namespace
