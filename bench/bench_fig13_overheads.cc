@@ -70,7 +70,7 @@ void SwitcherTiming() {
 
     auto time_decide = [](Problem* p, double quality) {
       core::KnobSwitcher switcher(&p->categories, &p->profiles);
-      switcher.SetPlan(&p->plan);
+      switcher.SetPlan(p->plan);
       core::SwitchContext ctx;
       ctx.current_config_idx = 0;
       ctx.measured_quality = quality;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -27,8 +28,7 @@ bool BitsEqual(double a, double b) {
 /// segments before the ring's write position, oldest first, as at most two
 /// contiguous spans. Requires n <= back <= the ring size.
 template <typename Fn>
-void ForEachHistorySpan(const IngestStateData& s, size_t back, size_t n,
-                        Fn fn) {
+void ForEachHistorySpan(const IngestState& s, size_t back, size_t n, Fn fn) {
   size_t ring = s.history.size();
   size_t start = s.history_pos >= back ? s.history_pos - back
                                        : s.history_pos + ring - back;
@@ -38,7 +38,7 @@ void ForEachHistorySpan(const IngestStateData& s, size_t back, size_t n,
 }
 
 /// CategoryHistogram of the same `n` categories, read from the ring.
-void HistoryHistogramInto(const IngestStateData& s, size_t back, size_t n,
+void HistoryHistogramInto(const IngestState& s, size_t back, size_t n,
                           size_t num_categories, std::vector<double>* out) {
   out->assign(num_categories, 0.0);
   ForEachHistorySpan(s, back, n, [&](const uint8_t* bytes, size_t count) {
@@ -57,6 +57,14 @@ size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval) {
                       model.forecaster->InputSegments(model.segment_seconds));
   }
   return window;
+}
+
+bool SegmentWindowFits(int64_t first_segment, int64_t n_segments) {
+  // Compared without summing: first_segment + n_segments - 1 may pass int64.
+  return n_segments >= 0 &&
+         (n_segments == 0 ||
+          first_segment <=
+              std::numeric_limits<int64_t>::max() - (n_segments - 1));
 }
 
 bool EngineResultsIdentical(const EngineResult& a, const EngineResult& b) {
@@ -350,8 +358,8 @@ Status IngestionEngine::InstallPlan(KnobPlan plan,
   if (s.next_index % s.segs_per_interval != 0 || s.boundary_installed) {
     return Status::FailedPrecondition("engine is not at a plan boundary");
   }
-  s.plan = std::move(plan);
-  s.switcher.SetPlan(&s.plan);
+  const double expected_work = plan.expected_work;
+  s.switcher.SetPlan(std::move(plan));
   double cloud_budget =
       options_.enable_cloud
           ? cloud_credits_usd.value_or(*options_.cloud_budget_usd_per_interval)
@@ -366,8 +374,7 @@ Status IngestionEngine::InstallPlan(KnobPlan plan,
   s.planned_usd_per_interval = std::min(
       cloud_budget,
       cost_model_->CoreSecondsToUsd(
-          std::max(0.0,
-                   s.plan.expected_work - static_cast<double>(cluster_.cores)) *
+          std::max(0.0, expected_work - static_cast<double>(cluster_.cores)) *
           options_.plan_interval));
   ++s.interval_index;
   s.boundary_prepared = false;
@@ -399,6 +406,14 @@ Status IngestionEngine::Start(SimTime start_time) {
         "duration, plan interval and start time must be finite segment "
         "counts that fit in int64");
   }
+  const int64_t first_segment = static_cast<int64_t>(start_time / seg);
+  const int64_t n_segments = static_cast<int64_t>(options_.duration / seg);
+  if (options_.duration < 0.0 ||
+      !SegmentWindowFits(first_segment, n_segments)) {
+    return Status::InvalidArgument(
+        "duration must be non-negative and the run's last segment index "
+        "must fit in int64");
+  }
   int64_t segs_per_interval =
       std::max<int64_t>(1, static_cast<int64_t>(options_.plan_interval / seg));
   // The history keeps one byte per category: the model's categories must
@@ -421,9 +436,9 @@ Status IngestionEngine::Start(SimTime start_time) {
   scratch_.split_counts_at = -1;
   IngestState& s = *state_;
   s.start_time = start_time;
-  s.n_segments = static_cast<int64_t>(options_.duration / seg);
+  s.n_segments = n_segments;
   s.segs_per_interval = segs_per_interval;
-  s.first_segment = static_cast<int64_t>(start_time / seg);
+  s.first_segment = first_segment;
   MaterializeContent();
 
   Rng rng(options_.seed);
@@ -729,7 +744,7 @@ Result<IngestState> IngestionEngine::Checkpoint() const {
     return Status::FailedPrecondition(
         "no session to checkpoint: call Start() first");
   }
-  return IngestState(*state_);
+  return *state_;
 }
 
 Status IngestionEngine::Restore(const IngestState& snapshot) {

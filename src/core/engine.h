@@ -135,19 +135,23 @@ bool EngineResultsIdentical(const EngineResult& a, const EngineResult& b);
 /// refuses a state whose window disagrees.
 size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval);
 
+/// True when `n_segments` is not negative and a run of that many segments
+/// from global index `first_segment` ends at an index that fits in int64.
+/// Start refuses a run outside it, and the checkpoint reader a state.
+bool SegmentWindowFits(int64_t first_segment, int64_t n_segments);
+
 /// Every piece of per-run mutable state of the ingestion engine, extracted
 /// so a run can be stepped, inspected, checkpointed and restored. Treat the
 /// contents as engine-internal: the struct is exposed (by value) only as the
 /// opaque payload of IngestionEngine::Checkpoint()/Restore().
 ///
-/// The base holds the members with default-generated copy/move; IngestState
-/// wraps them to fix up the one internal pointer (the switcher follows the
-/// plan member by address) after every copy or move, so snapshots are
-/// self-contained values.
-struct IngestStateData {
-  IngestStateData(const ContentCategories* categories,
-                  const std::vector<ConfigProfile>* profiles,
-                  uint64_t buffer_capacity_bytes)
+/// A plain value: the switcher owns the plan of the current interval, and
+/// nothing in here points into the state itself, so every copy or move is a
+/// self-contained snapshot.
+struct IngestState {
+  IngestState(const ContentCategories* categories,
+              const std::vector<ConfigProfile>* profiles,
+              uint64_t buffer_capacity_bytes)
       : noise(0), switcher(categories, profiles),
         buffer_capacity_bytes(buffer_capacity_bytes) {}
 
@@ -169,11 +173,10 @@ struct IngestStateData {
   std::optional<Forecaster> forecaster;
 
   // --- Decision state ---
-  KnobSwitcher switcher;
-  KnobPlan plan;                   ///< plan of the current interval
+  KnobSwitcher switcher;           ///< owns the plan of the current interval
   bool boundary_prepared = false;  ///< PrepareBoundary ran this boundary
   bool boundary_installed = false; ///< InstallPlan ran this boundary
-  std::vector<double> boundary_forecast;  ///< forecast behind `plan`
+  std::vector<double> boundary_forecast;  ///< forecast the boundary plans on
   /// Forecaster features of the history at the last prepared boundary:
   /// the forecast input there, and the fine-tune input at the next one.
   std::vector<double> plan_features;
@@ -199,32 +202,6 @@ struct IngestStateData {
   // --- Output so far ---
   EngineResult result;  ///< partial result; mean_quality kept current
   double next_trace_t = 0.0;
-};
-
-struct IngestState : IngestStateData {
-  using IngestStateData::IngestStateData;
-  IngestState(const IngestState& o) : IngestStateData(o) { RebindPlan(); }
-  IngestState(IngestState&& o) noexcept : IngestStateData(std::move(o)) {
-    RebindPlan();
-  }
-  IngestState& operator=(const IngestState& o) {
-    IngestStateData::operator=(o);
-    RebindPlan();
-    return *this;
-  }
-  IngestState& operator=(IngestState&& o) noexcept {
-    IngestStateData::operator=(std::move(o));
-    RebindPlan();
-    return *this;
-  }
-
- private:
-  /// After a memberwise copy/move the switcher still points at the source
-  /// state's plan object; re-point it at our own copy (usage histograms are
-  /// preserved — this is a relocation, not a new interval).
-  void RebindPlan() {
-    if (switcher.plan() != nullptr) switcher.RebindPlan(&plan);
-  }
 };
 
 /// The online ingestion engine (§4): advances a virtual clock in
@@ -260,8 +237,9 @@ class IngestionEngine {
 
   /// Begins (or restarts) a run at `start_time`. Any previous session state
   /// is discarded. kInvalidArgument, with nothing discarded, for a budget
-  /// that is negative or not finite, or a duration, plan interval or start
-  /// time that is not a finite segment count fitting in int64.
+  /// that is negative or not finite, a duration, plan interval or start
+  /// time that is not a finite segment count fitting in int64, a negative
+  /// duration, or a run whose last segment index passes int64.
   Status Start(SimTime start_time);
 
   /// True once Start/Restore (or a Run) has created session state; stays

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 namespace sky::core {
 
@@ -31,8 +32,8 @@ KnobSwitcher::KnobSwitcher(const ContentCategories* categories,
             });
 }
 
-void KnobSwitcher::SetPlan(const KnobPlan* plan) {
-  plan_ = plan;
+void KnobSwitcher::SetPlan(KnobPlan plan) {
+  plan_ = std::move(plan);
   for (auto& row : usage_counts_) std::fill(row.begin(), row.end(), 0.0);
   std::fill(usage_totals_.begin(), usage_totals_.end(), 0.0);
 }
@@ -95,7 +96,7 @@ bool KnobSwitcher::PlacementFeasible(const PlacementProfile& p,
 }
 
 Result<SwitchDecision> KnobSwitcher::Decide(const SwitchContext& ctx) const {
-  if (plan_ == nullptr) {
+  if (!plan_.has_value()) {
     return Status::FailedPrecondition("no knob plan installed");
   }
   size_t num_k = profiles_->size();

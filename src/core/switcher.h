@@ -2,6 +2,7 @@
 #define SKYSCRAPER_CORE_SWITCHER_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/planner.h"
@@ -69,18 +70,13 @@ class KnobSwitcher {
   KnobSwitcher(const ContentCategories* categories,
                const std::vector<ConfigProfile>* profiles);
 
-  /// Installs a new plan (the planner runs every few days). Usage
+  /// Installs a new plan (the planner runs every few days). The switcher
+  /// owns it, so a copy of the switcher decides by its own plan. Usage
   /// histograms reset so the new interval adheres to the new plan.
-  void SetPlan(const KnobPlan* plan);
+  void SetPlan(KnobPlan plan);
 
   /// The currently installed plan (null before the first SetPlan).
-  const KnobPlan* plan() const { return plan_; }
-
-  /// Re-points the installed plan WITHOUT resetting the usage histograms.
-  /// Only for relocating the plan object the switcher already follows —
-  /// engine state snapshots copy the plan by value and must rebind the
-  /// switcher to the copy mid-interval, preserving Eq. 6's alpha-hat state.
-  void RebindPlan(const KnobPlan* plan) { plan_ = plan; }
+  const KnobPlan* plan() const { return plan_ ? &*plan_ : nullptr; }
 
   Result<SwitchDecision> Decide(const SwitchContext& ctx) const;
 
@@ -113,7 +109,7 @@ class KnobSwitcher {
 
   const ContentCategories* categories_;
   const std::vector<ConfigProfile>* profiles_;
-  const KnobPlan* plan_ = nullptr;
+  std::optional<KnobPlan> plan_;
   std::vector<size_t> quality_order_;
   /// usage_counts_[c][k]: times config k processed content of category c.
   std::vector<std::vector<double>> usage_counts_;

@@ -138,16 +138,21 @@ Status SerializeIngestState(const core::IngestState& state, std::string* out) {
   PutString(p, state.noise.SaveState());
   wire::AppendForecaster(state.forecaster, p);
 
-  PutBool(p, state.switcher.plan() != nullptr);
-  PutU64(p, state.plan.alpha.rows());
-  PutU64(p, state.plan.alpha.cols());
-  if (!state.plan.alpha.data().empty()) {
-    PutRaw(p, state.plan.alpha.data().data(),
-           state.plan.alpha.data().size() * sizeof(double));
+  // Before the first boundary no plan is installed; an empty one is written
+  // in its place, so every later field keeps its offset.
+  static const core::KnobPlan kNoPlan;
+  const core::KnobPlan* installed = state.switcher.plan();
+  const core::KnobPlan& plan = installed != nullptr ? *installed : kNoPlan;
+  PutBool(p, installed != nullptr);
+  PutU64(p, plan.alpha.rows());
+  PutU64(p, plan.alpha.cols());
+  if (!plan.alpha.data().empty()) {
+    PutRaw(p, plan.alpha.data().data(),
+           plan.alpha.data().size() * sizeof(double));
   }
-  PutF64Vec(p, state.plan.forecast);
-  PutF64(p, state.plan.expected_quality);
-  PutF64(p, state.plan.expected_work);
+  PutF64Vec(p, plan.forecast);
+  PutF64(p, plan.expected_quality);
+  PutF64(p, plan.expected_work);
 
   PutBool(p, state.boundary_prepared);
   PutBool(p, state.boundary_installed);
@@ -224,6 +229,12 @@ Result<core::IngestState> DeserializeIngestState(
   }
   state.history_window = u;
   SKY_RETURN_NOT_OK(c.ReadI64(&state.next_index));
+  // Step() reads segment first_segment + next_index.
+  if (!core::SegmentWindowFits(state.first_segment, state.n_segments) ||
+      state.next_index < 0 || state.next_index > state.n_segments) {
+    return Status::InvalidArgument(
+        "checkpoint segment window is out of range");
+  }
   SKY_RETURN_NOT_OK(c.ReadU64(&u));
   state.interval_index = u;
 
@@ -231,19 +242,27 @@ Result<core::IngestState> DeserializeIngestState(
   SKY_RETURN_NOT_OK(c.ReadString(&rng_state));
   SKY_RETURN_NOT_OK(state.noise.LoadState(rng_state));
   SKY_RETURN_NOT_OK(wire::ParseForecaster(&c, &state.forecaster));
+  // The fine-tune's target is a histogram over the model's categories.
+  const size_t num_c = model.categories.NumCategories();
+  if (state.forecaster.has_value() &&
+      state.forecaster->num_categories() != num_c) {
+    return Status::InvalidArgument(
+        "checkpoint forecaster category count does not match the model");
+  }
 
   bool has_plan = false;
   SKY_RETURN_NOT_OK(c.ReadBool(&has_plan));
   uint64_t rows = 0, cols = 0;
   SKY_RETURN_NOT_OK(c.ReadF64Shape(&rows, &cols));
-  state.plan.alpha = ml::Matrix(rows, cols, 0.0);
+  core::KnobPlan plan;
+  plan.alpha = ml::Matrix(rows, cols, 0.0);
   if (rows * cols > 0) {
     SKY_RETURN_NOT_OK(
-        c.Read(state.plan.alpha.data().data(), rows * cols * sizeof(double)));
+        c.Read(plan.alpha.data().data(), rows * cols * sizeof(double)));
   }
-  SKY_RETURN_NOT_OK(c.ReadF64Vec(&state.plan.forecast));
-  SKY_RETURN_NOT_OK(c.ReadF64(&state.plan.expected_quality));
-  SKY_RETURN_NOT_OK(c.ReadF64(&state.plan.expected_work));
+  SKY_RETURN_NOT_OK(c.ReadF64Vec(&plan.forecast));
+  SKY_RETURN_NOT_OK(c.ReadF64(&plan.expected_quality));
+  SKY_RETURN_NOT_OK(c.ReadF64(&plan.expected_work));
   if (has_plan &&
       (rows != model.categories.NumCategories() ||
        cols != model.profiles.size())) {
@@ -255,6 +274,17 @@ Result<core::IngestState> DeserializeIngestState(
   SKY_RETURN_NOT_OK(c.ReadBool(&state.boundary_installed));
   SKY_RETURN_NOT_OK(c.ReadF64Vec(&state.boundary_forecast));
   SKY_RETURN_NOT_OK(c.ReadF64Vec(&state.plan_features));
+  // Features are the forecaster's input: none without one, else exactly
+  // its input width.
+  const size_t feature_len =
+      state.forecaster.has_value()
+          ? state.forecaster->options().input_splits * num_c
+          : 0;
+  if (!state.plan_features.empty() &&
+      state.plan_features.size() != feature_len) {
+    return Status::InvalidArgument(
+        "checkpoint plan features do not fit the forecaster");
+  }
   // The ring size is checked against the window before anything is
   // allocated (halving it, as doubling the window could wrap), and
   // ReadCount already bounds it by the payload.
@@ -274,7 +304,6 @@ Result<core::IngestState> DeserializeIngestState(
     return Status::InvalidArgument(
         "checkpoint history position or length is past the ring");
   }
-  const size_t num_c = model.categories.NumCategories();
   if (std::any_of(state.history.begin(), state.history.end(),
                   [num_c](uint8_t c) { return c >= num_c; })) {
     return Status::InvalidArgument(
@@ -300,13 +329,11 @@ Result<core::IngestState> DeserializeIngestState(
   std::vector<double> usage_totals;
   SKY_RETURN_NOT_OK(c.ReadF64Rows(&usage_counts));
   SKY_RETURN_NOT_OK(c.ReadF64Vec(&usage_totals));
-  // Install the plan pointer before the histograms: SetPlan resets usage.
-  if (has_plan) state.switcher.SetPlan(&state.plan);
+  // Install the plan before the histograms: SetPlan resets usage.
+  if (has_plan) state.switcher.SetPlan(std::move(plan));
   SKY_RETURN_NOT_OK(state.switcher.RestoreUsage(usage_counts, usage_totals));
 
   SKY_RETURN_NOT_OK(c.ExpectEnd("checkpoint state"));
-  // The return move runs IngestState's move constructor, which rebinds the
-  // switcher to the moved plan object.
   return state;
 }
 

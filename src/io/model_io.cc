@@ -170,9 +170,12 @@ Status ParseCategories(Cursor* c, core::OfflineModel* model) {
     SKY_RETURN_NOT_OK(c->ReadF64Rows(&gm.variances));
     SKY_RETURN_NOT_OK(c->ReadF64Vec(&gm.weights));
     SKY_RETURN_NOT_OK(c->ReadF64(&gm.log_likelihood));
+    // Online classification reads variances[c][k] at every coordinate k of
+    // the means.
     if (gm.variances.size() != gm.means.size() ||
-        gm.weights.size() != gm.means.size()) {
-      return Status::InvalidArgument("inconsistent GMM component counts");
+        gm.weights.size() != gm.means.size() ||
+        (!gm.means.empty() && gm.variances[0].size() != gm.means[0].size())) {
+      return Status::InvalidArgument("inconsistent GMM component shapes");
     }
     if (gm.means.size() > core::kMaxCategories) return TooManyCategories();
     model->categories = core::ContentCategories::FromGmm(std::move(gm));
@@ -292,6 +295,14 @@ Result<core::OfflineModel> DeserializeOfflineModel(const std::string& bytes,
     if (!s) {
       return Status::InvalidArgument("model file is missing required chunks");
     }
+  }
+  // The engine indexes configurations, their profiles and the category
+  // centers' coordinates by one configuration index.
+  const core::OfflineModel& m = file.model;
+  if (m.profiles.size() != m.configs.size() ||
+      m.categories.NumConfigs() != m.configs.size()) {
+    return Status::InvalidArgument(
+        "model file chunks disagree on the configuration count");
   }
   if (annotation != nullptr) *annotation = std::move(file.annotation);
   return std::move(file.model);

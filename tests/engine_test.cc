@@ -276,6 +276,24 @@ TEST_F(EngineTest, StartRefusesABootstrapOutsideTheModelsCategories) {
   EXPECT_FALSE(engine.started());
 }
 
+TEST_F(EngineTest, StartRefusesANegativeDurationOrARunPastInt64) {
+  // The checkpoint reader accepts the segment window of every run Start
+  // makes: no negative length, and a last segment index within int64.
+  auto refused = [&](SimTime duration, SimTime start) {
+    EngineOptions opts = BaseOptions();
+    opts.duration = duration;
+    IngestionEngine engine(workload_, model_, cluster_, cost_model_, opts);
+    Status started = engine.Start(start);
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+        << "duration " << duration << ", start " << start;
+    EXPECT_FALSE(engine.started());
+  };
+  refused(-Days(1), Days(6));
+  refused(-1.0, Days(6));  // under one segment: zero segments, still negative
+  // 2^62 + 1024 segments from segment 2^62 end past INT64_MAX.
+  refused((0x1p62 + 1024.0) * 4.0, 0x1p62 * 4.0);
+}
+
 TEST_F(EngineTest, ContentWindowNearTheInt64SegmentLimitDoesNotOverflow) {
   // Start accepts a start and a duration that each fit in int64 segments,
   // and Restore a checkpoint's counts as read; the content window both

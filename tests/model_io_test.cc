@@ -292,6 +292,48 @@ TEST(ModelIoTest, RejectsMoreThanMaxCategories) {
   }
 }
 
+TEST(ModelIoTest, RejectsChunksThatDisagreeOnTheConfigurationCount) {
+  // The engine indexes configurations, their profiles and the category
+  // centers' coordinates by one index, so KNBC, PROF and CATG must agree.
+  core::OfflineModel one_more = FittedModel();  // past the centers' width
+  one_more.configs.push_back(one_more.configs.back());
+  one_more.profiles.push_back(one_more.profiles.back());
+  core::OfflineModel one_fewer = FittedModel();  // fewer configs than profiles
+  one_fewer.configs.pop_back();
+  for (const core::OfflineModel* model : {&one_more, &one_fewer}) {
+    std::string bytes;
+    ASSERT_TRUE(SerializeOfflineModel(*model, "", &bytes).ok());
+    auto loaded = DeserializeOfflineModel(bytes);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << model->configs.size() << " configs, " << model->profiles.size()
+        << " profiles";
+  }
+}
+
+TEST(ModelIoTest, RejectsGmmVariancesNarrowerThanTheMeans) {
+  // The switcher classifies on one coordinate of a component's means and
+  // variances, so the two must be equally wide.
+  const ml::KMeansModel& km = FittedModel().categories.kmeans_model();
+  for (size_t drop : {size_t{0}, size_t{1}}) {
+    ml::GmmModel gm;
+    gm.means = km.centers;
+    gm.variances.assign(km.centers.size(),
+                        std::vector<double>(km.centers[0].size() - drop, 0.01));
+    gm.weights.assign(km.centers.size(),
+                      1.0 / static_cast<double>(km.centers.size()));
+    core::OfflineModel model = FittedModel();
+    model.categories = core::ContentCategories::FromGmm(std::move(gm));
+    std::string bytes;
+    ASSERT_TRUE(SerializeOfflineModel(model, "", &bytes).ok());
+    auto loaded = DeserializeOfflineModel(bytes);
+    if (drop == 0) {
+      EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    } else {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
 TEST(ModelIoTest, LoadMissingFileIsNotFound) {
   auto loaded = LoadOfflineModel("/nonexistent/sky_model.bin");
   ASSERT_FALSE(loaded.ok());

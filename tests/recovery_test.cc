@@ -4,8 +4,9 @@
 //    BITWISE identical (full trace included) to the run that never faulted;
 //  - checkpoint wire format: serialize -> deserialize -> re-serialize is
 //    byte-stable, a restored fresh engine finishes bitwise identical to the
-//    original (also from between PrepareBoundary and InstallPlan), and
-//    corrupt/truncated/missing checkpoint files error cleanly;
+//    original (also from between PrepareBoundary and InstallPlan),
+//    corrupt/truncated/missing checkpoint files error cleanly, and
+//    checksum-valid states a restored engine would crash on are refused;
 //  - fleet level: StreamSet supervision restarts a failed stream from its
 //    boundary snapshot — results bitwise identical to the never-faulted
 //    fleet at worker counts {1, 2, 8} — and a stream that keeps failing
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -29,6 +31,7 @@
 #include "core/offline.h"
 #include "dag/thread_pool.h"
 #include "io/checkpoint_io.h"
+#include "ml/nn.h"
 #include "sim/faults.h"
 #include "workloads/ev_counting.h"
 
@@ -111,12 +114,25 @@ class RecoveryTest : public ::testing::Test {
       ASSERT_TRUE(model.ok()) << model.status().ToString();
       models_[s] = new OfflineModel(std::move(*model));
     }
+    // engine_test's fit, for the states only a forecaster makes: six
+    // training days and a forecaster for 1-day plans.
+    forecast_workload_ = new workloads::EvCountingWorkload();
+    opts.train_horizon = Days(6);
+    opts.train_forecaster = true;
+    opts.forecaster.input_span = Days(1);
+    opts.forecaster.planned_interval = Days(1);
+    auto model = core::RunOfflinePhase(*forecast_workload_, cluster_,
+                                       *cost_model_, opts);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    forecast_model_ = new OfflineModel(std::move(*model));
   }
   static void TearDownTestSuite() {
     for (size_t s = 0; s < kStreams; ++s) {
       delete models_[s];
       delete workloads_[s];
     }
+    delete forecast_model_;
+    delete forecast_workload_;
     delete cost_model_;
   }
 
@@ -170,14 +186,59 @@ class RecoveryTest : public ::testing::Test {
     return cheapest + 0.25 * (dearest - cheapest);
   }
 
+  /// 1-day plans over two days on the forecasting fit.
+  static EngineOptions ForecastOptions() {
+    EngineOptions opts;
+    opts.duration = Days(2);
+    opts.plan_interval = Days(1);
+    opts.cloud_budget_usd_per_interval = 2.0;
+    opts.buffer_bytes = 4ull << 30;
+    return opts;
+  }
+
+  /// A Checkpoint() of the forecasting fit's engine half a day into its
+  /// first plan interval, holding the features its first boundary stored
+  /// for the next one's fine-tune. The reader accepts it as taken, so each
+  /// refusal of an edited copy is the edit's.
+  static IngestState MidIntervalForecastState() {
+    IngestionEngine engine(forecast_workload_, forecast_model_, cluster_,
+                           cost_model_, ForecastOptions());
+    EXPECT_TRUE(engine.Start(Days(6)).ok());
+    EXPECT_TRUE(engine.RunUntil(Days(6) + Hours(12)).ok());
+    auto snap = engine.Checkpoint();
+    EXPECT_TRUE(snap.ok());
+    EXPECT_TRUE(snap->forecaster.has_value());
+    EXPECT_FALSE(snap->plan_features.empty());
+    std::string bytes;
+    EXPECT_TRUE(io::SerializeIngestState(*snap, &bytes).ok());
+    EXPECT_TRUE(io::DeserializeIngestState(bytes, *forecast_model_).ok());
+    return std::move(*snap);
+  }
+
+  /// Serializes `state` and expects the reader to refuse it: each state
+  /// handed here is one a restored engine would crash on, or one no engine
+  /// writes.
+  static void ExpectReaderRefuses(const IngestState& state,
+                                  const std::string& label) {
+    std::string bytes;
+    ASSERT_TRUE(io::SerializeIngestState(state, &bytes).ok()) << label;
+    auto parsed = io::DeserializeIngestState(bytes, *forecast_model_);
+    ASSERT_FALSE(parsed.ok()) << label << ": the reader accepted the state";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << label;
+  }
+
   static workloads::EvCountingWorkload* workloads_[kStreams];
   static OfflineModel* models_[kStreams];
+  static workloads::EvCountingWorkload* forecast_workload_;
+  static OfflineModel* forecast_model_;
   static sim::ClusterSpec cluster_;
   static sim::CostModel* cost_model_;
 };
 
 workloads::EvCountingWorkload* RecoveryTest::workloads_[kStreams] = {};
 OfflineModel* RecoveryTest::models_[kStreams] = {};
+workloads::EvCountingWorkload* RecoveryTest::forecast_workload_ = nullptr;
+OfflineModel* RecoveryTest::forecast_model_ = nullptr;
 sim::ClusterSpec RecoveryTest::cluster_;
 sim::CostModel* RecoveryTest::cost_model_ = nullptr;
 
@@ -364,7 +425,9 @@ TEST_F(RecoveryTest, CraftedPlanWidthIsRefusedWithValidChecksum) {
   const size_t cols_at = forecaster_at + 1 + 1 + 8;
   uint64_t cols = 0;
   std::memcpy(&cols, &bytes[cols_at], sizeof(cols));
-  ASSERT_EQ(cols, snap->plan.alpha.cols());
+  // At Start no plan is installed, and the writer puts an empty one.
+  ASSERT_EQ(snap->switcher.plan(), nullptr);
+  ASSERT_EQ(cols, 0u);
 
   // 2^61 columns make cols * 8 wrap to 0, 2^61 + 1 to 8: a guard that
   // multiplies first divides by zero or lets a 2^64-byte matrix through.
@@ -429,9 +492,11 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
   // forecaster's flag byte, has_plan, the plan shape and matrix, its
   // forecast and two doubles, the two boundary flags, the boundary
   // forecast and the (empty: no forecaster) plan features.
+  const core::KnobPlan* plan = snap->switcher.plan();
+  ASSERT_NE(plan, nullptr);
   size_t at = 76 + U64At(t.bytes, 68) + 1 + 1 + 16 +
-              snap->plan.alpha.data().size() * sizeof(double) + 8 +
-              snap->plan.forecast.size() * sizeof(double) + 16 + 2 + 8 +
+              plan->alpha.data().size() * sizeof(double) + 8 +
+              plan->forecast.size() * sizeof(double) + 16 + 2 + 8 +
               snap->boundary_forecast.size() * sizeof(double) + 8 +
               snap->plan_features.size() * sizeof(double);
   t.count_at = at;
@@ -493,6 +558,73 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
     auto parsed = io::DeserializeIngestState(c.bytes, *models_[0]);
     ASSERT_FALSE(parsed.ok()) << c.label;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << c.label;
+  }
+}
+
+TEST_F(RecoveryTest, PlanFeaturesThatDoNotFitTheForecasterAreRefused) {
+  // The next boundary fine-tunes the forecaster on the stored features,
+  // which must be exactly its input width; a state without a forecaster
+  // has none.
+  IngestState snap = MidIntervalForecastState();
+  const size_t width = snap.plan_features.size();
+  ASSERT_EQ(width, snap.forecaster->options().input_splits *
+                       forecast_model_->categories.NumCategories());
+  for (size_t length : {size_t{1}, width - 1, width + 1}) {
+    IngestState edited = snap;
+    edited.plan_features.resize(length, 0.0);
+    ExpectReaderRefuses(edited, "features of length " + std::to_string(length));
+  }
+  IngestState no_forecaster = snap;
+  no_forecaster.forecaster.reset();
+  ExpectReaderRefuses(no_forecaster, "features without a forecaster");
+}
+
+TEST_F(RecoveryTest, ForecasterWithAnotherCategoryCountIsRefused) {
+  // The fine-tune's target is the model's |C|-wide histogram, so a
+  // forecaster over |C| + 1 categories is refused, even with features that
+  // fit it.
+  IngestState snap = MidIntervalForecastState();
+  const size_t wide = forecast_model_->categories.NumCategories() + 1;
+  const core::ForecasterOptions fopts = snap.forecaster->options();
+  Rng rng(7);
+  ml::FeedForwardNet net(fopts.input_splits * wide, {16, 8}, wide, &rng);
+  auto wider = core::Forecaster::FromParts(net.Snapshot(), fopts, wide, {});
+  ASSERT_TRUE(wider.ok()) << wider.status().ToString();
+  snap.forecaster = std::move(*wider);
+  snap.plan_features.assign(fopts.input_splits * wide,
+                            1.0 / static_cast<double>(wide));
+  ExpectReaderRefuses(snap, "forecaster over |C| + 1 categories");
+}
+
+TEST_F(RecoveryTest, SegmentWindowPastInt64IsRefused) {
+  // Step() reads segment first_segment + next_index: a window whose last
+  // index passes INT64_MAX, a negative length or a position outside the run
+  // is refused, compared without overflowing.
+  IngestState snap = MidIntervalForecastState();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto edited = [&](int64_t first, int64_t n, int64_t next) {
+    IngestState e = snap;
+    e.first_segment = first;
+    e.n_segments = n;
+    e.next_index = next;
+    return e;
+  };
+  const int64_t n = snap.n_segments;
+  const int64_t next = snap.next_index;
+  ExpectReaderRefuses(edited(kMax - 2, n, next), "first INT64_MAX - 2");
+  ExpectReaderRefuses(edited(kMax - n + 2, n, next), "last INT64_MAX + 1");
+  ExpectReaderRefuses(edited(snap.first_segment, -1, 0), "negative length");
+  ExpectReaderRefuses(edited(snap.first_segment, n, -1), "negative position");
+  ExpectReaderRefuses(edited(snap.first_segment, n, n + 1), "past the run");
+
+  // The last index may be INT64_MAX itself, and a finished run's position
+  // its length.
+  for (const IngestState& fits :
+       {edited(kMax - n + 1, n, next), edited(snap.first_segment, n, n)}) {
+    std::string bytes;
+    ASSERT_TRUE(io::SerializeIngestState(fits, &bytes).ok());
+    auto parsed = io::DeserializeIngestState(bytes, *forecast_model_);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   }
 }
 

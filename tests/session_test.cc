@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "core/engine.h"
 #include "workloads/ev_counting.h"
 
@@ -163,6 +167,66 @@ TEST_F(SessionTest, CheckpointOnPlanBoundaryAlsoResumesBitwise) {
   ASSERT_TRUE(fresh.Restore(*saved).ok());
   ASSERT_TRUE(fresh.RunUntil(Days(20)).ok());
   EXPECT_TRUE(EngineResultsIdentical(*batch_result, fresh.partial_result()));
+}
+
+TEST_F(SessionTest, CheckpointCopiesAndMovesAreSelfContained) {
+  // A snapshot is a plain value whose switcher owns the plan, so it outlives
+  // its engine and survives every copy and move, a vector's reallocation
+  // included, with nothing to fix up.
+  IngestionEngine batch = MakeEngine(BaseOptions());
+  auto batch_result = batch.Run(Days(6));
+  ASSERT_TRUE(batch_result.ok());
+
+  std::optional<IngestState> saved;
+  {
+    IngestionEngine engine = MakeEngine(BaseOptions());
+    ASSERT_TRUE(engine.Start(Days(6)).ok());
+    ASSERT_TRUE(engine.RunUntil(Days(6) + Hours(9)).ok());  // mid-interval
+    auto snap = engine.Checkpoint();
+    ASSERT_TRUE(snap.ok());
+    saved.emplace(std::move(*snap));
+  }
+
+  std::vector<IngestState> snapshots;
+  snapshots.reserve(1);
+  snapshots.push_back(*saved);  // copy construction
+  const IngestState* first_home = snapshots.data();
+  IngestState donor = *saved;
+  snapshots.push_back(std::move(donor));  // move construction
+  ASSERT_NE(snapshots.data(), first_home) << "no reallocation happened";
+  IngestState copy_assigned(&model_->categories, &model_->profiles, 0);
+  copy_assigned = *saved;
+  IngestState move_assigned(&model_->categories, &model_->profiles, 0);
+  IngestState donor_too = *saved;
+  move_assigned = std::move(donor_too);
+  saved.reset();
+
+  auto inside = [](const void* p, const IngestState& s) {
+    const char* c = static_cast<const char*>(p);
+    const char* base = reinterpret_cast<const char*>(&s);
+    return c >= base && c < base + sizeof(IngestState);
+  };
+  std::vector<IngestionEngine> restored;
+  for (const IngestState* snap :
+       {&snapshots[0], &snapshots[1], &copy_assigned, &move_assigned}) {
+    ASSERT_NE(snap->switcher.plan(), nullptr);
+    EXPECT_TRUE(inside(snap->switcher.plan(), *snap));
+    restored.push_back(MakeEngine(BaseOptions()));
+    ASSERT_TRUE(restored.back().Restore(*snap).ok());
+    ASSERT_NE(restored.back().current_plan(), nullptr);
+    EXPECT_FALSE(inside(restored.back().current_plan(), *snap));
+  }
+  // Free every snapshot's plan before the engines run on: an engine still
+  // reading one would read freed memory.
+  snapshots.clear();
+  snapshots.shrink_to_fit();
+  copy_assigned = IngestState(&model_->categories, &model_->profiles, 0);
+  move_assigned = IngestState(&model_->categories, &model_->profiles, 0);
+  for (IngestionEngine& engine : restored) {
+    while (!engine.Done()) ASSERT_TRUE(engine.Step().ok());
+    EXPECT_TRUE(
+        EngineResultsIdentical(*batch_result, engine.partial_result()));
+  }
 }
 
 TEST_F(SessionTest, StateMachinePreconditions) {

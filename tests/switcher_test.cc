@@ -69,7 +69,7 @@ TEST(SwitcherTest, ClassifiesCategoryFromQuality) {
   std::vector<ConfigProfile> profiles = MakeProfiles();
   KnobSwitcher sw(&cats, &profiles);
   KnobPlan plan = MakePlan({{1, 0, 0}, {0, 0, 1}});
-  sw.SetPlan(&plan);
+  sw.SetPlan(plan);
 
   // Cheap config reporting 0.88 -> easy category (center 0.90 vs 0.25).
   SwitchContext ctx = BaseCtx();
@@ -93,7 +93,7 @@ TEST(SwitcherTest, Eq6TracksPlannedHistogram) {
   KnobSwitcher sw(&cats, &profiles);
   // Easy content: 50/50 between cheap and mid.
   KnobPlan plan = MakePlan({{0.5, 0.5, 0.0}, {0, 0, 1}});
-  sw.SetPlan(&plan);
+  sw.SetPlan(plan);
 
   SwitchContext ctx = BaseCtx();
   ctx.measured_quality = 0.9;
@@ -114,7 +114,7 @@ TEST(SwitcherTest, CheapestFeasiblePlacementPicked) {
   std::vector<ConfigProfile> profiles = MakeProfiles();
   KnobSwitcher sw(&cats, &profiles);
   KnobPlan plan = MakePlan({{0, 0, 1}, {0, 0, 1}});
-  sw.SetPlan(&plan);
+  sw.SetPlan(plan);
 
   // Huge buffer: the free on-prem placement of the expensive config works.
   SwitchContext ctx = BaseCtx();
@@ -139,7 +139,7 @@ TEST(SwitcherTest, DegradesWhenNothingFits) {
   std::vector<ConfigProfile> profiles = MakeProfiles();
   KnobSwitcher sw(&cats, &profiles);
   KnobPlan plan = MakePlan({{0, 0, 1}, {0, 0, 1}});
-  sw.SetPlan(&plan);
+  sw.SetPlan(plan);
 
   SwitchContext ctx = BaseCtx();
   ctx.measured_quality = 0.9;
@@ -156,7 +156,7 @@ TEST(SwitcherTest, CloudCreditsGateCloudPlacements) {
   std::vector<ConfigProfile> profiles = MakeProfiles();
   KnobSwitcher sw(&cats, &profiles);
   KnobPlan plan = MakePlan({{0, 0, 1}, {0, 0, 1}});
-  sw.SetPlan(&plan);
+  sw.SetPlan(plan);
 
   SwitchContext ctx = BaseCtx();
   ctx.measured_quality = 0.9;
@@ -174,7 +174,7 @@ TEST(SwitcherTest, ExistingBacklogTightensFeasibility) {
   std::vector<ConfigProfile> profiles = MakeProfiles();
   KnobSwitcher sw(&cats, &profiles);
   KnobPlan plan = MakePlan({{0, 1, 0}, {0, 1, 0}});
-  sw.SetPlan(&plan);
+  sw.SetPlan(plan);
 
   SwitchContext ctx = BaseCtx();
   ctx.measured_quality = 0.9;
@@ -197,12 +197,50 @@ TEST(SwitcherTest, ExistingBacklogTightensFeasibility) {
   EXPECT_EQ(d->placement_idx, 1u);
 }
 
+TEST(SwitcherTest, CopyKeepsItsOwnPlanAndUsage) {
+  // The switcher owns its plan: a copy keeps deciding by the plan and the
+  // Eq. 6 usage it was copied with, whatever the original installs next.
+  ContentCategories cats = MakeCategories();
+  std::vector<ConfigProfile> profiles = MakeProfiles();
+  KnobSwitcher sw(&cats, &profiles);
+  sw.SetPlan(MakePlan({{0.5, 0.5, 0.0}, {0, 0, 1}}));
+  SwitchContext ctx = BaseCtx();
+  ctx.measured_quality = 0.9;  // easy content
+  auto first = sw.Decide(ctx);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->category, 0u);
+  ASSERT_EQ(first->config_idx, 0u);  // the first of two equal deficits
+  sw.RecordUsage(first->category, first->config_idx);
+
+  KnobSwitcher copy = sw;
+  sw.SetPlan(MakePlan({{0, 0, 1}, {0, 0, 1}}));
+
+  // The original starts its new interval with empty histograms.
+  EXPECT_EQ(sw.usage_counts()[0][0], 0.0);
+  EXPECT_EQ(sw.usage_totals()[0], 0.0);
+  auto next = sw.Decide(ctx);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->planned_config_idx, 2u);
+
+  // The copy keeps its one recorded segment and its 50/50 plan, so the mid
+  // configuration now lags its planned share the most.
+  EXPECT_EQ(copy.usage_counts()[0][0], 1.0);
+  EXPECT_EQ(copy.usage_totals()[0], 1.0);
+  ASSERT_NE(copy.plan(), nullptr);
+  EXPECT_NE(copy.plan(), sw.plan());
+  EXPECT_EQ(copy.plan()->alpha.At(0, 1), 0.5);
+  auto copied = copy.Decide(ctx);
+  ASSERT_TRUE(copied.ok());
+  EXPECT_EQ(copied->planned_config_idx, 1u);
+  EXPECT_EQ(copied->config_idx, 1u);
+}
+
 TEST(SwitcherTest, CategoryOverrideBypassesClassification) {
   ContentCategories cats = MakeCategories();
   std::vector<ConfigProfile> profiles = MakeProfiles();
   KnobSwitcher sw(&cats, &profiles);
   KnobPlan plan = MakePlan({{1, 0, 0}, {0, 0, 1}});
-  sw.SetPlan(&plan);
+  sw.SetPlan(plan);
   SwitchContext ctx = BaseCtx();
   ctx.measured_quality = 0.9;  // would classify easy
   ctx.category_override = 1;
@@ -226,7 +264,7 @@ TEST(SwitcherTest, PairsScannedBoundedByTotalPlacements) {
   std::vector<ConfigProfile> profiles = MakeProfiles();
   KnobSwitcher sw(&cats, &profiles);
   KnobPlan plan = MakePlan({{0, 0, 1}, {0, 0, 1}});
-  sw.SetPlan(&plan);
+  sw.SetPlan(plan);
   SwitchContext ctx = BaseCtx();
   ctx.measured_quality = 0.9;
   ctx.buffer_capacity_bytes = 0;
