@@ -22,6 +22,7 @@
 #include "core/forecaster.h"
 #include "ml/kernels.h"
 #include "ml/matrix.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
   }
   core::Forecaster forecaster = std::move(*trained);
   std::vector<double> features;
-  forecaster.FeaturesFromHistoryInto(seq, kSegmentSeconds, &features);
+  oracle::FeaturesFromHistoryInto(forecaster, seq, kSegmentSeconds, &features);
   std::vector<double> out;
 
   constexpr size_t kLatencyReps = 4000;

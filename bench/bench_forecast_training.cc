@@ -1,17 +1,17 @@
-// Forecaster-training throughput: the batched ML backend versus the seed's
-// per-sample implementation, at the real forecaster geometry (Appendix K net
-// on Appendix H training data). The "train forecast model" step of Table 3
-// had two serial hot loops:
+// Forecaster-training throughput: the batched trainer versus the seed's
+// per-sample implementation (the reference oracle in tests/support), at the
+// real forecaster geometry (Appendix K net on Appendix H training data). The
+// "train forecast model" step of Table 3 had two serial hot loops:
 //   (1) dataset construction re-scanned every (heavily overlapping) history
 //       window — O(samples * window) sequence touches; BuildForecastDataset
 //       now builds one prefix-sum and emits each histogram in O(|C|),
 //       bitwise identically;
 //   (2) FeedForwardNet::Train ran sample-at-a-time forward/backward with
-//       per-call allocations; the batched backend runs minibatch GEMMs
+//       per-call allocations; the batched trainer runs minibatch GEMMs
 //       against a preallocated workspace, fanning fixed-geometry gradient
 //       chunks out on the pool.
 // This bench times the full training step (dataset + net) for both
-// implementations, the net alone for both backends, and the batched net on
+// implementations, the net alone for both trainers, and the batched net on
 // 1..N pool threads — verifying the dataset and the trained weights are
 // bit-identical everywhere. Results land in BENCH_forecast_training.json.
 // Exit is non-zero when anything diverges or the end-to-end speedup is < 3x.
@@ -27,6 +27,7 @@
 #include "dag/thread_pool.h"
 #include "ml/kernels.h"
 #include "ml/nn.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -51,7 +52,7 @@ std::vector<size_t> SyntheticCategories(double segment_seconds, double days,
 }
 
 /// The seed implementation of BuildForecastDataset, reconstructed on the
-/// public scan-based CategoryHistogram: every row re-scans its windows. The
+/// reference scan-based histogram: every row re-scans its windows. The
 /// reference oracle for both the wall-clock and the bitwise comparison.
 core::ForecastDataset ScanDataset(const std::vector<size_t>& seq,
                                   double segment_seconds, size_t num_cats,
@@ -72,12 +73,12 @@ core::ForecastDataset ScanDataset(const std::vector<size_t>& seq,
       size_t begin = s - in_segs + split * split_len;
       size_t end = split + 1 == options.input_splits ? s : begin + split_len;
       std::vector<double> hist =
-          core::CategoryHistogram(seq, begin, end, num_cats);
+          oracle::CategoryHistogram(seq, begin, end, num_cats);
       for (size_t c = 0; c < num_cats; ++c) {
         X.At(row, split * num_cats + c) = hist[c];
       }
     }
-    Y.SetRow(row, core::CategoryHistogram(seq, s, s + out_segs, num_cats));
+    Y.SetRow(row, oracle::CategoryHistogram(seq, s, s + out_segs, num_cats));
   }
   return core::ForecastDataset{std::move(X), std::move(Y)};
 }
@@ -92,7 +93,7 @@ ml::FeedForwardNet FreshNet(size_t input_dim, size_t num_categories) {
 int main(int argc, char** argv) {
   using namespace sky;
   using namespace sky::bench;
-  std::printf("=== Forecaster training: batched backend vs per-sample ===\n");
+  std::printf("=== Forecaster training: batched trainer vs per-sample ===\n");
 
   constexpr size_t kNumCategories = 3;
   constexpr double kSegmentSeconds = 4.0;
@@ -144,14 +145,17 @@ int main(int argc, char** argv) {
            prefix_dataset_s > 0 ? scan_dataset_s / prefix_dataset_s : 0.0);
   json.Set("dataset_identical", dataset_identical ? "yes" : "no");
 
-  auto train_once = [&](ml::TrainBackend backend, dag::ThreadPool* pool,
+  // Trains a fresh net with the per-sample reference trainer, or else with
+  // the batched trainer on `pool`.
+  auto train_once = [&](bool per_sample, dag::ThreadPool* pool,
                         double* wall_s) {
     ml::FeedForwardNet net = FreshNet(data->inputs.cols(), kNumCategories);
-    ml::TrainOptions opts = fopts.train_options;
-    opts.backend = backend;
-    opts.pool = pool;
+    const ml::TrainOptions& opts = fopts.train_options;
     WallTimer timer;
-    auto report = net.Train(data->inputs, data->targets, opts);
+    auto report =
+        per_sample
+            ? oracle::TrainPerSample(&net, data->inputs, data->targets, opts)
+            : net.Train(data->inputs, data->targets, opts, pool);
     *wall_s = timer.Seconds();
     if (!report.ok()) {
       std::printf("training failed: %s\n", report.status().ToString().c_str());
@@ -162,12 +166,12 @@ int main(int argc, char** argv) {
 
   double per_sample_s = 0.0;
   std::vector<double> ref =
-      train_once(ml::TrainBackend::kPerSample, nullptr, &per_sample_s);
+      train_once(/*per_sample=*/true, nullptr, &per_sample_s);
   double batched_1t_s = 0.0;
   std::vector<double> batched_1t =
-      train_once(ml::TrainBackend::kBatched, nullptr, &batched_1t_s);
+      train_once(/*per_sample=*/false, nullptr, &batched_1t_s);
 
-  // SIMD vs scalar kernels under the batched backend. The f64 micro-kernels
+  // SIMD vs scalar kernels under the batched trainer. The f64 micro-kernels
   // are bitwise-identical to the scalar oracle by contract, so the trained
   // weights must match bit for bit — only wall time may differ.
   ml::KernelBackend active_backend = ml::ActiveKernelBackend();
@@ -180,7 +184,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::vector<double> scalar_weights =
-        train_once(ml::TrainBackend::kBatched, nullptr, &scalar_kernel_s);
+        train_once(/*per_sample=*/false, nullptr, &scalar_kernel_s);
     if (!ml::SetKernelBackend(active_backend).ok()) {
       std::printf("FAILED: could not restore %s kernels\n",
                   ml::KernelBackendName(active_backend).c_str());
@@ -258,7 +262,7 @@ int main(int argc, char** argv) {
     dag::ThreadPool pool(t);
     double wall = 0.0;
     std::vector<double> params =
-        train_once(ml::TrainBackend::kBatched, &pool, &wall);
+        train_once(/*per_sample=*/false, &pool, &wall);
     identical = identical && params == batched_1t;
     std::string tag = std::to_string(t);
     json.Set("batched_net_s_" + tag, wall);

@@ -114,4 +114,18 @@ Result<core::EngineResult> Skyscraper::Ingest(
   return engine->partial_result();
 }
 
+ServedSchedule ResolveServedSchedule(const core::OfflineModel& model,
+                                     double start_days,
+                                     double plan_interval_days) {
+  ServedSchedule schedule{start_days, plan_interval_days};
+  if (start_days < 0.0) schedule.start_days = model.train_horizon / 86400.0;
+  if (plan_interval_days <= 0.0) {
+    schedule.plan_interval_days =
+        model.forecaster.has_value()
+            ? model.forecaster->options().planned_interval / 86400.0
+            : 2.0;
+  }
+  return schedule;
+}
+
 }  // namespace sky::api

@@ -171,6 +171,22 @@ class Skyscraper {
   std::optional<core::OfflineModel> model_;
 };
 
+/// The start day and plan interval, in days, of a run served from `model`.
+/// `sky ingest` and `sky serve` resolve what their callers leave unset by
+/// this one rule: a negative start is the model's training horizon, so
+/// serving begins where training ended; a plan interval that is not
+/// positive is the span the forecaster was trained to predict, or 2 days
+/// without a forecaster, since planning at another cadence silently
+/// degrades. Any other value, NaN included, passes through for
+/// IngestionEngine::Start to judge.
+struct ServedSchedule {
+  double start_days = 0.0;
+  double plan_interval_days = 0.0;
+};
+ServedSchedule ResolveServedSchedule(const core::OfflineModel& model,
+                                     double start_days,
+                                     double plan_interval_days);
+
 }  // namespace sky::api
 
 #endif  // SKYSCRAPER_API_SKYSCRAPER_H_

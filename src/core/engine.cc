@@ -37,7 +37,7 @@ void ForEachHistorySpan(const IngestState& s, size_t back, size_t n, Fn fn) {
   if (n > first) fn(s.history.data(), n - first);
 }
 
-/// CategoryHistogram of the same `n` categories, read from the ring.
+/// Normalized histogram of the same `n` categories, read from the ring.
 void HistoryHistogramInto(const IngestState& s, size_t back, size_t n,
                           size_t num_categories, std::vector<double>* out) {
   out->assign(num_categories, 0.0);
@@ -156,6 +156,21 @@ void IngestionEngine::GroundTruthForecastInto(int64_t first_segment_index,
                             &scratch_.quals)] += 1.0;
   }
   *out = NormalizeHistogram(std::move(*out));
+}
+
+bool IngestionEngine::LookAheadFits(int64_t first_segment,
+                                    int64_t n_segments,
+                                    int64_t segs_per_interval) const {
+  if (!options_.use_ground_truth_forecast || n_segments <= 0) return true;
+  // GroundTruthForecastInto reads this many segments from each boundary.
+  const double ahead = options_.plan_interval / model_->segment_seconds;
+  if (!(std::abs(ahead) < 0x1p63)) return false;
+  const int64_t count = static_cast<int64_t>(ahead);
+  if (count <= 0) return true;
+  const int64_t last_boundary =
+      (n_segments - 1) / segs_per_interval * segs_per_interval;
+  return first_segment <=
+         std::numeric_limits<int64_t>::max() - last_boundary - (count - 1);
 }
 
 const std::vector<double>& IngestionEngine::config_costs() const {
@@ -408,14 +423,15 @@ Status IngestionEngine::Start(SimTime start_time) {
   }
   const int64_t first_segment = static_cast<int64_t>(start_time / seg);
   const int64_t n_segments = static_cast<int64_t>(options_.duration / seg);
-  if (options_.duration < 0.0 ||
-      !SegmentWindowFits(first_segment, n_segments)) {
-    return Status::InvalidArgument(
-        "duration must be non-negative and the run's last segment index "
-        "must fit in int64");
-  }
-  int64_t segs_per_interval =
+  const int64_t segs_per_interval =
       std::max<int64_t>(1, static_cast<int64_t>(options_.plan_interval / seg));
+  if (options_.duration < 0.0 ||
+      !SegmentWindowFits(first_segment, n_segments) ||
+      !LookAheadFits(first_segment, n_segments, segs_per_interval)) {
+    return Status::InvalidArgument(
+        "duration must be non-negative and every segment index the run "
+        "reads must fit in int64");
+  }
   // The history keeps one byte per category: the model's categories must
   // fit one, and its bootstrap may name only those categories.
   size_t num_c = model_->categories.NumCategories();
@@ -754,6 +770,12 @@ Status IngestionEngine::Restore(const IngestState& snapshot) {
   if (snapshot.segs_per_interval <= 0) {
     return Status::InvalidArgument(
         "checkpoint does not hold a started session");
+  }
+  if (!LookAheadFits(snapshot.first_segment, snapshot.n_segments,
+                     snapshot.segs_per_interval)) {
+    return Status::InvalidArgument(
+        "checkpoint's ground-truth look-ahead passes the int64 segment "
+        "range");
   }
   state_ = std::make_unique<IngestState>(snapshot);
   scratch_.split_counts_at = -1;

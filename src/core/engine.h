@@ -239,7 +239,8 @@ class IngestionEngine {
   /// is discarded. kInvalidArgument, with nothing discarded, for a budget
   /// that is negative or not finite, a duration, plan interval or start
   /// time that is not a finite segment count fitting in int64, a negative
-  /// duration, or a run whose last segment index passes int64.
+  /// duration, a run whose last segment index passes int64, or a
+  /// ground-truth-forecast run whose last boundary looks ahead past it.
   Status Start(SimTime start_time);
 
   /// True once Start/Restore (or a Run) has created session state; stays
@@ -308,6 +309,9 @@ class IngestionEngine {
   /// the run exactly: the continuation is bitwise-identical to never having
   /// stopped.
   Result<IngestState> Checkpoint() const;
+  /// kInvalidArgument, with the current session kept, for a snapshot of no
+  /// started session, or one whose last boundary would look ahead past
+  /// int64 when this engine forecasts from ground truth.
   Status Restore(const IngestState& snapshot);
 
   // --- Plan-boundary hooks (used by StreamSet for joint planning) ---
@@ -380,6 +384,15 @@ class IngestionEngine {
   /// will visit.
   void GroundTruthForecastInto(int64_t first_segment_index,
                                std::vector<double>* out) const;
+
+  /// True unless this engine forecasts from ground truth and some boundary
+  /// of a run of `n_segments` from global index `first_segment` would read
+  /// a segment index past int64: the boundary opening the last, possibly
+  /// partial, interval reads a whole plan interval from there, up to
+  /// segs_per_interval - 1 segments past the run. Compared without
+  /// overflowing.
+  bool LookAheadFits(int64_t first_segment, int64_t n_segments,
+                     int64_t segs_per_interval) const;
 
   /// Builds the content the rest of the run reads — its remaining segments
   /// plus one plan interval of ground-truth look-ahead (Fig. 14) — so Step()

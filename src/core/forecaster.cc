@@ -4,22 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "util/stats.h"
-
 namespace sky::core {
-
-std::vector<double> CategoryHistogram(
-    const std::vector<size_t>& category_sequence, size_t begin, size_t end,
-    size_t num_categories) {
-  std::vector<double> hist(num_categories, 0.0);
-  end = std::min(end, category_sequence.size());
-  for (size_t i = begin; i < end; ++i) {
-    if (category_sequence[i] < num_categories) {
-      hist[category_sequence[i]] += 1.0;
-    }
-  }
-  return NormalizeHistogram(std::move(hist));
-}
 
 namespace {
 
@@ -42,12 +27,16 @@ void NormalizeSlice(double* slice, size_t num_categories) {
 
 Result<ForecastDataset> BuildForecastDataset(
     const std::vector<size_t>& category_sequence, double segment_seconds,
-    size_t num_categories, const ForecasterOptions& options) {
+    size_t num_categories, const ForecasterOptions& options,
+    dag::ThreadPool* pool) {
   if (num_categories == 0) {
     return Status::InvalidArgument("num_categories must be positive");
   }
   if (segment_seconds <= 0) {
     return Status::InvalidArgument("segment_seconds must be positive");
+  }
+  if (options.input_splits == 0) {
+    return Status::InvalidArgument("input_splits must be positive");
   }
   size_t in_segs =
       static_cast<size_t>(options.input_span / segment_seconds);
@@ -88,9 +77,9 @@ Result<ForecastDataset> BuildForecastDataset(
       ++next[category_sequence[i]];
     }
   }
-  // Normalized histogram of [begin, end) into `out`, same arithmetic as
-  // CategoryHistogram: exact counts, one divide per category, uniform
-  // fallback on an empty window.
+  // Normalized histogram of [begin, end) into `out`, same arithmetic as a
+  // scan: exact counts, one divide per category, uniform fallback on an
+  // empty window.
   auto window_into = [&](size_t begin, size_t end, double* out) {
     const uint32_t* lo = prefix.data() + begin * num_categories;
     const uint32_t* hi = prefix.data() + end * num_categories;
@@ -109,7 +98,7 @@ Result<ForecastDataset> BuildForecastDataset(
   // Histograms land straight in the pre-sized matrix rows (no per-row
   // temporary), so the fan-out is allocation-free and thread-count
   // invariant.
-  dag::ParallelFor(options.pool, samples, [&](size_t row) {
+  dag::ParallelFor(pool, samples, [&](size_t row) {
     size_t s = in_segs + row * stride;
     for (size_t split = 0; split < options.input_splits; ++split) {
       size_t begin = s - in_segs + split * split_len;
@@ -123,27 +112,19 @@ Result<ForecastDataset> BuildForecastDataset(
 
 Result<Forecaster> Forecaster::Train(
     const std::vector<size_t>& category_sequence, double segment_seconds,
-    size_t num_categories, const ForecasterOptions& options) {
-  SKY_ASSIGN_OR_RETURN(ForecastDataset data,
-                       BuildForecastDataset(category_sequence, segment_seconds,
-                                            num_categories, options));
+    size_t num_categories, const ForecasterOptions& options,
+    dag::ThreadPool* pool) {
+  SKY_ASSIGN_OR_RETURN(
+      ForecastDataset data,
+      BuildForecastDataset(category_sequence, segment_seconds, num_categories,
+                           options, pool));
   Rng rng(options.seed);
   // Appendix K architecture: input -> 16 ReLU -> 8 ReLU -> |C| softmax.
   ml::FeedForwardNet net(data.inputs.cols(), {16, 8}, num_categories, &rng);
-  ml::TrainOptions train = options.train_options;
-  // The batched trainer fans gradient chunks out on the offline pool unless
-  // the caller pinned a training pool explicitly; the fixed chunk geometry
-  // keeps the weights bit-identical either way.
-  if (train.pool == nullptr) train.pool = options.pool;
-  SKY_ASSIGN_OR_RETURN(ml::TrainReport report,
-                       net.Train(data.inputs, data.targets, train));
-  // The stored options outlive the training pools (the offline phase may
-  // own them); null both pointers so no later call can dereference a dead
-  // pool.
-  ForecasterOptions stored = options;
-  stored.pool = nullptr;
-  stored.train_options.pool = nullptr;
-  return Forecaster(std::move(net), stored, num_categories,
+  SKY_ASSIGN_OR_RETURN(
+      ml::TrainReport report,
+      net.Train(data.inputs, data.targets, options.train_options, pool));
+  return Forecaster(std::move(net), options, num_categories,
                     std::move(report));
 }
 
@@ -161,39 +142,8 @@ Result<Forecaster> Forecaster::FromParts(const ml::NetSnapshot& net_snapshot,
     return Status::InvalidArgument(
         "forecaster network shape disagrees with its options");
   }
-  // Same pool hygiene as Train: stored options never carry a live pool.
-  ForecasterOptions stored = options;
-  stored.pool = nullptr;
-  stored.train_options.pool = nullptr;
-  return Forecaster(std::move(net), stored, num_categories,
+  return Forecaster(std::move(net), options, num_categories,
                     std::move(report));
-}
-
-std::vector<double> Forecaster::FeaturesFromHistory(
-    const std::vector<size_t>& recent_categories,
-    double segment_seconds) const {
-  std::vector<double> features;
-  FeaturesFromHistoryInto(recent_categories, segment_seconds, &features);
-  return features;
-}
-
-void Forecaster::FeaturesFromHistoryInto(
-    const std::vector<size_t>& recent_categories, double segment_seconds,
-    std::vector<double>* out) const {
-  size_t available = recent_categories.size();
-  out->assign(options_.input_splits * num_categories_, 0.0);
-  for (size_t split = 0; split < options_.input_splits; ++split) {
-    auto [begin, end] = SplitWindow(split, available, segment_seconds);
-    // Histogram written straight into the split's feature slice — same
-    // values as CategoryHistogram, no temporary.
-    double* slice = out->data() + split * num_categories_;
-    for (size_t i = begin; i < end; ++i) {
-      if (recent_categories[i] < num_categories_) {
-        slice[recent_categories[i]] += 1.0;
-      }
-    }
-    NormalizeSlice(slice, num_categories_);
-  }
 }
 
 size_t Forecaster::InputSegments(double segment_seconds) const {
@@ -222,11 +172,6 @@ void Forecaster::FeaturesFromSplitCountsInto(
   }
 }
 
-std::vector<double> Forecaster::Forecast(
-    const std::vector<double>& features) const {
-  return net_.Predict(features);
-}
-
 void Forecaster::ForecastInto(const std::vector<double>& features,
                               std::vector<double>* out) const {
   net_.PredictInto(features, &predict_scratch_, out);
@@ -247,8 +192,7 @@ Result<double> Forecaster::EvaluateMae(
   if (data.inputs.rows() == 0) {
     return Status::InvalidArgument("no evaluation samples");
   }
-  // One batched forward pass over the whole evaluation set instead of a
-  // per-row Predict (and its per-layer allocations).
+  // One batched forward pass over the whole evaluation set.
   ml::TrainWorkspace ws;
   ml::Matrix preds;
   net_.PredictBatchInto(data.inputs, &ws, &preds);

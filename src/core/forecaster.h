@@ -25,10 +25,6 @@ struct ForecasterOptions {
   SimTime training_stride = Minutes(15);
   ml::TrainOptions train_options;
   uint64_t seed = 61;
-  /// Pool the per-sample histogram windows of BuildForecastDataset fan out
-  /// on (each row is an independent scan); null runs serially. The dataset
-  /// — and the model trained on it — is identical for any thread count.
-  dag::ThreadPool* pool = nullptr;
 };
 
 struct ForecastDataset {
@@ -37,16 +33,14 @@ struct ForecastDataset {
 };
 
 /// Builds supervised (history histograms -> future histogram) pairs from a
-/// per-segment category sequence (Appendix H). Fails if the sequence is too
-/// short to produce a single sample.
+/// per-segment category sequence (Appendix H). The rows fan out on `pool`
+/// (null runs serially); the dataset is identical for any thread count.
+/// Fails if the geometry has no split or the sequence is too short to
+/// produce a single sample.
 Result<ForecastDataset> BuildForecastDataset(
     const std::vector<size_t>& category_sequence, double segment_seconds,
-    size_t num_categories, const ForecasterOptions& options);
-
-/// Normalized category histogram of a [begin, end) slice of the sequence.
-std::vector<double> CategoryHistogram(
-    const std::vector<size_t>& category_sequence, size_t begin, size_t end,
-    size_t num_categories);
+    size_t num_categories, const ForecasterOptions& options,
+    dag::ThreadPool* pool = nullptr);
 
 /// The forecasting model F of §3.3: a feed-forward network (Appendix K:
 /// input -> 16 ReLU -> 8 ReLU -> |C| softmax) that predicts how often each
@@ -54,26 +48,14 @@ std::vector<double> CategoryHistogram(
 /// history's category histograms.
 class Forecaster {
  public:
-  /// Trains the model on a category sequence from the unlabeled data.
+  /// Trains the model on a category sequence from the unlabeled data. The
+  /// dataset rows and the gradient chunks fan out on `pool` (null runs
+  /// serially); the trained weights are bit-identical for any thread count.
   static Result<Forecaster> Train(const std::vector<size_t>& category_sequence,
                                   double segment_seconds,
                                   size_t num_categories,
-                                  const ForecasterOptions& options);
-
-  /// Builds the model input from the most recent history: the last
-  /// `input_span` of the sequence, split into `input_splits` histograms. If
-  /// the history is shorter than the input span, it is stretched over the
-  /// available prefix.
-  std::vector<double> FeaturesFromHistory(
-      const std::vector<size_t>& recent_categories,
-      double segment_seconds) const;
-
-  /// In-place variant of FeaturesFromHistory: writes the split histograms
-  /// directly into `out` (resized to input_splits * |C|), allocating nothing
-  /// when the caller reuses the buffer across plan boundaries.
-  void FeaturesFromHistoryInto(const std::vector<size_t>& recent_categories,
-                               double segment_seconds,
-                               std::vector<double>* out) const;
+                                  const ForecasterOptions& options,
+                                  dag::ThreadPool* pool = nullptr);
 
   /// Segments of history the features read: the input span, and at least
   /// one per split.
@@ -86,21 +68,19 @@ class Forecaster {
   std::pair<size_t, size_t> SplitWindow(size_t split, size_t available,
                                         double segment_seconds) const;
 
-  /// The features of a history whose split windows hold `split_counts`
-  /// (input_splits rows of |C| category counts): bitwise what
-  /// FeaturesFromHistoryInto computes from the segments themselves, because
-  /// counts are integers and exact in doubles. Allocates nothing when `out`
-  /// is reused.
+  /// The model input of a history whose split windows hold `split_counts`
+  /// (input_splits rows of |C| category counts): each split's normalized
+  /// histogram, and a uniform one for an empty split. Bitwise what a scan of
+  /// the segments computes (the reference in tests/support), because counts
+  /// are integers and exact in doubles. Allocates nothing when `out` is
+  /// reused.
   void FeaturesFromSplitCountsInto(const std::vector<uint32_t>& split_counts,
                                    std::vector<double>* out) const;
 
-  /// Predicted category distribution r over the planned interval.
-  std::vector<double> Forecast(const std::vector<double>& features) const;
-
-  /// In-place variant of Forecast, reusing an internal inference scratch:
-  /// zero heap allocation at steady state, bitwise identical to Forecast.
-  /// The shared scratch makes concurrent calls on one Forecaster object a
-  /// data race — engines operate on their own copies.
+  /// Predicted category distribution r over the planned interval, written
+  /// into `out` through an internal inference scratch: zero heap allocation
+  /// at steady state. The shared scratch makes concurrent calls on one
+  /// Forecaster object a data race — engines operate on their own copies.
   void ForecastInto(const std::vector<double>& features,
                     std::vector<double>* out) const;
 

@@ -183,12 +183,11 @@ Result<OfflineModel> RunOfflinePhase(const Workload& workload,
     t0 = WallClock::now();
     ForecasterOptions fopts = options.forecaster;
     fopts.seed = options.seed ^ 0x4;
-    fopts.pool = pool;
     SKY_ASSIGN_OR_RETURN(
         Forecaster forecaster,
         Forecaster::Train(model.train_category_sequence,
                           options.segment_seconds, options.num_categories,
-                          fopts));
+                          fopts, pool));
     model.forecaster.emplace(std::move(forecaster));
     model.step_runtimes.forecast_training_s = ElapsedSeconds(t0);
   }

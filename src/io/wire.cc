@@ -191,6 +191,10 @@ constexpr char kChunkChecksum[4] = {'C', 'S', 'U', 'M'};
 // has no other, so the reader refuses any other id.
 constexpr uint32_t kCrossEntropyLossId = 1;
 constexpr uint32_t kSoftmaxActivationId = 2;
+// The payload also keeps a slot for the trainer that fit the network: 0
+// (batched) or 1 (the per-sample trainer libsky no longer has). Nothing
+// reads it, so the writer puts 0 and the reader accepts either.
+constexpr uint32_t kMaxTrainerId = 1;
 
 }  // namespace
 
@@ -295,7 +299,7 @@ void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
   PutU32(p, kCrossEntropyLossId);
   PutU64(p, t.shuffle_seed);
   PutBool(p, t.keep_best_validation_weights);
-  PutU32(p, static_cast<uint32_t>(t.backend));
+  PutU32(p, 0);  // trainer slot
   PutU64(p, t.grad_chunk_rows);
 
   PutU64(p, f.num_categories());
@@ -349,11 +353,10 @@ Status ParseForecaster(Cursor* c, std::optional<core::Forecaster>* out) {
   SKY_RETURN_NOT_OK(c->ReadU64(&t.shuffle_seed));
   SKY_RETURN_NOT_OK(c->ReadBool(&t.keep_best_validation_weights));
   SKY_RETURN_NOT_OK(c->ReadU32(&e));
-  if (e > static_cast<uint32_t>(ml::TrainBackend::kPerSample)) {
+  if (e > kMaxTrainerId) {
     return Status::InvalidArgument(
-        "invalid train backend id in forecaster payload");
+        "forecaster payload trainer id must be 0 or 1");
   }
-  t.backend = static_cast<ml::TrainBackend>(e);
   SKY_RETURN_NOT_OK(c->ReadU64(&u));
   t.grad_chunk_rows = u;
 

@@ -36,12 +36,6 @@ inline bool RangesOverlap(const void* a, size_t a_bytes, const void* b,
 Matrix::Matrix(size_t rows, size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n, 0.0);
-  for (size_t i = 0; i < n; ++i) m.At(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::RandomHe(size_t rows, size_t cols, Rng* rng) {
   Matrix m(rows, cols);
   double stddev = std::sqrt(2.0 / static_cast<double>(cols));
@@ -79,30 +73,11 @@ void Matrix::TransposeInto(Matrix* out) const {
   }
 }
 
-Matrix Matrix::MatMul(const Matrix& other) const {
-  assert(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
-    for (size_t k = 0; k < cols_; ++k) {
-      double a = At(i, k);
-      if (a == 0.0) continue;
-      const double* brow = other.RowPtr(k);
-      double* orow = out.RowPtr(i);
-      for (size_t j = 0; j < other.cols_; ++j) orow[j] += a * brow[j];
-    }
-  }
-  return out;
-}
-
 void Matrix::AddScaled(const Matrix& other, double alpha) {
   assert(rows_ == other.rows_ && cols_ == other.cols_);
   double* __restrict dst = data_.data();
   const double* __restrict src = other.data_.data();
   for (size_t i = 0; i < data_.size(); ++i) dst[i] += alpha * src[i];
-}
-
-void Matrix::Scale(double alpha) {
-  for (double& v : data_) v *= alpha;
 }
 
 void Matrix::Fill(double v) {

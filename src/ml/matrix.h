@@ -16,7 +16,6 @@ class Matrix {
   Matrix() = default;
   Matrix(size_t rows, size_t cols, double fill = 0.0);
 
-  static Matrix Identity(size_t n);
   /// He-style initialization, scaled by sqrt(2 / fan_in): suits ReLU layers.
   static Matrix RandomHe(size_t rows, size_t cols, Rng* rng);
 
@@ -41,17 +40,16 @@ class Matrix {
   Matrix Transpose() const;
   /// Transpose into a caller-owned buffer (resized, reusing capacity).
   void TransposeInto(Matrix* out) const;
-  Matrix MatMul(const Matrix& other) const;
 
   /// this += alpha * other (element-wise; shapes must match).
   void AddScaled(const Matrix& other, double alpha);
-  void Scale(double alpha);
   void Fill(double v);
 
   /// Rank-1 update: this(r, c) += alpha * u[r] * v[c], with u of length
   /// rows() and v of length cols(). Rows whose alpha * u[r] is exactly zero
-  /// are skipped — the same shortcut the per-sample backprop loops take, so
-  /// batched gradient accumulation stays bitwise-comparable to them.
+  /// are skipped — the same shortcut the per-sample reference trainer's
+  /// backprop loops take (tests/support), so batched gradient accumulation
+  /// stays bitwise-comparable to them.
   ///
   /// Contract: u and v must NOT alias this matrix's storage (the dispatched
   /// kernels and the __restrict inner loops assume it; debug builds assert).

@@ -64,7 +64,7 @@ void ActivateRowsInto(bool output_layer, const Matrix& pre, size_t m,
   }
 }
 
-/// Span twin of ComputeLoss, same accumulation order.
+/// Cross-entropy of one prediction row against its target distribution.
 double CrossEntropyRow(const double* pred, const double* target, size_t n) {
   double out = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -110,12 +110,6 @@ void ForEachChunkWave(size_t chunks, size_t slots, dag::ThreadPool* pool,
 }
 
 }  // namespace
-
-double ComputeLoss(const std::vector<double>& pred,
-                   const std::vector<double>& target) {
-  assert(pred.size() == target.size());
-  return CrossEntropyRow(pred.data(), target.data(), pred.size());
-}
 
 FeedForwardNet::FeedForwardNet(size_t input_dim, std::vector<size_t> hidden,
                                size_t output_dim, Rng* rng)
@@ -233,42 +227,12 @@ Result<FeedForwardNet> FeedForwardNet::FromSnapshot(
   return net;
 }
 
-std::vector<double> FeedForwardNet::Forward(const std::vector<double>& x,
-                                            ForwardCache* cache) const {
-  std::vector<double> cur = x;
-  if (cache != nullptr) {
-    cache->activations.clear();
-    cache->pre_activations.clear();
-    cache->activations.push_back(cur);
-  }
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    const Layer& l = layers_[li];
-    std::vector<double> next(l.w.rows(), 0.0);
-    for (size_t r = 0; r < l.w.rows(); ++r) {
-      const double* wrow = l.w.RowPtr(r);
-      double s = l.b[r];
-      for (size_t c = 0; c < l.w.cols(); ++c) s += wrow[c] * cur[c];
-      next[r] = s;
-    }
-    if (cache != nullptr) cache->pre_activations.push_back(next);
-    Activate(li + 1 == layers_.size(), &next);
-    if (cache != nullptr) cache->activations.push_back(next);
-    cur = std::move(next);
-  }
-  return cur;
-}
-
-std::vector<double> FeedForwardNet::Predict(const std::vector<double>& x) const {
-  assert(x.size() == input_dim_);
-  return Forward(x, nullptr);
-}
-
 void FeedForwardNet::PredictInto(const std::vector<double>& x,
                                  PredictScratch* scratch,
                                  std::vector<double>* out) const {
   assert(x.size() == input_dim_);
-  // Same bias-first sequential dot products as Forward, ping-ponging between
-  // the two scratch buffers instead of allocating per layer.
+  // Bias-first sequential dot products, ping-ponging between the two
+  // scratch buffers instead of allocating per layer.
   const double* cur = x.data();
   for (size_t li = 0; li < layers_.size(); ++li) {
     const Layer& l = layers_[li];
@@ -353,8 +317,7 @@ void FeedForwardNet::OutputDeltaAndLoss(TrainWorkspace::Chunk* chunk,
     const double* y = chunk->yb.RowPtr(i);
     double* d = delta.RowPtr(i);
     chunk->row_loss[i] = CrossEntropyRow(p, y, w);
-    // Softmax + cross-entropy: the output delta is pred - y, as in the
-    // per-sample backward.
+    // Softmax + cross-entropy: the output delta is pred - y.
     for (size_t j = 0; j < w; ++j) d[j] = p[j] - y[j];
   }
 }
@@ -365,7 +328,7 @@ void FeedForwardNet::BackwardChunk(TrainWorkspace::Chunk* chunk,
     const Layer& l = layers_[li];
     const Matrix& delta = chunk->delta[li];
     // grad_w = delta^T * a_in: rank-1 updates in sample order, the batched
-    // twin of the per-sample accumulation.
+    // twin of the per-sample reference accumulation in tests/support.
     MatMulTransposedAInto(delta, chunk->act[li], &chunk->gw[li]);
     std::vector<double>& gb = chunk->gb[li];
     std::fill(gb.begin(), gb.end(), 0.0);
@@ -383,47 +346,6 @@ void FeedForwardNet::BackwardChunk(TrainWorkspace::Chunk* chunk,
       if (z[i] <= 0.0) d[i] = 0.0;
     }
   }
-}
-
-double FeedForwardNet::BackwardAccumulate(
-    const std::vector<double>& x, const std::vector<double>& y,
-    std::vector<Matrix>* grad_w, std::vector<std::vector<double>>* grad_b) {
-  ForwardCache cache;
-  std::vector<double> pred = Forward(x, &cache);
-  double sample_loss = ComputeLoss(pred, y);
-
-  // Softmax + cross-entropy: the output-layer delta is pred - y.
-  std::vector<double> delta(pred.size());
-  for (size_t i = 0; i < pred.size(); ++i) delta[i] = pred[i] - y[i];
-
-  for (size_t li = layers_.size(); li-- > 0;) {
-    const Layer& l = layers_[li];
-    const std::vector<double>& a_in = cache.activations[li];
-    Matrix& gw = (*grad_w)[li];
-    std::vector<double>& gb = (*grad_b)[li];
-    for (size_t r = 0; r < l.w.rows(); ++r) {
-      gb[r] += delta[r];
-      double* grow = gw.RowPtr(r);
-      double d = delta[r];
-      if (d == 0.0) continue;
-      for (size_t c = 0; c < l.w.cols(); ++c) grow[c] += d * a_in[c];
-    }
-    if (li == 0) break;
-    // Propagate delta through W and the previous layer's ReLU.
-    std::vector<double> prev_delta(l.w.cols(), 0.0);
-    for (size_t r = 0; r < l.w.rows(); ++r) {
-      const double* wrow = l.w.RowPtr(r);
-      double d = delta[r];
-      if (d == 0.0) continue;
-      for (size_t c = 0; c < l.w.cols(); ++c) prev_delta[c] += d * wrow[c];
-    }
-    const auto& prev_pre = cache.pre_activations[li - 1];
-    for (size_t c = 0; c < prev_delta.size(); ++c) {
-      if (prev_pre[c] <= 0.0) prev_delta[c] = 0.0;
-    }
-    delta = std::move(prev_delta);
-  }
-  return sample_loss;
 }
 
 void FeedForwardNet::AdamStep(const std::vector<Matrix>& grad_w,
@@ -462,17 +384,6 @@ void FeedForwardNet::AdamStep(const std::vector<Matrix>& grad_w,
   }
 }
 
-double FeedForwardNet::EvalLoss(const Matrix& X, const Matrix& Y,
-                                const std::vector<size_t>& idx) const {
-  if (idx.empty()) return 0.0;
-  double total = 0.0;
-  for (size_t i : idx) {
-    std::vector<double> pred = Forward(X.Row(i), nullptr);
-    total += ComputeLoss(pred, Y.Row(i));
-  }
-  return total / static_cast<double>(idx.size());
-}
-
 double FeedForwardNet::EvalLossBatched(const Matrix& X, const Matrix& Y,
                                        const std::vector<size_t>& idx,
                                        size_t chunk_rows, TrainWorkspace* ws,
@@ -501,8 +412,7 @@ double FeedForwardNet::EvalLossBatched(const Matrix& X, const Matrix& Y,
         }
       },
       [&](size_t base, size_t wave) {
-        // Per-row losses reduced in global sample order — the same order the
-        // per-sample EvalLoss sums in.
+        // Per-row losses reduced in global sample order.
         for (size_t s = 0; s < wave; ++s) {
           size_t begin = (base + s) * rows;
           size_t m = std::min(rows, idx.size() - begin);
@@ -537,87 +447,9 @@ void FeedForwardNet::PredictBatchInto(const Matrix& X, TrainWorkspace* ws,
       nullptr);
 }
 
-void FeedForwardNet::TrainBatchedLoop(const Matrix& X, const Matrix& Y,
-                                      std::vector<size_t>* train_idx,
-                                      const std::vector<size_t>& val_idx,
-                                      const TrainOptions& opts, Rng* rng,
-                                      TrainReport* report,
-                                      std::vector<Layer>* best_layers) {
-  size_t chunk_rows = std::max<size_t>(1, opts.grad_chunk_rows);
-  size_t batch_chunks = (opts.batch_size + chunk_rows - 1) / chunk_rows;
-  size_t val_chunks = (val_idx.size() + chunk_rows - 1) / chunk_rows;
-  // Slot count only bounds how many chunks are in flight at once — chunk
-  // geometry and reduction order are untouched by it — so size it to the
-  // actual parallelism (pool workers + the participating caller).
-  size_t parallel_width =
-      opts.pool == nullptr ? 1 : opts.pool->num_threads() + 1;
-  size_t slots = std::min(std::min(kMaxChunkSlots, parallel_width),
-                          std::max<size_t>(1, std::max(batch_chunks,
-                                                       val_chunks)));
-  EnsureWorkspace(&train_ws_, chunk_rows, slots, /*with_backward=*/true);
-  TrainWorkspace& ws = train_ws_;
-  dag::ThreadPool* pool = opts.pool;
-
-  for (size_t epoch = 0; epoch < opts.epochs; ++epoch) {
-    rng->Shuffle(train_idx);
-    double epoch_loss = 0.0;
-    size_t pos = 0;
-    while (pos < train_idx->size()) {
-      size_t batch = std::min(opts.batch_size, train_idx->size() - pos);
-      size_t chunks = (batch + chunk_rows - 1) / chunk_rows;
-      for (auto& g : ws.grad_w) g.Fill(0.0);
-      for (auto& g : ws.grad_b) std::fill(g.begin(), g.end(), 0.0);
-      // Fixed-size chunks: geometry depends only on batch and chunk_rows,
-      // so any pool size computes the exact same partials.
-      ForEachChunkWave(
-          chunks, slots, pool,
-          [&](size_t ci, size_t s) {
-            size_t begin = pos + ci * chunk_rows;
-            size_t m = std::min(chunk_rows, pos + batch - begin);
-            TrainWorkspace::Chunk& c = ws.chunks[s];
-            GatherRows(X, train_idx->data() + begin, m, &c.act[0]);
-            GatherRows(Y, train_idx->data() + begin, m, &c.yb);
-            ForwardChunk(&c, m);
-            OutputDeltaAndLoss(&c, m);
-            BackwardChunk(&c, m);
-          },
-          [&](size_t base, size_t wave) {
-            // Deterministic reduction: chunk partials land in ascending
-            // chunk order, losses in ascending sample order.
-            for (size_t s = 0; s < wave; ++s) {
-              TrainWorkspace::Chunk& c = ws.chunks[s];
-              size_t begin = pos + (base + s) * chunk_rows;
-              size_t m = std::min(chunk_rows, pos + batch - begin);
-              for (size_t li = 0; li < layers_.size(); ++li) {
-                ws.grad_w[li].AddScaled(c.gw[li], 1.0);
-                for (size_t r = 0; r < ws.grad_b[li].size(); ++r) {
-                  ws.grad_b[li][r] += c.gb[li][r];
-                }
-              }
-              for (size_t i = 0; i < m; ++i) epoch_loss += c.row_loss[i];
-            }
-          });
-      AdamStep(ws.grad_w, ws.grad_b, opts.learning_rate, batch);
-      pos += batch;
-    }
-    epoch_loss /= static_cast<double>(std::max<size_t>(1, train_idx->size()));
-    report->train_loss_per_epoch.push_back(epoch_loss);
-
-    double val_loss =
-        val_idx.empty()
-            ? epoch_loss
-            : EvalLossBatched(X, Y, val_idx, chunk_rows, &ws, pool);
-    report->val_loss_per_epoch.push_back(val_loss);
-    if (val_loss < report->best_val_loss) {
-      report->best_val_loss = val_loss;
-      report->best_epoch = epoch;
-      if (opts.keep_best_validation_weights) *best_layers = layers_;
-    }
-  }
-}
-
 Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
-                                          const TrainOptions& opts) {
+                                          const TrainOptions& opts,
+                                          dag::ThreadPool* pool) {
   if (X.rows() != Y.rows()) {
     return Status::InvalidArgument("X and Y row counts differ");
   }
@@ -648,46 +480,73 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
   // Snapshot of the best weights (by validation loss), restored at the end.
   std::vector<Layer> best_layers = layers_;
 
-  if (opts.backend == TrainBackend::kBatched) {
-    TrainBatchedLoop(X, Y, &train_idx, val_idx, opts, &rng, &report,
-                     &best_layers);
-  } else {
-    // Reference oracle: the original sample-at-a-time loops, allocations and
-    // all — parity tests and the training bench compare against this.
-    std::vector<Matrix> grad_w;
-    std::vector<std::vector<double>> grad_b;
-    for (const Layer& l : layers_) {
-      grad_w.emplace_back(l.w.rows(), l.w.cols(), 0.0);
-      grad_b.emplace_back(l.b.size(), 0.0);
+  size_t chunk_rows = std::max<size_t>(1, opts.grad_chunk_rows);
+  size_t batch_chunks = (opts.batch_size + chunk_rows - 1) / chunk_rows;
+  size_t val_chunks = (val_idx.size() + chunk_rows - 1) / chunk_rows;
+  // Slot count only bounds how many chunks are in flight at once — chunk
+  // geometry and reduction order are untouched by it — so size it to the
+  // actual parallelism (pool workers + the participating caller).
+  size_t parallel_width = pool == nullptr ? 1 : pool->num_threads() + 1;
+  size_t slots = std::min(std::min(kMaxChunkSlots, parallel_width),
+                          std::max<size_t>(1, std::max(batch_chunks,
+                                                       val_chunks)));
+  EnsureWorkspace(&train_ws_, chunk_rows, slots, /*with_backward=*/true);
+  TrainWorkspace& ws = train_ws_;
+
+  for (size_t epoch = 0; epoch < opts.epochs; ++epoch) {
+    rng.Shuffle(&train_idx);
+    double epoch_loss = 0.0;
+    size_t pos = 0;
+    while (pos < train_idx.size()) {
+      size_t batch = std::min(opts.batch_size, train_idx.size() - pos);
+      size_t chunks = (batch + chunk_rows - 1) / chunk_rows;
+      for (auto& g : ws.grad_w) g.Fill(0.0);
+      for (auto& g : ws.grad_b) std::fill(g.begin(), g.end(), 0.0);
+      // Fixed-size chunks: geometry depends only on batch and chunk_rows,
+      // so any pool size computes the exact same partials.
+      ForEachChunkWave(
+          chunks, slots, pool,
+          [&](size_t ci, size_t s) {
+            size_t begin = pos + ci * chunk_rows;
+            size_t m = std::min(chunk_rows, pos + batch - begin);
+            TrainWorkspace::Chunk& c = ws.chunks[s];
+            GatherRows(X, train_idx.data() + begin, m, &c.act[0]);
+            GatherRows(Y, train_idx.data() + begin, m, &c.yb);
+            ForwardChunk(&c, m);
+            OutputDeltaAndLoss(&c, m);
+            BackwardChunk(&c, m);
+          },
+          [&](size_t base, size_t wave) {
+            // Deterministic reduction: chunk partials land in ascending
+            // chunk order, losses in ascending sample order.
+            for (size_t s = 0; s < wave; ++s) {
+              TrainWorkspace::Chunk& c = ws.chunks[s];
+              size_t begin = pos + (base + s) * chunk_rows;
+              size_t m = std::min(chunk_rows, pos + batch - begin);
+              for (size_t li = 0; li < layers_.size(); ++li) {
+                ws.grad_w[li].AddScaled(c.gw[li], 1.0);
+                for (size_t r = 0; r < ws.grad_b[li].size(); ++r) {
+                  ws.grad_b[li][r] += c.gb[li][r];
+                }
+              }
+              for (size_t i = 0; i < m; ++i) epoch_loss += c.row_loss[i];
+            }
+          });
+      AdamStep(ws.grad_w, ws.grad_b, opts.learning_rate, batch);
+      pos += batch;
     }
+    epoch_loss /= static_cast<double>(std::max<size_t>(1, train_idx.size()));
+    report.train_loss_per_epoch.push_back(epoch_loss);
 
-    for (size_t epoch = 0; epoch < opts.epochs; ++epoch) {
-      rng.Shuffle(&train_idx);
-      double epoch_loss = 0.0;
-      size_t pos = 0;
-      while (pos < train_idx.size()) {
-        size_t batch = std::min(opts.batch_size, train_idx.size() - pos);
-        for (auto& g : grad_w) g.Fill(0.0);
-        for (auto& g : grad_b) std::fill(g.begin(), g.end(), 0.0);
-        for (size_t b = 0; b < batch; ++b) {
-          size_t i = train_idx[pos + b];
-          epoch_loss +=
-              BackwardAccumulate(X.Row(i), Y.Row(i), &grad_w, &grad_b);
-        }
-        AdamStep(grad_w, grad_b, opts.learning_rate, batch);
-        pos += batch;
-      }
-      epoch_loss /= static_cast<double>(std::max<size_t>(1, train_idx.size()));
-      report.train_loss_per_epoch.push_back(epoch_loss);
-
-      double val_loss =
-          val_idx.empty() ? epoch_loss : EvalLoss(X, Y, val_idx);
-      report.val_loss_per_epoch.push_back(val_loss);
-      if (val_loss < report.best_val_loss) {
-        report.best_val_loss = val_loss;
-        report.best_epoch = epoch;
-        if (opts.keep_best_validation_weights) best_layers = layers_;
-      }
+    double val_loss =
+        val_idx.empty()
+            ? epoch_loss
+            : EvalLossBatched(X, Y, val_idx, chunk_rows, &ws, pool);
+    report.val_loss_per_epoch.push_back(val_loss);
+    if (val_loss < report.best_val_loss) {
+      report.best_val_loss = val_loss;
+      report.best_epoch = epoch;
+      if (opts.keep_best_validation_weights) best_layers = layers_;
     }
   }
 
@@ -704,7 +563,7 @@ void FeedForwardNet::OnlineUpdate(const std::vector<double>& x,
                                   const std::vector<double>& y,
                                   double learning_rate) {
   assert(x.size() == input_dim_ && y.size() == output_dim_);
-  // A batch-1 step of the batched backend against the net's own workspace:
+  // A batch-1 step of the batched trainer against the net's own workspace:
   // after the first call everything below reuses capacity — zero heap
   // allocation at steady state on the engine's plan boundary.
   EnsureWorkspace(&train_ws_, 1, 1, /*with_backward=*/true);

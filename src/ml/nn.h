@@ -11,17 +11,6 @@
 
 namespace sky::ml {
 
-/// Which implementation FeedForwardNet::Train runs.
-enum class TrainBackend {
-  /// Minibatch-at-a-time forward/backward as cache-blocked matrix ops
-  /// against a preallocated workspace; gradient chunks fan out on a thread
-  /// pool and reduce in index order (bit-identical for any thread count).
-  kBatched,
-  /// The original sample-at-a-time loops, kept as the reference oracle for
-  /// parity tests and A/B benchmarks.
-  kPerSample,
-};
-
 struct TrainOptions {
   size_t epochs = 40;
   size_t batch_size = 16;
@@ -29,17 +18,14 @@ struct TrainOptions {
   double validation_split = 0.2;  ///< fraction of samples held out
   uint64_t shuffle_seed = 7;
   bool keep_best_validation_weights = true;
-  TrainBackend backend = TrainBackend::kBatched;
-  /// Samples per data-parallel gradient chunk of the batched backend. The
-  /// chunk geometry depends only on this and the batch size — never on the
-  /// thread count — and chunk partials are reduced in chunk order, so
-  /// training is bit-identical for any pool size. Against the per-sample
-  /// backend the trajectory agrees to rounding error (the GEMM kernels'
-  /// fixed contractions and chunked gradient sums associate differently).
+  /// Samples per data-parallel gradient chunk. The chunk geometry depends
+  /// only on this and the batch size — never on the thread count — and
+  /// chunk partials are reduced in chunk order, so training is bit-identical
+  /// for any pool size. Against the per-sample reference trainer in
+  /// tests/support the trajectory agrees to rounding error (the GEMM
+  /// kernels' fixed contractions and chunked gradient sums associate
+  /// differently).
   size_t grad_chunk_rows = 8;
-  /// Pool the batched backend fans gradient chunks and validation slices
-  /// out on; null runs serially (identical results either way).
-  dag::ThreadPool* pool = nullptr;
 };
 
 struct TrainReport {
@@ -109,12 +95,10 @@ class FeedForwardNet {
   size_t input_dim() const { return input_dim_; }
   size_t output_dim() const { return output_dim_; }
 
-  /// Forward pass for a single sample.
-  std::vector<double> Predict(const std::vector<double>& x) const;
-
   /// Forward pass for a single sample into a caller-owned buffer, reusing
-  /// `scratch` across calls: zero heap allocation at steady state, bitwise
-  /// identical to Predict.
+  /// `scratch` across calls: zero heap allocation at steady state. Each
+  /// layer is a bias-first sequential dot product per output, so the result
+  /// is bitwise the reference forward in tests/support.
   void PredictInto(const std::vector<double>& x, PredictScratch* scratch,
                    std::vector<double>* out) const;
 
@@ -126,10 +110,15 @@ class FeedForwardNet {
                         dag::ThreadPool* pool = nullptr) const;
 
   /// Trains on rows of X against rows of Y (target distributions) with Adam
-  /// on cross-entropy. Returns per-epoch loss curves. Fails if shapes
-  /// disagree or there are too few samples to split.
+  /// on cross-entropy: minibatch forward/backward as cache-blocked matrix
+  /// ops against a preallocated workspace, with each batch's gradient chunks
+  /// fanned out on `pool` (null runs serially) and reduced in chunk order,
+  /// so the weights are bit-identical for any pool size. Returns per-epoch
+  /// loss curves. Fails if shapes disagree or there are too few samples to
+  /// split.
   Result<TrainReport> Train(const Matrix& X, const Matrix& Y,
-                            const TrainOptions& opts);
+                            const TrainOptions& opts,
+                            dag::ThreadPool* pool = nullptr);
 
   /// One incremental Adam step on a single (x, y) pair — used for online
   /// fine-tuning of the forecaster during ingestion (§3.3). Runs the batched
@@ -167,26 +156,10 @@ class FeedForwardNet {
     std::vector<double> mb, vb;
   };
 
-  struct ForwardCache {
-    // activations[0] = input, activations[i] = output of layer i-1.
-    std::vector<std::vector<double>> activations;
-    std::vector<std::vector<double>> pre_activations;
-  };
-
-  std::vector<double> Forward(const std::vector<double>& x,
-                              ForwardCache* cache) const;
-  /// Backprop for one sample; accumulates gradients into grads.
-  double BackwardAccumulate(const std::vector<double>& x,
-                            const std::vector<double>& y,
-                            std::vector<Matrix>* grad_w,
-                            std::vector<std::vector<double>>* grad_b);
   void AdamStep(const std::vector<Matrix>& grad_w,
                 const std::vector<std::vector<double>>& grad_b, double lr,
                 size_t batch);
-  double EvalLoss(const Matrix& X, const Matrix& Y,
-                  const std::vector<size_t>& idx) const;
 
-  // --- Batched backend ---
   /// Sizes `ws` for `slots` concurrent chunks of up to `max_rows` samples.
   /// `with_backward` also sizes the delta/gradient buffers.
   void EnsureWorkspace(TrainWorkspace* ws, size_t max_rows, size_t slots,
@@ -197,16 +170,10 @@ class FeedForwardNet {
   void OutputDeltaAndLoss(TrainWorkspace::Chunk* chunk, size_t m) const;
   /// Backprop through all layers; fills chunk->gw / chunk->gb.
   void BackwardChunk(TrainWorkspace::Chunk* chunk, size_t m) const;
-  /// The batched epoch loop (minibatch chunk fan-out + ordered reduction).
-  void TrainBatchedLoop(const Matrix& X, const Matrix& Y,
-                        std::vector<size_t>* train_idx,
-                        const std::vector<size_t>& val_idx,
-                        const TrainOptions& opts, Rng* rng,
-                        TrainReport* report, std::vector<Layer>* best_layers);
-  /// Batched EvalLoss: forward in chunks of at least `chunk_rows`, per-row
-  /// losses reduced in the same order the per-sample EvalLoss sums in (the
-  /// forwards themselves use the GEMM kernels, so the two values agree to
-  /// rounding error, not bitwise).
+  /// Mean validation loss: forward in chunks of at least `chunk_rows`,
+  /// per-row losses summed in `idx` order, as the reference trainer in
+  /// tests/support sums them (the forwards use the GEMM kernels, so the two
+  /// values agree to rounding error, not bitwise).
   double EvalLossBatched(const Matrix& X, const Matrix& Y,
                          const std::vector<size_t>& idx, size_t chunk_rows,
                          TrainWorkspace* ws, dag::ThreadPool* pool) const;
@@ -219,11 +186,6 @@ class FeedForwardNet {
   /// buffers are small relative to the Adam state already carried).
   TrainWorkspace train_ws_;
 };
-
-/// Cross-entropy of a prediction against a target distribution (exposed for
-/// tests).
-double ComputeLoss(const std::vector<double>& pred,
-                   const std::vector<double>& target);
 
 }  // namespace sky::ml
 

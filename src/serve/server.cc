@@ -112,20 +112,12 @@ Result<core::StreamEngineJob> Server::BuildJob(const SessionSpec& spec,
 
   // Spec defaults resolve exactly like the matching `sky ingest` flags. A
   // NaN is no default: it reaches IngestionEngine::Start, which refuses it.
-  double start_days = spec.start_days < 0.0
-                          ? (*model)->train_horizon / 86400.0
-                          : spec.start_days;
-  double plan_days = spec.plan_interval_days;
-  if (plan_days <= 0.0) {
-    plan_days = (*model)->forecaster.has_value()
-                    ? (*model)->forecaster->options().planned_interval /
-                          86400.0
-                    : 2.0;
-  }
+  const api::ServedSchedule schedule = api::ResolveServedSchedule(
+      **model, spec.start_days, spec.plan_interval_days);
 
   core::EngineOptions opts;
   opts.duration = Days(spec.duration_days);
-  opts.plan_interval = Days(plan_days);
+  opts.plan_interval = Days(schedule.plan_interval_days);
   opts.seed = spec.engine_seed;
   opts.record_trace = spec.record_trace;
   opts.trace_resolution_s = spec.trace_resolution_s;
@@ -136,7 +128,8 @@ Result<core::StreamEngineJob> Server::BuildJob(const SessionSpec& spec,
   // Every session shares the served model, cluster and cost model; only
   // the camera is its own.
   SKY_ASSIGN_OR_RETURN(core::StreamEngineJob job,
-                       base_facade_->MakeStreamJob(Days(start_days), opts));
+                       base_facade_->MakeStreamJob(
+                           Days(schedule.start_days), opts));
   job.workload = tenant->workload.get();
   return job;
 }

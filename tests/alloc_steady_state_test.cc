@@ -1,5 +1,5 @@
 // Steady-state allocation audit for the engine's hot paths: after warm-up,
-// FeaturesFromHistoryInto + ForecastInto + OnlineUpdate — the forecaster
+// FeaturesFromSplitCountsInto + ForecastInto + OnlineUpdate — the forecaster
 // work of a plan boundary — the engine's PrepareBoundary with its sliding
 // split counts, and every IngestionEngine::Step() within a plan interval,
 // after Start or after a Restore over a fresh workload, must perform zero
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -70,6 +71,14 @@ TEST(AllocSteadyStateTest, ForecasterPlanBoundaryPathsAllocateNothing) {
   auto trained = Forecaster::Train(seq, 60.0, 3, FastOptions());
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
   Forecaster forecaster = std::move(*trained);
+  // The split counts of the sequence's last input span, as the engine keeps
+  // them.
+  const size_t splits = forecaster.options().input_splits;
+  std::vector<uint32_t> counts(splits * 3, 0);
+  for (size_t split = 0; split < splits; ++split) {
+    auto [begin, end] = forecaster.SplitWindow(split, seq.size(), 60.0);
+    for (size_t i = begin; i < end; ++i) ++counts[split * 3 + seq[i]];
+  }
 
   std::vector<double> features;
   std::vector<double> forecast;
@@ -77,14 +86,14 @@ TEST(AllocSteadyStateTest, ForecasterPlanBoundaryPathsAllocateNothing) {
 
   // Warm-up: first calls size the reusable scratch buffers.
   for (int i = 0; i < 3; ++i) {
-    forecaster.FeaturesFromHistoryInto(seq, 60.0, &features);
+    forecaster.FeaturesFromSplitCountsInto(counts, &features);
     forecaster.ForecastInto(features, &forecast);
     forecaster.OnlineUpdate(features, realized, 1e-3);
   }
 
   long before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 200; ++i) {
-    forecaster.FeaturesFromHistoryInto(seq, 60.0, &features);
+    forecaster.FeaturesFromSplitCountsInto(counts, &features);
     forecaster.ForecastInto(features, &forecast);
     forecaster.OnlineUpdate(features, realized, 1e-3);
   }

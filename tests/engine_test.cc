@@ -294,6 +294,45 @@ TEST_F(EngineTest, StartRefusesANegativeDurationOrARunPastInt64) {
   refused((0x1p62 + 1024.0) * 4.0, 0x1p62 * 4.0);
 }
 
+TEST_F(EngineTest, GroundTruthLookAheadPastInt64IsRefused) {
+  // In the ground-truth-forecast mode the boundary that opens the last,
+  // partial interval reads a whole plan interval ahead: 1000 segments from
+  // 2^63 - 1024 in intervals of 600 read up to index 2^63 + 175. Start and
+  // Restore refuse such a run; were it accepted, that boundary would
+  // overflow the segment index (the sanitizer build fails on it).
+  const double seg = model_->segment_seconds;
+  EngineOptions opts = BaseOptions();
+  opts.duration = 1000.0 * seg;
+  opts.plan_interval = 600.0 * seg;
+  opts.use_ground_truth_forecast = true;
+  IngestionEngine engine(workload_, model_, cluster_, cost_model_, opts);
+  Status started = engine.Start((0x1p63 - 1024.0) * seg);
+  if (started.ok()) {
+    while (!engine.Done()) ASSERT_TRUE(engine.Step().ok());
+  }
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine.started());
+
+  // From 2^63 - 2048 the same run reads up to 2^63 - 849 and starts.
+  IngestionEngine fits(workload_, model_, cluster_, cost_model_, opts);
+  ASSERT_TRUE(fits.Start((0x1p63 - 2048.0) * seg).ok());
+  auto snapshot = fits.Checkpoint();
+  ASSERT_TRUE(snapshot.ok());
+  // Restored from INT64_MAX - 1199 its look-ahead ends on INT64_MAX itself;
+  // one segment later it passes it, which only the ground-truth mode reads.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  snapshot->first_segment = kMax - 1199;
+  IngestionEngine at_limit(workload_, model_, cluster_, cost_model_, opts);
+  EXPECT_TRUE(at_limit.Restore(*snapshot).ok());
+  snapshot->first_segment = kMax - 1198;
+  IngestionEngine past(workload_, model_, cluster_, cost_model_, opts);
+  EXPECT_EQ(past.Restore(*snapshot).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(past.started());
+  opts.use_ground_truth_forecast = false;
+  IngestionEngine normal(workload_, model_, cluster_, cost_model_, opts);
+  EXPECT_TRUE(normal.Restore(*snapshot).ok());
+}
+
 TEST_F(EngineTest, ContentWindowNearTheInt64SegmentLimitDoesNotOverflow) {
   // Start accepts a start and a duration that each fit in int64 segments,
   // and Restore a checkpoint's counts as read; the content window both

@@ -4,11 +4,14 @@
 
 #include <cmath>
 
+#include "support/oracles.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace sky::core {
 namespace {
+
+using oracle::CategoryHistogram;
 
 /// A synthetic category sequence with a deterministic diurnal structure:
 /// category 0 at "night", category 1 at "day", category 2 in randomly
@@ -61,6 +64,18 @@ TEST(ForecastDatasetTest, RejectsTooShortSequences) {
   EXPECT_FALSE(BuildForecastDataset(tiny, -1.0, 3, opts).ok());
 }
 
+TEST(ForecastDatasetTest, RefusesZeroSplits) {
+  // The split length divides by the split count: zero must be refused
+  // before the division, here and through training.
+  std::vector<size_t> seq = DiurnalCategories(60.0, 4, 1);
+  ForecasterOptions opts = FastOptions();
+  opts.input_splits = 0;
+  EXPECT_EQ(BuildForecastDataset(seq, 60.0, 3, opts).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Forecaster::Train(seq, 60.0, 3, opts).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(CategoryHistogramTest, CountsAndNormalizes) {
   std::vector<size_t> seq = {0, 0, 1, 2, 2, 2};
   std::vector<double> h = CategoryHistogram(seq, 0, 6, 3);
@@ -79,8 +94,10 @@ TEST(ForecasterTest, LearnsStationaryDistribution) {
 
   // Forecast from the tail of the training data; the diurnal mix is stable
   // day over day, so the forecast should match the overall distribution.
-  std::vector<double> features = forecaster->FeaturesFromHistory(seq, 60.0);
-  std::vector<double> pred = forecaster->Forecast(features);
+  std::vector<double> features;
+  oracle::FeaturesFromHistoryInto(*forecaster, seq, 60.0, &features);
+  std::vector<double> pred;
+  forecaster->ForecastInto(features, &pred);
   std::vector<double> actual = CategoryHistogram(seq, 0, seq.size(), 3);
   ASSERT_EQ(pred.size(), 3u);
   EXPECT_LT(MeanAbsoluteError(pred, actual), 0.08);
@@ -103,7 +120,8 @@ TEST(ForecasterTest, FeaturesAreSplitHistograms) {
   auto forecaster = Forecaster::Train(DiurnalCategories(60.0, 6, 4), 60.0, 3,
                                       opts);
   ASSERT_TRUE(forecaster.ok());
-  std::vector<double> f = forecaster->FeaturesFromHistory(seq, 60.0);
+  std::vector<double> f;
+  oracle::FeaturesFromHistoryInto(*forecaster, seq, 60.0, &f);
   ASSERT_EQ(f.size(), 4u * 3);
   for (size_t split = 0; split < 4; ++split) {
     EXPECT_NEAR(f[split * 3 + 0], 1.0, 1e-9);
@@ -117,8 +135,7 @@ TEST(ForecastDatasetTest, PoolAndSerialBuildsAreBitIdentical) {
   auto serial = BuildForecastDataset(seq, 60.0, 3, opts);
   ASSERT_TRUE(serial.ok());
   dag::ThreadPool pool(3);
-  opts.pool = &pool;
-  auto pooled = BuildForecastDataset(seq, 60.0, 3, opts);
+  auto pooled = BuildForecastDataset(seq, 60.0, 3, opts, &pool);
   ASSERT_TRUE(pooled.ok());
   EXPECT_EQ(serial->inputs.data(), pooled->inputs.data());
   EXPECT_EQ(serial->targets.data(), pooled->targets.data());
@@ -126,7 +143,7 @@ TEST(ForecastDatasetTest, PoolAndSerialBuildsAreBitIdentical) {
 
 TEST(ForecastDatasetTest, PrefixWindowsMatchScannedHistograms) {
   // BuildForecastDataset emits prefix-sum window histograms; they must be
-  // bit-identical to scanning each window with CategoryHistogram.
+  // bit-identical to scanning each window with the reference histogram.
   std::vector<size_t> seq = DiurnalCategories(60.0, 4, 13);
   ForecasterOptions opts = FastOptions();
   auto data = BuildForecastDataset(seq, 60.0, 3, opts);
@@ -141,13 +158,15 @@ TEST(ForecastDatasetTest, PrefixWindowsMatchScannedHistograms) {
   }
 }
 
-TEST(ForecasterTest, ForecastIntoMatchesForecastBitwise) {
+TEST(ForecasterTest, ForecastIntoMatchesTheReferenceForwardBitwise) {
   std::vector<size_t> seq = DiurnalCategories(60.0, 6, 8);
   ForecasterOptions opts = FastOptions();
   auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
-  std::vector<double> features = forecaster->FeaturesFromHistory(seq, 60.0);
-  std::vector<double> reference = forecaster->Forecast(features);
+  std::vector<double> features;
+  oracle::FeaturesFromHistoryInto(*forecaster, seq, 60.0, &features);
+  std::vector<double> reference =
+      oracle::Predict(forecaster->SnapshotNet(), features);
   std::vector<double> into;
   forecaster->ForecastInto(features, &into);
   EXPECT_EQ(into, reference);
@@ -161,13 +180,17 @@ TEST(ForecasterTest, OnlineUpdateShiftsForecast) {
   ForecasterOptions opts = FastOptions();
   auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
-  std::vector<double> features = forecaster->FeaturesFromHistory(seq, 60.0);
+  std::vector<double> features;
+  oracle::FeaturesFromHistoryInto(*forecaster, seq, 60.0, &features);
   std::vector<double> target = {0.0, 0.0, 1.0};
-  double before = forecaster->Forecast(features)[2];
+  std::vector<double> forecast;
+  forecaster->ForecastInto(features, &forecast);
+  double before = forecast[2];
   for (int i = 0; i < 100; ++i) {
     forecaster->OnlineUpdate(features, target, 0.01);
   }
-  double after = forecaster->Forecast(features)[2];
+  forecaster->ForecastInto(features, &forecast);
+  double after = forecast[2];
   EXPECT_GT(after, before);
 }
 

@@ -4,13 +4,24 @@
 
 #include <cmath>
 
+#include "support/oracles.h"
+
 namespace sky::ml {
 namespace {
+
+/// One forward pass through the production inference path.
+std::vector<double> Predict(const FeedForwardNet& net,
+                            const std::vector<double>& x) {
+  PredictScratch scratch;
+  std::vector<double> out;
+  net.PredictInto(x, &scratch, &out);
+  return out;
+}
 
 TEST(NnTest, PredictShapesAndSoftmaxSumsToOne) {
   Rng rng(1);
   FeedForwardNet net(4, {16, 8}, 3, &rng);
-  std::vector<double> out = net.Predict({0.1, 0.2, 0.3, 0.4});
+  std::vector<double> out = Predict(net, {0.1, 0.2, 0.3, 0.4});
   ASSERT_EQ(out.size(), 3u);
   double sum = 0.0;
   for (double v : out) {
@@ -62,7 +73,7 @@ TEST(NnTest, LearnsLinearlySeparableClassification) {
   for (size_t i = 0; i < 200; ++i) {
     double a = data_rng.Uniform(0, 1);
     double b = data_rng.Uniform(0, 1);
-    std::vector<double> pred = net.Predict({a, b});
+    std::vector<double> pred = Predict(net, {a, b});
     size_t cls = pred[0] > pred[1] ? 0 : 1;
     if (cls == (a > b ? 0u : 1u)) ++correct;
   }
@@ -94,20 +105,21 @@ TEST(NnTest, OnlineUpdateMovesPredictionTowardTarget) {
   FeedForwardNet net(2, {8}, 2, &rng);
   std::vector<double> input = {0.4, 0.6};
   std::vector<double> target = {1.0, 0.0};
-  double before = net.Predict(input)[0];
+  double before = Predict(net, input)[0];
   for (int i = 0; i < 50; ++i) {
     net.OnlineUpdate(input, target, 0.05);
   }
-  double after = net.Predict(input)[0];
+  double after = Predict(net, input)[0];
   EXPECT_GT(after, before);
   EXPECT_GT(after, 0.9);
 }
 
 TEST(NnTest, ComputeLossValues) {
-  EXPECT_NEAR(ComputeLoss({0.5, 0.5}, {1.0, 0.0}), -std::log(0.5), 1e-9);
+  EXPECT_NEAR(oracle::ComputeLoss({0.5, 0.5}, {1.0, 0.0}), -std::log(0.5),
+              1e-9);
 }
 
-// --- Batched-backend parity and determinism ---
+// --- Batched-trainer parity and determinism ---
 
 namespace parity {
 
@@ -132,11 +144,11 @@ void MakeData(const Shape& shape, uint64_t seed, Matrix* x, Matrix* y) {
   }
 }
 
-/// Trains two identically initialized nets, one per backend, and requires
-/// identical loss curves and weights to 1e-9 — the contract that makes
-/// TrainBackend::kPerSample a usable reference oracle. The two backends
-/// differ only in how their kernels associate sums, so the trajectories
-/// agree to rounding error.
+/// Trains two identically initialized nets, one with the batched trainer
+/// and one with the per-sample reference trainer, and requires identical
+/// loss curves and weights to 1e-9 — the contract that makes the reference
+/// a usable oracle. The two differ only in how their kernels associate
+/// sums, so the trajectories agree to rounding error.
 void ExpectBackendParity(const Shape& shape, uint64_t seed) {
   Matrix x, y;
   MakeData(shape, seed, &x, &y);
@@ -146,13 +158,11 @@ void ExpectBackendParity(const Shape& shape, uint64_t seed) {
 
   Rng rng_a(seed + 1);
   FeedForwardNet a(shape.input, shape.hidden, shape.output, &rng_a);
-  opts.backend = TrainBackend::kPerSample;
-  auto report_a = a.Train(x, y, opts);
+  auto report_a = oracle::TrainPerSample(&a, x, y, opts);
   ASSERT_TRUE(report_a.ok()) << report_a.status().ToString();
 
   Rng rng_b(seed + 1);
   FeedForwardNet b(shape.input, shape.hidden, shape.output, &rng_b);
-  opts.backend = TrainBackend::kBatched;
   auto report_b = b.Train(x, y, opts);
   ASSERT_TRUE(report_b.ok()) << report_b.status().ToString();
 
@@ -206,10 +216,9 @@ TEST(NnParityTest, BatchedTrainingIsBitIdenticalForAnyPoolSize) {
 
   for (size_t threads : {2u, 5u}) {
     dag::ThreadPool pool(threads);
-    opts.pool = &pool;
     Rng rng(5);
     FeedForwardNet net(s.input, s.hidden, s.output, &rng);
-    ASSERT_TRUE(net.Train(x, y, opts).ok());
+    ASSERT_TRUE(net.Train(x, y, opts, &pool).ok());
     // Bitwise: the chunk geometry and reduction order never depend on the
     // pool, so EXPECT_EQ on the raw doubles is the right comparison.
     EXPECT_EQ(net.FlattenParameters(), reference) << threads << " threads";
@@ -231,10 +240,11 @@ TEST(NnTest, PredictIntoAndBatchMatchPredictBitwise) {
   ASSERT_EQ(batch_out.rows(), 40u);
   ASSERT_EQ(batch_out.cols(), 4u);
   std::vector<double> into;
+  const NetSnapshot snapshot = net.Snapshot();
   for (size_t i = 0; i < x.rows(); ++i) {
-    std::vector<double> reference = net.Predict(x.Row(i));
+    std::vector<double> reference = oracle::Predict(snapshot, x.Row(i));
     net.PredictInto(x.Row(i), &scratch, &into);
-    EXPECT_EQ(into, reference);  // PredictInto replays Predict exactly
+    EXPECT_EQ(into, reference);  // PredictInto replays the reference exactly
     for (size_t c = 0; c < 4; ++c) {
       // The batched forward uses the GEMM kernels: rounding-level agreement.
       EXPECT_NEAR(batch_out.At(i, c), reference[c], 1e-12);

@@ -20,6 +20,7 @@
 #include "lp/simplex.h"
 #include "ml/nn.h"
 #include "sim/cluster_sim.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 #include "workloads/ev_counting.h"
 
@@ -334,7 +335,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlacementDeterminismSweep,
 // ---------------------------------------------------------------------------
 // Property: at every plan boundary the engine's forecaster features, built
 // from split counts it slides from boundary to boundary, equal a fresh
-// FeaturesFromHistoryInto scan of its history, bitwise — over random
+// reference scan of its history, bitwise — over random
 // category streams, feature geometries, bootstraps, and a checkpoint
 // round trip mid-run. The instance stream is derived from SKY_PROP_SEED.
 // ---------------------------------------------------------------------------
@@ -468,8 +469,8 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
     auto snap = e.Checkpoint();
     ASSERT_TRUE(snap.ok());
     std::vector<double> scanned;
-    snap->forecaster->FeaturesFromHistoryInto(LinearHistory(*snap), seg,
-                                              &scanned);
+    oracle::FeaturesFromHistoryInto(*snap->forecaster, LinearHistory(*snap),
+                                    seg, &scanned);
     ASSERT_EQ(snap->plan_features.size(), scanned.size());
     EXPECT_EQ(std::memcmp(snap->plan_features.data(), scanned.data(),
                           scanned.size() * sizeof(double)),

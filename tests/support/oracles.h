@@ -1,0 +1,64 @@
+#ifndef SKYSCRAPER_TESTS_SUPPORT_ORACLES_H_
+#define SKYSCRAPER_TESTS_SUPPORT_ORACLES_H_
+
+// Reference implementations the parity tests and the forecaster benches
+// compare libsky against. Each is the plain, allocating form of something
+// libsky computes faster: the per-sample trainer and the sequential forward
+// pass of the forecasting network, the naive matrix product, and the
+// category histograms and forecaster features of a scanned history. None of
+// them runs in a deployment, so they live here and libsky never links them.
+
+#include <cstddef>
+#include <vector>
+
+#include "core/forecaster.h"
+#include "ml/matrix.h"
+#include "ml/nn.h"
+#include "util/result.h"
+
+namespace sky::oracle {
+
+/// Cross-entropy of a prediction against a target distribution.
+double ComputeLoss(const std::vector<double>& pred,
+                   const std::vector<double>& target);
+
+/// The forward pass of `net` for one sample, one sequential bias-first dot
+/// product per output, ReLU on hidden layers and softmax on the output.
+/// FeedForwardNet::PredictInto and Forecaster::ForecastInto match it
+/// bitwise; the batched GEMM forward to rounding error.
+std::vector<double> Predict(const ml::NetSnapshot& net,
+                            const std::vector<double>& x);
+
+/// Trains `net` as FeedForwardNet::Train does (the same validation split,
+/// shuffles, Adam steps and best-weight rule) but one sample at a time,
+/// allocating as it goes. The batched trainer's loss curves and weights
+/// agree with it to rounding error: only the summation order differs.
+Result<ml::TrainReport> TrainPerSample(ml::FeedForwardNet* net,
+                                       const ml::Matrix& X,
+                                       const ml::Matrix& Y,
+                                       const ml::TrainOptions& opts);
+
+/// a * b as the naive triple loop, skipping zero entries of a: the
+/// reference for the cache-blocked GEMM kernels.
+ml::Matrix MatMul(const ml::Matrix& a, const ml::Matrix& b);
+
+/// Normalized category histogram of the [begin, end) slice of the sequence,
+/// by scanning it; `end` is clamped to the sequence and an empty slice
+/// reads uniform.
+std::vector<double> CategoryHistogram(
+    const std::vector<size_t>& category_sequence, size_t begin, size_t end,
+    size_t num_categories);
+
+/// The model input `forecaster` builds from the most recent history, by
+/// scanning each of its split windows (Forecaster::SplitWindow) into a
+/// normalized histogram. The engine's slid split counts, through
+/// Forecaster::FeaturesFromSplitCountsInto, and BuildForecastDataset's
+/// prefix sums both match it bitwise.
+void FeaturesFromHistoryInto(const core::Forecaster& forecaster,
+                             const std::vector<size_t>& recent_categories,
+                             double segment_seconds,
+                             std::vector<double>* out);
+
+}  // namespace sky::oracle
+
+#endif  // SKYSCRAPER_TESTS_SUPPORT_ORACLES_H_

@@ -1,9 +1,9 @@
 // The checksummed chunk container under model files, fleet checkpoints and
 // serve checkpoints (src/io/wire): the same hostile inputs must be refused
 // with kInvalidArgument by all three; fixed fleet and serve checkpoints and
-// a fixed forecaster payload serialize to checked-in bytes; and a model
-// whose forecaster names a loss other than cross-entropy or an output other
-// than softmax is refused.
+// a fixed forecaster payload serialize to checked-in bytes; its trainer
+// slot reads 0 or 1 and writes 0; and a model whose forecaster names a loss
+// other than cross-entropy or an output other than softmax is refused.
 
 #include "io/wire.h"
 
@@ -252,6 +252,35 @@ TEST(WireContainerTest, ForecasterPayloadLayoutIsPinned) {
   std::string again;
   wire::AppendForecaster(parsed, &again);
   EXPECT_EQ(again, bytes);
+}
+
+TEST(WireContainerTest, ForecasterTrainerSlotReadsEitherOldIdAndWritesZero) {
+  std::string bytes;
+  wire::AppendForecaster(FixedForecaster(), &bytes);
+  // The u32 trainer slot follows a presence byte, five fields and four
+  // training options of 8 bytes each, the u32 loss id, the u64 shuffle seed
+  // and the keep-best flag.
+  const size_t trainer_at = 1 + 9 * 8 + 4 + 8 + 1;
+  uint32_t id = 1;
+  std::memcpy(&id, &bytes[trainer_at], sizeof(id));
+  ASSERT_EQ(id, 0u) << "batched";
+
+  // A payload written when libsky still had the per-sample trainer (id 1)
+  // parses, and writes back with the id libsky writes now.
+  std::string per_sample = Patched(bytes, trainer_at, uint32_t{1});
+  wire::Cursor c(per_sample.data(), per_sample.size());
+  std::optional<core::Forecaster> parsed;
+  ASSERT_TRUE(wire::ParseForecaster(&c, &parsed).ok());
+  std::string again;
+  wire::AppendForecaster(parsed, &again);
+  EXPECT_EQ(again, bytes);
+
+  std::string unknown = Patched(bytes, trainer_at, uint32_t{2});
+  wire::Cursor u(unknown.data(), unknown.size());
+  Status refused = wire::ParseForecaster(&u, &parsed);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("trainer id"), std::string::npos)
+      << refused.ToString();
 }
 
 TEST(WireContainerTest, ModelWithAnotherLossOrActivationIdIsRefused) {

@@ -418,32 +418,23 @@ int RunIngest(const Flags& f) {
   auto model = sky.model();
   if (!model.ok()) return Fail(model.status());
 
-  double start_days =
-      f.start_days >= 0.0 ? f.start_days : (*model)->train_horizon / 86400.0;
-  // Plan at the cadence the forecaster was trained to predict unless the
-  // caller overrides it — a 1-day-forecast model planning every 2 days
-  // would silently degrade.
-  double plan_interval_days = f.plan_interval_days;
-  if (plan_interval_days <= 0.0) {
-    plan_interval_days =
-        (*model)->forecaster.has_value()
-            ? (*model)->forecaster->options().planned_interval / 86400.0
-            : 2.0;
-  }
+  const sky::api::ServedSchedule schedule = sky::api::ResolveServedSchedule(
+      **model, f.start_days, f.plan_interval_days);
   sky::core::EngineOptions opts;
   opts.duration = Days(f.duration_days);
-  opts.plan_interval = Days(plan_interval_days);
+  opts.plan_interval = Days(schedule.plan_interval_days);
   opts.seed = f.engine_seed;
 
-  auto result = sky.Ingest(Days(start_days), opts);
+  auto result = sky.Ingest(Days(schedule.start_days), opts);
   if (!result.ok()) return Fail(result.status());
 
   // All output after the run succeeds: a failing invocation writes exactly
   // one line to stderr and nothing to stdout (the exit-code contract above).
   std::printf("sky ingest: %s from %s (day %.1f, %.1f days, plan every "
               "%.1f days, %d cores, $%.2f cloud/interval)\n",
-              workload->name().c_str(), f.model.c_str(), start_days,
-              f.duration_days, plan_interval_days, f.cores,
+              workload->name().c_str(), f.model.c_str(),
+              schedule.start_days, f.duration_days,
+              schedule.plan_interval_days, f.cores,
               f.cloud_budget.value_or(0.0));
   std::printf("  segments          %zu\n", result->segments);
   std::printf("  mean quality      %.4f\n", result->mean_quality);
