@@ -51,18 +51,6 @@ ContentCategories ContentCategories::FromGmm(ml::GmmModel model) {
   return c;
 }
 
-std::vector<double> SegmentQualityVector(const Workload& workload,
-                                         const std::vector<KnobConfig>& configs,
-                                         const video::ContentState& content,
-                                         Rng* rng) {
-  std::vector<double> quals;
-  quals.reserve(configs.size());
-  for (const KnobConfig& k : configs) {
-    quals.push_back(workload.MeasuredQuality(k, content, rng));
-  }
-  return quals;
-}
-
 std::vector<double> TrueQualityVector(const Workload& workload,
                                       const std::vector<KnobConfig>& configs,
                                       const video::ContentState& content) {
@@ -105,10 +93,10 @@ Result<ContentCategories> BuildContentCategories(
   }
 
   // Scan the sampled segments in parallel, one forked RNG per fixed-size
-  // chunk so the vectors are identical for any thread count.
+  // chunk so the points are identical for any thread count. Each segment's
+  // measured qualities go straight into its column of the point matrix.
   Rng noise_rng = Rng(options.seed).Fork("measurement");
-  std::vector<std::vector<double>> quality_vectors(
-      static_cast<size_t>(sampled));
+  ml::Matrix points(configs.size(), static_cast<size_t>(sampled));
   dag::ParallelForChunked(
       options.pool, static_cast<size_t>(sampled), 64,
       [&](size_t chunk, size_t begin, size_t end) {
@@ -117,8 +105,10 @@ Result<ContentCategories> BuildContentCategories(
           double t = horizon * (static_cast<double>(i) + 0.5) /
                      static_cast<double>(sampled);
           video::ContentState state = workload.content_process().At(t);
-          quality_vectors[i] =
-              SegmentQualityVector(workload, configs, state, &chunk_rng);
+          for (size_t k = 0; k < configs.size(); ++k) {
+            points.At(k, i) =
+                workload.MeasuredQuality(configs[k], state, &chunk_rng);
+          }
         }
       });
 
@@ -127,13 +117,14 @@ Result<ContentCategories> BuildContentCategories(
     km.k = options.num_categories;
     km.seed = options.seed;
     SKY_ASSIGN_OR_RETURN(ml::KMeansModel model,
-                         ml::KMeansFit(quality_vectors, km));
+                         ml::KMeansFit(points, km, options.pool));
     return ContentCategories::FromKMeans(std::move(model));
   }
   ml::GmmOptions gm;
   gm.k = options.num_categories;
   gm.seed = options.seed;
-  SKY_ASSIGN_OR_RETURN(ml::GmmModel model, ml::GmmFit(quality_vectors, gm));
+  SKY_ASSIGN_OR_RETURN(ml::GmmModel model,
+                       ml::GmmFit(points, gm, options.pool));
   return ContentCategories::FromGmm(std::move(model));
 }
 

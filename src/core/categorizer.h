@@ -72,25 +72,19 @@ struct CategorizerOptions {
   SimTime train_horizon = Days(14);
   CategorizerBackend backend = CategorizerBackend::kKMeans;
   uint64_t seed = 51;
-  /// Pool the per-segment quality scans fan out on. The sampled vectors (and
-  /// the fitted clustering) are identical for any thread count; null runs
-  /// serially.
+  /// Pool the per-segment quality scans and the clustering's restarts fan
+  /// out on. The sampled points (and the fitted clustering) are identical
+  /// for any thread count; null runs serially.
   dag::ThreadPool* pool = nullptr;
 };
 
 /// Offline phase step 2 (§3.2): samples segments from the unlabeled data,
 /// processes each with every filtered configuration, records the quality
-/// vectors, and clusters them into content categories.
+/// vectors as the columns of one point matrix, and clusters them into
+/// content categories.
 Result<ContentCategories> BuildContentCategories(
     const Workload& workload, const std::vector<KnobConfig>& configs,
     const CategorizerOptions& options);
-
-/// The measured |K|-dimensional quality vector of one segment (helper shared
-/// with benches/tests).
-std::vector<double> SegmentQualityVector(const Workload& workload,
-                                         const std::vector<KnobConfig>& configs,
-                                         const video::ContentState& content,
-                                         Rng* rng);
 
 /// The noise-free quality vector (ground truth categorization).
 std::vector<double> TrueQualityVector(const Workload& workload,

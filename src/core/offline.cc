@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -32,6 +34,26 @@ size_t PickDiscriminatorConfig(const ContentCategories& categories) {
     if (hi - lo > 0.05) return k;
   }
   return 0;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  // Empty vectors may hold null data, which memcmp must not see.
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool SameBits(const std::vector<std::vector<double>>& a,
+              const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (!SameBits(a[r], b[r])) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -89,16 +111,23 @@ bool OfflineModelsIdentical(const OfflineModel& a, const OfflineModel& b) {
     }
   }
 
-  if (a.categories.backend() != b.categories.backend() ||
-      a.categories.NumCategories() != b.categories.NumCategories() ||
-      a.categories.NumConfigs() != b.categories.NumConfigs()) {
+  // The clustering, bitwise on every field the CATG chunk persists.
+  if (a.categories.backend() != b.categories.backend()) return false;
+  const ml::KMeansModel& ka = a.categories.kmeans_model();
+  const ml::KMeansModel& kb = b.categories.kmeans_model();
+  if (!SameBits(ka.centers, kb.centers) || ka.assignments != kb.assignments ||
+      !SameBits(ka.inertia, kb.inertia)) {
     return false;
   }
-  for (size_t c = 0; c < a.categories.NumCategories(); ++c) {
-    for (size_t k = 0; k < a.categories.NumConfigs(); ++k) {
-      if (a.categories.CenterQuality(c, k) != b.categories.CenterQuality(c, k))
-        return false;
-    }
+  const std::optional<ml::GmmModel>& ga = a.categories.gmm_model();
+  const std::optional<ml::GmmModel>& gb = b.categories.gmm_model();
+  if (ga.has_value() != gb.has_value()) return false;
+  if (ga.has_value() &&
+      (!SameBits(ga->means, gb->means) ||
+       !SameBits(ga->variances, gb->variances) ||
+       !SameBits(ga->weights, gb->weights) ||
+       !SameBits(ga->log_likelihood, gb->log_likelihood))) {
+    return false;
   }
 
   if (a.forecaster.has_value() != b.forecaster.has_value()) return false;
@@ -118,10 +147,23 @@ Result<OfflineModel> RunOfflinePhase(const Workload& workload,
         "num_categories " + std::to_string(options.num_categories) +
         " exceeds the maximum of " + std::to_string(kMaxCategories));
   }
+  // Every step casts horizon / segment_seconds to an int64 segment count,
+  // and that cast is undefined unless the quotient is finite and in range.
+  const double horizon =
+      std::min<double>(options.train_horizon, workload.content_process().horizon());
+  if (!std::isfinite(options.segment_seconds) ||
+      !(options.segment_seconds > 0.0)) {
+    return Status::InvalidArgument("segment_seconds must be finite and positive");
+  }
+  if (!std::isfinite(horizon) || !(horizon > 0.0) ||
+      !(horizon / options.segment_seconds < 0x1p63)) {
+    return Status::InvalidArgument(
+        "train_horizon must be finite and positive, with a segment count "
+        "that fits in int64");
+  }
   OfflineModel model;
   model.segment_seconds = options.segment_seconds;
-  model.train_horizon =
-      std::min<double>(options.train_horizon, workload.content_process().horizon());
+  model.train_horizon = horizon;
   // Build the training content in one pass before the steps below fan out
   // over it: a block first read under the pool is redrawn from its seed,
   // which costs quadratic time over a whole horizon.

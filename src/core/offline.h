@@ -81,9 +81,11 @@ std::vector<size_t> BuildTrainCategorySequence(
     SimTime horizon, uint64_t seed, dag::ThreadPool* pool = nullptr);
 
 /// True when two offline models are bit-identical on every deterministic
-/// field: configs, full placement profiles, category centers, the training
-/// sequence, and the trained forecaster's network parameters (only the step
-/// runtimes are excluded — wall times always differ). The batched trainer's
+/// field: configs, full placement profiles, the clustering (k-means centers,
+/// assignments and inertia, or the GMM's means, variances, weights and
+/// log-likelihood), the training sequence, and the trained forecaster's
+/// network parameters (only the step runtimes are excluded — wall times
+/// always differ). The batched trainer's
 /// fixed chunk geometry makes even the forecaster weights independent of
 /// the thread count, so the comparison can afford to be bitwise. The
 /// contract behind OfflineOptions::num_threads, shared by

@@ -13,13 +13,14 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;
 
-/// Log density of a diagonal Gaussian at x.
-double LogGaussian(const std::vector<double>& x,
+/// Log density of a diagonal Gaussian at the `dim`-dimensional point whose
+/// coordinate d is x[d * stride].
+double LogGaussian(const double* x, size_t stride, size_t dim,
                    const std::vector<double>& mean,
                    const std::vector<double>& var) {
   double out = 0.0;
-  for (size_t d = 0; d < x.size(); ++d) {
-    double diff = x[d] - mean[d];
+  for (size_t d = 0; d < dim; ++d) {
+    double diff = x[d * stride] - mean[d];
     out += -0.5 * (kLog2Pi + std::log(var[d]) + diff * diff / var[d]);
   }
   return out;
@@ -40,7 +41,8 @@ size_t GmmModel::Classify(const std::vector<double>& point) const {
   double best_ll = -std::numeric_limits<double>::infinity();
   for (size_t c = 0; c < means.size(); ++c) {
     double ll = std::log(weights[c] + 1e-300) +
-                LogGaussian(point, means[c], variances[c]);
+                LogGaussian(point.data(), 1, point.size(), means[c],
+                            variances[c]);
     if (ll > best_ll) {
       best_ll = ll;
       best = c;
@@ -66,24 +68,19 @@ size_t GmmModel::ClassifyPartial(size_t dim, double value) const {
   return best;
 }
 
-Result<GmmModel> GmmFit(const std::vector<std::vector<double>>& points,
-                        const GmmOptions& options) {
+Result<GmmModel> GmmFit(const Matrix& points, const GmmOptions& options,
+                        dag::ThreadPool* pool) {
   if (options.k == 0) return Status::InvalidArgument("k must be positive");
-  if (points.size() < options.k) {
+  if (points.cols() < options.k) {
     return Status::InvalidArgument("fewer points than components");
   }
-  size_t dim = points[0].size();
-  for (const auto& p : points) {
-    if (p.size() != dim) {
-      return Status::InvalidArgument("inconsistent point dimensionality");
-    }
-  }
+  size_t dim = points.rows();
 
   // Initialize from KMeans.
   KMeansOptions km_opts;
   km_opts.k = options.k;
   km_opts.seed = options.seed;
-  SKY_ASSIGN_OR_RETURN(KMeansModel km, KMeansFit(points, km_opts));
+  SKY_ASSIGN_OR_RETURN(KMeansModel km, KMeansFit(points, km_opts, pool));
 
   GmmModel model;
   model.means = km.centers;
@@ -91,17 +88,17 @@ Result<GmmModel> GmmFit(const std::vector<std::vector<double>>& points,
   model.weights.assign(options.k, 0.0);
 
   std::vector<size_t> counts(options.k, 0);
-  for (size_t i = 0; i < points.size(); ++i) {
+  for (size_t i = 0; i < points.cols(); ++i) {
     size_t c = km.assignments[i];
     ++counts[c];
     for (size_t d = 0; d < dim; ++d) {
-      double diff = points[i][d] - model.means[c][d];
+      double diff = points.At(d, i) - model.means[c][d];
       model.variances[c][d] += diff * diff;
     }
   }
   for (size_t c = 0; c < options.k; ++c) {
     model.weights[c] = static_cast<double>(std::max<size_t>(1, counts[c])) /
-                       static_cast<double>(points.size());
+                       static_cast<double>(points.cols());
     for (size_t d = 0; d < dim; ++d) {
       model.variances[c][d] =
           std::max(options.min_variance,
@@ -110,7 +107,7 @@ Result<GmmModel> GmmFit(const std::vector<std::vector<double>>& points,
     }
   }
 
-  size_t n = points.size();
+  size_t n = points.cols();
   std::vector<std::vector<double>> resp(n, std::vector<double>(options.k));
   double prev_ll = -std::numeric_limits<double>::infinity();
 
@@ -121,7 +118,8 @@ Result<GmmModel> GmmFit(const std::vector<std::vector<double>>& points,
     for (size_t i = 0; i < n; ++i) {
       for (size_t c = 0; c < options.k; ++c) {
         logp[c] = std::log(model.weights[c] + 1e-300) +
-                  LogGaussian(points[i], model.means[c], model.variances[c]);
+                  LogGaussian(points.data().data() + i, n, dim,
+                              model.means[c], model.variances[c]);
       }
       double lse = LogSumExp(logp);
       ll += lse;
@@ -139,14 +137,16 @@ Result<GmmModel> GmmFit(const std::vector<std::vector<double>>& points,
       std::vector<double> mean(dim, 0.0);
       for (size_t i = 0; i < n; ++i) {
         nc += resp[i][c];
-        for (size_t d = 0; d < dim; ++d) mean[d] += resp[i][c] * points[i][d];
+        for (size_t d = 0; d < dim; ++d) {
+          mean[d] += resp[i][c] * points.At(d, i);
+        }
       }
       nc = std::max(nc, 1e-12);
       for (size_t d = 0; d < dim; ++d) mean[d] /= nc;
       std::vector<double> var(dim, 0.0);
       for (size_t i = 0; i < n; ++i) {
         for (size_t d = 0; d < dim; ++d) {
-          double diff = points[i][d] - mean[d];
+          double diff = points.At(d, i) - mean[d];
           var[d] += resp[i][c] * diff * diff;
         }
       }

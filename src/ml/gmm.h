@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "dag/thread_pool.h"
+#include "ml/matrix.h"
 #include "util/result.h"
 
 namespace sky::ml {
@@ -33,9 +35,11 @@ struct GmmModel {
   size_t ClassifyPartial(size_t dim, double value) const;
 };
 
-/// Fits a diagonal GMM with EM, initialized from a KMeans run.
-Result<GmmModel> GmmFit(const std::vector<std::vector<double>>& points,
-                        const GmmOptions& options);
+/// Fits a diagonal GMM with EM, initialized from a KMeansFit on the same
+/// point matrix (one row per dimension, one column per point), whose
+/// restarts fan out on `pool`; EM itself runs on the calling thread.
+Result<GmmModel> GmmFit(const Matrix& points, const GmmOptions& options,
+                        dag::ThreadPool* pool = nullptr);
 
 }  // namespace sky::ml
 

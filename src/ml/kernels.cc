@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace sky::ml {
 
@@ -46,8 +47,36 @@ void ScalarAxpy1F64(double d, const double* v, double* out, size_t m) {
   for (size_t c = 0; c < m; ++c) out[c] += d * v[c];
 }
 
+bool ScalarNearestCenterF64(const double* points, size_t ld, size_t n,
+                            size_t dim, const double* centers, size_t k,
+                            size_t* assign) {
+  bool changed = false;
+  for (size_t i = 0; i < n; ++i) {
+    size_t best = 0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < k; ++c) {
+      const double* center = centers + c * dim;
+      double s = 0.0;
+      for (size_t d = 0; d < dim; ++d) {
+        double diff = points[d * ld + i] - center[d];
+        s += diff * diff;
+      }
+      if (s < best_d) {
+        best_d = s;
+        best = c;
+      }
+    }
+    if (assign[i] != best) {
+      assign[i] = best;
+      changed = true;
+    }
+  }
+  return changed;
+}
+
 constexpr KernelOps kScalarOps = {
-    KernelBackend::kScalar, ScalarGemmRowF64, ScalarAxpy4F64, ScalarAxpy1F64,
+    KernelBackend::kScalar, ScalarGemmRowF64,       ScalarAxpy4F64,
+    ScalarAxpy1F64,         ScalarNearestCenterF64,
 };
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 
 namespace sky::ml {
 
-/// Which micro-kernel implementation backs the contraction primitives.
+/// Which micro-kernel implementation backs the primitives below.
 /// kScalar is the original loop nest, kept verbatim as the bitwise oracle;
 /// the vector tiers are selected at runtime from what the host supports.
 enum class KernelBackend {
@@ -16,9 +16,10 @@ enum class KernelBackend {
   kAvx2,    ///< x86-64 AVX2 (separate mul/add, no FMA)
 };
 
-/// The contraction primitives every backend implements. All kernels are
-/// REQUIRED to be bitwise-identical to the scalar oracle: they perform the
-/// same per-element operation sequence (no FMA contraction, no reassociated
+/// The primitives every backend implements: the GEMM row contractions and
+/// k-means' nearest-center search. All kernels are REQUIRED to be
+/// bitwise-identical to the scalar oracle: they perform the same
+/// per-element operation sequence (no FMA contraction, no reassociated
 /// reductions — lanes are element-wise, so IEEE rounding matches exactly).
 ///
 /// No kernel allocates, and all pointer arguments must be non-aliasing
@@ -43,6 +44,18 @@ struct KernelOps {
   /// Rank-1 row update: out[j] += d * v[j].
   void (*axpy1_f64)(double d, const double* v, double* out, size_t m);
 
+  /// The k-means assignment step: writes into assign[i] the nearest of the
+  /// k centers to point i, for i in [0, n), and returns whether any entry
+  /// changed. Point i has coordinate d at points[d * ld + i] (one row per
+  /// dimension, so lanes run across points); center c is the `dim` doubles
+  /// at centers + c * dim. Each squared distance sums (p - c)^2 over d in
+  /// ascending order from 0.0, and the first center whose distance is
+  /// smaller by an ordered `<` than every earlier one wins, so a NaN
+  /// distance never wins and a point whose distances are all NaN or
+  /// infinite gets center 0.
+  bool (*nearest_center_f64)(const double* points, size_t ld, size_t n,
+                             size_t dim, const double* centers, size_t k,
+                             size_t* assign);
 };
 
 /// The active kernel table. First use selects the best tier the host

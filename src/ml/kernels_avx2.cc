@@ -18,6 +18,9 @@
 
 #include <immintrin.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace sky::ml {
 
 namespace {
@@ -199,8 +202,79 @@ void Avx2Axpy1F64(double d, const double* v, double* out, size_t m) {
   if (c < m) ScalarKernelOps()->axpy1_f64(d, v + c, out + c, m - c);
 }
 
+/// The nearest center of the 4 * V points at points[0, 4V) of each row:
+/// one ymm accumulator per 4 points sums the oracle's (p - c)^2 terms in
+/// dimension order, and an ordered less-than (false on NaN) keeps the first
+/// minimum, carrying the winning index in the same lanes as 64-bit ints.
+template <size_t V>
+bool NearestCenterBlock(const double* points, size_t ld, size_t dim,
+                        const double* centers, size_t k, size_t* assign) {
+  __m256d best_d[V];
+  __m256d best[V];
+  for (size_t v = 0; v < V; ++v) {
+    best_d[v] = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+    best[v] = _mm256_castsi256_pd(_mm256_setzero_si256());
+  }
+  for (size_t c = 0; c < k; ++c) {
+    const double* center = centers + c * dim;
+    __m256d s[V];
+    for (size_t v = 0; v < V; ++v) s[v] = _mm256_setzero_pd();
+    for (size_t d = 0; d < dim; ++d) {
+      __m256d cd = _mm256_set1_pd(center[d]);
+      const double* row = points + d * ld;
+      for (size_t v = 0; v < V; ++v) {
+        __m256d diff = _mm256_sub_pd(_mm256_loadu_pd(row + 4 * v), cd);
+        s[v] = _mm256_add_pd(s[v], _mm256_mul_pd(diff, diff));
+      }
+    }
+    __m256d index =
+        _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(c)));
+    for (size_t v = 0; v < V; ++v) {
+      __m256d closer = _mm256_cmp_pd(s[v], best_d[v], _CMP_LT_OQ);
+      best_d[v] = _mm256_blendv_pd(best_d[v], s[v], closer);
+      best[v] = _mm256_blendv_pd(best[v], index, closer);
+    }
+  }
+  bool changed = false;
+  for (size_t v = 0; v < V; ++v) {
+    auto* slot = reinterpret_cast<__m256i*>(assign + 4 * v);
+    __m256i next = _mm256_castpd_si256(best[v]);
+    __m256i same = _mm256_cmpeq_epi64(_mm256_loadu_si256(slot), next);
+    changed |= _mm256_movemask_pd(_mm256_castsi256_pd(same)) != 0xF;
+    _mm256_storeu_si256(slot, next);
+  }
+  return changed;
+}
+
+// Lanes across points: 16 points per step keeps four independent
+// accumulation chains in flight, then 4-point steps, then the scalar oracle
+// on the last n % 4 points.
+bool Avx2NearestCenterF64(const double* points, size_t ld, size_t n,
+                          size_t dim, const double* centers, size_t k,
+                          size_t* assign) {
+  static_assert(sizeof(size_t) == sizeof(int64_t),
+                "assignments travel in 64-bit lanes");
+  bool changed = false;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    changed |=
+        NearestCenterBlock<4>(points + i, ld, dim, centers, k, assign + i);
+  }
+  for (; i + 4 <= n; i += 4) {
+    changed |=
+        NearestCenterBlock<1>(points + i, ld, dim, centers, k, assign + i);
+  }
+  if (i < n) {
+    changed |= ScalarKernelOps()->nearest_center_f64(points + i, ld, n - i,
+                                                     dim, centers, k,
+                                                     assign + i);
+  }
+  return changed;
+}
+
 constexpr KernelOps kAvx2Ops = {
-    KernelBackend::kAvx2, Avx2GemmRowF64, Avx2Axpy4F64, Avx2Axpy1F64,
+    KernelBackend::kAvx2, Avx2GemmRowF64,       Avx2Axpy4F64,
+    Avx2Axpy1F64,         Avx2NearestCenterF64,
 };
 
 }  // namespace

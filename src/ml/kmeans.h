@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "dag/thread_pool.h"
+#include "ml/matrix.h"
 #include "util/result.h"
 #include "util/rng.h"
 
@@ -34,10 +36,21 @@ struct KMeansModel {
   size_t ClassifyPartial(size_t dim, double value) const;
 };
 
-/// Lloyd's algorithm with k-means++ initialization. Fails if there are fewer
-/// points than clusters or inconsistent dimensionality.
-Result<KMeansModel> KMeansFit(const std::vector<std::vector<double>>& points,
-                              const KMeansOptions& options);
+/// Lloyd's algorithm with k-means++ initialization, best of
+/// `options.restarts` runs. The points are the columns of `points`: it holds
+/// one row per dimension and one column per point, so the dispatched
+/// nearest-center kernel (ml/kernels.h) runs its lanes across points. Fails
+/// if there are fewer points than clusters or the points have no
+/// dimensions.
+///
+/// Every restart's k-means++ seeds are drawn first, in restart order, from
+/// one Rng seeded with `options.seed`; the restarts' Lloyd loops then run
+/// concurrently on `pool` (null runs them serially), and the first restart
+/// with the lowest inertia wins. The model is bit-identical for any pool
+/// size and any kernel backend.
+Result<KMeansModel> KMeansFit(const Matrix& points,
+                              const KMeansOptions& options,
+                              dag::ThreadPool* pool = nullptr);
 
 }  // namespace sky::ml
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/config_filter.h"
 #include "core/offline.h"
 #include "workloads/covid.h"
@@ -123,6 +126,58 @@ TEST(CategorizerTest, OfflinePhaseRefusesMoreThanMaxCategories) {
   EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(CategorizerTest, OfflinePhaseRefusesSegmentCountsOutsideInt64) {
+  // horizon / segment_seconds becomes an int64 segment count; a zero,
+  // negative or vanishing segment, or a NaN horizon, is refused before any
+  // step runs instead of reaching that cast.
+  workloads::CovidWorkload covid;
+  sim::ClusterSpec cluster;
+  sim::CostModel cost_model(1.8);
+  for (double seconds : {0.0, -4.0, 1e-300}) {
+    OfflineOptions opts;
+    opts.segment_seconds = seconds;
+    auto model = RunOfflinePhase(covid, cluster, cost_model, opts);
+    ASSERT_FALSE(model.ok()) << seconds;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(model.status().message().find(
+                  seconds == 1e-300 ? "train_horizon" : "segment_seconds"),
+              std::string::npos)
+        << model.status().ToString();
+  }
+  OfflineOptions opts;
+  opts.train_horizon = std::nan("");
+  auto model = RunOfflinePhase(covid, cluster, cost_model, opts);
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(model.status().message().find("train_horizon"), std::string::npos)
+      << model.status().ToString();
+}
+
+TEST(CategorizerTest, CategoriesAreIdenticalOnAnyPool) {
+  // The quality scan and the clustering's restarts both fan out on the
+  // pool; neither backend's fit may depend on it.
+  workloads::CovidWorkload covid;
+  std::vector<KnobConfig> configs = FilteredCovid(covid);
+  for (CategorizerBackend backend :
+       {CategorizerBackend::kKMeans, CategorizerBackend::kGmm}) {
+    CategorizerOptions opts;
+    opts.num_categories = 3;
+    opts.train_horizon = Days(2);
+    opts.segment_seconds = 4.0;
+    opts.backend = backend;
+    auto serial = BuildContentCategories(covid, configs, opts);
+    ASSERT_TRUE(serial.ok());
+    dag::ThreadPool pool(3);
+    opts.pool = &pool;
+    auto pooled = BuildContentCategories(covid, configs, opts);
+    ASSERT_TRUE(pooled.ok());
+    OfflineModel a, b;
+    a.categories = std::move(serial).value();
+    b.categories = std::move(pooled).value();
+    EXPECT_TRUE(OfflineModelsIdentical(a, b));
+  }
+}
+
 TEST(CategorizerTest, QualityVectorHelpers) {
   workloads::CovidWorkload covid;
   std::vector<KnobConfig> configs = FilteredCovid(covid);
@@ -130,7 +185,10 @@ TEST(CategorizerTest, QualityVectorHelpers) {
   std::vector<double> true_q = TrueQualityVector(covid, configs, s);
   EXPECT_EQ(true_q.size(), configs.size());
   Rng rng(3);
-  std::vector<double> measured = SegmentQualityVector(covid, configs, s, &rng);
+  std::vector<double> measured;
+  for (const KnobConfig& k : configs) {
+    measured.push_back(covid.MeasuredQuality(k, s, &rng));
+  }
   EXPECT_EQ(measured.size(), configs.size());
   double diff = 0;
   for (size_t i = 0; i < true_q.size(); ++i) {

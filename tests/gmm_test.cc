@@ -2,19 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include "dag/thread_pool.h"
 #include "util/rng.h"
 
 namespace sky::ml {
 namespace {
 
-std::vector<std::vector<double>> TwoBlobs(size_t per_blob, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<double>> pts;
-  for (size_t i = 0; i < per_blob; ++i) {
-    pts.push_back({rng.Normal(0, 0.4), rng.Normal(0, 0.4)});
+/// One column per point, as GmmFit reads them.
+Matrix Points(const std::vector<std::vector<double>>& pts) {
+  Matrix m(pts.empty() ? 0 : pts[0].size(), pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) {
+    for (size_t d = 0; d < m.rows(); ++d) m.At(d, i) = pts[i][d];
   }
+  return m;
+}
+
+Matrix TwoBlobs(size_t per_blob, uint64_t seed) {
+  Rng rng(seed);
+  Matrix pts(2, 2 * per_blob);
   for (size_t i = 0; i < per_blob; ++i) {
-    pts.push_back({rng.Normal(6, 0.8), rng.Normal(6, 0.8)});
+    pts.At(0, i) = rng.Normal(0, 0.4);
+    pts.At(1, i) = rng.Normal(0, 0.4);
+  }
+  for (size_t i = per_blob; i < 2 * per_blob; ++i) {
+    pts.At(0, i) = rng.Normal(6, 0.8);
+    pts.At(1, i) = rng.Normal(6, 0.8);
   }
   return pts;
 }
@@ -57,7 +69,7 @@ TEST(GmmTest, ClassifyPartialSingleDimension) {
 
 TEST(GmmTest, VarianceFloorRespected) {
   // All identical points: variance must not collapse to zero.
-  std::vector<std::vector<double>> pts(20, {1.0, 2.0});
+  Matrix pts = Points(std::vector<std::vector<double>>(20, {1.0, 2.0}));
   GmmOptions opts;
   opts.k = 1;
   opts.min_variance = 1e-4;
@@ -81,9 +93,9 @@ TEST(GmmTest, WeightsSumToOne) {
 TEST(GmmTest, RejectsBadInput) {
   GmmOptions opts;
   opts.k = 3;
-  EXPECT_FALSE(GmmFit({{1.0}, {2.0}}, opts).ok());
+  EXPECT_FALSE(GmmFit(Points({{1.0}, {2.0}}), opts).ok());
   opts.k = 0;
-  EXPECT_FALSE(GmmFit({{1.0}}, opts).ok());
+  EXPECT_FALSE(GmmFit(Points({{1.0}}), opts).ok());
 }
 
 TEST(GmmTest, LogLikelihoodImprovesOverKMeansInit) {
@@ -98,6 +110,25 @@ TEST(GmmTest, LogLikelihoodImprovesOverKMeansInit) {
   auto b = GmmFit(pts, many);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_GE(b->log_likelihood, a->log_likelihood - 1e-6);
+}
+
+TEST(GmmTest, FitIsBitIdenticalOnAnyPool) {
+  // The k-means initialization fans its restarts out on the pool; the
+  // fitted mixture must not depend on it.
+  Matrix pts = TwoBlobs(90, 16);
+  GmmOptions opts;
+  opts.k = 3;
+  auto serial = GmmFit(pts, opts);
+  ASSERT_TRUE(serial.ok());
+  for (size_t threads : {1u, 3u, 7u}) {
+    dag::ThreadPool pool(threads);
+    auto pooled = GmmFit(pts, opts, &pool);
+    ASSERT_TRUE(pooled.ok());
+    EXPECT_EQ(pooled->means, serial->means) << threads << " threads";
+    EXPECT_EQ(pooled->variances, serial->variances);
+    EXPECT_EQ(pooled->weights, serial->weights);
+    EXPECT_EQ(pooled->log_likelihood, serial->log_likelihood);
+  }
 }
 
 }  // namespace

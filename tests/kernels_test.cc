@@ -8,6 +8,7 @@
 // itself is tested for override/force-scalar behavior and for safe
 // concurrent first use.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -121,6 +122,68 @@ TEST(KernelsTest, Axpy1MatchesScalarBitwiseAcrossLengths) {
       ASSERT_TRUE(BitEqual(out_scalar, out_vec))
           << KernelBackendName(ops->backend) << " axpy1 diverged at m=" << m;
     }
+  }
+}
+
+TEST(KernelsTest, NearestCenterMatchesScalarAcrossLanesTiesAndNaN) {
+  Rng rng(104);
+  const KernelOps* scalar = ScalarKernelOps();
+  for (const KernelOps* ops : VectorBackends()) {
+    // n sweeps 0..40: every remainder class of the 16- and 4-point steps
+    // and the scalar tail.
+    for (size_t n = 0; n <= 40; ++n) {
+      for (size_t dim : {size_t{1}, size_t{2}, size_t{5}, size_t{8}}) {
+        for (size_t k : {size_t{1}, size_t{3}, size_t{6}}) {
+          size_t ld = n + 3;  // rows padded past the last point
+          std::vector<double> points = RandomVec(dim * ld, &rng);
+          std::vector<double> centers = RandomVec(k * dim, &rng);
+          // A center repeated exactly: every distance to it ties, and the
+          // first copy must win.
+          if (k > 1) std::copy_n(centers.begin(), dim, centers.end() - dim);
+          // NaN distances: a NaN coordinate poisons one point against
+          // every center, and a NaN center poisons every point against it.
+          if (n > 0) points[rng.UniformInt(0, dim - 1) * ld +
+                            rng.UniformInt(0, n - 1)] = std::nan("");
+          if (k > 2) centers[dim] = std::nan("");
+          // An infinite coordinate: infinite distances never beat the
+          // initial +inf either.
+          if (n > 1) points[rng.UniformInt(0, n - 1)] = HUGE_VAL;
+          std::vector<size_t> start(n);
+          for (size_t& a : start) a = rng.UniformInt(0, k - 1);
+          std::vector<size_t> want = start, got = start;
+          bool want_changed = scalar->nearest_center_f64(
+              points.data(), ld, n, dim, centers.data(), k, want.data());
+          bool got_changed = ops->nearest_center_f64(
+              points.data(), ld, n, dim, centers.data(), k, got.data());
+          ASSERT_EQ(got, want) << KernelBackendName(ops->backend)
+                               << " diverged at n=" << n << " dim=" << dim
+                               << " k=" << k;
+          ASSERT_EQ(got_changed, want_changed);
+          // A second pass over its own answer changes nothing.
+          ASSERT_FALSE(ops->nearest_center_f64(points.data(), ld, n, dim,
+                                               centers.data(), k,
+                                               got.data()));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, NearestCenterPicksFirstMinimumAndSkipsNaN) {
+  // The oracle's rule, pinned on hand-made points for every backend: one
+  // dimension, centers {1, NaN, 1, -1}; point 0 ties centers 0 and 2 and
+  // gets 0; point -1 gets 3; a NaN point gets center 0 by default.
+  std::vector<const KernelOps*> backends = VectorBackends();
+  backends.push_back(ScalarKernelOps());
+  const std::vector<double> centers = {1.0, std::nan(""), 1.0, -1.0};
+  const std::vector<double> points = {0.0, -1.0, std::nan(""), 3.0, 0.5};
+  for (const KernelOps* ops : backends) {
+    std::vector<size_t> assign(points.size(), 1);
+    EXPECT_TRUE(ops->nearest_center_f64(points.data(), points.size(),
+                                        points.size(), 1, centers.data(),
+                                        centers.size(), assign.data()));
+    EXPECT_EQ(assign, (std::vector<size_t>{0, 3, 0, 0, 0}))
+        << KernelBackendName(ops->backend);
   }
 }
 

@@ -3,8 +3,9 @@
 //
 //  1. a save/load round trip reproduces the OfflineModel bitwise
 //     (core::OfflineModelsIdentical, which compares configs, full placement
-//     profiles, category centers, the training sequence, and the trained
-//     forecaster's parameters);
+//     profiles, the clustering's centers, assignments and inertia (or the
+//     GMM's means, variances, weights and log-likelihood), the training
+//     sequence, and the trained forecaster's parameters);
 //  2. ingestion from a loaded model is bitwise-equal to ingestion from the
 //     in-memory model on every EngineResult field including the trace —
 //     which also gates that the forecaster's Adam optimizer state survives

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/offline.h"
 #include "workloads/covid.h"
 
@@ -15,8 +17,8 @@ OfflineOptions SmallOffline(size_t num_threads) {
   opts.segment_seconds = 4.0;
   opts.train_horizon = Days(2);
   opts.num_categories = 3;
-  // Forecaster training is serial either way; skip it to keep the suite
-  // fast. The training *data* (the dominant parallel step) is compared.
+  // Skip forecaster training to keep the suite fast; the test below
+  // trains it at every thread count.
   opts.train_forecaster = false;
   opts.num_threads = num_threads;
   return opts;
@@ -44,7 +46,7 @@ void ExpectModelsIdentical(const OfflineModel& a, const OfflineModel& b) {
     }
   }
 
-  // Step 2: category centers.
+  // Step 2: the clustering: centers, assignments and inertia.
   ASSERT_EQ(a.categories.NumCategories(), b.categories.NumCategories());
   ASSERT_EQ(a.categories.NumConfigs(), b.categories.NumConfigs());
   for (size_t c = 0; c < a.categories.NumCategories(); ++c) {
@@ -53,6 +55,10 @@ void ExpectModelsIdentical(const OfflineModel& a, const OfflineModel& b) {
                 b.categories.CenterQuality(c, k));
     }
   }
+  EXPECT_EQ(a.categories.kmeans_model().assignments,
+            b.categories.kmeans_model().assignments);
+  EXPECT_EQ(a.categories.kmeans_model().inertia,
+            b.categories.kmeans_model().inertia);
 
   // Step 3a: forecast training sequence.
   EXPECT_EQ(a.train_category_sequence, b.train_category_sequence);
@@ -127,6 +133,53 @@ TEST(OfflineDeterminismTest, ExternalPoolMatchesOwnedPool) {
   auto pooled = RunOfflinePhase(covid, cluster, cost_model, opts);
   ASSERT_TRUE(pooled.ok());
   ExpectModelsIdentical(*serial, *pooled);
+}
+
+TEST(OfflineDeterminismTest, ComparatorSeesEveryPersistedClusteringField) {
+  // The CATG chunk persists the k-means assignments and inertia and the
+  // GMM's variances, weights and log-likelihood beside the centers, and
+  // GMM classification reads the variances and weights; one changed value
+  // in any of them makes two models differ.
+  ml::Matrix points(2, 40);
+  Rng rng(7);
+  for (double& v : points.data()) v = rng.Normal(0.0, 1.0);
+
+  ml::KMeansOptions km;
+  km.k = 3;
+  auto kmeans = ml::KMeansFit(points, km);
+  ASSERT_TRUE(kmeans.ok());
+  OfflineModel a;
+  a.categories = ContentCategories::FromKMeans(*kmeans);
+  OfflineModel b = a;
+  EXPECT_TRUE(OfflineModelsIdentical(a, b));
+  ml::KMeansModel flipped = *kmeans;
+  flipped.assignments[17] = (flipped.assignments[17] + 1) % km.k;
+  b.categories = ContentCategories::FromKMeans(flipped);
+  EXPECT_FALSE(OfflineModelsIdentical(a, b));
+  ml::KMeansModel heavier = *kmeans;
+  heavier.inertia = std::nextafter(heavier.inertia, 1e300);
+  b.categories = ContentCategories::FromKMeans(heavier);
+  EXPECT_FALSE(OfflineModelsIdentical(a, b));
+
+  ml::GmmOptions gm;
+  gm.k = 3;
+  auto gmm = ml::GmmFit(points, gm);
+  ASSERT_TRUE(gmm.ok());
+  a.categories = ContentCategories::FromGmm(*gmm);
+  b = a;
+  EXPECT_TRUE(OfflineModelsIdentical(a, b));
+  ml::GmmModel wider = *gmm;
+  wider.variances[1][0] = std::nextafter(wider.variances[1][0], 1e300);
+  b.categories = ContentCategories::FromGmm(wider);
+  EXPECT_FALSE(OfflineModelsIdentical(a, b));
+  ml::GmmModel reweighted = *gmm;
+  reweighted.weights[2] = std::nextafter(reweighted.weights[2], 0.0);
+  b.categories = ContentCategories::FromGmm(reweighted);
+  EXPECT_FALSE(OfflineModelsIdentical(a, b));
+  ml::GmmModel likelier = *gmm;
+  likelier.log_likelihood = std::nextafter(likelier.log_likelihood, 1e300);
+  b.categories = ContentCategories::FromGmm(likelier);
+  EXPECT_FALSE(OfflineModelsIdentical(a, b));
 }
 
 }  // namespace

@@ -4,14 +4,16 @@
 // Reference implementations the parity tests and the forecaster benches
 // compare libsky against. Each is the plain, allocating form of something
 // libsky computes faster: the per-sample trainer and the sequential forward
-// pass of the forecasting network, the naive matrix product, and the
-// category histograms and forecaster features of a scanned history. None of
-// them runs in a deployment, so they live here and libsky never links them.
+// pass of the forecasting network, the naive matrix product, the category
+// histograms and forecaster features of a scanned history, and the serial
+// k-means over per-point vectors. None of them runs in a deployment, so
+// they live here and libsky never links them.
 
 #include <cstddef>
 #include <vector>
 
 #include "core/forecaster.h"
+#include "ml/kmeans.h"
 #include "ml/matrix.h"
 #include "ml/nn.h"
 #include "util/result.h"
@@ -58,6 +60,18 @@ void FeaturesFromHistoryInto(const core::Forecaster& forecaster,
                              const std::vector<size_t>& recent_categories,
                              double segment_seconds,
                              std::vector<double>* out);
+
+/// k-means++ seeding and Lloyd's loop over one vector per point, the
+/// restarts run one after another on the calling thread. ml::KMeansFit,
+/// which reads a point matrix and fans its restarts out, matches it bitwise
+/// on centers, assignments and inertia, for any pool and kernel backend.
+Result<ml::KMeansModel> KMeansFit(
+    const std::vector<std::vector<double>>& points,
+    const ml::KMeansOptions& options);
+
+/// The columns of `columns` as one vector per point: the points
+/// ml::KMeansFit and ml::GmmFit read, in the form the oracle above takes.
+std::vector<std::vector<double>> PointsOf(const ml::Matrix& columns);
 
 }  // namespace sky::oracle
 
