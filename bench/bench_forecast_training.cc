@@ -8,12 +8,13 @@
 //       bitwise identically;
 //   (2) FeedForwardNet::Train ran sample-at-a-time forward/backward with
 //       per-call allocations; the batched trainer runs minibatch GEMMs
-//       against a preallocated workspace, fanning fixed-geometry gradient
-//       chunks out on the pool.
+//       against a preallocated workspace, one fixed-size gradient chunk at
+//       a time.
 // This bench times the full training step (dataset + net) for both
 // implementations, the net alone for both trainers, and the batched net on
-// 1..N pool threads — verifying the dataset and the trained weights are
-// bit-identical everywhere. Results land in BENCH_forecast_training.json.
+// the scalar and the SIMD kernels — verifying the dataset is bit-identical
+// to the scan, the trainers agree to 1e-6, and both kernel tiers train
+// bit-identical weights. Results land in BENCH_forecast_training.json.
 // Exit is non-zero when anything diverges or the end-to-end speedup is < 3x.
 
 #include <cmath>
@@ -24,7 +25,6 @@
 
 #include "bench_common.h"
 #include "core/forecaster.h"
-#include "dag/thread_pool.h"
 #include "ml/kernels.h"
 #include "ml/nn.h"
 #include "support/oracles.h"
@@ -90,7 +90,7 @@ ml::FeedForwardNet FreshNet(size_t input_dim, size_t num_categories) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace sky;
   using namespace sky::bench;
   std::printf("=== Forecaster training: batched trainer vs per-sample ===\n");
@@ -128,11 +128,9 @@ int main(int argc, char** argv) {
   double trained_samples =
       static_cast<double>(train_rows * fopts.train_options.epochs);
 
-  size_t max_threads = BenchThreads(argc, argv);
   BenchJson json("forecast_training");
   json.Set("kernel_backend",
            ml::KernelBackendName(ml::ActiveKernelBackend()));
-  json.Set("threads", static_cast<double>(max_threads));
   json.Set("samples", static_cast<double>(samples));
   json.Set("features", static_cast<double>(data->inputs.cols()));
   json.Set("epochs", static_cast<double>(fopts.train_options.epochs));
@@ -146,16 +144,15 @@ int main(int argc, char** argv) {
   json.Set("dataset_identical", dataset_identical ? "yes" : "no");
 
   // Trains a fresh net with the per-sample reference trainer, or else with
-  // the batched trainer on `pool`.
-  auto train_once = [&](bool per_sample, dag::ThreadPool* pool,
-                        double* wall_s) {
+  // the batched trainer.
+  auto train_once = [&](bool per_sample, double* wall_s) {
     ml::FeedForwardNet net = FreshNet(data->inputs.cols(), kNumCategories);
     const ml::TrainOptions& opts = fopts.train_options;
     WallTimer timer;
     auto report =
         per_sample
             ? oracle::TrainPerSample(&net, data->inputs, data->targets, opts)
-            : net.Train(data->inputs, data->targets, opts, pool);
+            : net.Train(data->inputs, data->targets, opts);
     *wall_s = timer.Seconds();
     if (!report.ok()) {
       std::printf("training failed: %s\n", report.status().ToString().c_str());
@@ -165,11 +162,10 @@ int main(int argc, char** argv) {
   };
 
   double per_sample_s = 0.0;
-  std::vector<double> ref =
-      train_once(/*per_sample=*/true, nullptr, &per_sample_s);
+  std::vector<double> ref = train_once(/*per_sample=*/true, &per_sample_s);
   double batched_1t_s = 0.0;
   std::vector<double> batched_1t =
-      train_once(/*per_sample=*/false, nullptr, &batched_1t_s);
+      train_once(/*per_sample=*/false, &batched_1t_s);
 
   // SIMD vs scalar kernels under the batched trainer. The f64 micro-kernels
   // are bitwise-identical to the scalar oracle by contract, so the trained
@@ -184,7 +180,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::vector<double> scalar_weights =
-        train_once(/*per_sample=*/false, nullptr, &scalar_kernel_s);
+        train_once(/*per_sample=*/false, &scalar_kernel_s);
     if (!ml::SetKernelBackend(active_backend).ok()) {
       std::printf("FAILED: could not restore %s kernels\n",
                   ml::KernelBackendName(active_backend).c_str());
@@ -252,40 +248,13 @@ int main(int argc, char** argv) {
                 TablePrinter::Fmt(step_speedup, 1) + "x"});
   table.Print(std::cout);
 
-  // Thread scaling: the chunk geometry is fixed, so every pool size must
-  // reproduce the single-thread weights bit for bit.
-  bool identical = true;
-  std::vector<size_t> thread_counts;
-  for (size_t t = 2; t < max_threads; t *= 2) thread_counts.push_back(t);
-  if (max_threads > 1) thread_counts.push_back(max_threads);
-  for (size_t t : thread_counts) {
-    dag::ThreadPool pool(t);
-    double wall = 0.0;
-    std::vector<double> params =
-        train_once(/*per_sample=*/false, &pool, &wall);
-    identical = identical && params == batched_1t;
-    std::string tag = std::to_string(t);
-    json.Set("batched_net_s_" + tag, wall);
-    json.Set("batched_net_samples_per_s_" + tag, trained_samples / wall);
-    json.Set("thread_speedup_" + tag, batched_1t_s / wall);
-    std::printf("batched net on %zu pool threads: %.3f s (%.2fx vs 1 "
-                "thread)\n",
-                t, wall, batched_1t_s / wall);
-  }
-  json.Set("models_identical", identical ? "yes" : "no");
-  std::printf("\ndataset %s; batched vs per-sample max |dw| = %.3g; weights "
-              "%s across thread counts\n",
-              dataset_identical ? "bit-identical" : "DIFFERS (bug!)", parity,
-              identical ? "bit-identical" : "DIFFER (bug!)");
+  std::printf("\ndataset %s; batched vs per-sample max |dw| = %.3g\n",
+              dataset_identical ? "bit-identical" : "DIFFERS (bug!)", parity);
 
   std::string path = json.Write();
   if (!path.empty()) std::printf("metrics written to %s\n", path.c_str());
   if (!dataset_identical) {
     std::printf("FAILED: prefix-sum dataset differs from scanned dataset\n");
-    return 1;
-  }
-  if (!identical) {
-    std::printf("FAILED: thread counts changed the trained model\n");
     return 1;
   }
   if (parity > 1e-6) {

@@ -18,10 +18,10 @@
 # gates — and BENCH_serve.json — serve-vs-in-process overhead gate) is
 # refreshed on every local check; all exit non-zero when a perf or parity
 # gate fails.
-# `--tsan` instead runs only the concurrency suite (thread pool, StreamSet
-# scheduler, fleet recovery, sessions, kernel-dispatch first use, content
-# noise first use, the offline phase's pool, the clustering restarts that
-# share it) under
+# `--tsan` instead runs only the concurrency suite (the tests labelled
+# `tsan` in CMakeLists.txt: thread pool, StreamSet scheduler, fleet
+# recovery, sessions, kernel-dispatch first use, content noise first use,
+# the offline phase's pool, the clustering restarts that share it) under
 # ThreadSanitizer in a separate build-tsan tree and skips the benches: it
 # is a race detector pass, not a perf gate.
 # `--props` runs only the randomized property suites (property_test,
@@ -42,9 +42,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
     -DSKY_SANITIZE=thread -DSKY_BUILD_BENCHES=OFF -DSKY_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j
   cd build-tsan
-  ctest --output-on-failure \
-    -R "thread_pool_test|stream_set_test|stream_set_parallel_test|stream_set_membership_test|recovery_test|session_test|kernels_test|serve_test|content_process_test|offline_determinism_test|kmeans_test|gmm_test|categorizer_test" \
-    -j
+  ctest --output-on-failure -L tsan -j
   echo "TSan concurrency suite passed"
   exit 0
 fi

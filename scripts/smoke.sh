@@ -85,6 +85,12 @@ expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --duration-days nan
 expect_exit 2 ./sky client open --port 1 --content-seed -1
 expect_exit 2 ./sky offline --categories 99999999999999999999999
 expect_exit 2 ./sky serve --model "${SKY_SMOKE_MODEL}" --shared-budget 1e999
+# A value the program would wrap is refused too: a buffer size whose byte
+# count is negative or past 2^64, and a port outside [0, 65535].
+expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --buffer-gb -1
+expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --buffer-gb 1e12
+expect_exit 2 ./sky serve --model "${SKY_SMOKE_MODEL}" --port 70000
+expect_exit 2 ./sky client open --port 70000
 echo "sky CLI hygiene smoke passed"
 
 serve_wait_port() {  # serve_wait_port PORT_FILE -> echoes the bound port

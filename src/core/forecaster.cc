@@ -4,31 +4,39 @@
 #include <cmath>
 #include <cstdint>
 
+#include "util/stats.h"
+
 namespace sky::core {
 
 namespace {
 
-/// One feature split's counts, in place, to its normalized histogram; an
-/// empty split reads uniform. Counts are integers, so the total is exact in
-/// whatever order they are summed.
-void NormalizeSlice(double* slice, size_t num_categories) {
-  if (num_categories == 0) return;
-  double total = 0.0;
-  for (size_t c = 0; c < num_categories; ++c) total += slice[c];
-  if (total <= 0.0) {
-    double u = 1.0 / static_cast<double>(num_categories);
-    for (size_t c = 0; c < num_categories; ++c) slice[c] = u;
-  } else {
-    for (size_t c = 0; c < num_categories; ++c) slice[c] /= total;
-  }
+/// Forecaster::InputSegments for `options`.
+size_t InputSegmentsFor(const ForecasterOptions& options,
+                        double segment_seconds) {
+  return std::max<size_t>(
+      options.input_splits,
+      static_cast<size_t>(options.input_span / segment_seconds));
+}
+
+/// Forecaster::SplitWindow for `options`: the one split rule, which the
+/// engine's features and the training rows both read.
+std::pair<size_t, size_t> SplitWindowFor(const ForecasterOptions& options,
+                                         size_t split, size_t available,
+                                         double segment_seconds) {
+  size_t used = std::min(InputSegmentsFor(options, segment_seconds), available);
+  size_t start = available - used;
+  size_t split_len = std::max<size_t>(1, used / options.input_splits);
+  size_t begin = start + split * split_len;
+  size_t end =
+      split + 1 == options.input_splits ? available : begin + split_len;
+  return {std::min(begin, available), std::min(end, available)};
 }
 
 }  // namespace
 
 Result<ForecastDataset> BuildForecastDataset(
     const std::vector<size_t>& category_sequence, double segment_seconds,
-    size_t num_categories, const ForecasterOptions& options,
-    dag::ThreadPool* pool) {
+    size_t num_categories, const ForecasterOptions& options) {
   if (num_categories == 0) {
     return Status::InvalidArgument("num_categories must be positive");
   }
@@ -52,7 +60,6 @@ Result<ForecastDataset> BuildForecastDataset(
         "category sequence shorter than one input+target window");
   }
 
-  size_t split_len = in_segs / options.input_splits;
   size_t samples = 0;
   for (size_t s = in_segs; s + out_segs <= category_sequence.size();
        s += stride) {
@@ -77,53 +84,43 @@ Result<ForecastDataset> BuildForecastDataset(
       ++next[category_sequence[i]];
     }
   }
-  // Normalized histogram of [begin, end) into `out`, same arithmetic as a
-  // scan: exact counts, one divide per category, uniform fallback on an
-  // empty window.
+  // Normalized histogram of [begin, end) into `out`: the exact counts, then
+  // the normalization the engine's features use.
   auto window_into = [&](size_t begin, size_t end, double* out) {
     const uint32_t* lo = prefix.data() + begin * num_categories;
     const uint32_t* hi = prefix.data() + end * num_categories;
-    double total = 0.0;
     for (size_t c = 0; c < num_categories; ++c) {
       out[c] = static_cast<double>(hi[c] - lo[c]);
-      total += out[c];
     }
-    if (total <= 0.0) {
-      double u = 1.0 / static_cast<double>(num_categories);
-      for (size_t c = 0; c < num_categories; ++c) out[c] = u;
-    } else {
-      for (size_t c = 0; c < num_categories; ++c) out[c] /= total;
-    }
+    NormalizeHistogramInPlace(out, num_categories);
   };
-  // Histograms land straight in the pre-sized matrix rows (no per-row
-  // temporary), so the fan-out is allocation-free and thread-count
-  // invariant.
-  dag::ParallelFor(pool, samples, [&](size_t row) {
+  // Row `row`: the features a forecaster computes from the first s segments
+  // as input, the histogram of the next out_segs as target. Histograms land
+  // straight in the pre-sized matrix rows.
+  for (size_t row = 0; row < samples; ++row) {
     size_t s = in_segs + row * stride;
     for (size_t split = 0; split < options.input_splits; ++split) {
-      size_t begin = s - in_segs + split * split_len;
-      size_t end = split + 1 == options.input_splits ? s : begin + split_len;
+      auto [begin, end] = SplitWindowFor(options, split, s, segment_seconds);
       window_into(begin, end, X.RowPtr(row) + split * num_categories);
     }
     window_into(s, std::min(s + out_segs, n), Y.RowPtr(row));
-  });
+  }
   return ForecastDataset{std::move(X), std::move(Y)};
 }
 
 Result<Forecaster> Forecaster::Train(
     const std::vector<size_t>& category_sequence, double segment_seconds,
-    size_t num_categories, const ForecasterOptions& options,
-    dag::ThreadPool* pool) {
+    size_t num_categories, const ForecasterOptions& options) {
   SKY_ASSIGN_OR_RETURN(
       ForecastDataset data,
       BuildForecastDataset(category_sequence, segment_seconds, num_categories,
-                           options, pool));
+                           options));
   Rng rng(options.seed);
   // Appendix K architecture: input -> 16 ReLU -> 8 ReLU -> |C| softmax.
   ml::FeedForwardNet net(data.inputs.cols(), {16, 8}, num_categories, &rng);
   SKY_ASSIGN_OR_RETURN(
       ml::TrainReport report,
-      net.Train(data.inputs, data.targets, options.train_options, pool));
+      net.Train(data.inputs, data.targets, options.train_options));
   return Forecaster(std::move(net), options, num_categories,
                     std::move(report));
 }
@@ -147,20 +144,12 @@ Result<Forecaster> Forecaster::FromParts(const ml::NetSnapshot& net_snapshot,
 }
 
 size_t Forecaster::InputSegments(double segment_seconds) const {
-  return std::max<size_t>(
-      options_.input_splits,
-      static_cast<size_t>(options_.input_span / segment_seconds));
+  return InputSegmentsFor(options_, segment_seconds);
 }
 
 std::pair<size_t, size_t> Forecaster::SplitWindow(
     size_t split, size_t available, double segment_seconds) const {
-  size_t used = std::min(InputSegments(segment_seconds), available);
-  size_t start = available - used;
-  size_t split_len = std::max<size_t>(1, used / options_.input_splits);
-  size_t begin = start + split * split_len;
-  size_t end =
-      split + 1 == options_.input_splits ? available : begin + split_len;
-  return {std::min(begin, available), std::min(end, available)};
+  return SplitWindowFor(options_, split, available, segment_seconds);
 }
 
 void Forecaster::FeaturesFromSplitCountsInto(
@@ -168,7 +157,8 @@ void Forecaster::FeaturesFromSplitCountsInto(
     std::vector<double>* out) const {
   out->assign(split_counts.begin(), split_counts.end());
   for (size_t split = 0; split < options_.input_splits; ++split) {
-    NormalizeSlice(out->data() + split * num_categories_, num_categories_);
+    NormalizeHistogramInPlace(out->data() + split * num_categories_,
+                              num_categories_);
   }
 }
 
@@ -193,9 +183,8 @@ Result<double> Forecaster::EvaluateMae(
     return Status::InvalidArgument("no evaluation samples");
   }
   // One batched forward pass over the whole evaluation set.
-  ml::TrainWorkspace ws;
   ml::Matrix preds;
-  net_.PredictBatchInto(data.inputs, &ws, &preds);
+  net_.PredictBatchInto(data.inputs, &preds);
   double total = 0.0;
   for (size_t i = 0; i < preds.rows(); ++i) {
     const double* p = preds.RowPtr(i);

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "dag/thread_pool.h"
 #include "ml/nn.h"
 #include "util/result.h"
 #include "util/sim_time.h"
@@ -33,14 +32,14 @@ struct ForecastDataset {
 };
 
 /// Builds supervised (history histograms -> future histogram) pairs from a
-/// per-segment category sequence (Appendix H). The rows fan out on `pool`
-/// (null runs serially); the dataset is identical for any thread count.
-/// Fails if the geometry has no split or the sequence is too short to
-/// produce a single sample.
+/// per-segment category sequence (Appendix H). Each input row is the model
+/// input a Forecaster with these options computes from the history before
+/// the row's target window: the same split windows (Forecaster::SplitWindow)
+/// and the same normalization. Fails if the geometry has no split or the
+/// sequence is too short to produce a single sample.
 Result<ForecastDataset> BuildForecastDataset(
     const std::vector<size_t>& category_sequence, double segment_seconds,
-    size_t num_categories, const ForecasterOptions& options,
-    dag::ThreadPool* pool = nullptr);
+    size_t num_categories, const ForecasterOptions& options);
 
 /// The forecasting model F of §3.3: a feed-forward network (Appendix K:
 /// input -> 16 ReLU -> 8 ReLU -> |C| softmax) that predicts how often each
@@ -48,14 +47,12 @@ Result<ForecastDataset> BuildForecastDataset(
 /// history's category histograms.
 class Forecaster {
  public:
-  /// Trains the model on a category sequence from the unlabeled data. The
-  /// dataset rows and the gradient chunks fan out on `pool` (null runs
-  /// serially); the trained weights are bit-identical for any thread count.
+  /// Trains the model on a category sequence from the unlabeled data, on
+  /// the calling thread.
   static Result<Forecaster> Train(const std::vector<size_t>& category_sequence,
                                   double segment_seconds,
                                   size_t num_categories,
-                                  const ForecasterOptions& options,
-                                  dag::ThreadPool* pool = nullptr);
+                                  const ForecasterOptions& options);
 
   /// Segments of history the features read: the input span, and at least
   /// one per split.

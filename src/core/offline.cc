@@ -229,7 +229,7 @@ Result<OfflineModel> RunOfflinePhase(const Workload& workload,
         Forecaster forecaster,
         Forecaster::Train(model.train_category_sequence,
                           options.segment_seconds, options.num_categories,
-                          fopts, pool));
+                          fopts));
     model.forecaster.emplace(std::move(forecaster));
     model.step_runtimes.forecast_training_s = ElapsedSeconds(t0);
   }

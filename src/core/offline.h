@@ -66,7 +66,9 @@ struct OfflineOptions {
 /// Runs the complete offline preparation phase of §3 on the given workload
 /// and provisioning: filter knob configurations (A.1), profile and filter
 /// task placements (A.2), build content categories (§3.2), create the
-/// forecast training data and train the model (§3.3 / Appendix H).
+/// forecast training data and train the model (§3.3 / Appendix H). Every
+/// step but the last fans out on the pool; the forecaster trains on the
+/// calling thread.
 Result<OfflineModel> RunOfflinePhase(const Workload& workload,
                                      const sim::ClusterSpec& cluster,
                                      const sim::CostModel& cost_model,
@@ -85,10 +87,9 @@ std::vector<size_t> BuildTrainCategorySequence(
 /// assignments and inertia, or the GMM's means, variances, weights and
 /// log-likelihood), the training sequence, and the trained forecaster's
 /// network parameters (only the step runtimes are excluded — wall times
-/// always differ). The batched trainer's
-/// fixed chunk geometry makes even the forecaster weights independent of
-/// the thread count, so the comparison can afford to be bitwise. The
-/// contract behind OfflineOptions::num_threads, shared by
+/// always differ). The forecaster trains on the calling thread, so its
+/// weights never see the pool and the comparison can afford to be bitwise.
+/// The contract behind OfflineOptions::num_threads, shared by
 /// tests/offline_determinism_test.cc and bench_table3_offline_runtime.
 bool OfflineModelsIdentical(const OfflineModel& a, const OfflineModel& b);
 

@@ -19,8 +19,6 @@ constexpr double kLogEps = 1e-12;
 /// Rows per chunk of the forward-only batched paths (PredictBatchInto). Pure
 /// per-row computations: the chunking never affects values, only locality.
 constexpr size_t kPredictChunkRows = 32;
-/// Upper bound on concurrently scheduled workspace chunks.
-constexpr size_t kMaxChunkSlots = 16;
 
 /// The activation of a layer, in place: ReLU on a hidden layer, softmax on
 /// the output layer.
@@ -88,25 +86,6 @@ void GatherRowRange(const Matrix& src, size_t begin, size_t m, Matrix* out) {
   size_t w = src.cols();
   out->Resize(m, w);
   std::memcpy(out->RowPtr(0), src.RowPtr(begin), m * w * sizeof(double));
-}
-
-/// Shared chunk dispatcher for the batched paths: processes `chunks` in
-/// waves of at most `slots`, running run(chunk_index, slot) for each —
-/// serially when there is no parallelism to be had, else fanned out on the
-/// pool — then after_wave(base, wave) on the calling thread (the ordered
-/// reduction hook; pass nullptr when there is nothing to reduce).
-void ForEachChunkWave(size_t chunks, size_t slots, dag::ThreadPool* pool,
-                      const std::function<void(size_t, size_t)>& run,
-                      const std::function<void(size_t, size_t)>& after_wave) {
-  for (size_t base = 0; base < chunks; base += slots) {
-    size_t wave = std::min(slots, chunks - base);
-    if (wave == 1 || pool == nullptr || pool->num_threads() <= 1) {
-      for (size_t s = 0; s < wave; ++s) run(base + s, s);
-    } else {
-      dag::ParallelFor(pool, wave, [&](size_t s) { run(base + s, s); });
-    }
-    if (after_wave) after_wave(base, wave);
-  }
 }
 
 }  // namespace
@@ -251,86 +230,67 @@ void FeedForwardNet::PredictInto(const std::vector<double>& x,
   std::memcpy(out->data(), cur, output_dim_ * sizeof(double));
 }
 
-void FeedForwardNet::EnsureWorkspace(TrainWorkspace* ws, size_t max_rows,
-                                     size_t slots, bool with_backward) const {
+void FeedForwardNet::SizeWorkspace(Workspace* ws, size_t max_rows,
+                                   bool with_backward) const {
   size_t num_layers = layers_.size();
-  if (ws->chunks.size() < slots) ws->chunks.resize(slots);
-  for (size_t s = 0; s < slots; ++s) {
-    TrainWorkspace::Chunk& c = ws->chunks[s];
-    if (c.act.size() != num_layers + 1) {
-      c.act.resize(num_layers + 1);
-      c.pre.resize(num_layers);
-    }
-    c.act[0].Resize(max_rows, input_dim_);
-    for (size_t l = 0; l < num_layers; ++l) {
-      c.act[l + 1].Resize(max_rows, layers_[l].w.rows());
-      c.pre[l].Resize(max_rows, layers_[l].w.rows());
-    }
-    c.yb.Resize(max_rows, output_dim_);
-    if (c.row_loss.size() < max_rows) c.row_loss.resize(max_rows);
-    if (with_backward) {
-      if (c.delta.size() != num_layers) {
-        c.delta.resize(num_layers);
-        c.gw.resize(num_layers);
-        c.gb.resize(num_layers);
-      }
-      for (size_t l = 0; l < num_layers; ++l) {
-        c.delta[l].Resize(max_rows, layers_[l].w.rows());
-        c.gw[l].Resize(layers_[l].w.rows(), layers_[l].w.cols());
-        c.gb[l].resize(layers_[l].b.size());
-      }
-    }
+  if (ws->act.size() != num_layers + 1) {
+    ws->act.resize(num_layers + 1);
+    ws->pre.resize(num_layers);
   }
-  if (with_backward) {
-    if (ws->grad_w.size() != num_layers) {
-      ws->grad_w.resize(num_layers);
-      ws->grad_b.resize(num_layers);
-    }
-    for (size_t l = 0; l < num_layers; ++l) {
-      ws->grad_w[l].Resize(layers_[l].w.rows(), layers_[l].w.cols());
-      ws->grad_b[l].resize(layers_[l].b.size());
-    }
+  ws->act[0].Resize(max_rows, input_dim_);
+  for (size_t l = 0; l < num_layers; ++l) {
+    ws->act[l + 1].Resize(max_rows, layers_[l].w.rows());
+    ws->pre[l].Resize(max_rows, layers_[l].w.rows());
+  }
+  ws->yb.Resize(max_rows, output_dim_);
+  if (ws->row_loss.size() < max_rows) ws->row_loss.resize(max_rows);
+  if (!with_backward) return;
+  if (ws->delta.size() != num_layers) {
+    ws->delta.resize(num_layers);
+    ws->gw.resize(num_layers);
+    ws->gb.resize(num_layers);
+  }
+  for (size_t l = 0; l < num_layers; ++l) {
+    ws->delta[l].Resize(max_rows, layers_[l].w.rows());
+    ws->gw[l].Resize(layers_[l].w.rows(), layers_[l].w.cols());
+    ws->gb[l].resize(layers_[l].b.size());
   }
 }
 
-void FeedForwardNet::ForwardChunk(TrainWorkspace::Chunk* chunk,
-                                  size_t m) const {
-  assert(chunk->act[0].rows() == m);
+void FeedForwardNet::ForwardChunk(Workspace* ws, size_t m) const {
+  assert(ws->act[0].rows() == m);
   for (size_t l = 0; l < layers_.size(); ++l) {
     // Fused affine layer against the maintained transposed weights: pre =
     // act * W^T + b as one row-major GEMM pass.
-    MatMulBiasInto(chunk->act[l], layers_[l].wt, layers_[l].b,
-                   &chunk->pre[l]);
-    ActivateRowsInto(l + 1 == layers_.size(), chunk->pre[l], m,
-                     &chunk->act[l + 1]);
+    MatMulBiasInto(ws->act[l], layers_[l].wt, layers_[l].b, &ws->pre[l]);
+    ActivateRowsInto(l + 1 == layers_.size(), ws->pre[l], m,
+                     &ws->act[l + 1]);
   }
 }
 
-void FeedForwardNet::OutputDeltaAndLoss(TrainWorkspace::Chunk* chunk,
-                                        size_t m) const {
-  const Matrix& pred = chunk->act.back();
-  Matrix& delta = chunk->delta.back();
+void FeedForwardNet::OutputDeltaAndLoss(Workspace* ws, size_t m) const {
+  const Matrix& pred = ws->act.back();
+  Matrix& delta = ws->delta.back();
   size_t w = output_dim_;
   delta.Resize(m, w);
   for (size_t i = 0; i < m; ++i) {
     const double* p = pred.RowPtr(i);
-    const double* y = chunk->yb.RowPtr(i);
+    const double* y = ws->yb.RowPtr(i);
     double* d = delta.RowPtr(i);
-    chunk->row_loss[i] = CrossEntropyRow(p, y, w);
+    ws->row_loss[i] = CrossEntropyRow(p, y, w);
     // Softmax + cross-entropy: the output delta is pred - y.
     for (size_t j = 0; j < w; ++j) d[j] = p[j] - y[j];
   }
 }
 
-void FeedForwardNet::BackwardChunk(TrainWorkspace::Chunk* chunk,
-                                   size_t m) const {
+void FeedForwardNet::BackwardChunk(Workspace* ws, size_t m) const {
   for (size_t li = layers_.size(); li-- > 0;) {
     const Layer& l = layers_[li];
-    const Matrix& delta = chunk->delta[li];
+    const Matrix& delta = ws->delta[li];
     // grad_w = delta^T * a_in: rank-1 updates in sample order, the batched
     // twin of the per-sample reference accumulation in tests/support.
-    MatMulTransposedAInto(delta, chunk->act[li], &chunk->gw[li]);
-    std::vector<double>& gb = chunk->gb[li];
+    MatMulTransposedAInto(delta, ws->act[li], &ws->gw[li]);
+    std::vector<double>& gb = ws->gb[li];
     std::fill(gb.begin(), gb.end(), 0.0);
     for (size_t i = 0; i < m; ++i) {
       const double* d = delta.RowPtr(i);
@@ -338,9 +298,9 @@ void FeedForwardNet::BackwardChunk(TrainWorkspace::Chunk* chunk,
     }
     if (li == 0) break;
     // Propagate delta through W and the previous layer's ReLU.
-    Matrix& prev = chunk->delta[li - 1];
+    Matrix& prev = ws->delta[li - 1];
     MatMulInto(delta, l.w, &prev);
-    const double* z = chunk->pre[li - 1].RowPtr(0);
+    const double* z = ws->pre[li - 1].RowPtr(0);
     double* d = prev.RowPtr(0);
     for (size_t i = 0; i < m * prev.cols(); ++i) {
       if (z[i] <= 0.0) d[i] = 0.0;
@@ -386,70 +346,47 @@ void FeedForwardNet::AdamStep(const std::vector<Matrix>& grad_w,
 
 double FeedForwardNet::EvalLossBatched(const Matrix& X, const Matrix& Y,
                                        const std::vector<size_t>& idx,
-                                       size_t chunk_rows, TrainWorkspace* ws,
-                                       dag::ThreadPool* pool) const {
+                                       size_t chunk_rows,
+                                       Workspace* ws) const {
   if (idx.empty()) return 0.0;
   // Forward-only work: per-row results are independent of the chunking, so
   // evaluation can use wider chunks than the gradient path for better
   // kernel amortization without affecting any value.
   size_t rows = std::max(kPredictChunkRows, std::max<size_t>(1, chunk_rows));
-  size_t chunks = (idx.size() + rows - 1) / rows;
-  size_t slots = std::max<size_t>(1, std::min(ws->chunks.size(), chunks));
-  EnsureWorkspace(ws, rows, slots, /*with_backward=*/false);
+  SizeWorkspace(ws, rows, /*with_backward=*/false);
   double total = 0.0;
-  ForEachChunkWave(
-      chunks, slots, pool,
-      [&](size_t ci, size_t s) {
-        size_t begin = ci * rows;
-        size_t m = std::min(rows, idx.size() - begin);
-        TrainWorkspace::Chunk& c = ws->chunks[s];
-        GatherRows(X, idx.data() + begin, m, &c.act[0]);
-        GatherRows(Y, idx.data() + begin, m, &c.yb);
-        ForwardChunk(&c, m);
-        for (size_t i = 0; i < m; ++i) {
-          c.row_loss[i] = CrossEntropyRow(c.act.back().RowPtr(i),
-                                          c.yb.RowPtr(i), output_dim_);
-        }
-      },
-      [&](size_t base, size_t wave) {
-        // Per-row losses reduced in global sample order.
-        for (size_t s = 0; s < wave; ++s) {
-          size_t begin = (base + s) * rows;
-          size_t m = std::min(rows, idx.size() - begin);
-          for (size_t i = 0; i < m; ++i) total += ws->chunks[s].row_loss[i];
-        }
-      });
+  for (size_t begin = 0; begin < idx.size(); begin += rows) {
+    size_t m = std::min(rows, idx.size() - begin);
+    GatherRows(X, idx.data() + begin, m, &ws->act[0]);
+    GatherRows(Y, idx.data() + begin, m, &ws->yb);
+    ForwardChunk(ws, m);
+    // Per-row losses summed in sample order.
+    for (size_t i = 0; i < m; ++i) {
+      total += CrossEntropyRow(ws->act.back().RowPtr(i), ws->yb.RowPtr(i),
+                               output_dim_);
+    }
+  }
   return total / static_cast<double>(idx.size());
 }
 
-void FeedForwardNet::PredictBatchInto(const Matrix& X, TrainWorkspace* ws,
-                                      Matrix* out,
-                                      dag::ThreadPool* pool) const {
+void FeedForwardNet::PredictBatchInto(const Matrix& X, Matrix* out) const {
   assert(X.cols() == input_dim_);
   size_t n = X.rows();
   out->Resize(n, output_dim_);
   if (n == 0) return;
-  size_t chunks = (n + kPredictChunkRows - 1) / kPredictChunkRows;
-  size_t parallel_width = pool == nullptr ? 1 : pool->num_threads() + 1;
-  size_t slots = std::min(std::min(kMaxChunkSlots, parallel_width), chunks);
-  EnsureWorkspace(ws, kPredictChunkRows, slots, /*with_backward=*/false);
-  ForEachChunkWave(
-      chunks, slots, pool,
-      [&](size_t ci, size_t s) {
-        size_t begin = ci * kPredictChunkRows;
-        size_t m = std::min(kPredictChunkRows, n - begin);
-        TrainWorkspace::Chunk& c = ws->chunks[s];
-        GatherRowRange(X, begin, m, &c.act[0]);
-        ForwardChunk(&c, m);
-        std::memcpy(out->RowPtr(begin), c.act.back().RowPtr(0),
-                    m * output_dim_ * sizeof(double));
-      },
-      nullptr);
+  Workspace ws;
+  SizeWorkspace(&ws, kPredictChunkRows, /*with_backward=*/false);
+  for (size_t begin = 0; begin < n; begin += kPredictChunkRows) {
+    size_t m = std::min(kPredictChunkRows, n - begin);
+    GatherRowRange(X, begin, m, &ws.act[0]);
+    ForwardChunk(&ws, m);
+    std::memcpy(out->RowPtr(begin), ws.act.back().RowPtr(0),
+                m * output_dim_ * sizeof(double));
+  }
 }
 
 Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
-                                          const TrainOptions& opts,
-                                          dag::ThreadPool* pool) {
+                                          const TrainOptions& opts) {
   if (X.rows() != Y.rows()) {
     return Status::InvalidArgument("X and Y row counts differ");
   }
@@ -481,17 +418,15 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
   std::vector<Layer> best_layers = layers_;
 
   size_t chunk_rows = std::max<size_t>(1, opts.grad_chunk_rows);
-  size_t batch_chunks = (opts.batch_size + chunk_rows - 1) / chunk_rows;
-  size_t val_chunks = (val_idx.size() + chunk_rows - 1) / chunk_rows;
-  // Slot count only bounds how many chunks are in flight at once — chunk
-  // geometry and reduction order are untouched by it — so size it to the
-  // actual parallelism (pool workers + the participating caller).
-  size_t parallel_width = pool == nullptr ? 1 : pool->num_threads() + 1;
-  size_t slots = std::min(std::min(kMaxChunkSlots, parallel_width),
-                          std::max<size_t>(1, std::max(batch_chunks,
-                                                       val_chunks)));
-  EnsureWorkspace(&train_ws_, chunk_rows, slots, /*with_backward=*/true);
-  TrainWorkspace& ws = train_ws_;
+  SizeWorkspace(&train_ws_, chunk_rows, /*with_backward=*/true);
+  Workspace& ws = train_ws_;
+  // The minibatch gradient: every chunk's gradient is added in chunk order.
+  std::vector<Matrix> grad_w(layers_.size());
+  std::vector<std::vector<double>> grad_b(layers_.size());
+  for (size_t li = 0; li < layers_.size(); ++li) {
+    grad_w[li].Resize(layers_[li].w.rows(), layers_[li].w.cols());
+    grad_b[li].resize(layers_[li].b.size());
+  }
 
   for (size_t epoch = 0; epoch < opts.epochs; ++epoch) {
     rng.Shuffle(&train_idx);
@@ -499,49 +434,32 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
     size_t pos = 0;
     while (pos < train_idx.size()) {
       size_t batch = std::min(opts.batch_size, train_idx.size() - pos);
-      size_t chunks = (batch + chunk_rows - 1) / chunk_rows;
-      for (auto& g : ws.grad_w) g.Fill(0.0);
-      for (auto& g : ws.grad_b) std::fill(g.begin(), g.end(), 0.0);
-      // Fixed-size chunks: geometry depends only on batch and chunk_rows,
-      // so any pool size computes the exact same partials.
-      ForEachChunkWave(
-          chunks, slots, pool,
-          [&](size_t ci, size_t s) {
-            size_t begin = pos + ci * chunk_rows;
-            size_t m = std::min(chunk_rows, pos + batch - begin);
-            TrainWorkspace::Chunk& c = ws.chunks[s];
-            GatherRows(X, train_idx.data() + begin, m, &c.act[0]);
-            GatherRows(Y, train_idx.data() + begin, m, &c.yb);
-            ForwardChunk(&c, m);
-            OutputDeltaAndLoss(&c, m);
-            BackwardChunk(&c, m);
-          },
-          [&](size_t base, size_t wave) {
-            // Deterministic reduction: chunk partials land in ascending
-            // chunk order, losses in ascending sample order.
-            for (size_t s = 0; s < wave; ++s) {
-              TrainWorkspace::Chunk& c = ws.chunks[s];
-              size_t begin = pos + (base + s) * chunk_rows;
-              size_t m = std::min(chunk_rows, pos + batch - begin);
-              for (size_t li = 0; li < layers_.size(); ++li) {
-                ws.grad_w[li].AddScaled(c.gw[li], 1.0);
-                for (size_t r = 0; r < ws.grad_b[li].size(); ++r) {
-                  ws.grad_b[li][r] += c.gb[li][r];
-                }
-              }
-              for (size_t i = 0; i < m; ++i) epoch_loss += c.row_loss[i];
-            }
-          });
-      AdamStep(ws.grad_w, ws.grad_b, opts.learning_rate, batch);
+      for (auto& g : grad_w) g.Fill(0.0);
+      for (auto& g : grad_b) std::fill(g.begin(), g.end(), 0.0);
+      for (size_t begin = pos; begin < pos + batch; begin += chunk_rows) {
+        size_t m = std::min(chunk_rows, pos + batch - begin);
+        GatherRows(X, train_idx.data() + begin, m, &ws.act[0]);
+        GatherRows(Y, train_idx.data() + begin, m, &ws.yb);
+        ForwardChunk(&ws, m);
+        OutputDeltaAndLoss(&ws, m);
+        BackwardChunk(&ws, m);
+        for (size_t li = 0; li < layers_.size(); ++li) {
+          grad_w[li].AddScaled(ws.gw[li], 1.0);
+          for (size_t r = 0; r < grad_b[li].size(); ++r) {
+            grad_b[li][r] += ws.gb[li][r];
+          }
+        }
+        for (size_t i = 0; i < m; ++i) epoch_loss += ws.row_loss[i];
+      }
+      AdamStep(grad_w, grad_b, opts.learning_rate, batch);
       pos += batch;
     }
     epoch_loss /= static_cast<double>(std::max<size_t>(1, train_idx.size()));
     report.train_loss_per_epoch.push_back(epoch_loss);
 
-    double val_loss =
-        val_idx.empty()
-            ? epoch_loss
-            : EvalLossBatched(X, Y, val_idx, chunk_rows, &ws, pool);
+    double val_loss = val_idx.empty()
+                          ? epoch_loss
+                          : EvalLossBatched(X, Y, val_idx, chunk_rows, &ws);
     report.val_loss_per_epoch.push_back(val_loss);
     if (val_loss < report.best_val_loss) {
       report.best_val_loss = val_loss;
@@ -553,9 +471,9 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
   if (opts.keep_best_validation_weights) layers_ = std::move(best_layers);
   // Release the training workspace: engines copy trained nets per run, and
   // the batch-sized buffers would ride along in every copy. OnlineUpdate
-  // re-sizes a single 1-row chunk on its first call and is allocation-free
+  // re-sizes a 1-row workspace on its first call and is allocation-free
   // from then on.
-  train_ws_ = TrainWorkspace();
+  train_ws_ = Workspace();
   return report;
 }
 
@@ -566,18 +484,18 @@ void FeedForwardNet::OnlineUpdate(const std::vector<double>& x,
   // A batch-1 step of the batched trainer against the net's own workspace:
   // after the first call everything below reuses capacity — zero heap
   // allocation at steady state on the engine's plan boundary.
-  EnsureWorkspace(&train_ws_, 1, 1, /*with_backward=*/true);
-  TrainWorkspace::Chunk& c = train_ws_.chunks[0];
-  c.act[0].Resize(1, input_dim_);
-  std::memcpy(c.act[0].RowPtr(0), x.data(), input_dim_ * sizeof(double));
-  c.yb.Resize(1, output_dim_);
-  std::memcpy(c.yb.RowPtr(0), y.data(), output_dim_ * sizeof(double));
-  ForwardChunk(&c, 1);
-  OutputDeltaAndLoss(&c, 1);
-  BackwardChunk(&c, 1);
-  // A single chunk's partials are the whole gradient; feed them to Adam
-  // directly instead of reducing through ws.grad_w.
-  AdamStep(c.gw, c.gb, learning_rate, 1);
+  SizeWorkspace(&train_ws_, 1, /*with_backward=*/true);
+  Workspace& ws = train_ws_;
+  ws.act[0].Resize(1, input_dim_);
+  std::memcpy(ws.act[0].RowPtr(0), x.data(), input_dim_ * sizeof(double));
+  ws.yb.Resize(1, output_dim_);
+  std::memcpy(ws.yb.RowPtr(0), y.data(), output_dim_ * sizeof(double));
+  ForwardChunk(&ws, 1);
+  OutputDeltaAndLoss(&ws, 1);
+  BackwardChunk(&ws, 1);
+  // A single chunk's gradient is the whole gradient; feed it to Adam
+  // directly.
+  AdamStep(ws.gw, ws.gb, learning_rate, 1);
 }
 
 }  // namespace sky::ml

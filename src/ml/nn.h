@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "dag/thread_pool.h"
 #include "ml/matrix.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -18,11 +17,10 @@ struct TrainOptions {
   double validation_split = 0.2;  ///< fraction of samples held out
   uint64_t shuffle_seed = 7;
   bool keep_best_validation_weights = true;
-  /// Samples per data-parallel gradient chunk. The chunk geometry depends
-  /// only on this and the batch size — never on the thread count — and
-  /// chunk partials are reduced in chunk order, so training is bit-identical
-  /// for any pool size. Against the per-sample reference trainer in
-  /// tests/support the trajectory agrees to rounding error (the GEMM
+  /// Samples per gradient chunk: each minibatch runs as chunks of this many
+  /// rows, one after another, and each chunk's gradient is added to the
+  /// minibatch sum in chunk order. Against the per-sample reference trainer
+  /// in tests/support the trajectory agrees to rounding error (the GEMM
   /// kernels' fixed contractions and chunked gradient sums associate
   /// differently).
   size_t grad_chunk_rows = 8;
@@ -33,27 +31,6 @@ struct TrainReport {
   std::vector<double> val_loss_per_epoch;
   double best_val_loss = 0.0;
   size_t best_epoch = 0;
-};
-
-/// Preallocated buffers for the batched trainer and batched inference. One
-/// workspace serves one net; every matrix is sized on first use and reused,
-/// so steady-state training steps and inference calls allocate nothing.
-/// Treat the contents as FeedForwardNet-internal.
-struct TrainWorkspace {
-  struct Chunk {
-    /// act[0] holds the gathered input rows; act[l + 1] layer l's output.
-    std::vector<Matrix> act;
-    std::vector<Matrix> pre;    ///< pre-activations per layer
-    std::vector<Matrix> delta;  ///< backprop deltas per layer
-    std::vector<Matrix> gw;     ///< partial weight gradients per layer
-    std::vector<std::vector<double>> gb;  ///< partial bias gradients
-    Matrix yb;                  ///< gathered target rows
-    std::vector<double> row_loss;
-  };
-  std::vector<Chunk> chunks;
-  /// Chunk partials reduced in chunk order land here for the Adam step.
-  std::vector<Matrix> grad_w;
-  std::vector<std::vector<double>> grad_b;
 };
 
 /// Ping-pong activation buffers for single-sample inference; reused across
@@ -103,22 +80,17 @@ class FeedForwardNet {
                    std::vector<double>* out) const;
 
   /// Batched forward pass: row i of `out` (resized to X.rows() x output_dim)
-  /// is the prediction for row i of X. Rows are processed in fixed-size
-  /// chunks reusing `ws`; a non-null pool fans the chunks out (per-row
-  /// results are independent, so results never depend on the pool).
-  void PredictBatchInto(const Matrix& X, TrainWorkspace* ws, Matrix* out,
-                        dag::ThreadPool* pool = nullptr) const;
+  /// is the prediction for row i of X. Rows run in fixed-size chunks
+  /// through one workspace sized for the call.
+  void PredictBatchInto(const Matrix& X, Matrix* out) const;
 
   /// Trains on rows of X against rows of Y (target distributions) with Adam
   /// on cross-entropy: minibatch forward/backward as cache-blocked matrix
-  /// ops against a preallocated workspace, with each batch's gradient chunks
-  /// fanned out on `pool` (null runs serially) and reduced in chunk order,
-  /// so the weights are bit-identical for any pool size. Returns per-epoch
-  /// loss curves. Fails if shapes disagree or there are too few samples to
-  /// split.
+  /// ops against a preallocated workspace, one gradient chunk at a time
+  /// (TrainOptions::grad_chunk_rows). Returns per-epoch loss curves. Fails if
+  /// shapes disagree or there are too few samples to split.
   Result<TrainReport> Train(const Matrix& X, const Matrix& Y,
-                            const TrainOptions& opts,
-                            dag::ThreadPool* pool = nullptr);
+                            const TrainOptions& opts);
 
   /// One incremental Adam step on a single (x, y) pair — used for online
   /// fine-tuning of the forecaster during ingestion (§3.3). Runs the batched
@@ -156,27 +128,40 @@ class FeedForwardNet {
     std::vector<double> mb, vb;
   };
 
+  /// One chunk's buffers for the batched trainer and batched inference:
+  /// every matrix is sized on first use and reused, so steady-state training
+  /// steps and OnlineUpdate calls allocate nothing.
+  struct Workspace {
+    /// act[0] holds the gathered input rows; act[l + 1] layer l's output.
+    std::vector<Matrix> act;
+    std::vector<Matrix> pre;    ///< pre-activations per layer
+    std::vector<Matrix> delta;  ///< backprop deltas per layer
+    std::vector<Matrix> gw;     ///< the chunk's weight gradients per layer
+    std::vector<std::vector<double>> gb;  ///< the chunk's bias gradients
+    Matrix yb;                  ///< gathered target rows
+    std::vector<double> row_loss;
+  };
+
   void AdamStep(const std::vector<Matrix>& grad_w,
                 const std::vector<std::vector<double>>& grad_b, double lr,
                 size_t batch);
 
-  /// Sizes `ws` for `slots` concurrent chunks of up to `max_rows` samples.
-  /// `with_backward` also sizes the delta/gradient buffers.
-  void EnsureWorkspace(TrainWorkspace* ws, size_t max_rows, size_t slots,
-                       bool with_backward) const;
-  /// Forward pass over the m gathered rows of chunk->act[0].
-  void ForwardChunk(TrainWorkspace::Chunk* chunk, size_t m) const;
+  /// Sizes `ws` for a chunk of up to `max_rows` samples. `with_backward`
+  /// also sizes the delta/gradient buffers.
+  void SizeWorkspace(Workspace* ws, size_t max_rows, bool with_backward) const;
+  /// Forward pass over the m gathered rows of ws->act[0].
+  void ForwardChunk(Workspace* ws, size_t m) const;
   /// Per-row losses + output-layer delta from act.back() vs yb.
-  void OutputDeltaAndLoss(TrainWorkspace::Chunk* chunk, size_t m) const;
-  /// Backprop through all layers; fills chunk->gw / chunk->gb.
-  void BackwardChunk(TrainWorkspace::Chunk* chunk, size_t m) const;
+  void OutputDeltaAndLoss(Workspace* ws, size_t m) const;
+  /// Backprop through all layers; fills ws->gw / ws->gb.
+  void BackwardChunk(Workspace* ws, size_t m) const;
   /// Mean validation loss: forward in chunks of at least `chunk_rows`,
   /// per-row losses summed in `idx` order, as the reference trainer in
   /// tests/support sums them (the forwards use the GEMM kernels, so the two
   /// values agree to rounding error, not bitwise).
   double EvalLossBatched(const Matrix& X, const Matrix& Y,
                          const std::vector<size_t>& idx, size_t chunk_rows,
-                         TrainWorkspace* ws, dag::ThreadPool* pool) const;
+                         Workspace* ws) const;
 
   std::vector<Layer> layers_;
   size_t input_dim_;
@@ -184,7 +169,7 @@ class FeedForwardNet {
   size_t adam_t_ = 0;
   /// Reused by Train and OnlineUpdate (value member so nets stay copyable;
   /// buffers are small relative to the Adam state already carried).
-  TrainWorkspace train_ws_;
+  Workspace train_ws_;
 };
 
 }  // namespace sky::ml

@@ -28,6 +28,10 @@ Client::~Client() {
 }
 
 Result<Client> Client::Connect(int port) {
+  if (port < 1 || port > 65535) {
+    return Status::InvalidArgument("port " + std::to_string(port) +
+                                   " is outside [1, 65535]");
+  }
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::Internal(std::string("socket: ") + std::strerror(errno));

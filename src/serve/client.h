@@ -20,6 +20,7 @@ namespace sky::serve {
 class Client {
  public:
   /// Connects to 127.0.0.1:port and performs the kHello version handshake.
+  /// A port outside [1, 65535] is kInvalidArgument.
   static Result<Client> Connect(int port);
 
   Client(Client&& other) noexcept;

@@ -2,6 +2,7 @@
 
 #include <errno.h>
 #include <string.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -52,10 +53,13 @@ Status ReadExact(int fd, char* buf, size_t n, bool* eof_at_start) {
   return Status::Ok();
 }
 
+/// Writes all n bytes; EINTR restarts. MSG_NOSIGNAL turns a write to a peer
+/// that has hung up into an EPIPE Status instead of a SIGPIPE, whose default
+/// action would end the whole process.
 Status WriteExact(int fd, const char* buf, size_t n) {
   size_t sent = 0;
   while (sent < n) {
-    ssize_t w = ::write(fd, buf + sent, n - sent);
+    ssize_t w = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return Status::Internal(std::string("socket write failed: ") +

@@ -75,7 +75,8 @@ void EncodeFrame(FrameType type, const std::string& payload,
                  std::string* out);
 
 /// Blocking frame I/O on a connected socket. WriteFrame retries short
-/// writes; ReadFrame validates magic, type, length and checksum before
+/// writes, and a peer that has hung up is a kInternal error, never a
+/// SIGPIPE; ReadFrame validates magic, type, length and checksum before
 /// returning. A header declaring more than `max_payload` bytes is refused
 /// before the payload is read or allocated: the server passes
 /// kMaxRequestPayload, the client kMaxFramePayload. A connection closed

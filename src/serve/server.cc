@@ -52,6 +52,10 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
 }
 
 Status Server::Init() {
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("port " + std::to_string(options_.port) +
+                                   " is outside [0, 65535]");
+  }
   if (!std::isfinite(options_.shared_budget_core_s_per_video_s)) {
     return Status::InvalidArgument("shared budget must be finite");
   }

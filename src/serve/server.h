@@ -26,9 +26,10 @@ namespace sky::serve {
 /// per-stream provisioning every admitted session runs under, the pooled
 /// budget that gates admission, and the checkpoint cadence.
 struct ServerOptions {
-  /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read it back via
-  /// Server::port()). The server is deliberately loopback-only: it is a
-  /// single-machine multi-tenant ingestion daemon, not an internet service.
+  /// TCP port on 127.0.0.1, in [0, 65535] (Start refuses any other value);
+  /// 0 binds an ephemeral port (read it back via Server::port()). The
+  /// server is deliberately loopback-only: it is a single-machine
+  /// multi-tenant ingestion daemon, not an internet service.
   int port = 0;
   /// Model file (io::SaveOfflineModel format) every session serves from —
   /// train-once / serve-many, now with N concurrent tenants. Read once, by

@@ -62,16 +62,20 @@ double OnlineStats::variance() const {
 }
 
 std::vector<double> NormalizeHistogram(std::vector<double> h) {
-  double s = 0.0;
-  for (double x : h) s += x;
-  if (s <= 0.0) {
-    if (h.empty()) return h;
-    double u = 1.0 / static_cast<double>(h.size());
-    for (double& x : h) x = u;
-    return h;
-  }
-  for (double& x : h) x /= s;
+  NormalizeHistogramInPlace(h.data(), h.size());
   return h;
+}
+
+void NormalizeHistogramInPlace(double* h, size_t n) {
+  if (n == 0) return;
+  double s = 0.0;
+  for (size_t i = 0; i < n; ++i) s += h[i];
+  if (s <= 0.0) {
+    double u = 1.0 / static_cast<double>(n);
+    for (size_t i = 0; i < n; ++i) h[i] = u;
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) h[i] /= s;
 }
 
 }  // namespace sky

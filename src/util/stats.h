@@ -43,6 +43,12 @@ class OnlineStats {
 /// uniform. Used for content-category histograms throughout the system.
 std::vector<double> NormalizeHistogram(std::vector<double> h);
 
+/// NormalizeHistogram on the n values at `h`, in place: the one definition
+/// of the rule, which the forecaster's features and training rows share.
+/// The sum runs in index order, so integer counts normalize bitwise alike
+/// however they were counted.
+void NormalizeHistogramInPlace(double* h, size_t n);
+
 }  // namespace sky
 
 #endif  // SKYSCRAPER_UTIL_STATS_H_

@@ -129,16 +129,29 @@ TEST(ForecasterTest, FeaturesAreSplitHistograms) {
   }
 }
 
-TEST(ForecastDatasetTest, PoolAndSerialBuildsAreBitIdentical) {
-  std::vector<size_t> seq = DiurnalCategories(60.0, 6, 12);
+TEST(ForecastDatasetTest, InputRowsAreTheFeaturesOfTheirHistory) {
+  // The net trains on what the engine feeds it: each input row must be
+  // bitwise the model input a forecaster computes from the history before
+  // the row's target window. Seven splits of a 1440-segment span leave a
+  // remainder, so the last split's longer window is covered too.
+  std::vector<size_t> seq = DiurnalCategories(60.0, 4, 14);
   ForecasterOptions opts = FastOptions();
-  auto serial = BuildForecastDataset(seq, 60.0, 3, opts);
-  ASSERT_TRUE(serial.ok());
-  dag::ThreadPool pool(3);
-  auto pooled = BuildForecastDataset(seq, 60.0, 3, opts, &pool);
-  ASSERT_TRUE(pooled.ok());
-  EXPECT_EQ(serial->inputs.data(), pooled->inputs.data());
-  EXPECT_EQ(serial->targets.data(), pooled->targets.data());
+  opts.input_splits = 7;
+  opts.train_options.epochs = 1;
+  auto data = BuildForecastDataset(seq, 60.0, 3, opts);
+  ASSERT_TRUE(data.ok());
+  auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
+  ASSERT_TRUE(forecaster.ok());
+  size_t in_segs = static_cast<size_t>(opts.input_span / 60.0);
+  size_t stride = static_cast<size_t>(opts.training_stride / 60.0);
+  ASSERT_NE(in_segs % opts.input_splits, 0u);
+  std::vector<double> features;
+  for (size_t row = 0; row < data->inputs.rows(); ++row) {
+    size_t s = in_segs + row * stride;
+    std::vector<size_t> history(seq.begin(), seq.begin() + s);
+    oracle::FeaturesFromHistoryInto(*forecaster, history, 60.0, &features);
+    ASSERT_EQ(data->inputs.Row(row), features) << "row " << row;
+  }
 }
 
 TEST(ForecastDatasetTest, PrefixWindowsMatchScannedHistograms) {

@@ -145,16 +145,20 @@ void MakeData(const Shape& shape, uint64_t seed, Matrix* x, Matrix* y) {
 }
 
 /// Trains two identically initialized nets, one with the batched trainer
-/// and one with the per-sample reference trainer, and requires identical
-/// loss curves and weights to 1e-9 — the contract that makes the reference
-/// a usable oracle. The two differ only in how their kernels associate
-/// sums, so the trajectories agree to rounding error.
-void ExpectBackendParity(const Shape& shape, uint64_t seed) {
+/// (minibatches cut into gradient chunks of `grad_chunk_rows`) and one with
+/// the per-sample reference trainer, and requires identical loss curves and
+/// weights to 1e-9 — the contract that makes the reference a usable oracle.
+/// The two differ only in how their kernels associate sums, so the
+/// trajectories agree to rounding error.
+void ExpectBackendParity(
+    const Shape& shape, uint64_t seed,
+    size_t grad_chunk_rows = TrainOptions{}.grad_chunk_rows) {
   Matrix x, y;
   MakeData(shape, seed, &x, &y);
   TrainOptions opts;
   opts.epochs = 12;
   opts.learning_rate = 0.01;
+  opts.grad_chunk_rows = grad_chunk_rows;
 
   Rng rng_a(seed + 1);
   FeedForwardNet a(shape.input, shape.hidden, shape.output, &rng_a);
@@ -199,30 +203,10 @@ TEST(NnParityTest, BatchedMatchesPerSampleOnRandomShapes) {
     s.samples = static_cast<size_t>(shapes.UniformInt(30, 120));
     parity::ExpectBackendParity(s, 900 + trial);
   }
-}
-
-TEST(NnParityTest, BatchedTrainingIsBitIdenticalForAnyPoolSize) {
-  parity::Shape s{8, {16, 8}, 3, 160};
-  Matrix x, y;
-  parity::MakeData(s, 77, &x, &y);
-  TrainOptions opts;
-  opts.epochs = 8;
-  opts.grad_chunk_rows = 4;  // several chunks per batch
-
-  Rng rng_serial(5);
-  FeedForwardNet serial(s.input, s.hidden, s.output, &rng_serial);
-  ASSERT_TRUE(serial.Train(x, y, opts).ok());
-  std::vector<double> reference = serial.FlattenParameters();
-
-  for (size_t threads : {2u, 5u}) {
-    dag::ThreadPool pool(threads);
-    Rng rng(5);
-    FeedForwardNet net(s.input, s.hidden, s.output, &rng);
-    ASSERT_TRUE(net.Train(x, y, opts, &pool).ok());
-    // Bitwise: the chunk geometry and reduction order never depend on the
-    // pool, so EXPECT_EQ on the raw doubles is the right comparison.
-    EXPECT_EQ(net.FlattenParameters(), reference) << threads << " threads";
-  }
+  // Four gradient chunks per minibatch of 16: the chunk-order sum of many
+  // partial gradients stays on the reference trajectory.
+  parity::ExpectBackendParity(parity::Shape{8, {16, 8}, 3, 160}, 77,
+                              /*grad_chunk_rows=*/4);
 }
 
 TEST(NnTest, PredictIntoAndBatchMatchPredictBitwise) {
@@ -234,9 +218,8 @@ TEST(NnTest, PredictIntoAndBatchMatchPredictBitwise) {
     for (size_t c = 0; c < x.cols(); ++c) x.At(i, c) = data_rng.Uniform(-1, 1);
   }
   PredictScratch scratch;
-  TrainWorkspace ws;
   Matrix batch_out;
-  net.PredictBatchInto(x, &ws, &batch_out);
+  net.PredictBatchInto(x, &batch_out);
   ASSERT_EQ(batch_out.rows(), 40u);
   ASSERT_EQ(batch_out.cols(), 4u);
   std::vector<double> into;

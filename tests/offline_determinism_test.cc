@@ -85,9 +85,9 @@ TEST(OfflineDeterminismTest, IdenticalModelForThreadCounts1_2_8) {
 }
 
 TEST(OfflineDeterminismTest, BatchedForecasterIsBitIdenticalFor1_2_8Threads) {
-  // The batched trainer's gradient chunks have a fixed geometry and reduce
-  // in chunk order, so the trained network — not just the training data —
-  // must be bit-identical for every pool size.
+  // The training sequence comes from the pooled steps and the net trains
+  // on the calling thread, so the trained network — not just the training
+  // data — must be bit-identical for every pool size.
   workloads::CovidWorkload covid;
   sim::ClusterSpec cluster;
   cluster.cores = 4;

@@ -15,7 +15,9 @@
 //  - metrics: the BENCH-style JSON document carries the counters;
 //  - one resident model: admission never re-reads the model file, and no
 //    session changes the model the next one runs on;
-//  - a hung-up connection releases its thread and fd;
+//  - a hung-up connection releases its thread and fd, and a reply to a
+//    peer that has already closed fails only that connection (no SIGPIPE);
+//  - a port outside the TCP range is refused, never wrapped onto another;
 //  - wire protocol and serve-checkpoint formats round-trip exactly and
 //    refuse corruption, including a session table that repeats an id or
 //    puts two running sessions on one fleet slot.
@@ -85,6 +87,21 @@ size_t OpenFdCount() {
   }
   ::closedir(dir);
   return n;
+}
+
+/// A TCP connection to 127.0.0.1:port with no handshake, or -1.
+int ConnectRaw(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 /// A request frame header (no payload, no trailer) that declares one byte
@@ -294,6 +311,32 @@ TEST_F(ServeTest, FramesRoundTripOverASocketAndRefuseCorruption) {
   ::close(fds[1]);
 }
 
+TEST_F(ServeTest, WritingToAPeerThatHungUpIsAStatusNotASignal) {
+  // SIGPIPE's default action would end this whole process.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  EXPECT_EQ(serve::WriteFrame(fds[0], FrameType::kMetrics, "late").code(),
+            StatusCode::kInternal);
+  ::close(fds[0]);
+}
+
+TEST_F(ServeTest, PortsOutsideTheTcpRangeAreRefusedNotWrapped) {
+  // 70000 would otherwise wrap to 70000 - 65536 = 4464.
+  for (int port : {-1, 65536, 70000}) {
+    ServerOptions opts = BaseServerOptions();
+    opts.port = port;
+    EXPECT_EQ(Server::Start(opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << "server port " << port;
+  }
+  for (int port : {-1, 0, 65536, 70000}) {
+    EXPECT_EQ(Client::Connect(port).status().code(),
+              StatusCode::kInvalidArgument)
+        << "client port " << port;
+  }
+}
+
 TEST_F(ServeTest, ServeCheckpointRoundTripsByteStable) {
   serve::ServeCheckpoint ckpt;
   ckpt.next_session_id = 7;
@@ -403,14 +446,8 @@ TEST_F(ServeTest, ServerRefusesOldProtocolVersionAndOversizedRequests) {
   auto server = Server::Start(opts);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ConnectRaw((*server)->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>((*server)->port()));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   SetReadTimeout(fd);
 
   // A version-1 peer would encode SessionSpec with one more field; the
@@ -895,6 +932,42 @@ TEST_F(ServeTest, FinishedConnectionsReleaseTheirFds) {
   EXPECT_LE(now, before + 2) << "open fds: " << before << " -> " << now;
 
   ASSERT_TRUE(Client::Connect((*server)->port())->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
+}
+
+TEST_F(ServeTest, ClientsThatHangUpBeforeTheirRepliesOnlyLoseTheirOwn) {
+  ServerOptions opts = BaseServerOptions();
+  opts.start_after_sessions = 1;  // hold the clock
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  // Each client pipelines four requests and closes without reading a
+  // reply, so the server writes to peers that are gone.
+  std::string request;
+  serve::EncodeFrame(FrameType::kMetrics, "", &request);
+  const std::string pipelined = request + request + request + request;
+  const size_t before = OpenFdCount();
+  for (int i = 0; i < 20; ++i) {
+    int fd = ConnectRaw((*server)->port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::write(fd, pipelined.data(), pipelined.size()),
+              static_cast<ssize_t>(pipelined.size()));
+    ::close(fd);
+  }
+  // A connection ends at its first failed write or read, and the listener
+  // then closes its fd.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t now = OpenFdCount();
+  while (now > before + 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    now = OpenFdCount();
+  }
+  EXPECT_LE(now, before + 2) << "open fds: " << before << " -> " << now;
+
+  auto client = Client::Connect((*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_TRUE(client->Metrics().ok());
+  ASSERT_TRUE(client->Drain().ok());
   EXPECT_TRUE((*server)->Wait().ok());
 }
 

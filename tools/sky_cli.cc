@@ -243,9 +243,12 @@ bool ParseNumber(const std::string& text, std::optional<T>* out) {
   return ParseNumber(text, &out->emplace());
 }
 
+constexpr double kBytesPerGb = 1ull << 30;
+
 /// Parses "--flag value" / "--flag=value" pairs (boolean flags take no
-/// value); returns false on an unknown flag, a missing value, or a number
-/// flag whose value ParseNumber refuses.
+/// value); returns false on an unknown flag, a missing value, a number
+/// flag whose value ParseNumber refuses, a --port outside [0, 65535], or a
+/// --buffer-gb whose byte count is negative or does not fit in a uint64.
 bool ParseFlags(int argc, char** argv, Flags* f) {
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
@@ -270,7 +273,11 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
     if (arg == "--workload") f->workload = value;
     else if (arg == "--cores") number(&f->cores);
     else if (arg == "--cloud-budget") number(&f->cloud_budget);
-    else if (arg == "--buffer-gb") number(&f->buffer_gb);
+    else if (arg == "--buffer-gb") {
+      number(&f->buffer_gb);
+      parsed = parsed && f->buffer_gb >= 0.0 &&
+               f->buffer_gb * kBytesPerGb < 0x1p64;
+    }
     else if (arg == "--out") f->out = value;
     else if (arg == "--model") f->model = value;
     else if (arg == "--segment-seconds") number(&f->segment_seconds);
@@ -282,7 +289,10 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
     else if (arg == "--start-days") number(&f->start_days);
     else if (arg == "--duration-days") number(&f->duration_days);
     else if (arg == "--plan-interval-days") number(&f->plan_interval_days);
-    else if (arg == "--port") number(&f->port);
+    else if (arg == "--port") {
+      number(&f->port);
+      parsed = parsed && f->port >= 0 && f->port <= 65535;
+    }
     else if (arg == "--port-file") f->port_file = value;
     else if (arg == "--shared-budget") number(&f->shared_budget);
     else if (arg == "--max-sessions") number(&f->max_sessions);
@@ -312,7 +322,7 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
 sky::api::Resources MakeResources(const Flags& f) {
   sky::api::Resources res;
   res.cores = f.cores;
-  res.buffer_bytes = static_cast<uint64_t>(f.buffer_gb * (1ull << 30));
+  res.buffer_bytes = static_cast<uint64_t>(f.buffer_gb * kBytesPerGb);
   res.cloud_budget_usd_per_interval = f.cloud_budget.value_or(0.0);
   return res;
 }
