@@ -40,9 +40,9 @@ cd "$(dirname "$0")/.."
 if [[ "${1:-}" == "--tsan" ]]; then
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSKY_SANITIZE=thread -DSKY_BUILD_BENCHES=OFF -DSKY_BUILD_EXAMPLES=OFF
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   cd build-tsan
-  ctest --output-on-failure -L tsan -j
+  ctest --output-on-failure -L tsan -j "$(nproc)"
   echo "TSan concurrency suite passed"
   exit 0
 fi
@@ -55,11 +55,11 @@ if [[ "${1:-}" == "--props" ]]; then
   echo "property suites: SKY_PROP_SEED=${SEED}"
   echo "reproduce: SKY_PROP_SEED=${SEED} scripts/check.sh --props ${SEED}"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
   echo "${SEED}" > build/PROPS_SEED.txt
   cd build
   SKY_PROP_SEED="${SEED}" ctest --output-on-failure \
-    -R "property_test|scenario_test" -j ||
+    -R "property_test|scenario_test" -j "$(nproc)" ||
     { echo "property suites FAILED; reproduce with:" >&2
       echo "  SKY_PROP_SEED=${SEED} scripts/check.sh --props ${SEED}" >&2
       exit 1; }
@@ -71,16 +71,16 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSKY_SANITIZE=address,undefined -DSKY_BUILD_BENCHES=OFF \
     -DSKY_BUILD_EXAMPLES=OFF
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   cd build-asan
-  ctest --output-on-failure -j
+  ctest --output-on-failure -j "$(nproc)"
   echo "ASan + UBSan full suite passed"
   exit 0
 fi
 
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build -j
-(cd build && ctest --output-on-failure -j)
+cmake --build build -j "$(nproc)"
+(cd build && ctest --output-on-failure -j "$(nproc)")
 
 scripts/smoke.sh build
 bash bench/e2e/run.sh --smoke

@@ -6,8 +6,8 @@
 #     separate processes.
 #  2. The error contract: each failure class exits with ITS documented code
 #     (3 I/O, 4 corrupt, 5 wrong workload) and writes nothing to stdout.
-#  3. CLI hygiene: --help on stdout, usage errors (malformed numbers
-#     included) exit 2.
+#  3. CLI hygiene: --help on stdout, usage errors (malformed numbers and
+#     values the fit or the ingest run refuses included) exit 2.
 #  4. `sky serve`: a live server multiplexes two concurrent client sessions
 #     (metrics frame checked) from a model file deleted once the server is
 #     up, since it reads the file only at start; the same pair is then
@@ -91,6 +91,16 @@ expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --buffer-gb -1
 expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --buffer-gb 1e12
 expect_exit 2 ./sky serve --model "${SKY_SMOKE_MODEL}" --port 70000
 expect_exit 2 ./sky client open --port 70000
+# A value the offline fit or the ingest run refuses is a usage error too,
+# not a corrupt model (4), and the fit prints nothing before it fails.
+expect_exit 2 ./sky offline --workload ev --train-days 1 --categories 0 \
+  --out "${SKY_SERVE_DIR}/refused.bin"
+expect_exit 2 ./sky offline --workload ev --train-days 1 --plan-days 0 \
+  --out "${SKY_SERVE_DIR}/refused.bin"
+expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --duration-days -1
+expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --cores 0
+expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --cloud-budget -5
+expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --start-days 1e300
 echo "sky CLI hygiene smoke passed"
 
 serve_wait_port() {  # serve_wait_port PORT_FILE -> echoes the bound port

@@ -31,48 +31,48 @@ Status JointPlanner::Plan(const std::vector<StreamPlanInput>& streams,
   return Status::Ok();
 }
 
+StreamSet::Stream StreamSet::StartStream(const StreamEngineJob& job) {
+  Stream s;
+  s.job = job;
+  if (job.workload == nullptr || job.model == nullptr ||
+      job.cost_model == nullptr) {
+    s.status = Status::InvalidArgument("null pointer in stream job");
+    return s;
+  }
+  s.engine = std::make_unique<IngestionEngine>(
+      job.workload, job.model, job.cluster, job.cost_model, job.options);
+  s.status = s.engine->Start(job.start_time);
+  return s;
+}
+
+Status StreamSet::CheckLockstepCadence(const Stream& s) const {
+  if (options_.planning != MultiStreamPlanning::kJoint || !s.Active()) {
+    return Status::Ok();
+  }
+  // Every live member passed this check on joining, so the first one
+  // decides for the fleet.
+  for (const Stream& member : streams_) {
+    if (!member.Active()) continue;
+    if (s.job.model->segment_seconds != member.job.model->segment_seconds ||
+        s.engine->segments_per_interval() !=
+            member.engine->segments_per_interval()) {
+      return Status::InvalidArgument(
+          "joint planning requires every stream to share one segment "
+          "length and plan interval (lockstep boundaries)");
+    }
+    break;
+  }
+  return Status::Ok();
+}
+
 Result<StreamSet> StreamSet::Create(std::vector<StreamEngineJob> jobs,
                                     StreamSetOptions options) {
   StreamSet set(options);
-  set.jobs_ = std::move(jobs);
-  set.engines_.resize(set.jobs_.size());
-  set.statuses_.assign(set.jobs_.size(), Status::Ok());
-  set.boundary_ckpts_.resize(set.jobs_.size());
-  set.restarts_used_.assign(set.jobs_.size(), 0);
-
-  for (size_t v = 0; v < set.jobs_.size(); ++v) {
-    const StreamEngineJob& job = set.jobs_[v];
-    if (job.workload == nullptr || job.model == nullptr ||
-        job.cost_model == nullptr) {
-      set.statuses_[v] = Status::InvalidArgument("null pointer in stream job");
-      continue;
-    }
-    set.engines_[v] = std::make_unique<IngestionEngine>(
-        job.workload, job.model, job.cluster, job.cost_model, job.options);
-    Status started = set.engines_[v]->Start(job.start_time);
-    if (!started.ok()) {
-      set.statuses_[v] = started;
-    }
-  }
-
-  if (options.planning == MultiStreamPlanning::kJoint) {
-    // Joint planning intercepts plan boundaries across streams; they only
-    // line up when every stream shares the boundary cadence.
-    double seg_s = -1.0;
-    int64_t segs_per_interval = -1;
-    for (size_t v = 0; v < set.jobs_.size(); ++v) {
-      if (!set.Active(v)) continue;
-      double seg = set.jobs_[v].model->segment_seconds;
-      int64_t segs = set.engines_[v]->segments_per_interval();
-      if (seg_s < 0.0) {
-        seg_s = seg;
-        segs_per_interval = segs;
-      } else if (seg != seg_s || segs != segs_per_interval) {
-        return Status::InvalidArgument(
-            "joint planning requires every stream to share one segment "
-            "length and plan interval (lockstep boundaries)");
-      }
-    }
+  set.streams_.reserve(jobs.size());
+  for (const StreamEngineJob& job : jobs) {
+    Stream s = StartStream(job);
+    SKY_RETURN_NOT_OK(set.CheckLockstepCadence(s));
+    set.streams_.push_back(std::move(s));
   }
   return set;
 }
@@ -98,29 +98,30 @@ Result<StreamSet> StreamSet::RecoverFromCheckpoint(
   // snapshot (rolling restart); they were started fresh by Create above.
   for (size_t v = 0; v < ckpt.streams.size(); ++v) {
     const io::StreamCheckpoint& sc = ckpt.streams[v];
+    Stream& s = set->streams_[v];
     if (!sc.status.ok()) {
       // The stream was already quarantined when the checkpoint was taken;
       // it comes back quarantined with the same error.
-      set->statuses_[v] = sc.status;
+      s.status = sc.status;
       continue;
     }
     if (!sc.has_state) continue;
-    if (set->engines_[v] == nullptr) {
+    if (s.engine == nullptr) {
       return Status::InvalidArgument(
           "checkpoint holds engine state for a job with null pointers");
     }
     Result<IngestState> state =
-        io::DeserializeIngestState(sc.state, *set->jobs_[v].model);
+        io::DeserializeIngestState(sc.state, *s.job.model);
     SKY_RETURN_NOT_OK(state.status());
-    SKY_RETURN_NOT_OK(set->engines_[v]->Restore(*state));
+    SKY_RETURN_NOT_OK(s.engine->Restore(*state));
   }
   return set;
 }
 
 bool StreamSet::AtLockstepBoundary() const {
   if (options_.planning != MultiStreamPlanning::kJoint) return true;
-  for (size_t v = 0; v < engines_.size(); ++v) {
-    if (Active(v) && !engines_[v]->AtPlanBoundary()) return false;
+  for (const Stream& s : streams_) {
+    if (s.Active() && !s.engine->AtPlanBoundary()) return false;
   }
   return true;
 }
@@ -130,58 +131,36 @@ Result<size_t> StreamSet::AddStream(const StreamEngineJob& job) {
     return Status::FailedPrecondition(
         "streams can only join the fleet at a lockstep plan boundary");
   }
-  if (job.workload == nullptr || job.model == nullptr ||
-      job.cost_model == nullptr) {
-    return Status::InvalidArgument("null pointer in stream job");
-  }
-  auto engine = std::make_unique<IngestionEngine>(
-      job.workload, job.model, job.cluster, job.cost_model, job.options);
-  SKY_RETURN_NOT_OK(engine->Start(job.start_time));
-  if (options_.planning == MultiStreamPlanning::kJoint) {
-    // Lockstep cadence was validated pairwise at Create and on every prior
-    // admission, so one live reference stream decides for the fleet.
-    for (size_t v = 0; v < engines_.size(); ++v) {
-      if (!Active(v)) continue;
-      if (job.model->segment_seconds != jobs_[v].model->segment_seconds ||
-          engine->segments_per_interval() !=
-              engines_[v]->segments_per_interval()) {
-        return Status::InvalidArgument(
-            "joint planning requires every stream to share one segment "
-            "length and plan interval (lockstep boundaries)");
-      }
-      break;
-    }
-  }
-  jobs_.push_back(job);
-  engines_.push_back(std::move(engine));
-  statuses_.push_back(Status::Ok());
-  boundary_ckpts_.emplace_back();
-  restarts_used_.push_back(0);
-  return engines_.size() - 1;
+  Stream s = StartStream(job);
+  SKY_RETURN_NOT_OK(s.status);
+  SKY_RETURN_NOT_OK(CheckLockstepCadence(s));
+  streams_.push_back(std::move(s));
+  return streams_.size() - 1;
 }
 
 Status StreamSet::RemoveStream(size_t v) {
-  if (v >= engines_.size()) {
+  if (v >= streams_.size()) {
     return Status::InvalidArgument("stream index out of range");
   }
-  if (Active(v) && !engines_[v]->AtPlanBoundary()) {
+  Stream& s = streams_[v];
+  if (s.Active() && !s.engine->AtPlanBoundary()) {
     return Status::FailedPrecondition(
         "a live stream can only leave the fleet at a lockstep plan boundary");
   }
-  engines_[v] = nullptr;
-  boundary_ckpts_[v] = nullptr;
+  s.engine = nullptr;
+  s.boundary_ckpt = nullptr;
   // The slot stays occupied so indices (and Results() job order) remain
   // stable; it reads as a terminal, non-restartable state from here on.
-  statuses_[v] =
-      Status::FailedPrecondition("stream removed from the fleet");
+  s.status = Status::FailedPrecondition("stream removed from the fleet");
   return Status::Ok();
 }
 
 Status StreamSet::ReconfigureStream(size_t v, const StreamReconfig& changes) {
-  if (v >= engines_.size() || engines_[v] == nullptr) {
+  if (v >= streams_.size() || streams_[v].engine == nullptr) {
     return Status::InvalidArgument("no such stream");
   }
-  if (!statuses_[v].ok()) {
+  Stream& s = streams_[v];
+  if (!s.status.ok()) {
     return Status::FailedPrecondition(
         "cannot reconfigure a quarantined stream");
   }
@@ -194,20 +173,20 @@ Status StreamSet::ReconfigureStream(size_t v, const StreamReconfig& changes) {
     return Status::InvalidArgument("budgets must be finite and non-negative");
   }
   if (changes.cloud_budget_usd_per_interval.has_value()) {
-    engines_[v]->set_cloud_budget_usd_per_interval(
+    s.engine->set_cloud_budget_usd_per_interval(
         *changes.cloud_budget_usd_per_interval);
   }
   if (changes.work_budget_override.has_value()) {
-    engines_[v]->set_work_budget_override(*changes.work_budget_override);
+    s.engine->set_work_budget_override(*changes.work_budget_override);
   }
   return Status::Ok();
 }
 
 double StreamSet::CheapestFleetCostCoreSPerVideoS() const {
   double total = 0.0;
-  for (size_t v = 0; v < engines_.size(); ++v) {
-    if (!Active(v)) continue;
-    const std::vector<double>& costs = engines_[v]->config_costs();
+  for (const Stream& s : streams_) {
+    if (!s.Active()) continue;
+    const std::vector<double>& costs = s.engine->config_costs();
     if (costs.empty()) continue;
     total += *std::min_element(costs.begin(), costs.end());
   }
@@ -216,18 +195,19 @@ double StreamSet::CheapestFleetCostCoreSPerVideoS() const {
 
 size_t StreamSet::total_restarts() const {
   size_t total = 0;
-  for (size_t used : restarts_used_) total += used;
+  for (const Stream& s : streams_) total += s.restarts_used;
   return total;
 }
 
 Status StreamSet::CaptureCheckpoint(io::FleetCheckpoint* out) const {
   out->streams.clear();
-  out->streams.resize(engines_.size());
-  for (size_t v = 0; v < engines_.size(); ++v) {
+  out->streams.resize(streams_.size());
+  for (size_t v = 0; v < streams_.size(); ++v) {
+    const Stream& s = streams_[v];
     io::StreamCheckpoint& sc = out->streams[v];
-    sc.status = statuses_[v];
-    if (engines_[v] == nullptr || !engines_[v]->started()) continue;
-    Result<IngestState> snap = engines_[v]->Checkpoint();
+    sc.status = s.status;
+    if (s.engine == nullptr || !s.engine->started()) continue;
+    Result<IngestState> snap = s.engine->Checkpoint();
     SKY_RETURN_NOT_OK(snap.status());
     SKY_RETURN_NOT_OK(io::SerializeIngestState(*snap, &sc.state));
     sc.has_state = true;
@@ -241,22 +221,22 @@ Status StreamSet::SaveCheckpoint(const std::string& path) const {
   return io::SaveFleetCheckpoint(ckpt, path);
 }
 
-void StreamSet::CaptureBoundaryCheckpoint(size_t v) {
+void StreamSet::CaptureBoundaryCheckpoint(Stream& s) const {
   if (options_.max_stream_restarts == 0) return;
-  Result<IngestState> snap = engines_[v]->Checkpoint();
+  Result<IngestState> snap = s.engine->Checkpoint();
   // A failed snapshot is not fatal: the stream simply keeps (or lacks) its
   // previous restore point, and a later failure quarantines it as if
   // supervision were off.
   if (!snap.ok()) return;
-  boundary_ckpts_[v] = std::make_unique<IngestState>(std::move(*snap));
+  s.boundary_ckpt = std::make_unique<IngestState>(std::move(*snap));
 }
 
-Status StreamSet::AdvanceStream(size_t v, int64_t target_index) {
-  IngestionEngine& e = *engines_[v];
+Status StreamSet::AdvanceStream(Stream& s, int64_t target_index) {
+  IngestionEngine& e = *s.engine;
   const bool supervise = options_.max_stream_restarts > 0;
-  while (statuses_[v].ok() && !e.Done() &&
+  while (s.status.ok() && !e.Done() &&
          e.next_segment_index() < target_index) {
-    if (supervise && e.AtPlanBoundary()) CaptureBoundaryCheckpoint(v);
+    if (supervise && e.AtPlanBoundary()) CaptureBoundaryCheckpoint(s);
     Status stepped;
     try {
       stepped = e.Step();
@@ -266,37 +246,37 @@ Status StreamSet::AdvanceStream(size_t v, int64_t target_index) {
       stepped = Status::Internal("stream engine threw");
     }
     if (stepped.ok()) continue;
-    if (supervise && boundary_ckpts_[v] != nullptr &&
-        restarts_used_[v] < options_.max_stream_restarts) {
+    if (supervise && s.boundary_ckpt != nullptr &&
+        s.restarts_used < options_.max_stream_restarts) {
       // Supervised restart: rewind to the last boundary snapshot and replay.
       // One-shot injected faults stay consumed across Restore, so a replay
       // can get past the failure; a persistent failure burns through the
       // budget and quarantines below.
-      ++restarts_used_[v];
-      Status restored = e.Restore(*boundary_ckpts_[v]);
+      ++s.restarts_used;
+      Status restored = e.Restore(*s.boundary_ckpt);
       if (restored.ok()) continue;
       stepped = restored;
     }
-    statuses_[v] = stepped;
+    s.status = stepped;
   }
-  return statuses_[v];
+  return s.status;
 }
 
 bool StreamSet::Done() const {
-  for (size_t v = 0; v < engines_.size(); ++v) {
-    if (Active(v)) return false;
+  for (const Stream& s : streams_) {
+    if (s.Active()) return false;
   }
   return true;
 }
 
 Status StreamSet::JointPlanBoundaryIfDue() {
-  // Live streams hit boundaries in lockstep (validated at Create): either
+  // Live streams hit boundaries in lockstep (validated on joining): either
   // all of them are due or none is.
   bool any_due = false;
   bool any_not_due = false;
-  for (size_t v = 0; v < engines_.size(); ++v) {
-    if (!Active(v)) continue;
-    (engines_[v]->AtPlanBoundary() ? any_due : any_not_due) = true;
+  for (const Stream& s : streams_) {
+    if (!s.Active()) continue;
+    (s.engine->AtPlanBoundary() ? any_due : any_not_due) = true;
   }
   if (!any_due) return Status::Ok();
   if (any_not_due) {
@@ -314,22 +294,23 @@ Status StreamSet::JointPlanBoundaryIfDue() {
   inputs_.clear();
   planned_.clear();
   double derived_budget = 0.0;
-  for (size_t v = 0; v < engines_.size(); ++v) {
-    if (!Active(v)) continue;
+  for (size_t v = 0; v < streams_.size(); ++v) {
+    Stream& s = streams_[v];
+    if (!s.Active()) continue;
     // Per-stream boundary maintenance (online forecaster fine-tune +
     // forecast) runs exactly as a self-planning engine would.
-    Status prepared = engines_[v]->PrepareBoundary();
+    Status prepared = s.engine->PrepareBoundary();
     if (!prepared.ok()) {
-      statuses_[v] = prepared;
+      s.status = prepared;
       continue;
     }
     StreamPlanInput in;
-    in.categories = &jobs_[v].model->categories;
-    in.forecast = engines_[v]->boundary_forecast();
-    in.config_costs = engines_[v]->config_costs();
+    in.categories = &s.job.model->categories;
+    in.forecast = s.engine->boundary_forecast();
+    in.config_costs = s.engine->config_costs();
     inputs_.push_back(std::move(in));
     planned_.push_back(v);
-    derived_budget += engines_[v]->PlanBudgetCoreSPerVideoS();
+    derived_budget += s.engine->PlanBudgetCoreSPerVideoS();
   }
   if (planned_.empty()) return Status::Ok();
 
@@ -344,25 +325,25 @@ Status StreamSet::JointPlanBoundaryIfDue() {
     // absorbs the overload) rather than collapsing to all-cheapest; only a
     // stream with no plan yet — the very first boundary — degrades to its
     // own all-cheapest plan, mirroring the single-stream fallback.
-    for (size_t idx = 0; idx < planned_.size(); ++idx) {
-      size_t v = planned_[idx];
-      const KnobPlan* previous = engines_[v]->current_plan();
+    for (size_t v : planned_) {
+      Stream& s = streams_[v];
+      const KnobPlan* previous = s.engine->current_plan();
       KnobPlan fallback =
           previous != nullptr
               ? *previous
-              : engines_[v]->FallbackPlan(engines_[v]->boundary_forecast());
-      Status installed = engines_[v]->InstallPlan(std::move(fallback));
+              : s.engine->FallbackPlan(s.engine->boundary_forecast());
+      Status installed = s.engine->InstallPlan(std::move(fallback));
       if (!installed.ok()) {
-        statuses_[v] = installed;
+        s.status = installed;
       } else {
-        CaptureBoundaryCheckpoint(v);
+        CaptureBoundaryCheckpoint(s);
       }
     }
     record_latency();
     return Status::Ok();
   }
   if (!solved.ok()) {
-    for (size_t v : planned_) statuses_[v] = solved;
+    for (size_t v : planned_) streams_[v].status = solved;
     return Status::Ok();
   }
 
@@ -378,23 +359,23 @@ Status StreamSet::JointPlanBoundaryIfDue() {
   double pooled_credits = 0.0;
   double total_need = 0.0;
   for (size_t idx = 0; idx < planned_.size(); ++idx) {
-    size_t v = planned_[idx];
-    const EngineOptions& opts = engines_[v]->options();
+    const Stream& s = streams_[planned_[idx]];
+    const EngineOptions& opts = s.engine->options();
     // A stream inside an injected cloud outage cannot spend credits this
     // interval, so its share must not enter the pool either — otherwise the
     // joint planner would lend money the outage makes unspendable.
-    if (opts.enable_cloud && !engines_[v]->CloudOutageNow()) {
+    if (opts.enable_cloud && !s.engine->CloudOutageNow()) {
       pooled_credits += *opts.cloud_budget_usd_per_interval;
     }
     double burst_core_s =
         std::max(0.0, joint_plans_[idx].expected_work -
-                          static_cast<double>(jobs_[v].cluster.cores)) *
+                          static_cast<double>(s.job.cluster.cores)) *
         opts.plan_interval;
-    needs[idx] = jobs_[v].cost_model->CoreSecondsToUsd(burst_core_s);
+    needs[idx] = s.job.cost_model->CoreSecondsToUsd(burst_core_s);
     total_need += needs[idx];
   }
   for (size_t idx = 0; idx < planned_.size(); ++idx) {
-    size_t v = planned_[idx];
+    Stream& s = streams_[planned_[idx]];
     double allotted;
     if (total_need <= pooled_credits) {
       allotted = needs[idx] + (pooled_credits - total_need) /
@@ -403,14 +384,14 @@ Status StreamSet::JointPlanBoundaryIfDue() {
       allotted = pooled_credits * needs[idx] / total_need;
     }
     Status installed =
-        engines_[v]->InstallPlan(std::move(joint_plans_[idx]), allotted);
+        s.engine->InstallPlan(std::move(joint_plans_[idx]), allotted);
     if (!installed.ok()) {
-      statuses_[v] = installed;
+      s.status = installed;
     } else {
       // Snapshot AFTER the install: a supervised restart replays the
       // interval under the already-installed plan instead of re-entering
       // the (fleet-wide) joint solve for one stream.
-      CaptureBoundaryCheckpoint(v);
+      CaptureBoundaryCheckpoint(s);
     }
   }
   record_latency();
@@ -421,31 +402,25 @@ Status StreamSet::Step() {
   if (options_.planning == MultiStreamPlanning::kJoint) {
     SKY_RETURN_NOT_OK(JointPlanBoundaryIfDue());
   }
-  for (size_t v = 0; v < engines_.size(); ++v) {
-    if (!Active(v)) continue;
+  for (Stream& s : streams_) {
+    if (!s.Active()) continue;
     // Net one segment of forward progress even across a supervised restart
     // (a restart rewinds to the boundary and replays up to the target), so
     // joint-mode lockstep survives mid-interval failures.
-    AdvanceStream(v, engines_[v]->next_segment_index() + 1);
+    AdvanceStream(s, s.engine->next_segment_index() + 1);
   }
   return Status::Ok();
 }
 
 Status StreamSet::RunUntilElapsed(SimTime elapsed) {
+  auto behind = [elapsed](const Stream& s) {
+    return s.Active() && s.engine->CurrentTime() - s.job.start_time < elapsed;
+  };
   if (options_.planning == MultiStreamPlanning::kJoint) {
-    // Lockstep cadence (validated at Create): every stream is equally far
+    // Lockstep cadence (validated on joining): every stream is equally far
     // along, so stepping the whole set while anyone is behind never
     // overshoots.
-    auto behind = [&]() {
-      for (size_t v = 0; v < engines_.size(); ++v) {
-        if (Active(v) &&
-            engines_[v]->CurrentTime() - jobs_[v].start_time < elapsed) {
-          return true;
-        }
-      }
-      return false;
-    };
-    while (!Done() && behind()) {
+    while (!Done() && std::any_of(streams_.begin(), streams_.end(), behind)) {
       SKY_RETURN_NOT_OK(Step());
     }
     return Status::Ok();
@@ -453,11 +428,9 @@ Status StreamSet::RunUntilElapsed(SimTime elapsed) {
   // Independent mode allows heterogeneous segment lengths: advance each
   // stream on its own until IT reaches the target, so fast-segment streams
   // are not dragged past the pause point by slow-segment ones.
-  for (size_t v = 0; v < engines_.size(); ++v) {
-    while (Active(v) &&
-           engines_[v]->CurrentTime() - jobs_[v].start_time < elapsed) {
-      Status stepped =
-          AdvanceStream(v, engines_[v]->next_segment_index() + 1);
+  for (Stream& s : streams_) {
+    while (behind(s)) {
+      Status stepped = AdvanceStream(s, s.engine->next_segment_index() + 1);
       if (!stepped.ok()) break;
     }
   }
@@ -469,9 +442,9 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
     // Streams are fully independent simulations: one stream per pool slot,
     // each stepped straight through — identical results for any thread
     // count.
-    dag::ParallelFor(pool, engines_.size(), [&](size_t v) {
-      if (!Active(v)) return;
-      AdvanceStream(v, std::numeric_limits<int64_t>::max());
+    dag::ParallelFor(pool, streams_.size(), [&](size_t v) {
+      if (!streams_[v].Active()) return;
+      AdvanceStream(streams_[v], std::numeric_limits<int64_t>::max());
     });
     return Status::Ok();
   }
@@ -489,7 +462,7 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
   // manually — because engines are independent between boundaries and the
   // planner sees the identical call sequence either way.
   size_t workers = 1 + (pool == nullptr ? 0 : pool->num_threads());
-  workers = std::min(workers, engines_.size());
+  workers = std::min(workers, streams_.size());
   if (workers == 0) workers = 1;
 
   dag::Barrier barrier(workers);
@@ -519,16 +492,17 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
     for (;;) {
       barrier.ArriveAndWait(coordinate);
       if (stop.load()) return;
-      for (size_t v = w; v < engines_.size(); v += workers) {
-        if (!Active(v)) continue;
+      for (size_t v = w; v < streams_.size(); v += workers) {
+        Stream& s = streams_[v];
+        if (!s.Active()) continue;
         // Per-stream failures (error Status or a throwing workload) are
         // recorded on the stream — or absorbed by a supervised restart —
         // and never abandon the barrier protocol: the worker must keep
         // arriving for its peers, or the set would deadlock on one bad
         // stream. AdvanceStream targets the end of the current interval.
-        int64_t spi = engines_[v]->segments_per_interval();
-        int64_t next = engines_[v]->next_segment_index();
-        AdvanceStream(v, next - (next % spi) + spi);
+        int64_t spi = s.engine->segments_per_interval();
+        int64_t next = s.engine->next_segment_index();
+        AdvanceStream(s, next - (next % spi) + spi);
       }
     }
   };
@@ -549,14 +523,14 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
 
 std::vector<Result<EngineResult>> StreamSet::Results() const {
   std::vector<Result<EngineResult>> out;
-  out.reserve(engines_.size());
-  for (size_t v = 0; v < engines_.size(); ++v) {
-    if (!statuses_[v].ok()) {
-      out.push_back(statuses_[v]);
-    } else if (engines_[v] == nullptr || !engines_[v]->Done()) {
+  out.reserve(streams_.size());
+  for (const Stream& s : streams_) {
+    if (!s.status.ok()) {
+      out.push_back(s.status);
+    } else if (s.engine == nullptr || !s.engine->Done()) {
       out.push_back(Status::FailedPrecondition("stream not finished"));
     } else {
-      out.push_back(engines_[v]->partial_result());
+      out.push_back(s.engine->partial_result());
     }
   }
   return out;

@@ -169,7 +169,7 @@ class StreamSet {
   StreamSet(StreamSet&&) = default;
   StreamSet& operator=(StreamSet&&) = default;
 
-  size_t num_streams() const { return engines_.size(); }
+  size_t num_streams() const { return streams_.size(); }
   MultiStreamPlanning planning() const { return options_.planning; }
 
   /// Replaces the shared joint-planning budget (same semantics as
@@ -258,13 +258,17 @@ class StreamSet {
   std::vector<Result<EngineResult>> Results() const;
 
   /// Live inspection of stream `v` (null when the job was invalid).
-  const IngestionEngine* engine(size_t v) const { return engines_[v].get(); }
+  const IngestionEngine* engine(size_t v) const {
+    return streams_[v].engine.get();
+  }
 
   /// The terminal error of stream `v` (Ok while live or finished).
-  const Status& stream_status(size_t v) const { return statuses_[v]; }
+  const Status& stream_status(size_t v) const { return streams_[v].status; }
 
   /// How many supervised restarts stream `v` has consumed so far.
-  size_t stream_restarts(size_t v) const { return restarts_used_[v]; }
+  size_t stream_restarts(size_t v) const {
+    return streams_[v].restarts_used;
+  }
 
   /// Total supervised restarts across the fleet.
   size_t total_restarts() const;
@@ -279,12 +283,33 @@ class StreamSet {
   Status SaveCheckpoint(const std::string& path) const;
 
  private:
+  /// One fleet slot. Its index is the stream's id for the set's lifetime.
+  struct Stream {
+    StreamEngineJob job;
+    /// Null when the job was invalid or the stream was removed.
+    std::unique_ptr<IngestionEngine> engine;
+    /// Terminal error; Ok while live or finished.
+    Status status;
+    /// Supervision: the last plan-boundary snapshot (stays null while
+    /// supervision is off) and the restarts consumed so far.
+    std::unique_ptr<IngestState> boundary_ckpt;
+    size_t restarts_used = 0;
+
+    bool Active() const {
+      return engine != nullptr && status.ok() && !engine->Done();
+    }
+  };
+
   explicit StreamSet(StreamSetOptions options) : options_(options) {}
 
-  bool Active(size_t v) const {
-    return engines_[v] != nullptr && statuses_[v].ok() &&
-           !engines_[v]->Done();
-  }
+  /// Builds and starts `job`'s engine. A null pointer in the job leaves the
+  /// engine null; either refusal is recorded in the returned slot's status.
+  static Stream StartStream(const StreamEngineJob& job);
+
+  /// Joint mode: kInvalidArgument unless a live `s` shares the segment
+  /// length and plan interval of the fleet's live streams, so every plan
+  /// boundary lands in lockstep.
+  Status CheckLockstepCadence(const Stream& s) const;
 
   /// Joint mode: when the live streams sit at their (lockstep) plan
   /// boundary, prepare every stream, solve the joint program, and install
@@ -292,26 +317,20 @@ class StreamSet {
   Status JointPlanBoundaryIfDue();
 
   /// The one supervised stepping loop every driver funnels through: steps
-  /// stream `v` until it finishes, fails for good, or its next segment index
+  /// stream `s` until it finishes, fails for good, or its next segment index
   /// reaches `target_index`. A failing step (error Status or a thrown
   /// exception) consumes a restart — the engine is restored from the last
   /// boundary checkpoint and the loop continues — until the restart budget
   /// is spent, at which point the stream quarantines exactly as before.
-  /// Thread-safe across distinct `v` (touches only stream v's state).
-  Status AdvanceStream(size_t v, int64_t target_index);
+  /// Thread-safe across distinct streams (touches only `s`).
+  Status AdvanceStream(Stream& s, int64_t target_index);
 
-  /// Snapshots stream `v`'s engine for supervised restarts. No-op unless
+  /// Snapshots `s`'s engine for supervised restarts. No-op unless
   /// max_stream_restarts > 0.
-  void CaptureBoundaryCheckpoint(size_t v);
+  void CaptureBoundaryCheckpoint(Stream& s) const;
 
   StreamSetOptions options_;
-  std::vector<StreamEngineJob> jobs_;
-  std::vector<std::unique_ptr<IngestionEngine>> engines_;
-  std::vector<Status> statuses_;
-  /// Supervision state: last boundary snapshot + restarts consumed, per
-  /// stream (snapshots stay null when supervision is off).
-  std::vector<std::unique_ptr<IngestState>> boundary_ckpts_;
-  std::vector<size_t> restarts_used_;
+  std::vector<Stream> streams_;
   /// Solves every joint boundary; keeps only its workspace's buffers.
   JointPlanner joint_planner_;
   std::vector<KnobPlan> joint_plans_;

@@ -142,10 +142,11 @@ Result<OfflineModel> RunOfflinePhase(const Workload& workload,
                                      const sim::ClusterSpec& cluster,
                                      const sim::CostModel& cost_model,
                                      const OfflineOptions& options) {
-  if (options.num_categories > kMaxCategories) {
+  if (options.num_categories == 0 ||
+      options.num_categories > kMaxCategories) {
     return Status::InvalidArgument(
         "num_categories " + std::to_string(options.num_categories) +
-        " exceeds the maximum of " + std::to_string(kMaxCategories));
+        " is outside [1, " + std::to_string(kMaxCategories) + "]");
   }
   // Every step casts horizon / segment_seconds to an int64 segment count,
   // and that cast is undefined unless the quotient is finite and in range.

@@ -47,6 +47,8 @@ struct OfflineOptions {
   double segment_seconds = 2.0;
   /// Unlabeled history used for fitting (the paper records ~2 weeks).
   SimTime train_horizon = Days(16);
+  /// In [1, kMaxCategories]; RunOfflinePhase refuses any other count
+  /// before its first step.
   size_t num_categories = 4;
   CategorizerBackend categorizer_backend = CategorizerBackend::kKMeans;
   ConfigFilterOptions filter;

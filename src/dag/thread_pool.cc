@@ -27,14 +27,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   work_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -51,11 +45,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) done_cv_.notify_all();
-    }
   }
 }
 

@@ -20,6 +20,7 @@ namespace sky::dag {
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -39,9 +40,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Blocks until all submitted tasks have completed.
-  void Wait();
-
   size_t num_threads() const { return threads_.size(); }
 
  private:
@@ -51,8 +49,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  size_t in_flight_ = 0;
   bool shutdown_ = false;
 };
 

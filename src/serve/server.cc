@@ -69,9 +69,21 @@ Status Server::Init() {
   SKY_RETURN_NOT_OK(
       base_facade_->LoadModel(options_.model_path, base_workload_->name()));
 
+  // A fresh server recovers its fleet from the empty checkpoint: a joint
+  // StreamSet with no streams, priced and stepped like any other.
+  std::vector<core::StreamEngineJob> jobs;
+  io::FleetCheckpoint fleet_ckpt;
   if (!options_.recover_path.empty()) {
-    SKY_RETURN_NOT_OK(RecoverFromServeCheckpoint());
+    SKY_RETURN_NOT_OK(RecoverFromServeCheckpoint(&jobs, &fleet_ckpt));
   }
+  core::StreamSetOptions set_opts;
+  set_opts.planning = core::MultiStreamPlanning::kJoint;
+  set_opts.shared_budget_core_s_per_video_s = shared_budget_;
+  set_opts.max_stream_restarts = options_.max_stream_restarts;
+  SKY_ASSIGN_OR_RETURN(core::StreamSet fleet,
+                       core::StreamSet::RecoverFromCheckpoint(
+                           std::move(jobs), fleet_ckpt, set_opts));
+  fleet_ = std::make_unique<core::StreamSet>(std::move(fleet));
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
@@ -152,25 +164,27 @@ double Server::NewcomerCheapestCost() const {
   return cheapest;
 }
 
-Status Server::RecoverFromServeCheckpoint() {
+Status Server::RecoverFromServeCheckpoint(
+    std::vector<core::StreamEngineJob>* jobs, io::FleetCheckpoint* fleet) {
   auto loaded = LoadServeCheckpoint(options_.recover_path);
   if (!loaded.ok()) return loaded.status();
   ServeCheckpoint& ckpt = *loaded;
 
   auto fleet_ckpt = io::ParseFleetCheckpoint(ckpt.fleet_bytes);
   if (!fleet_ckpt.ok()) return fleet_ckpt.status();
+  *fleet = std::move(*fleet_ckpt);
 
   // Rebuild jobs slot-parallel to the checkpointed fleet: running sessions
   // get their exact original simulation back (spec-recorded workload, seeds,
   // knobs); every other slot — finished, failed, removed, or rejected — gets
   // a null job, whose Create-time error status is overwritten by the
   // checkpoint's recorded per-slot status.
-  std::vector<core::StreamEngineJob> jobs(fleet_ckpt->streams.size());
+  jobs->assign(fleet->streams.size(), core::StreamEngineJob{});
   tenants_.clear();
-  tenants_.resize(fleet_ckpt->streams.size());
+  tenants_.resize(fleet->streams.size());
   for (SessionRecord& rec : ckpt.sessions) {
     if (rec.state == SessionState::kRunning) {
-      if (rec.stream_index >= jobs.size()) {
+      if (rec.stream_index >= jobs->size()) {
         return Status::InvalidArgument(
             "serve checkpoint: session stream index out of fleet range");
       }
@@ -178,7 +192,7 @@ Status Server::RecoverFromServeCheckpoint() {
       auto job = BuildJob(rec.spec, &tenant);
       if (!job.ok()) return job.status();
       tenant.session_id = rec.id;
-      jobs[rec.stream_index] = *job;
+      (*jobs)[rec.stream_index] = *job;
       tenants_[rec.stream_index] = std::move(tenant);
     }
     registry_.Restore(rec);
@@ -187,15 +201,6 @@ Status Server::RecoverFromServeCheckpoint() {
   sessions_accepted_ = ckpt.sessions_accepted;
   sessions_rejected_ = ckpt.sessions_rejected;
   shared_budget_ = ckpt.shared_budget_core_s_per_video_s;
-
-  core::StreamSetOptions set_opts;
-  set_opts.planning = core::MultiStreamPlanning::kJoint;
-  set_opts.shared_budget_core_s_per_video_s = shared_budget_;
-  set_opts.max_stream_restarts = options_.max_stream_restarts;
-  auto fleet = core::StreamSet::RecoverFromCheckpoint(std::move(jobs),
-                                                      *fleet_ckpt, set_opts);
-  if (!fleet.ok()) return fleet.status();
-  fleet_ = std::make_unique<core::StreamSet>(std::move(*fleet));
   return Status::Ok();
 }
 
@@ -212,46 +217,41 @@ void Server::FleetLoop() {
     // publishing that stream's result to its waiting client.
     HarvestFinished();
 
-    std::vector<std::unique_ptr<Command>> cmds;
-    bool drain_now = false;
+    std::vector<Command> cmds;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       bool holding = sessions_accepted_ < options_.start_after_sessions;
-      bool can_step =
-          fleet_ != nullptr && !fleet_->Done() && !holding;
+      bool can_step = !fleet_->Done() && !holding;
       if (queue_.empty() && !drain_requested_ && !can_step) {
         queue_cv_.wait_for(lock, kQueueWaitMs);
         continue;
       }
-      while (!queue_.empty()) {
-        cmds.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      drain_now = drain_requested_;
+      cmds.assign(std::make_move_iterator(queue_.begin()),
+                  std::make_move_iterator(queue_.end()));
+      queue_.clear();
     }
 
-    // Membership / knob commands and drain land only in the lockstep
+    // Boundary commands (membership, knobs, drain) run only in the lockstep
     // boundary window; metrics are answered wherever the clock stands.
-    bool at_boundary = fleet_ == nullptr || fleet_->AtLockstepBoundary();
-    std::vector<std::unique_ptr<Command>> deferred;
-    for (auto& cmd : cmds) {
-      if (cmd->kind == Command::Kind::kMetrics) {
-        cmd->reply.set_value(CollectMetricsJson());
-      } else if (at_boundary) {
-        ServiceBoundaryCommand(cmd.get());
-      } else {
+    const bool at_boundary = fleet_->AtLockstepBoundary();
+    std::vector<Command> deferred;
+    for (Command& cmd : cmds) {
+      if (cmd.at_boundary && !at_boundary) {
         deferred.push_back(std::move(cmd));
+      } else {
+        cmd.reply.set_value(cmd.run());
       }
     }
     if (!deferred.empty()) {
       std::lock_guard<std::mutex> lock(queue_mu_);
       // Put deferred commands back in arrival order ahead of newcomers.
-      for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
-        queue_.push_front(std::move(*it));
-      }
+      queue_.insert(queue_.begin(), std::make_move_iterator(deferred.begin()),
+                    std::make_move_iterator(deferred.end()));
     }
 
-    if (drain_now && at_boundary) {
+    // Read after the commands ran: a kDrain request flags the drain from
+    // its boundary command.
+    if (at_boundary && DrainRequested()) {
       if (!options_.checkpoint_path.empty()) {
         terminal = WriteServeCheckpoint();
       }
@@ -259,7 +259,7 @@ void Server::FleetLoop() {
     }
 
     bool holding = sessions_accepted_ < options_.start_after_sessions;
-    if (holding || fleet_ == nullptr || fleet_->Done()) continue;
+    if (holding || fleet_->Done()) continue;
 
     // The serve checkpoint is taken at the boundary BEFORE its plan is
     // installed (Step plans then advances), so a recovered server replays
@@ -288,8 +288,8 @@ void Server::FleetLoop() {
     // would hang forever otherwise.
     std::lock_guard<std::mutex> lock(queue_mu_);
     queue_closed_ = true;
-    for (auto& cmd : queue_) {
-      cmd->reply.set_value(
+    for (Command& cmd : queue_) {
+      cmd.reply.set_value(
           Status::FailedPrecondition("server is shutting down"));
     }
     queue_.clear();
@@ -298,8 +298,12 @@ void Server::FleetLoop() {
   finished_.store(true);
 }
 
-Result<std::string> Server::Dispatch(std::unique_ptr<Command> cmd) {
-  auto reply = cmd->reply.get_future();
+Result<std::string> Server::Dispatch(
+    bool at_boundary, std::function<Result<std::string>()> run) {
+  Command cmd;
+  cmd.at_boundary = at_boundary;
+  cmd.run = std::move(run);
+  auto reply = cmd.reply.get_future();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     // queue_closed_ flips under this mutex in the fleet loop's epilogue, so
@@ -308,10 +312,6 @@ Result<std::string> Server::Dispatch(std::unique_ptr<Command> cmd) {
     if (queue_closed_) {
       return Status::FailedPrecondition("server is shutting down");
     }
-    // Setting the drain flag under the same lock as the push guarantees the
-    // fleet loop observes the command and the flag together, so the kDrain
-    // ack is always delivered before the loop exits.
-    if (cmd->kind == Command::Kind::kDrain) drain_requested_ = true;
     queue_.push_back(std::move(cmd));
   }
   queue_cv_.notify_all();
@@ -319,7 +319,6 @@ Result<std::string> Server::Dispatch(std::unique_ptr<Command> cmd) {
 }
 
 void Server::HarvestFinished() {
-  if (fleet_ == nullptr) return;
   // tenants_ never outgrows the fleet, and holds a workload exactly on the
   // slots of running sessions.
   for (size_t v = 0; v < tenants_.size(); ++v) {
@@ -351,9 +350,10 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
     return Status::ResourceExhausted("session cap reached");
   }
   // The joint planner's feasibility threshold, checked before the stream
-  // ever joins: all-cheapest fleet cost plus the newcomer's cheapest config
-  // must fit the pooled budget, or the next boundary would be infeasible.
-  if (shared_budget_ > 0.0 && fleet_ != nullptr) {
+  // ever joins, the first one included: all-cheapest fleet cost plus the
+  // newcomer's cheapest config must fit the pooled budget, or the next
+  // boundary would be infeasible.
+  if (shared_budget_ > 0.0) {
     double projected =
         fleet_->CheapestFleetCostCoreSPerVideoS() + NewcomerCheapestCost();
     if (projected > shared_budget_) {
@@ -374,19 +374,6 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
     return job.status();
   }
 
-  if (fleet_ == nullptr) {
-    core::StreamSetOptions set_opts;
-    set_opts.planning = core::MultiStreamPlanning::kJoint;
-    set_opts.shared_budget_core_s_per_video_s = shared_budget_;
-    set_opts.max_stream_restarts = options_.max_stream_restarts;
-    auto fleet = core::StreamSet::Create({}, set_opts);
-    if (!fleet.ok()) {
-      ++sessions_rejected_;
-      return fleet.status();
-    }
-    fleet_ = std::make_unique<core::StreamSet>(std::move(*fleet));
-  }
-
   auto slot = fleet_->AddStream(*job);
   if (!slot.ok()) {
     ++sessions_rejected_;
@@ -405,60 +392,20 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
   return payload;
 }
 
-void Server::ServiceBoundaryCommand(Command* cmd) {
-  switch (cmd->kind) {
-    case Command::Kind::kOpen:
-      cmd->reply.set_value(Admit(cmd->spec));
-      return;
-    case Command::Kind::kClose: {
-      auto slot = registry_.StreamIndexOf(cmd->session_id);
-      if (!slot.ok()) {
-        cmd->reply.set_value(slot.status());
-        return;
-      }
-      Status removed = fleet_->RemoveStream(*slot);
-      if (!removed.ok()) {
-        cmd->reply.set_value(removed);
-        return;
-      }
-      tenants_[*slot] = StreamTenant{};
-      registry_.MarkFailed(
-          cmd->session_id,
-          Status::FailedPrecondition("session closed by client request"));
-      cmd->reply.set_value(std::string());
-      return;
-    }
-    case Command::Kind::kReconfig: {
-      auto slot = registry_.StreamIndexOf(cmd->session_id);
-      if (!slot.ok()) {
-        cmd->reply.set_value(slot.status());
-        return;
-      }
-      Status applied = fleet_->ReconfigureStream(*slot, cmd->reconfig);
-      if (!applied.ok()) {
-        cmd->reply.set_value(applied);
-        return;
-      }
-      cmd->reply.set_value(std::string());
-      return;
-    }
-    case Command::Kind::kSetBudget:
-      shared_budget_ = cmd->budget;
-      if (fleet_ != nullptr) fleet_->set_shared_budget(cmd->budget);
-      cmd->reply.set_value(std::string());
-      return;
-    case Command::Kind::kDrain:
-      // The flag was already set when the command was enqueued; the reply
-      // acknowledges that the drain boundary has been reached. The final
-      // checkpoint is written right after this command is serviced, before
-      // the fleet loop exits — a client that wants a durable handoff should
-      // still wait for the process to exit (the CLI does).
-      cmd->reply.set_value(std::string());
-      return;
-    case Command::Kind::kMetrics:
-      cmd->reply.set_value(CollectMetricsJson());
-      return;
-  }
+Result<std::string> Server::Close(uint64_t session_id) {
+  SKY_ASSIGN_OR_RETURN(uint64_t slot, registry_.StreamIndexOf(session_id));
+  SKY_RETURN_NOT_OK(fleet_->RemoveStream(slot));
+  tenants_[slot] = StreamTenant{};
+  registry_.MarkFailed(session_id, Status::FailedPrecondition(
+                                      "session closed by client request"));
+  return std::string();
+}
+
+Result<std::string> Server::Reconfigure(uint64_t session_id,
+                                        const core::StreamReconfig& changes) {
+  SKY_ASSIGN_OR_RETURN(uint64_t slot, registry_.StreamIndexOf(session_id));
+  SKY_RETURN_NOT_OK(fleet_->ReconfigureStream(slot, changes));
+  return std::string();
 }
 
 std::string Server::CollectMetricsJson() {
@@ -477,15 +424,13 @@ std::string Server::CollectMetricsJson() {
     }
   }
   m.shared_budget_core_s_per_video_s = shared_budget_;
-  if (fleet_ != nullptr) {
-    const std::vector<double>& ms = fleet_->boundary_latencies_ms();
-    m.boundaries_planned = ms.size();
-    m.boundary_p50_ms = Percentile(ms, 50.0);
-    m.boundary_p99_ms = Percentile(ms, 99.0);
-    m.cheapest_fleet_cost_core_s_per_video_s =
-        fleet_->CheapestFleetCostCoreSPerVideoS();
-    m.fleet_restarts = fleet_->total_restarts();
-  }
+  const std::vector<double>& ms = fleet_->boundary_latencies_ms();
+  m.boundaries_planned = ms.size();
+  m.boundary_p50_ms = Percentile(ms, 50.0);
+  m.boundary_p99_ms = Percentile(ms, 99.0);
+  m.cheapest_fleet_cost_core_s_per_video_s =
+      fleet_->CheapestFleetCostCoreSPerVideoS();
+  m.fleet_restarts = fleet_->total_restarts();
   return RenderMetricsJson(m);
 }
 
@@ -498,17 +443,10 @@ Status Server::WriteServeCheckpoint() {
   ckpt.sessions_accepted = sessions_accepted_;
   ckpt.sessions_rejected = sessions_rejected_;
   ckpt.shared_budget_core_s_per_video_s = shared_budget_;
-  if (fleet_ != nullptr) {
-    io::FleetCheckpoint fleet_ckpt;
-    SKY_RETURN_NOT_OK(fleet_->CaptureCheckpoint(&fleet_ckpt));
-    SKY_RETURN_NOT_OK(
-        io::SerializeFleetCheckpoint(fleet_ckpt, &ckpt.fleet_bytes));
-  } else {
-    // An empty fleet still checkpoints (counters + terminal sessions):
-    // serialize a zero-stream fleet so recovery has valid bytes to parse.
-    SKY_RETURN_NOT_OK(
-        io::SerializeFleetCheckpoint(io::FleetCheckpoint{}, &ckpt.fleet_bytes));
-  }
+  io::FleetCheckpoint fleet_ckpt;
+  SKY_RETURN_NOT_OK(fleet_->CaptureCheckpoint(&fleet_ckpt));
+  SKY_RETURN_NOT_OK(
+      io::SerializeFleetCheckpoint(fleet_ckpt, &ckpt.fleet_bytes));
   return SaveServeCheckpoint(ckpt, options_.checkpoint_path);
 }
 
@@ -574,6 +512,12 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     AppendError(s, &payload);
     return std::make_pair(FrameType::kError, std::move(payload));
   };
+  // A boundary command whose success reply is a bare kOk.
+  auto acknowledge = [&](std::function<Result<std::string>()> run) {
+    Result<std::string> done = Dispatch(true, std::move(run));
+    if (!done.ok()) return error(done.status());
+    return std::make_pair(FrameType::kOk, std::string());
+  };
 
   switch (request.type) {
     case FrameType::kHello: {
@@ -592,12 +536,12 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     }
 
     case FrameType::kOpenSession: {
-      auto cmd = std::make_unique<Command>();
-      cmd->kind = Command::Kind::kOpen;
+      SessionSpec spec;
       io::wire::Cursor c(request.payload.data(), request.payload.size());
-      Status s = ParseSessionSpec(&c, &cmd->spec);
+      Status s = ParseSessionSpec(&c, &spec);
       if (!s.ok()) return error(s);
-      Result<std::string> admitted = Dispatch(std::move(cmd));
+      Result<std::string> admitted =
+          Dispatch(true, [this, spec] { return Admit(spec); });
       if (!admitted.ok()) return error(admitted.status());
       return {FrameType::kSessionOpened, std::move(*admitted)};
     }
@@ -616,34 +560,35 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     }
 
     case FrameType::kReconfigure: {
-      auto cmd = std::make_unique<Command>();
-      cmd->kind = Command::Kind::kReconfig;
+      uint64_t id = 0;
+      core::StreamReconfig changes;
       io::wire::Cursor c(request.payload.data(), request.payload.size());
-      Status s = ParseReconfigure(&c, &cmd->session_id, &cmd->reconfig);
+      Status s = ParseReconfigure(&c, &id, &changes);
       if (!s.ok()) return error(s);
-      Result<std::string> applied = Dispatch(std::move(cmd));
-      if (!applied.ok()) return error(applied.status());
-      return {FrameType::kOk, std::string()};
+      return acknowledge(
+          [this, id, changes] { return Reconfigure(id, changes); });
     }
 
     case FrameType::kSetBudget: {
-      auto cmd = std::make_unique<Command>();
-      cmd->kind = Command::Kind::kSetBudget;
+      double budget = 0.0;
       io::wire::Cursor c(request.payload.data(), request.payload.size());
-      Status s = c.ReadF64(&cmd->budget);
+      Status s = c.ReadF64(&budget);
       if (!s.ok()) return error(s);
-      if (!std::isfinite(cmd->budget)) {
+      if (!std::isfinite(budget)) {
         return error(Status::InvalidArgument("shared budget must be finite"));
       }
-      Result<std::string> applied = Dispatch(std::move(cmd));
-      if (!applied.ok()) return error(applied.status());
-      return {FrameType::kOk, std::string()};
+      return acknowledge([this, budget]() -> Result<std::string> {
+        shared_budget_ = budget;
+        fleet_->set_shared_budget(budget);
+        return std::string();
+      });
     }
 
     case FrameType::kMetrics: {
-      auto cmd = std::make_unique<Command>();
-      cmd->kind = Command::Kind::kMetrics;
-      Result<std::string> json = Dispatch(std::move(cmd));
+      Result<std::string> json =
+          Dispatch(false, [this]() -> Result<std::string> {
+            return CollectMetricsJson();
+          });
       if (!json.ok()) return error(json.status());
       std::string payload;
       io::wire::PutString(&payload, *json);
@@ -651,23 +596,22 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     }
 
     case FrameType::kCloseSession: {
-      auto cmd = std::make_unique<Command>();
-      cmd->kind = Command::Kind::kClose;
+      uint64_t id = 0;
       io::wire::Cursor c(request.payload.data(), request.payload.size());
-      Status s = c.ReadU64(&cmd->session_id);
+      Status s = c.ReadU64(&id);
       if (!s.ok()) return error(s);
-      Result<std::string> closed = Dispatch(std::move(cmd));
-      if (!closed.ok()) return error(closed.status());
-      return {FrameType::kOk, std::string()};
+      return acknowledge([this, id] { return Close(id); });
     }
 
-    case FrameType::kDrain: {
-      auto cmd = std::make_unique<Command>();
-      cmd->kind = Command::Kind::kDrain;
-      Result<std::string> drained = Dispatch(std::move(cmd));
-      if (!drained.ok()) return error(drained.status());
-      return {FrameType::kOk, std::string()};
-    }
+    case FrameType::kDrain:
+      // The reply acknowledges that the drain boundary has been reached; the
+      // fleet loop writes the final checkpoint right after and exits. A
+      // client that wants a durable handoff should still wait for the
+      // process to exit (the CLI does).
+      return acknowledge([this]() -> Result<std::string> {
+        RequestDrain();
+        return std::string();
+      });
 
     default:
       return error(Status::InvalidArgument("unexpected frame type"));
@@ -680,6 +624,11 @@ void Server::RequestDrain() {
     drain_requested_ = true;
   }
   queue_cv_.notify_all();
+}
+
+bool Server::DrainRequested() {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  return drain_requested_;
 }
 
 Status Server::Wait() {

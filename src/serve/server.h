@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -78,19 +79,21 @@ struct ServerOptions {
 /// live reconfiguration, metrics, and graceful drain.
 ///
 /// Threading model — three kinds of threads, strict ownership:
-///  - ONE fleet thread owns the StreamSet, each session's camera workload,
-///    and every counter; it alone steps engines. Every session reads the
-///    one model loaded at start, which nothing writes after Init (each
-///    engine fine-tunes its own copy of the forecaster). Membership and
-///    knob commands queue up and are applied only at lockstep plan
-///    boundaries (the single-threaded window where they are deterministic);
-///    metrics and drain requests are picked up every loop iteration.
+///  - ONE fleet thread owns the StreamSet (built by Init, empty or
+///    recovered), each session's camera workload, and every counter; it
+///    alone steps engines. Every session reads the one model loaded at
+///    start, which nothing writes after Init (each engine fine-tunes its
+///    own copy of the forecaster). It runs the queued request closures:
+///    membership, knob and drain requests only at lockstep plan boundaries
+///    (the single-threaded window where they are deterministic), metrics
+///    requests on every loop iteration.
 ///  - One listener thread accepts connections, and joins and closes the
 ///    ones whose peer has hung up.
-///  - One thread per connection parses request frames, enqueues commands,
-///    and blocks on the reply future (or the session registry, for
-///    kFetchResult). The registry is the only state connection threads
-///    share with the fleet thread directly, and it carries its own lock.
+///  - One thread per connection parses request frames, enqueues each as a
+///    closure over fleet-thread state, and blocks on the reply future (or
+///    on the session registry, for kFetchResult). The registry is the only
+///    state connection threads share with the fleet thread directly, and it
+///    carries its own lock.
 ///
 /// The fleet steps engines serially (StreamSet::Step), which keeps served
 /// results bitwise-identical to the Step()-driven in-process reference;
@@ -146,30 +149,26 @@ class Server {
     bool done = false;  ///< left Connection(); guarded by conn_mu_
   };
 
+  /// One request for the fleet thread: `run` reads and writes fleet-thread
+  /// state and returns the encoded success-reply payload (or the rejection
+  /// Status), which the fleet thread sets on `reply`. An `at_boundary`
+  /// command waits for a lockstep plan boundary.
   struct Command {
-    enum class Kind : uint8_t {
-      kOpen,       // boundary: admit spec -> payload u64 id, u64 slot
-      kClose,      // boundary: retire session_id
-      kReconfig,   // boundary: apply reconfig to session_id
-      kSetBudget,  // boundary: replace the shared budget
-      kMetrics,    // anytime: payload = metrics JSON
-      kDrain,      // boundary: checkpoint + exit
-    };
-    Kind kind = Kind::kMetrics;
-    SessionSpec spec;
-    uint64_t session_id = 0;
-    core::StreamReconfig reconfig;
-    double budget = 0.0;
-    /// Fulfilled by the fleet thread with the encoded success-reply payload
-    /// (or the rejection Status).
+    bool at_boundary = true;
+    std::function<Result<std::string>()> run;
     std::promise<Result<std::string>> reply;
   };
 
   explicit Server(ServerOptions options);
 
-  /// Loads the base model, binds the socket, optionally recovers.
+  /// Loads the base model, builds the fleet (recovered from
+  /// options_.recover_path when set, empty otherwise), binds the socket.
   Status Init();
-  Status RecoverFromServeCheckpoint();
+  /// Restores the session table and counters of the serve checkpoint at
+  /// options_.recover_path; fills the fleet checkpoint it embeds and the
+  /// jobs slot-parallel to it (null jobs on slots with no running session).
+  Status RecoverFromServeCheckpoint(std::vector<core::StreamEngineJob>* jobs,
+                                    io::FleetCheckpoint* fleet);
 
   /// Builds one admitted or recovered session's StreamEngineJob on the
   /// served model, cluster and cost model of `base_facade_`, with the
@@ -183,14 +182,20 @@ class Server {
 
   void FleetLoop();
   void HarvestFinished();
+  /// The boundary commands: each returns its success-reply payload.
   Result<std::string> Admit(const SessionSpec& spec);
-  void ServiceBoundaryCommand(Command* cmd);
+  Result<std::string> Close(uint64_t session_id);
+  Result<std::string> Reconfigure(uint64_t session_id,
+                                  const core::StreamReconfig& changes);
   std::string CollectMetricsJson();
   Status WriteServeCheckpoint();
+  /// drain_requested_, read under queue_mu_.
+  bool DrainRequested();
 
-  /// Enqueues a command for the fleet thread and blocks on its reply.
-  /// Refuses (instead of hanging) once the fleet loop has closed the queue.
-  Result<std::string> Dispatch(std::unique_ptr<Command> cmd);
+  /// Enqueues `run` for the fleet thread and blocks on its reply. Refuses
+  /// (instead of hanging) once the fleet loop has closed the queue.
+  Result<std::string> Dispatch(bool at_boundary,
+                               std::function<Result<std::string>()> run);
 
   void ListenLoop();
   /// Joins the connection threads that have finished and closes their fds.
@@ -212,7 +217,7 @@ class Server {
   std::unique_ptr<api::Skyscraper> base_facade_;
 
   // --- Fleet-thread-owned state (no lock; see threading model) ---
-  std::unique_ptr<core::StreamSet> fleet_;
+  std::unique_ptr<core::StreamSet> fleet_;  ///< non-null after Init
   std::vector<StreamTenant> tenants_;  ///< slot-parallel to the fleet
   uint64_t sessions_accepted_ = 0;
   uint64_t sessions_rejected_ = 0;
@@ -225,7 +230,7 @@ class Server {
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::deque<std::unique_ptr<Command>> queue_;
+  std::deque<Command> queue_;
   bool drain_requested_ = false;
   bool queue_closed_ = false;
 

@@ -126,6 +126,22 @@ TEST(CategorizerTest, OfflinePhaseRefusesMoreThanMaxCategories) {
   EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(CategorizerTest, OfflinePhaseRefusesZeroCategoriesBeforeAnyStep) {
+  workloads::CovidWorkload covid;
+  sim::ClusterSpec cluster;
+  sim::CostModel cost_model(1.8);
+  OfflineOptions opts;
+  opts.num_categories = 0;
+  auto model = RunOfflinePhase(covid, cluster, cost_model, opts);
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+  // The phase's own range check, not the categorizer's after the
+  // configuration filter and placement search have run.
+  EXPECT_NE(model.status().message().find("num_categories 0"),
+            std::string::npos)
+      << model.status().ToString();
+}
+
 TEST(CategorizerTest, OfflinePhaseRefusesSegmentCountsOutsideInt64) {
   // horizon / segment_seconds becomes an int64 segment count; a zero,
   // negative or vanishing segment, or a NaN horizon, is refused before any

@@ -4,7 +4,8 @@
 //    ONE in-process joint-planning StreamSet built from the same specs;
 //  - admission control: with a pooled budget armed, the session that would
 //    push the fleet past the budget is rejected with a clean
-//    kResourceExhausted protocol error and the connection stays usable;
+//    kResourceExhausted protocol error and the connection stays usable,
+//    and a fresh server prices its first session the same way;
 //  - live reconfiguration at a plan boundary is bitwise-equivalent to the
 //    in-process ReconfigureStream call;
 //  - a budget, duration, plan interval or start time that is not finite,
@@ -592,6 +593,34 @@ TEST_F(ServeTest, OverBudgetSessionRejectedWithCleanProtocolError) {
   // — admission is the planner's feasibility check, not a static cap.
   ASSERT_TRUE(client->SetSharedBudget(4.0 * session_cost).ok());
   EXPECT_TRUE(client->OpenSession(SpecForSeed(202)).ok());
+
+  ASSERT_TRUE(client->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
+}
+
+TEST_F(ServeTest, FirstSessionOverBudgetIsRejectedToo) {
+  // A fresh server prices its first session like every later one: a pooled
+  // budget below one session's all-cheapest cost admits nobody.
+  double session_cost = CheapestSessionCost();
+  ASSERT_GT(session_cost, 0.0);
+  ServerOptions opts = BaseServerOptions();
+  opts.shared_budget_core_s_per_video_s = 0.5 * session_cost;
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  auto client = Client::Connect((*server)->port());
+  ASSERT_TRUE(client.ok());
+  auto rejected = client->OpenSession(SpecForSeed(210));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+
+  // The refusal is counted, and the same connection keeps working.
+  auto metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_NE(metrics->find("\"sessions_accepted\": 0"), std::string::npos)
+      << *metrics;
+  EXPECT_NE(metrics->find("\"sessions_rejected\": 1"), std::string::npos)
+      << *metrics;
 
   ASSERT_TRUE(client->Drain().ok());
   EXPECT_TRUE((*server)->Wait().ok());

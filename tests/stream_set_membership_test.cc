@@ -11,6 +11,8 @@
 //    that boundary;
 //  - boundary discipline: add/remove of a live stream anywhere else is
 //    kFailedPrecondition and leaves the fleet undisturbed;
+//  - a newcomer is held to the fleet's lockstep cadence exactly as a
+//    stream of Create is;
 //  - CheapestFleetCostCoreSPerVideoS tracks membership — the admission
 //    threshold `sky serve` prices newcomers against.
 
@@ -250,6 +252,21 @@ TEST_F(MembershipTest, MembershipChangesRefusedOffBoundary) {
     EXPECT_TRUE(EngineResultsIdentical(*ref_results[v], *results[v]))
         << "stream " << v;
   }
+}
+
+TEST_F(MembershipTest, NewcomerMustShareTheLockstepCadence) {
+  StreamEngineJob misaligned = MakeJob(1, Days(3));
+  misaligned.options.plan_interval = Hours(3);
+  auto created = StreamSet::Create({MakeJob(0, Days(3)), misaligned},
+                                   StreamSetOptions{});
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+
+  auto set = StreamSet::Create({MakeJob(0, Days(3))}, StreamSetOptions{});
+  ASSERT_TRUE(set.ok());
+  auto slot = set->AddStream(misaligned);
+  EXPECT_EQ(slot.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(slot.status().message(), created.status().message());
+  EXPECT_EQ(set->num_streams(), 1u);
 }
 
 TEST_F(MembershipTest, CheapestFleetCostTracksMembership) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
@@ -13,51 +16,39 @@ namespace sky::dag {
 namespace {
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // the destructor runs every queued task before it joins
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReentrant) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-  pool.Wait();  // no pending work: returns immediately
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran.store(true); });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
+  std::future<void> ran = pool.SubmitWithFuture([] {});
+  EXPECT_EQ(ran.wait_for(std::chrono::seconds(10)), std::future_status::ready);
 }
 
 TEST(ThreadPoolTest, ParallelismActuallyHappens) {
   ThreadPool pool(4);
   std::atomic<int> concurrent{0};
   std::atomic<int> peak{0};
+  std::vector<std::future<void>> done;
   for (int i = 0; i < 16; ++i) {
-    pool.Submit([&] {
+    done.push_back(pool.SubmitWithFuture([&] {
       int now = concurrent.fetch_add(1) + 1;
       int prev = peak.load();
       while (now > prev && !peak.compare_exchange_weak(prev, now)) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       concurrent.fetch_sub(1);
-    });
+    }));
   }
-  pool.Wait();
+  for (std::future<void>& f : done) f.get();
   EXPECT_GE(peak.load(), 2);
 }
 
@@ -240,10 +231,12 @@ TEST(ThreadPoolTest, DestructorJoinsCleanly) {
   {
     ThreadPool pool(3);
     for (int i = 0; i < 10; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      pool.Submit([&counter] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        counter.fetch_add(1);
+      });
     }
-    pool.Wait();
-  }
+  }  // tasks still queued at destruction run before the join
   EXPECT_EQ(counter.load(), 10);
 }
 

@@ -31,7 +31,9 @@
 //   0  success
 //   1  any other runtime failure (includes an admission rejection)
 //   2  usage error (unknown flag/subcommand/workload, missing required flag,
-//      a number flag whose value is not wholly a finite number of its type)
+//      a number flag whose value is not wholly a finite number of its type,
+//      or a value the offline fit or the ingest run refuses, e.g.
+//      `--categories 0` or `--duration-days -1`)
 //   3  I/O failure (model file missing or unreadable, save failed)
 //   4  corrupt model file (bad magic/version/checksum/layout)
 //   5  model/workload mismatch (the file is fine, but trained for a
@@ -352,6 +354,14 @@ int Fail(const Status& status) {
   return ExitCodeFor(status);
 }
 
+/// Fail for a refusal of the offline fit or the ingest run itself: there
+/// kInvalidArgument names a flag value the run cannot use, a usage error,
+/// not a corrupt model.
+int FailRun(const Status& status) {
+  int code = Fail(status);
+  return status.code() == sky::StatusCode::kInvalidArgument ? 2 : code;
+}
+
 int HelpOut(const char* text) {
   std::printf("%s", text);
   return 0;
@@ -381,15 +391,16 @@ int RunOffline(const Flags& f) {
   opts.num_threads = f.threads;
   opts.seed = f.offline_seed;
 
-  std::printf("sky offline: fitting %s (%.1f-day horizon, %.0f s segments, "
-              "%zu categories, %d cores)...\n",
-              workload->name().c_str(), f.train_days, f.segment_seconds,
-              f.categories, f.cores);
   Status fit = sky.Fit(opts);
-  if (!fit.ok()) return Fail(fit);
+  if (!fit.ok()) return FailRun(fit);
 
   auto model = sky.model();
   if (!model.ok()) return Fail(model.status());
+  // Output only once the fit succeeded: a failure leaves stdout empty.
+  std::printf("sky offline: fitted %s (%.1f-day horizon, %.0f s segments, "
+              "%zu categories, %d cores)\n",
+              workload->name().c_str(), f.train_days, f.segment_seconds,
+              f.categories, f.cores);
   const auto& rt = (*model)->step_runtimes;
   std::printf("  filter configs %.2fs | placements %.2fs | categories %.2fs "
               "| forecast data %.2fs | training %.2fs\n",
@@ -436,7 +447,7 @@ int RunIngest(const Flags& f) {
   opts.seed = f.engine_seed;
 
   auto result = sky.Ingest(Days(schedule.start_days), opts);
-  if (!result.ok()) return Fail(result.status());
+  if (!result.ok()) return FailRun(result.status());
 
   // All output after the run succeeds: a failing invocation writes exactly
   // one line to stderr and nothing to stdout (the exit-code contract above).
