@@ -44,7 +44,7 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
 
     // MAE over the full recorded horizon (training + the 8 test days): the
     // 8-day-ahead windows need more history than the test window alone.
-    std::vector<size_t> full_seq = core::BuildTrainCategorySequence(
+    std::vector<uint8_t> full_seq = core::BuildTrainCategorySequence(
         workload, model->configs, model->categories, setup.segment_seconds,
         setup.test_start + setup.test_duration, /*seed=*/4242);
     std::string mae = "-";

@@ -28,8 +28,8 @@ int main() {
     std::printf("offline failed: %s\n", model.status().ToString().c_str());
     return 1;
   }
-  std::vector<size_t> train_seq = model->train_category_sequence;
-  std::vector<size_t> test_seq = core::BuildTrainCategorySequence(
+  std::vector<uint8_t> train_seq = model->train_category_sequence;
+  std::vector<uint8_t> test_seq = core::BuildTrainCategorySequence(
       covid, model->configs, model->categories, setup.segment_seconds,
       setup.test_start + setup.test_duration, /*seed=*/4242);
   test_seq.erase(test_seq.begin(),

@@ -31,15 +31,15 @@ namespace {
 using namespace sky;
 
 /// Same synthetic diurnal category sequence the training bench uses.
-std::vector<size_t> SyntheticCategories(double segment_seconds, double days,
-                                        size_t num_categories, uint64_t seed) {
+std::vector<uint8_t> SyntheticCategories(double segment_seconds, double days,
+                                         size_t num_categories, uint64_t seed) {
   Rng rng(seed);
   size_t n = static_cast<size_t>(Days(days) / segment_seconds);
-  std::vector<size_t> seq(n, 0);
+  std::vector<uint8_t> seq(n, 0);
   for (size_t i = 0; i < n; ++i) {
     double hour = HourOfDay(static_cast<double>(i) * segment_seconds);
     seq[i] = (hour > 8 && hour < 20) ? 1 : 0;
-    if (rng.Bernoulli(0.05)) seq[i] = num_categories - 1;
+    if (rng.Bernoulli(0.05)) seq[i] = static_cast<uint8_t>(num_categories - 1);
   }
   return seq;
 }
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   core::ForecasterOptions fopts;  // 2-day span, 8 splits -> 24-wide input
   fopts.train_options.epochs = 30;
   fopts.train_options.batch_size = 64;
-  std::vector<size_t> seq =
+  std::vector<uint8_t> seq =
       SyntheticCategories(kSegmentSeconds, 16.0, kNumCategories, 321);
   auto trained =
       core::Forecaster::Train(seq, kSegmentSeconds, kNumCategories, fopts);

@@ -34,17 +34,22 @@ trap 'rm -f "${SKY_SMOKE_MODEL}" "${SKY_SMOKE_CORRUPT}"
 ./sky ingest --model "${SKY_SMOKE_MODEL}" --workload ev --duration-days 0.25
 
 # expect_exit CODE cmd...: the command must fail with exactly CODE and keep
-# stdout empty (failures are one stderr line, never partial output).
+# stdout empty (failures are one stderr line, never partial output). With
+# EXPECT_STDERR set, that line must also contain it.
 expect_exit() {
   local want=$1; shift
-  local got=0 out
-  out=$("$@" 2>/dev/null) || got=$?
+  local got=0 out err="${SKY_SERVE_DIR}/expect_exit.stderr"
+  out=$("$@" 2>"${err}") || got=$?
   if [[ ${got} -ne ${want} ]]; then
     echo "expected exit ${want} from: $*  (got ${got})" >&2
     exit 1
   fi
   if [[ -n "${out}" ]]; then
     echo "expected empty stdout from: $*  (got: ${out})" >&2
+    exit 1
+  fi
+  if [[ -n "${EXPECT_STDERR:-}" ]] && ! grep -qF -- "${EXPECT_STDERR}" "${err}"; then
+    echo "expected stderr naming ${EXPECT_STDERR} from: $*  (got: $(cat "${err}"))" >&2
     exit 1
   fi
 }
@@ -98,7 +103,12 @@ expect_exit 2 ./sky offline --workload ev --train-days 1 --categories 0 \
 expect_exit 2 ./sky offline --workload ev --train-days 1 --plan-days 0 \
   --out "${SKY_SERVE_DIR}/refused.bin"
 expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --duration-days -1
-expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --cores 0
+# A zero planning budget is refused by the CLI, naming the flag; with cloud
+# credits the same core count runs.
+EXPECT_STDERR=--cores expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" \
+  --cores 0
+./sky ingest --model "${SKY_SMOKE_MODEL}" --workload ev --duration-days 0.25 \
+  --cores 0 --cloud-budget 5 >/dev/null
 expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --cloud-budget -5
 expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --start-days 1e300
 echo "sky CLI hygiene smoke passed"

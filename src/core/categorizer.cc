@@ -40,6 +40,7 @@ size_t ContentCategories::ClassifyPartial(size_t config_idx,
 ContentCategories ContentCategories::FromKMeans(ml::KMeansModel model) {
   ContentCategories c;
   c.backend_ = CategorizerBackend::kKMeans;
+  model.assignments = {};
   c.kmeans_ = std::move(model);
   return c;
 }

@@ -46,14 +46,17 @@ class ContentCategories {
 
   CategorizerBackend backend() const { return backend_; }
 
-  /// Builders (exposed for the Fig. 17 ablation and tests).
+  /// Builders (exposed for the Fig. 17 ablation and tests). FromKMeans
+  /// drops the fit's per-point assignments: nothing reads them after the
+  /// fit, and the model file does not store them.
   static ContentCategories FromKMeans(ml::KMeansModel model);
   static ContentCategories FromGmm(ml::GmmModel model);
 
   /// The fitted clustering behind the active backend, exposed for
   /// io::SaveOfflineModel: round-tripping through FromKMeans/FromGmm with
-  /// these values reproduces the categorizer bitwise. The inactive model is
-  /// default-empty (kKMeans never has a GMM and vice versa).
+  /// these values reproduces the categorizer bitwise. The k-means model
+  /// holds no assignments; the inactive model is default-empty (kKMeans
+  /// never has a GMM and vice versa).
   const ml::KMeansModel& kmeans_model() const { return kmeans_; }
   const std::optional<ml::GmmModel>& gmm_model() const { return gmm_; }
 

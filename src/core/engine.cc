@@ -436,12 +436,12 @@ Status IngestionEngine::Start(SimTime start_time) {
   // fit one, and its bootstrap may name only those categories.
   size_t num_c = model_->categories.NumCategories();
   size_t history_window = HistoryWindow(*model_, segs_per_interval);
-  const std::vector<size_t>& train_seq = model_->train_category_sequence;
+  const std::vector<uint8_t>& train_seq = model_->train_category_sequence;
   auto bootstrap = train_seq.end() - static_cast<ptrdiff_t>(std::min(
                                          history_window, train_seq.size()));
   if (num_c > kMaxCategories ||
       std::any_of(bootstrap, train_seq.end(),
-                  [num_c](size_t c) { return c >= num_c; })) {
+                  [num_c](uint8_t c) { return c >= num_c; })) {
     return Status::InvalidArgument(
         "offline model's categories do not fit the category history");
   }
@@ -477,8 +477,7 @@ Status IngestionEngine::Start(SimTime start_time) {
   // bootstrap shorter than the window lacks).
   s.history_window = history_window;
   s.history.assign(2 * history_window, 0);
-  std::transform(bootstrap, train_seq.end(), s.history.begin(),
-                 [](size_t c) { return static_cast<uint8_t>(c); });
+  std::copy(bootstrap, train_seq.end(), s.history.begin());
   s.history_len = static_cast<size_t>(train_seq.end() - bootstrap);
   s.history_pos = s.history_len;
 

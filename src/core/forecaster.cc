@@ -35,7 +35,7 @@ std::pair<size_t, size_t> SplitWindowFor(const ForecasterOptions& options,
 }  // namespace
 
 Result<ForecastDataset> BuildForecastDataset(
-    const std::vector<size_t>& category_sequence, double segment_seconds,
+    const std::vector<uint8_t>& category_sequence, double segment_seconds,
     size_t num_categories, const ForecasterOptions& options) {
   if (num_categories == 0) {
     return Status::InvalidArgument("num_categories must be positive");
@@ -60,56 +60,70 @@ Result<ForecastDataset> BuildForecastDataset(
         "category sequence shorter than one input+target window");
   }
 
-  size_t samples = 0;
-  for (size_t s = in_segs; s + out_segs <= category_sequence.size();
-       s += stride) {
-    ++samples;
-  }
+  size_t n = category_sequence.size();
+  size_t samples = (n - in_segs - out_segs) / stride + 1;
   ml::Matrix X(samples, options.input_splits * num_categories);
   ml::Matrix Y(samples, num_categories);
 
-  // Sample windows overlap almost entirely (stride << window), so scanning
-  // each window would touch the sequence O(samples * window) times — the
-  // dominant cost of the Table-3 "train forecast model" step. One prefix-sum
-  // pass makes every window histogram an O(|C|) subtraction instead. Counts
-  // are integers, exact in doubles, so the rows are bitwise identical to the
-  // scanned ones.
-  size_t n = category_sequence.size();
-  std::vector<uint32_t> prefix((n + 1) * num_categories, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t* prev = prefix.data() + i * num_categories;
-    uint32_t* next = prefix.data() + (i + 1) * num_categories;
-    for (size_t c = 0; c < num_categories; ++c) next[c] = prev[c];
-    if (category_sequence[i] < num_categories) {
-      ++next[category_sequence[i]];
-    }
-  }
-  // Normalized histogram of [begin, end) into `out`: the exact counts, then
-  // the normalization the engine's features use.
-  auto window_into = [&](size_t begin, size_t end, double* out) {
-    const uint32_t* lo = prefix.data() + begin * num_categories;
-    const uint32_t* hi = prefix.data() + end * num_categories;
-    for (size_t c = 0; c < num_categories; ++c) {
-      out[c] = static_cast<double>(hi[c] - lo[c]);
-    }
-    NormalizeHistogramInPlace(out, num_categories);
-  };
   // Row `row`: the features a forecaster computes from the first s segments
-  // as input, the histogram of the next out_segs as target. Histograms land
-  // straight in the pre-sized matrix rows.
-  for (size_t row = 0; row < samples; ++row) {
+  // as input, the histogram of the next out_segs as target. Sample windows
+  // overlap almost entirely (stride << window), so scanning each window
+  // would touch the sequence O(samples * window) times. Instead one pass
+  // records the running category counts at every window edge a row reads,
+  // and every window histogram is an O(|C|) subtraction of two of them.
+  // Counts are integers, exact in doubles, so the rows are bitwise the
+  // scanned ones.
+  auto for_each_window = [&](size_t row, auto&& visit) {
     size_t s = in_segs + row * stride;
     for (size_t split = 0; split < options.input_splits; ++split) {
       auto [begin, end] = SplitWindowFor(options, split, s, segment_seconds);
-      window_into(begin, end, X.RowPtr(row) + split * num_categories);
+      visit(begin, end, X.RowPtr(row) + split * num_categories);
     }
-    window_into(s, std::min(s + out_segs, n), Y.RowPtr(row));
+    visit(s, s + out_segs, Y.RowPtr(row));
+  };
+  std::vector<size_t> edges;
+  edges.reserve(samples * 2 * (options.input_splits + 1));
+  for (size_t row = 0; row < samples; ++row) {
+    for_each_window(row, [&](size_t begin, size_t end, double*) {
+      edges.push_back(begin);
+      edges.push_back(end);
+    });
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  // counts[e * |C| + c]: segments of category c before edges[e].
+  std::vector<uint32_t> counts(edges.size() * num_categories);
+  std::vector<uint32_t> running(num_categories, 0);
+  size_t i = 0;
+  for (size_t e = 0; e < edges.size(); ++e) {
+    for (; i < edges[e]; ++i) {
+      if (category_sequence[i] < num_categories) ++running[category_sequence[i]];
+    }
+    std::copy(running.begin(), running.end(),
+              counts.begin() + static_cast<ptrdiff_t>(e * num_categories));
+  }
+  auto counts_at = [&](size_t edge) {
+    size_t e = static_cast<size_t>(
+        std::lower_bound(edges.begin(), edges.end(), edge) - edges.begin());
+    return counts.data() + e * num_categories;
+  };
+  // Normalized histogram of [begin, end) into `out`: the exact counts, then
+  // the normalization the engine's features use.
+  for (size_t row = 0; row < samples; ++row) {
+    for_each_window(row, [&](size_t begin, size_t end, double* out) {
+      const uint32_t* lo = counts_at(begin);
+      const uint32_t* hi = counts_at(end);
+      for (size_t c = 0; c < num_categories; ++c) {
+        out[c] = static_cast<double>(hi[c] - lo[c]);
+      }
+      NormalizeHistogramInPlace(out, num_categories);
+    });
   }
   return ForecastDataset{std::move(X), std::move(Y)};
 }
 
 Result<Forecaster> Forecaster::Train(
-    const std::vector<size_t>& category_sequence, double segment_seconds,
+    const std::vector<uint8_t>& category_sequence, double segment_seconds,
     size_t num_categories, const ForecasterOptions& options) {
   SKY_ASSIGN_OR_RETURN(
       ForecastDataset data,
@@ -174,7 +188,7 @@ void Forecaster::OnlineUpdate(const std::vector<double>& features,
 }
 
 Result<double> Forecaster::EvaluateMae(
-    const std::vector<size_t>& category_sequence,
+    const std::vector<uint8_t>& category_sequence,
     double segment_seconds) const {
   SKY_ASSIGN_OR_RETURN(ForecastDataset data,
                        BuildForecastDataset(category_sequence, segment_seconds,

@@ -32,13 +32,16 @@ struct ForecastDataset {
 };
 
 /// Builds supervised (history histograms -> future histogram) pairs from a
-/// per-segment category sequence (Appendix H). Each input row is the model
-/// input a Forecaster with these options computes from the history before
-/// the row's target window: the same split windows (Forecaster::SplitWindow)
-/// and the same normalization. Fails if the geometry has no split or the
-/// sequence is too short to produce a single sample.
+/// per-segment category sequence (Appendix H), one category per byte;
+/// categories at or above `num_categories` are counted nowhere. Each input
+/// row is the model input a Forecaster with these options computes from the
+/// history before the row's target window: the same split windows
+/// (Forecaster::SplitWindow) and the same normalization. Rows start every
+/// training stride and stop at the last whole target window. Fails if the
+/// geometry has no split or the sequence is too short to produce a single
+/// sample.
 Result<ForecastDataset> BuildForecastDataset(
-    const std::vector<size_t>& category_sequence, double segment_seconds,
+    const std::vector<uint8_t>& category_sequence, double segment_seconds,
     size_t num_categories, const ForecasterOptions& options);
 
 /// The forecasting model F of §3.3: a feed-forward network (Appendix K:
@@ -49,7 +52,7 @@ class Forecaster {
  public:
   /// Trains the model on a category sequence from the unlabeled data, on
   /// the calling thread.
-  static Result<Forecaster> Train(const std::vector<size_t>& category_sequence,
+  static Result<Forecaster> Train(const std::vector<uint8_t>& category_sequence,
                                   double segment_seconds,
                                   size_t num_categories,
                                   const ForecasterOptions& options);
@@ -90,7 +93,7 @@ class Forecaster {
 
   /// Mean absolute error of the model's forecasts over a held-out category
   /// sequence, averaged element-wise like §5.6.
-  Result<double> EvaluateMae(const std::vector<size_t>& category_sequence,
+  Result<double> EvaluateMae(const std::vector<uint8_t>& category_sequence,
                              double segment_seconds) const;
 
   size_t num_categories() const { return num_categories_; }

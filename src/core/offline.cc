@@ -58,14 +58,14 @@ bool SameBits(const std::vector<std::vector<double>>& a,
 
 }  // namespace
 
-std::vector<size_t> BuildTrainCategorySequence(
+std::vector<uint8_t> BuildTrainCategorySequence(
     const Workload& workload, const std::vector<KnobConfig>& configs,
     const ContentCategories& categories, double segment_seconds,
     SimTime horizon, uint64_t seed, dag::ThreadPool* pool) {
   size_t discriminator = PickDiscriminatorConfig(categories);
   Rng rng = Rng(seed).Fork("train-seq");
   int64_t segments = static_cast<int64_t>(horizon / segment_seconds);
-  std::vector<size_t> sequence(static_cast<size_t>(segments));
+  std::vector<uint8_t> sequence(static_cast<size_t>(segments));
   const video::ContentProcess& content = workload.content_process();
   // The dominant offline step (Table 3): classify every training segment.
   // One forked RNG per fixed-size chunk keeps the sequence identical for any
@@ -78,7 +78,8 @@ std::vector<size_t> BuildTrainCategorySequence(
           double t = (static_cast<double>(i) + 0.5) * segment_seconds;
           double quality = workload.MeasuredQuality(configs[discriminator],
                                                     content.At(t), &chunk_rng);
-          sequence[i] = categories.ClassifyPartial(discriminator, quality);
+          sequence[i] = static_cast<uint8_t>(
+              categories.ClassifyPartial(discriminator, quality));
         }
       });
   return sequence;
@@ -115,8 +116,7 @@ bool OfflineModelsIdentical(const OfflineModel& a, const OfflineModel& b) {
   if (a.categories.backend() != b.categories.backend()) return false;
   const ml::KMeansModel& ka = a.categories.kmeans_model();
   const ml::KMeansModel& kb = b.categories.kmeans_model();
-  if (!SameBits(ka.centers, kb.centers) || ka.assignments != kb.assignments ||
-      !SameBits(ka.inertia, kb.inertia)) {
+  if (!SameBits(ka.centers, kb.centers) || !SameBits(ka.inertia, kb.inertia)) {
     return false;
   }
   const std::optional<ml::GmmModel>& ga = a.categories.gmm_model();

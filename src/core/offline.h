@@ -1,6 +1,7 @@
 #ifndef SKYSCRAPER_CORE_OFFLINE_H_
 #define SKYSCRAPER_CORE_OFFLINE_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,9 +36,10 @@ struct OfflineModel {
   std::vector<ConfigProfile> profiles;
   ContentCategories categories;
   std::optional<Forecaster> forecaster;
-  /// Per-segment category sequence over the training horizon (Appendix H):
-  /// bootstraps the online forecaster history.
-  std::vector<size_t> train_category_sequence;
+  /// Per-segment category sequence over the training horizon (Appendix H),
+  /// one byte per segment (a model holds at most kMaxCategories
+  /// categories): bootstraps the online forecaster history.
+  std::vector<uint8_t> train_category_sequence;
   double segment_seconds = 2.0;
   SimTime train_horizon = Days(16);
   OfflineStepRuntimes step_runtimes;
@@ -79,18 +81,20 @@ Result<OfflineModel> RunOfflinePhase(const Workload& workload,
 /// Classifies every training segment with the cheapest configuration's
 /// measured quality (Appendix H: the unlabeled data is processed with k- and
 /// categorized through the switcher's standard partial classification).
-std::vector<size_t> BuildTrainCategorySequence(
+/// `categories` must hold at most kMaxCategories categories, so that each
+/// fits the sequence's byte (RunOfflinePhase refuses more).
+std::vector<uint8_t> BuildTrainCategorySequence(
     const Workload& workload, const std::vector<KnobConfig>& configs,
     const ContentCategories& categories, double segment_seconds,
     SimTime horizon, uint64_t seed, dag::ThreadPool* pool = nullptr);
 
 /// True when two offline models are bit-identical on every deterministic
-/// field: configs, full placement profiles, the clustering (k-means centers,
-/// assignments and inertia, or the GMM's means, variances, weights and
-/// log-likelihood), the training sequence, and the trained forecaster's
-/// network parameters (only the step runtimes are excluded — wall times
-/// always differ). The forecaster trains on the calling thread, so its
-/// weights never see the pool and the comparison can afford to be bitwise.
+/// field: configs, full placement profiles, the clustering (k-means centers
+/// and inertia, or the GMM's means, variances, weights and log-likelihood),
+/// the training sequence, and the trained forecaster's network parameters
+/// (only the step runtimes are excluded — wall times always differ). The
+/// forecaster trains on the calling thread, so its weights never see the
+/// pool and the comparison can afford to be bitwise.
 /// The contract behind OfflineOptions::num_threads, shared by
 /// tests/offline_determinism_test.cc and bench_table3_offline_runtime.
 bool OfflineModelsIdentical(const OfflineModel& a, const OfflineModel& b);

@@ -1,8 +1,6 @@
 #include "io/atomic_file.h"
 
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -66,15 +64,23 @@ Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
 
 Result<std::string> ReadFileBytes(const std::string& path,
                                   const std::string& what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
     return Status::NotFound("cannot open " + what + " " + path);
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("error reading " + what + " " + path);
+  // Sized from the end offset, then read in one call; a file that changes
+  // size under the read is an error, not a silent truncation.
+  std::string bytes;
+  long size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  bool ok = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
+  if (ok) {
+    bytes.resize(static_cast<size_t>(size));
+    ok = std::fread(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
+         std::fgetc(f) == EOF && !std::ferror(f);
   }
+  std::fclose(f);
+  if (!ok) return Status::Internal("error reading " + what + " " + path);
   return bytes;
 }
 

@@ -19,9 +19,11 @@ namespace sky::io {
 /// permission), kInternal for write/flush/rename failures.
 Status AtomicWriteFile(const std::string& path, const std::string& bytes);
 
-/// Reads the whole file at `path`. kNotFound when it cannot be opened,
-/// kInternal on a read error; `what` names the file in both messages
-/// ("model file", "checkpoint file", ...).
+/// Reads the whole file at `path` in one read sized from its length.
+/// kNotFound when it cannot be opened, kInternal on a read error (a path
+/// that cannot be sized, such as a pipe, or a file whose length changes
+/// under the read); `what` names the file in both messages ("model file",
+/// "checkpoint file", ...).
 Result<std::string> ReadFileBytes(const std::string& path,
                                   const std::string& what);
 

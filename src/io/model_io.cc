@@ -1,5 +1,6 @@
 #include "io/model_io.h"
 
+#include <algorithm>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@ using wire::PutChunk;
 using wire::PutF64;
 using wire::PutF64Rows;
 using wire::PutF64Vec;
+using wire::PutRaw;
 using wire::PutString;
 using wire::PutU32;
 using wire::PutU64;
@@ -131,7 +133,6 @@ Result<std::string> CategoriesPayload(const core::OfflineModel& model) {
   if (model.categories.backend() == core::CategorizerBackend::kKMeans) {
     const ml::KMeansModel& km = model.categories.kmeans_model();
     SKY_RETURN_NOT_OK(PutF64Rows(&p, km.centers));
-    PutU64Vec(&p, km.assignments);
     PutF64(&p, km.inertia);
   } else {
     if (!model.categories.gmm_model().has_value()) {
@@ -158,7 +159,6 @@ Status ParseCategories(Cursor* c, core::OfflineModel* model) {
   if (backend == static_cast<uint32_t>(core::CategorizerBackend::kKMeans)) {
     ml::KMeansModel km;
     SKY_RETURN_NOT_OK(c->ReadF64Rows(&km.centers));
-    SKY_RETURN_NOT_OK(c->ReadU64Vec(&km.assignments));
     SKY_RETURN_NOT_OK(c->ReadF64(&km.inertia));
     if (km.centers.size() > core::kMaxCategories) return TooManyCategories();
     model->categories = core::ContentCategories::FromKMeans(std::move(km));
@@ -182,6 +182,22 @@ Status ParseCategories(Cursor* c, core::OfflineModel* model) {
     return Status::Ok();
   }
   return Status::InvalidArgument("unknown categorizer backend in model file");
+}
+
+std::string TrainSeqPayload(const core::OfflineModel& model) {
+  std::string p;
+  const std::vector<uint8_t>& seq = model.train_category_sequence;
+  PutU64(&p, seq.size());
+  if (!seq.empty()) PutRaw(&p, seq.data(), seq.size());
+  return p;
+}
+
+Status ParseTrainSeq(Cursor* c, core::OfflineModel* model) {
+  uint64_t n = 0;
+  SKY_RETURN_NOT_OK(c->ReadCount(1, &n));
+  model->train_category_sequence.resize(n);
+  return n > 0 ? c->Read(model->train_category_sequence.data(), n)
+               : Status::Ok();
 }
 
 std::string RuntimesPayload(const core::OfflineModel& model) {
@@ -210,7 +226,7 @@ struct ModelFile {
   std::string annotation;
 };
 
-/// The v1 chunk table: every chunk appears exactly once.
+/// The v2 chunk table: every chunk appears exactly once.
 struct ModelChunk {
   const char* tag;
   Status (*parse)(Cursor* c, ModelFile* file);
@@ -228,9 +244,7 @@ const ModelChunk kModelChunks[] = {
     {kChunkCategories,
      [](Cursor* c, ModelFile* f) { return ParseCategories(c, &f->model); }},
     {kChunkTrainSeq,
-     [](Cursor* c, ModelFile* f) {
-       return c->ReadU64Vec(&f->model.train_category_sequence);
-     }},
+     [](Cursor* c, ModelFile* f) { return ParseTrainSeq(c, &f->model); }},
     {kChunkForecaster,
      [](Cursor* c, ModelFile* f) {
        return wire::ParseForecaster(c, &f->model.forecaster);
@@ -255,11 +269,7 @@ Status SerializeOfflineModel(const core::OfflineModel& model,
   PutChunk(out, kChunkProfiles, ProfilesPayload(model));
   SKY_ASSIGN_OR_RETURN(std::string categories, CategoriesPayload(model));
   PutChunk(out, kChunkCategories, categories);
-  {
-    std::string p;
-    PutU64Vec(&p, model.train_category_sequence);
-    PutChunk(out, kChunkTrainSeq, p);
-  }
+  PutChunk(out, kChunkTrainSeq, TrainSeqPayload(model));
   {
     std::string p;
     wire::AppendForecaster(model.forecaster, &p);
@@ -303,6 +313,15 @@ Result<core::OfflineModel> DeserializeOfflineModel(const std::string& bytes,
       m.categories.NumConfigs() != m.configs.size()) {
     return Status::InvalidArgument(
         "model file chunks disagree on the configuration count");
+  }
+  // The engine bootstraps its category history from the sequence's tail.
+  const size_t num_c = m.categories.NumCategories();
+  if (std::any_of(m.train_category_sequence.begin(),
+                  m.train_category_sequence.end(),
+                  [num_c](uint8_t c) { return c >= num_c; })) {
+    return Status::InvalidArgument(
+        "model file's training sequence names a category its clustering "
+        "does not have");
   }
   if (annotation != nullptr) *annotation = std::move(file.annotation);
   return std::move(file.model);

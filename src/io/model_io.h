@@ -13,7 +13,7 @@ namespace sky::io {
 /// it reads — see docs/model_format.md for the versioning policy). Bump on
 /// any layout change; readers reject files whose version they do not know
 /// rather than guessing at the layout.
-inline constexpr uint32_t kModelFormatVersion = 1;
+inline constexpr uint32_t kModelFormatVersion = 2;
 
 /// Serializes a trained OfflineModel into the tagged chunked binary format
 /// described in docs/model_format.md: a 16-byte header (magic, version,
@@ -32,9 +32,11 @@ Status SerializeOfflineModel(const core::OfflineModel& model,
                              const std::string& annotation, std::string* out);
 
 /// Parses a serialized model, verifying the magic, version, endianness,
-/// chunk structure, and checksum. Corrupted, truncated, or wrong-version
-/// input yields an error Status — never a crash and never a partially
-/// filled model. A non-null `annotation` receives the stored annotation.
+/// chunk structure, and checksum, then that the chunks agree on the
+/// configuration count and that the training sequence names only the
+/// clustering's categories. Corrupted, truncated, or wrong-version input
+/// yields an error Status — never a crash and never a partially filled
+/// model. A non-null `annotation` receives the stored annotation.
 Result<core::OfflineModel> DeserializeOfflineModel(
     const std::string& bytes, std::string* annotation = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 #include <sstream>
 
 namespace sky {
@@ -30,6 +31,11 @@ int64_t Rng::Poisson(double mean) {
         engine_);
     return 0;
   }
+  // For a mean of 12 or more, libstdc++'s Poisson sampler calls lgamma,
+  // which writes libm's global signgam: draws on separate Rngs must not run
+  // it at once.
+  static std::mutex lgamma_mutex;
+  std::lock_guard<std::mutex> lock(lgamma_mutex);
   std::poisson_distribution<int64_t> dist(mean);
   return dist(engine_);
 }

@@ -28,7 +28,8 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  /// Poisson with the given mean; 0 when the mean is not positive.
+  /// Poisson with the given mean; 0 when the mean is not positive. Draws on
+  /// separate Rngs may run on several threads at once.
   int64_t Poisson(double mean);
 
   /// Bernoulli trial.

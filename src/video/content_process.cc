@@ -11,6 +11,10 @@ namespace sky::video {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+constexpr double kDaySeconds = 86400.0;
+/// How far before t an event that still covers t may start: events last at
+/// most 140 s.
+constexpr double kEventLookBack = 150.0;
 
 double Gaussian(double x, double mu, double sigma) {
   double d = (x - mu) / sigma;
@@ -27,60 +31,32 @@ SmoothNoise::SmoothNoise(double amplitude, double knot_spacing_s,
       spacing_(knot_spacing_s),
       seed_(seed),
       num_knots_(static_cast<size_t>(horizon / knot_spacing_s) + 2),
-      blocks_(new std::atomic<double*>[num_blocks()]()) {}
-
-SmoothNoise::SmoothNoise(const SmoothNoise& other)
-    : amplitude_(other.amplitude_),
-      spacing_(other.spacing_),
-      seed_(other.seed_),
-      num_knots_(other.num_knots_),
-      blocks_(new std::atomic<double*>[num_blocks()]()) {
-  for (size_t b = 0; b < num_blocks(); ++b) {
-    const double* src = other.blocks_[b].load(std::memory_order_acquire);
-    if (src == nullptr) continue;
-    size_t n = std::min(kBlockKnots, num_knots_ - b * kBlockKnots);
-    double* copy = new double[n];
-    std::copy(src, src + n, copy);
-    blocks_[b].store(copy, std::memory_order_relaxed);
-  }
-}
-
-SmoothNoise::~SmoothNoise() {
-  for (size_t b = 0; b < num_blocks(); ++b) {
-    delete[] blocks_[b].load(std::memory_order_relaxed);
-  }
-}
+      blocks_((num_knots_ + kBlockKnots - 1) / kBlockKnots) {}
 
 void SmoothNoise::DrawBlocks(size_t first, size_t last) const {
   std::optional<Rng> rng;
   size_t drawn = 0;  // outputs the generator has produced
   for (size_t b = first; b <= last; ++b) {
-    if (blocks_[b].load(std::memory_order_acquire) != nullptr) continue;
+    if (blocks_.Get(b) != nullptr) continue;
     if (!rng.has_value()) rng.emplace(seed_);
     size_t begin = b * kBlockKnots;
     size_t n = std::min(kBlockKnots, num_knots_ - begin);
     // One engine output per Uniform(): knot i is output i of the stream.
     rng->engine().discard(begin - drawn);
-    std::unique_ptr<double[]> block(new double[n]);
-    for (size_t i = 0; i < n; ++i) block[i] = rng->Uniform(-1.0, 1.0);
+    auto block = std::make_unique<KnotBlock>(n);
+    for (double& knot : *block) knot = rng->Uniform(-1.0, 1.0);
     drawn = begin + n;
-    // A thread that loses the race frees its copy: both drew the same bits.
-    double* expected = nullptr;
-    if (blocks_[b].compare_exchange_strong(expected, block.get(),
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-      block.release();
-    }
+    blocks_.Publish(b, std::move(block));
   }
 }
 
 const double* SmoothNoise::Block(size_t b) const {
-  const double* block = blocks_[b].load(std::memory_order_acquire);
+  const KnotBlock* block = blocks_.Get(b);
   if (block == nullptr) {
     DrawBlocks(b, b);
-    block = blocks_[b].load(std::memory_order_acquire);
+    block = blocks_.Get(b);
   }
-  return block;
+  return block->data();
 }
 
 double SmoothNoise::At(SimTime t) const {
@@ -113,14 +89,6 @@ void SmoothNoise::Materialize(SimTime begin, SimTime end) const {
              static_cast<size_t>(hi) / kBlockKnots);
 }
 
-size_t SmoothNoise::built_blocks() const {
-  size_t built = 0;
-  for (size_t b = 0; b < num_blocks(); ++b) {
-    if (blocks_[b].load(std::memory_order_acquire) != nullptr) ++built;
-  }
-  return built;
-}
-
 double DiurnalContentProcess::BaseDensity(Profile profile,
                                           double hour_of_day) {
   switch (profile) {
@@ -149,45 +117,82 @@ DiurnalContentProcess::DiurnalContentProcess(const Options& options)
       // drift the recent past says nothing about (the source of the
       // Fig. 14 / Table 5 horizon sweet spot).
       day_drift_(options.day_to_day_drift, 5.0 * 86400.0, options.horizon,
-                 options.seed ^ 0xD4) {
-  // Events: Poisson arrivals thinned by the base curve so that groups of
-  // pedestrians are more likely during busy hours.
-  Rng rng(options.seed ^ 0xE5);
-  double horizon_hours = options.horizon / 3600.0;
+                 options.seed ^ 0xD4),
+      event_days_(static_cast<size_t>(options.horizon / kDaySeconds) + 1) {}
+
+size_t DiurnalContentProcess::DayOf(SimTime t) const {
+  // t / kDaySeconds never rounds up to the next whole day: t is at least an
+  // ulp below it, which over 86400 is more than half the quotient's ulp.
+  double last = static_cast<double>(event_days_.size() - 1);
+  return static_cast<size_t>(std::min(std::max(0.0, t / kDaySeconds), last));
+}
+
+void DiurnalContentProcess::DrawEventDays(size_t first, size_t last) const {
+  bool missing = false;
+  for (size_t d = first; d <= last; ++d) {
+    missing = missing || event_days_.Get(d) == nullptr;
+  }
+  if (!missing) return;
+  // The whole horizon's pass: Poisson arrivals thinned by the base curve so
+  // that groups of pedestrians are more likely during busy hours. Every
+  // candidate is drawn; only the kept events of days [first, last] stay.
+  auto day_begin = [](size_t d) {
+    return static_cast<double>(d) * kDaySeconds;
+  };
+  std::vector<EventDay> days(last - first + 1);
+  Rng rng(options_.seed ^ 0xE5);
+  double horizon_hours = options_.horizon / 3600.0;
   int64_t candidates =
-      rng.Poisson(options.event_rate_per_hour * horizon_hours * 1.6);
+      rng.Poisson(options_.event_rate_per_hour * horizon_hours * 1.6);
   for (int64_t i = 0; i < candidates; ++i) {
-    SimTime start = rng.Uniform(0.0, options.horizon);
-    double base = BaseDensity(options.profile, HourOfDay(start));
+    SimTime start = rng.Uniform(0.0, options_.horizon);
+    double base = BaseDensity(options_.profile, HourOfDay(start));
     if (!rng.Bernoulli(0.15 + 0.85 * base)) continue;  // thinning
     Event e;
     e.start = start;
     e.duration_s = rng.Uniform(25.0, 140.0);
-    e.magnitude = options.event_magnitude * rng.Uniform(0.5, 1.0);
-    events_.push_back(e);
+    e.magnitude = options_.event_magnitude * rng.Uniform(0.5, 1.0);
+    for (size_t d = first; d <= last; ++d) {
+      if (start >= day_begin(d) - kEventLookBack && start < day_begin(d + 1)) {
+        days[d - first].push_back(e);
+      }
+    }
   }
-  std::sort(events_.begin(), events_.end(),
-            [](const Event& a, const Event& b) { return a.start < b.start; });
+  for (size_t d = first; d <= last; ++d) {
+    if (event_days_.Get(d) != nullptr) continue;
+    EventDay& day = days[d - first];
+    std::sort(day.begin(), day.end(), [](const Event& a, const Event& b) {
+      return a.start < b.start;
+    });
+    event_days_.Publish(d, std::make_unique<EventDay>(day.begin(), day.end()));
+  }
 }
 
 void DiurnalContentProcess::Materialize(SimTime begin, SimTime end) const {
-  // At() clamps t to the horizon before it reads the noise.
+  // At() clamps t to the horizon before it reads anything.
   begin = std::clamp(begin, 0.0, options_.horizon);
   end = std::clamp(end, 0.0, options_.horizon);
   for (const SmoothNoise* noise :
        {&fine_noise_, &slow_noise_, &occlusion_noise_, &day_drift_}) {
     noise->Materialize(begin, end);
   }
+  if (begin <= end) DrawEventDays(DayOf(begin), DayOf(end));
 }
 
 double DiurnalContentProcess::EventBoost(SimTime t) const {
+  size_t day = DayOf(t);
+  const EventDay* events = event_days_.Get(day);
+  if (events == nullptr) {
+    DrawEventDays(day, day);
+    events = event_days_.Get(day);
+  }
   // Binary search to the first event that could cover t (events are sorted
   // by start and last at most 140 s).
   double boost = 0.0;
   auto it = std::lower_bound(
-      events_.begin(), events_.end(), t - 150.0,
+      events->begin(), events->end(), t - kEventLookBack,
       [](const Event& e, double v) { return e.start < v; });
-  for (; it != events_.end() && it->start <= t; ++it) {
+  for (; it != events->end() && it->start <= t; ++it) {
     double rel = (t - it->start) / it->duration_s;
     if (rel < 0.0 || rel > 1.0) continue;
     // Smooth ramp up and down within the event window.

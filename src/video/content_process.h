@@ -52,23 +52,69 @@ class ContentProcess {
   }
 };
 
+/// A fixed number of blocks, each built on first use and published once by
+/// compare-exchange: a reader sees a block whole or not at all, and a thread
+/// that loses the race to publish frees its block (both built the same
+/// bits). A copy holds copies of the blocks built so far.
+template <typename Block>
+class PublishedBlocks {
+ public:
+  explicit PublishedBlocks(size_t n)
+      : n_(n), slots_(new std::atomic<Block*>[n]()) {}
+  PublishedBlocks(const PublishedBlocks& other) : PublishedBlocks(other.n_) {
+    for (size_t b = 0; b < n_; ++b) {
+      if (const Block* src = other.Get(b)) {
+        slots_[b].store(new Block(*src), std::memory_order_relaxed);
+      }
+    }
+  }
+  PublishedBlocks& operator=(const PublishedBlocks&) = delete;
+  ~PublishedBlocks() {
+    for (size_t b = 0; b < n_; ++b) {
+      delete slots_[b].load(std::memory_order_relaxed);
+    }
+  }
+
+  size_t size() const { return n_; }
+  /// Block b, or null until a thread publishes it.
+  const Block* Get(size_t b) const {
+    return slots_[b].load(std::memory_order_acquire);
+  }
+  /// Publishes `block` as block b unless another thread did first.
+  void Publish(size_t b, std::unique_ptr<Block> block) const {
+    Block* expected = nullptr;
+    if (slots_[b].compare_exchange_strong(expected, block.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      block.release();
+    }
+  }
+  /// Blocks published so far.
+  size_t built() const {
+    size_t built = 0;
+    for (size_t b = 0; b < n_; ++b) built += Get(b) != nullptr;
+    return built;
+  }
+
+ private:
+  size_t n_;
+  std::unique_ptr<std::atomic<Block*>[]> slots_;
+};
+
 /// Piecewise-smooth value noise: uniform knots every `knot_spacing` seconds,
 /// cosine-interpolated. Deterministic given the seed.
 ///
 /// Knots are drawn on first use, in blocks of kBlockKnots: knot i is always
 /// output i of the seed's mt19937_64 stream, so a block's bits do not depend
 /// on which blocks exist. At() may run on several threads at once; a block
-/// two threads build together is published once, by compare-exchange.
+/// two threads build together is published once. A copy holds copies of the
+/// blocks built so far.
 class SmoothNoise {
  public:
   static constexpr size_t kBlockKnots = 1024;
 
   SmoothNoise(double amplitude, double knot_spacing_s, SimTime horizon,
               uint64_t seed);
-  /// Copies the blocks `other` has built.
-  SmoothNoise(const SmoothNoise& other);
-  SmoothNoise& operator=(const SmoothNoise&) = delete;
-  ~SmoothNoise();
 
   /// The noise at t; t before the first knot or past the last reads that
   /// knot.
@@ -78,14 +124,15 @@ class SmoothNoise {
   /// begin > end or when begin lies past the last knot.
   void Materialize(SimTime begin, SimTime end) const;
   /// Blocks built so far.
-  size_t built_blocks() const;
+  size_t built_blocks() const { return blocks_.built(); }
 
  private:
-  size_t num_blocks() const {
-    return (num_knots_ + kBlockKnots - 1) / kBlockKnots;
-  }
+  /// Knots [b * kBlockKnots, (b + 1) * kBlockKnots), fewer in the last
+  /// block.
+  using KnotBlock = std::vector<double>;
+
   /// Draws the missing blocks in [first, last] in one generator pass and
-  /// publishes each unless another thread did first.
+  /// publishes each.
   void DrawBlocks(size_t first, size_t last) const;
   /// Block b, drawn first if missing.
   const double* Block(size_t b) const;
@@ -94,9 +141,7 @@ class SmoothNoise {
   double spacing_;
   uint64_t seed_;
   size_t num_knots_;
-  /// Block b holds knots [b * kBlockKnots, (b + 1) * kBlockKnots), or is
-  /// null until first use.
-  std::unique_ptr<std::atomic<double*>[]> blocks_;
+  PublishedBlocks<KnotBlock> blocks_;
 };
 
 /// Diurnal single-camera content (traffic intersection or shopping street):
@@ -104,6 +149,14 @@ class SmoothNoise {
 /// randomly timed short "events" (e.g. a group of pedestrians passing) whose
 /// exact timing is unpredictable — the source of Type-B switcher errors and
 /// of forecast smoothing (§5.6).
+///
+/// The whole horizon's events come from one pass of one Rng: a Poisson
+/// count of candidates, then per candidate a start, a thinning draw and,
+/// for a kept candidate, a duration and a magnitude. The schedule is stored
+/// in day-blocks, each built on first use (or by Materialize) by replaying
+/// that pass and keeping only its day's events, so a block's bits do not
+/// depend on which blocks exist, and a camera read for a few hours holds a
+/// day or two of events instead of the whole horizon's.
 class DiurnalContentProcess : public ContentProcess {
  public:
   enum class Profile {
@@ -126,7 +179,12 @@ class DiurnalContentProcess : public ContentProcess {
 
   ContentState At(SimTime t) const override;
   SimTime horizon() const override { return options_.horizon; }
+  /// Also builds every missing event day-block the range reads, in one
+  /// replay of the event pass.
   void Materialize(SimTime begin, SimTime end) const override;
+
+  /// Event day-blocks built so far.
+  size_t built_event_days() const { return event_days_.built(); }
 
   /// The deterministic time-of-day base density for a profile (no noise).
   static double BaseDensity(Profile profile, double hour_of_day);
@@ -137,7 +195,14 @@ class DiurnalContentProcess : public ContentProcess {
     double duration_s;
     double magnitude;
   };
+  using EventDay = std::vector<Event>;
 
+  /// The day-block that holds every event At(t) reads: day floor(t / 1 day),
+  /// clamped to [0, the horizon's day].
+  size_t DayOf(SimTime t) const;
+  /// Replays the event pass once and publishes every missing day-block in
+  /// [first, last]; returns at once when they all exist.
+  void DrawEventDays(size_t first, size_t last) const;
   double EventBoost(SimTime t) const;
 
   Options options_;
@@ -145,7 +210,9 @@ class DiurnalContentProcess : public ContentProcess {
   SmoothNoise slow_noise_;
   SmoothNoise occlusion_noise_;
   SmoothNoise day_drift_;  ///< very slow (daily) multiplicative drift
-  std::vector<Event> events_;
+  /// Day d holds, sorted by start, the events that start in
+  /// [d days - the event look-back, (d + 1) days).
+  PublishedBlocks<EventDay> event_days_;
 };
 
 /// Social-media stream-count content for the MOSEI workloads: a Twitch-like

@@ -43,11 +43,11 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace sky::core {
 namespace {
 
-std::vector<size_t> SyntheticCategories(double segment_seconds, double days,
-                                        uint64_t seed) {
+std::vector<uint8_t> SyntheticCategories(double segment_seconds, double days,
+                                         uint64_t seed) {
   Rng rng(seed);
   size_t n = static_cast<size_t>(Days(days) / segment_seconds);
-  std::vector<size_t> seq(n, 0);
+  std::vector<uint8_t> seq(n, 0);
   for (size_t i = 0; i < n; ++i) {
     double hour = HourOfDay(static_cast<double>(i) * segment_seconds);
     seq[i] = (hour > 8 && hour < 20) ? 1 : 0;
@@ -67,7 +67,7 @@ ForecasterOptions FastOptions() {
 }
 
 TEST(AllocSteadyStateTest, ForecasterPlanBoundaryPathsAllocateNothing) {
-  std::vector<size_t> seq = SyntheticCategories(60.0, 6, 21);
+  std::vector<uint8_t> seq = SyntheticCategories(60.0, 6, 21);
   auto trained = Forecaster::Train(seq, 60.0, 3, FastOptions());
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
   Forecaster forecaster = std::move(*trained);

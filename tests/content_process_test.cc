@@ -12,6 +12,7 @@
 
 #include "dag/thread_pool.h"
 #include "sim/scenarios.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -249,6 +250,97 @@ TEST(DiurnalTest, ContentVariesOnSwitcherTimescale) {
   EXPECT_GT(deltas.mean(), 0.01);
 }
 
+/// A 20-day EV-camera process, as the fleets' cameras are built.
+DiurnalContentProcess::Options EventOptions() {
+  DiurnalContentProcess::Options opts;
+  opts.horizon = Days(20);
+  opts.seed = 4004;
+  return opts;
+}
+
+/// Probe times over the 20-day horizon, shuffled: random instants, every
+/// midnight with the event look-back either side of it, the last
+/// representable instant before each midnight, and the horizon's ends.
+std::vector<double> EventProbes(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> ts = {-60.0, 0.0, Days(20), Days(21)};
+  for (int i = 0; i < 2000; ++i) ts.push_back(rng.Uniform(0.0, Days(20)));
+  for (int d = 1; d <= 20; ++d) {
+    for (int k = -30; k <= 30; ++k) ts.push_back(Days(d) + 7.3 * k);
+    ts.push_back(std::nextafter(Days(d), 0.0));
+  }
+  rng.Shuffle(&ts);
+  return ts;
+}
+
+size_t EventMismatches(const DiurnalContentProcess& process,
+                       const oracle::EagerDiurnalContentProcess& reference,
+                       const std::vector<double>& ts) {
+  size_t mismatches = 0;
+  for (double t : ts) mismatches += !SameBits(process.At(t), reference.At(t));
+  return mismatches;
+}
+
+TEST(DiurnalTest, LazyEventDaysEqualTheEagerScheduleBitwise) {
+  for (auto profile : {DiurnalContentProcess::Profile::kTrafficIntersection,
+                       DiurnalContentProcess::Profile::kShoppingStreet}) {
+    DiurnalContentProcess::Options opts = EventOptions();
+    opts.profile = profile;
+    const oracle::EagerDiurnalContentProcess reference(opts);
+    const std::vector<double> probes = EventProbes(17);
+
+    // Random instants in random order, each day built on its first read.
+    DiurnalContentProcess fresh(opts);
+    EXPECT_EQ(EventMismatches(fresh, reference, probes), 0u);
+    EXPECT_EQ(fresh.built_event_days(), 21u);
+
+    // Materialized over disjoint ranges first, in one replay each.
+    DiurnalContentProcess materialized(opts);
+    materialized.Materialize(Days(16), Days(16) + Hours(6) + Minutes(15));
+    materialized.Materialize(Days(3) - 100.0, Days(3) + 100.0);
+    materialized.Materialize(Days(9), Days(12));
+    EXPECT_EQ(materialized.built_event_days(), 1u + 2u + 4u);
+    EXPECT_EQ(EventMismatches(materialized, reference, probes), 0u);
+
+    // Copies: of a process with a few days built, and of a fresh one.
+    DiurnalContentProcess some(opts);
+    some.Materialize(Days(5), Days(6) + Hours(1));
+    DiurnalContentProcess copy_of_some(some);
+    EXPECT_EQ(copy_of_some.built_event_days(), 2u);
+    EXPECT_EQ(EventMismatches(copy_of_some, reference, probes), 0u);
+    const DiurnalContentProcess untouched(opts);
+    DiurnalContentProcess copy_of_fresh(untouched);
+    EXPECT_EQ(copy_of_fresh.built_event_days(), 0u);
+    EXPECT_EQ(EventMismatches(copy_of_fresh, reference, probes), 0u);
+  }
+}
+
+TEST(DiurnalTest, MaterializeBuildsOnlyTheEventDaysTheRangeReads) {
+  DiurnalContentProcess camera(EventOptions());
+  // Nothing is drawn at construction.
+  EXPECT_EQ(camera.built_event_days(), 0u);
+  // An engine's window: a 6-hour run from day 16 plus a 15-minute
+  // look-ahead reads day 16 only.
+  camera.Materialize(Days(16), Days(16) + Hours(6) + Minutes(15));
+  EXPECT_EQ(camera.built_event_days(), 1u);
+  camera.Materialize(Days(16) + Hours(1), Days(16) + Hours(2));
+  EXPECT_EQ(camera.built_event_days(), 1u);
+  // An empty range and a NaN build nothing; one across midnight builds the
+  // days on both sides.
+  camera.Materialize(Days(4), Days(3));
+  camera.Materialize(std::numeric_limits<double>::quiet_NaN(), Days(1));
+  EXPECT_EQ(camera.built_event_days(), 1u);
+  camera.Materialize(Days(8) - 1.0, Days(8) + 1.0);
+  EXPECT_EQ(camera.built_event_days(), 3u);
+  // A read outside every built day builds its own day.
+  camera.At(Days(12) + Hours(3));
+  EXPECT_EQ(camera.built_event_days(), 4u);
+  // The whole horizon: days 0..20, the last holding only the events that
+  // start in the look-back before the horizon.
+  camera.Materialize(-Days(1), Days(30));
+  EXPECT_EQ(camera.built_event_days(), 21u);
+}
+
 TEST(TwitchTest, HighSpikesReachMaxStreams) {
   TwitchContentProcess::Options opts;
   opts.spike_kind = TwitchContentProcess::SpikeKind::kHigh;
@@ -377,6 +469,30 @@ TEST(ContentProcessTest, ConcurrentFirstUseEqualsSerialReads) {
     }
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(ContentProcessTest, ConcurrentLazyEventDaysEqualTheEagerSchedule) {
+  // Four threads read one never-materialized camera at random instants,
+  // each in its own order, so several miss the same day-blocks at once and
+  // race to publish them; every state must equal the eager schedule's.
+  const DiurnalContentProcess shared(EventOptions());
+  const oracle::EagerDiurnalContentProcess reference(EventOptions());
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<double>> probes(kThreads);
+  std::vector<std::vector<ContentState>> states(kThreads);
+  for (size_t r = 0; r < kThreads; ++r) probes[r] = EventProbes(100 + r);
+  dag::ThreadPool pool(kThreads);
+  dag::ParallelFor(&pool, kThreads, [&](size_t r) {
+    for (double t : probes[r]) states[r].push_back(shared.At(t));
+  });
+  size_t mismatches = 0;
+  for (size_t r = 0; r < kThreads; ++r) {
+    for (size_t i = 0; i < probes[r].size(); ++i) {
+      mismatches += !SameBits(states[r][i], reference.At(probes[r][i]));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(shared.built_event_days(), 21u);
 }
 
 TEST(ContentProcessTest, HorizonClamps) {

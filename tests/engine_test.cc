@@ -268,7 +268,8 @@ TEST_F(EngineTest, StartRefusesABootstrapOutsideTheModelsCategories) {
   // |C|, so a bootstrap naming a category the model lacks is refused before
   // any state exists.
   OfflineModel model = *model_;
-  model.train_category_sequence.back() = model.categories.NumCategories();
+  model.train_category_sequence.back() =
+      static_cast<uint8_t>(model.categories.NumCategories());
   IngestionEngine engine(workload_, &model, cluster_, cost_model_,
                          BaseOptions());
   Status started = engine.Start(Days(6));

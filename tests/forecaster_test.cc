@@ -16,12 +16,12 @@ using oracle::CategoryHistogram;
 /// A synthetic category sequence with a deterministic diurnal structure:
 /// category 0 at "night", category 1 at "day", category 2 in randomly
 /// placed short bursts.
-std::vector<size_t> DiurnalCategories(double segment_seconds, double days,
-                                      uint64_t seed) {
+std::vector<uint8_t> DiurnalCategories(double segment_seconds, double days,
+                                       uint64_t seed) {
   Rng rng(seed);
   size_t per_day = static_cast<size_t>(Days(1) / segment_seconds);
   size_t n = static_cast<size_t>(days * per_day);
-  std::vector<size_t> seq(n, 0);
+  std::vector<uint8_t> seq(n, 0);
   for (size_t i = 0; i < n; ++i) {
     double hour = HourOfDay(i * segment_seconds);
     seq[i] = (hour > 8 && hour < 20) ? 1 : 0;
@@ -41,7 +41,7 @@ ForecasterOptions FastOptions() {
 }
 
 TEST(ForecastDatasetTest, ShapesAndNormalization) {
-  std::vector<size_t> seq = DiurnalCategories(60.0, 4, 1);
+  std::vector<uint8_t> seq = DiurnalCategories(60.0, 4, 1);
   ForecasterOptions opts = FastOptions();
   auto data = BuildForecastDataset(seq, 60.0, 3, opts);
   ASSERT_TRUE(data.ok());
@@ -58,7 +58,7 @@ TEST(ForecastDatasetTest, ShapesAndNormalization) {
 
 TEST(ForecastDatasetTest, RejectsTooShortSequences) {
   ForecasterOptions opts = FastOptions();
-  std::vector<size_t> tiny(10, 0);
+  std::vector<uint8_t> tiny(10, 0);
   EXPECT_FALSE(BuildForecastDataset(tiny, 60.0, 3, opts).ok());
   EXPECT_FALSE(BuildForecastDataset(tiny, 60.0, 0, opts).ok());
   EXPECT_FALSE(BuildForecastDataset(tiny, -1.0, 3, opts).ok());
@@ -67,7 +67,7 @@ TEST(ForecastDatasetTest, RejectsTooShortSequences) {
 TEST(ForecastDatasetTest, RefusesZeroSplits) {
   // The split length divides by the split count: zero must be refused
   // before the division, here and through training.
-  std::vector<size_t> seq = DiurnalCategories(60.0, 4, 1);
+  std::vector<uint8_t> seq = DiurnalCategories(60.0, 4, 1);
   ForecasterOptions opts = FastOptions();
   opts.input_splits = 0;
   EXPECT_EQ(BuildForecastDataset(seq, 60.0, 3, opts).status().code(),
@@ -77,7 +77,7 @@ TEST(ForecastDatasetTest, RefusesZeroSplits) {
 }
 
 TEST(CategoryHistogramTest, CountsAndNormalizes) {
-  std::vector<size_t> seq = {0, 0, 1, 2, 2, 2};
+  std::vector<uint8_t> seq = {0, 0, 1, 2, 2, 2};
   std::vector<double> h = CategoryHistogram(seq, 0, 6, 3);
   EXPECT_NEAR(h[0], 2.0 / 6, 1e-12);
   EXPECT_NEAR(h[2], 3.0 / 6, 1e-12);
@@ -87,7 +87,7 @@ TEST(CategoryHistogramTest, CountsAndNormalizes) {
 }
 
 TEST(ForecasterTest, LearnsStationaryDistribution) {
-  std::vector<size_t> seq = DiurnalCategories(60.0, 8, 2);
+  std::vector<uint8_t> seq = DiurnalCategories(60.0, 8, 2);
   ForecasterOptions opts = FastOptions();
   auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
@@ -104,8 +104,8 @@ TEST(ForecasterTest, LearnsStationaryDistribution) {
 }
 
 TEST(ForecasterTest, EvaluateMaeSmallOnHeldOutData) {
-  std::vector<size_t> train = DiurnalCategories(60.0, 8, 3);
-  std::vector<size_t> test = DiurnalCategories(60.0, 4, 99);
+  std::vector<uint8_t> train = DiurnalCategories(60.0, 8, 3);
+  std::vector<uint8_t> test = DiurnalCategories(60.0, 4, 99);
   ForecasterOptions opts = FastOptions();
   auto forecaster = Forecaster::Train(train, 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
@@ -115,7 +115,7 @@ TEST(ForecasterTest, EvaluateMaeSmallOnHeldOutData) {
 }
 
 TEST(ForecasterTest, FeaturesAreSplitHistograms) {
-  std::vector<size_t> seq(2880, 0);  // 2 days at 60 s, all category 0
+  std::vector<uint8_t> seq(2880, 0);  // 2 days at 60 s, all category 0
   ForecasterOptions opts = FastOptions();
   auto forecaster = Forecaster::Train(DiurnalCategories(60.0, 6, 4), 60.0, 3,
                                       opts);
@@ -132,47 +132,52 @@ TEST(ForecasterTest, FeaturesAreSplitHistograms) {
 TEST(ForecastDatasetTest, InputRowsAreTheFeaturesOfTheirHistory) {
   // The net trains on what the engine feeds it: each input row must be
   // bitwise the model input a forecaster computes from the history before
-  // the row's target window. Seven splits of a 1440-segment span leave a
-  // remainder, so the last split's longer window is covered too.
-  std::vector<size_t> seq = DiurnalCategories(60.0, 4, 14);
-  ForecasterOptions opts = FastOptions();
-  opts.input_splits = 7;
-  opts.train_options.epochs = 1;
-  auto data = BuildForecastDataset(seq, 60.0, 3, opts);
-  ASSERT_TRUE(data.ok());
-  auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
-  ASSERT_TRUE(forecaster.ok());
-  size_t in_segs = static_cast<size_t>(opts.input_span / 60.0);
-  size_t stride = static_cast<size_t>(opts.training_stride / 60.0);
-  ASSERT_NE(in_segs % opts.input_splits, 0u);
-  std::vector<double> features;
-  for (size_t row = 0; row < data->inputs.rows(); ++row) {
-    size_t s = in_segs + row * stride;
-    std::vector<size_t> history(seq.begin(), seq.begin() + s);
-    oracle::FeaturesFromHistoryInto(*forecaster, history, 60.0, &features);
-    ASSERT_EQ(data->inputs.Row(row), features) << "row " << row;
-  }
-}
-
-TEST(ForecastDatasetTest, PrefixWindowsMatchScannedHistograms) {
-  // BuildForecastDataset emits prefix-sum window histograms; they must be
-  // bit-identical to scanning each window with the reference histogram.
-  std::vector<size_t> seq = DiurnalCategories(60.0, 4, 13);
-  ForecasterOptions opts = FastOptions();
-  auto data = BuildForecastDataset(seq, 60.0, 3, opts);
-  ASSERT_TRUE(data.ok());
-  size_t in_segs = static_cast<size_t>(opts.input_span / 60.0);
-  size_t out_segs = static_cast<size_t>(opts.planned_interval / 60.0);
-  size_t stride = static_cast<size_t>(opts.training_stride / 60.0);
-  for (size_t row = 0; row < data->targets.rows(); row += 7) {
-    size_t s = in_segs + row * stride;
-    std::vector<double> target = CategoryHistogram(seq, s, s + out_segs, 3);
-    EXPECT_EQ(data->targets.Row(row), target) << "row " << row;
+  // the row's target window, and each target row the scanned histogram of
+  // that window. Seven splits of a 1440-segment span leave a remainder, so
+  // the last split's longer window is covered too; neither stride divides
+  // the 205-segment split; and a sequence 17 segments past the last whole
+  // target window ends with a target window cut short, which yields no row.
+  for (double stride_minutes : {30.0, 7.0}) {
+    for (size_t tail : {size_t{0}, size_t{17}}) {
+      std::vector<uint8_t> seq = DiurnalCategories(60.0, 4, 14);
+      seq.resize(seq.size() + tail, 2);
+      ForecasterOptions opts = FastOptions();
+      opts.input_splits = 7;
+      opts.training_stride = Minutes(stride_minutes);
+      opts.train_options.epochs = 1;
+      SCOPED_TRACE(testing::Message() << "stride " << stride_minutes
+                                      << " min, tail " << tail);
+      auto data = BuildForecastDataset(seq, 60.0, 3, opts);
+      ASSERT_TRUE(data.ok());
+      auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
+      ASSERT_TRUE(forecaster.ok());
+      size_t in_segs = static_cast<size_t>(opts.input_span / 60.0);
+      size_t out_segs = static_cast<size_t>(opts.planned_interval / 60.0);
+      size_t stride = static_cast<size_t>(opts.training_stride / 60.0);
+      ASSERT_NE(in_segs % opts.input_splits, 0u);
+      ASSERT_NE((in_segs / opts.input_splits) % stride, 0u);
+      // The rows stop at the last whole target window.
+      size_t rows = data->inputs.rows();
+      ASSERT_EQ(data->targets.rows(), rows);
+      EXPECT_LE(in_segs + (rows - 1) * stride + out_segs, seq.size());
+      EXPECT_GT(in_segs + rows * stride + out_segs, seq.size());
+      std::vector<double> features;
+      for (size_t row = 0; row < rows; ++row) {
+        size_t s = in_segs + row * stride;
+        std::vector<uint8_t> history(seq.begin(), seq.begin() + s);
+        oracle::FeaturesFromHistoryInto(*forecaster, history, 60.0,
+                                        &features);
+        ASSERT_EQ(data->inputs.Row(row), features) << "row " << row;
+        ASSERT_EQ(data->targets.Row(row),
+                  CategoryHistogram(seq, s, s + out_segs, 3))
+            << "row " << row;
+      }
+    }
   }
 }
 
 TEST(ForecasterTest, ForecastIntoMatchesTheReferenceForwardBitwise) {
-  std::vector<size_t> seq = DiurnalCategories(60.0, 6, 8);
+  std::vector<uint8_t> seq = DiurnalCategories(60.0, 6, 8);
   ForecasterOptions opts = FastOptions();
   auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
@@ -189,7 +194,7 @@ TEST(ForecasterTest, ForecastIntoMatchesTheReferenceForwardBitwise) {
 }
 
 TEST(ForecasterTest, OnlineUpdateShiftsForecast) {
-  std::vector<size_t> seq = DiurnalCategories(60.0, 6, 5);
+  std::vector<uint8_t> seq = DiurnalCategories(60.0, 6, 5);
   ForecasterOptions opts = FastOptions();
   auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());

@@ -3,17 +3,18 @@
 //
 //  1. a save/load round trip reproduces the OfflineModel bitwise
 //     (core::OfflineModelsIdentical, which compares configs, full placement
-//     profiles, the clustering's centers, assignments and inertia (or the
-//     GMM's means, variances, weights and log-likelihood), the training
-//     sequence, and the trained forecaster's parameters);
+//     profiles, the clustering's centers and inertia (or the GMM's means,
+//     variances, weights and log-likelihood), the training sequence, and
+//     the trained forecaster's parameters);
 //  2. ingestion from a loaded model is bitwise-equal to ingestion from the
 //     in-memory model on every EngineResult field including the trace —
 //     which also gates that the forecaster's Adam optimizer state survives
 //     the round trip (online fine-tuning at plan boundaries would diverge
 //     otherwise);
-//  3. corrupted / truncated / wrong-version / wrong-magic files fail with
-//     an error Status — no crashes, and a failed facade LoadModel leaves
-//     the previous model untouched;
+//  3. corrupted / truncated / wrong-version / wrong-magic files, a v1 file
+//     and checksum-valid files whose chunks disagree fail with an error
+//     Status — no crashes, and a failed facade LoadModel leaves the
+//     previous model untouched;
 //  4. facade precondition paths: SaveModel without a model, LoadModel as a
 //     full substitute for Fit().
 
@@ -27,11 +28,13 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "api/skyscraper.h"
 #include "core/engine.h"
-#include "io/atomic_file.h"
 #include "core/offline.h"
+#include "io/atomic_file.h"
+#include "io/wire.h"
 #include "workloads/ev_counting.h"
 
 namespace sky::io {
@@ -145,7 +148,9 @@ TEST(ModelIoTest, RejectsWrongVersion) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find(
-                "version 2 (this build reads version 1)"),
+                "version " + std::to_string(kModelFormatVersion + 1) +
+                " (this build reads version " +
+                std::to_string(kModelFormatVersion) + ")"),
             std::string::npos)
       << loaded.status().ToString();
 }
@@ -217,6 +222,78 @@ std::string WithRebuiltChecksum(std::string bytes) {
   bytes.append(reinterpret_cast<const char*>(&payload_size), 8);
   bytes.append(reinterpret_cast<const char*>(&checksum), 8);
   return bytes;
+}
+
+/// The fitted model in the v1 layout, checksum included: TSEQ held u64
+/// ids, and CATG held the k-means assignments (u64 count + u64 ids) between
+/// the centers and the inertia.
+std::string Version1File() {
+  std::string v2 = Serialized();
+  std::string v1;
+  wire::BeginContainer({"SKYMODL1", 1, "model file"}, &v1);
+  for (size_t pos = 16; pos + 12 <= v2.size();) {
+    const std::string tag = v2.substr(pos, 4);
+    uint64_t size = 0;
+    std::memcpy(&size, v2.data() + pos + 4, 8);
+    std::string payload = v2.substr(pos + 12, size);
+    pos += 12 + size;
+    if (tag == "CSUM") break;
+    if (tag == "TSEQ") {
+      const std::vector<uint8_t>& seq = FittedModel().train_category_sequence;
+      payload.clear();
+      wire::PutU64Vec(&payload, std::vector<size_t>(seq.begin(), seq.end()));
+    } else if (tag == "CATG") {
+      std::string inertia = payload.substr(payload.size() - 8);
+      payload.resize(payload.size() - 8);
+      wire::PutU64Vec(&payload, std::vector<size_t>(300, 1));
+      payload += inertia;
+    }
+    wire::PutChunk(&v1, tag.c_str(), payload);
+  }
+  wire::EndContainer(&v1);
+  return v1;
+}
+
+TEST(ModelIoTest, RefusesAVersion1File) {
+  // No second reader: a v1 file is refused whole, by a message that names
+  // its version and the one this build reads.
+  auto loaded = DeserializeOfflineModel(Version1File());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(
+                "version 1 (this build reads version " +
+                std::to_string(kModelFormatVersion) + ")"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(ModelIoTest, RefusesATrainingSequenceOutsideTheCategories) {
+  // The engine bootstraps its category history from TSEQ's tail, so a
+  // checksum-valid file naming a category the CATG clustering lacks is
+  // refused at load, wherever in the sequence the category sits.
+  const size_t num_c = FittedModel().categories.NumCategories();
+  ASSERT_FALSE(FittedModel().train_category_sequence.empty());
+  for (bool at_front : {true, false}) {
+    for (size_t category : {num_c, size_t{255}}) {
+      core::OfflineModel model = FittedModel();
+      std::vector<uint8_t>& seq = model.train_category_sequence;
+      (at_front ? seq.front() : seq.back()) = static_cast<uint8_t>(category);
+      std::string bytes;
+      ASSERT_TRUE(SerializeOfflineModel(model, "", &bytes).ok());
+      auto loaded = DeserializeOfflineModel(bytes);
+      ASSERT_FALSE(loaded.ok()) << category;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find("training sequence"),
+                std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
+  // The last category the clustering has is accepted.
+  core::OfflineModel model = FittedModel();
+  model.train_category_sequence.back() = static_cast<uint8_t>(num_c - 1);
+  std::string bytes;
+  ASSERT_TRUE(SerializeOfflineModel(model, "", &bytes).ok());
+  EXPECT_TRUE(DeserializeOfflineModel(bytes).ok());
 }
 
 TEST(ModelIoTest, RejectsDuplicateChunkEvenWithValidChecksum) {
@@ -339,6 +416,29 @@ TEST(ModelIoTest, LoadMissingFileIsNotFound) {
   auto loaded = LoadOfflineModel("/nonexistent/sky_model.bin");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+TEST(ModelIoTest, ReadFileBytesRoundTripsEveryByteValue) {
+  // More than 1 MiB, every byte value, NULs and 0xff included.
+  std::string bytes((1 << 20) + 4099, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 7 + i / 256) & 0xff);
+  }
+  std::string path = ::testing::TempDir() + "/sky_read_file_bytes_test.bin";
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  auto read = ReadFileBytes(path, "test file");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(*read == bytes);
+  ASSERT_TRUE(AtomicWriteFile(path, "").ok());
+  read = ReadFileBytes(path, "test file");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read->empty());
+  std::remove(path.c_str());
+
+  auto missing = ReadFileBytes(path, "test file");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(missing.status().message().find("test file"), std::string::npos);
 }
 
 TEST(ModelIoTest, FileRoundTrip) {

@@ -46,7 +46,7 @@ void ExpectModelsIdentical(const OfflineModel& a, const OfflineModel& b) {
     }
   }
 
-  // Step 2: the clustering: centers, assignments and inertia.
+  // Step 2: the clustering: centers and inertia.
   ASSERT_EQ(a.categories.NumCategories(), b.categories.NumCategories());
   ASSERT_EQ(a.categories.NumConfigs(), b.categories.NumConfigs());
   for (size_t c = 0; c < a.categories.NumCategories(); ++c) {
@@ -55,8 +55,6 @@ void ExpectModelsIdentical(const OfflineModel& a, const OfflineModel& b) {
                 b.categories.CenterQuality(c, k));
     }
   }
-  EXPECT_EQ(a.categories.kmeans_model().assignments,
-            b.categories.kmeans_model().assignments);
   EXPECT_EQ(a.categories.kmeans_model().inertia,
             b.categories.kmeans_model().inertia);
 
@@ -136,10 +134,10 @@ TEST(OfflineDeterminismTest, ExternalPoolMatchesOwnedPool) {
 }
 
 TEST(OfflineDeterminismTest, ComparatorSeesEveryPersistedClusteringField) {
-  // The CATG chunk persists the k-means assignments and inertia and the
-  // GMM's variances, weights and log-likelihood beside the centers, and
-  // GMM classification reads the variances and weights; one changed value
-  // in any of them makes two models differ.
+  // The CATG chunk persists the k-means inertia and the GMM's variances,
+  // weights and log-likelihood beside the centers, and GMM classification
+  // reads the variances and weights; one changed value in any of them makes
+  // two models differ. The fit's k-means assignments are not kept.
   ml::Matrix points(2, 40);
   Rng rng(7);
   for (double& v : points.data()) v = rng.Normal(0.0, 1.0);
@@ -152,9 +150,10 @@ TEST(OfflineDeterminismTest, ComparatorSeesEveryPersistedClusteringField) {
   a.categories = ContentCategories::FromKMeans(*kmeans);
   OfflineModel b = a;
   EXPECT_TRUE(OfflineModelsIdentical(a, b));
-  ml::KMeansModel flipped = *kmeans;
-  flipped.assignments[17] = (flipped.assignments[17] + 1) % km.k;
-  b.categories = ContentCategories::FromKMeans(flipped);
+  EXPECT_TRUE(a.categories.kmeans_model().assignments.empty());
+  ml::KMeansModel moved = *kmeans;
+  moved.centers[1][0] = std::nextafter(moved.centers[1][0], 1e300);
+  b.categories = ContentCategories::FromKMeans(moved);
   EXPECT_FALSE(OfflineModelsIdentical(a, b));
   ml::KMeansModel heavier = *kmeans;
   heavier.inertia = std::nextafter(heavier.inertia, 1e300);

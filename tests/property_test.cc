@@ -375,8 +375,8 @@ sim::CostModel* SplitCountSweep::cost_model_ = nullptr;
 core::OfflineModel* SplitCountSweep::model_ = nullptr;
 
 /// The history of a state as a plain sequence, oldest first.
-std::vector<size_t> LinearHistory(const core::IngestState& s) {
-  std::vector<size_t> out(s.history_len);
+std::vector<uint8_t> LinearHistory(const core::IngestState& s) {
+  std::vector<uint8_t> out(s.history_len);
   size_t ring = s.history.size();
   for (size_t i = 0; i < s.history_len; ++i) {
     out[i] = s.history[(s.history_pos + ring - s.history_len + i) % ring];
@@ -428,10 +428,10 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
                          static_cast<int64_t>(2 * window)));
   }
   model.train_category_sequence.assign(bootstrap, 0);
-  size_t category = 0;
-  for (size_t& c : model.train_category_sequence) {
+  uint8_t category = 0;
+  for (uint8_t& c : model.train_category_sequence) {
     if (rng.Bernoulli(0.1)) {
-      category = static_cast<size_t>(
+      category = static_cast<uint8_t>(
           rng.UniformInt(0, static_cast<int64_t>(num_c) - 1));
     }
     c = category;

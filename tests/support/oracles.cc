@@ -330,7 +330,7 @@ ml::Matrix MatMul(const ml::Matrix& a, const ml::Matrix& b) {
 }
 
 std::vector<double> CategoryHistogram(
-    const std::vector<size_t>& category_sequence, size_t begin, size_t end,
+    const std::vector<uint8_t>& category_sequence, size_t begin, size_t end,
     size_t num_categories) {
   std::vector<double> hist(num_categories, 0.0);
   end = std::min(end, category_sequence.size());
@@ -343,7 +343,7 @@ std::vector<double> CategoryHistogram(
 }
 
 void FeaturesFromHistoryInto(const core::Forecaster& forecaster,
-                             const std::vector<size_t>& recent_categories,
+                             const std::vector<uint8_t>& recent_categories,
                              double segment_seconds,
                              std::vector<double>* out) {
   const size_t splits = forecaster.options().input_splits;

@@ -5,11 +5,13 @@
 // compare libsky against. Each is the plain, allocating form of something
 // libsky computes faster: the per-sample trainer and the sequential forward
 // pass of the forecasting network, the naive matrix product, the category
-// histograms and forecaster features of a scanned history, and the serial
-// k-means over per-point vectors. None of them runs in a deployment, so
-// they live here and libsky never links them.
+// histograms and forecaster features of a scanned history, the serial
+// k-means over per-point vectors, and the diurnal content process with its
+// whole horizon's events drawn up front. None of them runs in a
+// deployment, so they live here and libsky never links them.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/forecaster.h"
@@ -17,6 +19,8 @@
 #include "ml/matrix.h"
 #include "ml/nn.h"
 #include "util/result.h"
+#include "util/sim_time.h"
+#include "video/content_process.h"
 
 namespace sky::oracle {
 
@@ -48,16 +52,16 @@ ml::Matrix MatMul(const ml::Matrix& a, const ml::Matrix& b);
 /// by scanning it; `end` is clamped to the sequence and an empty slice
 /// reads uniform.
 std::vector<double> CategoryHistogram(
-    const std::vector<size_t>& category_sequence, size_t begin, size_t end,
+    const std::vector<uint8_t>& category_sequence, size_t begin, size_t end,
     size_t num_categories);
 
 /// The model input `forecaster` builds from the most recent history, by
 /// scanning each of its split windows (Forecaster::SplitWindow) into a
 /// normalized histogram. The engine's slid split counts, through
 /// Forecaster::FeaturesFromSplitCountsInto, and BuildForecastDataset's
-/// prefix sums both match it bitwise.
+/// window-edge counts both match it bitwise.
 void FeaturesFromHistoryInto(const core::Forecaster& forecaster,
-                             const std::vector<size_t>& recent_categories,
+                             const std::vector<uint8_t>& recent_categories,
                              double segment_seconds,
                              std::vector<double>* out);
 
@@ -72,6 +76,35 @@ Result<ml::KMeansModel> KMeansFit(
 /// The columns of `columns` as one vector per point: the points
 /// ml::KMeansFit and ml::GmmFit read, in the form the oracle above takes.
 std::vector<std::vector<double>> PointsOf(const ml::Matrix& columns);
+
+/// video::DiurnalContentProcess with every event of the horizon drawn at
+/// construction, in the one candidate pass the process replays per day,
+/// and kept in one sorted list. DiurnalContentProcess::At matches it
+/// bitwise whatever day-blocks exist.
+class EagerDiurnalContentProcess : public video::ContentProcess {
+ public:
+  explicit EagerDiurnalContentProcess(
+      const video::DiurnalContentProcess::Options& options);
+
+  video::ContentState At(SimTime t) const override;
+  SimTime horizon() const override { return options_.horizon; }
+
+ private:
+  struct Event {
+    SimTime start;
+    double duration_s;
+    double magnitude;
+  };
+
+  double EventBoost(SimTime t) const;
+
+  video::DiurnalContentProcess::Options options_;
+  video::SmoothNoise fine_noise_;
+  video::SmoothNoise slow_noise_;
+  video::SmoothNoise occlusion_noise_;
+  video::SmoothNoise day_drift_;
+  std::vector<Event> events_;
+};
 
 }  // namespace sky::oracle
 

@@ -1,9 +1,10 @@
 // The checksummed chunk container under model files, fleet checkpoints and
 // serve checkpoints (src/io/wire): the same hostile inputs must be refused
-// with kInvalidArgument by all three; fixed fleet and serve checkpoints and
-// a fixed forecaster payload serialize to checked-in bytes; its trainer
-// slot reads 0 or 1 and writes 0; and a model whose forecaster names a loss
-// other than cross-entropy or an output other than softmax is refused.
+// with kInvalidArgument by all three; fixed fleet and serve checkpoints, a
+// fixed model's clustering and training-sequence chunks and a fixed
+// forecaster payload serialize to checked-in bytes; its trainer slot reads
+// 0 or 1 and writes 0; and a model whose forecaster names a loss other than
+// cross-entropy or an output other than softmax is refused.
 
 #include "io/wire.h"
 
@@ -194,6 +195,61 @@ TEST(WireContainerTest, ServeCheckpointLayoutIsPinned) {
             "0000000000070000000b0000000000000071756172616e74696e656400464c45"
             "450500000000000000666c6565744353554d08000000000000004afaaf69f254"
             "6409");
+}
+
+/// A one-configuration model with two k-means categories and a five-segment
+/// training sequence, built by hand.
+core::OfflineModel FixedModel() {
+  core::OfflineModel model;
+  model.configs = {{0}};
+  model.profiles.resize(1);
+  model.profiles[0].config = {0};
+  model.profiles[0].work_core_s_per_video_s = 1.0;
+  ml::KMeansModel km;
+  km.centers = {{0.25}, {0.75}};
+  km.inertia = 0.5;
+  model.categories = core::ContentCategories::FromKMeans(std::move(km));
+  model.train_category_sequence = {0, 1, 1, 0, 1};
+  return model;
+}
+
+/// The chunk tagged `tag` in a container, header included.
+std::string ChunkBytes(const std::string& file, const char* tag) {
+  for (size_t pos = kHeaderBytes; pos + kChunkHeadBytes <= file.size();) {
+    uint64_t size = 0;
+    std::memcpy(&size, &file[pos + 4], sizeof(size));
+    if (file.compare(pos, 4, tag) == 0) {
+      return file.substr(pos, kChunkHeadBytes + size);
+    }
+    pos += kChunkHeadBytes + size;
+  }
+  return "";
+}
+
+// Model format v2: CATG holds the k-means centers and inertia, without the
+// fit's assignments, and TSEQ a u64 count and one byte per segment.
+TEST(WireContainerTest, ModelClusteringAndTrainingSequenceLayoutIsPinned) {
+  std::string bytes;
+  ASSERT_TRUE(SerializeOfflineModel(FixedModel(), "", &bytes).ok());
+  // Tag, u64 payload size, then the payload's fields one per line.
+  EXPECT_EQ(Hex(ChunkBytes(bytes, "CATG")),
+            "43415447" "2c00000000000000"
+            "00000000"                           // backend: k-means
+            "0200000000000000" "0100000000000000"  // 2 centers x 1 config
+            "000000000000d03f" "000000000000e83f"  // 0.25, 0.75
+            "000000000000e03f");                 // inertia 0.5
+  EXPECT_EQ(Hex(ChunkBytes(bytes, "TSEQ")),
+            "54534551" "0d00000000000000"
+            "0500000000000000"  // 5 segments
+            "0001010001");
+  // The file parses back to a model that writes the same bytes.
+  auto parsed = DeserializeOfflineModel(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->train_category_sequence,
+            FixedModel().train_category_sequence);
+  std::string again;
+  ASSERT_TRUE(SerializeOfflineModel(*parsed, "", &again).ok());
+  EXPECT_EQ(again, bytes);
 }
 
 /// A forecaster built from hand-set parts, with no RNG and no training: two

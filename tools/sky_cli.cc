@@ -423,6 +423,15 @@ int RunIngest(const Flags& f) {
     std::fprintf(stderr, "sky ingest: --model is required\n");
     return 2;
   }
+  // The planner spends the on-prem cores plus the cloud time the credits
+  // buy: with neither it has nothing to plan with.
+  if (f.cores <= 0 && !(f.cloud_budget.value_or(0.0) > 0.0)) {
+    std::fprintf(stderr,
+                 "sky ingest: --cores %d with --cloud-budget %g leaves no "
+                 "planning budget; give either a positive value\n",
+                 f.cores, f.cloud_budget.value_or(0.0));
+    return 2;
+  }
   auto workload = sky::api::MakeWorkloadByName(f.workload);
   if (workload == nullptr) {
     std::fprintf(stderr, "sky: unknown workload '%s'\n", f.workload.c_str());
