@@ -337,42 +337,46 @@ int main(int argc, char** argv) {
 
   // Fleet sweep: the sharded barrier scheduler at {4, 64, 256} streams x
   // {1, 2, 4, 8, 16} workers. Joint-mode results must be bitwise identical
-  // at every worker count (hard gate); the speedup at 4 streams / 4 workers
-  // is the headline scheduler metric, gated >= 3.0 when the hardware can
-  // actually run 4 workers in parallel. Plan-boundary latency percentiles
+  // at every worker count (hard gate). Plan-boundary latency percentiles
   // come from the 1-worker run (boundary solves are serial at the barrier
   // regardless of worker count).
   std::printf("\n=== Fleet sweep: sharded barrier scheduler ===\n");
   const size_t sweep_counts[] = {4, 64, 256};
   const size_t sweep_workers[] = {1, 2, 4, 8, 16};
   bool sweep_identical = true;
-  double speedup_s4_t4 = 0.0;
   std::vector<std::pair<std::string, double>> sweep_metrics;
   TablePrinter sweep_table(
       "Joint StreamSet wall seconds by worker count (speedup vs 1 worker)");
   sweep_table.SetHeader({"streams", "1 wkr", "2 wkrs", "4 wkrs", "8 wkrs",
                          "16 wkrs", "bnd p50 ms", "bnd p99 ms"});
+  // Large fleets reuse the four fitted models round-robin: the models are
+  // statistics of the shared content process, so any same-process stream
+  // can serve them; fitting 256 offline phases is not what this bench
+  // times. Shorter horizons at larger counts keep total work bounded.
+  auto sweep_jobs =
+      [&](size_t n,
+          std::vector<std::unique_ptr<workloads::EvCountingWorkload>>* fleet) {
+        std::vector<core::StreamEngineJob> fleet_jobs;
+        for (size_t s = 0; s < n; ++s) {
+          fleet->push_back(std::make_unique<workloads::EvCountingWorkload>(
+              7200 + static_cast<uint64_t>(s)));
+          core::StreamEngineJob job;
+          job.workload = fleet->back().get();
+          job.model = &models[s % models.size()];
+          job.cluster = cluster;
+          job.cost_model = &cost_model;
+          job.options.duration =
+              n == 4 ? Days(1) : (n == 64 ? Hours(4) : Hours(2));
+          job.options.plan_interval = n == 4 ? Hours(4) : Hours(1);
+          job.options.cloud_budget_usd_per_interval = 1.0;
+          job.start_time = setup.test_start;
+          fleet_jobs.push_back(job);
+        }
+        return fleet_jobs;
+      };
   for (size_t n : sweep_counts) {
-    // Large fleets reuse the four fitted models round-robin: the models are
-    // statistics of the shared content process, so any same-process stream
-    // can serve them; fitting 256 offline phases is not what this bench
-    // times. Shorter horizons at larger counts keep total work bounded.
     std::vector<std::unique_ptr<workloads::EvCountingWorkload>> fleet;
-    std::vector<core::StreamEngineJob> fleet_jobs;
-    for (size_t s = 0; s < n; ++s) {
-      fleet.push_back(std::make_unique<workloads::EvCountingWorkload>(
-          7200 + static_cast<uint64_t>(s)));
-      core::StreamEngineJob job;
-      job.workload = fleet.back().get();
-      job.model = &models[s % models.size()];
-      job.cluster = cluster;
-      job.cost_model = &cost_model;
-      job.options.duration = n == 4 ? Days(1) : (n == 64 ? Hours(4) : Hours(2));
-      job.options.plan_interval = n == 4 ? Hours(4) : Hours(1);
-      job.options.cloud_budget_usd_per_interval = 1.0;
-      job.start_time = setup.test_start;
-      fleet_jobs.push_back(job);
-    }
+    const std::vector<core::StreamEngineJob> fleet_jobs = sweep_jobs(n, &fleet);
 
     std::vector<Result<core::EngineResult>> ref;
     double wall_1 = 0.0;
@@ -421,7 +425,6 @@ int main(int argc, char** argv) {
           }
         }
         double sp = wall > 0 ? wall_1 / wall : 0.0;
-        if (n == 4 && t == 4) speedup_s4_t4 = sp;
         sweep_metrics.emplace_back("engines_speedup_s" + std::to_string(n) +
                                        "_t" + std::to_string(t),
                                    sp);
@@ -435,18 +438,64 @@ int main(int argc, char** argv) {
   }
   sweep_table.Print(std::cout);
 
+  // The headline scheduler metric: the 4-stream fleet's wall at 1 worker
+  // over its wall at 4, gated >= 3.0 when the hardware can actually run 4
+  // workers in parallel. One wall-clock pair on a shared host reads noise,
+  // so the gate reads the median of kSchedulerTrials pairs, timed after one
+  // warm-up pair, with the 1-worker run going first in every other pair.
+  constexpr int kSchedulerTrials = 9;
+  std::printf("\n=== Scheduler speedup: 4 streams, 1 vs 4 workers ===\n");
+  std::vector<std::unique_ptr<workloads::EvCountingWorkload>> trial_fleet;
+  const std::vector<core::StreamEngineJob> trial_jobs =
+      sweep_jobs(4, &trial_fleet);
+  dag::ThreadPool trial_pool(3);
+  auto timed_run = [&](dag::ThreadPool* workers) {
+    WallTimer timer;
+    auto set = core::StreamSet::Create(trial_jobs,
+                                       {core::MultiStreamPlanning::kJoint});
+    bool ok = set.ok() && set->RunToCompletion(workers).ok();
+    return ok ? timer.Seconds() : -1.0;
+  };
+  std::vector<double> walls_1, walls_4, speedups;
+  for (int trial = 0; trial <= kSchedulerTrials; ++trial) {
+    double wall_1 = 0.0;
+    double wall_4 = 0.0;
+    if (trial % 2 == 0) {
+      wall_1 = timed_run(nullptr);
+      wall_4 = timed_run(&trial_pool);
+    } else {
+      wall_4 = timed_run(&trial_pool);
+      wall_1 = timed_run(nullptr);
+    }
+    if (wall_1 <= 0.0 || wall_4 <= 0.0) {
+      std::printf("scheduler trial %d failed\n", trial);
+      return 1;
+    }
+    std::printf("%s %d: 1 worker %.3f s, 4 workers %.3f s, speedup %.2fx\n",
+                trial == 0 ? "warm-up" : "trial", trial, wall_1, wall_4,
+                wall_1 / wall_4);
+    if (trial == 0) continue;
+    walls_1.push_back(wall_1);
+    walls_4.push_back(wall_4);
+    speedups.push_back(wall_1 / wall_4);
+  }
+  const double speedup_p25 = Percentile(speedups, 25.0);
+  const double speedup_median = Percentile(speedups, 50.0);
+  const double speedup_p75 = Percentile(speedups, 75.0);
+
   unsigned hardware_threads = std::thread::hardware_concurrency();
   bool headline_ok = true;
   if (hardware_threads >= 4) {
-    headline_ok = speedup_s4_t4 >= 3.0;
-    std::printf("\nscheduler speedup at 4 streams / 4 workers: %.2fx "
-                "(gate: >= 3.0) -- %s\n",
-                speedup_s4_t4, headline_ok ? "OK" : "FAIL");
+    headline_ok = speedup_median >= 3.0;
+    std::printf("scheduler speedup at 4 streams / 4 workers: median %.2fx of "
+                "%d trials (quartiles %.2fx / %.2fx) (gate: >= 3.0) -- %s\n",
+                speedup_median, kSchedulerTrials, speedup_p25, speedup_p75,
+                headline_ok ? "OK" : "FAIL");
   } else {
-    std::printf("\nscheduler speedup at 4 streams / 4 workers: %.2fx -- "
-                "gate skipped: only %u hardware thread(s); wall-clock "
-                "parallel speedup is unmeasurable here\n",
-                speedup_s4_t4, hardware_threads);
+    std::printf("scheduler speedup at 4 streams / 4 workers: median %.2fx of "
+                "%d trials -- gate skipped: only %u hardware thread(s); "
+                "wall-clock parallel speedup is unmeasurable here\n",
+                speedup_median, kSchedulerTrials, hardware_threads);
   }
   std::printf("bitwise identity across worker counts: %s\n",
               sweep_identical ? "yes" : "NO");
@@ -473,8 +522,17 @@ int main(int argc, char** argv) {
   json.Set("flash_crowd_joint_cloud_usd", fc_joint_usd);
   json.Set("flash_crowd_independent_cloud_usd", fc_indep_usd);
   json.Set("hardware_threads", static_cast<double>(hardware_threads));
-  json.Set("engines_speedup_s4_t4", speedup_s4_t4);
   for (const auto& [key, value] : sweep_metrics) json.Set(key, value);
+  json.Set("scheduler_trials", static_cast<double>(kSchedulerTrials));
+  for (size_t k = 0; k < speedups.size(); ++k) {
+    const std::string trial = "_trial" + std::to_string(k + 1);
+    json.Set("scheduler_wall_1_worker_s" + trial, walls_1[k]);
+    json.Set("scheduler_wall_4_workers_s" + trial, walls_4[k]);
+    json.Set("scheduler_speedup" + trial, speedups[k]);
+  }
+  json.Set("scheduler_speedup_p25", speedup_p25);
+  json.Set("scheduler_speedup_median", speedup_median);
+  json.Set("scheduler_speedup_p75", speedup_p75);
   json.Set("sweep_bitwise_identical", sweep_identical ? "yes" : "no");
   json.Set("speedup_gate",
            hardware_threads >= 4 ? (headline_ok ? "pass" : "fail") : "skipped");

@@ -24,29 +24,86 @@ bool BitsEqual(double a, double b) {
   return ab == bb;
 }
 
-/// Calls fn(bytes, count) over the `n` history categories that begin `back`
-/// segments before the ring's write position, oldest first, as at most two
-/// contiguous spans. Requires n <= back <= the ring size.
-template <typename Fn>
-void ForEachHistorySpan(const IngestState& s, size_t back, size_t n, Fn fn) {
-  size_t ring = s.history.size();
-  size_t start = s.history_pos >= back ? s.history_pos - back
-                                       : s.history_pos + ring - back;
-  size_t first = std::min(n, ring - start);
-  fn(s.history.data() + start, first);
-  if (n > first) fn(s.history.data(), n - first);
+/// Bytes of `train_seq` that open the history of a run with `window`.
+size_t TailLength(const std::vector<uint8_t>& train_seq, size_t window) {
+  return std::min(window, train_seq.size());
 }
 
-/// Normalized histogram of the same `n` categories, read from the ring.
-void HistoryHistogramInto(const IngestState& s, size_t back, size_t n,
+/// A run's category history: the model's training tail, read in place, then
+/// the categories the run decided, whose newest ring.size() the engine's
+/// ring keeps (decided category i at i % ring.size()).
+struct History {
+  const uint8_t* tail;  ///< the last tail_len bytes of the training sequence
+  size_t tail_len;
+  const std::vector<uint8_t>& ring;
+  size_t decided;  ///< categories the run decided: next_index
+  /// Categories in the history: those of a vector that drops back to the
+  /// last `window` on reaching 2 * window, before the next push.
+  size_t len;
+
+  /// How far a read can reach back from the next category: through the
+  /// tail until the ring first wraps, then the ring alone.
+  size_t readable() const {
+    return decided <= ring.size() ? tail_len + decided : ring.size();
+  }
+};
+
+History HistoryOf(const OfflineModel& model, const IngestState& s) {
+  const std::vector<uint8_t>& seq = model.train_category_sequence;
+  const size_t window = s.history_window;
+  const size_t tail_len = TailLength(seq, window);
+  const size_t decided = static_cast<size_t>(s.next_index);
+  const size_t pushed = tail_len + decided;
+  const size_t len = pushed <= 2 * window
+                         ? pushed
+                         : window + (pushed - 2 * window - 1) % window + 1;
+  return {seq.data() + (seq.size() - tail_len), tail_len, s.history, decided,
+          len};
+}
+
+/// Calls fn(bytes, count) over the `n` history categories that begin `back`
+/// before the next one, oldest first, as at most two contiguous spans.
+/// Requires n <= back <= h.readable().
+template <typename Fn>
+void ForEachHistorySpan(const History& h, size_t back, size_t n, Fn fn) {
+  size_t first = 0;  // categories before the ring's start, or its wrap
+  if (back > h.decided) {
+    // Opens in the tail, so the ring has not wrapped: the rest opens it.
+    first = std::min(n, back - h.decided);
+    fn(h.tail + (h.tail_len - (back - h.decided)), first);
+  } else {
+    const size_t start = (h.decided - back) % h.ring.size();
+    first = std::min(n, h.ring.size() - start);
+    fn(h.ring.data() + start, first);
+  }
+  if (n > first) fn(h.ring.data(), n - first);
+}
+
+/// Normalized histogram of the same `n` categories.
+void HistoryHistogramInto(const History& h, size_t back, size_t n,
                           size_t num_categories, std::vector<double>* out) {
   out->assign(num_categories, 0.0);
-  ForEachHistorySpan(s, back, n, [&](const uint8_t* bytes, size_t count) {
+  ForEachHistorySpan(h, back, n, [&](const uint8_t* bytes, size_t count) {
     for (size_t i = 0; i < count; ++i) {
       if (bytes[i] < num_categories) (*out)[bytes[i]] += 1.0;
     }
   });
   *out = NormalizeHistogram(std::move(*out));
+}
+
+/// kInvalidArgument unless the history holds `model`'s categories: at most
+/// kMaxCategories of them (one byte each, and the split counts index by
+/// category), and a training tail that names only those.
+Status CheckHistoryFitsModel(const OfflineModel& model, size_t window) {
+  const size_t num_c = model.categories.NumCategories();
+  const std::vector<uint8_t>& seq = model.train_category_sequence;
+  const auto tail = seq.end() - static_cast<ptrdiff_t>(TailLength(seq, window));
+  if (num_c > kMaxCategories ||
+      std::any_of(tail, seq.end(), [num_c](uint8_t c) { return c >= num_c; })) {
+    return Status::InvalidArgument(
+        "offline model's categories do not fit the category history");
+  }
+  return Status::Ok();
 }
 }  // namespace
 
@@ -57,6 +114,15 @@ size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval) {
                       model.forecaster->InputSegments(model.segment_seconds));
   }
   return window;
+}
+
+size_t HistoryRingSize(const OfflineModel& model, int64_t n_segments,
+                       int64_t segs_per_interval) {
+  // Without a forecaster the window is one plan interval, so this reach is
+  // twice the window.
+  return std::min(static_cast<size_t>(std::max<int64_t>(0, n_segments)),
+                  HistoryWindow(model, segs_per_interval) +
+                      static_cast<size_t>(segs_per_interval));
 }
 
 bool SegmentWindowFits(int64_t first_segment, int64_t n_segments) {
@@ -212,15 +278,16 @@ void IngestionEngine::ComputeBoundaryForecastInto(std::vector<double>* out) {
   size_t num_c = model_->categories.NumCategories();
   const Forecaster* forecaster =
       s.forecaster.has_value() ? &*s.forecaster : nullptr;
+  const History h = HistoryOf(*model_, s);
   if (options_.use_ground_truth_forecast) {
     GroundTruthForecastInto(s.first_segment + s.next_index, out);
-  } else if (forecaster != nullptr && s.history_len > 0) {
+  } else if (forecaster != nullptr && h.len > 0) {
     // PrepareBoundary just wrote this boundary's features; the forward pass
     // runs against the forecaster's own reusable inference scratch, so
     // nothing here allocates at steady state.
     forecaster->ForecastInto(s.plan_features, out);
-  } else if (s.history_len > 0) {
-    HistoryHistogramInto(s, s.history_len, s.history_len, num_c, out);
+  } else if (h.len > 0) {
+    HistoryHistogramInto(h, h.len, h.len, num_c, out);
   } else {
     out->assign(num_c, 1.0 / static_cast<double>(num_c));
   }
@@ -284,9 +351,10 @@ Status IngestionEngine::PrepareBoundary() {
     // realized distribution of the interval that just ended (§3.3), against
     // the features the previous boundary stored.
     size_t interval_segs = static_cast<size_t>(s.segs_per_interval);
+    const History h = HistoryOf(*model_, s);
     if (s.next_index > 0 && !s.plan_features.empty() &&
-        s.history_len >= interval_segs) {
-      HistoryHistogramInto(s, interval_segs, interval_segs,
+        h.len >= interval_segs) {
+      HistoryHistogramInto(h, interval_segs, interval_segs,
                            model_->categories.NumCategories(),
                            &scratch_.realized);
       s.forecaster->OnlineUpdate(s.plan_features, scratch_.realized);
@@ -305,6 +373,7 @@ Status IngestionEngine::PrepareBoundary() {
 
 void IngestionEngine::UpdateSplitCounts() {
   const IngestState& s = *state_;
+  const History h = HistoryOf(*model_, s);
   const Forecaster& f = *s.forecaster;
   const double seg = model_->segment_seconds;
   const size_t splits = f.options().input_splits;
@@ -314,9 +383,7 @@ void IngestionEngine::UpdateSplitCounts() {
   // Edge e starts split e (edge `splits` is the write position); this is
   // how many segments before the write position it sits.
   auto edge_back = [&](size_t e) {
-    return e == splits ? 0
-                       : s.history_len - f.SplitWindow(e, s.history_len, seg)
-                                             .first;
+    return e == splits ? 0 : h.len - f.SplitWindow(e, h.len, seg).first;
   };
   size_t delta = 0;  // segments ingested since the counts were current
   if (scratch_.split_counts_at >= 0) {
@@ -324,11 +391,12 @@ void IngestionEngine::UpdateSplitCounts() {
   }
   // Slide while the windows keep their full-span geometry and reading the
   // segments that crossed the splits + 1 edges beats reading the span. The
-  // slide looks back delta + in_segs segments, which the ring holds (it is
-  // at least twice the span); the last test only guards a restored state.
-  if (scratch_.split_counts_at >= 0 && s.history_len >= in_segs &&
-      (splits + 1) * delta < in_segs &&
-      delta + in_segs <= s.history.size()) {
+  // slide looks back delta + in_segs segments: one plan interval past the
+  // span at consecutive boundaries, which the ring is sized to reach. A
+  // boundary that was not prepared leaves a longer delta, and the last
+  // test recounts it instead.
+  if (scratch_.split_counts_at >= 0 && h.len >= in_segs &&
+      (splits + 1) * delta < in_segs && delta + in_segs <= h.readable()) {
     // Every edge moved `delta` segments on: the segments it passed leave
     // split e and join split e - 1. The first edge only drops them; the
     // last only adds the newly ingested ones.
@@ -336,7 +404,7 @@ void IngestionEngine::UpdateSplitCounts() {
       uint32_t* leave = e < splits ? counts.data() + e * num_c : nullptr;
       uint32_t* join = e > 0 ? counts.data() + (e - 1) * num_c : nullptr;
       ForEachHistorySpan(
-          s, edge_back(e) + delta, delta,
+          h, edge_back(e) + delta, delta,
           [&](const uint8_t* bytes, size_t n) {
             for (size_t i = 0; i < n; ++i) {
               if (bytes[i] >= num_c) continue;
@@ -348,9 +416,9 @@ void IngestionEngine::UpdateSplitCounts() {
   } else {
     counts.assign(splits * num_c, 0);
     for (size_t split = 0; split < splits; ++split) {
-      auto [begin, end] = f.SplitWindow(split, s.history_len, seg);
+      auto [begin, end] = f.SplitWindow(split, h.len, seg);
       uint32_t* row = counts.data() + split * num_c;
-      ForEachHistorySpan(s, s.history_len - begin, end - begin,
+      ForEachHistorySpan(h, h.len - begin, end - begin,
                          [&](const uint8_t* bytes, size_t n) {
                            for (size_t i = 0; i < n; ++i) {
                              if (bytes[i] < num_c) ++row[bytes[i]];
@@ -358,7 +426,7 @@ void IngestionEngine::UpdateSplitCounts() {
                          });
     }
   }
-  scratch_.split_counts_at = s.history_len >= in_segs ? s.next_index : -1;
+  scratch_.split_counts_at = h.len >= in_segs ? s.next_index : -1;
 }
 
 Status IngestionEngine::InstallPlan(KnobPlan plan,
@@ -432,19 +500,8 @@ Status IngestionEngine::Start(SimTime start_time) {
         "duration must be non-negative and every segment index the run "
         "reads must fit in int64");
   }
-  // The history keeps one byte per category: the model's categories must
-  // fit one, and its bootstrap may name only those categories.
-  size_t num_c = model_->categories.NumCategories();
-  size_t history_window = HistoryWindow(*model_, segs_per_interval);
-  const std::vector<uint8_t>& train_seq = model_->train_category_sequence;
-  auto bootstrap = train_seq.end() - static_cast<ptrdiff_t>(std::min(
-                                         history_window, train_seq.size()));
-  if (num_c > kMaxCategories ||
-      std::any_of(bootstrap, train_seq.end(),
-                  [num_c](uint8_t c) { return c >= num_c; })) {
-    return Status::InvalidArgument(
-        "offline model's categories do not fit the category history");
-  }
+  const size_t history_window = HistoryWindow(*model_, segs_per_interval);
+  SKY_RETURN_NOT_OK(CheckHistoryFitsModel(*model_, history_window));
 
   state_ = std::make_unique<IngestState>(
       &model_->categories, &model_->profiles,
@@ -464,22 +521,21 @@ Status IngestionEngine::Start(SimTime start_time) {
   // offline model stays untouched so runs are independent.
   s.forecaster = model_->forecaster;
 
-  // Rolling category history, bounded instead of growing O(duration): a
-  // ring of 2 * history_window bytes, bootstrapped with the tail of the
-  // offline training sequence. Its length follows a vector compacted at 2x
-  // capacity: on reaching 2 * history_window it drops back to
-  // history_window before the next push. The forecaster features read the
-  // last `input_span` and the fine-tune the last interval, so both see what
-  // they would unbounded. The forecaster-less fallback forecast (a
-  // histogram of the whole history) becomes a recency window instead of the
-  // whole-run distribution: the bootstrap at the first boundary, then the
-  // last two plan intervals at every boundary after it (less by what a
-  // bootstrap shorter than the window lacks).
+  // Rolling category history, bounded instead of growing O(duration): the
+  // last history_window categories of the offline training sequence, read
+  // in place from the model, then the categories this run decides, of which
+  // the engine keeps as many as any read reaches back (HistoryRingSize). Its
+  // length follows a vector compacted at 2x capacity: on reaching
+  // 2 * history_window it drops back to history_window before the next
+  // push. The forecaster features read the last `input_span` and the
+  // fine-tune the last interval, so both see what they would unbounded. The
+  // forecaster-less fallback forecast (a histogram of the whole history)
+  // becomes a recency window instead of the whole-run distribution: the
+  // training tail at the first boundary, then the last two plan intervals
+  // at every boundary after it (less by what a tail shorter than the window
+  // lacks).
   s.history_window = history_window;
-  s.history.assign(2 * history_window, 0);
-  std::copy(bootstrap, train_seq.end(), s.history.begin());
-  s.history_len = static_cast<size_t>(train_seq.end() - bootstrap);
-  s.history_pos = s.history_len;
+  s.history.assign(HistoryRingSize(*model_, n_segments, segs_per_interval), 0);
 
   // Start on the cheapest profiled configuration.
   const std::vector<ConfigProfile>& profiles = model_->profiles;
@@ -698,10 +754,8 @@ Status IngestionEngine::Step() {
       ++s.result.type_b_errors;
     }
   }
-  if (s.history_len == s.history.size()) s.history_len = s.history_window;
-  s.history[s.history_pos] = static_cast<uint8_t>(decision.category);
-  if (++s.history_pos == s.history.size()) s.history_pos = 0;
-  ++s.history_len;
+  s.history[static_cast<size_t>(i) % s.history.size()] =
+      static_cast<uint8_t>(decision.category);
   s.current_config = decision.config_idx;
   ++s.result.segments;
 
@@ -776,6 +830,18 @@ Status IngestionEngine::Restore(const IngestState& snapshot) {
         "checkpoint's ground-truth look-ahead passes the int64 segment "
         "range");
   }
+  // The ring's position and the history's length follow from next_index
+  // over this model's training tail, so the snapshot's history must be the
+  // one this model gives its run.
+  if (snapshot.history_window !=
+          HistoryWindow(*model_, snapshot.segs_per_interval) ||
+      snapshot.history.size() !=
+          HistoryRingSize(*model_, snapshot.n_segments,
+                          snapshot.segs_per_interval)) {
+    return Status::InvalidArgument(
+        "checkpoint history does not fit this engine's model");
+  }
+  SKY_RETURN_NOT_OK(CheckHistoryFitsModel(*model_, snapshot.history_window));
   state_ = std::make_unique<IngestState>(snapshot);
   scratch_.split_counts_at = -1;
   MaterializeContent();

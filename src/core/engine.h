@@ -135,6 +135,17 @@ bool EngineResultsIdentical(const EngineResult& a, const EngineResult& b);
 /// refuses a state whose window disagrees.
 size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval);
 
+/// Bytes of the category ring an engine keeps for a run of `n_segments` of
+/// `model` in plans of `segs_per_interval`: the farthest any read reaches
+/// back, one window plus one plan interval, or the whole run when that is
+/// shorter. With a forecaster the reach covers the input span slid by one
+/// interval, and the fine-tune; without one the window is one plan
+/// interval, so the reach is the twice-the-window history that the
+/// fallback forecast reads whole. Start allocates it, and Restore and the
+/// checkpoint reader refuse any other ring.
+size_t HistoryRingSize(const OfflineModel& model, int64_t n_segments,
+                       int64_t segs_per_interval);
+
 /// True when `n_segments` is not negative and a run of that many segments
 /// from global index `first_segment` ends at an index that fits in int64.
 /// Start refuses a run outside it, and the checkpoint reader a state.
@@ -147,7 +158,8 @@ bool SegmentWindowFits(int64_t first_segment, int64_t n_segments);
 ///
 /// A plain value: the switcher owns the plan of the current interval, and
 /// nothing in here points into the state itself, so every copy or move is a
-/// self-contained snapshot.
+/// snapshot that is self-contained given its model (the history's oldest
+/// categories are the model's, see `history`).
 struct IngestState {
   IngestState(const ContentCategories* categories,
               const std::vector<ConfigProfile>* profiles,
@@ -180,14 +192,12 @@ struct IngestState {
   /// Forecaster features of the history at the last prepared boundary:
   /// the forecast input there, and the fine-tune input at the next one.
   std::vector<double> plan_features;
-  /// Rolling category history, one byte per segment, in a ring of
-  /// 2 * history_window bytes. The history proper is the `history_len`
-  /// categories written last, ending just before `history_pos`; the ring
-  /// also keeps the older bytes a shorter `history_len` leaves behind
-  /// (see Start).
+  /// The categories this run decided, one byte per segment, in a ring of
+  /// HistoryRingSize() bytes: decided category i sits at i % size. The
+  /// rolling history is the model's training tail (its last
+  /// min(history_window, |train_category_sequence|) bytes, read in place)
+  /// followed by these; its length follows from next_index (see Start).
   std::vector<uint8_t> history;
-  size_t history_pos = 0;  ///< ring index the next category is written to
-  size_t history_len = 0;  ///< categories in the history, <= ring size
   size_t current_config = 0;
   double last_measured = 0.0;
 
@@ -310,8 +320,11 @@ class IngestionEngine {
   /// stopped.
   Result<IngestState> Checkpoint() const;
   /// kInvalidArgument, with the current session kept, for a snapshot of no
-  /// started session, or one whose last boundary would look ahead past
-  /// int64 when this engine forecasts from ground truth.
+  /// started session, one whose last boundary would look ahead past int64
+  /// when this engine forecasts from ground truth, one whose history window
+  /// or ring this engine's model would not give it, or a model whose
+  /// training tail names a category the model does not have (the snapshot
+  /// reads that tail as its oldest history).
   Status Restore(const IngestState& snapshot);
 
   // --- Plan-boundary hooks (used by StreamSet for joint planning) ---
@@ -414,7 +427,7 @@ class IngestionEngine {
 
   /// Brings scratch_.split_counts to the forecaster's split windows over the
   /// current history: slides the previous boundary's counts by the segments
-  /// that crossed each split edge since, or recounts from the ring.
+  /// that crossed each split edge since, or recounts from the history.
   void UpdateSplitCounts();
 
   const Workload* workload_;

@@ -158,13 +158,11 @@ Status SerializeIngestState(const core::IngestState& state, std::string* out) {
   PutBool(p, state.boundary_installed);
   PutF64Vec(p, state.boundary_forecast);
   PutF64Vec(p, state.plan_features);
-  // The history ring verbatim, then where the next category goes and how
-  // many of the bytes are history. The split counts are derived from these,
-  // so they are recounted after a restore rather than stored.
+  // The run's own category ring verbatim. The training tail before it is
+  // the model's, and the write position, the history length and the split
+  // counts all follow from next_index, so none of them is stored.
   PutU64(p, state.history.size());
   PutRaw(p, state.history.data(), state.history.size());
-  PutU64(p, state.history_pos);
-  PutU64(p, state.history_len);
   PutU64(p, state.current_config);
   PutF64(p, state.last_measured);
 
@@ -249,6 +247,17 @@ Result<core::IngestState> DeserializeIngestState(
     return Status::InvalidArgument(
         "checkpoint forecaster category count does not match the model");
   }
+  // The ring reaches back as far as the model's forecaster reads (or, with
+  // none, as far as the whole-history fallback does), so a state forecasts
+  // with the model's forecaster geometry or not at all.
+  const double seg = model.segment_seconds;
+  if (state.forecaster.has_value() != model.forecaster.has_value() ||
+      (state.forecaster.has_value() &&
+       state.forecaster->InputSegments(seg) !=
+           model.forecaster->InputSegments(seg))) {
+    return Status::InvalidArgument(
+        "checkpoint forecaster does not read the model's history span");
+  }
 
   bool has_plan = false;
   SKY_RETURN_NOT_OK(c.ReadBool(&has_plan));
@@ -285,25 +294,17 @@ Result<core::IngestState> DeserializeIngestState(
     return Status::InvalidArgument(
         "checkpoint plan features do not fit the forecaster");
   }
-  // The ring size is checked against the window before anything is
-  // allocated (halving it, as doubling the window could wrap), and
-  // ReadCount already bounds it by the payload.
+  // The ring size is checked against the one Start gives the run before
+  // anything is allocated, and ReadCount already bounds it by the payload.
   uint64_t ring_bytes = 0;
   SKY_RETURN_NOT_OK(c.ReadCount(1, &ring_bytes));
-  if (ring_bytes % 2 != 0 || ring_bytes / 2 != state.history_window) {
+  if (ring_bytes != core::HistoryRingSize(model, state.n_segments,
+                                          state.segs_per_interval)) {
     return Status::InvalidArgument(
-        "checkpoint history ring is not twice the history window");
+        "checkpoint history ring is not the size the run keeps");
   }
   state.history.resize(ring_bytes);
   SKY_RETURN_NOT_OK(c.Read(state.history.data(), ring_bytes));
-  SKY_RETURN_NOT_OK(c.ReadU64(&u));
-  state.history_pos = u;
-  SKY_RETURN_NOT_OK(c.ReadU64(&u));
-  state.history_len = u;
-  if (state.history_pos >= ring_bytes || state.history_len > ring_bytes) {
-    return Status::InvalidArgument(
-        "checkpoint history position or length is past the ring");
-  }
   if (std::any_of(state.history.begin(), state.history.end(),
                   [num_c](uint8_t c) { return c >= num_c; })) {
     return Status::InvalidArgument(

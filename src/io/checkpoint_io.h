@@ -14,15 +14,17 @@ namespace sky::io {
 /// Version of the on-disk checkpoint format this build writes (and the only
 /// one it reads — same versioning policy as the model format: bump on any
 /// layout change, readers reject unknown versions rather than guessing).
-inline constexpr uint32_t kCheckpointFormatVersion = 3;
+inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
 /// Serializes a full engine session snapshot (core::IngestState) to bytes.
 /// Doubles are raw IEEE-754 and the measurement RNG state is exact, so a
 /// deserialize + IngestionEngine::Restore resumes the run bitwise — the
 /// continuation is indistinguishable from never having stopped, including
-/// the trace. The offline model is NOT embedded (checkpoints stay small);
+/// the trace. The offline model is NOT embedded (checkpoints stay small):
 /// deserialization borrows category/profile tables from the model the
-/// engine already holds.
+/// engine already holds, and the restored run reads its oldest history
+/// from that model's training tail, so a state restores only against the
+/// model that started it.
 Status SerializeIngestState(const core::IngestState& state, std::string* out);
 
 /// Parses bytes written by SerializeIngestState against `model` — which must

@@ -111,7 +111,7 @@ class PublishedBlocks {
 /// blocks built so far.
 class SmoothNoise {
  public:
-  static constexpr size_t kBlockKnots = 1024;
+  static constexpr size_t kBlockKnots = 256;
 
   SmoothNoise(double amplitude, double knot_spacing_s, SimTime horizon,
               uint64_t seed);

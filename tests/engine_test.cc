@@ -275,6 +275,81 @@ TEST_F(EngineTest, StartRefusesABootstrapOutsideTheModelsCategories) {
   Status started = engine.Start(Days(6));
   EXPECT_EQ(started.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(engine.started());
+
+  // A restored run reads that tail in place as its oldest history, so
+  // Restore refuses the model too, even for a state a sound model wrote.
+  IngestionEngine sound(workload_, model_, cluster_, cost_model_,
+                        BaseOptions());
+  ASSERT_TRUE(sound.Start(Days(6)).ok());
+  auto snapshot = sound.Checkpoint();
+  ASSERT_TRUE(snapshot.ok());
+  Status restored = engine.Restore(*snapshot);
+  EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine.started());
+}
+
+TEST_F(EngineTest, HistoryRingHoldsOnlyWhatTheRunReadsBack) {
+  // The engine keeps the categories it decides as far back as any read
+  // reaches: the window W plus one plan interval with a forecaster, 2W
+  // without one. A shorter run keeps its own length. The fixture's 1-day
+  // span is 21,600 segments of 4 s.
+  auto ring_after_start = [&](const OfflineModel& model, SimTime duration,
+                              SimTime interval) -> size_t {
+    EngineOptions opts = BaseOptions();
+    opts.duration = duration;
+    opts.plan_interval = interval;
+    IngestionEngine engine(workload_, &model, cluster_, cost_model_, opts);
+    EXPECT_TRUE(engine.Start(Days(6)).ok());
+    auto snapshot = engine.Checkpoint();
+    return snapshot.ok() ? snapshot->history.size() : 0;
+  };
+  // W = 21,600 and 225-segment plans: a 5,400-segment run, then 8 days.
+  EXPECT_EQ(ring_after_start(*model_, Hours(6), Minutes(15)), 5400u);
+  EXPECT_EQ(ring_after_start(*model_, Days(8), Minutes(15)), 21825u);
+  // 2-day plans widen W to one plan interval, 43,200 segments.
+  EXPECT_EQ(ring_after_start(*model_, Days(8), Days(2)), 86400u);
+  // Without a forecaster W is one plan interval.
+  OfflineModel plain = *model_;
+  plain.forecaster.reset();
+  EXPECT_EQ(ring_after_start(plain, Hours(6), Hours(1)), 1800u);
+  EXPECT_EQ(ring_after_start(plain, Hours(6), Hours(4)), 5400u);
+  // A 6-h run of 2-s segments under a 2-day span holds its 10,800
+  // categories, not 2W = 172,800.
+  OfflineModel fleet = *model_;
+  fleet.segment_seconds = 2.0;
+  ForecasterOptions fopts = model_->forecaster->options();
+  fopts.input_span = Days(2);
+  auto two_day = Forecaster::FromParts(model_->forecaster->SnapshotNet(),
+                                       fopts,
+                                       model_->categories.NumCategories(), {});
+  ASSERT_TRUE(two_day.ok()) << two_day.status().ToString();
+  fleet.forecaster = std::move(*two_day);
+  EXPECT_EQ(ring_after_start(fleet, Hours(6), Minutes(15)), 10800u);
+}
+
+TEST_F(EngineTest, RestoreRefusesAHistoryTheModelWouldNotGiveTheRun) {
+  // The ring is sized from the run's length, so a snapshot whose run was
+  // lengthened holds too short a ring: past its end, the features would
+  // read further back than the ring reaches. A window the model does not
+  // derive is refused too, and nothing of the session is kept.
+  EngineOptions opts = BaseOptions();
+  opts.duration = Hours(6);
+  opts.plan_interval = Minutes(15);
+  IngestionEngine engine(workload_, model_, cluster_, cost_model_, opts);
+  ASSERT_TRUE(engine.Start(Days(6)).ok());
+  auto snapshot = engine.Checkpoint();
+  ASSERT_TRUE(snapshot.ok());
+  IngestState longer = *snapshot;
+  longer.n_segments *= 8;
+  IngestState wider = *snapshot;
+  wider.history_window += 1;
+  for (const IngestState* edited : {&longer, &wider}) {
+    IngestionEngine restored(workload_, model_, cluster_, cost_model_, opts);
+    EXPECT_EQ(restored.Restore(*edited).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(restored.started());
+  }
+  IngestionEngine restored(workload_, model_, cluster_, cost_model_, opts);
+  EXPECT_TRUE(restored.Restore(*snapshot).ok());
 }
 
 TEST_F(EngineTest, StartRefusesANegativeDurationOrARunPastInt64) {

@@ -1,10 +1,12 @@
 // Parameterized property sweeps over system invariants: buffer safety,
 // plan adherence, LP vs knapsack consistency, simulator sanity, placement
-// determinism, and the engine's sliding forecaster features across
-// randomized inputs.
+// determinism, the engine's sliding forecaster features and its
+// forecaster-less fallback forecast across randomized inputs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -374,14 +376,28 @@ workloads::EvCountingWorkload* SplitCountSweep::workload_ = nullptr;
 sim::CostModel* SplitCountSweep::cost_model_ = nullptr;
 core::OfflineModel* SplitCountSweep::model_ = nullptr;
 
-/// The history of a state as a plain sequence, oldest first.
-std::vector<uint8_t> LinearHistory(const core::IngestState& s) {
-  std::vector<uint8_t> out(s.history_len);
-  size_t ring = s.history.size();
-  for (size_t i = 0; i < s.history_len; ++i) {
-    out[i] = s.history[(s.history_pos + ring - s.history_len + i) % ring];
+/// The history a run of `model` holds at state `s`, oldest first, built
+/// without the engine's ring: the model's training tail of
+/// min(window, |sequence|) categories, then every category the run decided
+/// (a run traced at one point per segment records each), of which the
+/// last `len` count. `len` follows a vector that drops back to the window
+/// on reaching twice it, before the next push.
+std::vector<uint8_t> ExpectedHistory(const core::OfflineModel& model,
+                                     const core::IngestState& s) {
+  const std::vector<uint8_t>& train = model.train_category_sequence;
+  const size_t window = s.history_window;
+  EXPECT_EQ(s.result.trace.size(), static_cast<size_t>(s.next_index));
+  std::vector<uint8_t> seq(train.end() - static_cast<ptrdiff_t>(
+                                             std::min(window, train.size())),
+                           train.end());
+  size_t len = seq.size();
+  for (const core::TracePoint& point : s.result.trace) {
+    seq.push_back(static_cast<uint8_t>(point.category));
+    if (len == 2 * window) len = window;
+    ++len;
   }
-  return out;
+  return std::vector<uint8_t>(seq.end() - static_cast<ptrdiff_t>(len),
+                              seq.end());
 }
 
 TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
@@ -453,6 +469,10 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
   opts.duration = opts.plan_interval * static_cast<double>(boundaries);
   opts.cloud_budget_usd_per_interval = rng.Uniform(0.0, 0.05);
   opts.seed = static_cast<uint64_t>(rng.UniformInt(0, 1 << 30));
+  // One trace point per segment: ExpectedHistory reads the decided
+  // categories from the trace.
+  opts.record_trace = true;
+  opts.trace_resolution_s = seg;
   auto started_engine = [&](uint64_t seed) {
     core::EngineOptions o = opts;
     o.seed = seed;
@@ -469,8 +489,9 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
     auto snap = e.Checkpoint();
     ASSERT_TRUE(snap.ok());
     std::vector<double> scanned;
-    oracle::FeaturesFromHistoryInto(*snap->forecaster, LinearHistory(*snap),
-                                    seg, &scanned);
+    oracle::FeaturesFromHistoryInto(*snap->forecaster,
+                                    ExpectedHistory(model, *snap), seg,
+                                    &scanned);
     ASSERT_EQ(snap->plan_features.size(), scanned.size());
     EXPECT_EQ(std::memcmp(snap->plan_features.data(), scanned.data(),
                           scanned.size() * sizeof(double)),
@@ -533,6 +554,130 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SplitCountSweep,
+                         ::testing::Range<uint64_t>(0, 12));
+
+// ---------------------------------------------------------------------------
+// Property: without a forecaster, the forecast at every plan boundary is
+// the normalized histogram of the whole history (ExpectedHistory), bitwise.
+// This fallback is the one read that spans the history, so its ring keeps
+// twice the window. Tails run on both sides of the window and runs on both
+// sides of that reach, most of them across the 2W compaction, with a
+// checkpoint round trip mid-run. The instance stream is derived from
+// SKY_PROP_SEED.
+// ---------------------------------------------------------------------------
+
+class FallbackHistorySweep : public SplitCountSweep {};
+
+TEST_P(FallbackHistorySweep, BoundaryForecastIsTheHistoryHistogram) {
+  SCOPED_TRACE(ReproduceLine(
+      ::testing::UnitTest::GetInstance()->current_test_info()));
+  Rng rng(Rng(PropSeed()).ForkIndex(3000 + GetParam()).UniformInt(0, 1 << 30));
+  const double seg = model_->segment_seconds;
+  const size_t num_c = model_->categories.NumCategories();
+  ASSERT_FALSE(model_->forecaster.has_value());
+
+  // Without a forecaster the window is one plan interval. Even parameters
+  // draw a tail shorter than it, odd ones a tail of it or more; every
+  // third parameter draws a run shorter than the 2W reach but with a
+  // second boundary, the rest runs past it, whose rings wrap.
+  const size_t window = static_cast<size_t>(rng.UniformInt(1, 200));
+  const int64_t w = static_cast<int64_t>(window);
+  const size_t tail = static_cast<size_t>(
+      GetParam() % 2 == 0 ? rng.UniformInt(0, w - 1)
+                          : rng.UniformInt(w, 3 * w));
+  const int64_t run =
+      GetParam() % 3 == 0
+          ? rng.UniformInt(std::min(w + 1, 2 * w - 1), 2 * w - 1)
+          : rng.UniformInt(2 * w, 7 * w);
+
+  core::OfflineModel model = *model_;
+  model.train_category_sequence.assign(tail, 0);
+  uint8_t category = 0;
+  for (uint8_t& c : model.train_category_sequence) {
+    if (rng.Bernoulli(0.1)) {
+      category = static_cast<uint8_t>(
+          rng.UniformInt(0, static_cast<int64_t>(num_c) - 1));
+    }
+    c = category;
+  }
+
+  core::EngineOptions opts;
+  opts.plan_interval = static_cast<double>(window) * seg;
+  opts.duration = static_cast<double>(run) * seg;
+  opts.cloud_budget_usd_per_interval = rng.Uniform(0.0, 0.05);
+  opts.seed = static_cast<uint64_t>(rng.UniformInt(0, 1 << 30));
+  opts.record_trace = true;
+  opts.trace_resolution_s = seg;
+  auto started_engine = [&] {
+    auto e = std::make_unique<core::IngestionEngine>(workload_, &model,
+                                                     Cluster(), cost_model_,
+                                                     opts);
+    EXPECT_TRUE(e->Start(Days(3)).ok());
+    return e;
+  };
+  auto expect_histogram = [&](const core::IngestionEngine& e) {
+    auto snap = e.Checkpoint();
+    ASSERT_TRUE(snap.ok());
+    EXPECT_EQ(snap->history.size(),
+              std::min(static_cast<size_t>(run), 2 * window));
+    const std::vector<uint8_t> history = ExpectedHistory(model, *snap);
+    std::vector<double> expected(num_c, 1.0 / static_cast<double>(num_c));
+    if (!history.empty()) {
+      expected.assign(num_c, 0.0);
+      for (uint8_t c : history) expected[c] += 1.0;
+      for (double& p : expected) p /= static_cast<double>(history.size());
+    }
+    ASSERT_EQ(snap->boundary_forecast.size(), num_c);
+    EXPECT_EQ(std::memcmp(snap->boundary_forecast.data(), expected.data(),
+                          num_c * sizeof(double)),
+              0)
+        << "segment " << snap->next_index << " of " << run << ": window "
+        << window << ", tail " << tail << ", history " << history.size();
+  };
+
+  // Checkpoint bytes taken at one random segment are restored at a later
+  // one, into the same engine or a fresh one; the segments between run
+  // twice, and the run must still end bitwise as one never interrupted.
+  const int64_t save_at = rng.UniformInt(0, run - 1);
+  const int64_t restore_at = rng.UniformInt(save_at, run - 1);
+  const bool fresh_engine = rng.Bernoulli(0.5);
+  std::string saved;
+  bool restored = false;
+
+  std::unique_ptr<core::IngestionEngine> engine = started_engine();
+  size_t checks = 0;
+  while (!engine->Done()) {
+    const int64_t next = engine->next_segment_index();
+    if (next == save_at && saved.empty()) {
+      auto snap = engine->Checkpoint();
+      ASSERT_TRUE(snap.ok());
+      ASSERT_TRUE(io::SerializeIngestState(*snap, &saved).ok());
+    }
+    if (next == restore_at && !restored) {
+      restored = true;
+      auto parsed = io::DeserializeIngestState(saved, model);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      if (fresh_engine) engine = started_engine();
+      ASSERT_TRUE(engine->Restore(*parsed).ok());
+      continue;
+    }
+    if (engine->AtPlanBoundary()) {
+      ASSERT_TRUE(engine->PrepareBoundary().ok());
+      expect_histogram(*engine);
+      ++checks;
+    }
+    ASSERT_TRUE(engine->Step().ok());
+  }
+  EXPECT_TRUE(restored);
+  EXPECT_GE(checks, static_cast<size_t>((run + w - 1) / w));
+
+  auto uninterrupted = started_engine();
+  while (!uninterrupted->Done()) ASSERT_TRUE(uninterrupted->Step().ok());
+  EXPECT_TRUE(core::EngineResultsIdentical(engine->partial_result(),
+                                           uninterrupted->partial_result()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FallbackHistorySweep,
                          ::testing::Range<uint64_t>(0, 12));
 
 }  // namespace

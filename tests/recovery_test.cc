@@ -445,15 +445,14 @@ TEST_F(RecoveryTest, CraftedPlanWidthIsRefusedWithValidChecksum) {
 
 // The history ring of a serialized mid-run state. SerializeIngestState
 // writes history_window at byte 44 (after the u32 version and six 8-byte
-// fields); the ring sits after the plan features as a u64 byte count, the
-// ring bytes, the u64 write position and the u64 length.
+// fields); the run's own ring sits after the plan features as a u64 byte
+// count and the ring bytes.
 constexpr size_t kHistoryWindowAt = 44;
 
 struct SerializedRing {
   std::string bytes;   ///< SerializeIngestState of a mid-run state
   size_t count_at = 0; ///< offset of the ring's u64 byte count
-  uint64_t ring = 0;   ///< ring size: 2 * history_window
-  uint64_t pos = 0;    ///< write position
+  uint64_t ring = 0;   ///< ring size: HistoryRingSize of the run
 };
 
 uint64_t U64At(const std::string& bytes, size_t at) {
@@ -484,8 +483,9 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
   SerializedRing t;
   ASSERT_TRUE(io::SerializeIngestState(*snap, &t.bytes).ok());
   t.ring = snap->history.size();
-  t.pos = snap->history_pos;
-  ASSERT_EQ(t.ring, 2 * snap->history_window);
+  // No forecaster: the ring reaches back twice the window, or the run.
+  ASSERT_EQ(t.ring, std::min<uint64_t>(static_cast<uint64_t>(snap->n_segments),
+                                       2 * snap->history_window));
   ASSERT_EQ(U64At(t.bytes, kHistoryWindowAt), snap->history_window);
 
   // Walk the layout from the RNG state (u64 length at 68) on: the absent
@@ -502,12 +502,10 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
   t.count_at = at;
   ASSERT_EQ(U64At(t.bytes, at), t.ring);
   ASSERT_EQ(std::memcmp(&t.bytes[at + 8], snap->history.data(), t.ring), 0);
-  ASSERT_EQ(U64At(t.bytes, at + 8 + t.ring), snap->history_pos);
-  ASSERT_EQ(U64At(t.bytes, at + 16 + t.ring), snap->history_len);
+  // The current configuration follows the ring: no position or length.
+  ASSERT_EQ(U64At(t.bytes, at + 8 + t.ring), snap->current_config);
   ASSERT_TRUE(io::DeserializeIngestState(Resealed(t.bytes), *models_[0]).ok());
 
-  const size_t pos_at = t.count_at + 8 + t.ring;
-  const size_t len_at = pos_at + 8;
   const uint64_t num_c = models_[0]->categories.NumCategories();
   struct Craft {
     std::string label;
@@ -519,7 +517,7 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
     edit(&bytes);
     crafts.push_back({std::move(label), Resealed(std::move(bytes))});
   };
-  // The ring is not twice the window: one byte short with consistent
+  // The ring is not the size the run keeps: one byte short with consistent
   // framing, and a count no payload holds (refused before allocating).
   craft("ring one byte short", [&](std::string* b) {
     b->erase(t.count_at + 8 + t.ring - 1, 1);
@@ -528,15 +526,9 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
   craft("ring of 2^62 bytes", [&](std::string* b) {
     SetU64At(b, t.count_at, uint64_t{1} << 62);
   });
-  // Write position or length past the ring.
-  craft("position at the ring size",
-        [&](std::string* b) { SetU64At(b, pos_at, t.ring); });
-  craft("position 2^63",
-        [&](std::string* b) { SetU64At(b, pos_at, uint64_t{1} << 63); });
-  craft("length one past the ring",
-        [&](std::string* b) { SetU64At(b, len_at, t.ring + 1); });
-  // A category the model does not have, on the newest history byte.
-  const size_t newest = t.count_at + 8 + (t.pos + t.ring - 1) % t.ring;
+  // A category the model does not have, on the newest decided byte.
+  const size_t newest =
+      t.count_at + 8 + static_cast<size_t>(snap->next_index - 1) % t.ring;
   for (uint64_t byte : {num_c, uint64_t{255}}) {
     craft("category " + std::to_string(byte), [&](std::string* b) {
       (*b)[newest] = static_cast<char>(byte);
@@ -545,10 +537,14 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
   // A window other than the one Start derives, with a ring grown to match
   // it, so the bytes agree with each other and only the model disagrees;
   // then a window whose ring no payload holds.
+  const uint64_t wider_ring =
+      std::min<uint64_t>(static_cast<uint64_t>(snap->n_segments),
+                         2 * (snap->history_window + 1));
+  ASSERT_GT(wider_ring, t.ring);
   craft("window one wider", [&](std::string* b) {
-    SetU64At(b, kHistoryWindowAt, t.ring / 2 + 1);
-    b->insert(t.count_at + 8 + t.ring, 2, '\0');
-    SetU64At(b, t.count_at, t.ring + 2);
+    SetU64At(b, kHistoryWindowAt, snap->history_window + 1);
+    b->insert(t.count_at + 8 + t.ring, wider_ring - t.ring, '\0');
+    SetU64At(b, t.count_at, wider_ring);
   });
   craft("window 2^61", [&](std::string* b) {
     SetU64At(b, kHistoryWindowAt, uint64_t{1} << 61);
@@ -559,6 +555,29 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
     ASSERT_FALSE(parsed.ok()) << c.label;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << c.label;
   }
+}
+
+TEST_F(RecoveryTest, EngineStateOfAnotherVersionIsRefusedByName) {
+  // A version-3 state stored the ring at twice the window with its write
+  // position and length; this build reads only the version it writes.
+  IngestionEngine engine(workloads_[0], models_[0], cluster_, cost_model_,
+                         BaseOptions());
+  ASSERT_TRUE(engine.Start(Days(3)).ok());
+  ASSERT_TRUE(engine.RunUntil(Days(3) + Hours(1)).ok());
+  auto snap = engine.Checkpoint();
+  ASSERT_TRUE(snap.ok());
+  std::string bytes;
+  ASSERT_TRUE(io::SerializeIngestState(*snap, &bytes).ok());
+  const uint32_t v3 = 3;
+  std::memcpy(&bytes[0], &v3, sizeof(v3));
+  auto parsed = io::DeserializeIngestState(Resealed(bytes), *models_[0]);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().ToString().find(
+                "unsupported checkpoint format version 3 (this build reads "
+                "version 4)"),
+            std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST_F(RecoveryTest, PlanFeaturesThatDoNotFitTheForecasterAreRefused) {
@@ -594,6 +613,27 @@ TEST_F(RecoveryTest, ForecasterWithAnotherCategoryCountIsRefused) {
   snap.plan_features.assign(fopts.input_splits * wide,
                             1.0 / static_cast<double>(wide));
   ExpectReaderRefuses(snap, "forecaster over |C| + 1 categories");
+}
+
+TEST_F(RecoveryTest, ForecasterOtherThanTheModelsIsRefused) {
+  // The ring reaches back as far as the model's forecaster reads. A state
+  // without that forecaster would forecast from the whole history, and one
+  // whose forecaster spans more segments would read its features from
+  // further back, both possibly past the ring.
+  IngestState snap = MidIntervalForecastState();
+  IngestState none = snap;
+  none.forecaster.reset();
+  none.plan_features.clear();
+  ExpectReaderRefuses(none, "no forecaster under a model with one");
+
+  core::ForecasterOptions fopts = snap.forecaster->options();
+  fopts.input_span += 2 * forecast_model_->segment_seconds;
+  auto longer = core::Forecaster::FromParts(
+      snap.forecaster->SnapshotNet(), fopts,
+      forecast_model_->categories.NumCategories(), {});
+  ASSERT_TRUE(longer.ok()) << longer.status().ToString();
+  snap.forecaster = std::move(*longer);
+  ExpectReaderRefuses(snap, "a forecaster over a longer span");
 }
 
 TEST_F(RecoveryTest, SegmentWindowPastInt64IsRefused) {
