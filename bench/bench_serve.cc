@@ -3,8 +3,10 @@
 //    server — the full frame/queue/planner-feasibility/AddStream path;
 //  - steady-state overhead: wall time of an 8-stream fleet stepped through
 //    the serve stack (sessions opened, results fetched over the socket)
-//    versus the identical in-process StreamSet Step() loop, median of 3.
-//    GATED: the serve layer may cost at most 10% on top of in-process.
+//    versus the identical in-process StreamSet Step() loop: one untimed
+//    warm-up pair, then 9 trial pairs, the side that runs first alternating
+//    from pair to pair. GATED on the median ratio: the serve layer may cost
+//    at most 10% on top of in-process.
 //  - recovery: time to rebuild a 64-stream fleet from its boundary
 //    checkpoint (StreamSet::RecoverFromCheckpoint), tracked ungated.
 //
@@ -152,62 +154,63 @@ int main(int argc, char** argv) {
   std::printf("admission latency over %zu opens: p50 %.3f ms, p99 %.3f ms\n",
               kAdmissions, admission_p50, admission_p99);
 
-  // --- Steady-state overhead: serve stack vs in-process, median of 3 ------
+  // --- Steady-state overhead: serve stack vs in-process -------------------
   // Sessions are opened while the server holds the clock and the timer
   // starts when the last open (which releases the hold) returns, so the
   // measured window is the stepping loop: compute + frame/queue overhead,
   // not connection or model-load setup. The in-process mirror times the
   // same fleet's Step() loop.
   // 2 simulated days keeps each measured window long enough (hundreds of
-  // ms) that scheduler noise does not dominate the ratio.
+  // ms) that scheduler noise does not dominate the ratio. One ratio on a
+  // shared host reads noise, so the gate reads the median of kTrials pairs,
+  // timed after one warm-up pair, with the served fleet going first in
+  // every other pair.
   constexpr size_t kStreams = 8;
   constexpr double kDurationDays = 2.0;
-  constexpr int kReps = 3;
-  std::vector<double> serve_walls, inproc_walls, ratios;
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<core::EngineResult> served(kStreams);
-    double serve_wall = 0.0;
-    {
-      serve::ServerOptions opts = base_opts;
-      opts.start_after_sessions = kStreams;
-      auto server = serve::Server::Start(opts);
-      if (!server.ok()) {
-        std::printf("server start failed: %s\n",
-                    server.status().ToString().c_str());
-        return 1;
-      }
-      auto client = serve::Client::Connect((*server)->port());
-      if (!client.ok()) {
-        std::printf("connect failed: %s\n",
-                    client.status().ToString().c_str());
-        return 1;
-      }
-      uint64_t ids[kStreams];
-      for (size_t i = 0; i < kStreams; ++i) {
-        // Sequential opens from one client: slot i gets seed 200 + i.
-        auto admitted = client->OpenSession(SpecForSeed(200 + i, kDurationDays));
-        if (!admitted.ok()) {
-          std::printf("open failed: %s\n",
-                      admitted.status().ToString().c_str());
-          return 1;
-        }
-        ids[i] = admitted->first;
-      }
-      WallTimer t;  // the last open released the hold: stepping starts now
-      for (size_t i = 0; i < kStreams; ++i) {
-        auto result = client->FetchResult(ids[i]);
-        if (!result.ok()) {
-          std::printf("fetch failed: %s\n",
-                      result.status().ToString().c_str());
-          return 1;
-        }
-        served[i] = std::move(*result);
-      }
-      serve_wall = t.Seconds();
-      (void)client->Drain();
-      (void)(*server)->Wait();
+  constexpr int kTrials = 9;
+  // Steps the fleet through a server; the wall, or -1 on a failure.
+  auto time_served = [&](std::vector<core::EngineResult>* served) {
+    serve::ServerOptions opts = base_opts;
+    opts.start_after_sessions = kStreams;
+    auto server = serve::Server::Start(opts);
+    if (!server.ok()) {
+      std::printf("server start failed: %s\n",
+                  server.status().ToString().c_str());
+      return -1.0;
     }
-
+    auto client = serve::Client::Connect((*server)->port());
+    if (!client.ok()) {
+      std::printf("connect failed: %s\n", client.status().ToString().c_str());
+      return -1.0;
+    }
+    uint64_t ids[kStreams];
+    for (size_t i = 0; i < kStreams; ++i) {
+      // Sequential opens from one client: slot i gets seed 200 + i.
+      auto admitted = client->OpenSession(SpecForSeed(200 + i, kDurationDays));
+      if (!admitted.ok()) {
+        std::printf("open failed: %s\n", admitted.status().ToString().c_str());
+        return -1.0;
+      }
+      ids[i] = admitted->first;
+    }
+    served->assign(kStreams, core::EngineResult{});
+    WallTimer t;  // the last open released the hold: stepping starts now
+    for (size_t i = 0; i < kStreams; ++i) {
+      auto result = client->FetchResult(ids[i]);
+      if (!result.ok()) {
+        std::printf("fetch failed: %s\n", result.status().ToString().c_str());
+        return -1.0;
+      }
+      (*served)[i] = std::move(*result);
+    }
+    double wall = t.Seconds();
+    (void)client->Drain();
+    (void)(*server)->Wait();
+    return wall;
+  };
+  // Steps the same fleet in process; the wall, or -1 on a failure.
+  auto time_in_process =
+      [&](std::vector<Result<core::EngineResult>>* results) {
     std::vector<Tenant> tenants(kStreams);
     std::vector<core::StreamEngineJob> jobs;
     for (size_t i = 0; i < kStreams; ++i) {
@@ -215,7 +218,7 @@ int main(int argc, char** argv) {
       if (!job.ok()) {
         std::printf("mirror job failed: %s\n",
                     job.status().ToString().c_str());
-        return 1;
+        return -1.0;
       }
       jobs.push_back(*job);
     }
@@ -225,33 +228,54 @@ int main(int argc, char** argv) {
     if (!fleet.ok()) {
       std::printf("fleet create failed: %s\n",
                   fleet.status().ToString().c_str());
-      return 1;
+      return -1.0;
     }
     WallTimer t;
     while (!fleet->Done()) {
       if (Status st = fleet->Step(); !st.ok()) {
         std::printf("step failed: %s\n", st.ToString().c_str());
-        return 1;
+        return -1.0;
       }
     }
-    double inproc_wall = t.Seconds();
-
-    auto results = fleet->Results();
+    double wall = t.Seconds();
+    *results = fleet->Results();
+    return wall;
+  };
+  std::vector<double> serve_walls, inproc_walls, ratios;
+  for (int trial = 0; trial <= kTrials; ++trial) {
+    std::vector<core::EngineResult> served;
+    std::vector<Result<core::EngineResult>> results;
+    double serve_wall = 0.0;
+    double inproc_wall = 0.0;
+    if (trial % 2 == 0) {
+      serve_wall = time_served(&served);
+      inproc_wall = time_in_process(&results);
+    } else {
+      inproc_wall = time_in_process(&results);
+      serve_wall = time_served(&served);
+    }
+    if (serve_wall <= 0.0 || inproc_wall <= 0.0) return 1;
     for (size_t i = 0; i < kStreams; ++i) {
       gate(results[i].ok() &&
                core::EngineResultsIdentical(*results[i], served[i]),
            "served results bitwise match the in-process fleet");
     }
+    std::printf("%s %d (%s first): serve %.3f s, in-process %.3f s, "
+                "ratio %.3f\n",
+                trial == 0 ? "warm-up" : "trial", trial,
+                trial % 2 == 0 ? "serve" : "in-process", serve_wall,
+                inproc_wall, serve_wall / inproc_wall);
+    if (trial == 0) continue;
     serve_walls.push_back(serve_wall);
     inproc_walls.push_back(inproc_wall);
     ratios.push_back(serve_wall / inproc_wall);
-    std::printf("rep %d: serve %.3f s, in-process %.3f s, ratio %.3f\n",
-                rep, serve_wall, inproc_wall, serve_wall / inproc_wall);
   }
-  double ratio_median = Percentile(ratios, 50.0);
-  std::printf("steady-state overhead ratio (median of %d): %.3f "
-              "(gate: <= 1.10)\n",
-              kReps, ratio_median);
+  const double ratio_p25 = Percentile(ratios, 25.0);
+  const double ratio_median = Percentile(ratios, 50.0);
+  const double ratio_p75 = Percentile(ratios, 75.0);
+  std::printf("steady-state overhead ratio: median %.3f of %d trials "
+              "(quartiles %.3f / %.3f) (gate: <= 1.10)\n",
+              ratio_median, kTrials, ratio_p25, ratio_p75);
   gate(ratio_median <= 1.10,
        "serve steady-state overhead within 10% of in-process");
 
@@ -302,9 +326,18 @@ int main(int argc, char** argv) {
   json.Set("admission_latency_p99_ms", admission_p99);
   json.Set("steady_streams", static_cast<double>(kStreams));
   json.Set("steady_duration_days", kDurationDays);
+  json.Set("overhead_trials", static_cast<double>(kTrials));
+  for (size_t k = 0; k < ratios.size(); ++k) {
+    const std::string trial = "_trial" + std::to_string(k + 1);
+    json.Set("serve_wall_s" + trial, serve_walls[k]);
+    json.Set("inproc_wall_s" + trial, inproc_walls[k]);
+    json.Set("serve_overhead_ratio" + trial, ratios[k]);
+  }
   json.Set("serve_wall_s_median", Percentile(serve_walls, 50.0));
   json.Set("inproc_wall_s_median", Percentile(inproc_walls, 50.0));
+  json.Set("serve_overhead_ratio_p25", ratio_p25);
   json.Set("serve_overhead_ratio_median", ratio_median);
+  json.Set("serve_overhead_ratio_p75", ratio_p75);
   json.Set("overhead_gate", ratio_median <= 1.10 ? "pass" : "fail");
   json.Set("recover_streams", static_cast<double>(kRecoverStreams));
   json.Set("recover_64stream_s", recover_s);

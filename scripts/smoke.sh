@@ -111,6 +111,35 @@ EXPECT_STDERR=--cores expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" \
   --cores 0 --cloud-budget 5 >/dev/null
 expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --cloud-budget -5
 expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --start-days 1e300
+# Left out, the start and the plan interval derive from the model; given,
+# they must be a day, or the run exits 2 naming the flag instead of
+# quietly taking the model's value. `sky client open` refuses them before
+# it connects (no server listens on port 1).
+EXPECT_STDERR=--plan-interval-days expect_exit 2 ./sky ingest \
+  --model "${SKY_SMOKE_MODEL}" --plan-interval-days -3
+EXPECT_STDERR=--plan-interval-days expect_exit 2 ./sky ingest \
+  --model "${SKY_SMOKE_MODEL}" --plan-interval-days 0
+EXPECT_STDERR=--start-days expect_exit 2 ./sky ingest \
+  --model "${SKY_SMOKE_MODEL}" --start-days -5
+EXPECT_STDERR=--start-days expect_exit 2 ./sky client open --port 1 \
+  --start-days -1
+EXPECT_STDERR=--plan-interval-days expect_exit 2 ./sky client open --port 1 \
+  --plan-interval-days 0
+# Each subcommand accepts only the flags its --help lists: another
+# subcommand's flag is unknown here, not silently ignored.
+for flag in "--port 5" "--categories 7" "--checkpoint-every 3"; do
+  # shellcheck disable=SC2086  # the flag and its value are two words
+  EXPECT_STDERR="${flag% *}" expect_exit 2 ./sky ingest \
+    --model "${SKY_SMOKE_MODEL}" ${flag}
+done
+EXPECT_STDERR=--duration-days expect_exit 2 ./sky offline --workload ev \
+  --out "${SKY_SERVE_DIR}/refused.bin" --duration-days 5
+EXPECT_STDERR=--model expect_exit 2 ./sky offline --workload ev \
+  --out "${SKY_SERVE_DIR}/refused.bin" --model foo
+EXPECT_STDERR=--workload expect_exit 2 ./sky inspect \
+  --model "${SKY_SMOKE_MODEL}" --workload ev
+EXPECT_STDERR=--budget expect_exit 2 ./sky client fetch --port 1 --session 1 \
+  --budget 3
 echo "sky CLI hygiene smoke passed"
 
 serve_wait_port() {  # serve_wait_port PORT_FILE -> echoes the bound port

@@ -24,6 +24,15 @@ bool BitsEqual(double a, double b) {
   return ab == bb;
 }
 
+/// Run-local index of the last plan boundary of a run of `n_segments` in
+/// plans of `segs_per_interval` (at least 1): the boundary that opens its
+/// last, possibly partial, interval; 0 for a run of no segments.
+int64_t LastBoundary(int64_t n_segments, int64_t segs_per_interval) {
+  return n_segments <= 0
+             ? 0
+             : (n_segments - 1) / segs_per_interval * segs_per_interval;
+}
+
 /// Bytes of `train_seq` that open the history of a run with `window`.
 size_t TailLength(const std::vector<uint8_t>& train_seq, size_t window) {
   return std::min(window, train_seq.size());
@@ -118,11 +127,13 @@ size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval) {
 
 size_t HistoryRingSize(const OfflineModel& model, int64_t n_segments,
                        int64_t segs_per_interval) {
-  // Without a forecaster the window is one plan interval, so this reach is
-  // twice the window.
-  return std::min(static_cast<size_t>(std::max<int64_t>(0, n_segments)),
-                  HistoryWindow(model, segs_per_interval) +
-                      static_cast<size_t>(segs_per_interval));
+  // Without a forecaster the window is one plan interval, so the reach is
+  // twice the window. At least one byte, so the write i % size is defined.
+  const size_t read_back = std::min(
+      static_cast<size_t>(LastBoundary(n_segments, segs_per_interval)),
+      HistoryWindow(model, segs_per_interval) +
+          static_cast<size_t>(segs_per_interval));
+  return std::max<size_t>(1, read_back);
 }
 
 bool SegmentWindowFits(int64_t first_segment, int64_t n_segments) {
@@ -195,14 +206,28 @@ IngestionEngine::IngestionEngine(const Workload* workload,
 
 void IngestionEngine::MaterializeContent() const {
   const IngestState& s = *state_;
-  double seg = model_->segment_seconds;
-  // Summed as doubles: two int64 counts that each fit (Start's check, or a
-  // restored checkpoint's) may overflow int64 together.
-  double first = static_cast<double>(s.first_segment);
+  if (s.next_index >= s.n_segments) return;
+  const double seg = model_->segment_seconds;
+  // The last run-local segment the run reads: its own last one, or, when it
+  // forecasts from ground truth, the last segment of the look-ahead of its
+  // last boundary (GroundTruthForecastInto reads `ahead` segments from
+  // each boundary).
+  double last = static_cast<double>(s.n_segments - 1);
+  if (options_.use_ground_truth_forecast) {
+    const double ahead = std::trunc(options_.plan_interval / seg);
+    last = std::max(
+        last,
+        static_cast<double>(LastBoundary(s.n_segments, s.segs_per_interval)) +
+            ahead - 1.0);
+  }
+  // Indexes summed as doubles: two int64 counts that each fit (Start's
+  // check, or a restored checkpoint's) may overflow int64 together. Below
+  // 2^53, past any content horizon, the sums are exact, so the end is
+  // bitwise the midpoint StreamSource::Segment samples.
+  const double first = static_cast<double>(s.first_segment);
   workload_->content_process().Materialize(
       (first + static_cast<double>(s.next_index)) * seg,
-      (first + static_cast<double>(s.n_segments)) * seg +
-          options_.plan_interval);
+      (first + last) * seg + 0.5 * seg);
 }
 
 size_t IngestionEngine::TrueCategoryInto(const video::ContentState& content,
@@ -233,10 +258,9 @@ bool IngestionEngine::LookAheadFits(int64_t first_segment,
   if (!(std::abs(ahead) < 0x1p63)) return false;
   const int64_t count = static_cast<int64_t>(ahead);
   if (count <= 0) return true;
-  const int64_t last_boundary =
-      (n_segments - 1) / segs_per_interval * segs_per_interval;
-  return first_segment <=
-         std::numeric_limits<int64_t>::max() - last_boundary - (count - 1);
+  return first_segment <= std::numeric_limits<int64_t>::max() -
+                              LastBoundary(n_segments, segs_per_interval) -
+                              (count - 1);
 }
 
 const std::vector<double>& IngestionEngine::config_costs() const {
@@ -524,8 +548,8 @@ Status IngestionEngine::Start(SimTime start_time) {
   // Rolling category history, bounded instead of growing O(duration): the
   // last history_window categories of the offline training sequence, read
   // in place from the model, then the categories this run decides, of which
-  // the engine keeps as many as any read reaches back (HistoryRingSize). Its
-  // length follows a vector compacted at 2x capacity: on reaching
+  // the engine keeps as many as its boundaries read back (HistoryRingSize).
+  // Its length follows a vector compacted at 2x capacity: on reaching
   // 2 * history_window it drops back to history_window before the next
   // push. The forecaster features read the last `input_span` and the
   // fine-tune the last interval, so both see what they would unbounded. The

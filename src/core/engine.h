@@ -136,13 +136,19 @@ bool EngineResultsIdentical(const EngineResult& a, const EngineResult& b);
 size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval);
 
 /// Bytes of the category ring an engine keeps for a run of `n_segments` of
-/// `model` in plans of `segs_per_interval`: the farthest any read reaches
-/// back, one window plus one plan interval, or the whole run when that is
-/// shorter. With a forecaster the reach covers the input span slid by one
-/// interval, and the fine-tune; without one the window is one plan
+/// `model` in plans of `segs_per_interval` (at least 1). PrepareBoundary is
+/// the ring's only reader, so it holds what the last boundary reads back:
+/// the farthest any read reaches, one window plus one plan interval, or the
+/// categories decided before the last boundary,
+/// ((n_segments - 1) / segs_per_interval) * segs_per_interval, when those
+/// are fewer. With a forecaster the reach covers the input span slid by
+/// one interval, and the fine-tune; without one the window is one plan
 /// interval, so the reach is the twice-the-window history that the
-/// fallback forecast reads whole. Start allocates it, and Restore and the
-/// checkpoint reader refuse any other ring.
+/// fallback forecast reads whole. A category decided at or after the last
+/// boundary is never read, and a run with no second boundary reads none:
+/// its ring is one byte, so the write i % size stays defined. Start
+/// allocates it, and Restore and the checkpoint reader refuse any other
+/// ring.
 size_t HistoryRingSize(const OfflineModel& model, int64_t n_segments,
                        int64_t segs_per_interval);
 
@@ -407,9 +413,11 @@ class IngestionEngine {
   bool LookAheadFits(int64_t first_segment, int64_t n_segments,
                      int64_t segs_per_interval) const;
 
-  /// Builds the content the rest of the run reads — its remaining segments
-  /// plus one plan interval of ground-truth look-ahead (Fig. 14) — so Step()
-  /// never builds content on first use.
+  /// Builds the content the rest of the run reads, so Step() never builds
+  /// content on first use: through the midpoint of its last segment, the
+  /// instant video::StreamSource::Segment samples, or, when it forecasts
+  /// from ground truth (Fig. 14), through the last boundary's look-ahead,
+  /// the one read past the run. Nothing for a finished run.
   void MaterializeContent() const;
 
   /// Ground truth for one segment's content: writes the noise-free quality

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/stats.h"
 #include "video/stream_source.h"
@@ -11,6 +14,59 @@
 
 namespace sky::core {
 namespace {
+
+/// Forwards to `base` and records what the engine materializes and reads:
+/// a read at an instant outside every range materialized before it is one
+/// that builds content on first use.
+class RecordingContent : public video::ContentProcess {
+ public:
+  explicit RecordingContent(const video::ContentProcess* base) : base_(base) {}
+
+  video::ContentState At(SimTime t) const override {
+    bool built = false;
+    for (const auto& [begin, end] : ranges_) {
+      built = built || (begin <= t && t <= end);
+    }
+    if (!built) ++reads_not_built_;
+    return base_->At(t);
+  }
+  SimTime horizon() const override { return base_->horizon(); }
+  void Materialize(SimTime begin, SimTime end) const override {
+    ranges_.emplace_back(begin, end);
+    base_->Materialize(begin, end);
+  }
+
+  /// The last instant any Materialize call reaches.
+  SimTime materialized_end() const {
+    SimTime end = -1.0;
+    for (const auto& range : ranges_) end = std::max(end, range.second);
+    return end;
+  }
+  size_t reads_not_built() const { return reads_not_built_; }
+
+ private:
+  const video::ContentProcess* base_;
+  mutable std::vector<std::pair<SimTime, SimTime>> ranges_;
+  mutable size_t reads_not_built_ = 0;
+};
+
+/// A fresh EV camera whose content the engine reads through a recorder.
+class RecordedCamera : public workloads::EvCountingWorkload {
+ public:
+  const video::ContentProcess& content_process() const override {
+    return recorder_;
+  }
+  const RecordingContent& recorder() const { return recorder_; }
+  /// Event day-blocks the camera's content has built.
+  size_t built_event_days() const {
+    return static_cast<const video::DiurnalContentProcess&>(
+               workloads::EvCountingWorkload::content_process())
+        .built_event_days();
+  }
+
+ private:
+  RecordingContent recorder_{&workloads::EvCountingWorkload::content_process()};
+};
 
 /// Shared fixture: one offline fit on the EV workload (small but real), a
 /// 4-core server. Reused across tests to keep the suite fast.
@@ -289,10 +345,12 @@ TEST_F(EngineTest, StartRefusesABootstrapOutsideTheModelsCategories) {
 }
 
 TEST_F(EngineTest, HistoryRingHoldsOnlyWhatTheRunReadsBack) {
-  // The engine keeps the categories it decides as far back as any read
-  // reaches: the window W plus one plan interval with a forecaster, 2W
-  // without one. A shorter run keeps its own length. The fixture's 1-day
-  // span is 21,600 segments of 4 s.
+  // The engine keeps the categories it decides as far back as its last
+  // plan boundary reads: the window W plus one plan interval with a
+  // forecaster, 2W without one, or only the categories decided before
+  // that boundary, ((n - 1) / interval) * interval, when those are fewer.
+  // A run with no second boundary reads none back and keeps one byte. The
+  // fixture's 1-day span is 21,600 segments of 4 s.
   auto ring_after_start = [&](const OfflineModel& model, SimTime duration,
                               SimTime interval) -> size_t {
     EngineOptions opts = BaseOptions();
@@ -303,18 +361,33 @@ TEST_F(EngineTest, HistoryRingHoldsOnlyWhatTheRunReadsBack) {
     auto snapshot = engine.Checkpoint();
     return snapshot.ok() ? snapshot->history.size() : 0;
   };
-  // W = 21,600 and 225-segment plans: a 5,400-segment run, then 8 days.
-  EXPECT_EQ(ring_after_start(*model_, Hours(6), Minutes(15)), 5400u);
+  // W = 21,600 and 225-segment plans: a 5,400-segment run ends on a
+  // boundary, so its last one opens at 5,175; then 8 days.
+  EXPECT_EQ(ring_after_start(*model_, Hours(6), Minutes(15)), 5175u);
   EXPECT_EQ(ring_after_start(*model_, Days(8), Minutes(15)), 21825u);
-  // 2-day plans widen W to one plan interval, 43,200 segments.
+  // 2-day plans widen W to one plan interval, 43,200 segments: an 8-day
+  // run (`single-covid`'s geometry) keeps the reach, 86,400.
   EXPECT_EQ(ring_after_start(*model_, Days(8), Days(2)), 86400u);
+  // One interval, or less, has no second boundary.
+  EXPECT_EQ(ring_after_start(*model_, Days(1), Days(1)), 1u);
+  EXPECT_EQ(ring_after_start(*model_, Hours(6), Days(1)), 1u);
+  // Two 1-day intervals end on a boundary: the second reads back the
+  // first's 21,600. A partial third interval opens at 43,200, under the
+  // reach of W + 21,600 = 43,200, and a partial second one at 21,600.
+  EXPECT_EQ(ring_after_start(*model_, Days(2), Days(1)), 21600u);
+  EXPECT_EQ(ring_after_start(*model_, Days(2.5), Days(1)), 43200u);
+  EXPECT_EQ(ring_after_start(*model_, Days(1.5), Days(1)), 21600u);
   // Without a forecaster W is one plan interval.
   OfflineModel plain = *model_;
   plain.forecaster.reset();
   EXPECT_EQ(ring_after_start(plain, Hours(6), Hours(1)), 1800u);
-  EXPECT_EQ(ring_after_start(plain, Hours(6), Hours(4)), 5400u);
-  // A 6-h run of 2-s segments under a 2-day span holds its 10,800
-  // categories, not 2W = 172,800.
+  // A partial second interval: its boundary at 3,600 reads back 3,600.
+  EXPECT_EQ(ring_after_start(plain, Hours(6), Hours(4)), 3600u);
+  // 2-s segments under a 2-day span (W = 86,400): a 6-h run in 15-minute
+  // plans (`fleet-replan`'s geometry) holds the 10,350 categories before
+  // its last boundary, not 2W = 172,800, and in 1-hour plans
+  // (`serve-churn`'s) 9,000; a 2-day run in 1-day plans (`fleet-steady`'s)
+  // holds its first day, 43,200, not W + 43,200 = 129,600.
   OfflineModel fleet = *model_;
   fleet.segment_seconds = 2.0;
   ForecasterOptions fopts = model_->forecaster->options();
@@ -324,7 +397,76 @@ TEST_F(EngineTest, HistoryRingHoldsOnlyWhatTheRunReadsBack) {
                                        model_->categories.NumCategories(), {});
   ASSERT_TRUE(two_day.ok()) << two_day.status().ToString();
   fleet.forecaster = std::move(*two_day);
-  EXPECT_EQ(ring_after_start(fleet, Hours(6), Minutes(15)), 10800u);
+  EXPECT_EQ(ring_after_start(fleet, Hours(6), Minutes(15)), 10350u);
+  EXPECT_EQ(ring_after_start(fleet, Hours(6), Hours(1)), 9000u);
+  EXPECT_EQ(ring_after_start(fleet, Days(2), Days(1)), 43200u);
+}
+
+TEST_F(EngineTest, ContentIsBuiltThroughTheLastInstantTheRunReads) {
+  // Start and Restore build content through the midpoint of the run's last
+  // segment and no further, and no Step() reads content they did not
+  // build. A 2-day run from day 16 in 1-day plans builds event days 16 and
+  // 17; one plan interval more would reach day 19.
+  const double seg = model_->segment_seconds;
+  auto midpoint = [seg](int64_t segment) {
+    return static_cast<double>(segment) * seg + 0.5 * seg;
+  };
+  const int64_t first = static_cast<int64_t>(Days(16) / seg);
+  EngineOptions opts = BaseOptions();
+  opts.duration = Days(2);
+  const int64_t n = static_cast<int64_t>(opts.duration / seg);
+
+  RecordedCamera camera;
+  IngestionEngine engine(&camera, model_, cluster_, cost_model_, opts);
+  ASSERT_TRUE(engine.Start(Days(16)).ok());
+  EXPECT_EQ(camera.recorder().materialized_end(), midpoint(first + n - 1));
+  EXPECT_EQ(camera.built_event_days(), 2u);
+  ASSERT_TRUE(engine.RunUntil(Days(17) + Hours(3)).ok());
+  auto snapshot = engine.Checkpoint();
+  ASSERT_TRUE(snapshot.ok());
+  while (!engine.Done()) ASSERT_TRUE(engine.Step().ok());
+  EXPECT_EQ(camera.recorder().reads_not_built(), 0u);
+  EXPECT_EQ(camera.built_event_days(), 2u);
+
+  // Restored on a fresh camera, the rest of the run reads day 17 alone.
+  RecordedCamera fresh;
+  IngestionEngine restored(&fresh, model_, cluster_, cost_model_, opts);
+  ASSERT_TRUE(restored.Restore(*snapshot).ok());
+  EXPECT_EQ(fresh.recorder().materialized_end(), midpoint(first + n - 1));
+  EXPECT_EQ(fresh.built_event_days(), 1u);
+  while (!restored.Done()) ASSERT_TRUE(restored.Step().ok());
+  EXPECT_EQ(fresh.recorder().reads_not_built(), 0u);
+  EXPECT_EQ(fresh.built_event_days(), 1u);
+  EXPECT_TRUE(EngineResultsIdentical(restored.partial_result(),
+                                     engine.partial_result()));
+}
+
+TEST_F(EngineTest, GroundTruthLookAheadIsBuiltBeforeItIsRead) {
+  // Forecasting from ground truth, the boundary at day 17 opening the last,
+  // partial interval of a 1.5-day run reads the whole day ahead: Start
+  // builds through the midpoint of that look-ahead's last segment, past
+  // the run's own end, and no read of the run or of a look-ahead builds on
+  // first use.
+  const double seg = model_->segment_seconds;
+  const int64_t first = static_cast<int64_t>(Days(16) / seg);
+  const int64_t per_day = static_cast<int64_t>(Days(1) / seg);
+  EngineOptions opts = BaseOptions();
+  opts.duration = Days(1.5);
+  opts.use_ground_truth_forecast = true;
+
+  RecordedCamera camera;
+  IngestionEngine engine(&camera, model_, cluster_, cost_model_, opts);
+  ASSERT_TRUE(engine.Start(Days(16)).ok());
+  EXPECT_EQ(camera.recorder().materialized_end(),
+            static_cast<double>(first + 2 * per_day - 1) * seg + 0.5 * seg);
+  size_t boundaries = 0;
+  while (!engine.Done()) {
+    if (engine.AtPlanBoundary()) ++boundaries;
+    ASSERT_TRUE(engine.Step().ok());
+  }
+  EXPECT_EQ(boundaries, 2u);
+  EXPECT_EQ(camera.recorder().reads_not_built(), 0u);
+  EXPECT_EQ(camera.built_event_days(), 2u);
 }
 
 TEST_F(EngineTest, RestoreRefusesAHistoryTheModelWouldNotGiveTheRun) {

@@ -339,7 +339,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlacementDeterminismSweep,
 // from split counts it slides from boundary to boundary, equal a fresh
 // reference scan of its history, bitwise — over random
 // category streams, feature geometries, bootstraps, and a checkpoint
-// round trip mid-run. The instance stream is derived from SKY_PROP_SEED.
+// round trip mid-run; from parameter 12 on a second round trip lands after
+// the last boundary, and every run ends bitwise as one never interrupted.
+// The instance stream is derived from SKY_PROP_SEED.
 // ---------------------------------------------------------------------------
 
 class SplitCountSweep : public ::testing::TestWithParam<uint64_t> {
@@ -398,6 +400,16 @@ std::vector<uint8_t> ExpectedHistory(const core::OfflineModel& model,
   }
   return std::vector<uint8_t>(seq.end() - static_cast<ptrdiff_t>(len),
                               seq.end());
+}
+
+/// The ring a run of `run` segments in plans of `interval` keeps when its
+/// reads reach back `reach` categories: what its last boundary reads back,
+/// the categories decided before it or the reach, whichever is fewer, and
+/// one byte when it has no second boundary.
+size_t ExpectedRingSize(int64_t run, int64_t interval, size_t reach) {
+  const size_t last_boundary = static_cast<size_t>((run - 1) / interval *
+                                                   interval);
+  return std::max<size_t>(1, std::min(last_boundary, reach));
 }
 
 TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
@@ -488,6 +500,10 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
   auto expect_scan = [&](const core::IngestionEngine& e) {
     auto snap = e.Checkpoint();
     ASSERT_TRUE(snap.ok());
+    EXPECT_EQ(snap->history.size(),
+              ExpectedRingSize(static_cast<int64_t>(run),
+                               static_cast<int64_t>(interval),
+                               window + interval));
     std::vector<double> scanned;
     oracle::FeaturesFromHistoryInto(*snap->forecaster,
                                     ExpectedHistory(model, *snap), seg,
@@ -511,6 +527,18 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
   const int64_t restore_into = rng.UniformInt(0, 2);
   std::string saved;
   bool restored = false;
+  // From parameter 12 on, bytes taken after a random step past the last
+  // boundary, the finished run's included, are restored after a later one
+  // into a fresh engine.
+  const int64_t last_boundary =
+      static_cast<int64_t>((boundaries - 1) * interval);
+  const int64_t last_step = static_cast<int64_t>(run);
+  const int64_t late_save_at =
+      GetParam() >= 12 ? rng.UniformInt(last_boundary + 1, last_step) : -1;
+  const int64_t late_restore_at =
+      GetParam() >= 12 ? rng.UniformInt(late_save_at, last_step) : -1;
+  std::string late_saved;
+  bool late_restored = false;
 
   std::unique_ptr<core::IngestionEngine> engine = started_engine(opts.seed);
   size_t checks = 0;
@@ -547,23 +575,44 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
       }
     }
     ASSERT_TRUE(engine->Step().ok());
+    const int64_t stepped = engine->next_segment_index();
+    if (stepped == late_save_at && late_saved.empty()) {
+      auto snap = engine->Checkpoint();
+      ASSERT_TRUE(snap.ok());
+      ASSERT_TRUE(io::SerializeIngestState(*snap, &late_saved).ok());
+    }
+    if (stepped == late_restore_at && !late_restored) {
+      late_restored = true;
+      auto parsed = io::DeserializeIngestState(late_saved, model);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      engine = started_engine(opts.seed + 1);
+      ASSERT_TRUE(engine->Restore(*parsed).ok());
+    }
   }
   // Boundaries save_at and save_at + 1 run twice.
   EXPECT_TRUE(restored);
+  EXPECT_EQ(late_restored, GetParam() >= 12);
   EXPECT_EQ(checks, boundaries + 2);
+
+  std::unique_ptr<core::IngestionEngine> uninterrupted =
+      started_engine(opts.seed);
+  while (!uninterrupted->Done()) ASSERT_TRUE(uninterrupted->Step().ok());
+  EXPECT_TRUE(core::EngineResultsIdentical(engine->partial_result(),
+                                           uninterrupted->partial_result()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SplitCountSweep,
-                         ::testing::Range<uint64_t>(0, 12));
+                         ::testing::Range<uint64_t>(0, 16));
 
 // ---------------------------------------------------------------------------
 // Property: without a forecaster, the forecast at every plan boundary is
 // the normalized histogram of the whole history (ExpectedHistory), bitwise.
 // This fallback is the one read that spans the history, so its ring keeps
-// twice the window. Tails run on both sides of the window and runs on both
-// sides of that reach, most of them across the 2W compaction, with a
-// checkpoint round trip mid-run. The instance stream is derived from
-// SKY_PROP_SEED.
+// twice the window, or what the last boundary reads back when that is
+// less. Tails run on both sides of the window and runs on both sides of
+// that reach, most of them across the 2W compaction, with a checkpoint
+// round trip mid-run; from parameter 12 on the round trip lands after the
+// last boundary. The instance stream is derived from SKY_PROP_SEED.
 // ---------------------------------------------------------------------------
 
 class FallbackHistorySweep : public SplitCountSweep {};
@@ -618,8 +667,7 @@ TEST_P(FallbackHistorySweep, BoundaryForecastIsTheHistoryHistogram) {
   auto expect_histogram = [&](const core::IngestionEngine& e) {
     auto snap = e.Checkpoint();
     ASSERT_TRUE(snap.ok());
-    EXPECT_EQ(snap->history.size(),
-              std::min(static_cast<size_t>(run), 2 * window));
+    EXPECT_EQ(snap->history.size(), ExpectedRingSize(run, w, 2 * window));
     const std::vector<uint8_t> history = ExpectedHistory(model, *snap);
     std::vector<double> expected(num_c, 1.0 / static_cast<double>(num_c));
     if (!history.empty()) {
@@ -638,7 +686,13 @@ TEST_P(FallbackHistorySweep, BoundaryForecastIsTheHistoryHistogram) {
   // Checkpoint bytes taken at one random segment are restored at a later
   // one, into the same engine or a fresh one; the segments between run
   // twice, and the run must still end bitwise as one never interrupted.
-  const int64_t save_at = rng.UniformInt(0, run - 1);
+  // From parameter 12 on both segments lie past the last boundary (on it
+  // when the last interval is one segment), where the ring holds
+  // categories no boundary reads.
+  const int64_t save_at =
+      GetParam() >= 12
+          ? rng.UniformInt(std::min((run - 1) / w * w + 1, run - 1), run - 1)
+          : rng.UniformInt(0, run - 1);
   const int64_t restore_at = rng.UniformInt(save_at, run - 1);
   const bool fresh_engine = rng.Bernoulli(0.5);
   std::string saved;
@@ -678,7 +732,7 @@ TEST_P(FallbackHistorySweep, BoundaryForecastIsTheHistoryHistogram) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FallbackHistorySweep,
-                         ::testing::Range<uint64_t>(0, 12));
+                         ::testing::Range<uint64_t>(0, 16));
 
 }  // namespace
 }  // namespace sky

@@ -559,25 +559,31 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
 
 TEST_F(RecoveryTest, EngineStateOfAnotherVersionIsRefusedByName) {
   // A version-3 state stored the ring at twice the window with its write
-  // position and length; this build reads only the version it writes.
-  IngestionEngine engine(workloads_[0], models_[0], cluster_, cost_model_,
-                         BaseOptions());
-  ASSERT_TRUE(engine.Start(Days(3)).ok());
-  ASSERT_TRUE(engine.RunUntil(Days(3) + Hours(1)).ok());
+  // position and length. A version-4 state has this layout, but its ring
+  // holds the whole run when the run is shorter than the reach, where this
+  // build keeps only what the last boundary reads back; a 2-day run in
+  // 1-day plans is such a run. This build reads only the version it
+  // writes, and names the version it refuses.
+  IngestionEngine engine(forecast_workload_, forecast_model_, cluster_,
+                         cost_model_, ForecastOptions());
+  ASSERT_TRUE(engine.Start(Days(6)).ok());
+  ASSERT_TRUE(engine.RunUntil(Days(6) + Hours(1)).ok());
   auto snap = engine.Checkpoint();
   ASSERT_TRUE(snap.ok());
   std::string bytes;
   ASSERT_TRUE(io::SerializeIngestState(*snap, &bytes).ok());
-  const uint32_t v3 = 3;
-  std::memcpy(&bytes[0], &v3, sizeof(v3));
-  auto parsed = io::DeserializeIngestState(Resealed(bytes), *models_[0]);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(parsed.status().ToString().find(
-                "unsupported checkpoint format version 3 (this build reads "
-                "version 4)"),
-            std::string::npos)
-      << parsed.status().ToString();
+  for (uint32_t version : {3u, 4u}) {
+    std::memcpy(&bytes[0], &version, sizeof(version));
+    auto parsed =
+        io::DeserializeIngestState(Resealed(bytes), *forecast_model_);
+    ASSERT_FALSE(parsed.ok()) << "version " << version;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().ToString().find(
+                  "unsupported checkpoint format version " +
+                  std::to_string(version) + " (this build reads version 5)"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST_F(RecoveryTest, PlanFeaturesThatDoNotFitTheForecasterAreRefused) {

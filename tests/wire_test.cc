@@ -171,12 +171,12 @@ TEST(WireContainerTest, FleetCheckpointLayoutIsPinned) {
   std::string bytes;
   ASSERT_TRUE(SerializeFleetCheckpoint(FixedFleet(), &bytes).ok());
   EXPECT_EQ(Hex(bytes),
-            "534b59434b50543104000000040302014d455441080000000000000002000000"
+            "534b59434b50543105000000040302014d455441080000000000000002000000"
             "000000005354524d290000000000000000000000000000000000000000000000"
             "00000000010c00000000000000656e67696e652d73746174655354524d280000"
             "00000000000100000000000000070000000b0000000000000071756172616e74"
-            "696e65640000000000000000004353554d0800000000000000b5a5d54391d768"
-            "ab");
+            "696e65640000000000000000004353554d08000000000000002ed3ece54e794c"
+            "e0");
 }
 
 TEST(WireContainerTest, ServeCheckpointLayoutIsPinned) {

@@ -30,9 +30,11 @@
 // stdout):
 //   0  success
 //   1  any other runtime failure (includes an admission rejection)
-//   2  usage error (unknown flag/subcommand/workload, missing required flag,
-//      a number flag whose value is not wholly a finite number of its type,
-//      or a value the offline fit or the ingest run refuses, e.g.
+//   2  usage error (unknown subcommand/workload, a flag the subcommand's
+//      --help does not list, missing required flag, a number flag whose
+//      value is not wholly a finite number of its type or lies outside the
+//      flag's range, e.g. `--start-days -5` or `--plan-interval-days 0`, or
+//      a value the offline fit or the ingest run refuses, e.g.
 //      `--categories 0` or `--duration-days -1`)
 //   3  I/O failure (model file missing or unreadable, save failed)
 //   4  corrupt model file (bad magic/version/checksum/layout)
@@ -41,6 +43,7 @@
 //
 // Every subcommand also answers `--help` on stdout with exit code 0.
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <csignal>
@@ -49,7 +52,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "api/skyscraper.h"
 #include "api/workload_registry.h"
@@ -203,9 +208,11 @@ struct Flags {
   size_t categories = 4;
   size_t threads = 0;
   uint64_t offline_seed = 81;
-  double start_days = -1.0;  ///< -1 = derive from the loaded model
+  /// Unset: derive from the loaded model (ResolveServedSchedule).
+  std::optional<double> start_days;
   double duration_days = 1.0;
-  double plan_interval_days = -1.0;  ///< -1 = derive from the loaded model
+  /// Unset: derive from the loaded model (ResolveServedSchedule).
+  std::optional<double> plan_interval_days;
   uint64_t engine_seed = 71;
   bool help = false;
 
@@ -247,28 +254,92 @@ bool ParseNumber(const std::string& text, std::optional<T>* out) {
 
 constexpr double kBytesPerGb = 1ull << 30;
 
+/// The flags a subcommand (or client verb) accepts: exactly those its
+/// --help lists, which ParseFlags checks before anything else. --help and
+/// -h are accepted everywhere.
+using FlagSet = std::vector<std::string_view>;
+
+/// The flags of `sky <cmd>` (`sky client <verb>` when cmd is "client"; an
+/// empty verb is `sky client` alone); null for an unknown subcommand, and
+/// the common flags alone for an unknown verb, which RunClient refuses.
+const FlagSet* AcceptedFlags(const std::string& cmd, const std::string& verb) {
+  static const FlagSet kOffline = {
+      "--out",        "--workload",   "--cores",           "--cloud-budget",
+      "--buffer-gb",  "--seed",       "--segment-seconds", "--train-days",
+      "--plan-days",  "--categories", "--threads"};
+  static const FlagSet kIngest = {
+      "--model",      "--workload",      "--cores",
+      "--cloud-budget", "--buffer-gb",   "--seed",
+      "--start-days", "--duration-days", "--plan-interval-days"};
+  static const FlagSet kInspect = {"--model"};
+  static const FlagSet kServe = {
+      "--model",        "--workload",         "--cores",
+      "--cloud-budget", "--buffer-gb",        "--port",
+      "--port-file",    "--shared-budget",    "--max-sessions",
+      "--start-after",  "--checkpoint",       "--checkpoint-every",
+      "--max-restarts", "--recover"};
+  static const FlagSet kClient = {"--port"};
+  static const FlagSet kClientOpen = {
+      "--port",         "--workload",      "--content-seed",
+      "--start-days",   "--duration-days", "--plan-interval-days",
+      "--seed",         "--record-trace",  "--trace-resolution-s",
+      "--cloud-budget", "--work-budget",   "--wait"};
+  static const FlagSet kClientSession = {"--port", "--session"};
+  static const FlagSet kClientReconfigure = {"--port", "--session",
+                                             "--cloud-budget", "--work-budget"};
+  static const FlagSet kClientSetBudget = {"--port", "--budget"};
+  if (cmd == "offline") return &kOffline;
+  if (cmd == "ingest") return &kIngest;
+  if (cmd == "inspect") return &kInspect;
+  if (cmd == "serve") return &kServe;
+  if (cmd != "client") return nullptr;
+  if (verb == "open") return &kClientOpen;
+  if (verb == "fetch" || verb == "close") return &kClientSession;
+  if (verb == "reconfigure") return &kClientReconfigure;
+  if (verb == "set-budget") return &kClientSetBudget;
+  return &kClient;
+}
+
 /// Parses "--flag value" / "--flag=value" pairs (boolean flags take no
-/// value); returns false on an unknown flag, a missing value, a number
-/// flag whose value ParseNumber refuses, a --port outside [0, 65535], or a
-/// --buffer-gb whose byte count is negative or does not fit in a uint64.
-bool ParseFlags(int argc, char** argv, Flags* f) {
+/// value) for `command`, which accepts `accepted`; returns false on a flag
+/// it does not accept, a missing value, a number flag whose value
+/// ParseNumber refuses, a --port outside [0, 65535], a --buffer-gb whose
+/// byte count is negative or does not fit in a uint64, a negative
+/// --start-days or a --plan-interval-days that is not positive.
+bool ParseFlags(int argc, char** argv, const std::string& command,
+                const FlagSet& accepted, Flags* f) {
+  auto refused = [&](const std::string& arg) {
+    if (std::find(accepted.begin(), accepted.end(), arg) != accepted.end()) {
+      return false;
+    }
+    std::fprintf(stderr, "sky %s: unknown flag %s\n", command.c_str(),
+                 arg.c_str());
+    return true;
+  };
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     // Boolean flags first: they never consume the next argument.
     if (arg == "--help" || arg == "-h") { f->help = true; continue; }
-    if (arg == "--record-trace") { f->record_trace = true; continue; }
-    if (arg == "--wait") { f->wait = true; continue; }
+    if (arg == "--record-trace" || arg == "--wait") {
+      if (refused(arg)) return false;
+      (arg == "--wait" ? f->wait : f->record_trace) = true;
+      continue;
+    }
 
     std::string value;
     size_t eq = arg.find('=');
     if (eq != std::string::npos) {
       value = arg.substr(eq + 1);
       arg = arg.substr(0, eq);
-    } else if (i + 1 < argc) {
+    }
+    if (refused(arg)) return false;
+    if (eq == std::string::npos) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "sky %s: flag %s needs a value\n",
+                     command.c_str(), arg.c_str());
+        return false;
+      }
       value = argv[++i];
-    } else {
-      std::fprintf(stderr, "sky: flag %s needs a value\n", arg.c_str());
-      return false;
     }
     bool parsed = true;
     auto number = [&](auto* target) { parsed = ParseNumber(value, target); };
@@ -288,9 +359,16 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
     else if (arg == "--categories") number(&f->categories);
     else if (arg == "--threads") number(&f->threads);
     else if (arg == "--seed") { number(&f->offline_seed); f->engine_seed = f->offline_seed; }
-    else if (arg == "--start-days") number(&f->start_days);
+    // Unset, these two derive from the model; set, they must be a day.
+    else if (arg == "--start-days") {
+      number(&f->start_days);
+      parsed = parsed && *f->start_days >= 0.0;
+    }
     else if (arg == "--duration-days") number(&f->duration_days);
-    else if (arg == "--plan-interval-days") number(&f->plan_interval_days);
+    else if (arg == "--plan-interval-days") {
+      number(&f->plan_interval_days);
+      parsed = parsed && *f->plan_interval_days > 0.0;
+    }
     else if (arg == "--port") {
       number(&f->port);
       parsed = parsed && f->port >= 0 && f->port <= 65535;
@@ -309,12 +387,14 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
     else if (arg == "--budget") number(&f->budget);
     else if (arg == "--work-budget") number(&f->work_budget);
     else {
-      std::fprintf(stderr, "sky: unknown flag %s\n", arg.c_str());
+      // An accepted flag without a branch here is boolean.
+      std::fprintf(stderr, "sky %s: flag %s takes no value\n",
+                   command.c_str(), arg.c_str());
       return false;
     }
     if (!parsed) {
-      std::fprintf(stderr, "sky: invalid number '%s' for flag %s\n",
-                   value.c_str(), arg.c_str());
+      std::fprintf(stderr, "sky %s: invalid value '%s' for flag %s\n",
+                   command.c_str(), value.c_str(), arg.c_str());
       return false;
     }
   }
@@ -448,8 +528,11 @@ int RunIngest(const Flags& f) {
   auto model = sky.model();
   if (!model.ok()) return Fail(model.status());
 
+  // ParseFlags refused the values ResolveServedSchedule derives from, so
+  // only an unset flag takes the model's value.
   const sky::api::ServedSchedule schedule = sky::api::ResolveServedSchedule(
-      **model, f.start_days, f.plan_interval_days);
+      **model, f.start_days.value_or(-1.0),
+      f.plan_interval_days.value_or(-1.0));
   sky::core::EngineOptions opts;
   opts.duration = Days(f.duration_days);
   opts.plan_interval = Days(schedule.plan_interval_days);
@@ -619,9 +702,10 @@ int RunClient(const std::string& verb, const Flags& f) {
     sky::serve::SessionSpec spec;
     spec.workload = f.workload;
     spec.content_seed = f.content_seed;
-    spec.start_days = f.start_days;
+    // Unset flags keep the spec's sentinels: the server derives them.
+    if (f.start_days) spec.start_days = *f.start_days;
     spec.duration_days = f.duration_days;
-    spec.plan_interval_days = f.plan_interval_days;
+    if (f.plan_interval_days) spec.plan_interval_days = *f.plan_interval_days;
     spec.engine_seed = f.engine_seed;
     spec.record_trace = f.record_trace;
     spec.trace_resolution_s = f.trace_resolution_s;
@@ -700,23 +784,30 @@ int main(int argc, char** argv) {
     // `sky client --help` (no verb) must still answer.
     if (argc >= 3 && argv[2][0] != '-') {
       std::string verb = argv[2];
-      if (!ParseFlags(argc - 3, argv + 3, &flags)) return 2;
+      if (!ParseFlags(argc - 3, argv + 3, "client " + verb,
+                      *AcceptedFlags(cmd, verb), &flags)) {
+        return 2;
+      }
       return RunClient(verb, flags);
     }
-    if (!ParseFlags(argc - 2, argv + 2, &flags)) return 2;
+    if (!ParseFlags(argc - 2, argv + 2, cmd, *AcceptedFlags(cmd, ""),
+                    &flags)) {
+      return 2;
+    }
     if (flags.help) return HelpOut(kClientHelp);
     std::fprintf(stderr, "sky client: a verb is required\n%s", kClientHelp);
     return 2;
   }
 
-  if (!ParseFlags(argc - 2, argv + 2, &flags)) return 2;
-  if (cmd == "offline") return RunOffline(flags);
-  if (cmd == "ingest") return RunIngest(flags);
-  if (cmd == "inspect") return RunInspect(flags);
-  if (cmd == "serve") return RunServe(flags);
   if (cmd == "--help" || cmd == "-h") {
     Usage();
     return 0;
   }
-  return Usage();
+  const FlagSet* accepted = AcceptedFlags(cmd, "");
+  if (accepted == nullptr) return Usage();
+  if (!ParseFlags(argc - 2, argv + 2, cmd, *accepted, &flags)) return 2;
+  if (cmd == "offline") return RunOffline(flags);
+  if (cmd == "ingest") return RunIngest(flags);
+  if (cmd == "inspect") return RunInspect(flags);
+  return RunServe(flags);
 }
