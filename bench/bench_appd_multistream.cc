@@ -456,32 +456,22 @@ int main(int argc, char** argv) {
     bool ok = set.ok() && set->RunToCompletion(workers).ok();
     return ok ? timer.Seconds() : -1.0;
   };
-  std::vector<double> walls_1, walls_4, speedups;
-  for (int trial = 0; trial <= kSchedulerTrials; ++trial) {
-    double wall_1 = 0.0;
-    double wall_4 = 0.0;
-    if (trial % 2 == 0) {
-      wall_1 = timed_run(nullptr);
-      wall_4 = timed_run(&trial_pool);
-    } else {
-      wall_4 = timed_run(&trial_pool);
-      wall_1 = timed_run(nullptr);
-    }
-    if (wall_1 <= 0.0 || wall_4 <= 0.0) {
-      std::printf("scheduler trial %d failed\n", trial);
-      return 1;
-    }
-    std::printf("%s %d: 1 worker %.3f s, 4 workers %.3f s, speedup %.2fx\n",
-                trial == 0 ? "warm-up" : "trial", trial, wall_1, wall_4,
-                wall_1 / wall_4);
-    if (trial == 0) continue;
-    walls_1.push_back(wall_1);
-    walls_4.push_back(wall_4);
-    speedups.push_back(wall_1 / wall_4);
+  Result<TrialPairs> scheduler = RunTrialPairs(
+      kSchedulerTrials, [&] { return timed_run(nullptr); },
+      [&] { return timed_run(&trial_pool); },
+      [](int pair, double wall_1, double wall_4) {
+        std::printf("%s %d: 1 worker %.3f s, 4 workers %.3f s, "
+                    "speedup %.2fx\n",
+                    pair == 0 ? "warm-up" : "trial", pair, wall_1, wall_4,
+                    wall_1 / wall_4);
+      });
+  if (!scheduler.ok()) {
+    std::printf("scheduler %s\n", scheduler.status().message().c_str());
+    return 1;
   }
-  const double speedup_p25 = Percentile(speedups, 25.0);
-  const double speedup_median = Percentile(speedups, 50.0);
-  const double speedup_p75 = Percentile(speedups, 75.0);
+  const double speedup_p25 = scheduler->ratio_p25;
+  const double speedup_median = scheduler->ratio_median;
+  const double speedup_p75 = scheduler->ratio_p75;
 
   unsigned hardware_threads = std::thread::hardware_concurrency();
   bool headline_ok = true;
@@ -524,12 +514,8 @@ int main(int argc, char** argv) {
   json.Set("hardware_threads", static_cast<double>(hardware_threads));
   for (const auto& [key, value] : sweep_metrics) json.Set(key, value);
   json.Set("scheduler_trials", static_cast<double>(kSchedulerTrials));
-  for (size_t k = 0; k < speedups.size(); ++k) {
-    const std::string trial = "_trial" + std::to_string(k + 1);
-    json.Set("scheduler_wall_1_worker_s" + trial, walls_1[k]);
-    json.Set("scheduler_wall_4_workers_s" + trial, walls_4[k]);
-    json.Set("scheduler_speedup" + trial, speedups[k]);
-  }
+  scheduler->SetTrials(&json, "scheduler_wall_1_worker_s",
+                       "scheduler_wall_4_workers_s", "scheduler_speedup");
   json.Set("scheduler_speedup_p25", speedup_p25);
   json.Set("scheduler_speedup_median", speedup_median);
   json.Set("scheduler_speedup_p75", speedup_p75);

@@ -50,6 +50,17 @@ std::string BenchJson::Write() const {
   return out ? file : "";
 }
 
+void TrialPairs::SetTrials(BenchJson* json, const std::string& key_a,
+                           const std::string& key_b,
+                           const std::string& key_ratio) const {
+  for (size_t k = 0; k < ratios.size(); ++k) {
+    const std::string trial = "_trial" + std::to_string(k + 1);
+    json->Set(key_a + trial, walls_a[k]);
+    json->Set(key_b + trial, walls_b[k]);
+    json->Set(key_ratio + trial, ratios[k]);
+  }
+}
+
 ExperimentSetup CovidSetup() {
   ExperimentSetup s;
   s.segment_seconds = 4.0;

@@ -11,6 +11,8 @@
 #include "core/workload.h"
 #include "sim/cluster_sim.h"
 #include "sim/cost_model.h"
+#include "util/result.h"
+#include "util/stats.h"
 #include "util/sim_time.h"
 
 namespace sky::bench {
@@ -48,6 +50,58 @@ class BenchJson {
   /// Key -> pre-rendered JSON value, in insertion order.
   std::vector<std::pair<std::string, std::string>> entries_;
 };
+
+/// The timed trials of a wall-clock A/B gate: each side's wall and their
+/// ratio a / b, one entry per timed pair, and the ratio's quartiles.
+struct TrialPairs {
+  std::vector<double> walls_a;
+  std::vector<double> walls_b;
+  std::vector<double> ratios;
+  double ratio_p25 = 0.0;
+  double ratio_median = 0.0;
+  double ratio_p75 = 0.0;
+
+  /// Sets <key_a>_trialK, <key_b>_trialK and <key_ratio>_trialK for every
+  /// timed pair K = 1, 2, ...
+  void SetTrials(BenchJson* json, const std::string& key_a,
+                 const std::string& key_b, const std::string& key_ratio) const;
+};
+
+/// Times one warm-up pair, then `trials` pairs, of `run_a` and `run_b`
+/// (each returns its wall in seconds, or a value <= 0 when it failed):
+/// `run_a` first in the even pairs (the warm-up is pair 0), `run_b` first
+/// in the odd ones, so neither side always runs on the warmer host. One
+/// wall-clock ratio on a shared host reads noise, so a gate reads the
+/// median. `after(pair, wall_a, wall_b)` runs after every pair, the
+/// warm-up included. A failed run ends the loop: "trial <pair> failed".
+template <class RunA, class RunB, class After>
+Result<TrialPairs> RunTrialPairs(int trials, RunA&& run_a, RunB&& run_b,
+                                 After&& after) {
+  TrialPairs out;
+  for (int pair = 0; pair <= trials; ++pair) {
+    double wall_a = 0.0;
+    double wall_b = 0.0;
+    if (pair % 2 == 0) {
+      wall_a = run_a();
+      wall_b = run_b();
+    } else {
+      wall_b = run_b();
+      wall_a = run_a();
+    }
+    if (wall_a <= 0.0 || wall_b <= 0.0) {
+      return Status::Internal("trial " + std::to_string(pair) + " failed");
+    }
+    after(pair, wall_a, wall_b);
+    if (pair == 0) continue;
+    out.walls_a.push_back(wall_a);
+    out.walls_b.push_back(wall_b);
+    out.ratios.push_back(wall_a / wall_b);
+  }
+  out.ratio_p25 = Percentile(out.ratios, 25.0);
+  out.ratio_median = Percentile(out.ratios, 50.0);
+  out.ratio_p75 = Percentile(out.ratios, 75.0);
+  return out;
+}
 
 /// Shared experiment geometry. The paper ingests 8 unsimulated days for
 /// COVID/MOT and 2 days for MOSEI after a ~2-week offline phase; the bench

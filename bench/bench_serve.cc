@@ -241,41 +241,29 @@ int main(int argc, char** argv) {
     *results = fleet->Results();
     return wall;
   };
-  std::vector<double> serve_walls, inproc_walls, ratios;
-  for (int trial = 0; trial <= kTrials; ++trial) {
-    std::vector<core::EngineResult> served;
-    std::vector<Result<core::EngineResult>> results;
-    double serve_wall = 0.0;
-    double inproc_wall = 0.0;
-    if (trial % 2 == 0) {
-      serve_wall = time_served(&served);
-      inproc_wall = time_in_process(&results);
-    } else {
-      inproc_wall = time_in_process(&results);
-      serve_wall = time_served(&served);
-    }
-    if (serve_wall <= 0.0 || inproc_wall <= 0.0) return 1;
-    for (size_t i = 0; i < kStreams; ++i) {
-      gate(results[i].ok() &&
-               core::EngineResultsIdentical(*results[i], served[i]),
-           "served results bitwise match the in-process fleet");
-    }
-    std::printf("%s %d (%s first): serve %.3f s, in-process %.3f s, "
-                "ratio %.3f\n",
-                trial == 0 ? "warm-up" : "trial", trial,
-                trial % 2 == 0 ? "serve" : "in-process", serve_wall,
-                inproc_wall, serve_wall / inproc_wall);
-    if (trial == 0) continue;
-    serve_walls.push_back(serve_wall);
-    inproc_walls.push_back(inproc_wall);
-    ratios.push_back(serve_wall / inproc_wall);
-  }
-  const double ratio_p25 = Percentile(ratios, 25.0);
-  const double ratio_median = Percentile(ratios, 50.0);
-  const double ratio_p75 = Percentile(ratios, 75.0);
+  std::vector<core::EngineResult> served;
+  std::vector<Result<core::EngineResult>> results;
+  Result<TrialPairs> overhead = RunTrialPairs(
+      kTrials, [&] { return time_served(&served); },
+      [&] { return time_in_process(&results); },
+      [&](int pair, double serve_wall, double inproc_wall) {
+        for (size_t i = 0; i < kStreams; ++i) {
+          gate(results[i].ok() &&
+                   core::EngineResultsIdentical(*results[i], served[i]),
+               "served results bitwise match the in-process fleet");
+        }
+        std::printf("%s %d (%s first): serve %.3f s, in-process %.3f s, "
+                    "ratio %.3f\n",
+                    pair == 0 ? "warm-up" : "trial", pair,
+                    pair % 2 == 0 ? "serve" : "in-process", serve_wall,
+                    inproc_wall, serve_wall / inproc_wall);
+      });
+  if (!overhead.ok()) return 1;
+  const double ratio_median = overhead->ratio_median;
   std::printf("steady-state overhead ratio: median %.3f of %d trials "
               "(quartiles %.3f / %.3f) (gate: <= 1.10)\n",
-              ratio_median, kTrials, ratio_p25, ratio_p75);
+              ratio_median, kTrials, overhead->ratio_p25,
+              overhead->ratio_p75);
   gate(ratio_median <= 1.10,
        "serve steady-state overhead within 10% of in-process");
 
@@ -327,17 +315,13 @@ int main(int argc, char** argv) {
   json.Set("steady_streams", static_cast<double>(kStreams));
   json.Set("steady_duration_days", kDurationDays);
   json.Set("overhead_trials", static_cast<double>(kTrials));
-  for (size_t k = 0; k < ratios.size(); ++k) {
-    const std::string trial = "_trial" + std::to_string(k + 1);
-    json.Set("serve_wall_s" + trial, serve_walls[k]);
-    json.Set("inproc_wall_s" + trial, inproc_walls[k]);
-    json.Set("serve_overhead_ratio" + trial, ratios[k]);
-  }
-  json.Set("serve_wall_s_median", Percentile(serve_walls, 50.0));
-  json.Set("inproc_wall_s_median", Percentile(inproc_walls, 50.0));
-  json.Set("serve_overhead_ratio_p25", ratio_p25);
+  overhead->SetTrials(&json, "serve_wall_s", "inproc_wall_s",
+                      "serve_overhead_ratio");
+  json.Set("serve_wall_s_median", Percentile(overhead->walls_a, 50.0));
+  json.Set("inproc_wall_s_median", Percentile(overhead->walls_b, 50.0));
+  json.Set("serve_overhead_ratio_p25", overhead->ratio_p25);
   json.Set("serve_overhead_ratio_median", ratio_median);
-  json.Set("serve_overhead_ratio_p75", ratio_p75);
+  json.Set("serve_overhead_ratio_p75", overhead->ratio_p75);
   json.Set("overhead_gate", ratio_median <= 1.10 ? "pass" : "fail");
   json.Set("recover_streams", static_cast<double>(kRecoverStreams));
   json.Set("recover_64stream_s", recover_s);

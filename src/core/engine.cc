@@ -14,16 +14,6 @@
 namespace sky::core {
 
 namespace {
-/// Bit-pattern equality for doubles: NaNs with equal bits compare equal,
-/// +0.0 and -0.0 compare different — exactly the "bitwise" contract the
-/// parity gates promise (operator== would get both cases wrong).
-bool BitsEqual(double a, double b) {
-  uint64_t ab, bb;
-  std::memcpy(&ab, &a, sizeof(ab));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ab == bb;
-}
-
 /// Run-local index of the last plan boundary of a run of `n_segments` in
 /// plans of `segs_per_interval` (at least 1): the boundary that opens its
 /// last, possibly partial, interval; 0 for a run of no segments.
@@ -145,42 +135,24 @@ bool SegmentWindowFits(int64_t first_segment, int64_t n_segments) {
 }
 
 bool EngineResultsIdentical(const EngineResult& a, const EngineResult& b) {
-  if (!BitsEqual(a.total_quality, b.total_quality) ||
-      !BitsEqual(a.mean_quality, b.mean_quality) ||
-      a.segments != b.segments ||
-      !BitsEqual(a.work_core_seconds, b.work_core_seconds) ||
-      !BitsEqual(a.onprem_core_seconds, b.onprem_core_seconds) ||
-      !BitsEqual(a.cloud_usd, b.cloud_usd) ||
-      a.buffer_high_water_bytes != b.buffer_high_water_bytes ||
-      a.overflow_events != b.overflow_events ||
-      a.switch_count != b.switch_count ||
-      a.degraded_count != b.degraded_count ||
-      a.misclassified != b.misclassified ||
-      a.type_a_errors != b.type_a_errors ||
-      a.type_b_errors != b.type_b_errors ||
-      a.cloud_failures != b.cloud_failures ||
-      a.cloud_retries != b.cloud_retries ||
-      a.cloud_giveups != b.cloud_giveups ||
-      !BitsEqual(a.fault_backoff_s, b.fault_backoff_s) ||
-      a.outage_segments != b.outage_segments ||
-      a.outage_intervals != b.outage_intervals ||
-      a.udf_stall_segments != b.udf_stall_segments ||
-      a.trace.size() != b.trace.size()) {
-    return false;
+  // Every field is a double or a 64-bit count, compared by its bytes: NaNs
+  // with equal bits compare equal, +0.0 and -0.0 compare different —
+  // exactly the "bitwise" contract the parity gates promise (operator==
+  // would get both cases wrong).
+  auto same = [](const auto& x, const auto& y) {
+    static_assert(sizeof(x) == sizeof(uint64_t));
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  };
+  bool identical = a.trace.size() == b.trace.size();
+  ForEachResultField([&](const char*, auto field) {
+    identical = identical && same(a.*field, b.*field);
+  });
+  for (size_t i = 0; identical && i < a.trace.size(); ++i) {
+    ForEachTraceField([&](const char*, auto field) {
+      identical = identical && same(a.trace[i].*field, b.trace[i].*field);
+    });
   }
-  for (size_t i = 0; i < a.trace.size(); ++i) {
-    const TracePoint& p = a.trace[i];
-    const TracePoint& q = b.trace[i];
-    if (!BitsEqual(p.t, q.t) || !BitsEqual(p.quality, q.quality) ||
-        !BitsEqual(p.work_core_s_per_s, q.work_core_s_per_s) ||
-        !BitsEqual(p.buffer_bytes, q.buffer_bytes) ||
-        !BitsEqual(p.cloud_usd_cumulative, q.cloud_usd_cumulative) ||
-        !BitsEqual(p.cloud_usd_planned, q.cloud_usd_planned) ||
-        p.config_idx != q.config_idx || p.category != q.category) {
-      return false;
-    }
-  }
-  return true;
+  return identical;
 }
 
 IngestionEngine::IngestionEngine(const Workload* workload,

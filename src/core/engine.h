@@ -90,6 +90,20 @@ struct TracePoint {
   size_t category = 0;
 };
 
+/// TracePoint's fields, named once, in wire order: calls
+/// visit(name, &TracePoint::field) for each (see ForEachResultField).
+template <class Visit>
+void ForEachTraceField(Visit&& visit) {
+  visit("t", &TracePoint::t);
+  visit("quality", &TracePoint::quality);
+  visit("work_core_s_per_s", &TracePoint::work_core_s_per_s);
+  visit("buffer_bytes", &TracePoint::buffer_bytes);
+  visit("cloud_usd_cumulative", &TracePoint::cloud_usd_cumulative);
+  visit("cloud_usd_planned", &TracePoint::cloud_usd_planned);
+  visit("config_idx", &TracePoint::config_idx);
+  visit("category", &TracePoint::category);
+}
+
 struct EngineResult {
   double total_quality = 0.0;  ///< sum of per-segment true quality
   double mean_quality = 0.0;
@@ -123,6 +137,34 @@ struct EngineResult {
                      static_cast<double>(segments);
   }
 };
+
+/// EngineResult's fields other than the trace, named once, in wire order:
+/// calls visit(name, &EngineResult::field) for each. The wire codec
+/// (io::TransferEngineResult, which puts the trace after them),
+/// EngineResultsIdentical and the serve metrics document walk this list.
+template <class Visit>
+void ForEachResultField(Visit&& visit) {
+  visit("total_quality", &EngineResult::total_quality);
+  visit("mean_quality", &EngineResult::mean_quality);
+  visit("segments", &EngineResult::segments);
+  visit("work_core_seconds", &EngineResult::work_core_seconds);
+  visit("onprem_core_seconds", &EngineResult::onprem_core_seconds);
+  visit("cloud_usd", &EngineResult::cloud_usd);
+  visit("buffer_high_water_bytes", &EngineResult::buffer_high_water_bytes);
+  visit("overflow_events", &EngineResult::overflow_events);
+  visit("switch_count", &EngineResult::switch_count);
+  visit("degraded_count", &EngineResult::degraded_count);
+  visit("misclassified", &EngineResult::misclassified);
+  visit("type_a_errors", &EngineResult::type_a_errors);
+  visit("type_b_errors", &EngineResult::type_b_errors);
+  visit("cloud_failures", &EngineResult::cloud_failures);
+  visit("cloud_retries", &EngineResult::cloud_retries);
+  visit("cloud_giveups", &EngineResult::cloud_giveups);
+  visit("fault_backoff_s", &EngineResult::fault_backoff_s);
+  visit("outage_segments", &EngineResult::outage_segments);
+  visit("outage_intervals", &EngineResult::outage_intervals);
+  visit("udf_stall_segments", &EngineResult::udf_stall_segments);
+}
 
 /// True when two engine results are bitwise identical on every field,
 /// including the full trace. The parity handle behind the stepped-vs-batch

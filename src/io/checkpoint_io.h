@@ -37,14 +37,15 @@ Status SerializeIngestState(const core::IngestState& state, std::string* out);
 Result<core::IngestState> DeserializeIngestState(
     const std::string& bytes, const core::OfflineModel& model);
 
-/// Appends one EngineResult — every counter, every fault field, the full
-/// trace, doubles as raw IEEE-754 — so round trips are bitwise. Shared by
-/// engine checkpoints and the serve protocol's result frames (one layout,
-/// two transports; they must never drift).
-void AppendEngineResult(const core::EngineResult& r, std::string* out);
+/// EngineResult's layout (io/wire.h, "Symmetric codec"): every field of
+/// core::ForEachResultField, then the trace, doubles as raw IEEE-754, so
+/// round trips are bitwise. Shared by engine checkpoints, serve checkpoints
+/// and the serve protocol's result frames (one layout, three transports).
+template <class Io, class R>
+void TransferEngineResult(Io& io, R& r);
 
-/// Parses a payload written by AppendEngineResult.
-Status ParseEngineResult(wire::Cursor* c, core::EngineResult* r);
+/// TransferEngineResult to the end of `out`.
+void AppendEngineResult(const core::EngineResult& r, std::string* out);
 
 /// One stream's entry in a fleet checkpoint: its quarantine status and (for
 /// streams that have started) the serialized engine state.

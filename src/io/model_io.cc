@@ -6,145 +6,50 @@
 #include <utility>
 #include <vector>
 
-#include "core/forecaster.h"
 #include "io/atomic_file.h"
 #include "io/wire.h"
-#include "ml/nn.h"
 
 namespace sky::io {
 
 namespace {
-
-using wire::Cursor;
-using wire::PutChunk;
-using wire::PutF64;
-using wire::PutF64Rows;
-using wire::PutF64Vec;
-using wire::PutRaw;
-using wire::PutString;
-using wire::PutU32;
-using wire::PutU64;
-using wire::PutU64Vec;
-using wire::PutU8;
 
 // --- Format constants (docs/model_format.md) -------------------------------
 
 const wire::ContainerFormat kFormat{"SKYMODL1", kModelFormatVersion,
                                     "model file"};
 
-/// Chunk tags, stored as four ASCII bytes in file order.
-constexpr char kChunkMeta[4] = {'M', 'E', 'T', 'A'};
-constexpr char kChunkAnnotation[4] = {'A', 'N', 'N', 'O'};
-constexpr char kChunkConfigs[4] = {'K', 'N', 'B', 'C'};
-constexpr char kChunkProfiles[4] = {'P', 'R', 'O', 'F'};
-constexpr char kChunkCategories[4] = {'C', 'A', 'T', 'G'};
-constexpr char kChunkTrainSeq[4] = {'T', 'S', 'E', 'Q'};
-constexpr char kChunkForecaster[4] = {'F', 'C', 'S', 'T'};
-constexpr char kChunkRuntimes[4] = {'R', 'T', 'I', 'M'};
+// --- Per-chunk layouts -----------------------------------------------------
+//
+// Each runs with a Writer (Model const) to save and with a Cursor to load
+// (io/wire.h, "Symmetric codec").
 
-// --- Per-chunk serializers -------------------------------------------------
-
-std::string MetaPayload(const core::OfflineModel& model) {
-  std::string p;
-  PutF64(&p, model.segment_seconds);
-  PutF64(&p, model.train_horizon);
-  return p;
+template <class Io, class Model>
+void TransferMeta(Io& io, Model& model) {
+  io.F64(model.segment_seconds);
+  io.F64(model.train_horizon);
 }
 
-Status ParseMeta(Cursor* c, core::OfflineModel* model) {
-  SKY_RETURN_NOT_OK(c->ReadF64(&model->segment_seconds));
-  return c->ReadF64(&model->train_horizon);
+template <class Io, class Model>
+void TransferConfigs(Io& io, Model& model) {
+  io.Seq(model.configs, sizeof(uint64_t), [&](auto& k) { io.U64Vec(k); });
 }
 
-std::string ConfigsPayload(const core::OfflineModel& model) {
-  std::string p;
-  PutU64(&p, model.configs.size());
-  for (const core::KnobConfig& k : model.configs) PutU64Vec(&p, k);
-  return p;
-}
-
-Status ParseConfigs(Cursor* c, core::OfflineModel* model) {
-  uint64_t n = 0;
-  SKY_RETURN_NOT_OK(c->ReadCount(sizeof(uint64_t), &n));
-  model->configs.resize(n);
-  for (auto& k : model->configs) SKY_RETURN_NOT_OK(c->ReadU64Vec(&k));
-  return Status::Ok();
-}
-
-std::string ProfilesPayload(const core::OfflineModel& model) {
-  std::string p;
-  PutU64(&p, model.profiles.size());
-  for (const core::ConfigProfile& cp : model.profiles) {
-    PutU64Vec(&p, cp.config);
-    PutU64(&p, cp.config_id);
-    PutF64(&p, cp.work_core_s_per_video_s);
-    PutU64(&p, cp.placements.size());
-    for (const core::PlacementProfile& pl : cp.placements) {
-      PutU64(&p, pl.placement.node_loc.size());
-      for (dag::Loc loc : pl.placement.node_loc) {
-        PutU8(&p, static_cast<uint8_t>(loc));
-      }
-      PutF64(&p, pl.runtime_s);
-      PutF64(&p, pl.cloud_usd);
-      PutF64(&p, pl.onprem_core_s);
-      PutF64(&p, pl.uplink_bytes);
-    }
-  }
-  return p;
-}
-
-Status ParseProfiles(Cursor* c, core::OfflineModel* model) {
-  uint64_t n = 0;
-  SKY_RETURN_NOT_OK(c->ReadCount(sizeof(uint64_t), &n));
-  model->profiles.resize(n);
-  for (auto& cp : model->profiles) {
-    SKY_RETURN_NOT_OK(c->ReadU64Vec(&cp.config));
-    uint64_t id = 0;
-    SKY_RETURN_NOT_OK(c->ReadU64(&id));
-    cp.config_id = id;
-    SKY_RETURN_NOT_OK(c->ReadF64(&cp.work_core_s_per_video_s));
-    uint64_t num_placements = 0;
-    SKY_RETURN_NOT_OK(c->ReadCount(sizeof(double), &num_placements));
-    cp.placements.resize(num_placements);
-    for (auto& pl : cp.placements) {
-      uint64_t num_nodes = 0;
-      SKY_RETURN_NOT_OK(c->ReadCount(1, &num_nodes));
-      pl.placement.node_loc.resize(num_nodes);
-      for (auto& loc : pl.placement.node_loc) {
-        uint8_t raw = 0;
-        SKY_RETURN_NOT_OK(c->ReadU8(&raw));
-        if (raw > static_cast<uint8_t>(dag::Loc::kCloud)) {
-          return Status::InvalidArgument("invalid task placement location");
-        }
-        loc = static_cast<dag::Loc>(raw);
-      }
-      SKY_RETURN_NOT_OK(c->ReadF64(&pl.runtime_s));
-      SKY_RETURN_NOT_OK(c->ReadF64(&pl.cloud_usd));
-      SKY_RETURN_NOT_OK(c->ReadF64(&pl.onprem_core_s));
-      SKY_RETURN_NOT_OK(c->ReadF64(&pl.uplink_bytes));
-    }
-  }
-  return Status::Ok();
-}
-
-Result<std::string> CategoriesPayload(const core::OfflineModel& model) {
-  std::string p;
-  PutU32(&p, static_cast<uint32_t>(model.categories.backend()));
-  if (model.categories.backend() == core::CategorizerBackend::kKMeans) {
-    const ml::KMeansModel& km = model.categories.kmeans_model();
-    SKY_RETURN_NOT_OK(PutF64Rows(&p, km.centers));
-    PutF64(&p, km.inertia);
-  } else {
-    if (!model.categories.gmm_model().has_value()) {
-      return Status::InvalidArgument("GMM categorizer without a GMM model");
-    }
-    const ml::GmmModel& gm = *model.categories.gmm_model();
-    SKY_RETURN_NOT_OK(PutF64Rows(&p, gm.means));
-    SKY_RETURN_NOT_OK(PutF64Rows(&p, gm.variances));
-    PutF64Vec(&p, gm.weights);
-    PutF64(&p, gm.log_likelihood);
-  }
-  return p;
+template <class Io, class Model>
+void TransferProfiles(Io& io, Model& model) {
+  io.Seq(model.profiles, sizeof(uint64_t), [&](auto& cp) {
+    io.U64Vec(cp.config);
+    io.U64(cp.config_id);
+    io.F64(cp.work_core_s_per_video_s);
+    io.Seq(cp.placements, sizeof(double), [&](auto& pl) {
+      io.Seq(pl.placement.node_loc, 1, [&](auto& loc) {
+        io.Enum8(loc, dag::Loc::kCloud, "invalid task placement location");
+      });
+      io.F64(pl.runtime_s);
+      io.F64(pl.cloud_usd);
+      io.F64(pl.onprem_core_s);
+      io.F64(pl.uplink_bytes);
+    });
+  });
 }
 
 Status TooManyCategories() {
@@ -153,104 +58,104 @@ Status TooManyCategories() {
       " content categories");
 }
 
-Status ParseCategories(Cursor* c, core::OfflineModel* model) {
-  uint32_t backend = 0;
-  SKY_RETURN_NOT_OK(c->ReadU32(&backend));
-  if (backend == static_cast<uint32_t>(core::CategorizerBackend::kKMeans)) {
+template <class Io, class Model>
+void TransferCategories(Io& io, Model& model) {
+  core::CategorizerBackend backend = model.categories.backend();
+  io.Enum32(backend, core::CategorizerBackend::kGmm,
+            "unknown categorizer backend in model file");
+  if (!io.ok()) return;
+  if (backend == core::CategorizerBackend::kKMeans) {
     ml::KMeansModel km;
-    SKY_RETURN_NOT_OK(c->ReadF64Rows(&km.centers));
-    SKY_RETURN_NOT_OK(c->ReadF64(&km.inertia));
-    if (km.centers.size() > core::kMaxCategories) return TooManyCategories();
-    model->categories = core::ContentCategories::FromKMeans(std::move(km));
-    return Status::Ok();
+    if constexpr (!Io::kReads) km = model.categories.kmeans_model();
+    io.F64Rows(km.centers);
+    io.F64(km.inertia);
+    if constexpr (Io::kReads) {
+      if (!io.ok()) return;
+      if (km.centers.size() > core::kMaxCategories) {
+        return io.Record(TooManyCategories());
+      }
+      model.categories = core::ContentCategories::FromKMeans(std::move(km));
+    }
+    return;
   }
-  if (backend == static_cast<uint32_t>(core::CategorizerBackend::kGmm)) {
-    ml::GmmModel gm;
-    SKY_RETURN_NOT_OK(c->ReadF64Rows(&gm.means));
-    SKY_RETURN_NOT_OK(c->ReadF64Rows(&gm.variances));
-    SKY_RETURN_NOT_OK(c->ReadF64Vec(&gm.weights));
-    SKY_RETURN_NOT_OK(c->ReadF64(&gm.log_likelihood));
+  ml::GmmModel gm;
+  if constexpr (!Io::kReads) {
+    if (!model.categories.gmm_model().has_value()) {
+      return io.Fail("GMM categorizer without a GMM model");
+    }
+    gm = *model.categories.gmm_model();
+  }
+  io.F64Rows(gm.means);
+  io.F64Rows(gm.variances);
+  io.F64Vec(gm.weights);
+  io.F64(gm.log_likelihood);
+  if constexpr (Io::kReads) {
+    if (!io.ok()) return;
     // Online classification reads variances[c][k] at every coordinate k of
     // the means.
     if (gm.variances.size() != gm.means.size() ||
         gm.weights.size() != gm.means.size() ||
         (!gm.means.empty() && gm.variances[0].size() != gm.means[0].size())) {
-      return Status::InvalidArgument("inconsistent GMM component shapes");
+      return io.Fail("inconsistent GMM component shapes");
     }
-    if (gm.means.size() > core::kMaxCategories) return TooManyCategories();
-    model->categories = core::ContentCategories::FromGmm(std::move(gm));
-    return Status::Ok();
+    if (gm.means.size() > core::kMaxCategories) {
+      return io.Record(TooManyCategories());
+    }
+    model.categories = core::ContentCategories::FromGmm(std::move(gm));
   }
-  return Status::InvalidArgument("unknown categorizer backend in model file");
 }
 
-std::string TrainSeqPayload(const core::OfflineModel& model) {
-  std::string p;
-  const std::vector<uint8_t>& seq = model.train_category_sequence;
-  PutU64(&p, seq.size());
-  if (!seq.empty()) PutRaw(&p, seq.data(), seq.size());
-  return p;
+template <class Io, class Model>
+void TransferTrainSeq(Io& io, Model& model) {
+  auto& seq = model.train_category_sequence;
+  uint64_t n = seq.size();
+  io.Count(n, 1);
+  if constexpr (Io::kReads) {
+    if (!io.ok()) return;
+    seq.resize(n);
+  }
+  io.Raw(seq.data(), n);
 }
 
-Status ParseTrainSeq(Cursor* c, core::OfflineModel* model) {
-  uint64_t n = 0;
-  SKY_RETURN_NOT_OK(c->ReadCount(1, &n));
-  model->train_category_sequence.resize(n);
-  return n > 0 ? c->Read(model->train_category_sequence.data(), n)
-               : Status::Ok();
+template <class Io, class Model>
+void TransferRuntimes(Io& io, Model& model) {
+  auto& rt = model.step_runtimes;
+  io.F64(rt.filter_configs_s);
+  io.F64(rt.filter_placements_s);
+  io.F64(rt.content_categories_s);
+  io.F64(rt.forecast_training_data_s);
+  io.F64(rt.forecast_training_s);
 }
 
-std::string RuntimesPayload(const core::OfflineModel& model) {
-  std::string p;
-  const core::OfflineStepRuntimes& rt = model.step_runtimes;
-  PutF64(&p, rt.filter_configs_s);
-  PutF64(&p, rt.filter_placements_s);
-  PutF64(&p, rt.content_categories_s);
-  PutF64(&p, rt.forecast_training_data_s);
-  PutF64(&p, rt.forecast_training_s);
-  return p;
-}
-
-Status ParseRuntimes(Cursor* c, core::OfflineModel* model) {
-  core::OfflineStepRuntimes& rt = model->step_runtimes;
-  SKY_RETURN_NOT_OK(c->ReadF64(&rt.filter_configs_s));
-  SKY_RETURN_NOT_OK(c->ReadF64(&rt.filter_placements_s));
-  SKY_RETURN_NOT_OK(c->ReadF64(&rt.content_categories_s));
-  SKY_RETURN_NOT_OK(c->ReadF64(&rt.forecast_training_data_s));
-  return c->ReadF64(&rt.forecast_training_s);
-}
-
-/// What a model file holds: the model and its free-form annotation.
-struct ModelFile {
-  core::OfflineModel model;
-  std::string annotation;
-};
-
-/// The v2 chunk table: every chunk appears exactly once.
+/// One chunk of the v2 table: its tag and its payload's layout, run with a
+/// Writer to save and with a Cursor to load. The writer puts the chunks in
+/// table order; every chunk appears exactly once.
 struct ModelChunk {
   const char* tag;
-  Status (*parse)(Cursor* c, ModelFile* file);
+  void (*write)(wire::Writer& io, const core::OfflineModel& model,
+                const std::string& annotation);
+  void (*read)(wire::Cursor& io, core::OfflineModel& model,
+               std::string& annotation);
 };
 
+/// Both halves of a ModelChunk from one generic transfer.
+template <class Transfer>
+ModelChunk Chunk(const char* tag, Transfer transfer) {
+  return {tag, transfer, transfer};
+}
+
 const ModelChunk kModelChunks[] = {
-    {kChunkMeta,
-     [](Cursor* c, ModelFile* f) { return ParseMeta(c, &f->model); }},
-    {kChunkAnnotation,
-     [](Cursor* c, ModelFile* f) { return c->ReadString(&f->annotation); }},
-    {kChunkConfigs,
-     [](Cursor* c, ModelFile* f) { return ParseConfigs(c, &f->model); }},
-    {kChunkProfiles,
-     [](Cursor* c, ModelFile* f) { return ParseProfiles(c, &f->model); }},
-    {kChunkCategories,
-     [](Cursor* c, ModelFile* f) { return ParseCategories(c, &f->model); }},
-    {kChunkTrainSeq,
-     [](Cursor* c, ModelFile* f) { return ParseTrainSeq(c, &f->model); }},
-    {kChunkForecaster,
-     [](Cursor* c, ModelFile* f) {
-       return wire::ParseForecaster(c, &f->model.forecaster);
-     }},
-    {kChunkRuntimes,
-     [](Cursor* c, ModelFile* f) { return ParseRuntimes(c, &f->model); }},
+    Chunk("META", [](auto& io, auto& m, auto&) { TransferMeta(io, m); }),
+    Chunk("ANNO", [](auto& io, auto&, auto& a) { io.String(a); }),
+    Chunk("KNBC", [](auto& io, auto& m, auto&) { TransferConfigs(io, m); }),
+    Chunk("PROF", [](auto& io, auto& m, auto&) { TransferProfiles(io, m); }),
+    Chunk("CATG", [](auto& io, auto& m, auto&) { TransferCategories(io, m); }),
+    Chunk("TSEQ", [](auto& io, auto& m, auto&) { TransferTrainSeq(io, m); }),
+    Chunk("FCST",
+          [](auto& io, auto& m, auto&) {
+            wire::TransferForecaster(io, m.forecaster);
+          }),
+    Chunk("RTIM", [](auto& io, auto& m, auto&) { TransferRuntimes(io, m); }),
 };
 
 }  // namespace
@@ -259,23 +164,14 @@ Status SerializeOfflineModel(const core::OfflineModel& model,
                              const std::string& annotation,
                              std::string* out) {
   wire::BeginContainer(kFormat, out);
-  PutChunk(out, kChunkMeta, MetaPayload(model));
-  {
-    std::string p;
-    PutString(&p, annotation);
-    PutChunk(out, kChunkAnnotation, p);
+  std::string payload;
+  for (const ModelChunk& chunk : kModelChunks) {
+    payload.clear();
+    wire::Writer w(&payload);
+    chunk.write(w, model, annotation);
+    SKY_RETURN_NOT_OK(w.status());
+    wire::PutChunk(out, chunk.tag, payload);
   }
-  PutChunk(out, kChunkConfigs, ConfigsPayload(model));
-  PutChunk(out, kChunkProfiles, ProfilesPayload(model));
-  SKY_ASSIGN_OR_RETURN(std::string categories, CategoriesPayload(model));
-  PutChunk(out, kChunkCategories, categories);
-  PutChunk(out, kChunkTrainSeq, TrainSeqPayload(model));
-  {
-    std::string p;
-    wire::AppendForecaster(model.forecaster, &p);
-    PutChunk(out, kChunkForecaster, p);
-  }
-  PutChunk(out, kChunkRuntimes, RuntimesPayload(model));
   wire::EndContainer(out);
   return Status::Ok();
 }
@@ -286,7 +182,8 @@ Result<core::OfflineModel> DeserializeOfflineModel(const std::string& bytes,
                        wire::ReadContainer(bytes, kFormat));
   // Unknown tags are an error (see the versioning policy in
   // docs/model_format.md).
-  ModelFile file;
+  core::OfflineModel m;
+  std::string stored_annotation;
   bool seen[std::size(kModelChunks)] = {};
   for (wire::Chunk& chunk : chunks) {
     size_t i = 0;
@@ -298,8 +195,9 @@ Result<core::OfflineModel> DeserializeOfflineModel(const std::string& bytes,
       return Status::InvalidArgument("duplicate chunk in model file");
     }
     seen[i] = true;
-    SKY_RETURN_NOT_OK(kModelChunks[i].parse(&chunk.payload, &file));
-    SKY_RETURN_NOT_OK(chunk.payload.ExpectEnd("model chunk"));
+    kModelChunks[i].read(chunk.payload, m, stored_annotation);
+    chunk.payload.ExpectEnd("model chunk");
+    SKY_RETURN_NOT_OK(chunk.payload.status());
   }
   for (bool s : seen) {
     if (!s) {
@@ -308,7 +206,6 @@ Result<core::OfflineModel> DeserializeOfflineModel(const std::string& bytes,
   }
   // The engine indexes configurations, their profiles and the category
   // centers' coordinates by one configuration index.
-  const core::OfflineModel& m = file.model;
   if (m.profiles.size() != m.configs.size() ||
       m.categories.NumConfigs() != m.configs.size()) {
     return Status::InvalidArgument(
@@ -323,8 +220,8 @@ Result<core::OfflineModel> DeserializeOfflineModel(const std::string& bytes,
         "model file's training sequence names a category its clustering "
         "does not have");
   }
-  if (annotation != nullptr) *annotation = std::move(file.annotation);
-  return std::move(file.model);
+  if (annotation != nullptr) *annotation = std::move(stored_annotation);
+  return m;
 }
 
 Status SaveOfflineModel(const core::OfflineModel& model,

@@ -16,166 +16,166 @@ uint64_t Fnv1a64(const char* data, size_t n) {
   return h;
 }
 
-void PutRaw(std::string* out, const void* data, size_t n) {
-  out->append(static_cast<const char*>(data), n);
+void Writer::Fail(const std::string& message) {
+  if (status_.ok()) status_ = Status::InvalidArgument(message);
 }
 
-void PutU8(std::string* out, uint8_t v) { PutRaw(out, &v, 1); }
-void PutU32(std::string* out, uint32_t v) { PutRaw(out, &v, sizeof(v)); }
-void PutU64(std::string* out, uint64_t v) { PutRaw(out, &v, sizeof(v)); }
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-void PutF64(std::string* out, double v) { PutRaw(out, &v, sizeof(v)); }
-void PutBool(std::string* out, bool v) { PutU8(out, v ? 1 : 0); }
-
-void PutU64Vec(std::string* out, const std::vector<size_t>& v) {
-  PutU64(out, v.size());
-  for (size_t x : v) PutU64(out, x);
+void Writer::Raw(const void* data, size_t n) {
+  if (n > 0) out_->append(static_cast<const char*>(data), n);
 }
 
-void PutF64Vec(std::string* out, const std::vector<double>& v) {
-  PutU64(out, v.size());
-  if (!v.empty()) PutRaw(out, v.data(), v.size() * sizeof(double));
+void Writer::String(const std::string& s) {
+  U64(s.size());
+  Raw(s.data(), s.size());
 }
 
-Status PutF64Rows(std::string* out,
-                  const std::vector<std::vector<double>>& rows) {
-  PutU64(out, rows.size());
-  size_t cols = rows.empty() ? 0 : rows[0].size();
-  PutU64(out, cols);
+void Writer::StatusField(const Status& s) {
+  U32(static_cast<uint32_t>(s.code()));
+  String(s.message());
+}
+
+void Writer::U64Vec(const std::vector<size_t>& v) {
+  U64(v.size());
+  for (size_t x : v) U64(x);
+}
+
+void Writer::F64Vec(const std::vector<double>& v) {
+  U64(v.size());
+  Raw(v.data(), v.size() * sizeof(double));
+}
+
+void Writer::F64Rows(const std::vector<std::vector<double>>& rows) {
+  const size_t cols = rows.empty() ? 0 : rows[0].size();
+  U64(rows.size());
+  U64(cols);
   for (const std::vector<double>& row : rows) {
-    if (row.size() != cols) {
-      return Status::InvalidArgument("ragged rows are not serializable");
-    }
-    if (!row.empty()) PutRaw(out, row.data(), row.size() * sizeof(double));
+    if (row.size() != cols) return Fail("ragged rows are not serializable");
+    Raw(row.data(), cols * sizeof(double));
   }
-  return Status::Ok();
 }
 
-void PutString(std::string* out, const std::string& s) {
-  PutU64(out, s.size());
-  PutRaw(out, s.data(), s.size());
+void Writer::Matrix(const ml::Matrix& m) {
+  U64(m.rows());
+  U64(m.cols());
+  Raw(m.data().data(), m.data().size() * sizeof(double));
 }
 
-void PutStatus(std::string* out, const Status& s) {
-  PutU32(out, static_cast<uint32_t>(s.code()));
-  PutString(out, s.message());
+void Cursor::Record(Status s) {
+  if (status_.ok()) status_ = std::move(s);
 }
 
-Status Cursor::Read(void* out, size_t n) {
-  if (n > remaining()) {
-    return Status::InvalidArgument("serialized data truncated mid-field");
-  }
-  std::memcpy(out, data_ + pos_, n);
+void Cursor::Fail(const std::string& message) {
+  Record(Status::InvalidArgument(message));
+}
+
+void Cursor::Raw(void* out, size_t n) {
+  if (!ok()) return;
+  if (n > remaining()) return Fail("serialized data truncated mid-field");
+  if (n > 0) std::memcpy(out, data_ + pos_, n);
   pos_ += n;
-  return Status::Ok();
 }
 
-Status Cursor::Skip(size_t n) {
-  if (n > remaining()) {
-    return Status::InvalidArgument("serialized data truncated mid-chunk");
-  }
+void Cursor::Skip(size_t n) {
+  if (!ok()) return;
+  if (n > remaining()) return Fail("serialized data truncated mid-chunk");
   pos_ += n;
-  return Status::Ok();
 }
 
-Status Cursor::ReadI64(int64_t* v) {
-  uint64_t u = 0;
-  SKY_RETURN_NOT_OK(ReadU64(&u));
-  *v = static_cast<int64_t>(u);
-  return Status::Ok();
-}
-
-Status Cursor::ReadBool(bool* v) {
+void Cursor::Bool(bool& v) {
   uint8_t b = 0;
-  SKY_RETURN_NOT_OK(ReadU8(&b));
-  if (b > 1) {
-    return Status::InvalidArgument("invalid boolean flag in serialized data");
-  }
-  *v = b != 0;
-  return Status::Ok();
+  U8(b);
+  if (!ok()) return;
+  if (b > 1) return Fail("invalid boolean flag in serialized data");
+  v = b != 0;
 }
 
-Status Cursor::ReadCount(size_t elem_bytes, uint64_t* count) {
-  SKY_RETURN_NOT_OK(ReadU64(count));
-  if (elem_bytes > 0 && *count > remaining() / elem_bytes) {
-    return Status::InvalidArgument("serialized data declares impossible count");
-  }
-  return Status::Ok();
+void Cursor::Id(uint32_t id, uint32_t max_read, const char* refusal) {
+  uint32_t read = 0;
+  U32(read);
+  if (ok() && (read < id || read > max_read)) Fail(refusal);
 }
 
-Status Cursor::ReadU64Vec(std::vector<size_t>* v) {
+void Cursor::Count(uint64_t& n, size_t elem_bytes) {
+  uint64_t count = 0;
+  U64(count);
+  if (!ok()) return;
+  if (elem_bytes > 0 && count > remaining() / elem_bytes) {
+    return Fail("serialized data declares impossible count");
+  }
+  n = count;
+}
+
+void Cursor::String(std::string& s) {
   uint64_t n = 0;
-  SKY_RETURN_NOT_OK(ReadCount(sizeof(uint64_t), &n));
-  v->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t x = 0;
-    SKY_RETURN_NOT_OK(ReadU64(&x));
-    (*v)[i] = x;
+  Count(n, 1);
+  if (!ok()) return;
+  s.resize(n);
+  Raw(s.data(), n);
+}
+
+void Cursor::StatusField(Status& s) {
+  uint32_t code = 0;
+  std::string message;
+  U32(code);
+  if (ok() && code > static_cast<uint32_t>(StatusCode::kInternal)) {
+    return Fail("invalid status code in serialized data");
   }
-  return Status::Ok();
+  String(message);
+  if (ok()) s = Status(static_cast<StatusCode>(code), std::move(message));
 }
 
-Status Cursor::ReadF64Vec(std::vector<double>* v) {
+void Cursor::U64Vec(std::vector<size_t>& v) {
+  Seq(v, sizeof(uint64_t), [this](size_t& x) { U64(x); });
+}
+
+void Cursor::F64Vec(std::vector<double>& v) {
   uint64_t n = 0;
-  SKY_RETURN_NOT_OK(ReadCount(sizeof(double), &n));
-  v->resize(n);
-  if (n > 0) return Read(v->data(), n * sizeof(double));
-  return Status::Ok();
+  Count(n, sizeof(double));
+  if (!ok()) return;
+  v.resize(n);
+  Raw(v.data(), n * sizeof(double));
 }
 
-Status Cursor::ReadF64Shape(uint64_t* rows, uint64_t* cols) {
-  SKY_RETURN_NOT_OK(ReadU64(rows));
-  SKY_RETURN_NOT_OK(ReadU64(cols));
+void Cursor::F64Shape(uint64_t& rows, uint64_t& cols) {
+  U64(rows);
+  U64(cols);
+  if (!ok()) return;
   // Guard the multiplication itself, then the row count — and bound rows by
   // the remaining payload even for zero-width rows, so no crafted header
   // can request an unbounded allocation.
-  if (*cols > remaining() / sizeof(double)) {
-    return Status::InvalidArgument("serialized data declares impossible count");
+  if (cols > remaining() / sizeof(double)) {
+    return Fail("serialized data declares impossible count");
   }
-  uint64_t row_bytes = *cols * sizeof(double);
-  if (row_bytes > 0 ? *rows > remaining() / row_bytes : *rows > remaining()) {
-    return Status::InvalidArgument("serialized data declares impossible count");
+  const uint64_t row_bytes = cols * sizeof(double);
+  if (row_bytes > 0 ? rows > remaining() / row_bytes : rows > remaining()) {
+    return Fail("serialized data declares impossible count");
   }
-  return Status::Ok();
 }
 
-Status Cursor::ReadF64Rows(std::vector<std::vector<double>>* rows) {
+void Cursor::F64Rows(std::vector<std::vector<double>>& rows) {
   uint64_t k = 0, cols = 0;
-  SKY_RETURN_NOT_OK(ReadF64Shape(&k, &cols));
-  rows->assign(k, std::vector<double>(cols));
-  for (auto& row : *rows) {
-    if (cols > 0) SKY_RETURN_NOT_OK(Read(row.data(), cols * sizeof(double)));
-  }
-  return Status::Ok();
+  F64Shape(k, cols);
+  if (!ok()) return;
+  rows.assign(k, std::vector<double>(cols));
+  for (std::vector<double>& row : rows) Raw(row.data(), cols * sizeof(double));
 }
 
-Status Cursor::ReadString(std::string* s) {
-  uint64_t n = 0;
-  SKY_RETURN_NOT_OK(ReadCount(1, &n));
-  s->resize(n);
-  if (n > 0) return Read(&(*s)[0], n);
-  return Status::Ok();
+void Cursor::Matrix(ml::Matrix& m) {
+  uint64_t rows = 0, cols = 0;
+  F64Shape(rows, cols);
+  if (!ok()) return;
+  m = ml::Matrix(rows, cols, 0.0);
+  Raw(m.data().data(), m.data().size() * sizeof(double));
 }
 
-Status Cursor::ReadStatus(Status* s) {
-  uint32_t code = 0;
-  std::string message;
-  SKY_RETURN_NOT_OK(ReadU32(&code));
-  if (code > static_cast<uint32_t>(StatusCode::kInternal)) {
-    return Status::InvalidArgument("invalid status code in serialized data");
-  }
-  SKY_RETURN_NOT_OK(ReadString(&message));
-  *s = Status(static_cast<StatusCode>(code), std::move(message));
-  return Status::Ok();
+void Cursor::ExpectEnd(const char* what) {
+  if (ok() && remaining() != 0) Fail(std::string(what) + " has trailing bytes");
 }
 
-Status Cursor::ExpectEnd(const char* what) const {
-  if (remaining() != 0) {
-    return Status::InvalidArgument(std::string(what) + " has trailing bytes");
-  }
-  return Status::Ok();
+void PutU32(std::string* out, uint32_t v) { Writer(out).U32(v); }
+
+void PutU64Vec(std::string* out, const std::vector<size_t>& v) {
+  Writer(out).U64Vec(v);
 }
 
 namespace {
@@ -200,20 +200,21 @@ constexpr uint32_t kMaxTrainerId = 1;
 
 void BeginContainer(const ContainerFormat& format, std::string* out) {
   out->clear();
-  PutRaw(out, format.magic, 8);
-  PutU32(out, format.version);
-  PutU32(out, kEndianMarker);
+  Writer w(out);
+  w.Raw(format.magic, 8);
+  w.U32(format.version);
+  w.U32(kEndianMarker);
 }
 
 void PutChunk(std::string* out, const char tag[4], const std::string& payload) {
-  PutRaw(out, tag, 4);
-  PutU64(out, payload.size());
-  out->append(payload);
+  Writer w(out);
+  w.Raw(tag, 4);
+  w.String(payload);
 }
 
 void EndContainer(std::string* out) {
   std::string checksum;
-  PutU64(&checksum, Fnv1a64(out->data(), out->size()));
+  Writer(&checksum).U64(Fnv1a64(out->data(), out->size()));
   PutChunk(out, kChunkChecksum, checksum);
 }
 
@@ -230,9 +231,9 @@ Result<std::vector<Chunk>> ReadContainer(const std::string& bytes,
   Cursor c(bytes.data(), bytes.size());
   char magic[8];
   uint32_t version = 0, endian = 0;
-  SKY_RETURN_NOT_OK(c.Read(magic, sizeof(magic)));
-  SKY_RETURN_NOT_OK(c.ReadU32(&version));
-  SKY_RETURN_NOT_OK(c.ReadU32(&endian));
+  c.Raw(magic, sizeof(magic));
+  c.U32(version);
+  c.U32(endian);
   if (std::memcmp(magic, format.magic, sizeof(magic)) != 0) {
     return Status::InvalidArgument("not a Skyscraper " + what +
                                    " (bad magic)");
@@ -246,6 +247,7 @@ Result<std::vector<Chunk>> ReadContainer(const std::string& bytes,
     return Status::InvalidArgument(what + " written with different byte order");
   }
 
+  // Every read below is preceded by a length check, so none can fail.
   std::vector<Chunk> chunks;
   while (c.remaining() > 0) {
     const char* tag = bytes.data() + c.pos();
@@ -253,8 +255,8 @@ Result<std::vector<Chunk>> ReadContainer(const std::string& bytes,
     if (c.remaining() < kChunkHeadBytes) {
       return Status::InvalidArgument(what + " truncated mid-chunk");
     }
-    SKY_RETURN_NOT_OK(c.Skip(4));
-    SKY_RETURN_NOT_OK(c.ReadU64(&size));
+    c.Skip(4);
+    c.U64(size);
     if (size > c.remaining()) {
       return Status::InvalidArgument(what + " truncated mid-chunk");
     }
@@ -265,7 +267,7 @@ Result<std::vector<Chunk>> ReadContainer(const std::string& bytes,
         return Status::InvalidArgument("malformed " + what +
                                        " checksum trailer");
       }
-      SKY_RETURN_NOT_OK(c.ReadU64(&stored));
+      c.U64(stored);
       if (stored !=
           Fnv1a64(bytes.data(), static_cast<size_t>(tag - bytes.data()))) {
         return Status::InvalidArgument(what + " checksum mismatch (corrupted)");
@@ -273,124 +275,86 @@ Result<std::vector<Chunk>> ReadContainer(const std::string& bytes,
       return chunks;
     }
     chunks.push_back(Chunk{tag, Cursor(bytes.data() + c.pos(), size)});
-    SKY_RETURN_NOT_OK(c.Skip(size));
+    c.Skip(size);
   }
   return Status::InvalidArgument(what + " missing checksum trailer");
 }
 
+template <class Io, class F>
+void TransferForecaster(Io& io, F& forecaster) {
+  bool present = forecaster.has_value();
+  io.Bool(present);
+  if (!present) {
+    if constexpr (Io::kReads) forecaster.reset();
+    return;
+  }
+  // The forecaster's parts: copied out of it to write, filled and then
+  // reassembled by Forecaster::FromParts to read.
+  core::ForecasterOptions o;
+  uint64_t num_categories = 0;
+  ml::TrainReport report;
+  ml::NetSnapshot net;
+  if constexpr (!Io::kReads) {
+    o = forecaster->options();
+    num_categories = forecaster->num_categories();
+    report = forecaster->train_report();
+    net = forecaster->SnapshotNet();
+  }
+  io.F64(o.input_span);
+  io.U64(o.input_splits);
+  io.F64(o.planned_interval);
+  io.F64(o.training_stride);
+  io.U64(o.seed);
+  ml::TrainOptions& t = o.train_options;
+  io.U64(t.epochs);
+  io.U64(t.batch_size);
+  io.F64(t.learning_rate);
+  io.F64(t.validation_split);
+  io.Id(kCrossEntropyLossId, kCrossEntropyLossId,
+        "forecaster payload loss id must be 1 (cross-entropy)");
+  io.U64(t.shuffle_seed);
+  io.Bool(t.keep_best_validation_weights);
+  io.Id(0, kMaxTrainerId, "forecaster payload trainer id must be 0 or 1");
+  io.U64(t.grad_chunk_rows);
+
+  io.U64(num_categories);
+
+  io.F64Vec(report.train_loss_per_epoch);
+  io.F64Vec(report.val_loss_per_epoch);
+  io.F64(report.best_val_loss);
+  io.U64(report.best_epoch);
+
+  io.U64(net.input_dim);
+  io.U64Vec(net.hidden);
+  io.U64(net.output_dim);
+  io.Id(kSoftmaxActivationId, kSoftmaxActivationId,
+        "forecaster payload activation id must be 2 (softmax)");
+  io.U64(net.adam_steps);
+  io.F64Vec(net.params);
+  io.F64Vec(net.adam_m);
+  io.F64Vec(net.adam_v);
+
+  if constexpr (Io::kReads) {
+    if (!io.ok()) return;
+    Result<core::Forecaster> assembled = core::Forecaster::FromParts(
+        net, o, num_categories, std::move(report));
+    if (!assembled.ok()) return io.Record(assembled.status());
+    forecaster.emplace(std::move(*assembled));
+  }
+}
+
+template void TransferForecaster(Writer&, const std::optional<core::Forecaster>&);
+template void TransferForecaster(Cursor&, std::optional<core::Forecaster>&);
+
 void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
                       std::string* out) {
-  std::string* p = out;
-  PutBool(p, forecaster.has_value());
-  if (!forecaster.has_value()) return;
-  const core::Forecaster& f = *forecaster;
-
-  const core::ForecasterOptions& o = f.options();
-  PutF64(p, o.input_span);
-  PutU64(p, o.input_splits);
-  PutF64(p, o.planned_interval);
-  PutF64(p, o.training_stride);
-  PutU64(p, o.seed);
-  const ml::TrainOptions& t = o.train_options;
-  PutU64(p, t.epochs);
-  PutU64(p, t.batch_size);
-  PutF64(p, t.learning_rate);
-  PutF64(p, t.validation_split);
-  PutU32(p, kCrossEntropyLossId);
-  PutU64(p, t.shuffle_seed);
-  PutBool(p, t.keep_best_validation_weights);
-  PutU32(p, 0);  // trainer slot
-  PutU64(p, t.grad_chunk_rows);
-
-  PutU64(p, f.num_categories());
-
-  const ml::TrainReport& r = f.train_report();
-  PutF64Vec(p, r.train_loss_per_epoch);
-  PutF64Vec(p, r.val_loss_per_epoch);
-  PutF64(p, r.best_val_loss);
-  PutU64(p, r.best_epoch);
-
-  ml::NetSnapshot net = f.SnapshotNet();
-  PutU64(p, net.input_dim);
-  PutU64Vec(p, net.hidden);
-  PutU64(p, net.output_dim);
-  PutU32(p, kSoftmaxActivationId);
-  PutU64(p, net.adam_steps);
-  PutF64Vec(p, net.params);
-  PutF64Vec(p, net.adam_m);
-  PutF64Vec(p, net.adam_v);
+  Writer w(out);
+  TransferForecaster(w, forecaster);
 }
 
 Status ParseForecaster(Cursor* c, std::optional<core::Forecaster>* out) {
-  bool present = false;
-  SKY_RETURN_NOT_OK(c->ReadBool(&present));
-  if (!present) {
-    out->reset();
-    return Status::Ok();
-  }
-
-  core::ForecasterOptions o;
-  uint64_t u = 0;
-  uint32_t e = 0;
-  SKY_RETURN_NOT_OK(c->ReadF64(&o.input_span));
-  SKY_RETURN_NOT_OK(c->ReadU64(&u));
-  o.input_splits = u;
-  SKY_RETURN_NOT_OK(c->ReadF64(&o.planned_interval));
-  SKY_RETURN_NOT_OK(c->ReadF64(&o.training_stride));
-  SKY_RETURN_NOT_OK(c->ReadU64(&o.seed));
-  ml::TrainOptions& t = o.train_options;
-  SKY_RETURN_NOT_OK(c->ReadU64(&u));
-  t.epochs = u;
-  SKY_RETURN_NOT_OK(c->ReadU64(&u));
-  t.batch_size = u;
-  SKY_RETURN_NOT_OK(c->ReadF64(&t.learning_rate));
-  SKY_RETURN_NOT_OK(c->ReadF64(&t.validation_split));
-  SKY_RETURN_NOT_OK(c->ReadU32(&e));
-  if (e != kCrossEntropyLossId) {
-    return Status::InvalidArgument(
-        "forecaster payload loss id must be 1 (cross-entropy)");
-  }
-  SKY_RETURN_NOT_OK(c->ReadU64(&t.shuffle_seed));
-  SKY_RETURN_NOT_OK(c->ReadBool(&t.keep_best_validation_weights));
-  SKY_RETURN_NOT_OK(c->ReadU32(&e));
-  if (e > kMaxTrainerId) {
-    return Status::InvalidArgument(
-        "forecaster payload trainer id must be 0 or 1");
-  }
-  SKY_RETURN_NOT_OK(c->ReadU64(&u));
-  t.grad_chunk_rows = u;
-
-  uint64_t num_categories = 0;
-  SKY_RETURN_NOT_OK(c->ReadU64(&num_categories));
-
-  ml::TrainReport report;
-  SKY_RETURN_NOT_OK(c->ReadF64Vec(&report.train_loss_per_epoch));
-  SKY_RETURN_NOT_OK(c->ReadF64Vec(&report.val_loss_per_epoch));
-  SKY_RETURN_NOT_OK(c->ReadF64(&report.best_val_loss));
-  SKY_RETURN_NOT_OK(c->ReadU64(&u));
-  report.best_epoch = u;
-
-  ml::NetSnapshot net;
-  SKY_RETURN_NOT_OK(c->ReadU64(&u));
-  net.input_dim = u;
-  SKY_RETURN_NOT_OK(c->ReadU64Vec(&net.hidden));
-  SKY_RETURN_NOT_OK(c->ReadU64(&u));
-  net.output_dim = u;
-  SKY_RETURN_NOT_OK(c->ReadU32(&e));
-  if (e != kSoftmaxActivationId) {
-    return Status::InvalidArgument(
-        "forecaster payload activation id must be 2 (softmax)");
-  }
-  SKY_RETURN_NOT_OK(c->ReadU64(&net.adam_steps));
-  SKY_RETURN_NOT_OK(c->ReadF64Vec(&net.params));
-  SKY_RETURN_NOT_OK(c->ReadF64Vec(&net.adam_m));
-  SKY_RETURN_NOT_OK(c->ReadF64Vec(&net.adam_v));
-
-  SKY_ASSIGN_OR_RETURN(core::Forecaster forecaster,
-                       core::Forecaster::FromParts(net, o, num_categories,
-                                                   std::move(report)));
-  out->emplace(std::move(forecaster));
-  return Status::Ok();
+  TransferForecaster(*c, *out);
+  return c->status();
 }
 
 }  // namespace sky::io::wire

@@ -4,96 +4,222 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/forecaster.h"
+#include "ml/matrix.h"
 #include "util/result.h"
 #include "util/status.h"
 
 namespace sky::io::wire {
 
 /// Shared primitives of every Skyscraper on-disk format (model files, fleet
-/// checkpoints and serve checkpoints): raw little writers, the
-/// bounds-checked Cursor reader, the FNV-1a integrity hash, the checksummed
-/// chunk container, and the forecaster payload. The container layout lives
-/// in docs/model_format.md ("Container"); each file format keeps only its
-/// own magic, version, and chunk table on top of it.
+/// checkpoints and serve checkpoints) and of the serve protocol's frames:
+/// the symmetric field codec (Writer and the bounds-checked Cursor), the
+/// FNV-1a integrity hash, the checksummed chunk container, and the
+/// forecaster payload. The container layout lives in docs/model_format.md
+/// ("Container"); each file format keeps only its own magic, version, and
+/// chunk table on top of it.
 
 /// FNV-1a 64-bit over a byte range — cheap, dependency-free integrity check
 /// (this guards against truncation and bit rot, not adversaries).
 uint64_t Fnv1a64(const char* data, size_t n);
 
-// --- Little writer ---------------------------------------------------------
+// --- Symmetric codec -------------------------------------------------------
+//
+// A record's layout is written once, as a transfer function
+//
+//   template <class Io, class T> void TransferFoo(Io& io, T& foo);
+//
+// that makes one Io call per field, in wire order. Run with a Writer (T
+// const) it appends the record; run with a Cursor (T mutable) it reads the
+// record back, so a reader cannot drift from its writer. What a reader
+// checks about the values it read sits in an `if constexpr (Io::kReads)`
+// block at its point in the field order. Both keep their first error in
+// status(); after it a Cursor reads nothing more, and what either has
+// produced is to be discarded. Integers are in host byte order (the
+// container's endianness marker refuses a foreign one) and doubles raw
+// IEEE-754, so round trips are bitwise.
 
-void PutRaw(std::string* out, const void* data, size_t n);
-void PutU8(std::string* out, uint8_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutI64(std::string* out, int64_t v);
-void PutF64(std::string* out, double v);
-void PutBool(std::string* out, bool v);
-void PutU64Vec(std::string* out, const std::vector<size_t>& v);
-void PutF64Vec(std::string* out, const std::vector<double>& v);
+/// Appends fields to a byte string.
+class Writer {
+ public:
+  static constexpr bool kReads = false;
 
-/// k rows of equal width, stored as (rows, cols, row-major payload).
-Status PutF64Rows(std::string* out,
-                  const std::vector<std::vector<double>>& rows);
+  explicit Writer(std::string* out) : out_(out) {}
 
-void PutString(std::string* out, const std::string& s);
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+  /// Records kInvalidArgument(message) unless an error is already kept.
+  void Fail(const std::string& message);
 
-/// u32 status code, then the message string (empty for OK).
-void PutStatus(std::string* out, const Status& s);
+  void Raw(const void* data, size_t n);
+  void U8(uint8_t v) { Raw(&v, 1); }
+  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
+  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
+  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
+  void F64(double v) { Raw(&v, sizeof(v)); }
+  void Bool(bool v) { U8(v ? 1 : 0); }
+  /// An enum stored as a u8 / u32; the reader refuses a value past `max`.
+  template <class E>
+  void Enum8(E v, E /*max*/, const char* /*refusal*/) {
+    U8(static_cast<uint8_t>(v));
+  }
+  template <class E>
+  void Enum32(E v, E /*max*/, const char* /*refusal*/) {
+    U32(static_cast<uint32_t>(v));
+  }
+  /// A u32 id the format fixed: written as `id`, read as any value in
+  /// [id, max_read] (older writers may have put a value up to max_read).
+  void Id(uint32_t id, uint32_t /*max_read*/, const char* /*refusal*/) {
+    U32(id);
+  }
+  /// A u64 element count; the reader refuses one whose elements, at
+  /// `elem_bytes` each, the rest of the payload cannot hold.
+  void Count(uint64_t n, size_t /*elem_bytes*/) { U64(n); }
+  void String(const std::string& s);
+  /// u32 status code, then the message string (empty for OK).
+  void StatusField(const Status& s);
+  void U64Vec(const std::vector<size_t>& v);
+  void F64Vec(const std::vector<double>& v);
+  /// k rows of equal width, stored as (rows, cols, row-major payload);
+  /// ragged rows are an error.
+  void F64Rows(const std::vector<std::vector<double>>& rows);
+  /// The same layout as F64Rows.
+  void Matrix(const ml::Matrix& m);
+  /// A presence flag, then the value (0 when absent).
+  template <class T>
+  void Optional(const std::optional<T>& v) {
+    Bool(v.has_value());
+    if constexpr (std::is_floating_point_v<T>) {
+      F64(v.value_or(0.0));
+    } else {
+      U64(v.value_or(0));
+    }
+  }
+  /// A count-prefixed sequence: the count (elements of at least
+  /// `elem_bytes` each), then `each(element)` in order.
+  template <class T, class Each>
+  void Seq(const std::vector<T>& v, size_t elem_bytes, Each&& each) {
+    Count(v.size(), elem_bytes);
+    for (const T& e : v) each(e);
+  }
 
-// --- Bounds-checked reader -------------------------------------------------
+ private:
+  std::string* out_;
+  Status status_;
+};
 
-/// Sequential reader over serialized bytes. Every accessor checks the
-/// remaining length first, so truncated or corrupted input surfaces as an
-/// error Status instead of an out-of-bounds read.
+/// Reads fields from a byte range: the same calls as Writer, each taking
+/// its field by reference. Every read checks the remaining length first,
+/// and every count is bounded by what the payload can still hold before
+/// anything is allocated, so truncated or hostile input surfaces as a
+/// kInvalidArgument status instead of an out-of-bounds read or an
+/// unbounded allocation.
 class Cursor {
  public:
+  static constexpr bool kReads = true;
+
   Cursor(const char* data, size_t size) : data_(data), end_(size) {}
 
   size_t remaining() const { return end_ - pos_; }
   size_t pos() const { return pos_; }
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+  /// Keeps `s` if it is an error and no error is kept yet.
+  void Record(Status s);
+  /// Record(kInvalidArgument(message)).
+  void Fail(const std::string& message);
 
-  Status Read(void* out, size_t n);
-  Status Skip(size_t n);
+  void Raw(void* out, size_t n);
+  void Skip(size_t n);
+  void U8(uint8_t& v) { Raw(&v, 1); }
+  void U32(uint32_t& v) { Raw(&v, sizeof(v)); }
+  /// Reads a u64 into any 64-bit unsigned field (size_t included).
+  template <class T>
+  void U64(T& v) {
+    static_assert(std::is_unsigned_v<T> && sizeof(T) == sizeof(uint64_t));
+    Raw(&v, sizeof(v));
+  }
+  void I64(int64_t& v) { Raw(&v, sizeof(v)); }
+  void F64(double& v) { Raw(&v, sizeof(v)); }
+  /// Anything but 0/1 is corruption, not a flag.
+  void Bool(bool& v);
+  template <class E>
+  void Enum8(E& v, E max, const char* refusal) {
+    uint8_t raw = 0;
+    U8(raw);
+    SetEnum(raw, max, refusal, &v);
+  }
+  template <class E>
+  void Enum32(E& v, E max, const char* refusal) {
+    uint32_t raw = 0;
+    U32(raw);
+    SetEnum(raw, max, refusal, &v);
+  }
+  void Id(uint32_t id, uint32_t max_read, const char* refusal);
+  void Count(uint64_t& n, size_t elem_bytes);
+  void String(std::string& s);
+  /// A status code past kInternal is corruption.
+  void StatusField(Status& s);
+  void U64Vec(std::vector<size_t>& v);
+  void F64Vec(std::vector<double>& v);
+  void F64Rows(std::vector<std::vector<double>>& rows);
+  void Matrix(ml::Matrix& m);
+  template <class T>
+  void Optional(std::optional<T>& v) {
+    bool has = false;
+    T x{};
+    Bool(has);
+    if constexpr (std::is_floating_point_v<T>) {
+      F64(x);
+    } else {
+      U64(x);
+    }
+    if (!ok()) return;
+    if (has) {
+      v = x;
+    } else {
+      v.reset();
+    }
+  }
+  template <class T, class Each>
+  void Seq(std::vector<T>& v, size_t elem_bytes, Each&& each) {
+    uint64_t n = 0;
+    Count(n, elem_bytes);
+    if (!ok()) return;
+    v.resize(n);
+    for (T& e : v) {
+      each(e);
+      if (!ok()) return;
+    }
+  }
 
-  Status ReadU8(uint8_t* v) { return Read(v, 1); }
-  Status ReadU32(uint32_t* v) { return Read(v, sizeof(*v)); }
-  Status ReadU64(uint64_t* v) { return Read(v, sizeof(*v)); }
-  Status ReadI64(int64_t* v);
-  Status ReadF64(double* v) { return Read(v, sizeof(*v)); }
-
-  /// Reads a PutBool byte; anything but 0/1 is corruption, not a flag.
-  Status ReadBool(bool* v);
-
-  /// Reads a u64 count that the payload must still be able to satisfy at
-  /// `elem_bytes` per element — rejects absurd counts from corrupt input
-  /// before any allocation is attempted.
-  Status ReadCount(size_t elem_bytes, uint64_t* count);
-
-  /// Reads the (rows, cols) header of a row-major f64 matrix and rejects a
-  /// shape the remaining payload cannot hold, without forming any product
-  /// that could wrap or divide by zero.
-  Status ReadF64Shape(uint64_t* rows, uint64_t* cols);
-
-  Status ReadU64Vec(std::vector<size_t>* v);
-  Status ReadF64Vec(std::vector<double>* v);
-  Status ReadF64Rows(std::vector<std::vector<double>>* rows);
-  Status ReadString(std::string* s);
-
-  /// Reads a PutStatus payload; a code past kInternal is corruption.
-  Status ReadStatus(Status* s);
-
-  /// kInvalidArgument ("<what> has trailing bytes") unless fully consumed.
-  Status ExpectEnd(const char* what) const;
+  /// Fails with "<what> has trailing bytes" unless fully consumed.
+  void ExpectEnd(const char* what);
 
  private:
+  /// Reads the (rows, cols) header of a row-major f64 matrix and refuses a
+  /// shape the remaining payload cannot hold, without forming any product
+  /// that could wrap or divide by zero.
+  void F64Shape(uint64_t& rows, uint64_t& cols);
+  template <class E, class Int>
+  void SetEnum(Int raw, E max, const char* refusal, E* v) {
+    if (!ok()) return;
+    if (raw > static_cast<Int>(max)) return Fail(refusal);
+    *v = static_cast<E>(raw);
+  }
+
   const char* data_;
   size_t pos_ = 0;
   size_t end_;
+  Status status_;
 };
+
+/// Single-field writers for hand-built payloads.
+void PutU32(std::string* out, uint32_t v);
+void PutU64Vec(std::string* out, const std::vector<size_t>& v);
 
 // --- Checksummed chunk container -------------------------------------------
 
@@ -135,14 +261,17 @@ Result<std::vector<Chunk>> ReadContainer(const std::string& bytes,
 
 // --- Forecaster payload ----------------------------------------------------
 
-/// Appends a self-contained forecaster payload (presence flag, options,
-/// train report, net snapshot incl. Adam moments). Shared between the model
-/// FCST chunk and engine checkpoints so the two formats cannot drift; round
-/// trips are bitwise (online fine-tuning resumes identically).
+/// The forecaster payload (presence flag, options, train report, net
+/// snapshot incl. Adam moments), shared between the model FCST chunk and
+/// engine checkpoints so the two formats cannot drift; round trips are
+/// bitwise (online fine-tuning resumes identically). The reader refuses a
+/// loss other than cross-entropy or an output other than softmax.
+template <class Io, class F>
+void TransferForecaster(Io& io, F& forecaster);
+
+/// TransferForecaster to / from a standalone payload.
 void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
                       std::string* out);
-
-/// Parses a payload written by AppendForecaster.
 Status ParseForecaster(Cursor* c, std::optional<core::Forecaster>* out);
 
 }  // namespace sky::io::wire

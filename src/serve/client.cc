@@ -8,8 +8,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "io/checkpoint_io.h"
-
 namespace sky::serve {
 
 Client::Client(Client&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
@@ -49,7 +47,7 @@ Result<Client> Client::Connect(int port) {
   }
   Client client(fd);
   std::string hello;
-  io::wire::PutU32(&hello, kProtocolVersion);
+  io::wire::Writer(&hello).U32(kProtocolVersion);
   auto reply = client.RoundTrip(FrameType::kHello, hello, FrameType::kHelloOk);
   if (!reply.ok()) return reply.status();
   return client;
@@ -76,24 +74,24 @@ Result<std::pair<uint64_t, uint64_t>> Client::OpenSession(
   if (!reply.ok()) return reply.status();
   io::wire::Cursor c(reply->payload.data(), reply->payload.size());
   uint64_t id = 0, slot = 0;
-  SKY_RETURN_NOT_OK(c.ReadU64(&id));
-  SKY_RETURN_NOT_OK(c.ReadU64(&slot));
+  TransferSessionOpened(c, id, slot);
+  SKY_RETURN_NOT_OK(c.status());
   return std::make_pair(id, slot);
 }
 
 Result<core::EngineResult> Client::FetchResult(uint64_t id) {
   std::string payload;
-  io::wire::PutU64(&payload, id);
+  io::wire::Writer(&payload).U64(id);
   auto reply = RoundTrip(FrameType::kFetchResult, payload, FrameType::kResult);
   if (!reply.ok()) return reply.status();
   io::wire::Cursor c(reply->payload.data(), reply->payload.size());
   uint64_t echoed = 0;
-  SKY_RETURN_NOT_OK(c.ReadU64(&echoed));
+  core::EngineResult result;
+  TransferResultReply(c, echoed, result);
+  SKY_RETURN_NOT_OK(c.status());
   if (echoed != id) {
     return Status::Internal("result frame echoes a different session id");
   }
-  core::EngineResult result;
-  SKY_RETURN_NOT_OK(io::ParseEngineResult(&c, &result));
   return result;
 }
 
@@ -105,7 +103,7 @@ Status Client::Reconfigure(uint64_t id, const core::StreamReconfig& changes) {
 
 Status Client::SetSharedBudget(double core_s_per_video_s) {
   std::string payload;
-  io::wire::PutF64(&payload, core_s_per_video_s);
+  io::wire::Writer(&payload).F64(core_s_per_video_s);
   return RoundTrip(FrameType::kSetBudget, payload, FrameType::kOk).status();
 }
 
@@ -115,13 +113,14 @@ Result<std::string> Client::Metrics() {
   if (!reply.ok()) return reply.status();
   io::wire::Cursor c(reply->payload.data(), reply->payload.size());
   std::string json;
-  SKY_RETURN_NOT_OK(c.ReadString(&json));
+  c.String(json);
+  SKY_RETURN_NOT_OK(c.status());
   return json;
 }
 
 Status Client::CloseSession(uint64_t id) {
   std::string payload;
-  io::wire::PutU64(&payload, id);
+  io::wire::Writer(&payload).U64(id);
   return RoundTrip(FrameType::kCloseSession, payload, FrameType::kOk).status();
 }
 

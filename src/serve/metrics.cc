@@ -1,6 +1,7 @@
 #include "serve/metrics.h"
 
 #include <cstdio>
+#include <type_traits>
 
 namespace sky::serve {
 
@@ -66,46 +67,15 @@ void AppendSessionObject(std::string* out, const SessionRecord& rec) {
   }
   if (rec.state == SessionState::kDone) {
     const core::EngineResult& r = rec.result;
-    out->append(", ");
-    AppendF64(out, "total_quality", r.total_quality);
-    out->append(", ");
-    AppendF64(out, "mean_quality", r.mean_quality);
-    out->append(", ");
-    AppendU64(out, "segments", r.segments);
-    out->append(", ");
-    AppendF64(out, "work_core_seconds", r.work_core_seconds);
-    out->append(", ");
-    AppendF64(out, "onprem_core_seconds", r.onprem_core_seconds);
-    out->append(", ");
-    AppendF64(out, "cloud_usd", r.cloud_usd);
-    out->append(", ");
-    AppendU64(out, "buffer_high_water_bytes", r.buffer_high_water_bytes);
-    out->append(", ");
-    AppendU64(out, "overflow_events", r.overflow_events);
-    out->append(", ");
-    AppendU64(out, "switch_count", r.switch_count);
-    out->append(", ");
-    AppendU64(out, "degraded_count", r.degraded_count);
-    out->append(", ");
-    AppendU64(out, "misclassified", r.misclassified);
-    out->append(", ");
-    AppendU64(out, "type_a_errors", r.type_a_errors);
-    out->append(", ");
-    AppendU64(out, "type_b_errors", r.type_b_errors);
-    out->append(", ");
-    AppendU64(out, "cloud_failures", r.cloud_failures);
-    out->append(", ");
-    AppendU64(out, "cloud_retries", r.cloud_retries);
-    out->append(", ");
-    AppendU64(out, "cloud_giveups", r.cloud_giveups);
-    out->append(", ");
-    AppendF64(out, "fault_backoff_s", r.fault_backoff_s);
-    out->append(", ");
-    AppendU64(out, "outage_segments", r.outage_segments);
-    out->append(", ");
-    AppendU64(out, "outage_intervals", r.outage_intervals);
-    out->append(", ");
-    AppendU64(out, "udf_stall_segments", r.udf_stall_segments);
+    core::ForEachResultField([&](const char* key, auto field) {
+      out->append(", ");
+      if constexpr (std::is_floating_point_v<
+                        std::remove_reference_t<decltype(r.*field)>>) {
+        AppendF64(out, key, r.*field);
+      } else {
+        AppendU64(out, key, r.*field);
+      }
+    });
     out->append(", ");
     AppendU64(out, "trace_points", r.trace.size());
   }

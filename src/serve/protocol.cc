@@ -13,15 +13,6 @@ namespace sky::serve {
 
 namespace {
 
-using io::wire::Cursor;
-using io::wire::Fnv1a64;
-using io::wire::PutBool;
-using io::wire::PutF64;
-using io::wire::PutRaw;
-using io::wire::PutString;
-using io::wire::PutU64;
-using io::wire::PutU8;
-
 bool ValidFrameType(uint8_t t) {
   return (t >= static_cast<uint8_t>(FrameType::kHello) &&
           t <= static_cast<uint8_t>(FrameType::kDrain)) ||
@@ -70,33 +61,23 @@ Status WriteExact(int fd, const char* buf, size_t n) {
   return Status::Ok();
 }
 
-void AppendOptionalF64(std::string* out, const std::optional<double>& v) {
-  PutBool(out, v.has_value());
-  PutF64(out, v.value_or(0.0));
-}
-
-Status ParseOptionalF64(Cursor* c, std::optional<double>* v) {
-  bool has = false;
-  double x = 0.0;
-  SKY_RETURN_NOT_OK(c->ReadBool(&has));
-  SKY_RETURN_NOT_OK(c->ReadF64(&x));
-  if (has) {
-    *v = x;
-  } else {
-    v->reset();
-  }
-  return Status::Ok();
+/// The kReconfigure payload: the session id, then each optional change.
+template <class Io, class Reconfig>
+void TransferReconfigure(Io& io, uint64_t& session_id, Reconfig& r) {
+  io.U64(session_id);
+  io.Optional(r.cloud_budget_usd_per_interval);
+  io.Optional(r.work_budget_override);
 }
 
 }  // namespace
 
 void EncodeFrame(FrameType type, const std::string& payload,
                  std::string* out) {
-  PutRaw(out, kFrameMagic, sizeof(kFrameMagic));
-  PutU8(out, static_cast<uint8_t>(type));
-  PutU64(out, payload.size());
-  out->append(payload);
-  PutU64(out, Fnv1a64(payload.data(), payload.size()));
+  io::wire::Writer w(out);
+  w.Raw(kFrameMagic, sizeof(kFrameMagic));
+  w.U8(static_cast<uint8_t>(type));
+  w.String(payload);
+  w.U64(io::wire::Fnv1a64(payload.data(), payload.size()));
 }
 
 Status WriteFrame(int fd, FrameType type, const std::string& payload) {
@@ -139,72 +120,60 @@ Status ReadFrame(int fd, uint64_t max_payload, Frame* out) {
   SKY_RETURN_NOT_OK(ReadExact(fd, trailer, sizeof(trailer), nullptr));
   uint64_t stored = 0;
   std::memcpy(&stored, trailer, sizeof(stored));
-  if (stored != Fnv1a64(out->payload.data(), out->payload.size())) {
+  if (stored != io::wire::Fnv1a64(out->payload.data(), out->payload.size())) {
     return Status::InvalidArgument("frame checksum mismatch (corrupted)");
   }
   return Status::Ok();
 }
 
-void AppendSessionSpec(const SessionSpec& spec, std::string* out) {
-  PutString(out, spec.workload);
-  PutBool(out, spec.content_seed.has_value());
-  PutU64(out, spec.content_seed.value_or(0));
-  PutF64(out, spec.start_days);
-  PutF64(out, spec.duration_days);
-  PutF64(out, spec.plan_interval_days);
-  PutU64(out, spec.engine_seed);
-  PutBool(out, spec.record_trace);
-  PutF64(out, spec.trace_resolution_s);
-  AppendOptionalF64(out, spec.cloud_budget_usd_per_interval);
-  PutF64(out, spec.work_budget_override);
+template <class Io, class Spec>
+void TransferSessionSpec(Io& io, Spec& spec) {
+  io.String(spec.workload);
+  io.Optional(spec.content_seed);
+  io.F64(spec.start_days);
+  io.F64(spec.duration_days);
+  io.F64(spec.plan_interval_days);
+  io.U64(spec.engine_seed);
+  io.Bool(spec.record_trace);
+  io.F64(spec.trace_resolution_s);
+  io.Optional(spec.cloud_budget_usd_per_interval);
+  io.F64(spec.work_budget_override);
 }
 
-Status ParseSessionSpec(Cursor* c, SessionSpec* spec) {
-  SKY_RETURN_NOT_OK(c->ReadString(&spec->workload));
-  bool has_seed = false;
-  uint64_t seed = 0;
-  SKY_RETURN_NOT_OK(c->ReadBool(&has_seed));
-  SKY_RETURN_NOT_OK(c->ReadU64(&seed));
-  if (has_seed) {
-    spec->content_seed = seed;
-  } else {
-    spec->content_seed.reset();
-  }
-  SKY_RETURN_NOT_OK(c->ReadF64(&spec->start_days));
-  SKY_RETURN_NOT_OK(c->ReadF64(&spec->duration_days));
-  SKY_RETURN_NOT_OK(c->ReadF64(&spec->plan_interval_days));
-  SKY_RETURN_NOT_OK(c->ReadU64(&spec->engine_seed));
-  SKY_RETURN_NOT_OK(c->ReadBool(&spec->record_trace));
-  SKY_RETURN_NOT_OK(c->ReadF64(&spec->trace_resolution_s));
-  SKY_RETURN_NOT_OK(
-      ParseOptionalF64(c, &spec->cloud_budget_usd_per_interval));
-  SKY_RETURN_NOT_OK(c->ReadF64(&spec->work_budget_override));
-  return Status::Ok();
+template void TransferSessionSpec(io::wire::Writer&, const SessionSpec&);
+template void TransferSessionSpec(io::wire::Cursor&, SessionSpec&);
+
+void AppendSessionSpec(const SessionSpec& spec, std::string* out) {
+  io::wire::Writer w(out);
+  TransferSessionSpec(w, spec);
+}
+
+Status ParseSessionSpec(io::wire::Cursor* c, SessionSpec* spec) {
+  TransferSessionSpec(*c, *spec);
+  return c->status();
 }
 
 void AppendReconfigure(uint64_t session_id, const core::StreamReconfig& r,
                        std::string* out) {
-  PutU64(out, session_id);
-  AppendOptionalF64(out, r.cloud_budget_usd_per_interval);
-  AppendOptionalF64(out, r.work_budget_override);
+  io::wire::Writer w(out);
+  TransferReconfigure(w, session_id, r);
 }
 
-Status ParseReconfigure(Cursor* c, uint64_t* session_id,
+Status ParseReconfigure(io::wire::Cursor* c, uint64_t* session_id,
                         core::StreamReconfig* r) {
-  SKY_RETURN_NOT_OK(c->ReadU64(session_id));
-  SKY_RETURN_NOT_OK(ParseOptionalF64(c, &r->cloud_budget_usd_per_interval));
-  SKY_RETURN_NOT_OK(ParseOptionalF64(c, &r->work_budget_override));
-  return Status::Ok();
+  TransferReconfigure(*c, *session_id, *r);
+  return c->status();
 }
 
 void AppendError(const Status& status, std::string* out) {
-  io::wire::PutStatus(out, status);
+  io::wire::Writer(out).StatusField(status);
 }
 
 Status ParseError(const Frame& frame) {
-  Cursor c(frame.payload.data(), frame.payload.size());
+  io::wire::Cursor c(frame.payload.data(), frame.payload.size());
   Status status;
-  SKY_RETURN_NOT_OK(c.ReadStatus(&status));
+  c.StatusField(status);
+  SKY_RETURN_NOT_OK(c.status());
   if (status.ok()) return Status::InvalidArgument("malformed error frame");
   return status;
 }

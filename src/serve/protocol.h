@@ -7,6 +7,7 @@
 
 #include "core/engine.h"
 #include "core/multi_stream.h"
+#include "io/checkpoint_io.h"
 #include "io/wire.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -58,7 +59,7 @@ enum class FrameType : uint8_t {
   // Server replies.
   kHelloOk = 32,         ///< u32 protocol version
   kSessionOpened = 33,   ///< u64 session id, u64 fleet stream index
-  kResult = 34,          ///< u64 session id, AppendEngineResult payload
+  kResult = 34,          ///< u64 session id, EngineResult
   kMetricsReport = 35,   ///< string: BENCH-style JSON document
   kOk = 36,              ///< empty generic ack
   kError = 37,           ///< u32 StatusCode, string message
@@ -105,8 +106,26 @@ struct SessionSpec {
   double work_budget_override = 0.0;
 };
 
+/// SessionSpec's layout (io/wire.h, "Symmetric codec"), shared by the
+/// kOpenSession payload and the serve checkpoint's session records.
+template <class Io, class Spec>
+void TransferSessionSpec(Io& io, Spec& spec);
 void AppendSessionSpec(const SessionSpec& spec, std::string* out);
 Status ParseSessionSpec(io::wire::Cursor* c, SessionSpec* spec);
+
+/// The kSessionOpened payload (io/wire.h, "Symmetric codec").
+template <class Io>
+void TransferSessionOpened(Io& io, uint64_t& id, uint64_t& stream_index) {
+  io.U64(id);
+  io.U64(stream_index);
+}
+
+/// The kResult payload.
+template <class Io, class R>
+void TransferResultReply(Io& io, uint64_t& id, R& result) {
+  io.U64(id);
+  io::TransferEngineResult(io, result);
+}
 
 /// Payload helpers for the fixed-shape frames.
 void AppendReconfigure(uint64_t session_id, const core::StreamReconfig& r,

@@ -11,12 +11,6 @@ namespace sky::serve {
 
 namespace {
 
-using io::wire::Cursor;
-using io::wire::PutChunk;
-using io::wire::PutF64;
-using io::wire::PutU64;
-using io::wire::PutU8;
-
 constexpr uint32_t kServeFormatVersion = 2;
 const io::wire::ContainerFormat kFormat{"SKYSERV1", kServeFormatVersion,
                                         "serve checkpoint"};
@@ -25,39 +19,39 @@ constexpr char kChunkMeta[4] = {'M', 'E', 'T', 'A'};
 constexpr char kChunkSession[4] = {'S', 'E', 'S', 'S'};
 constexpr char kChunkFleet[4] = {'F', 'L', 'E', 'E'};
 
-void AppendSessionRecord(const SessionRecord& rec, std::string* p) {
-  PutU64(p, rec.id);
-  PutU8(p, static_cast<uint8_t>(rec.state));
-  PutU64(p, rec.stream_index);
-  AppendSessionSpec(rec.spec, p);
-  io::wire::PutStatus(p, rec.error);
-  io::wire::PutBool(p, rec.state == SessionState::kDone);
-  if (rec.state == SessionState::kDone) {
-    io::AppendEngineResult(rec.result, p);
+/// The META chunk: the server's counters, its pooled budget and the number
+/// of SESS chunks.
+template <class Io, class Ckpt>
+void TransferMeta(Io& io, Ckpt& ckpt, uint64_t& sessions) {
+  io.U64(ckpt.next_session_id);
+  io.U64(ckpt.sessions_accepted);
+  io.U64(ckpt.sessions_rejected);
+  io.F64(ckpt.shared_budget_core_s_per_video_s);
+  if constexpr (Io::kReads) {
+    if (io.ok() && !std::isfinite(ckpt.shared_budget_core_s_per_video_s)) {
+      return io.Fail("serve checkpoint shared budget is not finite");
+    }
   }
+  io.U64(sessions);
 }
 
-Status ParseSessionRecord(Cursor* c, SessionRecord* rec) {
-  SKY_RETURN_NOT_OK(c->ReadU64(&rec->id));
-  uint8_t state = 0;
-  SKY_RETURN_NOT_OK(c->ReadU8(&state));
-  if (state > static_cast<uint8_t>(SessionState::kFailed)) {
-    return Status::InvalidArgument("invalid session state in checkpoint");
+/// One SESS chunk: a session record, its result only when it is done.
+template <class Io, class Record>
+void TransferSessionRecord(Io& io, Record& rec) {
+  io.U64(rec.id);
+  io.Enum8(rec.state, SessionState::kFailed,
+           "invalid session state in checkpoint");
+  io.U64(rec.stream_index);
+  TransferSessionSpec(io, rec.spec);
+  io.StatusField(rec.error);
+  bool has_result = rec.state == SessionState::kDone;
+  io.Bool(has_result);
+  if constexpr (Io::kReads) {
+    if (io.ok() && has_result != (rec.state == SessionState::kDone)) {
+      return io.Fail("session result presence inconsistent with its state");
+    }
   }
-  rec->state = static_cast<SessionState>(state);
-  SKY_RETURN_NOT_OK(c->ReadU64(&rec->stream_index));
-  SKY_RETURN_NOT_OK(ParseSessionSpec(c, &rec->spec));
-  SKY_RETURN_NOT_OK(c->ReadStatus(&rec->error));
-  bool has_result = false;
-  SKY_RETURN_NOT_OK(c->ReadBool(&has_result));
-  if (has_result != (rec->state == SessionState::kDone)) {
-    return Status::InvalidArgument(
-        "session result presence inconsistent with its state");
-  }
-  if (has_result) {
-    SKY_RETURN_NOT_OK(io::ParseEngineResult(c, &rec->result));
-  }
-  return Status::Ok();
+  if (has_result) io::TransferEngineResult(io, rec.result);
 }
 
 }  // namespace
@@ -179,18 +173,16 @@ Status SerializeServeCheckpoint(const ServeCheckpoint& ckpt,
                                 std::string* out) {
   io::wire::BeginContainer(kFormat, out);
   std::string p;
-  PutU64(&p, ckpt.next_session_id);
-  PutU64(&p, ckpt.sessions_accepted);
-  PutU64(&p, ckpt.sessions_rejected);
-  PutF64(&p, ckpt.shared_budget_core_s_per_video_s);
-  PutU64(&p, ckpt.sessions.size());
-  PutChunk(out, kChunkMeta, p);
+  io::wire::Writer w(&p);
+  uint64_t sessions = ckpt.sessions.size();
+  TransferMeta(w, ckpt, sessions);
+  io::wire::PutChunk(out, kChunkMeta, p);
   for (const SessionRecord& rec : ckpt.sessions) {
     p.clear();
-    AppendSessionRecord(rec, &p);
-    PutChunk(out, kChunkSession, p);
+    TransferSessionRecord(w, rec);
+    io::wire::PutChunk(out, kChunkSession, p);
   }
-  PutChunk(out, kChunkFleet, ckpt.fleet_bytes);
+  io::wire::PutChunk(out, kChunkFleet, ckpt.fleet_bytes);
   io::wire::EndContainer(out);
   return Status::Ok();
 }
@@ -209,23 +201,15 @@ Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes) {
   std::unordered_set<uint64_t> ids;
   std::unordered_set<uint64_t> running_slots;
   for (io::wire::Chunk& chunk : chunks) {
-    Cursor* payload = &chunk.payload;
+    io::wire::Cursor& payload = chunk.payload;
     if (chunk.Is(kChunkMeta)) {
       if (seen_meta) {
         return Status::InvalidArgument(
             "duplicate META chunk in serve checkpoint");
       }
       seen_meta = true;
-      SKY_RETURN_NOT_OK(payload->ReadU64(&ckpt.next_session_id));
-      SKY_RETURN_NOT_OK(payload->ReadU64(&ckpt.sessions_accepted));
-      SKY_RETURN_NOT_OK(payload->ReadU64(&ckpt.sessions_rejected));
-      SKY_RETURN_NOT_OK(
-          payload->ReadF64(&ckpt.shared_budget_core_s_per_video_s));
-      if (!std::isfinite(ckpt.shared_budget_core_s_per_video_s)) {
-        return Status::InvalidArgument(
-            "serve checkpoint shared budget is not finite");
-      }
-      SKY_RETURN_NOT_OK(payload->ReadU64(&declared_sessions));
+      TransferMeta(payload, ckpt, declared_sessions);
+      SKY_RETURN_NOT_OK(payload.status());
       // Each session needs its own chunk; a count beyond the chunks present
       // is corruption, not a big table.
       if (declared_sessions > chunks.size()) {
@@ -239,7 +223,8 @@ Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes) {
             "serve checkpoint session chunk before META");
       }
       SessionRecord rec;
-      SKY_RETURN_NOT_OK(ParseSessionRecord(payload, &rec));
+      TransferSessionRecord(payload, rec);
+      SKY_RETURN_NOT_OK(payload.status());
       if (!ids.insert(rec.id).second) {
         return Status::InvalidArgument(
             "serve checkpoint has two sessions with id " +
@@ -258,14 +243,14 @@ Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes) {
             "duplicate FLEE chunk in serve checkpoint");
       }
       seen_fleet = true;
-      ckpt.fleet_bytes.resize(payload->remaining());
-      SKY_RETURN_NOT_OK(
-          payload->Read(ckpt.fleet_bytes.data(), ckpt.fleet_bytes.size()));
+      ckpt.fleet_bytes.resize(payload.remaining());
+      payload.Raw(ckpt.fleet_bytes.data(), ckpt.fleet_bytes.size());
     } else {
       return Status::InvalidArgument(
           "unknown chunk tag in serve checkpoint");
     }
-    SKY_RETURN_NOT_OK(payload->ExpectEnd("serve checkpoint chunk"));
+    payload.ExpectEnd("serve checkpoint chunk");
+    SKY_RETURN_NOT_OK(payload.status());
   }
   if (!seen_meta || !seen_fleet) {
     return Status::InvalidArgument(

@@ -387,8 +387,8 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
   queue_cv_.notify_all();  // may release a start_after_sessions hold
 
   std::string payload;
-  io::wire::PutU64(&payload, id);
-  io::wire::PutU64(&payload, *slot);
+  io::wire::Writer w(&payload);
+  TransferSessionOpened(w, id, *slot);
   return payload;
 }
 
@@ -523,15 +523,15 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     case FrameType::kHello: {
       io::wire::Cursor c(request.payload.data(), request.payload.size());
       uint32_t version = 0;
-      Status s = c.ReadU32(&version);
-      if (!s.ok()) return error(s);
+      c.U32(version);
+      if (!c.ok()) return error(c.status());
       if (version != kProtocolVersion) {
         return error(Status::InvalidArgument(
             "protocol version mismatch: server speaks version " +
             std::to_string(kProtocolVersion)));
       }
       std::string payload;
-      io::wire::PutU32(&payload, kProtocolVersion);
+      io::wire::Writer(&payload).U32(kProtocolVersion);
       return {FrameType::kHelloOk, std::move(payload)};
     }
 
@@ -549,13 +549,13 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     case FrameType::kFetchResult: {
       io::wire::Cursor c(request.payload.data(), request.payload.size());
       uint64_t id = 0;
-      Status s = c.ReadU64(&id);
-      if (!s.ok()) return error(s);
+      c.U64(id);
+      if (!c.ok()) return error(c.status());
       Result<core::EngineResult> result = registry_.AwaitResult(id);
       if (!result.ok()) return error(result.status());
       std::string payload;
-      io::wire::PutU64(&payload, id);
-      io::AppendEngineResult(*result, &payload);
+      io::wire::Writer w(&payload);
+      TransferResultReply(w, id, std::as_const(*result));
       return {FrameType::kResult, std::move(payload)};
     }
 
@@ -572,8 +572,8 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     case FrameType::kSetBudget: {
       double budget = 0.0;
       io::wire::Cursor c(request.payload.data(), request.payload.size());
-      Status s = c.ReadF64(&budget);
-      if (!s.ok()) return error(s);
+      c.F64(budget);
+      if (!c.ok()) return error(c.status());
       if (!std::isfinite(budget)) {
         return error(Status::InvalidArgument("shared budget must be finite"));
       }
@@ -591,15 +591,15 @@ std::pair<FrameType, std::string> Server::HandleRequest(
           });
       if (!json.ok()) return error(json.status());
       std::string payload;
-      io::wire::PutString(&payload, *json);
+      io::wire::Writer(&payload).String(*json);
       return {FrameType::kMetricsReport, std::move(payload)};
     }
 
     case FrameType::kCloseSession: {
       uint64_t id = 0;
       io::wire::Cursor c(request.payload.data(), request.payload.size());
-      Status s = c.ReadU64(&id);
-      if (!s.ok()) return error(s);
+      c.U64(id);
+      if (!c.ok()) return error(c.status());
       return acknowledge([this, id] { return Close(id); });
     }
 

@@ -674,6 +674,53 @@ TEST_F(RecoveryTest, SegmentWindowPastInt64IsRefused) {
   }
 }
 
+TEST_F(RecoveryTest, BoundaryForecastOfAnotherLengthIsRefusedAtRecovery) {
+  // A prepared boundary is not prepared again, and the joint solve reads
+  // one forecast entry per category: a fleet recovered with a stream whose
+  // forecast has another length would fail that solve on every stream it
+  // plans. The reader refuses the state instead, and an empty forecast at a
+  // prepared boundary too; |C| entries restore and the fleet finishes.
+  const std::string path = testing::TempDir() + "fleet_forecast.ckpt";
+  {
+    auto set = StreamSet::Create(MakeJobs(), StreamSetOptions{});
+    ASSERT_TRUE(set.ok());
+    ASSERT_TRUE(set->RunUntilElapsed(Hours(4)).ok());
+    ASSERT_TRUE(set->SaveCheckpoint(path).ok());
+  }
+  auto saved = io::LoadFleetCheckpoint(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  const size_t num_c = models_[1]->categories.NumCategories();
+  ASSERT_EQ(num_c, 3u);
+  for (size_t length : {size_t{1}, size_t{4}, size_t{0}, num_c}) {
+    const std::string label = std::to_string(length) + "-entry forecast";
+    auto state =
+        io::DeserializeIngestState(saved->streams[1].state, *models_[1]);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    state->boundary_prepared = true;
+    state->boundary_forecast.assign(length, 0.25);
+    io::FleetCheckpoint crafted = *saved;
+    ASSERT_TRUE(
+        io::SerializeIngestState(*state, &crafted.streams[1].state).ok());
+    ASSERT_TRUE(io::SaveFleetCheckpoint(crafted, path).ok());
+    auto recovered = StreamSet::RecoverFromCheckpoint(MakeJobs(), path);
+    if (length == num_c) {
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      ASSERT_TRUE(recovered->RunToCompletion(nullptr).ok());
+      for (const Result<EngineResult>& r : recovered->Results()) {
+        EXPECT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+      }
+      continue;
+    }
+    ASSERT_FALSE(recovered.ok()) << label;
+    EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument)
+        << label;
+    EXPECT_NE(recovered.status().message().find("boundary forecast"),
+              std::string::npos)
+        << label << ": " << recovered.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(RecoveryTest, FleetSupervisionHealsBitwiseAcrossWorkerCounts) {
   auto reference = ReferenceResults();
 

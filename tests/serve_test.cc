@@ -50,6 +50,7 @@
 #include "core/multi_stream.h"
 #include "io/checkpoint_io.h"
 #include "serve/client.h"
+#include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
@@ -1026,6 +1027,90 @@ TEST_F(ServeTest, MetricsDocumentCarriesTheCounters) {
 
   ASSERT_TRUE(client->Drain().ok());
   EXPECT_TRUE((*server)->Wait().ok());
+}
+
+// Every EngineResult counter of a finished session, in the document's key
+// order, next to a failed and a running session.
+TEST(ServeMetricsTest, FinishedSessionRendersEveryResultKeyInOrder) {
+  serve::ServerMetrics m;
+  m.uptime_s = 1.5;
+  m.sessions_accepted = 3;
+  m.sessions_rejected = 1;
+  m.sessions_running = 1;
+  m.sessions_done = 1;
+  m.sessions_failed = 1;
+  m.boundaries_planned = 4;
+  m.boundary_p50_ms = 0.25;
+  m.boundary_p99_ms = 0.75;
+  m.shared_budget_core_s_per_video_s = 2.5;
+  m.cheapest_fleet_cost_core_s_per_video_s = 1.125;
+  m.fleet_restarts = 2;
+  m.sessions.resize(3);
+  m.sessions[0].id = 1;
+  m.sessions[0].spec.workload = "covid";
+  m.sessions[0].state = serve::SessionState::kDone;
+  EngineResult& r = m.sessions[0].result;
+  r.total_quality = 1.75;
+  r.mean_quality = 0.875;
+  r.segments = 2;
+  r.work_core_seconds = 6.5;
+  r.onprem_core_seconds = 4.25;
+  r.cloud_usd = 0.1;
+  r.buffer_high_water_bytes = 4096;
+  r.overflow_events = 1;
+  r.switch_count = 2;
+  r.degraded_count = 3;
+  r.misclassified = 4;
+  r.type_a_errors = 5;
+  r.type_b_errors = 6;
+  r.cloud_failures = 7;
+  r.cloud_retries = 8;
+  r.cloud_giveups = 9;
+  r.fault_backoff_s = 2.5;
+  r.outage_segments = 10;
+  r.outage_intervals = 11;
+  r.udf_stall_segments = 12;
+  r.trace.resize(2);
+  m.sessions[1].id = 2;
+  m.sessions[1].state = serve::SessionState::kFailed;
+  m.sessions[1].stream_index = 1;
+  m.sessions[1].error = Status::Internal("quarantined \"2\"");
+  m.sessions[2].id = 3;
+  m.sessions[2].stream_index = 2;
+  EXPECT_EQ(serve::RenderMetricsJson(m),
+            "{\n"
+            "  \"uptime_s\": 1.5,\n"
+            "  \"sessions_accepted\": 3,\n"
+            "  \"sessions_rejected\": 1,\n"
+            "  \"sessions_running\": 1,\n"
+            "  \"sessions_done\": 1,\n"
+            "  \"sessions_failed\": 1,\n"
+            "  \"boundaries_planned\": 4,\n"
+            "  \"boundary_p50_ms\": 0.25,\n"
+            "  \"boundary_p99_ms\": 0.75,\n"
+            "  \"shared_budget_core_s_per_video_s\": 2.5,\n"
+            "  \"cheapest_fleet_cost_core_s_per_video_s\": 1.125,\n"
+            "  \"fleet_restarts\": 2,\n"
+            "  \"sessions\": ["
+            "{\"id\": 1, \"workload\": \"covid\", \"state\": \"done\", "
+            "\"stream_index\": 0, \"total_quality\": 1.75, "
+            "\"mean_quality\": 0.875, \"segments\": 2, "
+            "\"work_core_seconds\": 6.5, \"onprem_core_seconds\": 4.25, "
+            "\"cloud_usd\": 0.10000000000000001, "
+            "\"buffer_high_water_bytes\": 4096, \"overflow_events\": 1, "
+            "\"switch_count\": 2, \"degraded_count\": 3, "
+            "\"misclassified\": 4, \"type_a_errors\": 5, "
+            "\"type_b_errors\": 6, \"cloud_failures\": 7, "
+            "\"cloud_retries\": 8, \"cloud_giveups\": 9, "
+            "\"fault_backoff_s\": 2.5, \"outage_segments\": 10, "
+            "\"outage_intervals\": 11, \"udf_stall_segments\": 12, "
+            "\"trace_points\": 2}, "
+            "{\"id\": 2, \"workload\": \"ev\", \"state\": \"failed\", "
+            "\"stream_index\": 1, "
+            "\"error\": \"Internal: quarantined \\\"2\\\"\"}, "
+            "{\"id\": 3, \"workload\": \"ev\", \"state\": \"running\", "
+            "\"stream_index\": 2}]\n"
+            "}\n");
 }
 
 }  // namespace

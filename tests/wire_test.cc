@@ -197,6 +197,98 @@ TEST(WireContainerTest, ServeCheckpointLayoutIsPinned) {
             "6409");
 }
 
+/// FixedServe() with a third session that finished: its result carries
+/// every counter and a two-point trace.
+serve::ServeCheckpoint FixedServeWithResult() {
+  serve::ServeCheckpoint ckpt = FixedServe();
+  ckpt.next_session_id = 4;
+  ckpt.sessions_accepted = 3;
+  serve::SessionRecord done;
+  done.id = 3;
+  done.state = serve::SessionState::kDone;
+  done.stream_index = 2;
+  done.spec.workload = "covid";
+  done.spec.record_trace = true;
+  done.spec.cloud_budget_usd_per_interval = 0.5;
+  core::EngineResult& r = done.result;
+  r.total_quality = 1.75;
+  r.mean_quality = 0.875;
+  r.segments = 2;
+  r.work_core_seconds = 6.5;
+  r.onprem_core_seconds = 4.25;
+  r.cloud_usd = 0.125;
+  r.buffer_high_water_bytes = 4096;
+  r.overflow_events = 1;
+  r.switch_count = 2;
+  r.degraded_count = 3;
+  r.misclassified = 4;
+  r.type_a_errors = 5;
+  r.type_b_errors = 6;
+  r.cloud_failures = 7;
+  r.cloud_retries = 8;
+  r.cloud_giveups = 9;
+  r.fault_backoff_s = 2.5;
+  r.outage_segments = 10;
+  r.outage_intervals = 11;
+  r.udf_stall_segments = 12;
+  r.trace.resize(2);
+  r.trace[0] = {0.0, 0.5, 1.5, 256.0, 0.0625, 0.03125, 1, 0};
+  r.trace[1] = {4.0, 1.25, 2.0, 512.0, 0.125, 0.0625, 0, 1};
+  ckpt.sessions.push_back(std::move(done));
+  return ckpt;
+}
+
+// A finished session's SESS chunk ends with its EngineResult.
+TEST(WireContainerTest, ServeCheckpointWithAFinishedSessionLayoutIsPinned) {
+  std::string bytes;
+  ASSERT_TRUE(
+      serve::SerializeServeCheckpoint(FixedServeWithResult(), &bytes).ok());
+  EXPECT_EQ(Hex(bytes),
+            // header
+            "534b5953455256310200000004030201"
+            // META
+            "4d45544128000000000000000400000000000000030000000000000001000000"
+            "0000000000000000000004400300000000000000"
+            // SESS
+            "534553536b000000000000000100000000000000000000000000000000020000"
+            "00000000006576010b00000000000000000000000000f0bf000000000000f03f"
+            "000000000000f0bf4700000000000000000000000000c0724000000000000000"
+            "0000000000000000000000000000000000000000000000"
+            // SESS
+            "5345535376000000000000000200000000000000020100000000000000020000"
+            "00000000006576000000000000000000000000000000f0bf000000000000f03f"
+            "000000000000f0bf4700000000000000000000000000c0724000000000000000"
+            "00000000000000000000070000000b0000000000000071756172616e74696e65"
+            "6400"
+            // SESS
+            "5345535396010000000000000300000000000000010200000000000000050000"
+            "0000000000636f766964000000000000000000000000000000f0bf0000000000"
+            "00f03f000000000000f0bf4700000000000000010000000000c0724001000000"
+            "000000e03f000000000000000000000000000000000000000001000000000000"
+            "fc3f000000000000ec3f02000000000000000000000000001a40000000000000"
+            "1140000000000000c03f00100000000000000100000000000000020000000000"
+            "0000030000000000000004000000000000000500000000000000060000000000"
+            "0000070000000000000008000000000000000900000000000000000000000000"
+            "04400a000000000000000b000000000000000c00000000000000020000000000"
+            "00000000000000000000000000000000e03f000000000000f83f000000000000"
+            "7040000000000000b03f000000000000a03f0100000000000000000000000000"
+            "00000000000000001040000000000000f43f0000000000000040000000000000"
+            "8040000000000000c03f000000000000b03f0000000000000000010000000000"
+            "0000"
+            // FLEE
+            "464c45450500000000000000666c656574"
+            // CSUM
+            "4353554d080000000000000065a6678027e161b0");
+  auto parsed = serve::ParseServeCheckpoint(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->sessions.size(), 3u);
+  EXPECT_TRUE(core::EngineResultsIdentical(
+      parsed->sessions[2].result, FixedServeWithResult().sessions[2].result));
+  std::string again;
+  ASSERT_TRUE(serve::SerializeServeCheckpoint(*parsed, &again).ok());
+  EXPECT_EQ(again, bytes);
+}
+
 /// A one-configuration model with two k-means categories and a five-segment
 /// training sequence, built by hand.
 core::OfflineModel FixedModel() {
@@ -307,6 +399,112 @@ TEST(WireContainerTest, ForecasterPayloadLayoutIsPinned) {
   ASSERT_TRUE(wire::ParseForecaster(&c, &parsed).ok());
   std::string again;
   wire::AppendForecaster(parsed, &again);
+  EXPECT_EQ(again, bytes);
+}
+
+/// A two-configuration model built by hand: one profile with one mixed
+/// on-prem/cloud placement, one with an all-on-prem and an all-cloud
+/// placement, two k-means categories, a four-segment training sequence,
+/// FixedForecaster() and set step runtimes.
+core::OfflineModel FixedModelWithForecaster() {
+  core::OfflineModel model;
+  model.segment_seconds = 4.0;
+  model.train_horizon = 8.0;
+  model.configs = {{0, 1}, {1, 0}};
+  model.profiles.resize(2);
+  core::ConfigProfile& p0 = model.profiles[0];
+  p0.config = {0, 1};
+  p0.work_core_s_per_video_s = 1.5;
+  p0.placements.resize(1);
+  p0.placements[0].placement.node_loc = {dag::Loc::kOnPrem, dag::Loc::kCloud};
+  p0.placements[0].runtime_s = 0.5;
+  p0.placements[0].cloud_usd = 0.25;
+  p0.placements[0].onprem_core_s = 1.0;
+  p0.placements[0].uplink_bytes = 2048.0;
+  core::ConfigProfile& p1 = model.profiles[1];
+  p1.config = {1, 0};
+  p1.config_id = 1;
+  p1.work_core_s_per_video_s = 0.75;
+  p1.placements.resize(2);
+  p1.placements[0].placement.node_loc = {dag::Loc::kOnPrem, dag::Loc::kOnPrem};
+  p1.placements[0].runtime_s = 2.0;
+  p1.placements[0].onprem_core_s = 3.0;
+  p1.placements[1].placement.node_loc = {dag::Loc::kCloud, dag::Loc::kCloud};
+  p1.placements[1].runtime_s = 1.0;
+  p1.placements[1].cloud_usd = 0.125;
+  p1.placements[1].uplink_bytes = 4096.0;
+  ml::KMeansModel km;
+  km.centers = {{0.25, 0.5}, {0.75, 1.0}};
+  km.inertia = 0.5;
+  model.categories = core::ContentCategories::FromKMeans(std::move(km));
+  model.train_category_sequence = {1, 0, 0, 1};
+  model.forecaster = FixedForecaster();
+  model.step_runtimes.filter_configs_s = 0.5;
+  model.step_runtimes.filter_placements_s = 1.25;
+  model.step_runtimes.content_categories_s = 2.0;
+  model.step_runtimes.forecast_training_data_s = 3.5;
+  model.step_runtimes.forecast_training_s = 4.75;
+  return model;
+}
+
+// Every chunk of a model file, in file order.
+TEST(WireContainerTest, WholeModelFileLayoutIsPinned) {
+  std::string bytes;
+  ASSERT_TRUE(
+      SerializeOfflineModel(FixedModelWithForecaster(), "ev", &bytes).ok());
+  EXPECT_EQ(Hex(bytes),
+            // header
+            "534b594d4f444c310200000004030201"
+            // META
+            "4d455441100000000000000000000000000010400000000000002040"
+            // ANNO
+            "414e4e4f0a0000000000000002000000000000006576"
+            // KNBC
+            "4b4e424338000000000000000200000000000000020000000000000000000000"
+            "0000000001000000000000000200000000000000010000000000000000000000"
+            "00000000"
+            // PROF
+            "50524f46e6000000000000000200000000000000020000000000000000000000"
+            "0000000001000000000000000000000000000000000000000000f83f01000000"
+            "0000000002000000000000000001000000000000e03f000000000000d03f0000"
+            "00000000f03f000000000000a040020000000000000001000000000000000000"
+            "0000000000000100000000000000000000000000e83f02000000000000000200"
+            "0000000000000000000000000000004000000000000000000000000000000840"
+            "000000000000000002000000000000000101000000000000f03f000000000000"
+            "c03f0000000000000000000000000000b040"
+            // CATG
+            "434154473c000000000000000000000002000000000000000200000000000000"
+            "000000000000d03f000000000000e03f000000000000e83f000000000000f03f"
+            "000000000000e03f"
+            // TSEQ
+            "545345510c00000000000000040000000000000001000001"
+            // FCST
+            "46435354960100000000000001000000000020ac400100000000000000000000"
+            "0000209c400000000000208c4005000000000000000200000000000000040000"
+            "00000000007b14ae47e17a843f9a9999999999c93f0100000007000000000000"
+            "0001000000000800000000000000020000000000000002000000000000000000"
+            "00000000e83f000000000000e03f0200000000000000000000000000ec3f0000"
+            "00000000e43f000000000000e43f010000000000000002000000000000000100"
+            "0000000000000100000000000000020000000000000002000000030000000000"
+            "00000700000000000000000000000000e03f000000000000d0bf000000000000"
+            "c03f000000000000f03f000000000000f0bf0000000000000000000000000000"
+            "e03f07000000000000007b14ae47e17a843f7b14ae47e17a943fb81e85eb51b8"
+            "9e3f7b14ae47e17aa43f9a9999999999a93fb81e85eb51b8ae3fec51b81e85eb"
+            "b13f07000000000000002d431cebe2361a3f2d431cebe2362a3f613255302aa9"
+            "333f2d431cebe2363a3ffca9f1d24d62403f613255302aa9433fc7bab88d06f0"
+            "463f"
+            // RTIM
+            "5254494d2800000000000000000000000000e03f000000000000f43f00000000"
+            "000000400000000000000c400000000000001340"
+            // CSUM
+            "4353554d08000000000000002d74df9186d90989");
+  // The file parses back to a model that writes the same bytes.
+  std::string annotation;
+  auto parsed = DeserializeOfflineModel(bytes, &annotation);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(annotation, "ev");
+  std::string again;
+  ASSERT_TRUE(SerializeOfflineModel(*parsed, annotation, &again).ok());
   EXPECT_EQ(again, bytes);
 }
 

@@ -259,45 +259,46 @@ constexpr double kBytesPerGb = 1ull << 30;
 /// -h are accepted everywhere.
 using FlagSet = std::vector<std::string_view>;
 
-/// The flags of `sky <cmd>` (`sky client <verb>` when cmd is "client"; an
-/// empty verb is `sky client` alone); null for an unknown subcommand, and
-/// the common flags alone for an unknown verb, which RunClient refuses.
-const FlagSet* AcceptedFlags(const std::string& cmd, const std::string& verb) {
-  static const FlagSet kOffline = {
-      "--out",        "--workload",   "--cores",           "--cloud-budget",
-      "--buffer-gb",  "--seed",       "--segment-seconds", "--train-days",
-      "--plan-days",  "--categories", "--threads"};
-  static const FlagSet kIngest = {
-      "--model",      "--workload",      "--cores",
-      "--cloud-budget", "--buffer-gb",   "--seed",
-      "--start-days", "--duration-days", "--plan-interval-days"};
-  static const FlagSet kInspect = {"--model"};
-  static const FlagSet kServe = {
-      "--model",        "--workload",         "--cores",
-      "--cloud-budget", "--buffer-gb",        "--port",
-      "--port-file",    "--shared-budget",    "--max-sessions",
-      "--start-after",  "--checkpoint",       "--checkpoint-every",
-      "--max-restarts", "--recover"};
-  static const FlagSet kClient = {"--port"};
-  static const FlagSet kClientOpen = {
-      "--port",         "--workload",      "--content-seed",
-      "--start-days",   "--duration-days", "--plan-interval-days",
-      "--seed",         "--record-trace",  "--trace-resolution-s",
-      "--cloud-budget", "--work-budget",   "--wait"};
-  static const FlagSet kClientSession = {"--port", "--session"};
-  static const FlagSet kClientReconfigure = {"--port", "--session",
-                                             "--cloud-budget", "--work-budget"};
-  static const FlagSet kClientSetBudget = {"--port", "--budget"};
-  if (cmd == "offline") return &kOffline;
-  if (cmd == "ingest") return &kIngest;
-  if (cmd == "inspect") return &kInspect;
-  if (cmd == "serve") return &kServe;
-  if (cmd != "client") return nullptr;
-  if (verb == "open") return &kClientOpen;
-  if (verb == "fetch" || verb == "close") return &kClientSession;
-  if (verb == "reconfigure") return &kClientReconfigure;
-  if (verb == "set-budget") return &kClientSetBudget;
-  return &kClient;
+/// The flags `help` lists: every `--` token in the flag column (up to the
+/// first run of two spaces) of a line that opens with one, so ingest's
+/// "--cores N / --cloud-budget D / --buffer-gb G" lists three. After a
+/// section header (an unindented line ending in ':'), only the lines of
+/// "common flags:" and "<verb> flags:" count: `sky client <verb>` accepts
+/// the common flags and its verb's own.
+FlagSet ListedFlags(std::string_view help, const std::string& verb) {
+  FlagSet flags;
+  bool counted = true;
+  while (!help.empty()) {
+    const size_t eol = std::min(help.find('\n'), help.size());
+    const std::string_view line = help.substr(0, eol);
+    help.remove_prefix(std::min(eol + 1, help.size()));
+    if (!line.empty() && line.front() != ' ' && line.back() == ':') {
+      counted = line == "common flags:" || line == verb + " flags:";
+      continue;
+    }
+    const size_t start = line.find_first_not_of(' ');
+    if (!counted || start == std::string_view::npos ||
+        line.compare(start, 2, "--") != 0) {
+      continue;
+    }
+    std::string_view column = line.substr(start, line.find("  ", start) - start);
+    while (!column.empty()) {
+      const size_t end = std::min(column.find(' '), column.size());
+      if (column.compare(0, 2, "--") == 0) flags.push_back(column.substr(0, end));
+      column.remove_prefix(std::min(end + 1, column.size()));
+    }
+  }
+  return flags;
+}
+
+/// The --help text of `sky <cmd>`; null for an unknown subcommand.
+const char* HelpOf(const std::string& cmd) {
+  if (cmd == "offline") return kOfflineHelp;
+  if (cmd == "ingest") return kIngestHelp;
+  if (cmd == "inspect") return kInspectHelp;
+  if (cmd == "serve") return kServeHelp;
+  if (cmd == "client") return kClientHelp;
+  return nullptr;
 }
 
 /// Parses "--flag value" / "--flag=value" pairs (boolean flags take no
@@ -781,16 +782,17 @@ int main(int argc, char** argv) {
   Flags flags;
 
   if (cmd == "client") {
-    // `sky client --help` (no verb) must still answer.
+    // `sky client --help` (no verb) must still answer. An unknown verb
+    // accepts the common flags alone, and RunClient refuses it.
     if (argc >= 3 && argv[2][0] != '-') {
       std::string verb = argv[2];
       if (!ParseFlags(argc - 3, argv + 3, "client " + verb,
-                      *AcceptedFlags(cmd, verb), &flags)) {
+                      ListedFlags(kClientHelp, verb), &flags)) {
         return 2;
       }
       return RunClient(verb, flags);
     }
-    if (!ParseFlags(argc - 2, argv + 2, cmd, *AcceptedFlags(cmd, ""),
+    if (!ParseFlags(argc - 2, argv + 2, cmd, ListedFlags(kClientHelp, ""),
                     &flags)) {
       return 2;
     }
@@ -803,9 +805,11 @@ int main(int argc, char** argv) {
     Usage();
     return 0;
   }
-  const FlagSet* accepted = AcceptedFlags(cmd, "");
-  if (accepted == nullptr) return Usage();
-  if (!ParseFlags(argc - 2, argv + 2, cmd, *accepted, &flags)) return 2;
+  const char* help = HelpOf(cmd);
+  if (help == nullptr) return Usage();
+  if (!ParseFlags(argc - 2, argv + 2, cmd, ListedFlags(help, ""), &flags)) {
+    return 2;
+  }
   if (cmd == "offline") return RunOffline(flags);
   if (cmd == "ingest") return RunIngest(flags);
   if (cmd == "inspect") return RunInspect(flags);
