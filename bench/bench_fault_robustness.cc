@@ -280,8 +280,13 @@ int main(int argc, char** argv) {
   WallTimer crash_timer;
   bool crash_ok = false, crash_bitwise = false;
   do {
+    // Half the 12-h run: end it at boundary 3 of its 2-h intervals.
     auto half = core::StreamSet::Create(base_jobs, {});
-    if (!half.ok() || !half->RunUntilElapsed(Hours(6)).ok()) break;
+    size_t seen = 0;
+    if (!half.ok() ||
+        !half->RunToCompletion(&pool8, [&] { return seen++ < 3; }).ok()) {
+      break;
+    }
     if (!half->SaveCheckpoint(ckpt_path).ok()) break;
     // The StreamSet (the "process") is dropped here; a fresh one recovers.
     auto recovered =

@@ -1,12 +1,16 @@
-// `sky serve` overheads. Three headline metrics land in BENCH_serve.json:
+// `sky serve` overheads. Four headline metrics land in BENCH_serve.json:
 //  - admission latency: OpenSession round-trip against an idle (held)
 //    server — the full frame/queue/planner-feasibility/AddStream path;
-//  - steady-state overhead: wall time of an 8-stream fleet stepped through
-//    the serve stack (sessions opened, results fetched over the socket)
-//    versus the identical in-process StreamSet Step() loop: one untimed
-//    warm-up pair, then 9 trial pairs, the side that runs first alternating
-//    from pair to pair. GATED on the median ratio: the serve layer may cost
-//    at most 10% on top of in-process.
+//  - steady-state overhead: wall time of an 8-stream fleet run through
+//    the serve stack (sessions opened, results fetched over the socket) on
+//    the server's pooled scheduler, versus the identical in-process
+//    StreamSet Step() loop on one thread: one untimed warm-up pair, then 9
+//    trial pairs, the side that runs first alternating from pair to pair.
+//    GATED on the median ratio: the served fleet may take at most 10% more
+//    wall than the serial in-process loop.
+//  - the same served fleet versus the in-process RunToCompletion on as
+//    many workers as the server runs (dag::DefaultThreadCount()), 9 more
+//    trial pairs, tracked ungated: the serve layer's own cost.
 //  - recovery: time to rebuild a 64-stream fleet from its boundary
 //    checkpoint (StreamSet::RecoverFromCheckpoint), tracked ungated.
 //
@@ -22,6 +26,7 @@
 #include "api/workload_registry.h"
 #include "bench_common.h"
 #include "core/multi_stream.h"
+#include "dag/thread_pool.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "util/stats.h"
@@ -157,9 +162,9 @@ int main(int argc, char** argv) {
   // --- Steady-state overhead: serve stack vs in-process -------------------
   // Sessions are opened while the server holds the clock and the timer
   // starts when the last open (which releases the hold) returns, so the
-  // measured window is the stepping loop: compute + frame/queue overhead,
-  // not connection or model-load setup. The in-process mirror times the
-  // same fleet's Step() loop.
+  // measured window is the fleet run: compute + frame/queue overhead, not
+  // connection or model-load setup. The in-process mirror times the same
+  // fleet's Step() loop.
   // 2 simulated days keeps each measured window long enough (hundreds of
   // ms) that scheduler noise does not dominate the ratio. One ratio on a
   // shared host reads noise, so the gate reads the median of kTrials pairs,
@@ -208,9 +213,10 @@ int main(int argc, char** argv) {
     (void)(*server)->Wait();
     return wall;
   };
-  // Steps the same fleet in process; the wall, or -1 on a failure.
-  auto time_in_process =
-      [&](std::vector<Result<core::EngineResult>>* results) {
+  // Runs the same fleet in process, through Step() or, given a pool,
+  // through RunToCompletion on it; the wall, or -1 on a failure.
+  auto time_in_process = [&](std::vector<Result<core::EngineResult>>* results,
+                             dag::ThreadPool* pool) {
     std::vector<Tenant> tenants(kStreams);
     std::vector<core::StreamEngineJob> jobs;
     for (size_t i = 0; i < kStreams; ++i) {
@@ -231,11 +237,15 @@ int main(int argc, char** argv) {
       return -1.0;
     }
     WallTimer t;
-    while (!fleet->Done()) {
-      if (Status st = fleet->Step(); !st.ok()) {
-        std::printf("step failed: %s\n", st.ToString().c_str());
-        return -1.0;
-      }
+    Status ran = Status::Ok();
+    if (pool != nullptr) {
+      ran = fleet->RunToCompletion(pool);
+    } else {
+      while (ran.ok() && !fleet->Done()) ran = fleet->Step();
+    }
+    if (!ran.ok()) {
+      std::printf("step failed: %s\n", ran.ToString().c_str());
+      return -1.0;
     }
     double wall = t.Seconds();
     *results = fleet->Results();
@@ -243,21 +253,24 @@ int main(int argc, char** argv) {
   };
   std::vector<core::EngineResult> served;
   std::vector<Result<core::EngineResult>> results;
+  // Checks every pair's served results bitwise and prints the pair.
+  auto check_pair = [&](const char* prefix) {
+    return [&, prefix](int pair, double serve_wall, double inproc_wall) {
+      for (size_t i = 0; i < kStreams; ++i) {
+        gate(results[i].ok() &&
+                 core::EngineResultsIdentical(*results[i], served[i]),
+             "served results bitwise match the in-process fleet");
+      }
+      std::printf("%s%s %d (%s first): serve %.3f s, in-process %.3f s, "
+                  "ratio %.3f\n",
+                  prefix, pair == 0 ? "warm-up" : "trial", pair,
+                  pair % 2 == 0 ? "serve" : "in-process", serve_wall,
+                  inproc_wall, serve_wall / inproc_wall);
+    };
+  };
   Result<TrialPairs> overhead = RunTrialPairs(
       kTrials, [&] { return time_served(&served); },
-      [&] { return time_in_process(&results); },
-      [&](int pair, double serve_wall, double inproc_wall) {
-        for (size_t i = 0; i < kStreams; ++i) {
-          gate(results[i].ok() &&
-                   core::EngineResultsIdentical(*results[i], served[i]),
-               "served results bitwise match the in-process fleet");
-        }
-        std::printf("%s %d (%s first): serve %.3f s, in-process %.3f s, "
-                    "ratio %.3f\n",
-                    pair == 0 ? "warm-up" : "trial", pair,
-                    pair % 2 == 0 ? "serve" : "in-process", serve_wall,
-                    inproc_wall, serve_wall / inproc_wall);
-      });
+      [&] { return time_in_process(&results, nullptr); }, check_pair(""));
   if (!overhead.ok()) return 1;
   const double ratio_median = overhead->ratio_median;
   std::printf("steady-state overhead ratio: median %.3f of %d trials "
@@ -266,6 +279,20 @@ int main(int argc, char** argv) {
               overhead->ratio_p75);
   gate(ratio_median <= 1.10,
        "serve steady-state overhead within 10% of in-process");
+
+  // --- Ungated: the served fleet vs the pooled in-process fleet ----------
+  const size_t workers = dag::DefaultThreadCount();
+  std::unique_ptr<dag::ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<dag::ThreadPool>(workers - 1);
+  Result<TrialPairs> pooled = RunTrialPairs(
+      kTrials, [&] { return time_served(&served); },
+      [&] { return time_in_process(&results, pool.get()); },
+      check_pair("pooled "));
+  if (!pooled.ok()) return 1;
+  std::printf("served vs pooled in-process ratio on %zu workers: median "
+              "%.3f of %d trials (quartiles %.3f / %.3f) (ungated)\n",
+              workers, pooled->ratio_median, kTrials, pooled->ratio_p25,
+              pooled->ratio_p75);
 
   // --- Recovery: 64-stream fleet from a boundary checkpoint ---------------
   constexpr size_t kRecoverStreams = 64;
@@ -290,7 +317,9 @@ int main(int argc, char** argv) {
     core::StreamSetOptions set_opts;
     set_opts.planning = core::MultiStreamPlanning::kJoint;
     auto fleet = core::StreamSet::Create(make_jobs(), set_opts);
-    if (!fleet.ok() || !fleet->RunUntilElapsed(Hours(3)).ok() ||
+    size_t seen = 0;  // end the run at its first boundary past the start
+    if (!fleet.ok() ||
+        !fleet->RunToCompletion(nullptr, [&] { return seen++ < 1; }).ok() ||
         !fleet->SaveCheckpoint(ckpt_path).ok()) {
       std::printf("could not stage the 64-stream checkpoint\n");
       return 1;
@@ -323,6 +352,12 @@ int main(int argc, char** argv) {
   json.Set("serve_overhead_ratio_median", ratio_median);
   json.Set("serve_overhead_ratio_p75", overhead->ratio_p75);
   json.Set("overhead_gate", ratio_median <= 1.10 ? "pass" : "fail");
+  json.Set("pooled_workers", static_cast<double>(workers));
+  pooled->SetTrials(&json, "pooled_serve_wall_s", "pooled_inproc_wall_s",
+                    "serve_pooled_ratio");
+  json.Set("serve_pooled_ratio_p25", pooled->ratio_p25);
+  json.Set("serve_pooled_ratio_median", pooled->ratio_median);
+  json.Set("serve_pooled_ratio_p75", pooled->ratio_p75);
   json.Set("recover_streams", static_cast<double>(kRecoverStreams));
   json.Set("recover_64stream_s", recover_s);
   std::string path = json.Write();

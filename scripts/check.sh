@@ -16,8 +16,9 @@
 # BENCH_forecast_inference.json — kernel-tier GEMM gate —
 # BENCH_fault_robustness.json — quality-under-faults and recovery parity
 # gates — and BENCH_serve.json — serve-vs-in-process overhead gate) is
-# refreshed on every local check; all exit non-zero when a perf or parity
-# gate fails.
+# refreshed on every local check; each exits non-zero when a perf or parity
+# gate fails. All of them run, each one's exit status is printed, and the
+# script exits non-zero at the end if any failed.
 # `--tsan` instead runs only the concurrency suite (the tests labelled
 # `tsan` in CMakeLists.txt: thread pool, StreamSet scheduler, fleet
 # recovery, sessions, kernel-dispatch first use, content noise first use,
@@ -88,10 +89,19 @@ bash bench/e2e/run.sh --selftest
 scripts/check_md_links.sh
 cd build
 
-./bench_planner_scaling
-./bench_forecast_training
-./bench_appd_multistream
-./bench_table3_offline_runtime
-./bench_forecast_inference
-./bench_fault_robustness
-./bench_serve
+# Every gate bench runs even after one fails, so each verdict is known;
+# each one's exit status is printed, and the script fails at the end if
+# any of them did.
+failed=()
+for bench in bench_planner_scaling bench_forecast_training \
+             bench_appd_multistream bench_table3_offline_runtime \
+             bench_forecast_inference bench_fault_robustness bench_serve; do
+  status=0
+  "./${bench}" || status=$?
+  echo "${bench}: exit ${status}"
+  [[ ${status} -eq 0 ]] || failed+=("${bench}")
+done
+if (( ${#failed[@]} > 0 )); then
+  echo "gate benches FAILED: ${failed[*]}" >&2
+  exit 1
+fi

@@ -412,33 +412,13 @@ Status StreamSet::Step() {
   return Status::Ok();
 }
 
-Status StreamSet::RunUntilElapsed(SimTime elapsed) {
-  auto behind = [elapsed](const Stream& s) {
-    return s.Active() && s.engine->CurrentTime() - s.job.start_time < elapsed;
-  };
-  if (options_.planning == MultiStreamPlanning::kJoint) {
-    // Lockstep cadence (validated on joining): every stream is equally far
-    // along, so stepping the whole set while anyone is behind never
-    // overshoots.
-    while (!Done() && std::any_of(streams_.begin(), streams_.end(), behind)) {
-      SKY_RETURN_NOT_OK(Step());
-    }
-    return Status::Ok();
-  }
-  // Independent mode allows heterogeneous segment lengths: advance each
-  // stream on its own until IT reaches the target, so fast-segment streams
-  // are not dragged past the pause point by slow-segment ones.
-  for (Stream& s : streams_) {
-    while (behind(s)) {
-      Status stepped = AdvanceStream(s, s.engine->next_segment_index() + 1);
-      if (!stepped.ok()) break;
-    }
-  }
-  return Status::Ok();
-}
-
-Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
+Status StreamSet::RunToCompletion(dag::ThreadPool* pool,
+                                  const std::function<bool()>& on_boundary) {
   if (options_.planning == MultiStreamPlanning::kIndependent) {
+    if (on_boundary != nullptr) {
+      return Status::InvalidArgument(
+          "a boundary callback needs joint planning's lockstep boundaries");
+    }
     // Streams are fully independent simulations: one stream per pool slot,
     // each stepped straight through — identical results for any thread
     // count.
@@ -452,46 +432,45 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
   // Joint mode: sharded barrier scheduler. Streams are partitioned over a
   // fixed worker set with stable affinity (stream v belongs to worker
   // v % workers for the whole run); the calling thread is worker 0 and
-  // workers - 1 pool threads join it. Between boundaries every worker steps
-  // only its own shard through the plan interval — no shared mutable state,
-  // no locks. The lockstep plan boundary is the ONLY synchronization point:
-  // workers park at the barrier, its leader runs JointPlanBoundaryIfDue in
-  // a guaranteed single-threaded window (streams visited in index order,
-  // exactly as the Step() driver would), then everyone resumes. Results are
-  // bitwise-identical for any worker count — and to stepping the set
-  // manually — because engines are independent between boundaries and the
-  // planner sees the identical call sequence either way.
-  size_t workers = 1 + (pool == nullptr ? 0 : pool->num_threads());
-  workers = std::min(workers, streams_.size());
-  if (workers == 0) workers = 1;
-
+  // every pool thread joins it, whatever the membership at entry, so
+  // streams that on_boundary admits use every worker. Between boundaries
+  // every worker steps only its own shard through the plan interval — no
+  // shared mutable state, no locks. The lockstep plan boundary is the ONLY
+  // synchronization point: once every worker has arrived, the calling
+  // thread runs on_boundary and JointPlanBoundaryIfDue in a guaranteed
+  // single-threaded window (streams visited in index order, exactly as the
+  // Step() driver would), and a second arrival releases everyone. The
+  // window always runs on the calling thread, so what it allocates (a
+  // server's admitted engines, say) lands in that thread's malloc arena,
+  // not in one arena per worker. Results are bitwise-identical for any
+  // worker count — and to stepping the set manually — because engines are
+  // independent between boundaries and the planner sees the identical call
+  // sequence either way.
+  const size_t workers = 1 + (pool == nullptr ? 0 : pool->num_threads());
   dag::Barrier barrier(workers);
   std::atomic<bool> stop{false};
-  Status boundary_status;  // leader writes pre-stop; read after the join
+  Status boundary_status;  // caller writes pre-stop; read after the join
 
   auto coordinate = [&] {
-    if (Done()) {
-      stop.store(true);
-      return;
-    }
     try {
-      Status st = JointPlanBoundaryIfDue();
-      if (!st.ok()) {
-        boundary_status = st;
+      // The caller's window comes first: it may end the run here, or
+      // change the membership that Done() and the solve read.
+      bool go_on = on_boundary == nullptr || !AtLockstepBoundary() ||
+                   on_boundary();
+      if (!go_on || Done()) {
         stop.store(true);
+        return;
       }
+      boundary_status = JointPlanBoundaryIfDue();
     } catch (const std::exception& e) {
       boundary_status = Status::Internal(e.what());
-      stop.store(true);
     } catch (...) {
-      boundary_status = Status::Internal("joint plan boundary threw");
-      stop.store(true);
+      boundary_status = Status::Internal("plan boundary threw");
     }
+    if (!boundary_status.ok()) stop.store(true);
   };
   auto worker = [&](size_t w) {
     for (;;) {
-      barrier.ArriveAndWait(coordinate);
-      if (stop.load()) return;
       for (size_t v = w; v < streams_.size(); v += workers) {
         Stream& s = streams_[v];
         if (!s.Active()) continue;
@@ -504,9 +483,16 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
         int64_t next = s.engine->next_segment_index();
         AdvanceStream(s, next - (next % spi) + spi);
       }
+      barrier.ArriveAndWait();
+      if (w == 0) coordinate();
+      barrier.ArriveAndWait();
+      if (stop.load()) return;
     }
   };
 
+  // The boundary the run starts at, before any worker starts.
+  coordinate();
+  if (stop.load()) return boundary_status;
   if (workers == 1) {
     worker(0);
     return boundary_status;

@@ -1,6 +1,7 @@
 #ifndef SKYSCRAPER_CORE_MULTI_STREAM_H_
 #define SKYSCRAPER_CORE_MULTI_STREAM_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -129,7 +130,10 @@ struct StreamSetOptions {
 /// streams under the shared budget.
 ///
 ///   auto set = StreamSet::Create(jobs, {.planning = kJoint});
-///   while (!set->Done()) set->Step();        // or RunToCompletion(&pool)
+///   size_t seen = 0;  // pause at the first boundary past the start
+///   set->RunToCompletion(&pool, [&] { return seen++ < 1; });
+///   set->AddStream(newcomer);                // the boundary window
+///   set->RunToCompletion(&pool);             // or: while (!Done()) Step();
 ///   auto results = set->Results();
 ///
 /// Independent mode is the exact semantics of running every engine on its
@@ -238,19 +242,26 @@ class StreamSet {
 
   /// Advances every live stream by one segment on the shared clock; in
   /// joint mode, runs the joint planner first when the streams sit at a
-  /// plan boundary.
+  /// plan boundary. The serial reference driver the parity tests hold
+  /// RunToCompletion to.
   Status Step();
 
-  /// Steps until every live stream has ingested at least `elapsed` seconds
-  /// of its own stream (or finished).
-  Status RunUntilElapsed(SimTime elapsed);
-
   /// Runs every stream to completion. Independent mode fans whole engine
-  /// runs out on `pool` (one stream per slot); joint mode solves each
-  /// lockstep boundary serially and fans the in-between intervals out.
-  /// Results are identical for any pool size, and identical to stepping
-  /// the set manually.
-  Status RunToCompletion(dag::ThreadPool* pool = nullptr);
+  /// runs out on `pool` (one stream per slot); joint mode runs the calling
+  /// thread and every pool thread as workers, solves each lockstep boundary
+  /// in a single-threaded window on the calling thread and fans the
+  /// in-between intervals out.
+  /// Results are identical for any pool size, and identical to Step().
+  ///
+  /// Joint mode runs `on_boundary` in that window, before the joint solve,
+  /// at every lockstep boundary the run reaches (its start, each interval's
+  /// end, the last stream's finish), on the calling thread while every
+  /// other worker is parked: it may call any method of the set, AddStream,
+  /// RemoveStream and CaptureCheckpoint included. Returning false ends the
+  /// run there, the boundary unsolved; a later RunToCompletion or Step()
+  /// resumes it bitwise. Independent mode refuses it (kInvalidArgument).
+  Status RunToCompletion(dag::ThreadPool* pool = nullptr,
+                         const std::function<bool()>& on_boundary = nullptr);
 
   /// Per-stream results in job order: the final EngineResult for finished
   /// streams, the stream's error otherwise (kFailedPrecondition for

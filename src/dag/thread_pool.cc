@@ -51,22 +51,12 @@ void ThreadPool::WorkerLoop() {
 Barrier::Barrier(size_t num_participants)
     : participants_(num_participants == 0 ? 1 : num_participants) {}
 
-void Barrier::ArriveAndWait(const std::function<void()>& on_complete) {
+void Barrier::ArriveAndWait() {
   std::unique_lock<std::mutex> lock(mu_);
   uint64_t gen = generation_;
   if (++arrived_ == participants_) {
-    // Leader: reset for the next generation BEFORE running the completion,
-    // so a throwing callback still leaves the barrier released and reusable.
     arrived_ = 0;
     ++generation_;
-    if (on_complete != nullptr) {
-      try {
-        on_complete();
-      } catch (...) {
-        cv_.notify_all();
-        throw;
-      }
-    }
     cv_.notify_all();
     return;
   }

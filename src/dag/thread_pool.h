@@ -54,16 +54,15 @@ class ThreadPool {
 
 /// Reusable cyclic barrier for a fixed set of participants — the single
 /// synchronization primitive of the StreamSet scheduler's plan boundaries.
-/// All participants block in ArriveAndWait until the last one arrives; that
-/// last arriver (the "leader" of the generation) runs `on_complete` while
-/// every other participant is still parked — a guaranteed single-threaded
-/// window — and then releases them all. The barrier then resets for the
-/// next generation, so one instance serves every boundary of a run.
+/// All participants block in ArriveAndWait until the last one arrives, which
+/// releases them all; the barrier then resets for the next generation, so
+/// one instance serves every boundary of a run.
 ///
-/// The barrier's internal mutex orders each generation's completion callback
-/// against the next: writes made inside `on_complete` (or by any participant
-/// before arriving) happen-before every participant's return from
-/// ArriveAndWait, even when a different thread leads the next generation.
+/// The barrier's internal mutex orders each generation against the next:
+/// writes a participant makes before arriving happen-before every
+/// participant's return from that ArriveAndWait. So one participant that
+/// works between two generations while the others wait for the second has
+/// a single-threaded window, and its writes reach them all.
 class Barrier {
  public:
   /// `num_participants` must be >= 1 and exactly that many threads must call
@@ -75,11 +74,8 @@ class Barrier {
   Barrier(const Barrier&) = delete;
   Barrier& operator=(const Barrier&) = delete;
 
-  /// Blocks until all participants have arrived. The last arriver runs
-  /// `on_complete` (when non-null) before anyone is released. If
-  /// `on_complete` throws, the barrier still releases the other
-  /// participants (no deadlock) and the exception propagates to the leader.
-  void ArriveAndWait(const std::function<void()>& on_complete = nullptr);
+  /// Blocks until all participants have arrived.
+  void ArriveAndWait();
 
   size_t num_participants() const { return participants_; }
 

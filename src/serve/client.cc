@@ -48,13 +48,16 @@ Result<Client> Client::Connect(int port) {
   Client client(fd);
   std::string hello;
   io::wire::Writer(&hello).U32(kProtocolVersion);
-  auto reply = client.RoundTrip(FrameType::kHello, hello, FrameType::kHelloOk);
-  if (!reply.ok()) return reply.status();
+  uint32_t version = 0;
+  SKY_RETURN_NOT_OK(
+      client.RoundTrip(FrameType::kHello, hello, FrameType::kHelloOk,
+                       [&](io::wire::Cursor& c) { c.U32(version); }));
   return client;
 }
 
-Result<Frame> Client::RoundTrip(FrameType request, const std::string& payload,
-                                FrameType expected_reply) {
+Status Client::RoundTrip(
+    FrameType request, const std::string& payload, FrameType expected_reply,
+    const std::function<void(io::wire::Cursor&)>& read_reply) {
   SKY_RETURN_NOT_OK(WriteFrame(fd_, request, payload));
   Frame reply;
   SKY_RETURN_NOT_OK(ReadFrame(fd_, kMaxFramePayload, &reply));
@@ -62,33 +65,28 @@ Result<Frame> Client::RoundTrip(FrameType request, const std::string& payload,
   if (reply.type != expected_reply) {
     return Status::Internal("unexpected reply frame type");
   }
-  return reply;
+  return ParsePayload(reply.payload, read_reply);
 }
 
 Result<std::pair<uint64_t, uint64_t>> Client::OpenSession(
     const SessionSpec& spec) {
   std::string payload;
   AppendSessionSpec(spec, &payload);
-  auto reply =
-      RoundTrip(FrameType::kOpenSession, payload, FrameType::kSessionOpened);
-  if (!reply.ok()) return reply.status();
-  io::wire::Cursor c(reply->payload.data(), reply->payload.size());
   uint64_t id = 0, slot = 0;
-  TransferSessionOpened(c, id, slot);
-  SKY_RETURN_NOT_OK(c.status());
+  SKY_RETURN_NOT_OK(RoundTrip(
+      FrameType::kOpenSession, payload, FrameType::kSessionOpened,
+      [&](io::wire::Cursor& c) { TransferSessionOpened(c, id, slot); }));
   return std::make_pair(id, slot);
 }
 
 Result<core::EngineResult> Client::FetchResult(uint64_t id) {
   std::string payload;
   io::wire::Writer(&payload).U64(id);
-  auto reply = RoundTrip(FrameType::kFetchResult, payload, FrameType::kResult);
-  if (!reply.ok()) return reply.status();
-  io::wire::Cursor c(reply->payload.data(), reply->payload.size());
   uint64_t echoed = 0;
   core::EngineResult result;
-  TransferResultReply(c, echoed, result);
-  SKY_RETURN_NOT_OK(c.status());
+  SKY_RETURN_NOT_OK(RoundTrip(
+      FrameType::kFetchResult, payload, FrameType::kResult,
+      [&](io::wire::Cursor& c) { TransferResultReply(c, echoed, result); }));
   if (echoed != id) {
     return Status::Internal("result frame echoes a different session id");
   }
@@ -98,34 +96,31 @@ Result<core::EngineResult> Client::FetchResult(uint64_t id) {
 Status Client::Reconfigure(uint64_t id, const core::StreamReconfig& changes) {
   std::string payload;
   AppendReconfigure(id, changes, &payload);
-  return RoundTrip(FrameType::kReconfigure, payload, FrameType::kOk).status();
+  return RoundTrip(FrameType::kReconfigure, payload, FrameType::kOk);
 }
 
 Status Client::SetSharedBudget(double core_s_per_video_s) {
   std::string payload;
   io::wire::Writer(&payload).F64(core_s_per_video_s);
-  return RoundTrip(FrameType::kSetBudget, payload, FrameType::kOk).status();
+  return RoundTrip(FrameType::kSetBudget, payload, FrameType::kOk);
 }
 
 Result<std::string> Client::Metrics() {
-  auto reply =
-      RoundTrip(FrameType::kMetrics, std::string(), FrameType::kMetricsReport);
-  if (!reply.ok()) return reply.status();
-  io::wire::Cursor c(reply->payload.data(), reply->payload.size());
   std::string json;
-  c.String(json);
-  SKY_RETURN_NOT_OK(c.status());
+  SKY_RETURN_NOT_OK(
+      RoundTrip(FrameType::kMetrics, std::string(), FrameType::kMetricsReport,
+                [&](io::wire::Cursor& c) { c.String(json); }));
   return json;
 }
 
 Status Client::CloseSession(uint64_t id) {
   std::string payload;
   io::wire::Writer(&payload).U64(id);
-  return RoundTrip(FrameType::kCloseSession, payload, FrameType::kOk).status();
+  return RoundTrip(FrameType::kCloseSession, payload, FrameType::kOk);
 }
 
 Status Client::Drain() {
-  return RoundTrip(FrameType::kDrain, std::string(), FrameType::kOk).status();
+  return RoundTrip(FrameType::kDrain, std::string(), FrameType::kOk);
 }
 
 }  // namespace sky::serve

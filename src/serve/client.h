@@ -2,6 +2,7 @@
 #define SKYSCRAPER_SERVE_CLIENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,7 +47,8 @@ class Client {
   /// (<= 0 returns to per-stream-derived budgets).
   Status SetSharedBudget(double core_s_per_video_s);
 
-  /// Fetches the BENCH-style JSON metrics document.
+  /// Fetches the BENCH-style JSON metrics document, from the next boundary
+  /// window while the fleet runs.
   Result<std::string> Metrics();
 
   /// Retires a running session at the next plan boundary.
@@ -58,10 +60,13 @@ class Client {
  private:
   explicit Client(int fd) : fd_(fd) {}
 
-  /// One request/reply exchange; a kError reply comes back as its decoded
-  /// Status, a reply of any other unexpected type as kInternal.
-  Result<Frame> RoundTrip(FrameType request, const std::string& payload,
-                          FrameType expected_reply);
+  /// One request/reply exchange: `read_reply` reads the whole payload of
+  /// the expected reply (ParsePayload; null reads an empty one). A kError
+  /// reply comes back as its decoded Status, a reply of any other type as
+  /// kInternal.
+  Status RoundTrip(
+      FrameType request, const std::string& payload, FrameType expected_reply,
+      const std::function<void(io::wire::Cursor&)>& read_reply = nullptr);
 
   int fd_ = -1;
 };

@@ -9,8 +9,8 @@
 
 namespace sky::serve {
 
-/// Point-in-time server counters gathered by the fleet thread for one
-/// kMetrics request.
+/// Server counters gathered by one boundary window for one kMetrics
+/// request.
 struct ServerMetrics {
   double uptime_s = 0.0;
   uint64_t sessions_accepted = 0;

@@ -148,9 +148,17 @@ void AppendSessionSpec(const SessionSpec& spec, std::string* out) {
   TransferSessionSpec(w, spec);
 }
 
-Status ParseSessionSpec(io::wire::Cursor* c, SessionSpec* spec) {
-  TransferSessionSpec(*c, *spec);
-  return c->status();
+Status ParsePayload(const std::string& payload,
+                    const std::function<void(io::wire::Cursor&)>& read) {
+  io::wire::Cursor c(payload.data(), payload.size());
+  if (read != nullptr) read(c);
+  c.ExpectEnd("frame payload");
+  return c.status();
+}
+
+Status ParseSessionSpec(const std::string& payload, SessionSpec* spec) {
+  return ParsePayload(
+      payload, [&](io::wire::Cursor& c) { TransferSessionSpec(c, *spec); });
 }
 
 void AppendReconfigure(uint64_t session_id, const core::StreamReconfig& r,
@@ -159,10 +167,11 @@ void AppendReconfigure(uint64_t session_id, const core::StreamReconfig& r,
   TransferReconfigure(w, session_id, r);
 }
 
-Status ParseReconfigure(io::wire::Cursor* c, uint64_t* session_id,
+Status ParseReconfigure(const std::string& payload, uint64_t* session_id,
                         core::StreamReconfig* r) {
-  TransferReconfigure(*c, *session_id, *r);
-  return c->status();
+  return ParsePayload(payload, [&](io::wire::Cursor& c) {
+    TransferReconfigure(c, *session_id, *r);
+  });
 }
 
 void AppendError(const Status& status, std::string* out) {
@@ -170,10 +179,9 @@ void AppendError(const Status& status, std::string* out) {
 }
 
 Status ParseError(const Frame& frame) {
-  io::wire::Cursor c(frame.payload.data(), frame.payload.size());
   Status status;
-  c.StatusField(status);
-  SKY_RETURN_NOT_OK(c.status());
+  SKY_RETURN_NOT_OK(ParsePayload(
+      frame.payload, [&](io::wire::Cursor& c) { c.StatusField(status); }));
   if (status.ok()) return Status::InvalidArgument("malformed error frame");
   return status;
 }

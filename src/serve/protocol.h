@@ -2,6 +2,7 @@
 #define SKYSCRAPER_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -87,6 +88,14 @@ void EncodeFrame(FrameType type, const std::string& payload,
 Status WriteFrame(int fd, FrameType type, const std::string& payload);
 Status ReadFrame(int fd, uint64_t max_payload, Frame* out);
 
+/// Reads one whole frame payload: `read` reads its fields (none when it is
+/// null), and a byte left after them is refused ("frame payload has
+/// trailing bytes", kInvalidArgument). Every request the server reads and
+/// every reply the client reads goes through here.
+Status ParsePayload(
+    const std::string& payload,
+    const std::function<void(io::wire::Cursor&)>& read = nullptr);
+
 /// Everything a client specifies when opening a stream session. The server
 /// resolves it against its registered workload/model: fields left negative
 /// (or unset) fall back exactly like the corresponding `sky ingest` flags.
@@ -111,7 +120,8 @@ struct SessionSpec {
 template <class Io, class Spec>
 void TransferSessionSpec(Io& io, Spec& spec);
 void AppendSessionSpec(const SessionSpec& spec, std::string* out);
-Status ParseSessionSpec(io::wire::Cursor* c, SessionSpec* spec);
+/// Decodes a whole kOpenSession payload (ParsePayload).
+Status ParseSessionSpec(const std::string& payload, SessionSpec* spec);
 
 /// The kSessionOpened payload (io/wire.h, "Symmetric codec").
 template <class Io>
@@ -130,7 +140,8 @@ void TransferResultReply(Io& io, uint64_t& id, R& result) {
 /// Payload helpers for the fixed-shape frames.
 void AppendReconfigure(uint64_t session_id, const core::StreamReconfig& r,
                        std::string* out);
-Status ParseReconfigure(io::wire::Cursor* c, uint64_t* session_id,
+/// Decodes a whole kReconfigure payload (ParsePayload).
+Status ParseReconfigure(const std::string& payload, uint64_t* session_id,
                         core::StreamReconfig* r);
 void AppendError(const Status& status, std::string* out);
 /// Decodes a kError payload back into the Status the server sent.

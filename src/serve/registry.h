@@ -36,14 +36,14 @@ struct SessionRecord {
   Status error;               ///< non-OK when kFailed
 };
 
-/// The server's session table. Thread-safe: the fleet thread writes
+/// The server's session table. Thread-safe: the boundary window writes
 /// transitions, connection threads read and block in AwaitResult. Terminal
-/// results outlive their streams (a done stream leaves the fleet
-/// immediately, its result stays fetchable here — including across a
+/// results outlive their streams (a done stream leaves the fleet at the
+/// next boundary, its result stays fetchable here — including across a
 /// checkpoint/recover cycle).
 class SessionRegistry {
  public:
-  /// Admits a session (fleet thread, at a boundary) under a fresh id.
+  /// Admits a session (boundary window) under a fresh id.
   uint64_t Add(SessionSpec spec, uint64_t stream_index);
 
   /// Reinstates a recovered session under its ORIGINAL id.

@@ -45,6 +45,11 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
   // (bind + recover before any thread exists) so Init failures are clean.
   std::unique_ptr<Server> server(new Server(std::move(options)));
   SKY_RETURN_NOT_OK(server->Init());
+  // The fleet thread is worker 0 of every fleet run; the pool adds one
+  // worker per remaining core.
+  if (size_t cores = dag::DefaultThreadCount(); cores > 1) {
+    server->pool_ = std::make_unique<dag::ThreadPool>(cores - 1);
+  }
   server->started_at_ = std::chrono::steady_clock::now();
   server->fleet_thread_ = std::thread([s = server.get()] { s->FleetLoop(); });
   server->listen_thread_ = std::thread([s = server.get()] { s->ListenLoop(); });
@@ -205,79 +210,19 @@ Status Server::RecoverFromServeCheckpoint(
 }
 
 // ---------------------------------------------------------------------------
-// Fleet thread.
+// Fleet thread and the boundary window.
 
 void Server::FleetLoop() {
-  Status terminal;
   for (;;) {
-    if (stop_.load()) break;
-
-    // Harvest BEFORE the idle check: the step that finishes the last stream
-    // flips fleet Done, and without this the loop would park without ever
-    // publishing that stream's result to its waiting client.
-    HarvestFinished();
-
-    std::vector<Command> cmds;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      bool holding = sessions_accepted_ < options_.start_after_sessions;
-      bool can_step = !fleet_->Done() && !holding;
-      if (queue_.empty() && !drain_requested_ && !can_step) {
-        queue_cv_.wait_for(lock, kQueueWaitMs);
-        continue;
-      }
-      cmds.assign(std::make_move_iterator(queue_.begin()),
-                  std::make_move_iterator(queue_.end()));
-      queue_.clear();
-    }
-
-    // Boundary commands (membership, knobs, drain) run only in the lockstep
-    // boundary window; metrics are answered wherever the clock stands.
-    const bool at_boundary = fleet_->AtLockstepBoundary();
-    std::vector<Command> deferred;
-    for (Command& cmd : cmds) {
-      if (cmd.at_boundary && !at_boundary) {
-        deferred.push_back(std::move(cmd));
-      } else {
-        cmd.reply.set_value(cmd.run());
-      }
-    }
-    if (!deferred.empty()) {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      // Put deferred commands back in arrival order ahead of newcomers.
-      queue_.insert(queue_.begin(), std::make_move_iterator(deferred.begin()),
-                    std::make_move_iterator(deferred.end()));
-    }
-
-    // Read after the commands ran: a kDrain request flags the drain from
-    // its boundary command.
-    if (at_boundary && DrainRequested()) {
-      if (!options_.checkpoint_path.empty()) {
-        terminal = WriteServeCheckpoint();
-      }
-      break;
-    }
-
-    bool holding = sessions_accepted_ < options_.start_after_sessions;
-    if (holding || fleet_->Done()) continue;
-
-    // The serve checkpoint is taken at the boundary BEFORE its plan is
-    // installed (Step plans then advances), so a recovered server replays
-    // the boundary deterministically.
-    if (at_boundary && options_.checkpoint_every_boundaries > 0 &&
-        !options_.checkpoint_path.empty()) {
-      ++boundaries_seen_;
-      if (boundaries_seen_ % options_.checkpoint_every_boundaries == 0) {
-        // Periodic checkpoint failures never fail the run; the final drain
-        // checkpoint does.
-        last_checkpoint_status_ = WriteServeCheckpoint();
-      }
-    }
-
-    Status step = fleet_->Step();
-    if (!step.ok()) {
-      terminal = step;
-      break;
+    Status run = fleet_->RunToCompletion(pool_.get(),
+                                         [this] { return BoundaryWindow(); });
+    if (!run.ok()) exit_status_ = run;
+    if (exit_status_.has_value()) break;
+    // Idle or held: sleep until a request, a drain or a stop arrives. The
+    // timeout re-reads stop_, which the destructor sets without the lock.
+    std::unique_lock<std::mutex> lock(queue_mu_);
+    while (queue_.empty() && !drain_requested_ && !stop_.load()) {
+      queue_cv_.wait_for(lock, kQueueWaitMs);
     }
   }
 
@@ -294,14 +239,54 @@ void Server::FleetLoop() {
     }
     queue_.clear();
   }
-  fleet_status_ = terminal;
   finished_.store(true);
 }
 
+bool Server::BoundaryWindow() {
+  // Harvest first: the interval that finishes the last stream flips the
+  // fleet to Done, and its results must reach their waiting clients.
+  HarvestFinished();
+  if (stop_.load()) {
+    exit_status_ = Status::Ok();
+    return false;
+  }
+  std::vector<Command> cmds;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    cmds.assign(std::make_move_iterator(queue_.begin()),
+                std::make_move_iterator(queue_.end()));
+    queue_.clear();
+  }
+  for (Command& cmd : cmds) cmd.reply.set_value(cmd.run());
+
+  // Read after the commands ran: a kDrain request flags the drain from its
+  // command.
+  if (DrainRequested()) {
+    exit_status_ = options_.checkpoint_path.empty() ? Status::Ok()
+                                                    : WriteServeCheckpoint();
+    return false;
+  }
+  if (sessions_accepted_ < options_.start_after_sessions || fleet_->Done()) {
+    return false;
+  }
+  // The serve checkpoint is taken at the boundary BEFORE its plan is
+  // installed (the joint solve follows this window), so a recovered server
+  // replays the boundary deterministically.
+  if (options_.checkpoint_every_boundaries > 0 &&
+      !options_.checkpoint_path.empty()) {
+    ++boundaries_seen_;
+    if (boundaries_seen_ % options_.checkpoint_every_boundaries == 0) {
+      // Periodic checkpoint failures never fail the run; the final drain
+      // checkpoint does.
+      last_checkpoint_status_ = WriteServeCheckpoint();
+    }
+  }
+  return true;
+}
+
 Result<std::string> Server::Dispatch(
-    bool at_boundary, std::function<Result<std::string>()> run) {
+    std::function<Result<std::string>()> run) {
   Command cmd;
-  cmd.at_boundary = at_boundary;
   cmd.run = std::move(run);
   auto reply = cmd.reply.get_future();
   {
@@ -384,7 +369,6 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
   tenants_.resize(std::max(tenants_.size(), *slot + 1));
   tenants_[*slot] = std::move(tenant);
   ++sessions_accepted_;
-  queue_cv_.notify_all();  // may release a start_after_sessions hold
 
   std::string payload;
   io::wire::Writer w(&payload);
@@ -514,17 +498,19 @@ std::pair<FrameType, std::string> Server::HandleRequest(
   };
   // A boundary command whose success reply is a bare kOk.
   auto acknowledge = [&](std::function<Result<std::string>()> run) {
-    Result<std::string> done = Dispatch(true, std::move(run));
+    Result<std::string> done = Dispatch(std::move(run));
     if (!done.ok()) return error(done.status());
     return std::make_pair(FrameType::kOk, std::string());
   };
 
+  // Every request reads its whole payload (ParsePayload): a request with
+  // trailing bytes is refused before it reaches the fleet.
   switch (request.type) {
     case FrameType::kHello: {
-      io::wire::Cursor c(request.payload.data(), request.payload.size());
       uint32_t version = 0;
-      c.U32(version);
-      if (!c.ok()) return error(c.status());
+      Status s = ParsePayload(request.payload,
+                              [&](io::wire::Cursor& c) { c.U32(version); });
+      if (!s.ok()) return error(s);
       if (version != kProtocolVersion) {
         return error(Status::InvalidArgument(
             "protocol version mismatch: server speaks version " +
@@ -537,20 +523,19 @@ std::pair<FrameType, std::string> Server::HandleRequest(
 
     case FrameType::kOpenSession: {
       SessionSpec spec;
-      io::wire::Cursor c(request.payload.data(), request.payload.size());
-      Status s = ParseSessionSpec(&c, &spec);
+      Status s = ParseSessionSpec(request.payload, &spec);
       if (!s.ok()) return error(s);
       Result<std::string> admitted =
-          Dispatch(true, [this, spec] { return Admit(spec); });
+          Dispatch([this, spec] { return Admit(spec); });
       if (!admitted.ok()) return error(admitted.status());
       return {FrameType::kSessionOpened, std::move(*admitted)};
     }
 
     case FrameType::kFetchResult: {
-      io::wire::Cursor c(request.payload.data(), request.payload.size());
       uint64_t id = 0;
-      c.U64(id);
-      if (!c.ok()) return error(c.status());
+      Status s = ParsePayload(request.payload,
+                              [&](io::wire::Cursor& c) { c.U64(id); });
+      if (!s.ok()) return error(s);
       Result<core::EngineResult> result = registry_.AwaitResult(id);
       if (!result.ok()) return error(result.status());
       std::string payload;
@@ -562,8 +547,7 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     case FrameType::kReconfigure: {
       uint64_t id = 0;
       core::StreamReconfig changes;
-      io::wire::Cursor c(request.payload.data(), request.payload.size());
-      Status s = ParseReconfigure(&c, &id, &changes);
+      Status s = ParseReconfigure(request.payload, &id, &changes);
       if (!s.ok()) return error(s);
       return acknowledge(
           [this, id, changes] { return Reconfigure(id, changes); });
@@ -571,9 +555,9 @@ std::pair<FrameType, std::string> Server::HandleRequest(
 
     case FrameType::kSetBudget: {
       double budget = 0.0;
-      io::wire::Cursor c(request.payload.data(), request.payload.size());
-      c.F64(budget);
-      if (!c.ok()) return error(c.status());
+      Status s = ParsePayload(request.payload,
+                              [&](io::wire::Cursor& c) { c.F64(budget); });
+      if (!s.ok()) return error(s);
       if (!std::isfinite(budget)) {
         return error(Status::InvalidArgument("shared budget must be finite"));
       }
@@ -585,10 +569,9 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     }
 
     case FrameType::kMetrics: {
-      Result<std::string> json =
-          Dispatch(false, [this]() -> Result<std::string> {
-            return CollectMetricsJson();
-          });
+      if (Status s = ParsePayload(request.payload); !s.ok()) return error(s);
+      Result<std::string> json = Dispatch(
+          [this]() -> Result<std::string> { return CollectMetricsJson(); });
       if (!json.ok()) return error(json.status());
       std::string payload;
       io::wire::Writer(&payload).String(*json);
@@ -597,21 +580,23 @@ std::pair<FrameType, std::string> Server::HandleRequest(
 
     case FrameType::kCloseSession: {
       uint64_t id = 0;
-      io::wire::Cursor c(request.payload.data(), request.payload.size());
-      c.U64(id);
-      if (!c.ok()) return error(c.status());
+      Status s = ParsePayload(request.payload,
+                              [&](io::wire::Cursor& c) { c.U64(id); });
+      if (!s.ok()) return error(s);
       return acknowledge([this, id] { return Close(id); });
     }
 
-    case FrameType::kDrain:
-      // The reply acknowledges that the drain boundary has been reached; the
-      // fleet loop writes the final checkpoint right after and exits. A
-      // client that wants a durable handoff should still wait for the
-      // process to exit (the CLI does).
+    case FrameType::kDrain: {
+      if (Status s = ParsePayload(request.payload); !s.ok()) return error(s);
+      // The reply acknowledges that the drain boundary has been reached;
+      // the boundary window writes the final checkpoint right after and the
+      // fleet loop exits. A client that wants a durable handoff should
+      // still wait for the process to exit (the CLI does).
       return acknowledge([this]() -> Result<std::string> {
         RequestDrain();
         return std::string();
       });
+    }
 
     default:
       return error(Status::InvalidArgument("unexpected frame type"));
@@ -654,7 +639,7 @@ Status Server::Wait() {
     listen_fd_ = -1;
   }
   joined_ = true;
-  return fleet_status_;
+  return exit_status_.value_or(Status::Ok());
 }
 
 }  // namespace sky::serve

@@ -10,12 +10,14 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/skyscraper.h"
 #include "core/multi_stream.h"
+#include "dag/thread_pool.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -78,15 +80,23 @@ struct ServerOptions {
 /// with joint planning under the pooled budget, and services admission,
 /// live reconfiguration, metrics, and graceful drain.
 ///
-/// Threading model — three kinds of threads, strict ownership:
+/// Threading model — strict ownership:
 ///  - ONE fleet thread owns the StreamSet (built by Init, empty or
-///    recovered), each session's camera workload, and every counter; it
-///    alone steps engines. Every session reads the one model loaded at
-///    start, which nothing writes after Init (each engine fine-tunes its
-///    own copy of the forecaster). It runs the queued request closures:
-///    membership, knob and drain requests only at lockstep plan boundaries
-///    (the single-threaded window where they are deterministic), metrics
-///    requests on every loop iteration.
+///    recovered), each session's camera workload and every counter. It
+///    drives the fleet through StreamSet::RunToCompletion as worker 0,
+///    beside a pool of dag::DefaultThreadCount() - 1 workers that only
+///    step their shards of engines between lockstep plan boundaries. At
+///    every boundary, with the pool parked, the fleet thread is the
+///    barrier's leader and runs the boundary window: it harvests finished
+///    sessions, runs every queued request closure (metrics included),
+///    writes the periodic checkpoint, and ends the run for a drain, a hard
+///    stop, a start_after_sessions hold or an idle fleet; dag::Barrier's
+///    mutex orders the window's writes before the workers' next interval.
+///    While the fleet is idle or held, the fleet thread sleeps on the queue
+///    and re-enters the run when a request, a drain or a stop arrives, so
+///    every request runs in a window. Every session reads the one model
+///    loaded at start, which nothing writes after Init (each engine
+///    fine-tunes its own copy of the forecaster).
 ///  - One listener thread accepts connections, and joins and closes the
 ///    ones whose peer has hung up.
 ///  - One thread per connection parses request frames, enqueues each as a
@@ -95,9 +105,9 @@ struct ServerOptions {
 ///    state connection threads share with the fleet thread directly, and it
 ///    carries its own lock.
 ///
-/// The fleet steps engines serially (StreamSet::Step), which keeps served
-/// results bitwise-identical to the Step()-driven in-process reference;
-/// fanning intervals out on a pool inside serve mode is a ROADMAP item.
+/// Requests change the fleet only at lockstep boundaries, where the
+/// in-process reference makes the same calls, so served results are
+/// bitwise-identical to it at any worker count.
 class Server {
  public:
   /// Binds, (optionally) recovers, and starts all threads. On success the
@@ -111,11 +121,11 @@ class Server {
 
   int port() const { return port_; }
 
-  /// Asks the fleet thread to drain: finish the current interval, write the
-  /// final checkpoint (when checkpointing is configured), fail still-
-  /// running waiters with a "recover to finish" error, and exit. Safe from
-  /// any thread; idempotent. (The CLI calls this when SIGINT/SIGTERM is
-  /// flagged; a kDrain frame triggers the same path.)
+  /// Asks the fleet to drain: finish the current interval, write the final
+  /// checkpoint in the next boundary window (when checkpointing is
+  /// configured), fail still-running waiters with a "recover to finish"
+  /// error, and exit. Safe from any thread; idempotent. (The CLI calls this
+  /// when SIGINT/SIGTERM is flagged; a kDrain frame triggers the same path.)
   void RequestDrain();
 
   /// True once the fleet thread has exited (drained or failed).
@@ -149,12 +159,10 @@ class Server {
     bool done = false;  ///< left Connection(); guarded by conn_mu_
   };
 
-  /// One request for the fleet thread: `run` reads and writes fleet-thread
-  /// state and returns the encoded success-reply payload (or the rejection
-  /// Status), which the fleet thread sets on `reply`. An `at_boundary`
-  /// command waits for a lockstep plan boundary.
+  /// One request for the boundary window: `run` reads and writes fleet-
+  /// thread state and returns the encoded success-reply payload (or the
+  /// rejection Status), which the window sets on `reply`.
   struct Command {
-    bool at_boundary = true;
     std::function<Result<std::string>()> run;
     std::promise<Result<std::string>> reply;
   };
@@ -181,6 +189,9 @@ class Server {
   double NewcomerCheapestCost() const;
 
   void FleetLoop();
+  /// The boundary window (see the threading model). Returns false to end
+  /// the run at this boundary; sets exit_status_ when the loop is to end.
+  bool BoundaryWindow();
   void HarvestFinished();
   /// The boundary commands: each returns its success-reply payload.
   Result<std::string> Admit(const SessionSpec& spec);
@@ -192,10 +203,9 @@ class Server {
   /// drain_requested_, read under queue_mu_.
   bool DrainRequested();
 
-  /// Enqueues `run` for the fleet thread and blocks on its reply. Refuses
-  /// (instead of hanging) once the fleet loop has closed the queue.
-  Result<std::string> Dispatch(bool at_boundary,
-                               std::function<Result<std::string>()> run);
+  /// Enqueues `run` for the next boundary window and blocks on its reply.
+  /// Refuses (instead of hanging) once the fleet loop has closed the queue.
+  Result<std::string> Dispatch(std::function<Result<std::string>()> run);
 
   void ListenLoop();
   /// Joins the connection threads that have finished and closes their fds.
@@ -216,6 +226,9 @@ class Server {
   std::unique_ptr<core::Workload> base_workload_;
   std::unique_ptr<api::Skyscraper> base_facade_;
 
+  /// Workers 1.. of every fleet run; null on a single-core host.
+  std::unique_ptr<dag::ThreadPool> pool_;
+
   // --- Fleet-thread-owned state (no lock; see threading model) ---
   std::unique_ptr<core::StreamSet> fleet_;  ///< non-null after Init
   std::vector<StreamTenant> tenants_;  ///< slot-parallel to the fleet
@@ -223,8 +236,10 @@ class Server {
   uint64_t sessions_rejected_ = 0;
   uint64_t boundaries_seen_ = 0;
   double shared_budget_ = 0.0;
-  Status fleet_status_;
   Status last_checkpoint_status_;
+  /// Set once the fleet loop is to end: Ok for a hard stop, the final
+  /// checkpoint's status for a drain, the fleet's error for a failed run.
+  std::optional<Status> exit_status_;
 
   SessionRegistry registry_;
 

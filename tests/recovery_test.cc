@@ -162,6 +162,14 @@ class RecoveryTest : public ::testing::Test {
     return jobs;
   }
 
+  /// Runs a joint fleet to its k-th lockstep boundary past the start (2 h
+  /// apart) and ends the run there, before that boundary's joint solve.
+  static void RunToBoundary(StreamSet* set, size_t k) {
+    size_t seen = 0;
+    ASSERT_TRUE(
+        set->RunToCompletion(nullptr, [&] { return seen++ < k; }).ok());
+  }
+
   static std::vector<Result<EngineResult>> ReferenceResults(
       StreamSetOptions options = {}) {
     auto set = StreamSet::Create(MakeJobs(), options);
@@ -684,7 +692,7 @@ TEST_F(RecoveryTest, BoundaryForecastOfAnotherLengthIsRefusedAtRecovery) {
   {
     auto set = StreamSet::Create(MakeJobs(), StreamSetOptions{});
     ASSERT_TRUE(set.ok());
-    ASSERT_TRUE(set->RunUntilElapsed(Hours(4)).ok());
+    RunToBoundary(&*set, 2);  // 4 h
     ASSERT_TRUE(set->SaveCheckpoint(path).ok());
   }
   auto saved = io::LoadFleetCheckpoint(path);
@@ -806,13 +814,17 @@ TEST_F(RecoveryTest, FleetCheckpointRecoversBitwiseMidRun) {
         std::to_string(options.shared_budget_core_s_per_video_s);
     auto reference = ReferenceResults(options);
 
-    // Run half the fleet's horizon and checkpoint. Saving must not perturb
-    // the run that saves: the set finishes bitwise equal to the reference,
-    // and is then dropped like a process that died after the save.
+    // Run half the fleet's horizon, which ends mid-interval, and
+    // checkpoint. Saving must not perturb the run that saves: the set
+    // finishes bitwise equal to the reference, and is then dropped like a
+    // process that died after the save.
     {
       auto set = StreamSet::Create(MakeJobs(), options);
       ASSERT_TRUE(set.ok()) << label;
-      ASSERT_TRUE(set->RunUntilElapsed(Hours(3)).ok()) << label;
+      const int64_t half = static_cast<int64_t>(Hours(3) / 4.0);
+      for (int64_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(set->Step().ok()) << label;
+      }
       ASSERT_TRUE(set->SaveCheckpoint(path).ok()) << label;
       ASSERT_TRUE(set->RunToCompletion(nullptr).ok()) << label;
       auto own_results = set->Results();
@@ -856,7 +868,7 @@ TEST_F(RecoveryTest, FleetCheckpointFileErrorsAreClean) {
   {
     auto set = StreamSet::Create(MakeJobs(), StreamSetOptions{});
     ASSERT_TRUE(set.ok());
-    ASSERT_TRUE(set->RunUntilElapsed(Hours(1)).ok());
+    RunToBoundary(&*set, 1);
     ASSERT_TRUE(set->SaveCheckpoint(path).ok());
   }
 

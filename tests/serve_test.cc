@@ -19,6 +19,8 @@
 //  - a hung-up connection releases its thread and fd, and a reply to a
 //    peer that has already closed fails only that connection (no SIGPIPE);
 //  - a port outside the TCP range is refused, never wrapped onto another;
+//  - a request of any type with a byte after its valid payload is refused
+//    with kInvalidArgument and changes nothing;
 //  - wire protocol and serve-checkpoint formats round-trip exactly and
 //    refuse corruption, including a session table that repeats an id or
 //    puts two running sessions on one fleet slot.
@@ -229,9 +231,8 @@ TEST_F(ServeTest, SessionSpecPayloadRoundTrips) {
   spec.work_budget_override = 2.5;
   std::string payload;
   AppendSessionSpec(spec, &payload);
-  io::wire::Cursor c(payload.data(), payload.size());
   SessionSpec back;
-  ASSERT_TRUE(ParseSessionSpec(&c, &back).ok());
+  ASSERT_TRUE(ParseSessionSpec(payload, &back).ok());
   EXPECT_EQ(back.workload, spec.workload);
   ASSERT_TRUE(back.content_seed.has_value());
   EXPECT_EQ(*back.content_seed, 12345u);
@@ -249,9 +250,8 @@ TEST_F(ServeTest, SessionSpecPayloadRoundTrips) {
   SessionSpec bare;
   std::string bare_payload;
   AppendSessionSpec(bare, &bare_payload);
-  io::wire::Cursor c2(bare_payload.data(), bare_payload.size());
   SessionSpec bare_back;
-  ASSERT_TRUE(ParseSessionSpec(&c2, &bare_back).ok());
+  ASSERT_TRUE(ParseSessionSpec(bare_payload, &bare_back).ok());
   EXPECT_FALSE(bare_back.content_seed.has_value());
   EXPECT_FALSE(bare_back.record_trace);
   EXPECT_FALSE(bare_back.cloud_budget_usd_per_interval.has_value());
@@ -474,6 +474,57 @@ TEST_F(ServeTest, ServerRefusesOldProtocolVersionAndOversizedRequests) {
   ::close(fd);
 
   ASSERT_TRUE(Client::Connect((*server)->port())->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
+}
+
+TEST_F(ServeTest, RequestsWithTrailingBytesAreRefused) {
+  ServerOptions opts = BaseServerOptions();
+  opts.start_after_sessions = 2;  // hold the clock
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  int fd = ConnectRaw((*server)->port());
+  ASSERT_GE(fd, 0);
+  SetReadTimeout(fd);
+
+  // Every request type: a valid payload and one byte more. The drain goes
+  // last, since a server that took it would refuse what follows.
+  std::string hello, spec, id, reconfigure, budget;
+  io::wire::Writer(&hello).U32(serve::kProtocolVersion);
+  serve::AppendSessionSpec(SpecForSeed(900), &spec);
+  io::wire::Writer(&id).U64(77);
+  core::StreamReconfig change;
+  change.cloud_budget_usd_per_interval = 0.5;
+  serve::AppendReconfigure(77, change, &reconfigure);
+  io::wire::Writer(&budget).F64(1.0);
+  const std::pair<FrameType, std::string> requests[] = {
+      {FrameType::kHello, hello},      {FrameType::kOpenSession, spec},
+      {FrameType::kFetchResult, id},   {FrameType::kReconfigure, reconfigure},
+      {FrameType::kSetBudget, budget}, {FrameType::kMetrics, ""},
+      {FrameType::kCloseSession, id},  {FrameType::kDrain, ""}};
+  for (const auto& [type, payload] : requests) {
+    const int label = static_cast<int>(type);
+    ASSERT_TRUE(serve::WriteFrame(fd, type, payload + '\0').ok()) << label;
+    Frame reply;
+    ASSERT_TRUE(serve::ReadFrame(fd, serve::kMaxFramePayload, &reply).ok())
+        << "request type " << label;
+    ASSERT_EQ(reply.type, FrameType::kError) << "request type " << label;
+    EXPECT_EQ(serve::ParseError(reply).code(), StatusCode::kInvalidArgument)
+        << "request type " << label;
+  }
+  ::close(fd);
+
+  // None of them reached the fleet: the same server opens the first
+  // session normally.
+  auto client = Client::Connect((*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto opened = client->OpenSession(SpecForSeed(900));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->first, 1u);
+  auto metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_NE(metrics->find("\"sessions_accepted\": 1"), std::string::npos)
+      << *metrics;
+  ASSERT_TRUE(client->Drain().ok());
   EXPECT_TRUE((*server)->Wait().ok());
 }
 

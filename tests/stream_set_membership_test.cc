@@ -1,6 +1,7 @@
-// Dynamic fleet membership. Gates (ISSUE satellite: membership changes at
-// lockstep boundaries are bitwise-equivalent to a fleet born with the final
-// membership, at worker counts {1, 2, 8}):
+// Dynamic fleet membership. Gates (membership changes at lockstep
+// boundaries are bitwise-equivalent to a fleet born with the final
+// membership, at worker counts {1, 2, 8}, whether made after a pause or
+// inside RunToCompletion's boundary callback, the path `sky serve` takes):
 //  - AddStream at a boundary: a fleet that admits a third stream mid-run
 //    finishes bitwise-identical (traces included) to the rolling-restart
 //    reference — RecoverFromCheckpoint of that boundary's snapshot with the
@@ -9,6 +10,9 @@
 //    identical to a fleet recovered from the same snapshot with the removed
 //    stream's slot excised, i.e. one that never carried the stream past
 //    that boundary;
+//  - ReconfigureStream at a boundary: the fleet finishes bitwise-identical
+//    to one recovered from that boundary's snapshot and reconfigured before
+//    it runs on;
 //  - boundary discipline: add/remove of a live stream anywhere else is
 //    kFailedPrecondition and leaves the fleet undisturbed;
 //  - a newcomer is held to the fleet's lockstep cadence exactly as a
@@ -19,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -91,11 +96,44 @@ class MembershipTest : public ::testing::Test {
     return job;
   }
 
-  /// Steps a joint fleet to its first lockstep boundary past the start —
-  /// the single-threaded window where membership changes are legal.
+  /// Runs a joint fleet to its first lockstep boundary past the start and
+  /// ends the run there, in the single-threaded window where membership
+  /// changes are legal.
   static void RunToFirstBoundary(StreamSet* set) {
-    ASSERT_TRUE(set->RunUntilElapsed(Hours(2)).ok());
+    size_t seen = 0;
+    ASSERT_TRUE(
+        set->RunToCompletion(nullptr, [&] { return seen++ < 1; }).ok());
     ASSERT_TRUE(set->AtLockstepBoundary());
+  }
+
+  /// A boundary callback that runs `change` at the first lockstep boundary
+  /// past the start and lets the run go on.
+  template <class Change>
+  static std::function<bool()> AtFirstBoundary(Change change) {
+    return [change, seen = size_t{0}]() mutable {
+      if (seen++ == 1) change();
+      return true;
+    };
+  }
+
+  /// Worker counts 1 (no pool), 2 (caller + 1 pool thread), 8 (caller + 7).
+  struct Case {
+    const char* label;
+    dag::ThreadPool* pool;
+    bool in_callback;  ///< change inside the run, or after a pause
+  };
+  static std::vector<Case> Cases(dag::ThreadPool* pool_of_1,
+                                 dag::ThreadPool* pool_of_7) {
+    std::vector<Case> cases;
+    for (bool in_callback : {false, true}) {
+      cases.push_back({in_callback ? "1 worker, callback" : "1 worker",
+                       nullptr, in_callback});
+      cases.push_back({in_callback ? "2 workers, callback" : "2 workers",
+                       pool_of_1, in_callback});
+      cases.push_back({in_callback ? "8 workers, callback" : "8 workers",
+                       pool_of_7, in_callback});
+    }
+    return cases;
   }
 
   static workloads::EvCountingWorkload* workloads_[kStreams];
@@ -132,26 +170,26 @@ TEST_F(MembershipTest, AddAtBoundaryMatchesFleetBornWithFinalMembership) {
   ASSERT_EQ(ref_results.size(), kStreams);
 
   // Live path, at every worker count: run {0, 1}, admit stream 2 at the
-  // boundary, finish. Worker counts 1 (no pool), 2 (caller + 1 pool
-  // thread), 8 (caller + 7).
+  // boundary, finish.
   dag::ThreadPool pool_of_1(1);
   dag::ThreadPool pool_of_7(7);
-  struct Case {
-    const char* label;
-    dag::ThreadPool* pool;
-  } cases[] = {{"1 worker", nullptr},
-               {"2 workers", &pool_of_1},
-               {"8 workers", &pool_of_7}};
-  for (const Case& c : cases) {
+  for (const Case& c : Cases(&pool_of_1, &pool_of_7)) {
     auto set = StreamSet::Create({MakeJob(0, Days(3)), MakeJob(1, Days(3))},
                                  StreamSetOptions{});
     ASSERT_TRUE(set.ok()) << c.label;
-    RunToFirstBoundary(&*set);
-    auto slot = set->AddStream(newcomer);
+    Result<size_t> slot = Status::Internal("never admitted");
+    auto admit = [&] { slot = set->AddStream(newcomer); };
+    if (c.in_callback) {
+      ASSERT_TRUE(set->RunToCompletion(c.pool, AtFirstBoundary(admit)).ok())
+          << c.label;
+    } else {
+      RunToFirstBoundary(&*set);
+      admit();
+      ASSERT_TRUE(set->RunToCompletion(c.pool).ok()) << c.label;
+    }
     ASSERT_TRUE(slot.ok()) << c.label << ": " << slot.status().ToString();
     EXPECT_EQ(*slot, 2u) << c.label;
     EXPECT_EQ(set->num_streams(), kStreams) << c.label;
-    ASSERT_TRUE(set->RunToCompletion(c.pool).ok()) << c.label;
     auto results = set->Results();
     ASSERT_EQ(results.size(), kStreams);
     for (size_t v = 0; v < kStreams; ++v) {
@@ -191,25 +229,32 @@ TEST_F(MembershipTest, RemoveAtBoundaryMatchesFleetWithoutTheStream) {
   auto ref_results = reference->Results();
   ASSERT_EQ(ref_results.size(), 2u);
 
+  // Live path: a recovered fleet removes stream 1 before it runs on, or a
+  // fresh one removes it inside the run at the same boundary.
   dag::ThreadPool pool_of_1(1);
   dag::ThreadPool pool_of_7(7);
-  struct Case {
-    const char* label;
-    dag::ThreadPool* pool;
-  } cases[] = {{"1 worker", nullptr},
-               {"2 workers", &pool_of_1},
-               {"8 workers", &pool_of_7}};
-  for (const Case& c : cases) {
-    auto set = StreamSet::RecoverFromCheckpoint(
-        {MakeJob(0, Days(3)), MakeJob(1, Days(3)), MakeJob(2, Days(3))},
-        ckpt_path, StreamSetOptions{});
+  const std::vector<StreamEngineJob> jobs = {
+      MakeJob(0, Days(3)), MakeJob(1, Days(3)), MakeJob(2, Days(3))};
+  for (const Case& c : Cases(&pool_of_1, &pool_of_7)) {
+    auto set = c.in_callback
+                   ? StreamSet::Create(jobs, StreamSetOptions{})
+                   : StreamSet::RecoverFromCheckpoint(jobs, ckpt_path,
+                                                      StreamSetOptions{});
     ASSERT_TRUE(set.ok()) << c.label;
-    ASSERT_TRUE(set->AtLockstepBoundary()) << c.label;
-    ASSERT_TRUE(set->RemoveStream(1).ok()) << c.label;
+    Status removed = Status::Internal("never removed");
+    auto remove = [&] { removed = set->RemoveStream(1); };
+    if (c.in_callback) {
+      ASSERT_TRUE(set->RunToCompletion(c.pool, AtFirstBoundary(remove)).ok())
+          << c.label;
+    } else {
+      ASSERT_TRUE(set->AtLockstepBoundary()) << c.label;
+      remove();
+      ASSERT_TRUE(set->RunToCompletion(c.pool).ok()) << c.label;
+    }
+    ASSERT_TRUE(removed.ok()) << c.label << ": " << removed.ToString();
     // The slot stays occupied so indices remain stable; it just reports
     // the removal.
     EXPECT_EQ(set->num_streams(), kStreams) << c.label;
-    ASSERT_TRUE(set->RunToCompletion(c.pool).ok()) << c.label;
     auto results = set->Results();
     ASSERT_EQ(results.size(), kStreams);
     EXPECT_EQ(results[1].status().code(), StatusCode::kFailedPrecondition)
@@ -220,6 +265,58 @@ TEST_F(MembershipTest, RemoveAtBoundaryMatchesFleetWithoutTheStream) {
         << c.label << ", stream 0";
     EXPECT_TRUE(EngineResultsIdentical(*ref_results[1], *results[2]))
         << c.label << ", stream 2";
+  }
+  std::remove(ckpt_path.c_str());
+}
+
+TEST_F(MembershipTest, ReconfigureAtBoundaryMatchesReconfiguredRecovery) {
+  // Reference: snapshot a {0, 1} fleet at the 2 h boundary, recover it,
+  // cut stream 0's cloud credits to zero and run on — a fleet that had the
+  // new knobs from that boundary's plan onward.
+  const std::string ckpt_path = "/tmp/sky_membership_reconfig_ckpt.bin";
+  const std::vector<StreamEngineJob> jobs = {MakeJob(0, Days(3)),
+                                             MakeJob(1, Days(3))};
+  {
+    auto seed = StreamSet::Create(jobs, StreamSetOptions{});
+    ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+    RunToFirstBoundary(&*seed);
+    ASSERT_TRUE(seed->SaveCheckpoint(ckpt_path).ok());
+  }
+  core::StreamReconfig change;
+  change.cloud_budget_usd_per_interval = 0.0;
+  auto reference =
+      StreamSet::RecoverFromCheckpoint(jobs, ckpt_path, StreamSetOptions{});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(reference->ReconfigureStream(0, change).ok());
+  ASSERT_TRUE(reference->RunToCompletion().ok());
+  auto ref_results = reference->Results();
+
+  dag::ThreadPool pool_of_1(1);
+  dag::ThreadPool pool_of_7(7);
+  for (const Case& c : Cases(&pool_of_1, &pool_of_7)) {
+    auto set = StreamSet::Create(jobs, StreamSetOptions{});
+    ASSERT_TRUE(set.ok()) << c.label;
+    Status reconfigured = Status::Internal("never reconfigured");
+    auto reconfigure = [&] {
+      reconfigured = set->ReconfigureStream(0, change);
+    };
+    if (c.in_callback) {
+      ASSERT_TRUE(
+          set->RunToCompletion(c.pool, AtFirstBoundary(reconfigure)).ok())
+          << c.label;
+    } else {
+      RunToFirstBoundary(&*set);
+      reconfigure();
+      ASSERT_TRUE(set->RunToCompletion(c.pool).ok()) << c.label;
+    }
+    ASSERT_TRUE(reconfigured.ok()) << c.label << ": "
+                                   << reconfigured.ToString();
+    auto results = set->Results();
+    for (size_t v = 0; v < jobs.size(); ++v) {
+      ASSERT_TRUE(ref_results[v].ok() && results[v].ok()) << c.label;
+      EXPECT_TRUE(EngineResultsIdentical(*ref_results[v], *results[v]))
+          << c.label << ", stream " << v;
+    }
   }
   std::remove(ckpt_path.c_str());
 }

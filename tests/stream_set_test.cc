@@ -338,17 +338,51 @@ TEST_F(StreamSetTest, BoundaryLatenciesRecordedPerJointBoundary) {
   EXPECT_TRUE(indep->boundary_latencies_ms().empty());
 }
 
-TEST_F(StreamSetTest, RunUntilElapsedAdvancesTheSharedClock) {
-  auto set = StreamSet::Create(MakeJobs(), StreamSetOptions{});
-  ASSERT_TRUE(set.ok());
-  ASSERT_TRUE(set->RunUntilElapsed(Hours(1)).ok());
-  EXPECT_FALSE(set->Done());
-  size_t expected = static_cast<size_t>(Hours(1) / 4.0);
-  for (size_t v = 0; v < kStreams; ++v) {
-    EXPECT_EQ(set->engine(v)->partial_result().segments, expected);
+TEST_F(StreamSetTest, BoundaryCallbackPausesAtABoundaryAndResumesBitwise) {
+  auto reference = StreamSet::Create(MakeJobs(), StreamSetOptions{});
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->RunToCompletion().ok());
+  auto ref_results = reference->Results();
+
+  // Pause at boundary 2 (4 h into 2-h intervals) on 4 workers, then resume
+  // once on 1 worker and once through Step().
+  constexpr size_t kPauseAt = 2;
+  dag::ThreadPool pool(3);
+  for (bool by_step : {false, true}) {
+    const char* label = by_step ? "resumed by Step()" : "resumed on 1 worker";
+    auto set = StreamSet::Create(MakeJobs(), StreamSetOptions{});
+    ASSERT_TRUE(set.ok());
+    size_t seen = 0;
+    ASSERT_TRUE(
+        set->RunToCompletion(&pool, [&] { return seen++ < kPauseAt; }).ok());
+    EXPECT_EQ(seen, kPauseAt + 1) << label;
+    EXPECT_FALSE(set->Done()) << label;
+    EXPECT_TRUE(set->AtLockstepBoundary()) << label;
+    const size_t expected = static_cast<size_t>(kPauseAt * Hours(2) / 4.0);
+    for (size_t v = 0; v < kStreams; ++v) {
+      EXPECT_EQ(set->engine(v)->partial_result().segments, expected)
+          << label << ", stream " << v;
+    }
+    if (by_step) {
+      while (!set->Done()) ASSERT_TRUE(set->Step().ok());
+    } else {
+      ASSERT_TRUE(set->RunToCompletion().ok());
+    }
+    auto results = set->Results();
+    for (size_t v = 0; v < kStreams; ++v) {
+      ASSERT_TRUE(ref_results[v].ok() && results[v].ok()) << label;
+      EXPECT_TRUE(EngineResultsIdentical(*ref_results[v], *results[v]))
+          << label << ", stream " << v;
+    }
   }
-  ASSERT_TRUE(set->RunToCompletion().ok());
-  EXPECT_TRUE(set->Done());
+
+  // Independent streams keep no common boundary to call back at.
+  StreamSetOptions iopts;
+  iopts.planning = MultiStreamPlanning::kIndependent;
+  auto indep = StreamSet::Create(MakeJobs(), iopts);
+  ASSERT_TRUE(indep.ok());
+  EXPECT_EQ(indep->RunToCompletion(nullptr, [] { return true; }).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

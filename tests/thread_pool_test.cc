@@ -148,82 +148,60 @@ TEST(BarrierTest, ReleasesEveryParticipantEachGeneration) {
   constexpr int kGenerations = 50;
   Barrier barrier(kParticipants);
   EXPECT_EQ(barrier.num_participants(), kParticipants);
-  std::atomic<int> completions{0};
   std::vector<int> rounds(kParticipants, 0);
   std::vector<std::thread> threads;
   for (size_t p = 0; p < kParticipants; ++p) {
     threads.emplace_back([&, p] {
       for (int g = 0; g < kGenerations; ++g) {
-        barrier.ArriveAndWait([&] { completions.fetch_add(1); });
+        barrier.ArriveAndWait();
         ++rounds[p];  // own slot: no synchronization needed
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(completions.load(), kGenerations);  // one leader per generation
   for (size_t p = 0; p < kParticipants; ++p) {
     EXPECT_EQ(rounds[p], kGenerations) << "participant " << p;
   }
 }
 
-TEST(BarrierTest, CompletionRunsInASingleThreadedWindow) {
-  // The counter is deliberately unsynchronized: the completion callback is
-  // documented to run while every other participant is parked, with the
-  // barrier ordering one generation's callback against the next. Any flaw
-  // shows up as a lost increment — and as a race report under TSan.
+TEST(BarrierTest, OneParticipantWritesBetweenTwoGenerations) {
+  // The StreamSet scheduler's boundary window: participant 0 writes a plain
+  // counter after every participant arrived and before the next arrival;
+  // every participant reads it after that arrival. The counter is
+  // deliberately unsynchronized, so any ordering flaw shows up as a wrong
+  // read — and as a race report under TSan.
   constexpr size_t kParticipants = 4;
   constexpr int kGenerations = 200;
   Barrier barrier(kParticipants);
   int plain_counter = 0;
+  std::atomic<int> wrong_reads{0};
   std::vector<std::thread> threads;
   for (size_t p = 0; p < kParticipants; ++p) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, p] {
       for (int g = 0; g < kGenerations; ++g) {
-        barrier.ArriveAndWait([&] { ++plain_counter; });
+        barrier.ArriveAndWait();
+        if (p == 0) ++plain_counter;
+        barrier.ArriveAndWait();
+        if (plain_counter != g + 1) wrong_reads.fetch_add(1);
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(plain_counter, kGenerations);
-}
-
-TEST(BarrierTest, ThrowingCompletionStillReleasesEveryone) {
-  constexpr size_t kParticipants = 3;
-  constexpr int kGenerations = 10;
-  Barrier barrier(kParticipants);
-  std::atomic<int> caught{0};
-  std::atomic<int> released{0};
-  std::vector<std::thread> threads;
-  for (size_t p = 0; p < kParticipants; ++p) {
-    threads.emplace_back([&] {
-      for (int g = 0; g < kGenerations; ++g) {
-        try {
-          barrier.ArriveAndWait(
-              [] { throw std::runtime_error("completion failed"); });
-        } catch (const std::runtime_error&) {
-          caught.fetch_add(1);
-        }
-        released.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  // Exactly the leader of each generation sees the exception; everyone is
-  // released every generation regardless (no deadlock, barrier reusable).
-  EXPECT_EQ(caught.load(), kGenerations);
-  EXPECT_EQ(released.load(), kGenerations * static_cast<int>(kParticipants));
+  EXPECT_EQ(wrong_reads.load(), 0);
 }
 
 TEST(BarrierTest, SingleParticipantNeverBlocks) {
   Barrier barrier(1);
   int runs = 0;
   for (int g = 0; g < 5; ++g) {
-    barrier.ArriveAndWait([&] { ++runs; });
+    barrier.ArriveAndWait();
+    ++runs;
   }
   EXPECT_EQ(runs, 5);
   Barrier clamped(0);
   EXPECT_EQ(clamped.num_participants(), 1u);
-  clamped.ArriveAndWait();  // null completion is fine too
+  clamped.ArriveAndWait();
 }
 
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {

@@ -643,7 +643,7 @@ int RunServe(const Flags& f) {
 
   // SIGINT/SIGTERM -> graceful drain: the handler only flips a flag (a
   // condvar notify is not async-signal-safe); this loop turns it into a
-  // drain request, and the fleet thread checkpoints at its next boundary.
+  // drain request, and the next boundary window checkpoints.
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
   while (!(*server)->finished()) {
