@@ -429,24 +429,23 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool,
     return Status::Ok();
   }
 
-  // Joint mode: sharded barrier scheduler. Streams are partitioned over a
-  // fixed worker set with stable affinity (stream v belongs to worker
-  // v % workers for the whole run); the calling thread is worker 0 and
-  // every pool thread joins it, whatever the membership at entry, so
-  // streams that on_boundary admits use every worker. Between boundaries
-  // every worker steps only its own shard through the plan interval — no
-  // shared mutable state, no locks. The lockstep plan boundary is the ONLY
-  // synchronization point: once every worker has arrived, the calling
-  // thread runs on_boundary and JointPlanBoundaryIfDue in a guaranteed
-  // single-threaded window (streams visited in index order, exactly as the
-  // Step() driver would), and a second arrival releases everyone. The
-  // window always runs on the calling thread, so what it allocates (a
-  // server's admitted engines, say) lands in that thread's malloc arena,
-  // not in one arena per worker. Results are bitwise-identical for any
-  // worker count — and to stepping the set manually — because engines are
-  // independent between boundaries and the planner sees the identical call
-  // sequence either way.
-  const size_t workers = 1 + (pool == nullptr ? 0 : pool->num_threads());
+  // Joint mode: sharded barrier scheduler. Stream v belongs to worker
+  // v % workers for the whole run; the calling thread is worker 0, and pool
+  // threads join it: all of them when on_boundary may admit streams, else
+  // no more than there are streams. Between boundaries each worker steps
+  // only its own shard through the plan interval, with no shared mutable
+  // state and no locks. At each lockstep boundary, once every worker has
+  // arrived, the calling thread runs on_boundary and JointPlanBoundaryIfDue
+  // alone (streams in index order, as Step() would), and a second arrival
+  // releases everyone. Leading from the calling thread keeps what the
+  // window allocates (a server's admitted engines, say) in one malloc
+  // arena. Results are bitwise-identical for any worker count and to
+  // Step(): engines are independent between boundaries, and the planner
+  // sees the same call sequence.
+  size_t workers = 1 + (pool == nullptr ? 0 : pool->num_threads());
+  if (on_boundary == nullptr) {
+    workers = std::max<size_t>(1, std::min(workers, streams_.size()));
+  }
   dag::Barrier barrier(workers);
   std::atomic<bool> stop{false};
   Status boundary_status;  // caller writes pre-stop; read after the join

@@ -248,18 +248,19 @@ class StreamSet {
 
   /// Runs every stream to completion. Independent mode fans whole engine
   /// runs out on `pool` (one stream per slot); joint mode runs the calling
-  /// thread and every pool thread as workers, solves each lockstep boundary
-  /// in a single-threaded window on the calling thread and fans the
-  /// in-between intervals out.
-  /// Results are identical for any pool size, and identical to Step().
+  /// thread and the pool's threads (all with `on_boundary`, else no more
+  /// than there are streams) as workers, solves each lockstep boundary in
+  /// a single-threaded window on the calling thread and fans the intervals
+  /// out. Results are identical for any pool size, and identical to Step().
   ///
   /// Joint mode runs `on_boundary` in that window, before the joint solve,
   /// at every lockstep boundary the run reaches (its start, each interval's
   /// end, the last stream's finish), on the calling thread while every
   /// other worker is parked: it may call any method of the set, AddStream,
   /// RemoveStream and CaptureCheckpoint included. Returning false ends the
-  /// run there, the boundary unsolved; a later RunToCompletion or Step()
-  /// resumes it bitwise. Independent mode refuses it (kInvalidArgument).
+  /// run there, the boundary unsolved, and so does a throw (as kInternal);
+  /// a later RunToCompletion or Step() resumes it bitwise. Independent mode
+  /// refuses it (kInvalidArgument).
   Status RunToCompletion(dag::ThreadPool* pool = nullptr,
                          const std::function<bool()>& on_boundary = nullptr);
 

@@ -114,9 +114,10 @@ class Server {
   /// server is accepting connections on 127.0.0.1:port().
   static Result<std::unique_ptr<Server>> Start(ServerOptions options);
 
-  /// Hard stop: abandons in-flight work WITHOUT a final checkpoint, closes
-  /// the socket, joins every thread. Use RequestDrain() + Wait() for the
-  /// graceful path.
+  /// Hard stop: takes effect at the next lockstep boundary, once the
+  /// workers finish the plan interval in flight; abandons the rest WITHOUT
+  /// a final checkpoint, fails queued requests, closes the socket, joins
+  /// every thread. Use RequestDrain() + Wait() for the graceful path.
   ~Server();
 
   int port() const { return port_; }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "core/multi_stream.h"
 #include "dag/thread_pool.h"
@@ -383,6 +384,45 @@ TEST_F(StreamSetTest, BoundaryCallbackPausesAtABoundaryAndResumesBitwise) {
   ASSERT_TRUE(indep.ok());
   EXPECT_EQ(indep->RunToCompletion(nullptr, [] { return true; }).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(StreamSetTest, ThrowingBoundaryCallbackEndsTheRunAndResumesBitwise) {
+  // A server's boundary window runs request closures, which may throw. The
+  // run must end with kInternal at that boundary, every worker released
+  // (a hang here is the failure), and a later run must finish bitwise.
+  auto reference = StreamSet::Create(MakeJobs(), StreamSetOptions{});
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->RunToCompletion().ok());
+  auto ref_results = reference->Results();
+
+  constexpr size_t kThrowAt = 1;  // 2 h into 2-h intervals
+  for (size_t workers : {1, 8}) {
+    std::unique_ptr<dag::ThreadPool> pool;
+    if (workers > 1) pool = std::make_unique<dag::ThreadPool>(workers - 1);
+    auto set = StreamSet::Create(MakeJobs(), StreamSetOptions{});
+    ASSERT_TRUE(set.ok());
+    size_t seen = 0;
+    Status run = set->RunToCompletion(pool.get(), [&]() -> bool {
+      if (seen++ == kThrowAt) throw std::runtime_error("window failed");
+      return true;
+    });
+    EXPECT_EQ(run.code(), StatusCode::kInternal) << workers << " workers";
+    EXPECT_EQ(seen, kThrowAt + 1) << workers << " workers";
+    EXPECT_TRUE(set->AtLockstepBoundary()) << workers << " workers";
+    const size_t expected = static_cast<size_t>(kThrowAt * Hours(2) / 4.0);
+    for (size_t v = 0; v < kStreams; ++v) {
+      EXPECT_EQ(set->engine(v)->partial_result().segments, expected)
+          << workers << " workers, stream " << v;
+    }
+
+    ASSERT_TRUE(set->RunToCompletion(pool.get()).ok());
+    auto results = set->Results();
+    for (size_t v = 0; v < kStreams; ++v) {
+      ASSERT_TRUE(ref_results[v].ok() && results[v].ok());
+      EXPECT_TRUE(EngineResultsIdentical(*ref_results[v], *results[v]))
+          << workers << " workers, stream " << v;
+    }
+  }
 }
 
 }  // namespace
