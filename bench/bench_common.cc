@@ -9,6 +9,8 @@
 #include <string>
 
 #include "baselines/static_baseline.h"
+#include "io/checkpoint_io.h"
+#include "io/wire.h"
 #include "video/stream_source.h"
 
 namespace sky::bench {
@@ -48,6 +50,22 @@ std::string BenchJson::Write() const {
   }
   out << "}\n";
   return out ? file : "";
+}
+
+void Fingerprint::Add(const core::EngineResult& result) {
+  io::AppendEngineResult(result, &bytes_);
+}
+
+void Fingerprint::Add(const Result<core::EngineResult>& result) {
+  Add(result.ok());
+  if (result.ok()) Add(*result);
+}
+
+void Fingerprint::Print(const std::string& title) const {
+  std::printf("fingerprint %016llx %s\n",
+              static_cast<unsigned long long>(
+                  io::wire::Fnv1a64(bytes_.data(), bytes_.size())),
+              title.c_str());
 }
 
 void TrialPairs::SetTrials(BenchJson* json, const std::string& key_a,

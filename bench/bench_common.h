@@ -2,11 +2,14 @@
 #define SKYSCRAPER_BENCH_BENCH_COMMON_H_
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/offline.h"
 #include "core/workload.h"
 #include "sim/cluster_sim.h"
@@ -49,6 +52,43 @@ class BenchJson {
   std::string name_;
   /// Key -> pre-rendered JSON value, in insertion order.
   std::vector<std::pair<std::string, std::string>> entries_;
+};
+
+/// FNV-1a fingerprint of the results one printed table reports, bit for
+/// bit, so that drift below the table's print precision shows. Each paper
+/// figure bench prints one per table; `scripts/check.sh --paper` compares
+/// them with the golden file bench/paper_fingerprints.txt. Only results go
+/// in, never a wall time.
+class Fingerprint {
+ public:
+  /// Folds numbers in by their bits: floating point as a double, anything
+  /// integral (bool included) as a u64.
+  template <class... T>
+  void Add(T... values) {
+    static_assert((std::is_arithmetic_v<T> && ...));
+    (AddBits(values), ...);
+  }
+  /// Every field of an engine result, its trace included, in wire order.
+  void Add(const core::EngineResult& result);
+  /// Whether `result` holds a value, then the value.
+  void Add(const Result<core::EngineResult>& result);
+
+  /// Prints "fingerprint <16 hex digits> <title>".
+  void Print(const std::string& title) const;
+
+ private:
+  template <class T>
+  void AddBits(T v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      const double d = static_cast<double>(v);
+      bytes_.append(reinterpret_cast<const char*>(&d), sizeof(d));
+    } else {
+      const uint64_t u = static_cast<uint64_t>(v);
+      bytes_.append(reinterpret_cast<const char*>(&u), sizeof(u));
+    }
+  }
+
+  std::string bytes_;
 };
 
 /// The timed trials of a wall-clock A/B gate: each side's wall and their

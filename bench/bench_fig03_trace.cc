@@ -48,8 +48,13 @@ int main() {
   TablePrinter table("EV workload, 24 h on 4 vCPUs + 4 GB buffer");
   table.SetHeader({"hour", "qual(exp)", "qual(med)", "qual(cheap)",
                    "workload TFLOP/s", "buffer GB", "cloud spent/plan"});
+  Fingerprint fp;
+  fp.Add(*result);
   for (const core::TracePoint& p : result->trace) {
     video::ContentState content = ev.content_process().At(p.t);
+    for (size_t k : {expensive, mid, cheap}) {
+      fp.Add(ev.TrueQuality(model->configs[k], content));
+    }
     char hour[16], tflops[16], buffer[16], spend[24];
     std::snprintf(hour, sizeof(hour), "%02.0f:00", HourOfDay(p.t));
     std::snprintf(tflops, sizeof(tflops), "%.2f",
@@ -65,6 +70,7 @@ int main() {
          tflops, buffer, spend});
   }
   table.Print(std::cout);
+  fp.Print(table.title());
 
   double expensive_tflops =
       ev.CostCoreSecondsPerVideoSecond(model->configs[expensive]) *

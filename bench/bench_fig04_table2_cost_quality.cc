@@ -33,6 +33,8 @@ void RunWorkload(const core::Workload& workload, const ExperimentSetup& setup,
                      " days ingested)");
   table.SetHeader({"method", "quality", "server vCPUs", "cloud $",
                    "total cost"});
+  Fingerprint fp;
+  fp.Add(denom);
 
   for (const sim::ServerType& server : sim::ServerCatalog()) {
     sim::ClusterSpec cluster;
@@ -41,6 +43,7 @@ void RunWorkload(const core::Workload& workload, const ExperimentSetup& setup,
     // --- Static ---
     auto st = BestStaticOnServer(workload, setup, totals, cluster,
                                  cost_model);
+    fp.Add(st.ok(), st.ok() ? st->total_quality : 0.0);
     if (st.ok()) {
       table.AddRow({"Static", TablePrinter::Pct(st->total_quality / denom, 0),
                     std::to_string(server.vcpus), "-",
@@ -75,6 +78,7 @@ void RunWorkload(const core::Workload& workload, const ExperimentSetup& setup,
         best_quality = std::max(best_quality, ch->total_quality);
       }
     }
+    fp.Add(crashed_everywhere, best_quality);
     if (crashed_everywhere) {
       table.AddRow({"Chameleon*", "(crashed: buffer overflow)",
                     std::to_string(server.vcpus), "-", "-"});
@@ -100,6 +104,7 @@ void RunWorkload(const core::Workload& workload, const ExperimentSetup& setup,
     core::IngestionEngine engine(&workload, &*model, cluster, &cost_model,
                                  run);
     auto result = engine.Run(setup.test_start);
+    fp.Add(result);
     if (!result.ok()) continue;
     table.AddRow(
         {"Skyscraper", TablePrinter::Pct(result->total_quality / denom, 0),
@@ -111,6 +116,7 @@ void RunWorkload(const core::Workload& workload, const ExperimentSetup& setup,
   }
 
   table.Print(std::cout);
+  fp.Print(table.title());
 }
 
 }  // namespace

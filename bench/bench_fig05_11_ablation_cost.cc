@@ -45,6 +45,7 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
     TablePrinter table(std::string(workload.name()) + " — cloud/on-prem " +
                        TablePrinter::Fmt(ratio, 1) + ":1");
     table.SetHeader({"variant", "vCPUs", "quality", "cloud $", "norm. cost"});
+    Fingerprint fp;
     double max_cost = 0.0;
     struct Row {
       std::string variant;
@@ -79,6 +80,7 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
           core::IngestionEngine engine(&workload, &*model, cluster,
                                        &cost_model, run);
           auto result = engine.Run(setup.test_start);
+          fp.Add(result);
           if (!result.ok()) continue;
           quality = result->total_quality;
           cloud_usd = result->cloud_usd;
@@ -91,12 +93,14 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
       }
     }
     for (const Row& r : rows) {
+      fp.Add(r.vcpus, r.quality, r.cloud_usd, r.cost / max_cost);
       table.AddRow({r.variant, std::to_string(r.vcpus),
                     TablePrinter::Pct(r.quality, 0),
                     TablePrinter::Usd(r.cloud_usd),
                     TablePrinter::Fmt(r.cost / max_cost, 2)});
     }
     table.Print(std::cout);
+    fp.Print(table.title());
   }
 }
 

@@ -43,6 +43,8 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup) {
   TablePrinter table(std::string(workload.name()) +
                      " — quality vs normalized work (core*s)");
   table.SetHeader({"norm. work budget", "Static", "Skyscraper", "Optimum"});
+  Fingerprint fp;
+  fp.Add(denom);
 
   for (double frac : {0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0}) {
     double budget_rate = frac * max_cost;  // core-s per video-second
@@ -72,6 +74,9 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup) {
     auto opt = baselines::RunOptimumBaseline(
         workload, model->profiles, setup.segment_seconds, setup.test_duration,
         setup.test_start, budget_rate * setup.test_duration);
+    fp.Add(static_q);
+    fp.Add(sky_result);
+    fp.Add(opt.ok(), opt.ok() ? opt->total_quality : 0.0);
 
     table.AddRow(
         {TablePrinter::Fmt(frac, 2),
@@ -82,6 +87,7 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup) {
          opt.ok() ? TablePrinter::Pct(opt->total_quality / denom, 0) : "-"});
   }
   table.Print(std::cout);
+  fp.Print(table.title());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <iostream>
 
+#include "bench_common.h"
 #include "core/planner.h"
 #include "core/switcher.h"
 #include "ml/kmeans.h"
@@ -62,13 +63,15 @@ void SwitcherTiming() {
   TablePrinter table(
       "Knob switcher runtime vs total placements (worst case + average)");
   table.SetHeader({"total placements", "worst case (ms)", "average (ms)"});
+  // The table reports only times; the fingerprint holds what was decided.
+  bench::Fingerprint fp;
   for (size_t total : {100, 500, 1000, 2500, 5000, 10000}) {
     size_t num_k = 10;
     size_t per_config = total / num_k;
     Problem worst = MakeProblem(4, num_k, per_config, true);
     Problem average = MakeProblem(4, num_k, per_config, false);
 
-    auto time_decide = [](Problem* p, double quality) {
+    auto time_decide = [&fp](Problem* p, double quality) {
       core::KnobSwitcher switcher(&p->categories, &p->profiles);
       switcher.SetPlan(p->plan);
       core::SwitchContext ctx;
@@ -83,15 +86,25 @@ void SwitcherTiming() {
         auto d = switcher.Decide(ctx);
         if (d.ok()) switcher.RecordUsage(d->category, d->config_idx);
       }
-      return std::chrono::duration<double, std::milli>(Clock::now() - start)
-                 .count() /
-             kIters;
+      const double ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count() /
+          kIters;
+      // The decision after the timed ones, outside the timing.
+      auto d = switcher.Decide(ctx);
+      fp.Add(d.ok());
+      if (d.ok()) {
+        fp.Add(d->category, d->config_idx, d->placement_idx, d->degraded,
+               d->pairs_scanned);
+      }
+      return ms;
     };
     table.AddRow({std::to_string(total),
                   TablePrinter::Fmt(time_decide(&worst, 0.5), 4),
                   TablePrinter::Fmt(time_decide(&average, 0.5), 4)});
   }
   table.Print(std::cout);
+  fp.Print(table.title());
   std::printf("(paper: <1 ms for the COVID/MOT/MOSEI sizes, linear worst "
               "case in the number of placements)\n");
 }
@@ -100,6 +113,7 @@ void PlannerTiming() {
   TablePrinter table(
       "Knob planner runtime (ms): categories x configurations");
   table.SetHeader({"categories \\ configs", "3", "7", "11", "15"});
+  bench::Fingerprint fp;
   for (size_t num_c : {5, 35, 65, 95, 125, 155}) {
     std::vector<std::string> row = {std::to_string(num_c)};
     for (size_t num_k : {3, 7, 11, 15}) {
@@ -115,6 +129,10 @@ void PlannerTiming() {
       for (int i = 0; i < kIters; ++i) {
         auto plan = core::ComputeKnobPlan(p.categories, forecast, costs,
                                           budget);
+        if (i == 0) {
+          fp.Add(plan.ok());
+          if (plan.ok()) fp.Add(plan->expected_quality, plan->expected_work);
+        }
         if (!plan.ok()) {
           row.push_back("err");
           break;
@@ -129,6 +147,7 @@ void PlannerTiming() {
     table.AddRow(std::move(row));
   }
   table.Print(std::cout);
+  fp.Print(table.title());
   std::printf("(paper: <1 s even at 155 categories x 15 configurations; "
               "runs once every couple of days)\n");
 }

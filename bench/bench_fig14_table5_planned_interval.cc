@@ -28,6 +28,8 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
   TablePrinter e2e_table(std::string(workload.name()) +
                          " — end-to-end quality (Fig. 14, 8 vCPUs)");
   e2e_table.SetHeader({"planned interval", "forecaster", "ground truth"});
+  Fingerprint mae_fp;
+  Fingerprint e2e_fp;
 
   for (double days : {1.0, 2.0, 4.0, 8.0}) {
     core::OfflineOptions offline;
@@ -51,6 +53,7 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
     if (model->forecaster.has_value()) {
       auto result =
           model->forecaster->EvaluateMae(full_seq, setup.segment_seconds);
+      mae_fp.Add(result.ok(), result.ok() ? *result : 0.0);
       if (result.ok()) mae = TablePrinter::Fmt(*result, 3);
     }
     mae_table.AddRow({TablePrinter::Fmt(days, 0), mae});
@@ -66,6 +69,7 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
       core::IngestionEngine engine(&workload, &*model, cluster, &cost_model,
                                    run);
       auto result = engine.Run(setup.test_start);
+      e2e_fp.Add(result);
       if (result.ok()) quality[truth] = result->mean_quality;
     }
     e2e_table.AddRow({TablePrinter::Fmt(days, 0) + " days",
@@ -73,7 +77,9 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
                       TablePrinter::Pct(quality[1])});
   }
   mae_table.Print(std::cout);
+  mae_fp.Print(mae_table.title());
   e2e_table.Print(std::cout);
+  e2e_fp.Print(e2e_table.title());
 }
 
 }  // namespace

@@ -27,6 +27,8 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
                      " — switcher classification baselines");
   table.SetHeader({"vCPUs", "Standard", "No Type-B", "Ground truth",
                    "miscls.", "Type-A", "Type-B"});
+  Fingerprint fp;
+  fp.Add(denom);
 
   for (int vcpus : {4, 8, 16, 32}) {
     sim::ClusterSpec cluster;
@@ -47,6 +49,7 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
       core::IngestionEngine engine(&workload, &*model, cluster, &cost_model,
                                    run);
       auto result = engine.Run(setup.test_start);
+      fp.Add(result);
       if (!result.ok()) continue;
       quality[mode] = result->total_quality / denom;
       if (mode == 0) {
@@ -63,6 +66,7 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
                   TablePrinter::Pct(type_b)});
   }
   table.Print(std::cout);
+  fp.Print(table.title());
 }
 
 }  // namespace

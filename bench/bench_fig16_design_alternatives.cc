@@ -45,6 +45,8 @@ int main() {
   TablePrinter table("Quality vs normalized computation budget");
   table.SetHeader(
       {"budget", "Static", "Idealized", "Practical (Skyscraper)", "Optimum"});
+  Fingerprint fp;
+  fp.Add(denom);
 
   for (double frac : {0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0}) {
     double budget_rate = frac * max_cost;
@@ -72,6 +74,10 @@ int main() {
     auto optimum = baselines::RunOptimumBaseline(
         covid, model->profiles, setup.segment_seconds, setup.test_duration,
         setup.test_start, budget_rate * setup.test_duration);
+    fp.Add(static_q);
+    fp.Add(idealized.ok(), idealized.ok() ? idealized->total_quality : 0.0);
+    fp.Add(practical);
+    fp.Add(optimum.ok(), optimum.ok() ? optimum->total_quality : 0.0);
 
     table.AddRow(
         {TablePrinter::Fmt(frac, 2),
@@ -86,6 +92,7 @@ int main() {
                       : "-"});
   }
   table.Print(std::cout);
+  fp.Print(table.title());
   std::printf("\n(paper: the practical system almost reaches the optimum; "
               "the idealized per-slot forecast misallocates its budget "
               "because exact event timing is unpredictable)\n");

@@ -25,6 +25,8 @@ int main() {
 
   TablePrinter table("COVID quality by clustering backend");
   table.SetHeader({"vCPUs", "KMeans", "Gaussian mixture"});
+  Fingerprint fp;
+  fp.Add(denom);
 
   for (int vcpus : {4, 8, 16, 32, 60}) {
     sim::ClusterSpec cluster;
@@ -51,6 +53,7 @@ int main() {
       core::IngestionEngine engine(&covid, &*model, cluster, &cost_model,
                                    run);
       auto result = engine.Run(setup.test_start);
+      fp.Add(result);
       row.push_back(result.ok()
                         ? TablePrinter::Pct(result->total_quality / denom, 0)
                         : "-");
@@ -58,6 +61,7 @@ int main() {
     table.AddRow(std::move(row));
   }
   table.Print(std::cout);
+  fp.Print(table.title());
   std::printf("\n(paper: no end-to-end difference; KMeans preferred for "
               "simplicity)\n");
   return 0;

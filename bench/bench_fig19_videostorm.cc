@@ -27,6 +27,8 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
   TablePrinter table(std::string(workload.name()));
   table.SetHeader({"vCPUs", "Static", "VideoStorm*", "Skyscraper",
                    "VS buffer peak"});
+  Fingerprint fp;
+  fp.Add(denom);
 
   for (const sim::ServerType& server : sim::ServerCatalog()) {
     sim::ClusterSpec cluster;
@@ -48,6 +50,10 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
     core::IngestionEngine engine(&workload, &*model, cluster, &cost_model,
                                  run);
     auto sky_result = engine.Run(setup.test_start);
+    fp.Add(st.ok(), st.ok() ? st->total_quality : 0.0);
+    fp.Add(vs.ok(), vs.ok() ? vs->total_quality : 0.0,
+           vs.ok() ? vs->buffer_high_water_bytes : 0);
+    fp.Add(sky_result);
 
     char peak[24];
     std::snprintf(peak, sizeof(peak), "%.2f GB",
@@ -62,6 +68,7 @@ void RunWorkload(const core::Workload& workload, ExperimentSetup setup,
          peak});
   }
   table.Print(std::cout);
+  fp.Print(table.title());
 }
 
 }  // namespace

@@ -61,6 +61,9 @@ dag::TaskGraph MicroDag(const char* kind, int n) {
 void OnPremAccuracy() {
   TablePrinter table("Fig. 22 left: on-premise simulation error");
   table.SetHeader({"DAG", "2 cores", "4 cores", "8 cores", "16 cores"});
+  // Measured makespans are wall times; the fingerprint holds the
+  // simulator's side of each comparison.
+  bench::Fingerprint fp;
   for (const char* kind : {"YOLO", "KCF", "Combined"}) {
     std::vector<std::string> row = {kind};
     for (int cores : {2, 4, 8, 16}) {
@@ -70,6 +73,7 @@ void OnPremAccuracy() {
       auto predicted =
           sim::SimulateDag(g, dag::Placement::AllOnPrem(g.NumNodes()),
                            cluster);
+      fp.Add(predicted.ok(), predicted.ok() ? predicted->makespan_s : 0.0);
       dag::ThreadPool pool(static_cast<size_t>(cores));
       auto measured = ExecuteDag(g, &pool);
       if (!predicted.ok() || !measured.ok()) {
@@ -83,6 +87,7 @@ void OnPremAccuracy() {
     table.AddRow(std::move(row));
   }
   table.Print(std::cout);
+  fp.Print(table.title());
   std::printf("(paper: all errors below 9%%, runtimes only overestimated)\n");
 }
 
@@ -112,6 +117,9 @@ void CloudAccuracy() {
                                       : err_stats.max()),
                 std::to_string(spike_count)});
   table.Print(std::cout);
+  bench::Fingerprint fp;
+  fp.Add(err_stats.mean(), err_stats.min(), err_stats.max(), spike_count);
+  fp.Print(table.title());
   std::printf("(paper: occasional spikes, insignificant for provisioning; "
               "absorbed by the buffer online)\n");
 }
@@ -131,6 +139,7 @@ void EndToEndAccuracy() {
   // and compare with the simulator's estimates.
   dag::ThreadPool pool(8);
   OnlineStats err_stats;
+  Fingerprint fp;
   Rng rng(9);
   for (int trial = 0; trial < 40; ++trial) {
     const core::ConfigProfile& profile =
@@ -144,6 +153,7 @@ void EndToEndAccuracy() {
     }
     auto predicted = sim::SimulateDag(
         g, dag::Placement::AllOnPrem(g.NumNodes()), cluster);
+    fp.Add(predicted.ok(), predicted.ok() ? predicted->makespan_s : 0.0);
     auto measured = ExecuteDag(g, &pool);
     if (!predicted.ok() || !measured.ok()) continue;
     double pred_real = predicted->makespan_s * kE2eScale;
@@ -157,6 +167,7 @@ void EndToEndAccuracy() {
                 TablePrinter::Pct(err_stats.min()),
                 TablePrinter::Pct(err_stats.max())});
   table.Print(std::cout);
+  fp.Print(table.title());
   std::printf("(paper: under 10%% error, larger during rush hours)\n");
 }
 

@@ -30,6 +30,13 @@
 # instance space each run. The chosen seed is logged, written to
 # build/PROPS_SEED.txt for artifact upload, and a one-line reproduce
 # command is printed if the suite fails. `--props SEED` pins it.
+# `--paper` runs every paper figure and table bench (bench/bench_fig*.cc and
+# bench/bench_table6_forecast_features.cc) in the Release tree and compares
+# the FNV-1a fingerprints they print, one per table, with the golden file
+# bench/paper_fingerprints.txt: a paper number that moves, even below print
+# precision, fails it. The fingerprints it got land in
+# build/paper_fingerprints.txt; a change that means to move a paper number
+# copies that file over the golden one and names each table it moved.
 # `--asan` runs the FULL test suite under AddressSanitizer and
 # UndefinedBehaviorSanitizer, with libstdc++'s container assertions on, in a
 # separate build-asan tree (also bench-free): a memory-error pass over
@@ -65,6 +72,42 @@ if [[ "${1:-}" == "--props" ]]; then
       echo "  SKY_PROP_SEED=${SEED} scripts/check.sh --props ${SEED}" >&2
       exit 1; }
   echo "property suites passed (SKY_PROP_SEED=${SEED})"
+  exit 0
+fi
+
+if [[ "${1:-}" == "--paper" ]]; then
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build -j "$(nproc)"
+  golden=bench/paper_fingerprints.txt
+  actual=build/paper_fingerprints.txt
+  compiler="$(grep -m1 '^CMAKE_CXX_COMPILER:' build/CMakeCache.txt | cut -d= -f2)"
+  start=${SECONDS}
+  {
+    echo "# Paper figure fingerprints: scripts/check.sh --paper"
+    echo "# compiler: $("${compiler}" --version | head -1)"
+    echo "# libc: $(getconf GNU_LIBC_VERSION)"
+  } > "${actual}"
+  failed=()
+  for src in bench/bench_fig*.cc bench/bench_table6_forecast_features.cc; do
+    bench="$(basename "${src}" .cc)"
+    status=0
+    out="$(cd build && "./${bench}")" || status=$?
+    echo "${bench}: exit ${status}"
+    [[ ${status} -eq 0 ]] || failed+=("${bench}")
+    sed -n "s/^fingerprint /${bench} /p" <<< "${out}" >> "${actual}"
+  done
+  echo "paper benches took $(( SECONDS - start )) s"
+  if (( ${#failed[@]} > 0 )); then
+    echo "paper benches FAILED: ${failed[*]}" >&2
+    exit 1
+  fi
+  if ! diff <(grep -v '^#' "${golden}") <(grep -v '^#' "${actual}"); then
+    echo "paper fingerprints differ from ${golden} (recorded with:" >&2
+    grep '^# [cl]' "${golden}" >&2
+    echo "this run: see ${actual})" >&2
+    exit 1
+  fi
+  echo "paper fingerprints match ${golden}"
   exit 0
 fi
 

@@ -24,6 +24,7 @@ class TablePrinter {
   static std::string Usd(double dollars, int precision = 2);
 
   void Print(std::ostream& os) const;
+  const std::string& title() const { return title_; }
   std::string ToCsv() const;
 
  private:
