@@ -28,14 +28,19 @@ int main() {
     std::printf("offline failed: %s\n", model.status().ToString().c_str());
     return 1;
   }
-  std::vector<uint8_t> train_seq = model->train_category_sequence;
-  std::vector<uint8_t> test_seq = core::BuildTrainCategorySequence(
+  const core::CategorySequence& train_seq = model->train_category_sequence;
+  // The held-out 8 days: the recorded horizon's sequence past the test
+  // start.
+  const core::CategorySequence recorded = core::BuildTrainCategorySequence(
       covid, model->configs, model->categories, setup.segment_seconds,
       setup.test_start + setup.test_duration, /*seed=*/4242);
-  test_seq.erase(test_seq.begin(),
-                 test_seq.begin() +
-                     static_cast<int64_t>(setup.test_start /
-                                          setup.segment_seconds));
+  const size_t skip =
+      static_cast<size_t>(setup.test_start / setup.segment_seconds);
+  core::CategorySequence test_seq(model->categories.NumCategories(),
+                                  recorded.size() - skip);
+  for (size_t i = 0; i < test_seq.size(); ++i) {
+    test_seq.Set(i, recorded.Get(skip + i));
+  }
 
   TablePrinter table("COVID forecaster (2-day horizon)");
   table.SetHeader({"training samples", "MAE (held-out 8 d)"});

@@ -105,8 +105,9 @@ int main(int argc, char** argv) {
   fopts.train_options.batch_size = 64;
   std::vector<uint8_t> seq =
       SyntheticCategories(kSegmentSeconds, 16.0, kNumCategories, 321);
-  auto trained =
-      core::Forecaster::Train(seq, kSegmentSeconds, kNumCategories, fopts);
+  auto trained = core::Forecaster::Train(
+      core::CategorySequence::FromCodes(kNumCategories, seq), kSegmentSeconds,
+      kNumCategories, fopts);
   if (!trained.ok()) {
     std::printf("training failed: %s\n", trained.status().ToString().c_str());
     return 1;

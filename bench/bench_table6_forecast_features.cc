@@ -27,7 +27,7 @@ int main() {
   }
   // Evaluate over the full recorded horizon: long input spans need more
   // history than the 8-day test window alone provides.
-  std::vector<uint8_t> test_seq = core::BuildTrainCategorySequence(
+  core::CategorySequence test_seq = core::BuildTrainCategorySequence(
       covid, model->configs, model->categories, setup.segment_seconds,
       setup.test_start + setup.test_duration, /*seed=*/4242);
 

@@ -103,6 +103,17 @@ expect_exit 2 ./sky offline --workload ev --train-days 1 --categories 0 \
 expect_exit 2 ./sky offline --workload ev --train-days 1 --plan-days 0 \
   --out "${SKY_SERVE_DIR}/refused.bin"
 expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" --duration-days -1
+# More offline threads than the bound its --help states is refused before
+# any pool starts a thread.
+EXPECT_STDERR=--threads expect_exit 2 ./sky offline --workload ev \
+  --threads 100000000 --out "${SKY_SERVE_DIR}/refused.bin"
+# A fit that asks for more memory than there is fails as a runtime error
+# (exit 1, one "sky: out of memory" line), not an abort. The address space
+# is capped at 4 GiB so the check holds the same on any machine.
+EXPECT_STDERR="sky: out of memory" expect_exit 1 bash -c \
+  'ulimit -v 4194304 && exec ./sky offline --workload ev \
+     --segment-seconds 0.0000001 --train-days 1 --out "$0"' \
+  "${SKY_SERVE_DIR}/refused.bin"
 # A zero planning budget is refused by the CLI, naming the flag; with cloud
 # credits the same core count runs.
 EXPECT_STDERR=--cores expect_exit 2 ./sky ingest --model "${SKY_SMOKE_MODEL}" \

@@ -17,8 +17,8 @@ namespace sky::core {
 /// shows (Appendix B.2, Fig. 17) that a Gaussian mixture performs the same.
 enum class CategorizerBackend { kKMeans, kGmm };
 
-/// Most content categories a model may hold: the engine keeps its rolling
-/// category history at one byte per segment. The paper's largest count is 8
+/// Most content categories a model may hold: a category sequence's widest
+/// code is 8 bits (core::CategorySequence). The paper's largest count is 8
 /// (Fig. 20).
 inline constexpr size_t kMaxCategories = 255;
 

@@ -23,8 +23,8 @@ int64_t LastBoundary(int64_t n_segments, int64_t segs_per_interval) {
              : (n_segments - 1) / segs_per_interval * segs_per_interval;
 }
 
-/// Bytes of `train_seq` that open the history of a run with `window`.
-size_t TailLength(const std::vector<uint8_t>& train_seq, size_t window) {
+/// Categories of `train_seq` that open the history of a run with `window`.
+size_t TailLength(const CategorySequence& train_seq, size_t window) {
   return std::min(window, train_seq.size());
 }
 
@@ -32,9 +32,9 @@ size_t TailLength(const std::vector<uint8_t>& train_seq, size_t window) {
 /// the categories the run decided, whose newest ring.size() the engine's
 /// ring keeps (decided category i at i % ring.size()).
 struct History {
-  const uint8_t* tail;  ///< the last tail_len bytes of the training sequence
+  const CategorySequence& train;  ///< the tail is its last tail_len codes
   size_t tail_len;
-  const std::vector<uint8_t>& ring;
+  const CategorySequence& ring;
   size_t decided;  ///< categories the run decided: next_index
   /// Categories in the history: those of a vector that drops back to the
   /// last `window` on reaching 2 * window, before the next push.
@@ -48,7 +48,7 @@ struct History {
 };
 
 History HistoryOf(const OfflineModel& model, const IngestState& s) {
-  const std::vector<uint8_t>& seq = model.train_category_sequence;
+  const CategorySequence& seq = model.train_category_sequence;
   const size_t window = s.history_window;
   const size_t tail_len = TailLength(seq, window);
   const size_t decided = static_cast<size_t>(s.next_index);
@@ -56,49 +56,49 @@ History HistoryOf(const OfflineModel& model, const IngestState& s) {
   const size_t len = pushed <= 2 * window
                          ? pushed
                          : window + (pushed - 2 * window - 1) % window + 1;
-  return {seq.data() + (seq.size() - tail_len), tail_len, s.history, decided,
-          len};
+  return {seq, tail_len, s.history, decided, len};
 }
 
-/// Calls fn(bytes, count) over the `n` history categories that begin `back`
-/// before the next one, oldest first, as at most two contiguous spans.
-/// Requires n <= back <= h.readable().
-template <typename Fn>
-void ForEachHistorySpan(const History& h, size_t back, size_t n, Fn fn) {
+/// Adds to counts[c] the categories c < num_categories among the `n` history
+/// categories that begin `back` before the next one. They lie in at most
+/// two spans, the tail and the ring or the ring and its wrap, and the
+/// sequence kernel counts each a word at a time. Requires
+/// n <= back <= h.readable().
+void CountHistoryInto(const History& h, size_t back, size_t n,
+                      size_t num_categories, uint32_t* counts) {
   size_t first = 0;  // categories before the ring's start, or its wrap
   if (back > h.decided) {
     // Opens in the tail, so the ring has not wrapped: the rest opens it.
     first = std::min(n, back - h.decided);
-    fn(h.tail + (h.tail_len - (back - h.decided)), first);
+    h.train.CountInto(h.train.size() - (back - h.decided), first,
+                      num_categories, counts);
   } else {
     const size_t start = (h.decided - back) % h.ring.size();
     first = std::min(n, h.ring.size() - start);
-    fn(h.ring.data() + start, first);
+    h.ring.CountInto(start, first, num_categories, counts);
   }
-  if (n > first) fn(h.ring.data(), n - first);
+  if (n > first) h.ring.CountInto(0, n - first, num_categories, counts);
 }
 
-/// Normalized histogram of the same `n` categories.
+/// Normalized histogram of the same `n` categories, counted into `counts`.
 void HistoryHistogramInto(const History& h, size_t back, size_t n,
-                          size_t num_categories, std::vector<double>* out) {
-  out->assign(num_categories, 0.0);
-  ForEachHistorySpan(h, back, n, [&](const uint8_t* bytes, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      if (bytes[i] < num_categories) (*out)[bytes[i]] += 1.0;
-    }
-  });
+                          size_t num_categories, std::vector<uint32_t>* counts,
+                          std::vector<double>* out) {
+  counts->assign(num_categories, 0);
+  CountHistoryInto(h, back, n, num_categories, counts->data());
+  out->assign(counts->begin(), counts->end());
   *out = NormalizeHistogram(std::move(*out));
 }
 
 /// kInvalidArgument unless the history holds `model`'s categories: at most
-/// kMaxCategories of them (one byte each, and the split counts index by
-/// category), and a training tail that names only those.
+/// kMaxCategories of them (the split counts index by category), and a
+/// training tail that names only those, checked a word at a time.
 Status CheckHistoryFitsModel(const OfflineModel& model, size_t window) {
   const size_t num_c = model.categories.NumCategories();
-  const std::vector<uint8_t>& seq = model.train_category_sequence;
-  const auto tail = seq.end() - static_cast<ptrdiff_t>(TailLength(seq, window));
+  const CategorySequence& seq = model.train_category_sequence;
+  const size_t tail_len = TailLength(seq, window);
   if (num_c > kMaxCategories ||
-      std::any_of(tail, seq.end(), [num_c](uint8_t c) { return c >= num_c; })) {
+      !seq.AllBelow(seq.size() - tail_len, tail_len, num_c)) {
     return Status::InvalidArgument(
         "offline model's categories do not fit the category history");
   }
@@ -118,7 +118,8 @@ size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval) {
 size_t HistoryRingSize(const OfflineModel& model, int64_t n_segments,
                        int64_t segs_per_interval) {
   // Without a forecaster the window is one plan interval, so the reach is
-  // twice the window. At least one byte, so the write i % size is defined.
+  // twice the window. At least one category, so the write i % size is
+  // defined.
   const size_t read_back = std::min(
       static_cast<size_t>(LastBoundary(n_segments, segs_per_interval)),
       HistoryWindow(model, segs_per_interval) +
@@ -283,7 +284,7 @@ void IngestionEngine::ComputeBoundaryForecastInto(std::vector<double>* out) {
     // nothing here allocates at steady state.
     forecaster->ForecastInto(s.plan_features, out);
   } else if (h.len > 0) {
-    HistoryHistogramInto(h, h.len, h.len, num_c, out);
+    HistoryHistogramInto(h, h.len, h.len, num_c, &scratch_.counts, out);
   } else {
     out->assign(num_c, 1.0 / static_cast<double>(num_c));
   }
@@ -352,7 +353,7 @@ Status IngestionEngine::PrepareBoundary() {
         h.len >= interval_segs) {
       HistoryHistogramInto(h, interval_segs, interval_segs,
                            model_->categories.NumCategories(),
-                           &scratch_.realized);
+                           &scratch_.counts, &scratch_.realized);
       s.forecaster->OnlineUpdate(s.plan_features, scratch_.realized);
     }
     // This boundary's features: the forecast input below, and the fine-tune
@@ -376,6 +377,7 @@ void IngestionEngine::UpdateSplitCounts() {
   const size_t num_c = f.num_categories();
   const size_t in_segs = f.InputSegments(seg);
   std::vector<uint32_t>& counts = scratch_.split_counts;
+  std::vector<uint32_t>& crossed = scratch_.counts;
   // Edge e starts split e (edge `splits` is the write position); this is
   // how many segments before the write position it sits.
   auto edge_back = [&](size_t e) {
@@ -397,29 +399,19 @@ void IngestionEngine::UpdateSplitCounts() {
     // split e and join split e - 1. The first edge only drops them; the
     // last only adds the newly ingested ones.
     for (size_t e = 0; e <= splits; ++e) {
-      uint32_t* leave = e < splits ? counts.data() + e * num_c : nullptr;
-      uint32_t* join = e > 0 ? counts.data() + (e - 1) * num_c : nullptr;
-      ForEachHistorySpan(
-          h, edge_back(e) + delta, delta,
-          [&](const uint8_t* bytes, size_t n) {
-            for (size_t i = 0; i < n; ++i) {
-              if (bytes[i] >= num_c) continue;
-              if (leave != nullptr) --leave[bytes[i]];
-              if (join != nullptr) ++join[bytes[i]];
-            }
-          });
+      crossed.assign(num_c, 0);
+      CountHistoryInto(h, edge_back(e) + delta, delta, num_c, crossed.data());
+      for (size_t c = 0; c < num_c; ++c) {
+        if (e < splits) counts[e * num_c + c] -= crossed[c];
+        if (e > 0) counts[(e - 1) * num_c + c] += crossed[c];
+      }
     }
   } else {
     counts.assign(splits * num_c, 0);
     for (size_t split = 0; split < splits; ++split) {
       auto [begin, end] = f.SplitWindow(split, h.len, seg);
-      uint32_t* row = counts.data() + split * num_c;
-      ForEachHistorySpan(h, h.len - begin, end - begin,
-                         [&](const uint8_t* bytes, size_t n) {
-                           for (size_t i = 0; i < n; ++i) {
-                             if (bytes[i] < num_c) ++row[bytes[i]];
-                           }
-                         });
+      CountHistoryInto(h, h.len - begin, end - begin, num_c,
+                       counts.data() + split * num_c);
     }
   }
   scratch_.split_counts_at = h.len >= in_segs ? s.next_index : -1;
@@ -531,7 +523,9 @@ Status IngestionEngine::Start(SimTime start_time) {
   // at every boundary after it (less by what a tail shorter than the window
   // lacks).
   s.history_window = history_window;
-  s.history.assign(HistoryRingSize(*model_, n_segments, segs_per_interval), 0);
+  s.history = CategorySequence(
+      model_->categories.NumCategories(),
+      HistoryRingSize(*model_, n_segments, segs_per_interval));
 
   // Start on the cheapest profiled configuration.
   const std::vector<ConfigProfile>& profiles = model_->profiles;
@@ -750,8 +744,8 @@ Status IngestionEngine::Step() {
       ++s.result.type_b_errors;
     }
   }
-  s.history[static_cast<size_t>(i) % s.history.size()] =
-      static_cast<uint8_t>(decision.category);
+  s.history.Set(static_cast<size_t>(i) % s.history.size(),
+                static_cast<uint8_t>(decision.category));
   s.current_config = decision.config_idx;
   ++s.result.segments;
 
@@ -828,12 +822,14 @@ Status IngestionEngine::Restore(const IngestState& snapshot) {
   }
   // The ring's position and the history's length follow from next_index
   // over this model's training tail, so the snapshot's history must be the
-  // one this model gives its run.
+  // one this model gives its run, packed for its categories.
   if (snapshot.history_window !=
           HistoryWindow(*model_, snapshot.segs_per_interval) ||
       snapshot.history.size() !=
           HistoryRingSize(*model_, snapshot.n_segments,
-                          snapshot.segs_per_interval)) {
+                          snapshot.segs_per_interval) ||
+      snapshot.history.width() !=
+          CategorySequence::WidthFor(model_->categories.NumCategories())) {
     return Status::InvalidArgument(
         "checkpoint history does not fit this engine's model");
   }

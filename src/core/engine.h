@@ -177,7 +177,7 @@ bool EngineResultsIdentical(const EngineResult& a, const EngineResult& b);
 /// refuses a state whose window disagrees.
 size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval);
 
-/// Bytes of the category ring an engine keeps for a run of `n_segments` of
+/// Categories in the ring an engine keeps for a run of `n_segments` of
 /// `model` in plans of `segs_per_interval` (at least 1). PrepareBoundary is
 /// the ring's only reader, so it holds what the last boundary reads back:
 /// the farthest any read reaches, one window plus one plan interval, or the
@@ -188,7 +188,7 @@ size_t HistoryWindow(const OfflineModel& model, int64_t segs_per_interval);
 /// interval, so the reach is the twice-the-window history that the
 /// fallback forecast reads whole. A category decided at or after the last
 /// boundary is never read, and a run with no second boundary reads none:
-/// its ring is one byte, so the write i % size stays defined. Start
+/// its ring holds one category, so the write i % size stays defined. Start
 /// allocates it, and Restore and the checkpoint reader refuse any other
 /// ring.
 size_t HistoryRingSize(const OfflineModel& model, int64_t n_segments,
@@ -240,12 +240,13 @@ struct IngestState {
   /// Forecaster features of the history at the last prepared boundary:
   /// the forecast input there, and the fine-tune input at the next one.
   std::vector<double> plan_features;
-  /// The categories this run decided, one byte per segment, in a ring of
-  /// HistoryRingSize() bytes: decided category i sits at i % size. The
-  /// rolling history is the model's training tail (its last
-  /// min(history_window, |train_category_sequence|) bytes, read in place)
-  /// followed by these; its length follows from next_index (see Start).
-  std::vector<uint8_t> history;
+  /// The categories this run decided, packed for the model's categories
+  /// (2 bits each for 3 or 4), in a ring of HistoryRingSize() codes:
+  /// decided category i sits at i % size. The rolling history is the
+  /// model's training tail (its last min(history_window,
+  /// |train_category_sequence|) categories, read in place) followed by
+  /// these; its length follows from next_index (see Start).
+  CategorySequence history;
   size_t current_config = 0;
   double last_measured = 0.0;
 
@@ -501,6 +502,9 @@ class IngestionEngine {
     PlanWorkspace workspace;
     /// input_splits rows of |C| counts over the split windows.
     std::vector<uint32_t> split_counts;
+    /// |C| counts: a histogram's, or the segments that crossed one split
+    /// edge.
+    std::vector<uint32_t> counts;
     /// next_index at which split_counts covered full-span windows; -1 when
     /// they must be recounted (never counted, window filling, or restored).
     int64_t split_counts_at = -1;

@@ -35,7 +35,7 @@ std::pair<size_t, size_t> SplitWindowFor(const ForecasterOptions& options,
 }  // namespace
 
 Result<ForecastDataset> BuildForecastDataset(
-    const std::vector<uint8_t>& category_sequence, double segment_seconds,
+    const CategorySequence& category_sequence, double segment_seconds,
     size_t num_categories, const ForecasterOptions& options) {
   if (num_categories == 0) {
     return Status::InvalidArgument("num_categories must be positive");
@@ -96,9 +96,9 @@ Result<ForecastDataset> BuildForecastDataset(
   std::vector<uint32_t> running(num_categories, 0);
   size_t i = 0;
   for (size_t e = 0; e < edges.size(); ++e) {
-    for (; i < edges[e]; ++i) {
-      if (category_sequence[i] < num_categories) ++running[category_sequence[i]];
-    }
+    category_sequence.CountInto(i, edges[e] - i, num_categories,
+                                running.data());
+    i = edges[e];
     std::copy(running.begin(), running.end(),
               counts.begin() + static_cast<ptrdiff_t>(e * num_categories));
   }
@@ -123,7 +123,7 @@ Result<ForecastDataset> BuildForecastDataset(
 }
 
 Result<Forecaster> Forecaster::Train(
-    const std::vector<uint8_t>& category_sequence, double segment_seconds,
+    const CategorySequence& category_sequence, double segment_seconds,
     size_t num_categories, const ForecasterOptions& options) {
   SKY_ASSIGN_OR_RETURN(
       ForecastDataset data,
@@ -188,7 +188,7 @@ void Forecaster::OnlineUpdate(const std::vector<double>& features,
 }
 
 Result<double> Forecaster::EvaluateMae(
-    const std::vector<uint8_t>& category_sequence,
+    const CategorySequence& category_sequence,
     double segment_seconds) const {
   SKY_ASSIGN_OR_RETURN(ForecastDataset data,
                        BuildForecastDataset(category_sequence, segment_seconds,

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/category_sequence.h"
 #include "ml/nn.h"
 #include "util/result.h"
 #include "util/sim_time.h"
@@ -32,8 +33,8 @@ struct ForecastDataset {
 };
 
 /// Builds supervised (history histograms -> future histogram) pairs from a
-/// per-segment category sequence (Appendix H), one category per byte;
-/// categories at or above `num_categories` are counted nowhere. Each input
+/// per-segment category sequence (Appendix H); categories at or above
+/// `num_categories` are counted nowhere. Each input
 /// row is the model input a Forecaster with these options computes from the
 /// history before the row's target window: the same split windows
 /// (Forecaster::SplitWindow) and the same normalization. Rows start every
@@ -41,7 +42,7 @@ struct ForecastDataset {
 /// geometry has no split or the sequence is too short to produce a single
 /// sample.
 Result<ForecastDataset> BuildForecastDataset(
-    const std::vector<uint8_t>& category_sequence, double segment_seconds,
+    const CategorySequence& category_sequence, double segment_seconds,
     size_t num_categories, const ForecasterOptions& options);
 
 /// The forecasting model F of §3.3: a feed-forward network (Appendix K:
@@ -52,7 +53,7 @@ class Forecaster {
  public:
   /// Trains the model on a category sequence from the unlabeled data, on
   /// the calling thread.
-  static Result<Forecaster> Train(const std::vector<uint8_t>& category_sequence,
+  static Result<Forecaster> Train(const CategorySequence& category_sequence,
                                   double segment_seconds,
                                   size_t num_categories,
                                   const ForecasterOptions& options);
@@ -93,7 +94,7 @@ class Forecaster {
 
   /// Mean absolute error of the model's forecasts over a held-out category
   /// sequence, averaged element-wise like §5.6.
-  Result<double> EvaluateMae(const std::vector<uint8_t>& category_sequence,
+  Result<double> EvaluateMae(const CategorySequence& category_sequence,
                              double segment_seconds) const;
 
   size_t num_categories() const { return num_categories_; }

@@ -58,18 +58,21 @@ bool SameBits(const std::vector<std::vector<double>>& a,
 
 }  // namespace
 
-std::vector<uint8_t> BuildTrainCategorySequence(
+CategorySequence BuildTrainCategorySequence(
     const Workload& workload, const std::vector<KnobConfig>& configs,
     const ContentCategories& categories, double segment_seconds,
     SimTime horizon, uint64_t seed, dag::ThreadPool* pool) {
   size_t discriminator = PickDiscriminatorConfig(categories);
   Rng rng = Rng(seed).Fork("train-seq");
   int64_t segments = static_cast<int64_t>(horizon / segment_seconds);
-  std::vector<uint8_t> sequence(static_cast<size_t>(segments));
+  CategorySequence sequence(categories.NumCategories(),
+                            static_cast<size_t>(segments));
   const video::ContentProcess& content = workload.content_process();
   // The dominant offline step (Table 3): classify every training segment.
   // One forked RNG per fixed-size chunk keeps the sequence identical for any
-  // thread count while amortizing the fork cost.
+  // thread count while amortizing the fork cost. A chunk is 1,024 codes:
+  // 16 words at 1 bit, 128 at 8, so each word has one writer.
+  static_assert(1024 % 64 == 0);
   dag::ParallelForChunked(
       pool, static_cast<size_t>(segments), 1024,
       [&](size_t chunk, size_t begin, size_t end) {
@@ -78,8 +81,8 @@ std::vector<uint8_t> BuildTrainCategorySequence(
           double t = (static_cast<double>(i) + 0.5) * segment_seconds;
           double quality = workload.MeasuredQuality(configs[discriminator],
                                                     content.At(t), &chunk_rng);
-          sequence[i] = static_cast<uint8_t>(
-              categories.ClassifyPartial(discriminator, quality));
+          sequence.Set(i, static_cast<uint8_t>(categories.ClassifyPartial(
+                              discriminator, quality)));
         }
       });
   return sequence;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/categorizer.h"
+#include "core/category_sequence.h"
 #include "core/config_filter.h"
 #include "core/forecaster.h"
 #include "core/profiler.h"
@@ -37,9 +38,9 @@ struct OfflineModel {
   ContentCategories categories;
   std::optional<Forecaster> forecaster;
   /// Per-segment category sequence over the training horizon (Appendix H),
-  /// one byte per segment (a model holds at most kMaxCategories
-  /// categories): bootstraps the online forecaster history.
-  std::vector<uint8_t> train_category_sequence;
+  /// packed for the model's categories (2 bits a segment for 3 or 4):
+  /// trains the forecaster and bootstraps the online category history.
+  CategorySequence train_category_sequence;
   double segment_seconds = 2.0;
   SimTime train_horizon = Days(16);
   OfflineStepRuntimes step_runtimes;
@@ -81,9 +82,11 @@ Result<OfflineModel> RunOfflinePhase(const Workload& workload,
 /// Classifies every training segment with the cheapest configuration's
 /// measured quality (Appendix H: the unlabeled data is processed with k- and
 /// categorized through the switcher's standard partial classification).
-/// `categories` must hold at most kMaxCategories categories, so that each
-/// fits the sequence's byte (RunOfflinePhase refuses more).
-std::vector<uint8_t> BuildTrainCategorySequence(
+/// The sequence is packed for `categories`, which must hold at most
+/// kMaxCategories of them (RunOfflinePhase refuses more). Pool threads
+/// write it in chunks of 1,024 segments, a whole number of words at every
+/// code width, so no two threads write one word.
+CategorySequence BuildTrainCategorySequence(
     const Workload& workload, const std::vector<KnobConfig>& configs,
     const ContentCategories& categories, double segment_seconds,
     SimTime horizon, uint64_t seed, dag::ThreadPool* pool = nullptr);

@@ -1,6 +1,5 @@
 #include "io/checkpoint_io.h"
 
-#include <algorithm>
 #include <cstring>
 #include <type_traits>
 #include <utility>
@@ -147,28 +146,20 @@ void TransferIngestState(Io& io, State& state, const core::OfflineModel* model) 
       return io.Fail("checkpoint boundary forecast does not fit the model");
     }
   }
-  // The run's own category ring verbatim. The training tail before it is
-  // the model's, and the write position, the history length and the split
-  // counts all follow from next_index, so none of them is stored. The ring
-  // size is checked against the one Start gives the run before anything is
-  // allocated, and Count already bounds it by the payload.
-  uint64_t ring_bytes = state.history.size();
-  io.Count(ring_bytes, 1);
+  // The run's own category ring, packed as the model's training sequence
+  // is. The training tail before it is the model's, and the write
+  // position, the history length and the split counts all follow from
+  // next_index, so none of them is stored. The word count bounds what is
+  // allocated by the payload, and every code must name a model category.
+  wire::TransferCategorySequence(
+      io, state.history,
+      model != nullptr ? model->categories.NumCategories() : 0,
+      "checkpoint history ring");
   if constexpr (Io::kReads) {
-    if (!io.ok()) return;
-    if (ring_bytes != core::HistoryRingSize(*model, state.n_segments,
-                                            state.segs_per_interval)) {
+    if (io.ok() && state.history.size() !=
+                       core::HistoryRingSize(*model, state.n_segments,
+                                             state.segs_per_interval)) {
       return io.Fail("checkpoint history ring is not the size the run keeps");
-    }
-    state.history.resize(ring_bytes);
-  }
-  io.Raw(state.history.data(), ring_bytes);
-  if constexpr (Io::kReads) {
-    const size_t num_c = model->categories.NumCategories();
-    if (io.ok() && std::any_of(state.history.begin(), state.history.end(),
-                               [num_c](uint8_t c) { return c >= num_c; })) {
-      return io.Fail(
-          "checkpoint history holds a category the model does not have");
     }
   }
   io.U64(state.current_config);

@@ -14,9 +14,9 @@ namespace sky::io {
 /// Version of the on-disk checkpoint format this build writes (and the only
 /// one it reads — same versioning policy as the model format: bump on any
 /// layout change or any change to what a field holds, readers reject
-/// unknown versions rather than guessing). Version 5 keeps version 4's
-/// layout and sizes the history ring by the last plan boundary.
-inline constexpr uint32_t kCheckpointFormatVersion = 5;
+/// unknown versions rather than guessing). Version 6 packs the history
+/// ring at the model's category width, as the model's training sequence.
+inline constexpr uint32_t kCheckpointFormatVersion = 6;
 
 /// Serializes a full engine session snapshot (core::IngestState) to bytes.
 /// Doubles are raw IEEE-754 and the measurement RNG state is exact, so a

@@ -1,6 +1,5 @@
 #include "io/model_io.h"
 
-#include <algorithm>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -105,16 +104,14 @@ void TransferCategories(Io& io, Model& model) {
   }
 }
 
+/// Packed for the category count of the CATG chunk before it: the engine
+/// bootstraps its category history from the sequence's tail, so every code
+/// must name a category of the clustering.
 template <class Io, class Model>
 void TransferTrainSeq(Io& io, Model& model) {
-  auto& seq = model.train_category_sequence;
-  uint64_t n = seq.size();
-  io.Count(n, 1);
-  if constexpr (Io::kReads) {
-    if (!io.ok()) return;
-    seq.resize(n);
-  }
-  io.Raw(seq.data(), n);
+  wire::TransferCategorySequence(io, model.train_category_sequence,
+                                 model.categories.NumCategories(),
+                                 "model file's training sequence");
 }
 
 template <class Io, class Model>
@@ -127,7 +124,7 @@ void TransferRuntimes(Io& io, Model& model) {
   io.F64(rt.forecast_training_s);
 }
 
-/// One chunk of the v2 table: its tag and its payload's layout, run with a
+/// One chunk of the v3 table: its tag and its payload's layout, run with a
 /// Writer to save and with a Cursor to load. The writer puts the chunks in
 /// table order; every chunk appears exactly once.
 struct ModelChunk {
@@ -181,28 +178,34 @@ Result<core::OfflineModel> DeserializeOfflineModel(const std::string& bytes,
   SKY_ASSIGN_OR_RETURN(std::vector<wire::Chunk> chunks,
                        wire::ReadContainer(bytes, kFormat));
   // Unknown tags are an error (see the versioning policy in
-  // docs/model_format.md).
+  // docs/model_format.md), and so is a chunk out of table order: TSEQ is
+  // packed for the category count CATG gives.
   core::OfflineModel m;
   std::string stored_annotation;
-  bool seen[std::size(kModelChunks)] = {};
+  size_t next = 0;  // table index of the chunk expected next
   for (wire::Chunk& chunk : chunks) {
     size_t i = 0;
     while (i < std::size(kModelChunks) && !chunk.Is(kModelChunks[i].tag)) ++i;
     if (i == std::size(kModelChunks)) {
       return Status::InvalidArgument("unknown chunk tag in model file");
     }
-    if (seen[i]) {
+    // Every chunk before `next` has been read.
+    if (i < next) {
       return Status::InvalidArgument("duplicate chunk in model file");
     }
-    seen[i] = true;
+    if (i > next) {
+      return Status::InvalidArgument("model file has a " +
+                                     std::string(chunk.tag, 4) +
+                                     " chunk where " + kModelChunks[next].tag +
+                                     " belongs");
+    }
+    ++next;
     kModelChunks[i].read(chunk.payload, m, stored_annotation);
     chunk.payload.ExpectEnd("model chunk");
     SKY_RETURN_NOT_OK(chunk.payload.status());
   }
-  for (bool s : seen) {
-    if (!s) {
-      return Status::InvalidArgument("model file is missing required chunks");
-    }
+  if (next != std::size(kModelChunks)) {
+    return Status::InvalidArgument("model file is missing required chunks");
   }
   // The engine indexes configurations, their profiles and the category
   // centers' coordinates by one configuration index.
@@ -210,15 +213,6 @@ Result<core::OfflineModel> DeserializeOfflineModel(const std::string& bytes,
       m.categories.NumConfigs() != m.configs.size()) {
     return Status::InvalidArgument(
         "model file chunks disagree on the configuration count");
-  }
-  // The engine bootstraps its category history from the sequence's tail.
-  const size_t num_c = m.categories.NumCategories();
-  if (std::any_of(m.train_category_sequence.begin(),
-                  m.train_category_sequence.end(),
-                  [num_c](uint8_t c) { return c >= num_c; })) {
-    return Status::InvalidArgument(
-        "model file's training sequence names a category its clustering "
-        "does not have");
   }
   if (annotation != nullptr) *annotation = std::move(stored_annotation);
   return m;

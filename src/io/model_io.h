@@ -12,8 +12,9 @@ namespace sky::io {
 /// Version of the on-disk model format this build writes (and the only one
 /// it reads — see docs/model_format.md for the versioning policy). Bump on
 /// any layout change; readers reject files whose version they do not know
-/// rather than guessing at the layout.
-inline constexpr uint32_t kModelFormatVersion = 2;
+/// rather than guessing at the layout. Version 3 packs the training
+/// sequence at its category width and reads the chunks in table order.
+inline constexpr uint32_t kModelFormatVersion = 3;
 
 /// Serializes a trained OfflineModel into the tagged chunked binary format
 /// described in docs/model_format.md: a 16-byte header (magic, version,

@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/category_sequence.h"
 #include "core/forecaster.h"
 #include "ml/matrix.h"
 #include "util/result.h"
@@ -258,6 +259,35 @@ struct Chunk {
 /// Every failure is kInvalidArgument and names `format.what`.
 Result<std::vector<Chunk>> ReadContainer(const std::string& bytes,
                                          const ContainerFormat& format);
+
+// --- Category sequence payload ---------------------------------------------
+
+/// A core::CategorySequence packed for `num_categories` categories: the u64
+/// code count, then its words as a u64 word count and the u64 words. The
+/// model's TSEQ chunk and the engine state's ring share it. The reader
+/// refuses a word count other than the one the codes take at the width
+/// `num_categories` gives, a set bit past the last code, and a code at or
+/// above `num_categories`, naming the sequence as `what`.
+template <class Io, class Seq>
+void TransferCategorySequence(Io& io, Seq& seq, size_t num_categories,
+                              const char* what) {
+  uint64_t codes = seq.size();
+  uint64_t n_words = seq.words().size();
+  io.U64(codes);
+  io.Count(n_words, sizeof(uint64_t));
+  if constexpr (Io::kReads) {
+    if (!io.ok()) return;
+    std::vector<uint64_t> words(n_words);
+    io.Raw(words.data(), n_words * sizeof(uint64_t));
+    if (!io.ok()) return;
+    Result<core::CategorySequence> read = core::CategorySequence::FromWords(
+        num_categories, codes, std::move(words));
+    if (!read.ok()) return io.Fail(what + (": " + read.status().message()));
+    seq = std::move(read).value();
+  } else {
+    io.Raw(seq.words().data(), n_words * sizeof(uint64_t));
+  }
+}
 
 // --- Forecaster payload ----------------------------------------------------
 

@@ -101,6 +101,33 @@ class EngineTest : public ::testing::Test {
     return opts;
   }
 
+  /// The history ring of a run of `model` just started at day 6.
+  static CategorySequence RingAfterStart(const OfflineModel& model,
+                                         SimTime duration, SimTime interval) {
+    EngineOptions opts = BaseOptions();
+    opts.duration = duration;
+    opts.plan_interval = interval;
+    IngestionEngine engine(workload_, &model, cluster_, cost_model_, opts);
+    EXPECT_TRUE(engine.Start(Days(6)).ok());
+    auto snapshot = engine.Checkpoint();
+    return snapshot.ok() ? snapshot->history : CategorySequence();
+  }
+
+  /// The fixture's model at the fleet workloads' geometry: 2-s segments
+  /// under a 2-day forecaster span, W = 86,400.
+  static OfflineModel FleetGeometryModel() {
+    OfflineModel fleet = *model_;
+    fleet.segment_seconds = 2.0;
+    ForecasterOptions fopts = model_->forecaster->options();
+    fopts.input_span = Days(2);
+    auto two_day =
+        Forecaster::FromParts(model_->forecaster->SnapshotNet(), fopts,
+                              model_->categories.NumCategories(), {});
+    EXPECT_TRUE(two_day.ok()) << two_day.status().ToString();
+    if (two_day.ok()) fleet.forecaster = std::move(*two_day);
+    return fleet;
+  }
+
   static workloads::EvCountingWorkload* workload_;
   static sim::ClusterSpec cluster_;
   static sim::CostModel* cost_model_;
@@ -320,12 +347,13 @@ TEST_F(EngineTest, DeterministicGivenSeed) {
 }
 
 TEST_F(EngineTest, StartRefusesABootstrapOutsideTheModelsCategories) {
-  // The history stores categories as bytes and sizes its split counts by
-  // |C|, so a bootstrap naming a category the model lacks is refused before
-  // any state exists.
+  // The history sizes its split counts by |C|, so a bootstrap naming a
+  // category the model lacks (code 3 fits the 2 bits of 3 categories) is
+  // refused before any state exists.
   OfflineModel model = *model_;
-  model.train_category_sequence.back() =
-      static_cast<uint8_t>(model.categories.NumCategories());
+  model.train_category_sequence.Set(
+      model.train_category_sequence.size() - 1,
+      static_cast<uint8_t>(model.categories.NumCategories()));
   IngestionEngine engine(workload_, &model, cluster_, cost_model_,
                          BaseOptions());
   Status started = engine.Start(Days(6));
@@ -349,17 +377,11 @@ TEST_F(EngineTest, HistoryRingHoldsOnlyWhatTheRunReadsBack) {
   // plan boundary reads: the window W plus one plan interval with a
   // forecaster, 2W without one, or only the categories decided before
   // that boundary, ((n - 1) / interval) * interval, when those are fewer.
-  // A run with no second boundary reads none back and keeps one byte. The
-  // fixture's 1-day span is 21,600 segments of 4 s.
+  // A run with no second boundary reads none back and keeps one category.
+  // The fixture's 1-day span is 21,600 segments of 4 s.
   auto ring_after_start = [&](const OfflineModel& model, SimTime duration,
                               SimTime interval) -> size_t {
-    EngineOptions opts = BaseOptions();
-    opts.duration = duration;
-    opts.plan_interval = interval;
-    IngestionEngine engine(workload_, &model, cluster_, cost_model_, opts);
-    EXPECT_TRUE(engine.Start(Days(6)).ok());
-    auto snapshot = engine.Checkpoint();
-    return snapshot.ok() ? snapshot->history.size() : 0;
+    return RingAfterStart(model, duration, interval).size();
   };
   // W = 21,600 and 225-segment plans: a 5,400-segment run ends on a
   // boundary, so its last one opens at 5,175; then 8 days.
@@ -388,18 +410,26 @@ TEST_F(EngineTest, HistoryRingHoldsOnlyWhatTheRunReadsBack) {
   // its last boundary, not 2W = 172,800, and in 1-hour plans
   // (`serve-churn`'s) 9,000; a 2-day run in 1-day plans (`fleet-steady`'s)
   // holds its first day, 43,200, not W + 43,200 = 129,600.
-  OfflineModel fleet = *model_;
-  fleet.segment_seconds = 2.0;
-  ForecasterOptions fopts = model_->forecaster->options();
-  fopts.input_span = Days(2);
-  auto two_day = Forecaster::FromParts(model_->forecaster->SnapshotNet(),
-                                       fopts,
-                                       model_->categories.NumCategories(), {});
-  ASSERT_TRUE(two_day.ok()) << two_day.status().ToString();
-  fleet.forecaster = std::move(*two_day);
+  const OfflineModel fleet = FleetGeometryModel();
   EXPECT_EQ(ring_after_start(fleet, Hours(6), Minutes(15)), 10350u);
   EXPECT_EQ(ring_after_start(fleet, Hours(6), Hours(1)), 9000u);
   EXPECT_EQ(ring_after_start(fleet, Days(2), Days(1)), 43200u);
+}
+
+TEST_F(EngineTest, HistoryRingStoresTwoBitsPerCategoryOfThree) {
+  // Three categories take 2-bit codes, 32 to a word: a `fleet-steady` run
+  // (2 days of 2-s segments in 1-day plans) keeps its 43,200 categories in
+  // 1,350 words, 10,800 bytes, where one byte each took 43,200; so does
+  // the model's training sequence.
+  ASSERT_EQ(model_->categories.NumCategories(), 3u);
+  const CategorySequence ring =
+      RingAfterStart(FleetGeometryModel(), Days(2), Days(1));
+  EXPECT_EQ(ring.size(), 43200u);
+  EXPECT_EQ(ring.width(), 2u);
+  EXPECT_EQ(ring.words().size() * sizeof(uint64_t), 10800u);
+  const CategorySequence& train = model_->train_category_sequence;
+  EXPECT_EQ(train.width(), 2u);
+  EXPECT_EQ(train.words().size(), (train.size() + 31) / 32);
 }
 
 TEST_F(EngineTest, ContentIsBuiltThroughTheLastInstantTheRunReads) {

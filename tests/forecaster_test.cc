@@ -30,6 +30,11 @@ std::vector<uint8_t> DiurnalCategories(double segment_seconds, double days,
   return seq;
 }
 
+/// `codes` packed for three categories, as the library reads them.
+CategorySequence Packed(const std::vector<uint8_t>& codes) {
+  return CategorySequence::FromCodes(3, codes);
+}
+
 ForecasterOptions FastOptions() {
   ForecasterOptions opts;
   opts.input_span = Days(1);
@@ -43,7 +48,7 @@ ForecasterOptions FastOptions() {
 TEST(ForecastDatasetTest, ShapesAndNormalization) {
   std::vector<uint8_t> seq = DiurnalCategories(60.0, 4, 1);
   ForecasterOptions opts = FastOptions();
-  auto data = BuildForecastDataset(seq, 60.0, 3, opts);
+  auto data = BuildForecastDataset(Packed(seq), 60.0, 3, opts);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(data->inputs.cols(), 4u * 3);
   EXPECT_EQ(data->targets.cols(), 3u);
@@ -59,9 +64,9 @@ TEST(ForecastDatasetTest, ShapesAndNormalization) {
 TEST(ForecastDatasetTest, RejectsTooShortSequences) {
   ForecasterOptions opts = FastOptions();
   std::vector<uint8_t> tiny(10, 0);
-  EXPECT_FALSE(BuildForecastDataset(tiny, 60.0, 3, opts).ok());
-  EXPECT_FALSE(BuildForecastDataset(tiny, 60.0, 0, opts).ok());
-  EXPECT_FALSE(BuildForecastDataset(tiny, -1.0, 3, opts).ok());
+  EXPECT_FALSE(BuildForecastDataset(Packed(tiny), 60.0, 3, opts).ok());
+  EXPECT_FALSE(BuildForecastDataset(Packed(tiny), 60.0, 0, opts).ok());
+  EXPECT_FALSE(BuildForecastDataset(Packed(tiny), -1.0, 3, opts).ok());
 }
 
 TEST(ForecastDatasetTest, RefusesZeroSplits) {
@@ -70,9 +75,9 @@ TEST(ForecastDatasetTest, RefusesZeroSplits) {
   std::vector<uint8_t> seq = DiurnalCategories(60.0, 4, 1);
   ForecasterOptions opts = FastOptions();
   opts.input_splits = 0;
-  EXPECT_EQ(BuildForecastDataset(seq, 60.0, 3, opts).status().code(),
+  EXPECT_EQ(BuildForecastDataset(Packed(seq), 60.0, 3, opts).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Forecaster::Train(seq, 60.0, 3, opts).status().code(),
+  EXPECT_EQ(Forecaster::Train(Packed(seq), 60.0, 3, opts).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -89,7 +94,7 @@ TEST(CategoryHistogramTest, CountsAndNormalizes) {
 TEST(ForecasterTest, LearnsStationaryDistribution) {
   std::vector<uint8_t> seq = DiurnalCategories(60.0, 8, 2);
   ForecasterOptions opts = FastOptions();
-  auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
+  auto forecaster = Forecaster::Train(Packed(seq), 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
 
   // Forecast from the tail of the training data; the diurnal mix is stable
@@ -107,9 +112,9 @@ TEST(ForecasterTest, EvaluateMaeSmallOnHeldOutData) {
   std::vector<uint8_t> train = DiurnalCategories(60.0, 8, 3);
   std::vector<uint8_t> test = DiurnalCategories(60.0, 4, 99);
   ForecasterOptions opts = FastOptions();
-  auto forecaster = Forecaster::Train(train, 60.0, 3, opts);
+  auto forecaster = Forecaster::Train(Packed(train), 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
-  auto mae = forecaster->EvaluateMae(test, 60.0);
+  auto mae = forecaster->EvaluateMae(Packed(test), 60.0);
   ASSERT_TRUE(mae.ok());
   EXPECT_LT(*mae, 0.1);  // paper reports 0.04-0.15 at paper scales
 }
@@ -117,8 +122,8 @@ TEST(ForecasterTest, EvaluateMaeSmallOnHeldOutData) {
 TEST(ForecasterTest, FeaturesAreSplitHistograms) {
   std::vector<uint8_t> seq(2880, 0);  // 2 days at 60 s, all category 0
   ForecasterOptions opts = FastOptions();
-  auto forecaster = Forecaster::Train(DiurnalCategories(60.0, 6, 4), 60.0, 3,
-                                      opts);
+  auto forecaster =
+      Forecaster::Train(Packed(DiurnalCategories(60.0, 6, 4)), 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
   std::vector<double> f;
   oracle::FeaturesFromHistoryInto(*forecaster, seq, 60.0, &f);
@@ -147,9 +152,9 @@ TEST(ForecastDatasetTest, InputRowsAreTheFeaturesOfTheirHistory) {
       opts.train_options.epochs = 1;
       SCOPED_TRACE(testing::Message() << "stride " << stride_minutes
                                       << " min, tail " << tail);
-      auto data = BuildForecastDataset(seq, 60.0, 3, opts);
+      auto data = BuildForecastDataset(Packed(seq), 60.0, 3, opts);
       ASSERT_TRUE(data.ok());
-      auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
+      auto forecaster = Forecaster::Train(Packed(seq), 60.0, 3, opts);
       ASSERT_TRUE(forecaster.ok());
       size_t in_segs = static_cast<size_t>(opts.input_span / 60.0);
       size_t out_segs = static_cast<size_t>(opts.planned_interval / 60.0);
@@ -179,7 +184,7 @@ TEST(ForecastDatasetTest, InputRowsAreTheFeaturesOfTheirHistory) {
 TEST(ForecasterTest, ForecastIntoMatchesTheReferenceForwardBitwise) {
   std::vector<uint8_t> seq = DiurnalCategories(60.0, 6, 8);
   ForecasterOptions opts = FastOptions();
-  auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
+  auto forecaster = Forecaster::Train(Packed(seq), 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
   std::vector<double> features;
   oracle::FeaturesFromHistoryInto(*forecaster, seq, 60.0, &features);
@@ -196,7 +201,7 @@ TEST(ForecasterTest, ForecastIntoMatchesTheReferenceForwardBitwise) {
 TEST(ForecasterTest, OnlineUpdateShiftsForecast) {
   std::vector<uint8_t> seq = DiurnalCategories(60.0, 6, 5);
   ForecasterOptions opts = FastOptions();
-  auto forecaster = Forecaster::Train(seq, 60.0, 3, opts);
+  auto forecaster = Forecaster::Train(Packed(seq), 60.0, 3, opts);
   ASSERT_TRUE(forecaster.ok());
   std::vector<double> features;
   oracle::FeaturesFromHistoryInto(*forecaster, seq, 60.0, &features);

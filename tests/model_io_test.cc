@@ -35,6 +35,7 @@
 #include "core/offline.h"
 #include "io/atomic_file.h"
 #include "io/wire.h"
+#include "support/oracles.h"
 #include "workloads/ev_counting.h"
 
 namespace sky::io {
@@ -224,60 +225,73 @@ std::string WithRebuiltChecksum(std::string bytes) {
   return bytes;
 }
 
-/// The fitted model in the v1 layout, checksum included: TSEQ held u64
-/// ids, and CATG held the k-means assignments (u64 count + u64 ids) between
-/// the centers and the inertia.
-std::string Version1File() {
-  std::string v2 = Serialized();
-  std::string v1;
-  wire::BeginContainer({"SKYMODL1", 1, "model file"}, &v1);
-  for (size_t pos = 16; pos + 12 <= v2.size();) {
-    const std::string tag = v2.substr(pos, 4);
+/// The fitted model in an older layout, checksum included. Version 2 held
+/// TSEQ as a u64 count and one byte per segment; version 1 as a u64 count
+/// and one u64 id per segment, and its CATG held the k-means assignments
+/// (u64 count + u64 ids) between the centers and the inertia.
+std::string OlderVersionFile(uint32_t version) {
+  const std::string current = Serialized();
+  const std::vector<uint8_t> seq =
+      oracle::Unpacked(FittedModel().train_category_sequence);
+  std::string old;
+  wire::BeginContainer({"SKYMODL1", version, "model file"}, &old);
+  for (size_t pos = 16; pos + 12 <= current.size();) {
+    const std::string tag = current.substr(pos, 4);
     uint64_t size = 0;
-    std::memcpy(&size, v2.data() + pos + 4, 8);
-    std::string payload = v2.substr(pos + 12, size);
+    std::memcpy(&size, current.data() + pos + 4, 8);
+    std::string payload = current.substr(pos + 12, size);
     pos += 12 + size;
     if (tag == "CSUM") break;
     if (tag == "TSEQ") {
-      const std::vector<uint8_t>& seq = FittedModel().train_category_sequence;
       payload.clear();
-      wire::PutU64Vec(&payload, std::vector<size_t>(seq.begin(), seq.end()));
-    } else if (tag == "CATG") {
+      if (version == 1) {
+        wire::PutU64Vec(&payload, std::vector<size_t>(seq.begin(), seq.end()));
+      } else {
+        wire::Writer(&payload).U64(seq.size());
+        payload.append(seq.begin(), seq.end());
+      }
+    } else if (tag == "CATG" && version == 1) {
       std::string inertia = payload.substr(payload.size() - 8);
       payload.resize(payload.size() - 8);
       wire::PutU64Vec(&payload, std::vector<size_t>(300, 1));
       payload += inertia;
     }
-    wire::PutChunk(&v1, tag.c_str(), payload);
+    wire::PutChunk(&old, tag.c_str(), payload);
   }
-  wire::EndContainer(&v1);
-  return v1;
+  wire::EndContainer(&old);
+  return old;
 }
 
-TEST(ModelIoTest, RefusesAVersion1File) {
-  // No second reader: a v1 file is refused whole, by a message that names
-  // its version and the one this build reads.
-  auto loaded = DeserializeOfflineModel(Version1File());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find(
-                "version 1 (this build reads version " +
-                std::to_string(kModelFormatVersion) + ")"),
-            std::string::npos)
-      << loaded.status().ToString();
+TEST(ModelIoTest, RefusesVersion1And2Files) {
+  // No second reader: an older file is refused whole, by a message that
+  // names its version and the one this build reads.
+  for (uint32_t version : {1u, 2u}) {
+    auto loaded = DeserializeOfflineModel(OlderVersionFile(version));
+    ASSERT_FALSE(loaded.ok()) << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(
+                  "version " + std::to_string(version) +
+                  " (this build reads version " +
+                  std::to_string(kModelFormatVersion) + ")"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST(ModelIoTest, RefusesATrainingSequenceOutsideTheCategories) {
   // The engine bootstraps its category history from TSEQ's tail, so a
   // checksum-valid file naming a category the CATG clustering lacks is
-  // refused at load, wherever in the sequence the category sits.
+  // refused at load, wherever in the sequence the category sits. Every
+  // code from |C| to the largest the width holds is such a category.
+  const core::CategorySequence& fitted = FittedModel().train_category_sequence;
   const size_t num_c = FittedModel().categories.NumCategories();
-  ASSERT_FALSE(FittedModel().train_category_sequence.empty());
-  for (bool at_front : {true, false}) {
-    for (size_t category : {num_c, size_t{255}}) {
+  ASSERT_FALSE(fitted.empty());
+  ASSERT_LT(num_c, size_t{1} << fitted.width());
+  for (size_t at : {size_t{0}, fitted.size() - 1}) {
+    for (size_t category = num_c; category < (size_t{1} << fitted.width());
+         ++category) {
       core::OfflineModel model = FittedModel();
-      std::vector<uint8_t>& seq = model.train_category_sequence;
-      (at_front ? seq.front() : seq.back()) = static_cast<uint8_t>(category);
+      model.train_category_sequence.Set(at, static_cast<uint8_t>(category));
       std::string bytes;
       ASSERT_TRUE(SerializeOfflineModel(model, "", &bytes).ok());
       auto loaded = DeserializeOfflineModel(bytes);
@@ -290,10 +304,114 @@ TEST(ModelIoTest, RefusesATrainingSequenceOutsideTheCategories) {
   }
   // The last category the clustering has is accepted.
   core::OfflineModel model = FittedModel();
-  model.train_category_sequence.back() = static_cast<uint8_t>(num_c - 1);
+  model.train_category_sequence.Set(fitted.size() - 1,
+                                    static_cast<uint8_t>(num_c - 1));
   std::string bytes;
   ASSERT_TRUE(SerializeOfflineModel(model, "", &bytes).ok());
   EXPECT_TRUE(DeserializeOfflineModel(bytes).ok());
+}
+
+TEST(ModelIoTest, RefusesHostileTrainingSequenceWords) {
+  // TSEQ is a u64 code count, a u64 word count and the words. A
+  // checksum-valid file whose words do not hold exactly its codes is
+  // refused with a status: a bit set past the last code, a word count
+  // other than the one the codes take (with the payload framed to match),
+  // a code count whose words the payload lacks, and a count no payload
+  // holds.
+  const size_t num_c = FittedModel().categories.NumCategories();
+  core::OfflineModel model = FittedModel();
+  // 37 codes of 2 bits: one whole word and five codes of a second.
+  std::vector<uint8_t> codes(37);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<uint8_t>(i % num_c);
+  }
+  model.train_category_sequence =
+      core::CategorySequence::FromCodes(num_c, codes);
+  ASSERT_EQ(model.train_category_sequence.width(), 2u);
+  std::string valid;
+  ASSERT_TRUE(SerializeOfflineModel(model, "", &valid).ok());
+  ASSERT_TRUE(DeserializeOfflineModel(valid).ok());
+  uint64_t tseq_size = 0;
+  const size_t tseq_at = FindChunk(valid, "TSEQ", &tseq_size);
+  ASSERT_NE(tseq_at, std::string::npos);
+  ASSERT_EQ(tseq_size, 8u + 8u + 2 * 8u);
+  const size_t codes_at = tseq_at + 12;
+  const size_t words_at = codes_at + 8;
+  const size_t last_word_at = words_at + 8 + 8;
+  auto u64_at = [](const std::string& b, size_t at) {
+    uint64_t v = 0;
+    std::memcpy(&v, &b[at], 8);
+    return v;
+  };
+  ASSERT_EQ(u64_at(valid, codes_at), 37u);
+  ASSERT_EQ(u64_at(valid, words_at), 2u);
+  auto set_u64 = [](std::string* b, size_t at, uint64_t v) {
+    std::memcpy(&(*b)[at], &v, 8);
+  };
+  // Grows or shrinks the TSEQ chunk by `delta` payload bytes at `at`.
+  auto resize_at = [&](std::string* b, size_t at, int64_t delta) {
+    if (delta > 0) {
+      b->insert(at, static_cast<size_t>(delta), '\0');
+    } else {
+      b->erase(at, static_cast<size_t>(-delta));
+    }
+    set_u64(b, tseq_at + 4, tseq_size + delta);
+  };
+  struct Craft {
+    const char* label;
+    std::string bytes;
+  };
+  std::vector<Craft> crafts;
+  auto craft = [&](const char* label, auto edit) {
+    std::string b = valid;
+    edit(&b);
+    crafts.push_back({label, WithRebuiltChecksum(std::move(b))});
+  };
+  craft("padding bit past the last code", [&](std::string* b) {
+    set_u64(b, last_word_at, u64_at(*b, last_word_at) | (uint64_t{1} << 63));
+  });
+  craft("code 3 of 3 categories", [&](std::string* b) {
+    // Code 36 is the fifth of the second word, at bits 8-9.
+    set_u64(b, last_word_at, u64_at(*b, last_word_at) | (uint64_t{3} << 8));
+  });
+  craft("three words for 37 codes", [&](std::string* b) {
+    resize_at(b, last_word_at + 8, 8);
+    set_u64(b, words_at, 3);
+  });
+  craft("one word for 37 codes", [&](std::string* b) {
+    resize_at(b, last_word_at, -8);
+    set_u64(b, words_at, 1);
+  });
+  craft("65 codes in two words", [&](std::string* b) {
+    set_u64(b, codes_at, 65);
+  });
+  craft("a word count no payload holds", [&](std::string* b) {
+    set_u64(b, words_at, uint64_t{1} << 61);
+  });
+  for (const Craft& c : crafts) {
+    auto loaded = DeserializeOfflineModel(c.bytes);
+    ASSERT_FALSE(loaded.ok()) << c.label;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << c.label;
+  }
+}
+
+TEST(ModelIoTest, RefusesChunksOutOfTableOrder) {
+  // TSEQ is packed for CATG's category count, so the reader takes the
+  // chunks in the order the writer puts them: TSEQ before CATG is refused.
+  std::string bytes = Serialized();
+  uint64_t catg_size = 0;
+  uint64_t tseq_size = 0;
+  const size_t catg_at = FindChunk(bytes, "CATG", &catg_size);
+  const size_t tseq_at = FindChunk(bytes, "TSEQ", &tseq_size);
+  ASSERT_EQ(tseq_at, catg_at + 12 + catg_size);
+  const std::string catg = bytes.substr(catg_at, 12 + catg_size);
+  const std::string tseq = bytes.substr(tseq_at, 12 + tseq_size);
+  bytes.replace(catg_at, catg.size() + tseq.size(), tseq + catg);
+  auto loaded = DeserializeOfflineModel(WithRebuiltChecksum(std::move(bytes)));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("TSEQ chunk where CATG belongs"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(ModelIoTest, RejectsDuplicateChunkEvenWithValidChecksum) {
@@ -350,13 +468,16 @@ TEST(ModelIoTest, RejectsImpossibleCountsWithoutAllocating) {
 }
 
 TEST(ModelIoTest, RejectsMoreThanMaxCategories) {
-  // The engine keeps categories as bytes, so a CATG chunk may hold at most
+  // The widest category code is 8 bits, so a CATG chunk may hold at most
   // kMaxCategories clusters; the writer does not check, the reader does.
+  // The training sequence is packed for the clustering it goes with.
   for (size_t clusters : {core::kMaxCategories, core::kMaxCategories + 1}) {
     core::OfflineModel model = FittedModel();
     ml::KMeansModel km = model.categories.kmeans_model();
     km.centers.resize(clusters, km.centers[0]);
     model.categories = core::ContentCategories::FromKMeans(std::move(km));
+    model.train_category_sequence = core::CategorySequence::FromCodes(
+        clusters, oracle::Unpacked(model.train_category_sequence));
     std::string bytes;
     ASSERT_TRUE(SerializeOfflineModel(model, "", &bytes).ok());
     auto loaded = DeserializeOfflineModel(bytes);

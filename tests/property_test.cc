@@ -1,7 +1,8 @@
 // Parameterized property sweeps over system invariants: buffer safety,
 // plan adherence, LP vs knapsack consistency, simulator sanity, placement
-// determinism, the engine's sliding forecaster features and its
-// forecaster-less fallback forecast across randomized inputs.
+// determinism, the packed category sequence's word counts, the engine's
+// sliding forecaster features and its forecaster-less fallback forecast
+// across randomized inputs.
 
 #include <gtest/gtest.h>
 
@@ -335,6 +336,127 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlacementDeterminismSweep,
                          ::testing::Range<uint64_t>(0, 5));
 
 // ---------------------------------------------------------------------------
+// Property: a packed category sequence holds what a byte per code holds,
+// and its word-at-a-time count equals the byte scan of tests/support over
+// any range — empty, inside one word, across word edges, from any code
+// offset — at every code width, for random codes, including codes at or
+// above the category count being counted, which count nowhere. The
+// instance stream is derived from SKY_PROP_SEED.
+// ---------------------------------------------------------------------------
+
+class CategoryCountSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CategoryCountSweep, WordCountsEqualTheByteScan) {
+  SCOPED_TRACE(ReproduceLine(
+      ::testing::UnitTest::GetInstance()->current_test_info()));
+  Rng rng(Rng(PropSeed()).ForkIndex(3000 + GetParam()).UniformInt(0, 1 << 30));
+  // Category counts at both ends of every width: 1 and 2 bits, 3 and 4
+  // bits, 2 and 4 ... 16 and 17.
+  const size_t kCategoryCounts[] = {1, 2, 3, 4, 5, 16, 17, 255};
+  const size_t num_c =
+      kCategoryCounts[GetParam() % (sizeof(kCategoryCounts) / sizeof(size_t))];
+  const unsigned width = core::CategorySequence::WidthFor(num_c);
+  ASSERT_EQ(width, num_c <= 2 ? 1u : num_c <= 4 ? 2u : num_c <= 16 ? 4u : 8u);
+  const size_t per_word = 64 / width;
+  const size_t size = static_cast<size_t>(
+      rng.UniformInt(0, 1) == 0
+          ? rng.UniformInt(0, 4 * static_cast<int64_t>(per_word))
+          : rng.UniformInt(0, 3000));
+  // Mostly categories of the model, with runs; some codes the width holds
+  // past them.
+  const int64_t max_code = (int64_t{1} << width) - 1;
+  std::vector<uint8_t> codes(size);
+  uint8_t code = 0;
+  for (uint8_t& c : codes) {
+    if (rng.Bernoulli(0.3)) {
+      code = static_cast<uint8_t>(
+          rng.Bernoulli(0.9)
+              ? rng.UniformInt(0, static_cast<int64_t>(num_c) - 1)
+              : rng.UniformInt(0, max_code));
+    }
+    c = code;
+  }
+  core::CategorySequence seq(num_c, size);
+  // Written out of order, each code twice (a random code, then its own),
+  // so a write that spills into a neighbour shows.
+  auto scattered = [size](size_t i) { return (i * 7919) % size; };
+  for (size_t i = 0; i < size; ++i) {
+    seq.Set(scattered(i), static_cast<uint8_t>(rng.UniformInt(0, max_code)));
+  }
+  for (size_t i = 0; i < size; ++i) {
+    seq.Set(scattered(i), codes[scattered(i)]);
+  }
+  ASSERT_EQ(seq.width(), width);
+  ASSERT_EQ(seq.words().size(), (size + per_word - 1) / per_word);
+  ASSERT_EQ(oracle::Unpacked(seq), codes);
+  EXPECT_EQ(seq, core::CategorySequence::FromCodes(num_c, codes));
+
+  // Ranges: empty ones (at 0, inside, at the end), every range inside the
+  // first words and across their edges, the whole sequence, a tail from an
+  // arbitrary offset (as the engine's training tail starts), and random
+  // ones.
+  std::vector<std::pair<size_t, size_t>> ranges = {{0, 0}, {size, 0}};
+  if (size > 0) {
+    ranges.push_back({static_cast<size_t>(rng.UniformInt(
+                          0, static_cast<int64_t>(size))),
+                      0});
+    ranges.push_back({0, size});
+    const size_t tail = static_cast<size_t>(
+        rng.UniformInt(1, static_cast<int64_t>(size)));
+    ranges.push_back({size - tail, tail});
+  }
+  const size_t edge_span = std::min(size, 2 * per_word + 3);
+  for (size_t begin = 0; begin < edge_span; ++begin) {
+    for (size_t n = 0; begin + n <= edge_span; ++n) {
+      ranges.push_back({begin, n});
+    }
+  }
+  for (int r = 0; r < 200 && size > 0; ++r) {
+    const size_t begin =
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(size)));
+    const size_t n = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(size - begin)));
+    ranges.push_back({begin, n});
+  }
+  // Counted over the model's categories, over fewer (the rest count
+  // nowhere) and over every code the width holds.
+  const size_t counted[] = {num_c, std::max<size_t>(1, num_c / 2),
+                            static_cast<size_t>(max_code) + 1};
+  for (size_t count_c : counted) {
+    for (auto [begin, n] : ranges) {
+      // Counts add to what is there.
+      std::vector<uint32_t> word_counts(count_c);
+      for (uint32_t& c : word_counts) {
+        c = static_cast<uint32_t>(rng.UniformInt(0, 1000));
+      }
+      std::vector<uint32_t> scan_counts = word_counts;
+      seq.CountInto(begin, n, count_c, word_counts.data());
+      oracle::CountCategoriesInto(codes, begin, n, count_c,
+                                  scan_counts.data());
+      ASSERT_EQ(word_counts, scan_counts)
+          << num_c << " categories, counting " << count_c << ", range ["
+          << begin << ", " << begin + n << ") of " << size;
+      const bool below = std::all_of(
+          codes.begin() + static_cast<ptrdiff_t>(begin),
+          codes.begin() + static_cast<ptrdiff_t>(begin + n),
+          [count_c](uint8_t c) { return c < count_c; });
+      ASSERT_EQ(seq.AllBelow(begin, n, count_c), below);
+    }
+  }
+
+  // The words read back whole, and only when every code names a category.
+  const bool all_below =
+      std::all_of(codes.begin(), codes.end(),
+                  [num_c](uint8_t c) { return c < num_c; });
+  auto read = core::CategorySequence::FromWords(num_c, size, seq.words());
+  ASSERT_EQ(read.ok(), all_below) << read.status().ToString();
+  if (read.ok()) EXPECT_EQ(*read, seq);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CategoryCountSweep,
+                         ::testing::Range<uint64_t>(0, 32));
+
+// ---------------------------------------------------------------------------
 // Property: at every plan boundary the engine's forecaster features, built
 // from split counts it slides from boundary to boundary, equal a fresh
 // reference scan of its history, bitwise — over random
@@ -386,7 +508,8 @@ core::OfflineModel* SplitCountSweep::model_ = nullptr;
 /// on reaching twice it, before the next push.
 std::vector<uint8_t> ExpectedHistory(const core::OfflineModel& model,
                                      const core::IngestState& s) {
-  const std::vector<uint8_t>& train = model.train_category_sequence;
+  const std::vector<uint8_t> train =
+      oracle::Unpacked(model.train_category_sequence);
   const size_t window = s.history_window;
   EXPECT_EQ(s.result.trace.size(), static_cast<size_t>(s.next_index));
   std::vector<uint8_t> seq(train.end() - static_cast<ptrdiff_t>(
@@ -455,14 +578,14 @@ TEST_P(SplitCountSweep, EngineFeaturesEqualTheScan) {
           rng.UniformInt(static_cast<int64_t>(window),
                          static_cast<int64_t>(2 * window)));
   }
-  model.train_category_sequence.assign(bootstrap, 0);
+  model.train_category_sequence = core::CategorySequence(num_c, bootstrap);
   uint8_t category = 0;
-  for (uint8_t& c : model.train_category_sequence) {
+  for (size_t i = 0; i < bootstrap; ++i) {
     if (rng.Bernoulli(0.1)) {
       category = static_cast<uint8_t>(
           rng.UniformInt(0, static_cast<int64_t>(num_c) - 1));
     }
-    c = category;
+    model.train_category_sequence.Set(i, category);
   }
   // An untrained network: the property concerns the features, not the
   // forecast, and any weights give the plans (and so the stream) variety.
@@ -640,14 +763,14 @@ TEST_P(FallbackHistorySweep, BoundaryForecastIsTheHistoryHistogram) {
           : rng.UniformInt(2 * w, 7 * w);
 
   core::OfflineModel model = *model_;
-  model.train_category_sequence.assign(tail, 0);
+  model.train_category_sequence = core::CategorySequence(num_c, tail);
   uint8_t category = 0;
-  for (uint8_t& c : model.train_category_sequence) {
+  for (size_t i = 0; i < tail; ++i) {
     if (rng.Bernoulli(0.1)) {
       category = static_cast<uint8_t>(
           rng.UniformInt(0, static_cast<int64_t>(num_c) - 1));
     }
-    c = category;
+    model.train_category_sequence.Set(i, category);
   }
 
   core::EngineOptions opts;

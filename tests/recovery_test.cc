@@ -33,6 +33,7 @@
 #include "io/checkpoint_io.h"
 #include "ml/nn.h"
 #include "sim/faults.h"
+#include "support/oracles.h"
 #include "workloads/ev_counting.h"
 
 namespace sky {
@@ -453,14 +454,15 @@ TEST_F(RecoveryTest, CraftedPlanWidthIsRefusedWithValidChecksum) {
 
 // The history ring of a serialized mid-run state. SerializeIngestState
 // writes history_window at byte 44 (after the u32 version and six 8-byte
-// fields); the run's own ring sits after the plan features as a u64 byte
-// count and the ring bytes.
+// fields); the run's own ring sits after the plan features as a u64 code
+// count, a u64 word count and the words its codes are packed in.
 constexpr size_t kHistoryWindowAt = 44;
 
 struct SerializedRing {
   std::string bytes;   ///< SerializeIngestState of a mid-run state
-  size_t count_at = 0; ///< offset of the ring's u64 byte count
+  size_t count_at = 0; ///< offset of the ring's u64 code count
   uint64_t ring = 0;   ///< ring size: HistoryRingSize of the run
+  uint64_t words = 0;  ///< words the ring's codes take
 };
 
 uint64_t U64At(const std::string& bytes, size_t at) {
@@ -508,13 +510,19 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
               snap->boundary_forecast.size() * sizeof(double) + 8 +
               snap->plan_features.size() * sizeof(double);
   t.count_at = at;
+  t.words = snap->history.words().size();
+  const std::vector<uint64_t>& words = snap->history.words();
   ASSERT_EQ(U64At(t.bytes, at), t.ring);
-  ASSERT_EQ(std::memcmp(&t.bytes[at + 8], snap->history.data(), t.ring), 0);
+  ASSERT_EQ(U64At(t.bytes, at + 8), t.words);
+  ASSERT_EQ(std::memcmp(&t.bytes[at + 16], words.data(), 8 * t.words), 0);
   // The current configuration follows the ring: no position or length.
-  ASSERT_EQ(U64At(t.bytes, at + 8 + t.ring), snap->current_config);
+  ASSERT_EQ(U64At(t.bytes, at + 16 + 8 * t.words), snap->current_config);
   ASSERT_TRUE(io::DeserializeIngestState(Resealed(t.bytes), *models_[0]).ok());
 
   const uint64_t num_c = models_[0]->categories.NumCategories();
+  const unsigned width = snap->history.width();
+  ASSERT_EQ(width, 2u);
+  const std::vector<uint8_t> codes = oracle::Unpacked(snap->history);
   struct Craft {
     std::string label;
     std::string bytes;
@@ -525,21 +533,53 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
     edit(&bytes);
     crafts.push_back({std::move(label), Resealed(std::move(bytes))});
   };
-  // The ring is not the size the run keeps: one byte short with consistent
-  // framing, and a count no payload holds (refused before allocating).
-  craft("ring one byte short", [&](std::string* b) {
-    b->erase(t.count_at + 8 + t.ring - 1, 1);
-    SetU64At(b, t.count_at, t.ring - 1);
+  // Puts `count` codes in `ring_words` in place of the ring.
+  auto replace_ring = [&](std::string* b, uint64_t count,
+                          const std::vector<uint64_t>& ring_words) {
+    std::string block;
+    io::wire::Writer w(&block);
+    w.U64(count);
+    w.U64(ring_words.size());
+    w.Raw(ring_words.data(), 8 * ring_words.size());
+    b->replace(t.count_at, 16 + 8 * t.words, block);
+  };
+  // The ring is not the size the run keeps: one code short with consistent
+  // framing, and a count its words do not hold.
+  craft("ring one code short", [&](std::string* b) {
+    std::vector<uint8_t> shorter(codes.begin(), codes.end() - 1);
+    replace_ring(b, shorter.size(),
+                 core::CategorySequence::FromCodes(num_c, shorter).words());
   });
-  craft("ring of 2^62 bytes", [&](std::string* b) {
+  craft("ring of 2^62 codes", [&](std::string* b) {
     SetU64At(b, t.count_at, uint64_t{1} << 62);
   });
-  // A category the model does not have, on the newest decided byte.
-  const size_t newest =
-      t.count_at + 8 + static_cast<size_t>(snap->next_index - 1) % t.ring;
-  for (uint64_t byte : {num_c, uint64_t{255}}) {
-    craft("category " + std::to_string(byte), [&](std::string* b) {
-      (*b)[newest] = static_cast<char>(byte);
+  // The word count disagrees with the code count: one word more (framed
+  // to match), and a count no payload holds (refused before allocating).
+  craft("one word more than the codes take", [&](std::string* b) {
+    std::vector<uint64_t> more = words;
+    more.push_back(0);
+    replace_ring(b, t.ring, more);
+  });
+  craft("2^61 words", [&](std::string* b) {
+    SetU64At(b, t.count_at + 8, uint64_t{1} << 61);
+  });
+  // A bit past the last code, when the last word has room for one.
+  if (t.ring % (64 / width) != 0) {
+    craft("padding bit", [&](std::string* b) {
+      const size_t last = t.count_at + 16 + 8 * (t.words - 1);
+      SetU64At(b, last, U64At(*b, last) | (uint64_t{1} << 63));
+    });
+  }
+  // A category the model does not have, on the newest decided code: with
+  // three categories, code 3 still fits the two bits.
+  const size_t newest = static_cast<size_t>(snap->next_index - 1) % t.ring;
+  for (uint64_t category = num_c; category < (uint64_t{1} << width);
+       ++category) {
+    craft("category " + std::to_string(category), [&](std::string* b) {
+      std::vector<uint8_t> edited = codes;
+      edited[newest] = static_cast<uint8_t>(category);
+      replace_ring(b, t.ring,
+                   core::CategorySequence::FromCodes(num_c, edited).words());
     });
   }
   // A window other than the one Start derives, with a ring grown to match
@@ -551,8 +591,10 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
   ASSERT_GT(wider_ring, t.ring);
   craft("window one wider", [&](std::string* b) {
     SetU64At(b, kHistoryWindowAt, snap->history_window + 1);
-    b->insert(t.count_at + 8 + t.ring, wider_ring - t.ring, '\0');
-    SetU64At(b, t.count_at, wider_ring);
+    std::vector<uint8_t> wider = codes;
+    wider.resize(wider_ring, 0);
+    replace_ring(b, wider_ring,
+                 core::CategorySequence::FromCodes(num_c, wider).words());
   });
   craft("window 2^61", [&](std::string* b) {
     SetU64At(b, kHistoryWindowAt, uint64_t{1} << 61);
@@ -567,11 +609,11 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
 
 TEST_F(RecoveryTest, EngineStateOfAnotherVersionIsRefusedByName) {
   // A version-3 state stored the ring at twice the window with its write
-  // position and length. A version-4 state has this layout, but its ring
-  // holds the whole run when the run is shorter than the reach, where this
-  // build keeps only what the last boundary reads back; a 2-day run in
-  // 1-day plans is such a run. This build reads only the version it
-  // writes, and names the version it refuses.
+  // position and length. Versions 4 and 5 stored it one byte per code, and
+  // a version-4 ring holds the whole run when the run is shorter than the
+  // reach, where this build keeps only what the last boundary reads back;
+  // a 2-day run in 1-day plans is such a run. This build reads only the
+  // version it writes, and names the version it refuses.
   IngestionEngine engine(forecast_workload_, forecast_model_, cluster_,
                          cost_model_, ForecastOptions());
   ASSERT_TRUE(engine.Start(Days(6)).ok());
@@ -580,7 +622,7 @@ TEST_F(RecoveryTest, EngineStateOfAnotherVersionIsRefusedByName) {
   ASSERT_TRUE(snap.ok());
   std::string bytes;
   ASSERT_TRUE(io::SerializeIngestState(*snap, &bytes).ok());
-  for (uint32_t version : {3u, 4u}) {
+  for (uint32_t version : {3u, 4u, 5u}) {
     std::memcpy(&bytes[0], &version, sizeof(version));
     auto parsed =
         io::DeserializeIngestState(Resealed(bytes), *forecast_model_);
@@ -588,7 +630,7 @@ TEST_F(RecoveryTest, EngineStateOfAnotherVersionIsRefusedByName) {
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(parsed.status().ToString().find(
                   "unsupported checkpoint format version " +
-                  std::to_string(version) + " (this build reads version 5)"),
+                  std::to_string(version) + " (this build reads version 6)"),
               std::string::npos)
         << parsed.status().ToString();
   }

@@ -329,6 +329,20 @@ ml::Matrix MatMul(const ml::Matrix& a, const ml::Matrix& b) {
   return out;
 }
 
+std::vector<uint8_t> Unpacked(const core::CategorySequence& seq) {
+  std::vector<uint8_t> codes(seq.size());
+  for (size_t i = 0; i < codes.size(); ++i) codes[i] = seq.Get(i);
+  return codes;
+}
+
+void CountCategoriesInto(const std::vector<uint8_t>& category_sequence,
+                         size_t begin, size_t n, size_t num_categories,
+                         uint32_t* counts) {
+  for (size_t i = begin; i < begin + n; ++i) {
+    if (category_sequence[i] < num_categories) ++counts[category_sequence[i]];
+  }
+}
+
 std::vector<double> CategoryHistogram(
     const std::vector<uint8_t>& category_sequence, size_t begin, size_t end,
     size_t num_categories) {

@@ -5,7 +5,7 @@
 // compare libsky against. Each is the plain, allocating form of something
 // libsky computes faster: the per-sample trainer and the sequential forward
 // pass of the forecasting network, the naive matrix product, the category
-// histograms and forecaster features of a scanned history, the serial
+// counts, histograms and forecaster features of a scanned history, the serial
 // k-means over per-point vectors, and the diurnal content process with its
 // whole horizon's events drawn up front. None of them runs in a
 // deployment, so they live here and libsky never links them.
@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/category_sequence.h"
 #include "core/forecaster.h"
 #include "ml/kmeans.h"
 #include "ml/matrix.h"
@@ -47,6 +48,16 @@ Result<ml::TrainReport> TrainPerSample(ml::FeedForwardNet* net,
 /// a * b as the naive triple loop, skipping zero entries of a: the
 /// reference for the cache-blocked GEMM kernels.
 ml::Matrix MatMul(const ml::Matrix& a, const ml::Matrix& b);
+
+/// The codes of `seq`, one byte each, read one Get at a time.
+std::vector<uint8_t> Unpacked(const core::CategorySequence& seq);
+
+/// Adds to counts[c], for every c < num_categories, how many of the bytes
+/// in [begin, begin + n) equal c, by scanning them: the reference for
+/// core::CategorySequence::CountInto, which reads a word at a time.
+void CountCategoriesInto(const std::vector<uint8_t>& category_sequence,
+                         size_t begin, size_t n, size_t num_categories,
+                         uint32_t* counts);
 
 /// Normalized category histogram of the [begin, end) slice of the sequence,
 /// by scanning it; `end` is clamped to the sequence and an empty slice

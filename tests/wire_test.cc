@@ -171,12 +171,12 @@ TEST(WireContainerTest, FleetCheckpointLayoutIsPinned) {
   std::string bytes;
   ASSERT_TRUE(SerializeFleetCheckpoint(FixedFleet(), &bytes).ok());
   EXPECT_EQ(Hex(bytes),
-            "534b59434b50543105000000040302014d455441080000000000000002000000"
+            "534b59434b50543106000000040302014d455441080000000000000002000000"
             "000000005354524d290000000000000000000000000000000000000000000000"
             "00000000010c00000000000000656e67696e652d73746174655354524d280000"
             "00000000000100000000000000070000000b0000000000000071756172616e74"
-            "696e65640000000000000000004353554d08000000000000002ed3ece54e794c"
-            "e0");
+            "696e65640000000000000000004353554d0800000000000000c310c9839e14e6"
+            "4d");
 }
 
 TEST(WireContainerTest, ServeCheckpointLayoutIsPinned) {
@@ -301,7 +301,8 @@ core::OfflineModel FixedModel() {
   km.centers = {{0.25}, {0.75}};
   km.inertia = 0.5;
   model.categories = core::ContentCategories::FromKMeans(std::move(km));
-  model.train_category_sequence = {0, 1, 1, 0, 1};
+  model.train_category_sequence =
+      core::CategorySequence::FromCodes(2, {0, 1, 1, 0, 1});
   return model;
 }
 
@@ -318,8 +319,10 @@ std::string ChunkBytes(const std::string& file, const char* tag) {
   return "";
 }
 
-// Model format v2: CATG holds the k-means centers and inertia, without the
-// fit's assignments, and TSEQ a u64 count and one byte per segment.
+// Model format v3: CATG holds the k-means centers and inertia, without the
+// fit's assignments, and TSEQ the u64 code count and the words the codes
+// are packed in, count-prefixed: five 1-bit codes of two categories in one
+// word.
 TEST(WireContainerTest, ModelClusteringAndTrainingSequenceLayoutIsPinned) {
   std::string bytes;
   ASSERT_TRUE(SerializeOfflineModel(FixedModel(), "", &bytes).ok());
@@ -331,9 +334,10 @@ TEST(WireContainerTest, ModelClusteringAndTrainingSequenceLayoutIsPinned) {
             "000000000000d03f" "000000000000e83f"  // 0.25, 0.75
             "000000000000e03f");                 // inertia 0.5
   EXPECT_EQ(Hex(ChunkBytes(bytes, "TSEQ")),
-            "54534551" "0d00000000000000"
-            "0500000000000000"  // 5 segments
-            "0001010001");
+            "54534551" "1800000000000000"
+            "0500000000000000"   // 5 codes
+            "0100000000000000"   // 1 word
+            "1600000000000000");  // codes 0, 1, 1, 0, 1 from bit 0 up
   // The file parses back to a model that writes the same bytes.
   auto parsed = DeserializeOfflineModel(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -437,7 +441,8 @@ core::OfflineModel FixedModelWithForecaster() {
   km.centers = {{0.25, 0.5}, {0.75, 1.0}};
   km.inertia = 0.5;
   model.categories = core::ContentCategories::FromKMeans(std::move(km));
-  model.train_category_sequence = {1, 0, 0, 1};
+  model.train_category_sequence =
+      core::CategorySequence::FromCodes(2, {1, 0, 0, 1});
   model.forecaster = FixedForecaster();
   model.step_runtimes.filter_configs_s = 0.5;
   model.step_runtimes.filter_placements_s = 1.25;
@@ -454,7 +459,7 @@ TEST(WireContainerTest, WholeModelFileLayoutIsPinned) {
       SerializeOfflineModel(FixedModelWithForecaster(), "ev", &bytes).ok());
   EXPECT_EQ(Hex(bytes),
             // header
-            "534b594d4f444c310200000004030201"
+            "534b594d4f444c310300000004030201"
             // META
             "4d455441100000000000000000000000000010400000000000002040"
             // ANNO
@@ -477,7 +482,8 @@ TEST(WireContainerTest, WholeModelFileLayoutIsPinned) {
             "000000000000d03f000000000000e03f000000000000e83f000000000000f03f"
             "000000000000e03f"
             // TSEQ
-            "545345510c00000000000000040000000000000001000001"
+            "54534551180000000000000004000000000000000100000000000000"
+            "0900000000000000"
             // FCST
             "46435354960100000000000001000000000020ac400100000000000000000000"
             "0000209c400000000000208c4005000000000000000200000000000000040000"
@@ -497,7 +503,7 @@ TEST(WireContainerTest, WholeModelFileLayoutIsPinned) {
             "5254494d2800000000000000000000000000e03f000000000000f43f00000000"
             "000000400000000000000c400000000000001340"
             // CSUM
-            "4353554d08000000000000002d74df9186d90989");
+            "4353554d08000000000000001a60a1cbf2d4f6bb");
   // The file parses back to a model that writes the same bytes.
   std::string annotation;
   auto parsed = DeserializeOfflineModel(bytes, &annotation);

@@ -29,11 +29,13 @@
 // Exit codes (scriptable: every failure is one line on stderr, nothing on
 // stdout):
 //   0  success
-//   1  any other runtime failure (includes an admission rejection)
+//   1  any other runtime failure (includes an admission rejection, and a
+//      run that runs out of memory: "sky: out of memory ...")
 //   2  usage error (unknown subcommand/workload, a flag the subcommand's
 //      --help does not list, missing required flag, a number flag whose
 //      value is not wholly a finite number of its type or lies outside the
-//      flag's range, e.g. `--start-days -5` or `--plan-interval-days 0`, or
+//      flag's range, e.g. `--start-days -5`, `--plan-interval-days 0` or
+//      `--threads 2000`, or
 //      a value the offline fit or the ingest run refuses, e.g.
 //      `--categories 0` or `--duration-days -1`)
 //   3  I/O failure (model file missing or unreadable, save failed)
@@ -50,6 +52,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -103,7 +106,8 @@ constexpr const char kOfflineHelp[] =
   --train-days D        unlabeled training horizon          (default 16)
   --plan-days D         forecast span / planned interval    (default 2)
   --categories C        content categories                  (default 4)
-  --threads N           offline worker threads, 0 = all     (default 0)
+  --threads N           offline worker threads, 0 = all,
+                        at most 1024                        (default 0)
   --seed S              offline RNG seed                    (default 81)
 )";
 
@@ -253,6 +257,9 @@ bool ParseNumber(const std::string& text, std::optional<T>* out) {
 }
 
 constexpr double kBytesPerGb = 1ull << 30;
+/// Most offline worker threads `--threads` takes: refused before any pool
+/// starts a thread.
+constexpr size_t kMaxThreads = 1024;
 
 /// The flags a subcommand (or client verb) accepts: exactly those its
 /// --help lists, which ParseFlags checks before anything else. --help and
@@ -305,8 +312,9 @@ const char* HelpOf(const std::string& cmd) {
 /// value) for `command`, which accepts `accepted`; returns false on a flag
 /// it does not accept, a missing value, a number flag whose value
 /// ParseNumber refuses, a --port outside [0, 65535], a --buffer-gb whose
-/// byte count is negative or does not fit in a uint64, a negative
-/// --start-days or a --plan-interval-days that is not positive.
+/// byte count is negative or does not fit in a uint64, --threads above
+/// kMaxThreads, a negative --start-days or a --plan-interval-days that is
+/// not positive.
 bool ParseFlags(int argc, char** argv, const std::string& command,
                 const FlagSet& accepted, Flags* f) {
   auto refused = [&](const std::string& arg) {
@@ -358,7 +366,10 @@ bool ParseFlags(int argc, char** argv, const std::string& command,
     else if (arg == "--train-days") number(&f->train_days);
     else if (arg == "--plan-days") number(&f->plan_days);
     else if (arg == "--categories") number(&f->categories);
-    else if (arg == "--threads") number(&f->threads);
+    else if (arg == "--threads") {
+      number(&f->threads);
+      parsed = parsed && f->threads <= kMaxThreads;
+    }
     else if (arg == "--seed") { number(&f->offline_seed); f->engine_seed = f->offline_seed; }
     // Unset, these two derive from the model; set, they must be a day.
     else if (arg == "--start-days") {
@@ -774,9 +785,7 @@ int RunClient(const std::string& verb, const Flags& f) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string cmd = argv[1];
   Flags flags;
@@ -814,4 +823,21 @@ int main(int argc, char** argv) {
   if (cmd == "ingest") return RunIngest(flags);
   if (cmd == "inspect") return RunInspect(flags);
   return RunServe(flags);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A flag value can ask for more memory than the machine has (a tiny
+  // --segment-seconds multiplies every per-segment buffer): one line on
+  // stderr and exit 1, like any other runtime failure.
+  try {
+    return Main(argc, argv);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr,
+                 "sky: out of memory (a flag value such as "
+                 "--segment-seconds or --train-days asks for more than "
+                 "this machine has)\n");
+    return 1;
+  }
 }
