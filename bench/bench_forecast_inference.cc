@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   std::vector<uint8_t> seq =
       SyntheticCategories(kSegmentSeconds, 16.0, kNumCategories, 321);
   auto trained = core::Forecaster::Train(
-      core::CategorySequence::FromCodes(kNumCategories, seq), kSegmentSeconds,
+      oracle::Packed(kNumCategories, seq), kSegmentSeconds,
       kNumCategories, fopts);
   if (!trained.ok()) {
     std::printf("training failed: %s\n", trained.status().ToString().c_str());

@@ -110,8 +110,7 @@ int main() {
   core::ForecastDataset scanned =
       ScanDataset(seq, kSegmentSeconds, kNumCategories, fopts);
   double scan_dataset_s = scan_timer.Seconds();
-  const core::CategorySequence packed =
-      core::CategorySequence::FromCodes(kNumCategories, seq);
+  const core::CategorySequence packed = oracle::Packed(kNumCategories, seq);
   WallTimer build_timer;
   auto data = core::BuildForecastDataset(packed, kSegmentSeconds,
                                          kNumCategories, fopts);

@@ -38,13 +38,6 @@ CategorySequence::CategorySequence(size_t num_categories, size_t size)
       size_(size),
       words_(WordsFor(size, width()), 0) {}
 
-CategorySequence CategorySequence::FromCodes(
-    size_t num_categories, const std::vector<uint8_t>& codes) {
-  CategorySequence seq(num_categories, codes.size());
-  for (size_t i = 0; i < codes.size(); ++i) seq.Set(i, codes[i]);
-  return seq;
-}
-
 Result<CategorySequence> CategorySequence::FromWords(
     size_t num_categories, uint64_t size, std::vector<uint64_t> words) {
   CategorySequence seq;

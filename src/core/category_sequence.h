@@ -30,11 +30,6 @@ class CategorySequence {
   /// `size` codes of category 0, packed for `num_categories` categories.
   CategorySequence(size_t num_categories, size_t size);
 
-  /// `codes`, one per segment, packed for `num_categories` categories; each
-  /// must be below 2^WidthFor(num_categories).
-  static CategorySequence FromCodes(size_t num_categories,
-                                    const std::vector<uint8_t>& codes);
-
   /// The sequence of `size` codes packed for `num_categories` categories in
   /// `words`. kInvalidArgument for a word count other than the one `size`
   /// codes take, a set bit past the last code, or a code at or above

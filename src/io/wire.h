@@ -19,7 +19,7 @@ namespace sky::io::wire {
 /// checkpoints and serve checkpoints) and of the serve protocol's frames:
 /// the symmetric field codec (Writer and the bounds-checked Cursor), the
 /// FNV-1a integrity hash, the checksummed chunk container, and the
-/// forecaster payload. The container layout lives in docs/model_format.md
+/// category sequence and forecaster payloads. The container layout lives in docs/model_format.md
 /// ("Container"); each file format keeps only its own magic, version, and
 /// chunk table on top of it.
 

@@ -18,6 +18,7 @@
 #include "core/engine.h"
 #include "core/forecaster.h"
 #include "ml/nn.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 #include "workloads/ev_counting.h"
 
@@ -68,8 +69,8 @@ ForecasterOptions FastOptions() {
 
 TEST(AllocSteadyStateTest, ForecasterPlanBoundaryPathsAllocateNothing) {
   std::vector<uint8_t> seq = SyntheticCategories(60.0, 6, 21);
-  auto trained = Forecaster::Train(CategorySequence::FromCodes(3, seq), 60.0,
-                                  3, FastOptions());
+  auto trained =
+      Forecaster::Train(oracle::Packed(3, seq), 60.0, 3, FastOptions());
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
   Forecaster forecaster = std::move(*trained);
   // The split counts of the sequence's last input span, as the engine keeps

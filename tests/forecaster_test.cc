@@ -32,7 +32,7 @@ std::vector<uint8_t> DiurnalCategories(double segment_seconds, double days,
 
 /// `codes` packed for three categories, as the library reads them.
 CategorySequence Packed(const std::vector<uint8_t>& codes) {
-  return CategorySequence::FromCodes(3, codes);
+  return oracle::Packed(3, codes);
 }
 
 ForecasterOptions FastOptions() {

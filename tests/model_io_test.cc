@@ -325,8 +325,7 @@ TEST(ModelIoTest, RefusesHostileTrainingSequenceWords) {
   for (size_t i = 0; i < codes.size(); ++i) {
     codes[i] = static_cast<uint8_t>(i % num_c);
   }
-  model.train_category_sequence =
-      core::CategorySequence::FromCodes(num_c, codes);
+  model.train_category_sequence = oracle::Packed(num_c, codes);
   ASSERT_EQ(model.train_category_sequence.width(), 2u);
   std::string valid;
   ASSERT_TRUE(SerializeOfflineModel(model, "", &valid).ok());
@@ -476,7 +475,7 @@ TEST(ModelIoTest, RejectsMoreThanMaxCategories) {
     ml::KMeansModel km = model.categories.kmeans_model();
     km.centers.resize(clusters, km.centers[0]);
     model.categories = core::ContentCategories::FromKMeans(std::move(km));
-    model.train_category_sequence = core::CategorySequence::FromCodes(
+    model.train_category_sequence = oracle::Packed(
         clusters, oracle::Unpacked(model.train_category_sequence));
     std::string bytes;
     ASSERT_TRUE(SerializeOfflineModel(model, "", &bytes).ok());

@@ -389,7 +389,7 @@ TEST_P(CategoryCountSweep, WordCountsEqualTheByteScan) {
   ASSERT_EQ(seq.width(), width);
   ASSERT_EQ(seq.words().size(), (size + per_word - 1) / per_word);
   ASSERT_EQ(oracle::Unpacked(seq), codes);
-  EXPECT_EQ(seq, core::CategorySequence::FromCodes(num_c, codes));
+  EXPECT_EQ(seq, oracle::Packed(num_c, codes));
 
   // Ranges: empty ones (at 0, inside, at the end), every range inside the
   // first words and across their edges, the whole sequence, a tail from an

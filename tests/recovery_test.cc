@@ -548,7 +548,7 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
   craft("ring one code short", [&](std::string* b) {
     std::vector<uint8_t> shorter(codes.begin(), codes.end() - 1);
     replace_ring(b, shorter.size(),
-                 core::CategorySequence::FromCodes(num_c, shorter).words());
+                 oracle::Packed(num_c, shorter).words());
   });
   craft("ring of 2^62 codes", [&](std::string* b) {
     SetU64At(b, t.count_at, uint64_t{1} << 62);
@@ -563,13 +563,13 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
   craft("2^61 words", [&](std::string* b) {
     SetU64At(b, t.count_at + 8, uint64_t{1} << 61);
   });
-  // A bit past the last code, when the last word has room for one.
-  if (t.ring % (64 / width) != 0) {
-    craft("padding bit", [&](std::string* b) {
-      const size_t last = t.count_at + 16 + 8 * (t.words - 1);
-      SetU64At(b, last, U64At(*b, last) | (uint64_t{1} << 63));
-    });
-  }
+  // A bit past the last code: the 3,600-code ring leaves 16 codes of its
+  // last word unused.
+  ASSERT_NE(t.ring % (64 / width), 0u);
+  craft("padding bit", [&](std::string* b) {
+    const size_t last = t.count_at + 16 + 8 * (t.words - 1);
+    SetU64At(b, last, U64At(*b, last) | (uint64_t{1} << 63));
+  });
   // A category the model does not have, on the newest decided code: with
   // three categories, code 3 still fits the two bits.
   const size_t newest = static_cast<size_t>(snap->next_index - 1) % t.ring;
@@ -579,7 +579,7 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
       std::vector<uint8_t> edited = codes;
       edited[newest] = static_cast<uint8_t>(category);
       replace_ring(b, t.ring,
-                   core::CategorySequence::FromCodes(num_c, edited).words());
+                   oracle::Packed(num_c, edited).words());
     });
   }
   // A window other than the one Start derives, with a ring grown to match
@@ -594,7 +594,7 @@ TEST_F(RecoveryTest, CraftedHistoryRingIsRefusedWithValidChecksum) {
     std::vector<uint8_t> wider = codes;
     wider.resize(wider_ring, 0);
     replace_ring(b, wider_ring,
-                 core::CategorySequence::FromCodes(num_c, wider).words());
+                 oracle::Packed(num_c, wider).words());
   });
   craft("window 2^61", [&](std::string* b) {
     SetU64At(b, kHistoryWindowAt, uint64_t{1} << 61);

@@ -335,6 +335,13 @@ std::vector<uint8_t> Unpacked(const core::CategorySequence& seq) {
   return codes;
 }
 
+core::CategorySequence Packed(size_t num_categories,
+                              const std::vector<uint8_t>& codes) {
+  core::CategorySequence seq(num_categories, codes.size());
+  for (size_t i = 0; i < codes.size(); ++i) seq.Set(i, codes[i]);
+  return seq;
+}
+
 void CountCategoriesInto(const std::vector<uint8_t>& category_sequence,
                          size_t begin, size_t n, size_t num_categories,
                          uint32_t* counts) {

@@ -52,6 +52,11 @@ ml::Matrix MatMul(const ml::Matrix& a, const ml::Matrix& b);
 /// The codes of `seq`, one byte each, read one Get at a time.
 std::vector<uint8_t> Unpacked(const core::CategorySequence& seq);
 
+/// `codes`, one byte each, packed for `num_categories` categories one Set at
+/// a time; each must be below 2^CategorySequence::WidthFor(num_categories).
+core::CategorySequence Packed(size_t num_categories,
+                              const std::vector<uint8_t>& codes);
+
 /// Adds to counts[c], for every c < num_categories, how many of the bytes
 /// in [begin, begin + n) equal c, by scanning them: the reference for
 /// core::CategorySequence::CountInto, which reads a word at a time.

@@ -22,6 +22,7 @@
 #include "io/checkpoint_io.h"
 #include "io/model_io.h"
 #include "serve/registry.h"
+#include "support/oracles.h"
 #include "workloads/ev_counting.h"
 
 namespace sky::io {
@@ -301,8 +302,7 @@ core::OfflineModel FixedModel() {
   km.centers = {{0.25}, {0.75}};
   km.inertia = 0.5;
   model.categories = core::ContentCategories::FromKMeans(std::move(km));
-  model.train_category_sequence =
-      core::CategorySequence::FromCodes(2, {0, 1, 1, 0, 1});
+  model.train_category_sequence = oracle::Packed(2, {0, 1, 1, 0, 1});
   return model;
 }
 
@@ -441,8 +441,7 @@ core::OfflineModel FixedModelWithForecaster() {
   km.centers = {{0.25, 0.5}, {0.75, 1.0}};
   km.inertia = 0.5;
   model.categories = core::ContentCategories::FromKMeans(std::move(km));
-  model.train_category_sequence =
-      core::CategorySequence::FromCodes(2, {1, 0, 0, 1});
+  model.train_category_sequence = oracle::Packed(2, {1, 0, 0, 1});
   model.forecaster = FixedForecaster();
   model.step_runtimes.filter_configs_s = 0.5;
   model.step_runtimes.filter_placements_s = 1.25;
