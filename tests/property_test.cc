@@ -450,7 +450,9 @@ TEST_P(CategoryCountSweep, WordCountsEqualTheByteScan) {
                   [num_c](uint8_t c) { return c < num_c; });
   auto read = core::CategorySequence::FromWords(num_c, size, seq.words());
   ASSERT_EQ(read.ok(), all_below) << read.status().ToString();
-  if (read.ok()) EXPECT_EQ(*read, seq);
+  if (read.ok()) {
+    EXPECT_EQ(*read, seq);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CategoryCountSweep,
