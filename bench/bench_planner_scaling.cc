@@ -1,10 +1,12 @@
 // Online knob-planner scaling: wall time of single-stream and joint
-// multi-stream planning for stream counts {1, 8, 64, 256}, on both planner
-// backends — the structured O(n log n) MCKP solver (default) and the dense
-// two-phase simplex oracle it replaced on the hot path. The joint program
-// grows to (sum C_v + 1) x (V*C*K) for simplex but stays a flat
+// multi-stream planning for stream counts {1, 8, 64, 256}, on libsky's
+// structured O(n log n) MCKP planner and on the dense two-phase simplex
+// oracle in tests/support. The joint program grows to
+// (sum C_v + 1) x (V*C*K) for simplex but stays a flat
 // hull-and-sweep for the structured solver, so the gap widens superlinearly
-// with stream count. Results land in BENCH_planner_scaling.json.
+// with stream count. Gates: equal joint objectives at every stream count,
+// and a joint speedup of at least 10x at 64 streams. Results land in
+// BENCH_planner_scaling.json.
 
 #include <cmath>
 #include <cstdio>
@@ -16,6 +18,7 @@
 #include "core/multi_stream.h"
 #include "core/planner.h"
 #include "ml/kmeans.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -119,24 +122,20 @@ int main() {
 
     core::PlanWorkspace ws;
     double joint_structured = TimePerCall(0.02, [&] {
-      auto plans = core::ComputeJointKnobPlan(
-          inputs, budget, core::PlannerBackend::kStructured, &ws);
+      auto plans = core::ComputeJointKnobPlan(inputs, budget, &ws);
       if (!plans.ok()) checks_ok = false;
     });
     // The dense joint tableau is quadratic-plus in stream count; keep the
     // rep floor low so 256 streams stays tractable.
     double joint_simplex = TimePerCall(0.0, [&] {
-      auto plans = core::ComputeJointKnobPlan(
-          inputs, budget, core::PlannerBackend::kSimplex, &ws);
+      auto plans = oracle::ComputeJointKnobPlan(inputs, budget);
       if (!plans.ok()) checks_ok = false;
     });
 
     // Parity spot check at this scale: identical joint objective.
     {
-      auto structured = core::ComputeJointKnobPlan(
-          inputs, budget, core::PlannerBackend::kStructured);
-      auto simplex = core::ComputeJointKnobPlan(
-          inputs, budget, core::PlannerBackend::kSimplex);
+      auto structured = core::ComputeJointKnobPlan(inputs, budget);
+      auto simplex = oracle::ComputeJointKnobPlan(inputs, budget);
       if (!structured.ok() || !simplex.ok()) {
         checks_ok = false;
       } else {
@@ -152,17 +151,14 @@ int main() {
     double single_structured = TimePerCall(0.02, [&] {
       for (const core::StreamPlanInput& in : inputs) {
         auto plan = core::ComputeKnobPlan(*in.categories, in.forecast,
-                                          in.config_costs, 3.0,
-                                          core::PlannerBackend::kStructured,
-                                          &ws);
+                                          in.config_costs, 3.0, &ws);
         if (!plan.ok()) checks_ok = false;
       }
     });
     double single_simplex = TimePerCall(0.02, [&] {
       for (const core::StreamPlanInput& in : inputs) {
-        auto plan = core::ComputeKnobPlan(*in.categories, in.forecast,
-                                          in.config_costs, 3.0,
-                                          core::PlannerBackend::kSimplex, &ws);
+        auto plan = oracle::ComputeKnobPlan(*in.categories, in.forecast,
+                                            in.config_costs, 3.0);
         if (!plan.ok()) checks_ok = false;
       }
     });
@@ -193,7 +189,7 @@ int main() {
   std::string path = json.Write();
   if (!path.empty()) std::printf("metrics written to %s\n", path.c_str());
   if (!checks_ok) {
-    std::printf("FAILED: backend objective mismatch or planning failure\n");
+    std::printf("FAILED: oracle objective mismatch or planning failure\n");
     return 1;
   }
   if (speedup_at_64 < 10.0) {

@@ -2,14 +2,15 @@
 # Tier-1 verify: configure, build, run the test suite (which includes the
 # session/StreamSet parity gates — session_test, stream_set_test, api_test —
 # and the model-persistence round-trip/ingest-parity gates in
-# model_io_test). Mirrors CI.
+# model_io_test). CI's build-and-test job runs this default mode, and its
+# asan and tsan jobs run --asan and --tsan, so each list lives here only.
 #
 # After the tests: scripts/smoke.sh (the `sky` CLI's train-once /
 # serve-many flow, its exit-code and hygiene contract, and the `sky serve`
-# kill -9 + SIGTERM recovery smoke — the same script CI runs), CI's
-# end-to-end step (bench/e2e/run.sh --smoke and --selftest, which build
-# build-e2e/ against libsky's public API, so a deletion that breaks the
-# benchmark's build fails here too), the docs link check, and the gating
+# kill -9 + SIGTERM recovery smoke), the end-to-end bench's smoke
+# (bench/e2e/run.sh --smoke and --selftest, which build build-e2e/ against
+# libsky's public API, so a deletion that breaks the benchmark's build
+# fails here too), the docs link check, and the gating
 # benches so the trajectory
 # (BENCH_planner_scaling.json, BENCH_forecast_training.json,
 # BENCH_appd_multistream.json, BENCH_table3_offline_runtime.json,

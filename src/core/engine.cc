@@ -316,8 +316,7 @@ Result<KnobPlan> IngestionEngine::PlanFromPreparedForecast() {
   IngestState& s = *state_;
   Result<KnobPlan> plan = ComputeKnobPlan(
       model_->categories, s.boundary_forecast, config_costs(),
-      PlanBudgetCoreSPerVideoS(), options_.planner_backend,
-      &scratch_.workspace);
+      PlanBudgetCoreSPerVideoS(), &scratch_.workspace);
   if (plan.ok()) return plan;
   if (plan.status().code() != StatusCode::kResourceExhausted) {
     return plan.status();

@@ -47,9 +47,7 @@ struct EngineOptions {
   /// budget" abstraction of §2.2 / Appendix B used by the work-quality
   /// sweeps (Figs. 6/8/10/12 and 16).
   double work_budget_override = 0.0;
-  /// Which solver runs the knob-planning program at each plan boundary.
-  /// kStructured (default) is the exact O(n log n) MCKP solver; kSimplex is
-  /// the dense-tableau reference oracle kept for A/B comparison.
+  /// Unused; kept for bench/e2e/src/single.cc until ROADMAP item 4 step 5.
   PlannerBackend planner_backend = PlannerBackend::kStructured;
 
   // --- Microbenchmark toggles (all default off) ---

@@ -17,13 +17,6 @@ Status KnobSpace::AddKnob(std::string name, std::vector<double> values) {
   return Status::Ok();
 }
 
-Result<size_t> KnobSpace::KnobIndex(std::string_view name) const {
-  for (size_t i = 0; i < knobs_.size(); ++i) {
-    if (knobs_[i].name == name) return i;
-  }
-  return Status::NotFound("no knob named " + std::string(name));
-}
-
 size_t KnobSpace::NumConfigs() const {
   size_t n = 1;
   for (const KnobDef& k : knobs_) n *= k.values.size();
@@ -50,15 +43,6 @@ KnobConfig KnobSpace::IdToConfig(size_t id) const {
 
 double KnobSpace::Value(const KnobConfig& config, size_t knob_idx) const {
   return knobs_[knob_idx].values[config[knob_idx]];
-}
-
-Result<double> KnobSpace::ValueByName(const KnobConfig& config,
-                                      std::string_view name) const {
-  SKY_ASSIGN_OR_RETURN(size_t idx, KnobIndex(name));
-  if (config.size() != knobs_.size() || config[idx] >= knobs_[idx].values.size()) {
-    return Status::InvalidArgument("malformed knob configuration");
-  }
-  return knobs_[idx].values[config[idx]];
 }
 
 std::vector<KnobConfig> KnobSpace::AllConfigs() const {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -31,7 +30,6 @@ class KnobSpace {
 
   size_t NumKnobs() const { return knobs_.size(); }
   const KnobDef& knob(size_t i) const { return knobs_[i]; }
-  Result<size_t> KnobIndex(std::string_view name) const;
 
   /// Product of domain sizes.
   size_t NumConfigs() const;
@@ -42,8 +40,6 @@ class KnobSpace {
 
   /// The knob value selected by `config` for knob `knob_idx`.
   double Value(const KnobConfig& config, size_t knob_idx) const;
-  Result<double> ValueByName(const KnobConfig& config,
-                             std::string_view name) const;
 
   /// All configurations in id order. Intended for small spaces (the paper's
   /// workloads have 40-100 configurations before filtering).

@@ -24,9 +24,7 @@ Status JointPlanner::Plan(const std::vector<StreamPlanInput>& streams,
   }
   last_groups_rebuilt_ = 0;
   SKY_ASSIGN_OR_RETURN(*plans,
-                       ComputeJointKnobPlan(streams, budget,
-                                            PlannerBackend::kStructured,
-                                            &workspace_));
+                       ComputeJointKnobPlan(streams, budget, &workspace_));
   last_groups_rebuilt_ = workspace_.num_groups;
   return Status::Ok();
 }
@@ -523,8 +521,7 @@ std::vector<Result<EngineResult>> StreamSet::Results() const {
 
 Result<std::vector<KnobPlan>> ComputeJointKnobPlan(
     const std::vector<StreamPlanInput>& streams,
-    double budget_core_s_per_video_s, PlannerBackend backend,
-    PlanWorkspace* workspace) {
+    double budget_core_s_per_video_s, PlanWorkspace* workspace) {
   if (streams.empty()) {
     return Status::InvalidArgument("no streams to plan for");
   }
@@ -553,7 +550,7 @@ Result<std::vector<KnobPlan>> ComputeJointKnobPlan(
     first_groups.push_back(*first);
   }
 
-  Status solved = SolvePlanProblem(budget_core_s_per_video_s, backend, &ws);
+  Status solved = SolvePlanProblem(budget_core_s_per_video_s, &ws);
   if (!solved.ok()) {
     if (solved.code() == StatusCode::kResourceExhausted) {
       return Status::ResourceExhausted(

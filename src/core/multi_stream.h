@@ -28,27 +28,25 @@ struct StreamPlanInput {
 /// holds per (stream, category). Returns one KnobPlan per stream.
 ///
 /// The joint program is the same fractional MCKP as the single-stream one,
-/// just with Σ_v C_v groups sharing one budget multiplier — the structured
-/// backend (default) solves per-stream hulls under one shared λ in
-/// O(Σ C_v·K_v · log) without ever materializing the dense
-/// (Σ C_v + 1) × (V·C·K) simplex tableau the kSimplex oracle pivots on.
+/// just with Σ_v C_v groups sharing one budget multiplier — lp::MckpSolver
+/// solves per-stream hulls under one shared λ in O(Σ C_v·K_v · log) without
+/// ever materializing the dense (Σ C_v + 1) × (V·C·K) simplex tableau that
+/// tests/support's oracle::ComputeJointKnobPlan pivots on.
 /// Passing a long-lived `workspace` makes repeated planning allocation-free.
 Result<std::vector<KnobPlan>> ComputeJointKnobPlan(
     const std::vector<StreamPlanInput>& streams,
-    double budget_core_s_per_video_s,
-    PlannerBackend backend = PlannerBackend::kStructured,
-    PlanWorkspace* workspace = nullptr);
+    double budget_core_s_per_video_s, PlanWorkspace* workspace = nullptr);
 
 /// Appendix D's fair core allocation for streams sharing one server:
 /// floor(cores / num_streams), but at least 1.
 int FairCoreShare(int cores, size_t num_streams);
 
 /// The joint knob planner a StreamSet runs at every lockstep plan boundary:
-/// ComputeJointKnobPlan with the structured backend, into a workspace the
-/// planner keeps so later boundaries reuse its buffers. Nothing else lives
-/// across calls — every Plan() is a pure function of that call's streams
-/// and budget, so a long-lived planner, a fresh one and ComputeJointKnobPlan
-/// return bitwise-identical plans on the same inputs. Not thread-safe; a
+/// ComputeJointKnobPlan into a workspace the planner keeps so later
+/// boundaries reuse its buffers. Nothing else lives across calls — every
+/// Plan() is a pure function of that call's streams and budget, so a
+/// long-lived planner, a fresh one and ComputeJointKnobPlan return
+/// bitwise-identical plans on the same inputs. Not thread-safe; a
 /// StreamSet calls it only from boundary barriers.
 class JointPlanner {
  public:

@@ -12,7 +12,6 @@ void PlanWorkspace::Clear() {
   group_offsets.clear();
   num_groups = 0;
   x.clear();
-  objective = 0.0;
 }
 
 Result<size_t> AppendPlanCoefficients(const ContentCategories& categories,
@@ -43,65 +42,23 @@ Result<size_t> AppendPlanCoefficients(const ContentCategories& categories,
   return first_group;
 }
 
-Status SolvePlanProblem(double budget, PlannerBackend backend,
-                        PlanWorkspace* ws) {
+Status SolvePlanProblem(double budget, PlanWorkspace* ws) {
   if (ws->num_groups == 0) {
     return Status::InvalidArgument("no plan coefficients assembled");
   }
-  size_t n = ws->costs.size();
-
-  if (backend == PlannerBackend::kStructured) {
-    Status st = ws->mckp.Solve(ws->costs.data(), ws->values.data(),
-                               ws->group_offsets.data(), ws->num_groups,
-                               budget, &ws->mckp_solution);
-    if (!st.ok()) return st;
-    if (ws->mckp_solution.status == lp::MckpStatus::kInfeasible) {
-      return Status::ResourceExhausted(
-          "knob plan infeasible: even the cheapest configurations exceed "
-          "the budget");
-    }
-    ws->x.assign(n, 0.0);
-    for (const lp::MckpGroupChoice& c : ws->mckp_solution.choice) {
-      ws->x[c.lo] += 1.0 - c.frac_hi;
-      ws->x[c.hi] += c.frac_hi;
-    }
-    ws->objective = ws->mckp_solution.objective;
-    return Status::Ok();
-  }
-
-  // Simplex oracle: the same coefficients as one dense program — the
-  // objective and the budget row are the flat value/cost arrays, plus one
-  // normalization equality per group.
-  lp::LinearProgram& program = ws->program;
-  program.objective = ws->values;
-  program.a_ub.assign(1, ws->costs);
-  program.b_ub.assign(1, budget);
-  program.a_eq.assign(ws->num_groups, std::vector<double>(n, 0.0));
-  program.b_eq.assign(ws->num_groups, 1.0);
-  for (size_t g = 0; g < ws->num_groups; ++g) {
-    for (size_t j = ws->group_offsets[g]; j < ws->group_offsets[g + 1]; ++j) {
-      program.a_eq[g][j] = 1.0;
-    }
-  }
-
-  SKY_ASSIGN_OR_RETURN(lp::LpSolution solution, lp::SolveLp(program));
-  if (solution.status == lp::LpStatus::kInfeasible) {
+  SKY_RETURN_NOT_OK(ws->mckp.Solve(ws->costs.data(), ws->values.data(),
+                                   ws->group_offsets.data(), ws->num_groups,
+                                   budget, &ws->mckp_solution));
+  if (ws->mckp_solution.status == lp::MckpStatus::kInfeasible) {
     return Status::ResourceExhausted(
         "knob plan infeasible: even the cheapest configurations exceed "
         "the budget");
   }
-  if (solution.status == lp::LpStatus::kUnbounded) {
-    return Status::Internal("knob-planning LP unbounded");
+  ws->x.assign(ws->costs.size(), 0.0);
+  for (const lp::MckpGroupChoice& c : ws->mckp_solution.choice) {
+    ws->x[c.lo] += 1.0 - c.frac_hi;
+    ws->x[c.hi] += c.frac_hi;
   }
-  if (solution.status == lp::LpStatus::kIterationLimit) {
-    // Never silently accept an unproven point: the simplex backend's whole
-    // job here is to be an exact oracle for structured-solver parity.
-    return Status::Internal(
-        "knob-planning LP hit the simplex iteration limit before proving "
-        "optimality");
-  }
-  ws->x = std::move(solution.x);
-  ws->objective = solution.objective_value;
   return Status::Ok();
 }
 

@@ -6,25 +6,23 @@
 
 #include "core/categorizer.h"
 #include "lp/mckp.h"
-#include "lp/simplex.h"
 #include "util/result.h"
 
 namespace sky::core {
 
 struct KnobPlan;  // core/planner.h
 
-/// Which solver the knob planners run on. Both are exact on the planning
-/// program (§4.1 / Appendix D Eqs. 7-9) and agree to fp round-off;
-/// kStructured exploits the program's multiple-choice-knapsack structure
-/// (O(n log n)) while kSimplex pivots on the dense tableau and is kept as
-/// the reference oracle for A/B tests.
-enum class PlannerBackend { kStructured, kSimplex };
+/// The knob planners have one solver, lp::MckpSolver. This one-value enum
+/// survives only as EngineOptions::planner_backend and ComputeKnobPlan's
+/// ignored parameter, which ROADMAP item 4 step 5 removes.
+enum class PlannerBackend { kStructured };
 
 /// Reusable coefficient + solver state shared by ComputeKnobPlan and
-/// ComputeJointKnobPlan. One group per (stream, category), one option per
-/// configuration, laid out flat in append order. A caller that keeps a
-/// workspace alive across plan intervals (the ingestion engine does) makes
-/// planning allocation-free at steady state: every buffer here is reused.
+/// ComputeJointKnobPlan (and tests/support's dense-simplex oracles). One
+/// group per (stream, category), one option per configuration, laid out
+/// flat in append order. A caller that keeps a workspace alive across plan
+/// intervals (the ingestion engine does) makes planning allocation-free at
+/// steady state: every buffer here is reused.
 struct PlanWorkspace {
   std::vector<double> costs;          ///< flat: r_c * cost(k) per option
   std::vector<double> values;         ///< flat: r_c * qual(c, k) per option
@@ -33,9 +31,7 @@ struct PlanWorkspace {
 
   lp::MckpSolver mckp;
   lp::MckpSolution mckp_solution;
-  lp::LinearProgram program;  ///< simplex backend only
-  std::vector<double> x;      ///< flat alphas, filled by either backend
-  double objective = 0.0;
+  std::vector<double> x;  ///< flat alphas, filled by SolvePlanProblem
 
   void Clear();
 };
@@ -49,18 +45,17 @@ Result<size_t> AppendPlanCoefficients(const ContentCategories& categories,
                                       const std::vector<double>& config_costs,
                                       PlanWorkspace* ws);
 
-/// Solves the assembled program against `budget` with `backend`, filling
-/// ws->x (flat per-option alphas; each group sums to 1) and ws->objective.
+/// Solves the assembled program against `budget` with lp::MckpSolver,
+/// filling ws->x (flat per-option alphas; each group sums to 1).
 /// kResourceExhausted when even the cheapest options exceed the budget.
-Status SolvePlanProblem(double budget, PlannerBackend backend,
-                        PlanWorkspace* ws);
+Status SolvePlanProblem(double budget, PlanWorkspace* ws);
 
 /// Extracts the plan of the stream whose categories start at `first_group`
 /// from ws->x: the alpha matrix plus expected quality/work recomputed from
-/// the same coefficients for both backends. A category whose forecast is
-/// exactly 0 enters neither the objective nor the budget row, so any row
-/// is optimal for it; its row goes to the cheapest configuration (lowest
-/// index on ties) whatever the solver returned.
+/// the same coefficients, whichever solver filled ws->x. A category whose
+/// forecast is exactly 0 enters neither the objective nor the budget row,
+/// so any row is optimal for it; its row goes to the cheapest configuration
+/// (lowest index on ties) whatever the solver returned.
 KnobPlan ExtractPlan(const PlanWorkspace& ws, size_t first_group,
                      const ContentCategories& categories,
                      const std::vector<double>& forecast,

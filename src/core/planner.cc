@@ -8,7 +8,6 @@ Result<KnobPlan> ComputeKnobPlan(const ContentCategories& categories,
                                  const std::vector<double>& forecast,
                                  const std::vector<double>& config_costs,
                                  double budget_core_s_per_video_s,
-                                 PlannerBackend backend,
                                  PlanWorkspace* workspace) {
   if (!(budget_core_s_per_video_s > 0) ||
       !std::isfinite(budget_core_s_per_video_s)) {
@@ -22,7 +21,7 @@ Result<KnobPlan> ComputeKnobPlan(const ContentCategories& categories,
       AppendPlanCoefficients(categories, forecast, config_costs, &ws));
   // SolvePlanProblem's kResourceExhausted already carries the single-stream
   // infeasibility message; only the joint planner rewords it.
-  Status solved = SolvePlanProblem(budget_core_s_per_video_s, backend, &ws);
+  Status solved = SolvePlanProblem(budget_core_s_per_video_s, &ws);
   if (!solved.ok()) return solved;
   return ExtractPlan(ws, first_group, categories, forecast, config_costs);
 }

@@ -38,16 +38,24 @@ struct KnobPlan {
 /// budget row is satisfiable whenever the cheapest configuration fits —
 /// otherwise kResourceExhausted is surfaced to the caller).
 ///
-/// The program is solved by the structured MCKP solver by default (exact,
-/// O(|C|·|K| log); see lp/mckp.h) or by dense simplex when
-/// `backend == PlannerBackend::kSimplex` — both return the same optimum.
-/// Passing a long-lived `workspace` makes repeated planning allocation-free;
-/// with nullptr a temporary workspace is used.
+/// The program is a fractional multiple-choice knapsack, solved exactly by
+/// lp::MckpSolver in O(|C|·|K| log); tests/support's oracle::ComputeKnobPlan
+/// solves it by dense simplex and returns the same optimum. Passing a
+/// long-lived `workspace` makes repeated planning allocation-free; with
+/// nullptr a temporary workspace is used.
 Result<KnobPlan> ComputeKnobPlan(
     const ContentCategories& categories, const std::vector<double>& forecast,
     const std::vector<double>& config_costs, double budget_core_s_per_video_s,
-    PlannerBackend backend = PlannerBackend::kStructured,
     PlanWorkspace* workspace = nullptr);
+
+/// Backend ignored; kept for bench/e2e/src/single.cc to ROADMAP item 4 step 5.
+inline Result<KnobPlan> ComputeKnobPlan(
+    const ContentCategories& categories, const std::vector<double>& forecast,
+    const std::vector<double>& config_costs, double budget_core_s_per_video_s,
+    PlannerBackend /*ignored*/, PlanWorkspace* workspace) {
+  return ComputeKnobPlan(categories, forecast, config_costs,
+                         budget_core_s_per_video_s, workspace);
+}
 
 }  // namespace sky::core
 

@@ -1,17 +1,6 @@
 #include "core/profiler.h"
 
-#include <algorithm>
-#include <limits>
-
 namespace sky::core {
-
-double ConfigProfile::MinRuntime() const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const PlacementProfile& p : placements) {
-    best = std::min(best, p.runtime_s);
-  }
-  return best;
-}
 
 double ConfigProfile::OnPremRuntime() const {
   for (const PlacementProfile& p : placements) {

@@ -22,8 +22,6 @@ struct ConfigProfile {
   /// Cost-runtime Pareto placements for one segment, cheapest first.
   std::vector<PlacementProfile> placements;
 
-  /// The fastest placement's per-segment runtime.
-  double MinRuntime() const;
   /// The all-on-premise (cheapest) placement's per-segment runtime.
   double OnPremRuntime() const;
 };

@@ -61,12 +61,4 @@ size_t Placement::NumCloudNodes() const {
   return n;
 }
 
-double Placement::CloudCost(const TaskGraph& g) const {
-  double cost = 0.0;
-  for (size_t i = 0; i < node_loc.size() && i < g.NumNodes(); ++i) {
-    if (node_loc[i] == Loc::kCloud) cost += g.node(i).cloud_cost_usd;
-  }
-  return cost;
-}
-
 }  // namespace sky::dag

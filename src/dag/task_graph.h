@@ -80,8 +80,6 @@ struct Placement {
   }
 
   size_t NumCloudNodes() const;
-  /// Total cloud credits this placement charges for one execution of `g`.
-  double CloudCost(const TaskGraph& g) const;
 };
 
 }  // namespace sky::dag

@@ -47,8 +47,9 @@ struct MckpSolution {
 /// O(n log n) in the total option count, versus simplex pivots on a dense
 /// (#groups + 1) x n tableau.
 ///
-/// Matches lp::SolveLp on the equivalent program to fp round-off (both are
-/// exact); tests/mckp_test.cc enforces parity on randomized instances.
+/// Matches the dense simplex oracle in tests/support (oracle::SolveLp) on
+/// the equivalent program to fp round-off (both are exact);
+/// tests/mckp_test.cc enforces parity on randomized instances.
 ///
 /// Related but deliberately separate: lp/knapsack.h's
 /// MultipleChoiceKnapsackGreedy is the *integral* greedy approximation the

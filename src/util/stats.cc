@@ -7,21 +7,6 @@
 
 namespace sky {
 
-double Mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double Variance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double m = Mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size());
-}
-
 double MeanAbsoluteError(const std::vector<double>& a,
                          const std::vector<double>& b) {
   assert(a.size() == b.size());

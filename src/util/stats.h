@@ -6,12 +6,6 @@
 
 namespace sky {
 
-/// Arithmetic mean; returns 0 for an empty input.
-double Mean(const std::vector<double>& xs);
-
-/// Population variance; returns 0 for inputs with fewer than 2 elements.
-double Variance(const std::vector<double>& xs);
-
 /// Mean absolute error between two equally sized vectors.
 double MeanAbsoluteError(const std::vector<double>& a,
                          const std::vector<double>& b);

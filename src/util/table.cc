@@ -60,18 +60,4 @@ void TablePrinter::Print(std::ostream& os) const {
   os.flush();
 }
 
-std::string TablePrinter::ToCsv() const {
-  std::ostringstream os;
-  auto emit = [&os](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) os << ",";
-      os << row[i];
-    }
-    os << "\n";
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
 }  // namespace sky

@@ -25,7 +25,6 @@ class TablePrinter {
 
   void Print(std::ostream& os) const;
   const std::string& title() const { return title_; }
-  std::string ToCsv() const;
 
  private:
   std::string title_;

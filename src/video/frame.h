@@ -31,14 +31,6 @@ struct Frame {
   std::vector<SceneObject> objects;
 };
 
-/// Intersection-over-union of two objects' boxes; 0 if disjoint.
-double BoxIou(const SceneObject& a, const SceneObject& b);
-
-/// Fraction of objects whose box overlaps some other object's box with
-/// IoU above `threshold` — the occlusion measure the quality models key on.
-double OcclusionFraction(const std::vector<SceneObject>& objects,
-                         double threshold = 0.05);
-
 }  // namespace sky::video
 
 #endif  // SKYSCRAPER_VIDEO_FRAME_H_

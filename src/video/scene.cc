@@ -1,34 +1,8 @@
 #include "video/scene.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sky::video {
-
-double BoxIou(const SceneObject& a, const SceneObject& b) {
-  double ix = std::max(0.0, std::min(a.x + a.w, b.x + b.w) - std::max(a.x, b.x));
-  double iy = std::max(0.0, std::min(a.y + a.h, b.y + b.h) - std::max(a.y, b.y));
-  double inter = ix * iy;
-  if (inter <= 0.0) return 0.0;
-  double uni = a.w * a.h + b.w * b.h - inter;
-  return uni > 0.0 ? inter / uni : 0.0;
-}
-
-double OcclusionFraction(const std::vector<SceneObject>& objects,
-                         double threshold) {
-  if (objects.empty()) return 0.0;
-  size_t occluded = 0;
-  for (size_t i = 0; i < objects.size(); ++i) {
-    for (size_t j = 0; j < objects.size(); ++j) {
-      if (i == j) continue;
-      if (BoxIou(objects[i], objects[j]) > threshold) {
-        ++occluded;
-        break;
-      }
-    }
-  }
-  return static_cast<double>(occluded) / static_cast<double>(objects.size());
-}
 
 SceneGenerator::SceneGenerator(const SceneOptions& options)
     : options_(options), rng_(options.seed) {}

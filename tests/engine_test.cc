@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/oracles.h"
 #include "util/stats.h"
 #include "video/stream_source.h"
 #include "workloads/ev_counting.h"
@@ -258,22 +259,44 @@ TEST_F(EngineTest, GroundTruthForecastIsTheNextIntervalsTrueHistogram) {
   }
 }
 
-TEST_F(EngineTest, SimplexBackendMatchesStructuredEndToEnd) {
-  // The two planner backends return the same optimum, so a full ingestion
-  // run must be identical on both (same plans -> same switch decisions).
-  EngineOptions simplex_opts = BaseOptions();
-  simplex_opts.planner_backend = PlannerBackend::kSimplex;
-  IngestionEngine structured(workload_, model_, cluster_, cost_model_,
-                             BaseOptions());
-  IngestionEngine simplex(workload_, model_, cluster_, cost_model_,
-                          simplex_opts);
-  auto rs = structured.Run(Days(6));
-  auto rx = simplex.Run(Days(6));
-  ASSERT_TRUE(rs.ok() && rx.ok());
-  EXPECT_NEAR(rs->total_quality, rx->total_quality,
-              1e-6 * rs->total_quality);
-  EXPECT_EQ(rs->switch_count, rx->switch_count);
-  EXPECT_EQ(rs->misclassified, rx->misclassified);
+TEST_F(EngineTest, OraclePlannedRunMatchesSelfPlannedRun) {
+  // The dense-simplex oracle finds the same optimum as the engine's own
+  // planner, so an engine planned by the oracle through the public boundary
+  // hooks (prepare, solve, install, with the all-cheapest fallback when
+  // nothing fits) ingests the same run as a plain Run(). The work budget
+  // lies between the cheapest and the dearest configuration's cost, so it
+  // binds at every boundary.
+  EngineOptions opts = BaseOptions();
+  opts.plan_interval = Hours(6);
+  opts.work_budget_override = 10.0;
+  IngestionEngine self_planned(workload_, model_, cluster_, cost_model_, opts);
+  auto expected = self_planned.Run(Days(6));
+  ASSERT_TRUE(expected.ok());
+
+  IngestionEngine engine(workload_, model_, cluster_, cost_model_, opts);
+  ASSERT_TRUE(engine.Start(Days(6)).ok());
+  size_t boundaries = 0;
+  while (!engine.Done()) {
+    if (engine.AtPlanBoundary()) {
+      ASSERT_TRUE(engine.PrepareBoundary().ok());
+      Result<KnobPlan> plan = oracle::ComputeKnobPlan(
+          model_->categories, engine.boundary_forecast(),
+          engine.config_costs(), engine.PlanBudgetCoreSPerVideoS());
+      if (!plan.ok()) {
+        ASSERT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
+        plan = engine.FallbackPlan(engine.boundary_forecast());
+      }
+      ASSERT_TRUE(engine.InstallPlan(std::move(*plan)).ok());
+      ++boundaries;
+    }
+    ASSERT_TRUE(engine.Step().ok());
+  }
+  EXPECT_EQ(boundaries, 4u);
+  const EngineResult& got = engine.partial_result();
+  EXPECT_NEAR(got.total_quality, expected->total_quality,
+              1e-6 * expected->total_quality);
+  EXPECT_EQ(got.switch_count, expected->switch_count);
+  EXPECT_EQ(got.misclassified, expected->misclassified);
 }
 
 TEST_F(EngineTest, NoTypeBLeavesOnlyTypeAErrors) {

@@ -7,8 +7,8 @@
 #include <limits>
 
 #include "core/planner.h"
-#include "lp/simplex.h"
 #include "ml/kmeans.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace sky {
@@ -160,11 +160,8 @@ TEST(MckpSolverTest, PlannersRejectNonFiniteBudgets) {
   core::ContentCategories cats =
       core::ContentCategories::FromKMeans(std::move(km));
   for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
-    for (auto backend :
-         {core::PlannerBackend::kStructured, core::PlannerBackend::kSimplex}) {
-      EXPECT_FALSE(
-          core::ComputeKnobPlan(cats, {1.0}, {1.0, 2.0}, bad, backend).ok());
-    }
+    EXPECT_FALSE(core::ComputeKnobPlan(cats, {1.0}, {1.0, 2.0}, bad).ok());
+    EXPECT_FALSE(oracle::ComputeKnobPlan(cats, {1.0}, {1.0, 2.0}, bad).ok());
   }
 }
 
@@ -234,16 +231,14 @@ Instance RandomInstance(Rng* rng) {
 TEST(MckpPropertyTest, StructuredMatchesSimplexOnRandomInstances) {
   Rng rng(20260728);
   core::PlanWorkspace structured_ws;
-  core::PlanWorkspace simplex_ws;
   size_t infeasible_seen = 0;
   for (int trial = 0; trial < 200; ++trial) {
     Instance inst = RandomInstance(&rng);
-    auto structured = core::ComputeKnobPlan(
-        inst.categories, inst.forecast, inst.costs, inst.budget,
-        core::PlannerBackend::kStructured, &structured_ws);
-    auto simplex = core::ComputeKnobPlan(
-        inst.categories, inst.forecast, inst.costs, inst.budget,
-        core::PlannerBackend::kSimplex, &simplex_ws);
+    auto structured =
+        core::ComputeKnobPlan(inst.categories, inst.forecast, inst.costs,
+                              inst.budget, &structured_ws);
+    auto simplex = oracle::ComputeKnobPlan(inst.categories, inst.forecast,
+                                           inst.costs, inst.budget);
     ASSERT_EQ(structured.ok(), simplex.ok())
         << "feasibility disagreement on trial " << trial;
     if (!structured.ok()) {
@@ -277,13 +272,11 @@ TEST(MckpPropertyTest, SingleCategorySingleConfigDegenerate) {
   km.centers = {{0.7}};
   core::ContentCategories cats =
       core::ContentCategories::FromKMeans(std::move(km));
-  auto plan = core::ComputeKnobPlan(cats, {1.0}, {2.0}, 2.5,
-                                    core::PlannerBackend::kStructured);
+  auto plan = core::ComputeKnobPlan(cats, {1.0}, {2.0}, 2.5);
   ASSERT_TRUE(plan.ok());
   EXPECT_NEAR(plan->alpha.At(0, 0), 1.0, 1e-12);
   EXPECT_NEAR(plan->expected_quality, 0.7, 1e-12);
-  auto infeasible = core::ComputeKnobPlan(cats, {1.0}, {2.0}, 1.5,
-                                          core::PlannerBackend::kStructured);
+  auto infeasible = core::ComputeKnobPlan(cats, {1.0}, {2.0}, 1.5);
   EXPECT_FALSE(infeasible.ok());
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ml/kmeans.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
 namespace sky::core {
@@ -25,19 +26,31 @@ TEST(FairCoreShareTest, FloorsAndClamps) {
   EXPECT_EQ(FairCoreShare(8, 0), 8);
 }
 
-/// Joint-planner properties must hold on both backends: the structured MCKP
-/// decomposition (default) and the dense joint-LP simplex oracle.
-class JointPlannerTest : public ::testing::TestWithParam<PlannerBackend> {
- protected:
-  PlannerBackend backend() const { return GetParam(); }
-};
+/// The joint planner's plans, after checking them against the dense
+/// joint-LP simplex oracle: the same status code and, when both solve the
+/// program, the same joint objective.
+Result<std::vector<KnobPlan>> JointPlan(
+    const std::vector<StreamPlanInput>& streams, double budget) {
+  auto plans = ComputeJointKnobPlan(streams, budget);
+  auto reference = oracle::ComputeJointKnobPlan(streams, budget);
+  EXPECT_EQ(plans.status().code(), reference.status().code());
+  if (plans.ok() && reference.ok()) {
+    double quality = 0.0, reference_quality = 0.0;
+    for (size_t v = 0; v < streams.size(); ++v) {
+      quality += (*plans)[v].expected_quality;
+      reference_quality += (*reference)[v].expected_quality;
+    }
+    EXPECT_NEAR(quality, reference_quality, 1e-6) << "budget " << budget;
+  }
+  return plans;
+}
 
-TEST_P(JointPlannerTest, SharedBudgetAllocatedAcrossStreams) {
+TEST(JointPlannerTest, SharedBudgetAllocatedAcrossStreams) {
   ContentCategories cats_a = MakeCategories(0.05, 0.5);
   ContentCategories cats_b = MakeCategories(0.05, 0.5);
   StreamPlanInput a{&cats_a, {0.5, 0.5}, {1.0, 6.0}};
   StreamPlanInput b{&cats_b, {0.5, 0.5}, {1.0, 6.0}};
-  auto plans = ComputeJointKnobPlan({a, b}, 6.0, backend());
+  auto plans = JointPlan({a, b}, 6.0);
   ASSERT_TRUE(plans.ok());
   ASSERT_EQ(plans->size(), 2u);
   double total_work = 0.0;
@@ -52,30 +65,29 @@ TEST_P(JointPlannerTest, SharedBudgetAllocatedAcrossStreams) {
   EXPECT_LE(total_work, 6.0 + 1e-6);
 }
 
-TEST_P(JointPlannerTest, BudgetFlowsToStreamWithMoreToGain) {
+TEST(JointPlannerTest, BudgetFlowsToStreamWithMoreToGain) {
   // Stream A gains little from its expensive config; stream B gains a lot.
   ContentCategories cats_a = MakeCategories(0.02, 0.08);
   ContentCategories cats_b = MakeCategories(0.05, 0.55);
   StreamPlanInput a{&cats_a, {0.5, 0.5}, {1.0, 6.0}};
   StreamPlanInput b{&cats_b, {0.5, 0.5}, {1.0, 6.0}};
-  auto plans = ComputeJointKnobPlan({a, b}, 2.0 + 3.5, backend());
+  auto plans = JointPlan({a, b}, 2.0 + 3.5);
   ASSERT_TRUE(plans.ok());
   // Expensive usage on B's hard category should exceed A's.
   EXPECT_GT((*plans)[1].alpha.At(1, 1), (*plans)[0].alpha.At(1, 1) + 0.2);
 }
 
-TEST_P(JointPlannerTest, MatchesSingleStreamPlannerWhenAlone) {
+TEST(JointPlannerTest, MatchesSingleStreamPlannerWhenAlone) {
   ContentCategories cats = MakeCategories(0.05, 0.5);
   std::vector<double> forecast = {0.6, 0.4};
   std::vector<double> costs = {1.0, 6.0};
-  auto single = ComputeKnobPlan(cats, forecast, costs, 3.0, backend());
-  auto joint =
-      ComputeJointKnobPlan({{&cats, forecast, costs}}, 3.0, backend());
+  auto single = ComputeKnobPlan(cats, forecast, costs, 3.0);
+  auto joint = JointPlan({{&cats, forecast, costs}}, 3.0);
   ASSERT_TRUE(single.ok() && joint.ok());
   EXPECT_NEAR(single->expected_quality, (*joint)[0].expected_quality, 1e-6);
 }
 
-TEST_P(JointPlannerTest, BackendsAgreeOnJointObjective) {
+TEST(JointPlannerTest, MatchesOracleOnJointObjective) {
   ContentCategories cats_a = MakeCategories(0.02, 0.3);
   ContentCategories cats_b = MakeCategories(0.08, 0.6);
   std::vector<StreamPlanInput> streams = {
@@ -83,54 +95,36 @@ TEST_P(JointPlannerTest, BackendsAgreeOnJointObjective) {
       {&cats_b, {0.2, 0.8}, {1.5, 4.0}},
       {&cats_a, {0.5, 0.5}, {0.8, 7.0}}};
   for (double budget : {3.5, 6.0, 11.0, 40.0}) {
-    auto structured =
-        ComputeJointKnobPlan(streams, budget, PlannerBackend::kStructured);
-    auto simplex =
-        ComputeJointKnobPlan(streams, budget, PlannerBackend::kSimplex);
-    ASSERT_TRUE(structured.ok() && simplex.ok());
-    double q_structured = 0.0, q_simplex = 0.0;
-    for (size_t v = 0; v < streams.size(); ++v) {
-      q_structured += (*structured)[v].expected_quality;
-      q_simplex += (*simplex)[v].expected_quality;
-    }
-    EXPECT_NEAR(q_structured, q_simplex, 1e-6) << "budget " << budget;
+    // JointPlan holds the joint objective to the oracle's within 1e-6.
+    ASSERT_TRUE(JointPlan(streams, budget).ok()) << "budget " << budget;
   }
 }
 
-TEST_P(JointPlannerTest, InfeasibleAndMalformedInputs) {
+TEST(JointPlannerTest, InfeasibleAndMalformedInputs) {
   ContentCategories cats = MakeCategories(0.05, 0.5);
   StreamPlanInput stream{&cats, {0.5, 0.5}, {2.0, 6.0}};
-  auto too_tight = ComputeJointKnobPlan({stream, stream}, 1.0, backend());
+  auto too_tight = JointPlan({stream, stream}, 1.0);
   EXPECT_FALSE(too_tight.ok());
   EXPECT_EQ(too_tight.status().code(), StatusCode::kResourceExhausted);
 
-  EXPECT_FALSE(ComputeJointKnobPlan({}, 5.0, backend()).ok());
+  EXPECT_FALSE(JointPlan({}, 5.0).ok());
   StreamPlanInput bad{&cats, {0.5}, {2.0, 6.0}};  // wrong forecast arity
-  EXPECT_FALSE(ComputeJointKnobPlan({bad}, 5.0, backend()).ok());
+  EXPECT_FALSE(JointPlan({bad}, 5.0).ok());
   StreamPlanInput null_cats{nullptr, {0.5, 0.5}, {2.0, 6.0}};
-  EXPECT_FALSE(ComputeJointKnobPlan({null_cats}, 5.0, backend()).ok());
+  EXPECT_FALSE(JointPlan({null_cats}, 5.0).ok());
 }
 
-TEST_P(JointPlannerTest, ScalesToManyStreams) {
+TEST(JointPlannerTest, ScalesToManyStreams) {
   ContentCategories cats = MakeCategories(0.05, 0.5);
   std::vector<StreamPlanInput> streams(
       8, StreamPlanInput{&cats, {0.5, 0.5}, {1.0, 6.0}});
-  auto plans = ComputeJointKnobPlan(streams, 20.0, backend());
+  auto plans = JointPlan(streams, 20.0);
   ASSERT_TRUE(plans.ok());
   EXPECT_EQ(plans->size(), 8u);
   double total = 0.0;
   for (const KnobPlan& p : *plans) total += p.expected_work;
   EXPECT_LE(total, 20.0 + 1e-6);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, JointPlannerTest,
-                         ::testing::Values(PlannerBackend::kStructured,
-                                           PlannerBackend::kSimplex),
-                         [](const auto& info) {
-                           return info.param == PlannerBackend::kStructured
-                                      ? "Structured"
-                                      : "Simplex";
-                         });
 
 bool BitsEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;
@@ -208,8 +202,7 @@ TEST(JointPlannerStateTest, LongLivedPlannerMatchesFreshSolvesBitwise) {
     JointPlanner fresh;
     std::vector<KnobPlan> fresh_plans;
     ASSERT_TRUE(fresh.Plan(inputs, budget, &fresh_plans).ok());
-    auto cold =
-        ComputeJointKnobPlan(inputs, budget, PlannerBackend::kStructured);
+    auto cold = ComputeJointKnobPlan(inputs, budget);
     ASSERT_TRUE(cold.ok());
     if (!PlansBitwiseEqual(plans, fresh_plans) ||
         !PlansBitwiseEqual(plans, *cold)) {

@@ -20,7 +20,6 @@
 #include "core/planner.h"
 #include "io/checkpoint_io.h"
 #include "lp/knapsack.h"
-#include "lp/simplex.h"
 #include "ml/nn.h"
 #include "sim/cluster_sim.h"
 #include "support/oracles.h"
@@ -240,7 +239,7 @@ TEST_P(KnapsackVsLpSweep, GreedyNearLpBound) {
   ASSERT_TRUE(greedy.ok());
 
   // LP relaxation upper bound.
-  lp::LinearProgram relax;
+  oracle::LinearProgram relax;
   size_t nvars = groups * options;
   relax.objective.assign(nvars, 0.0);
   std::vector<double> budget_row(nvars, 0.0);
@@ -256,9 +255,9 @@ TEST_P(KnapsackVsLpSweep, GreedyNearLpBound) {
   }
   relax.a_ub.push_back(budget_row);
   relax.b_ub.push_back(capacity);
-  auto bound = lp::SolveLp(relax);
+  auto bound = oracle::SolveLp(relax);
   ASSERT_TRUE(bound.ok());
-  ASSERT_EQ(bound->status, lp::LpStatus::kOptimal);
+  ASSERT_EQ(bound->status, oracle::LpStatus::kOptimal);
 
   EXPECT_LE(greedy->total_value, bound->objective_value + 1e-6);
   EXPECT_GE(greedy->total_value, bound->objective_value * 0.99 - 0.5);

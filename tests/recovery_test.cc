@@ -369,8 +369,7 @@ TEST_F(RecoveryTest, CheckpointBetweenPrepareAndInstallCarriesPlanFeatures) {
   auto plan = core::ComputeKnobPlan(model.categories,
                                     resumed.boundary_forecast(),
                                     resumed.config_costs(),
-                                    resumed.PlanBudgetCoreSPerVideoS(),
-                                    resumed.options().planner_backend);
+                                    resumed.PlanBudgetCoreSPerVideoS());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ASSERT_TRUE(resumed.InstallPlan(std::move(*plan)).ok());
   while (!resumed.Done()) ASSERT_TRUE(resumed.Step().ok());

@@ -5,30 +5,6 @@
 namespace sky::video {
 namespace {
 
-TEST(BoxIouTest, KnownValues) {
-  SceneObject a{1, 0.0, 0.0, 0.5, 0.5};
-  SceneObject b{2, 0.25, 0.25, 0.5, 0.5};
-  // Intersection 0.25 x 0.25 = 0.0625; union 0.25 + 0.25 - 0.0625.
-  EXPECT_NEAR(BoxIou(a, b), 0.0625 / 0.4375, 1e-9);
-  SceneObject c{3, 0.9, 0.9, 0.05, 0.05};
-  EXPECT_DOUBLE_EQ(BoxIou(a, c), 0.0);
-  EXPECT_DOUBLE_EQ(BoxIou(a, a), 1.0);
-}
-
-TEST(OcclusionTest, EmptyAndDisjoint) {
-  EXPECT_DOUBLE_EQ(OcclusionFraction({}), 0.0);
-  std::vector<SceneObject> objs = {{1, 0.0, 0.0, 0.1, 0.1},
-                                   {2, 0.5, 0.5, 0.1, 0.1}};
-  EXPECT_DOUBLE_EQ(OcclusionFraction(objs), 0.0);
-}
-
-TEST(OcclusionTest, OverlappingPairCounts) {
-  std::vector<SceneObject> objs = {{1, 0.0, 0.0, 0.2, 0.2},
-                                   {2, 0.05, 0.05, 0.2, 0.2},
-                                   {3, 0.7, 0.7, 0.1, 0.1}};
-  EXPECT_NEAR(OcclusionFraction(objs), 2.0 / 3.0, 1e-9);
-}
-
 TEST(SceneGeneratorTest, DensityDrivesPopulation) {
   SceneOptions opts;
   opts.seed = 21;

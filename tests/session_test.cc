@@ -282,8 +282,7 @@ TEST_F(SessionTest, ExternallyInstalledPlanDrivesTheInterval) {
       auto plan = ComputeKnobPlan(model_->categories,
                                   manual.boundary_forecast(),
                                   manual.config_costs(),
-                                  manual.PlanBudgetCoreSPerVideoS(),
-                                  manual.options().planner_backend);
+                                  manual.PlanBudgetCoreSPerVideoS());
       ASSERT_TRUE(plan.ok());
       ASSERT_TRUE(manual.InstallPlan(std::move(*plan)).ok());
     }

@@ -1,10 +1,13 @@
-#include "lp/simplex.h"
+// The dense simplex oracle of tests/support, the reference the knob
+// planners' parity tests hold lp::MckpSolver to.
 
 #include <gtest/gtest.h>
 
+#include "ml/kmeans.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 
-namespace sky::lp {
+namespace sky::oracle {
 namespace {
 
 TEST(SimplexTest, SimpleTwoVariableMax) {
@@ -170,6 +173,16 @@ TEST(SimplexTest, KnobPlannerShapedProgram) {
   for (int i = 0; i < 6; ++i) spent += budget_row[i] * sol->x[i];
   EXPECT_LE(spent, 4.0 + 1e-6);
   EXPECT_GT(sol->objective_value, 0.6);
+
+  // The planner-level oracle assembles the same program from categories.
+  ml::KMeansModel km;
+  km.centers = {{0.5, 0.8, 1.0}, {0.2, 0.6, 0.95}};
+  core::ContentCategories cats =
+      core::ContentCategories::FromKMeans(std::move(km));
+  auto plan = oracle::ComputeKnobPlan(cats, {0.7, 0.3}, {1, 4, 10}, 4.0);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NEAR(plan->expected_quality, sol->objective_value, 1e-9);
+  EXPECT_NEAR(plan->expected_work, spent, 1e-9);
 }
 
 // Property sweep: random feasible LPs — solution must satisfy constraints
@@ -205,4 +218,4 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpSweep,
                          ::testing::Range<uint64_t>(1, 21));
 
 }  // namespace
-}  // namespace sky::lp
+}  // namespace sky::oracle

@@ -1,10 +1,10 @@
-#include "lp/simplex.h"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
-namespace sky::lp {
+#include "support/oracles.h"
+
+namespace sky::oracle {
 
 namespace {
 
@@ -253,4 +253,92 @@ Result<LpSolution> SolveLp(const LinearProgram& lp, const LpOptions& options) {
   return sol;
 }
 
-}  // namespace sky::lp
+namespace {
+
+/// The workspace's coefficients as one dense program, solved by SolveLp
+/// into ws->x: the objective and the budget row are the flat value and cost
+/// arrays, plus one normalization equality per group.
+Status SolvePlanProgram(double budget, core::PlanWorkspace* ws) {
+  size_t n = ws->costs.size();
+  LinearProgram program;
+  program.objective = ws->values;
+  program.a_ub.assign(1, ws->costs);
+  program.b_ub.assign(1, budget);
+  program.a_eq.assign(ws->num_groups, std::vector<double>(n, 0.0));
+  program.b_eq.assign(ws->num_groups, 1.0);
+  for (size_t g = 0; g < ws->num_groups; ++g) {
+    for (size_t j = ws->group_offsets[g]; j < ws->group_offsets[g + 1]; ++j) {
+      program.a_eq[g][j] = 1.0;
+    }
+  }
+
+  SKY_ASSIGN_OR_RETURN(LpSolution solution, SolveLp(program));
+  if (solution.status == LpStatus::kInfeasible) {
+    return Status::ResourceExhausted(
+        "knob plan infeasible: even the cheapest configurations exceed "
+        "the budget");
+  }
+  if (solution.status == LpStatus::kUnbounded) {
+    return Status::Internal("knob-planning LP unbounded");
+  }
+  if (solution.status == LpStatus::kIterationLimit) {
+    // Never accept an unproven point: the oracle's whole job is to be exact.
+    return Status::Internal(
+        "knob-planning LP hit the simplex iteration limit before proving "
+        "optimality");
+  }
+  ws->x = std::move(solution.x);
+  return Status::Ok();
+}
+
+Status CheckBudget(double budget) {
+  if (!(budget > 0) || !std::isfinite(budget)) {
+    return Status::InvalidArgument("budget must be positive and finite");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<core::KnobPlan> ComputeKnobPlan(
+    const core::ContentCategories& categories,
+    const std::vector<double>& forecast,
+    const std::vector<double>& config_costs, double budget) {
+  SKY_RETURN_NOT_OK(CheckBudget(budget));
+  core::PlanWorkspace ws;
+  SKY_ASSIGN_OR_RETURN(
+      size_t first_group,
+      core::AppendPlanCoefficients(categories, forecast, config_costs, &ws));
+  SKY_RETURN_NOT_OK(SolvePlanProgram(budget, &ws));
+  return core::ExtractPlan(ws, first_group, categories, forecast,
+                           config_costs);
+}
+
+Result<std::vector<core::KnobPlan>> ComputeJointKnobPlan(
+    const std::vector<core::StreamPlanInput>& streams, double budget) {
+  if (streams.empty()) {
+    return Status::InvalidArgument("no streams to plan for");
+  }
+  SKY_RETURN_NOT_OK(CheckBudget(budget));
+  core::PlanWorkspace ws;
+  std::vector<size_t> first_groups;
+  for (const core::StreamPlanInput& s : streams) {
+    if (s.categories == nullptr) {
+      return Status::InvalidArgument("null categories in stream input");
+    }
+    SKY_ASSIGN_OR_RETURN(size_t first,
+                         core::AppendPlanCoefficients(
+                             *s.categories, s.forecast, s.config_costs, &ws));
+    first_groups.push_back(first);
+  }
+  SKY_RETURN_NOT_OK(SolvePlanProgram(budget, &ws));
+  std::vector<core::KnobPlan> plans;
+  for (size_t v = 0; v < streams.size(); ++v) {
+    const core::StreamPlanInput& s = streams[v];
+    plans.push_back(core::ExtractPlan(ws, first_groups[v], *s.categories,
+                                      s.forecast, s.config_costs));
+  }
+  return plans;
+}
+
+}  // namespace sky::oracle

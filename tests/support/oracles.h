@@ -1,13 +1,14 @@
 #ifndef SKYSCRAPER_TESTS_SUPPORT_ORACLES_H_
 #define SKYSCRAPER_TESTS_SUPPORT_ORACLES_H_
 
-// Reference implementations the parity tests and the forecaster benches
-// compare libsky against. Each is the plain, allocating form of something
-// libsky computes faster: the per-sample trainer and the sequential forward
-// pass of the forecasting network, the naive matrix product, the category
-// counts, histograms and forecaster features of a scanned history, the serial
-// k-means over per-point vectors, and the diurnal content process with its
-// whole horizon's events drawn up front. None of them runs in a
+// Reference implementations the parity tests and the forecaster and planner
+// benches compare libsky against. Each is the plain, allocating form of
+// something libsky computes faster: the per-sample trainer and the
+// sequential forward pass of the forecasting network, the naive matrix
+// product, the category counts, histograms and forecaster features of a
+// scanned history, the serial k-means over per-point vectors, the diurnal
+// content process with its whole horizon's events drawn up front, and the
+// knob planners' program solved by dense simplex. None of them runs in a
 // deployment, so they live here and libsky never links them.
 
 #include <cstddef>
@@ -16,6 +17,8 @@
 
 #include "core/category_sequence.h"
 #include "core/forecaster.h"
+#include "core/multi_stream.h"
+#include "core/planner.h"
 #include "ml/kmeans.h"
 #include "ml/matrix.h"
 #include "ml/nn.h"
@@ -92,6 +95,68 @@ Result<ml::KMeansModel> KMeansFit(
 /// The columns of `columns` as one vector per point: the points
 /// ml::KMeansFit and ml::GmmFit read, in the form the oracle above takes.
 std::vector<std::vector<double>> PointsOf(const ml::Matrix& columns);
+
+/// maximize   c^T x
+/// subject to A_ub x <= b_ub
+///            A_eq x  = b_eq
+///            x >= 0
+///
+/// This is the exact shape of the knob planner's program (§4.1): one
+/// budget inequality plus one normalization equality per content category.
+struct LinearProgram {
+  std::vector<double> objective;          ///< c, length n
+  std::vector<std::vector<double>> a_ub;  ///< rows of length n
+  std::vector<double> b_ub;
+  std::vector<std::vector<double>> a_eq;  ///< rows of length n
+  std::vector<double> b_eq;
+
+  size_t NumVariables() const { return objective.size(); }
+};
+
+enum class LpStatus {
+  kOptimal,
+  kInfeasible,
+  kUnbounded,
+  /// The iteration guard was exhausted before optimality was proven. When
+  /// the limit hit in phase 2, `x` holds the best feasible point found
+  /// (best effort); when it hit in phase 1, `x` is empty and even
+  /// feasibility is undetermined.
+  kIterationLimit,
+};
+
+struct LpSolution {
+  LpStatus status = LpStatus::kInfeasible;
+  std::vector<double> x;
+  double objective_value = 0.0;
+};
+
+struct LpOptions {
+  /// Hard cap on simplex iterations per phase; 0 means an automatic guard
+  /// scaled to the problem size. Exposed so the iteration-limit path is
+  /// testable on small programs.
+  size_t max_iterations = 0;
+};
+
+/// Dense two-phase primal simplex with Bland's anti-cycling rule. Intended
+/// for the small programs the knob planners produce (|C|·|K| variables per
+/// stream); fails on malformed input shapes.
+Result<LpSolution> SolveLp(const LinearProgram& lp,
+                           const LpOptions& options = {});
+
+/// core::ComputeKnobPlan with the program solved by SolveLp on the dense
+/// tableau instead of lp::MckpSolver: the same coefficients
+/// (core::AppendPlanCoefficients), the same plan extraction
+/// (core::ExtractPlan) and the same status codes. Both solvers are exact, so
+/// the two plans agree on expected quality to fp round-off.
+Result<core::KnobPlan> ComputeKnobPlan(
+    const core::ContentCategories& categories,
+    const std::vector<double>& forecast,
+    const std::vector<double>& config_costs, double budget);
+
+/// core::ComputeJointKnobPlan solved by SolveLp: one dense program of
+/// (Σ C_v + 1) rows over all streams' V·C·K options.
+Result<std::vector<core::KnobPlan>> ComputeJointKnobPlan(
+    const std::vector<core::StreamPlanInput>& streams, double budget);
 
 /// video::DiurnalContentProcess with every event of the horizon drawn at
 /// construction, in the one candidate pass the process replays per day,

@@ -86,13 +86,8 @@ TEST(RngTest, ForkIndependentButDeterministic) {
   EXPECT_TRUE(diverged);
 }
 
-TEST(StatsTest, MeanVarianceMae) {
-  std::vector<double> xs = {1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(Mean(xs), 2.5);
-  EXPECT_DOUBLE_EQ(Variance(xs), 1.25);
+TEST(StatsTest, MeanAbsoluteError) {
   EXPECT_DOUBLE_EQ(MeanAbsoluteError({1, 2}, {2, 4}), 1.5);
-  EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(Variance({1.0}), 0.0);
 }
 
 TEST(StatsTest, Percentile) {
@@ -131,7 +126,7 @@ TEST(SimTimeTest, Conversions) {
   EXPECT_DOUBLE_EQ(TimeOfDay(Days(3)), 0.0);
 }
 
-TEST(TableTest, PrintsAlignedRowsAndCsv) {
+TEST(TableTest, PrintsAlignedRows) {
   TablePrinter t("demo");
   t.SetHeader({"a", "bb"});
   t.AddRow({"1", "2"});
@@ -140,7 +135,8 @@ TEST(TableTest, PrintsAlignedRowsAndCsv) {
   t.Print(os);
   EXPECT_NE(os.str().find("demo"), std::string::npos);
   EXPECT_NE(os.str().find("bb"), std::string::npos);
-  EXPECT_EQ(t.ToCsv(), "a,bb\n1,2\n1.5,50%\n");
+  EXPECT_NE(os.str().find("50%"), std::string::npos);
+  EXPECT_EQ(TablePrinter::Fmt(1.5, 1), "1.5");
   EXPECT_EQ(TablePrinter::Usd(14.9), "$14.90");
 }
 
