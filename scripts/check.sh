@@ -3,7 +3,8 @@
 # session/StreamSet parity gates — session_test, stream_set_test, api_test —
 # and the model-persistence round-trip/ingest-parity gates in
 # model_io_test). CI's build-and-test job runs this default mode, and its
-# asan and tsan jobs run --asan and --tsan, so each list lives here only.
+# asan, tsan and forced-scalar jobs run --asan, --tsan and --scalar, so each
+# list lives here only.
 #
 # After the tests: scripts/smoke.sh (the `sky` CLI's train-once /
 # serve-many flow, its exit-code and hygiene contract, and the `sky serve`
@@ -26,6 +27,10 @@
 # the offline phase's pool, the clustering restarts that share it) under
 # ThreadSanitizer in a separate build-tsan tree and skips the benches: it
 # is a race detector pass, not a perf gate.
+# `--scalar` builds the ML and engine suites in the Release tree and runs
+# them with SKY_FORCE_SCALAR=1, so the kernel dispatcher picks the portable
+# scalar oracle instead of a vector tier: every result the suites check
+# must hold on both, or the dispatch abstraction is leaking results.
 # `--props` runs only the randomized property suites (property_test,
 # scenario_test) with a fresh SKY_PROP_SEED — a different slice of the
 # instance space each run. The chosen seed is logged, written to
@@ -53,6 +58,20 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cd build-tsan
   ctest --output-on-failure -L tsan -j "$(nproc)"
   echo "TSan concurrency suite passed"
+  exit 0
+fi
+
+if [[ "${1:-}" == "--scalar" ]]; then
+  suites=(kernels_test nn_test matrix_test forecaster_test
+          forecaster_threads_test engine_test offline_determinism_test
+          alloc_steady_state_test model_io_test kmeans_test gmm_test
+          categorizer_test)
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build -j "$(nproc)" --target "${suites[@]}"
+  cd build
+  SKY_FORCE_SCALAR=1 ctest --output-on-failure \
+    -R "^($(IFS='|'; echo "${suites[*]}"))\$" -j "$(nproc)"
+  echo "ML and engine suites passed on the scalar kernels"
   exit 0
 fi
 

@@ -178,7 +178,8 @@ void Forecaster::FeaturesFromSplitCountsInto(
 
 void Forecaster::ForecastInto(const std::vector<double>& features,
                               std::vector<double>* out) const {
-  net_.PredictInto(features, &predict_scratch_, out);
+  thread_local ml::PredictScratch scratch;
+  net_.PredictInto(features, &scratch, out);
 }
 
 void Forecaster::OnlineUpdate(const std::vector<double>& features,

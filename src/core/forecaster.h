@@ -79,15 +79,16 @@ class Forecaster {
                                    std::vector<double>* out) const;
 
   /// Predicted category distribution r over the planned interval, written
-  /// into `out` through an internal inference scratch: zero heap allocation
-  /// at steady state. The shared scratch makes concurrent calls on one
-  /// Forecaster object a data race — engines operate on their own copies.
+  /// into `out` through the calling thread's inference scratch: once the
+  /// thread has forecast with a model of this shape, no heap allocation.
+  /// Safe to call concurrently on one Forecaster.
   void ForecastInto(const std::vector<double>& features,
                     std::vector<double>* out) const;
 
   /// Online fine-tuning step on a realized (features, outcome) pair (§3.3).
-  /// Runs against the net's reusable workspace: allocation-free at steady
-  /// state on the engine's plan boundary.
+  /// Runs against the calling thread's workspace (FeedForwardNet::
+  /// OnlineUpdate): allocation-free at steady state on the engine's plan
+  /// boundary.
   void OnlineUpdate(const std::vector<double>& features,
                     const std::vector<double>& realized_distribution,
                     double learning_rate = 1e-3);
@@ -136,8 +137,6 @@ class Forecaster {
   ForecasterOptions options_;
   size_t num_categories_;
   ml::TrainReport report_;
-  /// Reused by ForecastInto so steady-state inference allocates nothing.
-  mutable ml::PredictScratch predict_scratch_;
 };
 
 }  // namespace sky::core

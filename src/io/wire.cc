@@ -174,10 +174,6 @@ void Cursor::ExpectEnd(const char* what) {
 
 void PutU32(std::string* out, uint32_t v) { Writer(out).U32(v); }
 
-void PutU64Vec(std::string* out, const std::vector<size_t>& v) {
-  Writer(out).U64Vec(v);
-}
-
 namespace {
 
 /// Written as a native u32; a reader on a machine with different endianness
@@ -345,16 +341,5 @@ void TransferForecaster(Io& io, F& forecaster) {
 
 template void TransferForecaster(Writer&, const std::optional<core::Forecaster>&);
 template void TransferForecaster(Cursor&, std::optional<core::Forecaster>&);
-
-void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
-                      std::string* out) {
-  Writer w(out);
-  TransferForecaster(w, forecaster);
-}
-
-Status ParseForecaster(Cursor* c, std::optional<core::Forecaster>* out) {
-  TransferForecaster(*c, *out);
-  return c->status();
-}
 
 }  // namespace sky::io::wire

@@ -218,9 +218,8 @@ class Cursor {
   Status status_;
 };
 
-/// Single-field writers for hand-built payloads.
+/// Single-field writer for hand-built payloads.
 void PutU32(std::string* out, uint32_t v);
-void PutU64Vec(std::string* out, const std::vector<size_t>& v);
 
 // --- Checksummed chunk container -------------------------------------------
 
@@ -298,11 +297,6 @@ void TransferCategorySequence(Io& io, Seq& seq, size_t num_categories,
 /// loss other than cross-entropy or an output other than softmax.
 template <class Io, class F>
 void TransferForecaster(Io& io, F& forecaster);
-
-/// TransferForecaster to / from a standalone payload.
-void AppendForecaster(const std::optional<core::Forecaster>& forecaster,
-                      std::string* out);
-Status ParseForecaster(Cursor* c, std::optional<core::Forecaster>* out);
 
 }  // namespace sky::io::wire
 

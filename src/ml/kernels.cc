@@ -132,10 +132,6 @@ KernelBackend BestSupportedBackend() {
   return KernelBackend::kScalar;
 }
 
-bool KernelBackendSupported(KernelBackend backend) {
-  return OpsFor(backend) != nullptr;
-}
-
 Status SetKernelBackend(KernelBackend backend) {
   const KernelOps* ops = OpsFor(backend);
   if (ops == nullptr) {

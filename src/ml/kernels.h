@@ -69,9 +69,6 @@ KernelBackend ActiveKernelBackend();
 /// The best tier this host supports (what dispatch picks absent overrides).
 KernelBackend BestSupportedBackend();
 
-/// True when `backend` can run on this host with this build.
-bool KernelBackendSupported(KernelBackend backend);
-
 /// Forces the active backend (e.g. kScalar for an A/B bench or to exercise
 /// the oracle). Fails with InvalidArgument when the host or build does not
 /// support the tier. Not synchronized against kernels running concurrently

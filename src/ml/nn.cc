@@ -97,7 +97,6 @@ FeedForwardNet::FeedForwardNet(size_t input_dim, std::vector<size_t> hidden,
   for (size_t width : hidden) {
     Layer l;
     l.w = Matrix::RandomHe(width, in, rng);
-    l.wt = l.w.Transpose();
     l.b.assign(width, 0.0);
     l.mw = Matrix(width, in, 0.0);
     l.vw = Matrix(width, in, 0.0);
@@ -108,7 +107,6 @@ FeedForwardNet::FeedForwardNet(size_t input_dim, std::vector<size_t> hidden,
   }
   Layer out;
   out.w = Matrix::RandomHe(output_dim, in, rng);
-  out.wt = out.w.Transpose();
   out.b.assign(output_dim, 0.0);
   out.mw = Matrix(output_dim, in, 0.0);
   out.vw = Matrix(output_dim, in, 0.0);
@@ -198,9 +196,6 @@ Result<FeedForwardNet> FeedForwardNet::FromSnapshot(
     std::copy(snapshot.adam_v.begin() + offset,
               snapshot.adam_v.begin() + offset + nb, l.vb.begin());
     offset += nb;
-    // The batched forward reads the transposed weights; keep them in sync
-    // with the restored w exactly as AdamStep does.
-    l.w.TransposeInto(&l.wt);
   }
   net.adam_t_ = snapshot.adam_steps;
   return net;
@@ -234,6 +229,7 @@ void FeedForwardNet::SizeWorkspace(Workspace* ws, size_t max_rows,
                                    bool with_backward) const {
   size_t num_layers = layers_.size();
   if (ws->act.size() != num_layers + 1) {
+    ws->wt.resize(num_layers);
     ws->act.resize(num_layers + 1);
     ws->pre.resize(num_layers);
   }
@@ -257,12 +253,19 @@ void FeedForwardNet::SizeWorkspace(Workspace* ws, size_t max_rows,
   }
 }
 
+void FeedForwardNet::TransposeWeights(Workspace* ws) const {
+  // O(params) into reused capacity, dwarfed by the GEMM work it speeds up.
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    layers_[l].w.TransposeInto(&ws->wt[l]);
+  }
+}
+
 void FeedForwardNet::ForwardChunk(Workspace* ws, size_t m) const {
   assert(ws->act[0].rows() == m);
   for (size_t l = 0; l < layers_.size(); ++l) {
-    // Fused affine layer against the maintained transposed weights: pre =
-    // act * W^T + b as one row-major GEMM pass.
-    MatMulBiasInto(ws->act[l], layers_[l].wt, layers_[l].b, &ws->pre[l]);
+    // Fused affine layer against the transposed weights: pre = act * W^T + b
+    // as one row-major GEMM pass.
+    MatMulBiasInto(ws->act[l], ws->wt[l], layers_[l].b, &ws->pre[l]);
     ActivateRowsInto(l + 1 == layers_.size(), ws->pre[l], m,
                      &ws->act[l + 1]);
   }
@@ -338,9 +341,6 @@ void FeedForwardNet::AdamStep(const std::vector<Matrix>& grad_w,
       double vhat = l.vb[i] / bc2;
       l.b[i] -= lr * mhat / (std::sqrt(vhat) + kAdamEps);
     }
-    // Keep the transposed copy current for the batched forward (O(params),
-    // into reused capacity — dwarfed by the gradient work it speeds up).
-    l.w.TransposeInto(&l.wt);
   }
 }
 
@@ -376,6 +376,7 @@ void FeedForwardNet::PredictBatchInto(const Matrix& X, Matrix* out) const {
   if (n == 0) return;
   Workspace ws;
   SizeWorkspace(&ws, kPredictChunkRows, /*with_backward=*/false);
+  TransposeWeights(&ws);
   for (size_t begin = 0; begin < n; begin += kPredictChunkRows) {
     size_t m = std::min(kPredictChunkRows, n - begin);
     GatherRowRange(X, begin, m, &ws.act[0]);
@@ -418,8 +419,9 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
   std::vector<Layer> best_layers = layers_;
 
   size_t chunk_rows = std::max<size_t>(1, opts.grad_chunk_rows);
-  SizeWorkspace(&train_ws_, chunk_rows, /*with_backward=*/true);
-  Workspace& ws = train_ws_;
+  Workspace ws;
+  SizeWorkspace(&ws, chunk_rows, /*with_backward=*/true);
+  TransposeWeights(&ws);
   // The minibatch gradient: every chunk's gradient is added in chunk order.
   std::vector<Matrix> grad_w(layers_.size());
   std::vector<std::vector<double>> grad_b(layers_.size());
@@ -452,6 +454,7 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
         for (size_t i = 0; i < m; ++i) epoch_loss += ws.row_loss[i];
       }
       AdamStep(grad_w, grad_b, opts.learning_rate, batch);
+      TransposeWeights(&ws);
       pos += batch;
     }
     epoch_loss /= static_cast<double>(std::max<size_t>(1, train_idx.size()));
@@ -469,11 +472,6 @@ Result<TrainReport> FeedForwardNet::Train(const Matrix& X, const Matrix& Y,
   }
 
   if (opts.keep_best_validation_weights) layers_ = std::move(best_layers);
-  // Release the training workspace: engines copy trained nets per run, and
-  // the batch-sized buffers would ride along in every copy. OnlineUpdate
-  // re-sizes a 1-row workspace on its first call and is allocation-free
-  // from then on.
-  train_ws_ = Workspace();
   return report;
 }
 
@@ -481,11 +479,13 @@ void FeedForwardNet::OnlineUpdate(const std::vector<double>& x,
                                   const std::vector<double>& y,
                                   double learning_rate) {
   assert(x.size() == input_dim_ && y.size() == output_dim_);
-  // A batch-1 step of the batched trainer against the net's own workspace:
-  // after the first call everything below reuses capacity — zero heap
-  // allocation at steady state on the engine's plan boundary.
-  SizeWorkspace(&train_ws_, 1, /*with_backward=*/true);
-  Workspace& ws = train_ws_;
+  // A batch-1 step of the batched trainer against this thread's workspace:
+  // once the thread has updated a net of this shape, everything below
+  // reuses capacity, so a plan boundary allocates nothing. Every net the
+  // thread updates shares it, so each call transposes its own weights.
+  thread_local Workspace ws;
+  SizeWorkspace(&ws, 1, /*with_backward=*/true);
+  TransposeWeights(&ws);
   ws.act[0].Resize(1, input_dim_);
   std::memcpy(ws.act[0].RowPtr(0), x.data(), input_dim_ * sizeof(double));
   ws.yb.Resize(1, output_dim_);

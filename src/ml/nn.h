@@ -81,12 +81,13 @@ class FeedForwardNet {
 
   /// Batched forward pass: row i of `out` (resized to X.rows() x output_dim)
   /// is the prediction for row i of X. Rows run in fixed-size chunks
-  /// through one workspace sized for the call.
+  /// through one workspace sized for the call, which also holds the
+  /// transposed weights.
   void PredictBatchInto(const Matrix& X, Matrix* out) const;
 
   /// Trains on rows of X against rows of Y (target distributions) with Adam
   /// on cross-entropy: minibatch forward/backward as cache-blocked matrix
-  /// ops against a preallocated workspace, one gradient chunk at a time
+  /// ops against a workspace local to the call, one gradient chunk at a time
   /// (TrainOptions::grad_chunk_rows). Returns per-epoch loss curves. Fails if
   /// shapes disagree or there are too few samples to split.
   Result<TrainReport> Train(const Matrix& X, const Matrix& Y,
@@ -94,8 +95,10 @@ class FeedForwardNet {
 
   /// One incremental Adam step on a single (x, y) pair — used for online
   /// fine-tuning of the forecaster during ingestion (§3.3). Runs the batched
-  /// path with batch 1 against the net's own workspace: no heap allocation
-  /// at steady state.
+  /// path with batch 1 against the calling thread's workspace, shared by
+  /// every net the thread updates: once the thread has updated a net of
+  /// this shape, no heap allocation. Concurrent calls on distinct nets are
+  /// safe.
   void OnlineUpdate(const std::vector<double>& x, const std::vector<double>& y,
                     double learning_rate);
 
@@ -111,17 +114,14 @@ class FeedForwardNet {
   /// plain values, for serialization.
   NetSnapshot Snapshot() const;
 
-  /// Reassembles a net from a snapshot; the inverse of Snapshot(), bitwise
-  /// (the transposed-weight caches are rebuilt from the restored weights).
+  /// Reassembles a net from a snapshot; the inverse of Snapshot(), bitwise.
   /// Fails on inconsistent dimensions (flat vector sizes must match the
   /// architecture exactly).
   static Result<FeedForwardNet> FromSnapshot(const NetSnapshot& snapshot);
 
  private:
   struct Layer {
-    Matrix w;   // out x in
-    Matrix wt;  // in x out — w transposed, kept in sync after every Adam
-                // step so the batched forward is a row-major GEMM
+    Matrix w;  // out x in
     std::vector<double> b;
     // Adam state.
     Matrix mw, vw;
@@ -130,8 +130,14 @@ class FeedForwardNet {
 
   /// One chunk's buffers for the batched trainer and batched inference:
   /// every matrix is sized on first use and reused, so steady-state training
-  /// steps and OnlineUpdate calls allocate nothing.
+  /// steps and OnlineUpdate calls allocate nothing. A net holds none: Train
+  /// and PredictBatchInto own one per call and OnlineUpdate uses one per
+  /// thread, so a copy of a net carries only its parameters and Adam state.
   struct Workspace {
+    /// wt[l] is layer l's w transposed (in x out), so the batched forward is
+    /// a row-major GEMM. TransposeWeights fills it at the start of every
+    /// call and again after each of Train's Adam steps.
+    std::vector<Matrix> wt;
     /// act[0] holds the gathered input rows; act[l + 1] layer l's output.
     std::vector<Matrix> act;
     std::vector<Matrix> pre;    ///< pre-activations per layer
@@ -149,7 +155,9 @@ class FeedForwardNet {
   /// Sizes `ws` for a chunk of up to `max_rows` samples. `with_backward`
   /// also sizes the delta/gradient buffers.
   void SizeWorkspace(Workspace* ws, size_t max_rows, bool with_backward) const;
-  /// Forward pass over the m gathered rows of ws->act[0].
+  /// Writes every layer's w transposed into ws->wt.
+  void TransposeWeights(Workspace* ws) const;
+  /// Forward pass over the m gathered rows of ws->act[0] against ws->wt.
   void ForwardChunk(Workspace* ws, size_t m) const;
   /// Per-row losses + output-layer delta from act.back() vs yb.
   void OutputDeltaAndLoss(Workspace* ws, size_t m) const;
@@ -167,9 +175,6 @@ class FeedForwardNet {
   size_t input_dim_;
   size_t output_dim_;
   size_t adam_t_ = 0;
-  /// Reused by Train and OnlineUpdate (value member so nets stay copyable;
-  /// buffers are small relative to the Adam state already carried).
-  Workspace train_ws_;
 };
 
 }  // namespace sky::ml

@@ -3,9 +3,11 @@
 // work of a plan boundary — the engine's PrepareBoundary with its sliding
 // split counts, and every IngestionEngine::Step() within a plan interval,
 // after Start or after a Restore over a fresh workload, must perform zero
-// heap allocations. Verified with a
-// counting global operator new, so a regression is a test failure rather
-// than a code-review hope.
+// heap allocations. The forecaster's scratch is per thread, not per copy:
+// a copy allocates only its parameters, Adam state and loss curves, and a
+// fresh copy's first boundary on a warm thread allocates nothing. Verified
+// with a global operator new that counts calls and bytes, so a regression
+// is a test failure rather than a code-review hope.
 
 #include <gtest/gtest.h>
 
@@ -25,11 +27,14 @@
 namespace {
 
 std::atomic<long> g_allocations{0};
+std::atomic<long> g_allocated_bytes{0};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<long>(size),
+                              std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -67,20 +72,37 @@ ForecasterOptions FastOptions() {
   return opts;
 }
 
-TEST(AllocSteadyStateTest, ForecasterPlanBoundaryPathsAllocateNothing) {
-  std::vector<uint8_t> seq = SyntheticCategories(60.0, 6, 21);
+/// Operator new calls and bytes since the counters started.
+struct Allocated {
+  long calls;
+  long bytes;
+};
+
+Allocated AllocatedSoFar() {
+  return {g_allocations.load(std::memory_order_relaxed),
+          g_allocated_bytes.load(std::memory_order_relaxed)};
+}
+
+/// A forecaster trained on `seq` and, in `counts`, the split counts of the
+/// sequence's last input span, as the engine keeps them.
+Forecaster TrainedForecaster(const std::vector<uint8_t>& seq,
+                             std::vector<uint32_t>* counts) {
   auto trained =
       Forecaster::Train(oracle::Packed(3, seq), 60.0, 3, FastOptions());
-  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
-  Forecaster forecaster = std::move(*trained);
-  // The split counts of the sequence's last input span, as the engine keeps
-  // them.
-  const size_t splits = forecaster.options().input_splits;
-  std::vector<uint32_t> counts(splits * 3, 0);
+  EXPECT_TRUE(trained.ok()) << trained.status().ToString();
+  const size_t splits = trained->options().input_splits;
+  counts->assign(splits * 3, 0);
   for (size_t split = 0; split < splits; ++split) {
-    auto [begin, end] = forecaster.SplitWindow(split, seq.size(), 60.0);
-    for (size_t i = begin; i < end; ++i) ++counts[split * 3 + seq[i]];
+    auto [begin, end] = trained->SplitWindow(split, seq.size(), 60.0);
+    for (size_t i = begin; i < end; ++i) ++(*counts)[split * 3 + seq[i]];
   }
+  return std::move(trained).value();
+}
+
+TEST(AllocSteadyStateTest, ForecasterPlanBoundaryPathsAllocateNothing) {
+  std::vector<uint8_t> seq = SyntheticCategories(60.0, 6, 21);
+  std::vector<uint32_t> counts;
+  Forecaster forecaster = TrainedForecaster(seq, &counts);
 
   std::vector<double> features;
   std::vector<double> forecast;
@@ -106,6 +128,58 @@ TEST(AllocSteadyStateTest, ForecasterPlanBoundaryPathsAllocateNothing) {
   ASSERT_EQ(forecast.size(), 3u);
   double sum = forecast[0] + forecast[1] + forecast[2];
   EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+TEST(AllocSteadyStateTest, ForecasterCopyHoldsOnlyParametersAdamStateAndCurves) {
+  std::vector<uint8_t> seq = SyntheticCategories(60.0, 6, 22);
+  std::vector<uint32_t> counts;
+  const Forecaster trained = TrainedForecaster(seq, &counts);
+  // The net's NumParameters(), and the length of both loss curves.
+  const long params = static_cast<long>(trained.ModelParameters().size());
+  const long epochs = static_cast<long>(FastOptions().train_options.epochs);
+
+  Allocated before = AllocatedSoFar();
+  Forecaster copy = trained;
+  Allocated after = AllocatedSoFar();
+  const long calls = after.calls - before.calls;
+  const long bytes = after.bytes - before.bytes;
+  // The parameters, both Adam moments and the train and validation loss
+  // curves, plus per allocation a cache line for the table of layers. A
+  // transposed copy of the weights or a scratch buffer does not fit.
+  constexpr long kSlackPerAllocation = 64;
+  const long payload =
+      static_cast<long>(sizeof(double)) * (3 * params + 2 * epochs);
+  EXPECT_LE(bytes, payload + kSlackPerAllocation * calls)
+      << "a copy allocated " << bytes << " bytes in " << calls
+      << " calls for " << params << " parameters and " << epochs
+      << " epochs";
+  EXPECT_EQ(copy.ModelParameters(), trained.ModelParameters());
+}
+
+TEST(AllocSteadyStateTest, FreshCopysFirstBoundaryOnAWarmThreadAllocatesNothing) {
+  std::vector<uint8_t> seq = SyntheticCategories(60.0, 6, 23);
+  std::vector<uint32_t> counts;
+  const Forecaster trained = TrainedForecaster(seq, &counts);
+  std::vector<double> features;
+  std::vector<double> forecast;
+  std::vector<double> realized = {0.2, 0.5, 0.3};
+  {
+    // This thread fine-tunes another copy first, as an engine's boundary
+    // does before the next engine's on the same worker.
+    Forecaster warm = trained;
+    warm.FeaturesFromSplitCountsInto(counts, &features);
+    warm.ForecastInto(features, &forecast);
+    warm.OnlineUpdate(features, realized, 1e-3);
+  }
+
+  Forecaster fresh = trained;
+  Allocated before = AllocatedSoFar();
+  fresh.ForecastInto(features, &forecast);
+  fresh.OnlineUpdate(features, realized, 1e-3);
+  Allocated after = AllocatedSoFar();
+  EXPECT_EQ(after.calls - before.calls, 0);
+  EXPECT_EQ(after.bytes - before.bytes, 0);
+  EXPECT_NE(fresh.ModelParameters(), trained.ModelParameters());
 }
 
 TEST(AllocSteadyStateTest, NetPredictIntoAllocatesNothing) {

@@ -47,9 +47,7 @@ std::vector<double> RandomVec(size_t n, Rng* rng) {
 /// Every non-scalar backend this build + host can run.
 std::vector<const KernelOps*> VectorBackends() {
   std::vector<const KernelOps*> out;
-  if (KernelBackendSupported(KernelBackend::kAvx2)) {
-    out.push_back(Avx2KernelOps());
-  }
+  if (const KernelOps* avx2 = Avx2KernelOps()) out.push_back(avx2);
   return out;
 }
 
@@ -200,7 +198,7 @@ TEST(KernelsTest, MatMulIntoIdenticalAcrossBackends) {
   Matrix out_scalar, out_scalar_t;
   MatMulInto(a, b, &out_scalar);
   MatMulTransposedAInto(a, a, &out_scalar_t);
-  if (KernelBackendSupported(KernelBackend::kAvx2)) {
+  if (Avx2KernelOps() != nullptr) {
     ASSERT_TRUE(SetKernelBackend(KernelBackend::kAvx2).ok());
     Matrix out, out_t;
     MatMulInto(a, b, &out);
@@ -216,20 +214,18 @@ TEST(KernelsTest, SetKernelBackendOverridesDispatch) {
   ASSERT_TRUE(SetKernelBackend(KernelBackend::kScalar).ok());
   EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kScalar);
   EXPECT_EQ(ActiveKernels().backend, KernelBackend::kScalar);
-  if (KernelBackendSupported(BestSupportedBackend())) {
-    ASSERT_TRUE(SetKernelBackend(BestSupportedBackend()).ok());
-    EXPECT_EQ(ActiveKernelBackend(), BestSupportedBackend());
-  }
+  ASSERT_TRUE(SetKernelBackend(BestSupportedBackend()).ok());
+  EXPECT_EQ(ActiveKernelBackend(), BestSupportedBackend());
   ASSERT_TRUE(SetKernelBackend(original).ok());
 }
 
 TEST(KernelsTest, SetKernelBackendRejectsUnsupportedTier) {
   // On a host or build without AVX2 the tier must be rejected.
-  if (!KernelBackendSupported(KernelBackend::kAvx2)) {
+  if (Avx2KernelOps() == nullptr) {
     EXPECT_FALSE(SetKernelBackend(KernelBackend::kAvx2).ok());
   }
   // Scalar is always available.
-  EXPECT_TRUE(KernelBackendSupported(KernelBackend::kScalar));
+  EXPECT_NE(ScalarKernelOps(), nullptr);
 }
 
 TEST(KernelsTest, BackendNamesAreStable) {

@@ -245,7 +245,8 @@ std::string OlderVersionFile(uint32_t version) {
     if (tag == "TSEQ") {
       payload.clear();
       if (version == 1) {
-        wire::PutU64Vec(&payload, std::vector<size_t>(seq.begin(), seq.end()));
+        wire::Writer(&payload).U64Vec(
+            std::vector<size_t>(seq.begin(), seq.end()));
       } else {
         wire::Writer(&payload).U64(seq.size());
         payload.append(seq.begin(), seq.end());
@@ -253,7 +254,7 @@ std::string OlderVersionFile(uint32_t version) {
     } else if (tag == "CATG" && version == 1) {
       std::string inertia = payload.substr(payload.size() - 8);
       payload.resize(payload.size() - 8);
-      wire::PutU64Vec(&payload, std::vector<size_t>(300, 1));
+      wire::Writer(&payload).U64Vec(std::vector<size_t>(300, 1));
       payload += inertia;
     }
     wire::PutChunk(&old, tag.c_str(), payload);

@@ -379,10 +379,27 @@ core::Forecaster FixedForecaster() {
   return std::move(forecaster).value();
 }
 
+/// The forecaster payload alone, as TransferForecaster writes it into a
+/// model's FCST chunk or an engine state.
+std::string ForecasterPayload(
+    const std::optional<core::Forecaster>& forecaster) {
+  std::string bytes;
+  wire::Writer w(&bytes);
+  wire::TransferForecaster(w, forecaster);
+  return bytes;
+}
+
+/// Reads a payload ForecasterPayload wrote.
+Status ParseForecasterPayload(const std::string& bytes,
+                              std::optional<core::Forecaster>* out) {
+  wire::Cursor c(bytes.data(), bytes.size());
+  wire::TransferForecaster(c, *out);
+  return c.status();
+}
+
 // Model files and fleet checkpoints both carry this payload.
 TEST(WireContainerTest, ForecasterPayloadLayoutIsPinned) {
-  std::string bytes;
-  wire::AppendForecaster(FixedForecaster(), &bytes);
+  const std::string bytes = ForecasterPayload(FixedForecaster());
   EXPECT_EQ(Hex(bytes),
             "01000000000020ac4001000000000000000000000000209c400000000000208c"
             "400500000000000000020000000000000004000000000000007b14ae47e17a84"
@@ -398,12 +415,9 @@ TEST(WireContainerTest, ForecasterPayloadLayoutIsPinned) {
             "1cebe2361a3f2d431cebe2362a3f613255302aa9333f2d431cebe2363a3ffca9"
             "f1d24d62403f613255302aa9433fc7bab88d06f0463f");
   // The payload parses back to a forecaster that writes the same bytes.
-  wire::Cursor c(bytes.data(), bytes.size());
   std::optional<core::Forecaster> parsed;
-  ASSERT_TRUE(wire::ParseForecaster(&c, &parsed).ok());
-  std::string again;
-  wire::AppendForecaster(parsed, &again);
-  EXPECT_EQ(again, bytes);
+  ASSERT_TRUE(ParseForecasterPayload(bytes, &parsed).ok());
+  EXPECT_EQ(ForecasterPayload(parsed), bytes);
 }
 
 /// A two-configuration model built by hand: one profile with one mixed
@@ -514,8 +528,7 @@ TEST(WireContainerTest, WholeModelFileLayoutIsPinned) {
 }
 
 TEST(WireContainerTest, ForecasterTrainerSlotReadsEitherOldIdAndWritesZero) {
-  std::string bytes;
-  wire::AppendForecaster(FixedForecaster(), &bytes);
+  const std::string bytes = ForecasterPayload(FixedForecaster());
   // The u32 trainer slot follows a presence byte, five fields and four
   // training options of 8 bytes each, the u32 loss id, the u64 shuffle seed
   // and the keep-best flag.
@@ -527,16 +540,12 @@ TEST(WireContainerTest, ForecasterTrainerSlotReadsEitherOldIdAndWritesZero) {
   // A payload written when libsky still had the per-sample trainer (id 1)
   // parses, and writes back with the id libsky writes now.
   std::string per_sample = Patched(bytes, trainer_at, uint32_t{1});
-  wire::Cursor c(per_sample.data(), per_sample.size());
   std::optional<core::Forecaster> parsed;
-  ASSERT_TRUE(wire::ParseForecaster(&c, &parsed).ok());
-  std::string again;
-  wire::AppendForecaster(parsed, &again);
-  EXPECT_EQ(again, bytes);
+  ASSERT_TRUE(ParseForecasterPayload(per_sample, &parsed).ok());
+  EXPECT_EQ(ForecasterPayload(parsed), bytes);
 
   std::string unknown = Patched(bytes, trainer_at, uint32_t{2});
-  wire::Cursor u(unknown.data(), unknown.size());
-  Status refused = wire::ParseForecaster(&u, &parsed);
+  Status refused = ParseForecasterPayload(unknown, &parsed);
   EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(refused.message().find("trainer id"), std::string::npos)
       << refused.ToString();
