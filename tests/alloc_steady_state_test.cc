@@ -130,7 +130,7 @@ TEST(AllocSteadyStateTest, ForecasterPlanBoundaryPathsAllocateNothing) {
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
-TEST(AllocSteadyStateTest, ForecasterCopyHoldsOnlyParametersAdamStateAndCurves) {
+TEST(AllocSteadyStateTest, CopyHoldsOnlyParametersAdamStateAndCurves) {
   std::vector<uint8_t> seq = SyntheticCategories(60.0, 6, 22);
   std::vector<uint32_t> counts;
   const Forecaster trained = TrainedForecaster(seq, &counts);
@@ -156,7 +156,7 @@ TEST(AllocSteadyStateTest, ForecasterCopyHoldsOnlyParametersAdamStateAndCurves) 
   EXPECT_EQ(copy.ModelParameters(), trained.ModelParameters());
 }
 
-TEST(AllocSteadyStateTest, FreshCopysFirstBoundaryOnAWarmThreadAllocatesNothing) {
+TEST(AllocSteadyStateTest, FreshCopyOnAWarmThreadAllocatesNothing) {
   std::vector<uint8_t> seq = SyntheticCategories(60.0, 6, 23);
   std::vector<uint32_t> counts;
   const Forecaster trained = TrainedForecaster(seq, &counts);
